@@ -1,8 +1,7 @@
 """Digital coupling-wave canceler design and BER evaluation toolkit."""
 
-from .lti import StateSpace, DimensionError, matrix_exponential, discretize_zoh
-from .eigen import Spectrum, NumericalFailure, eigenvalues, spectral_radius
-from .riccati import NoStabilizingSolution, solve_care, care_stabilizing
+from .lti import StateSpace, DimensionError, matrix_exponential, discretize_zoh, spectral_radius
+from .riccati import NumericalFailure, NoStabilizingSolution, solve_care, care_stabilizing
 from .hnorm import UnstableSystemError, hinf_norm_discrete, frequency_response
 from .plant import (
     ModelError,

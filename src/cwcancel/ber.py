@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .simulate import SimConfig, Waveform, simulate_chain
+from .simulate import SimConfig, Waveform, noise_amplitude, simulate_chain
 
 __all__ = [
     "CommsConfig",
@@ -207,7 +207,8 @@ def sweep_beta(cfg_base: SimConfig, cc: CommsConfig, betas, cancelers) -> list:
     """One BER curve per canceler kind over a common beta grid.
 
     Seed for beta index i is (base seed + i) mod 2^64, shared across kinds
-    at that beta so the comparison between curves is paired.
+    at that beta so the comparison between curves is paired.  Hence 12-point
+    sweeps with base seeds s and s + 1 share 11 of their 12 noise streams.
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -242,8 +243,8 @@ def forwarding_ber_model(cfg: SimConfig, cc: CommsConfig, beta: float) -> float:
     m = sps // cfg.params.fsfh_ratio
     g = 10.0 ** (cfg.relay_gain_db / 20.0)
     amp = math.sqrt(10.0 ** (cfg.signal_dbm / 10.0))
-    sigma_rs = math.sqrt(10.0 ** (cfg.noise_rs_dbm / 10.0) / 2.0) if cfg.noise_rs_dbm != -math.inf else 0.0
-    sigma_t = math.sqrt(10.0 ** (cfg.noise_t_dbm / 10.0) / 2.0) if cfg.noise_t_dbm != -math.inf else 0.0
+    sigma_rs = noise_amplitude(cfg.noise_rs_dbm)
+    sigma_t = noise_amplitude(cfg.noise_t_dbm)
     var = (beta * g * sigma_rs) ** 2 / m + sigma_t ** 2 / sps
     if var == 0.0:
         return 0.0

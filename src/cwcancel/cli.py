@@ -8,7 +8,8 @@ waveform.csv) are deterministic functions of the config and seed.
 
 Exit codes: 0 success, 1 synthesis failure, 2 malformed JSON or invalid
 config/controller, 3 controller/config step mismatch, 4 unstable closed
-loop during certification.
+loop (certification finds a spectral radius >= 1, or a simulation or sweep
+diverges).
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .ber import CommsConfig, bind_comms, default_beta_grid, modulate, sweep_beta, write_ber_csv
-from .eigen import eigenvalues
 from .hnorm import hinf_norm_discrete
 from .lifting import closed_loop, lift
-from .lti import StateSpace
+from .lti import StateSpace, spectral_radius, step_matches
 from .plant import ModelError, RelayParams, build_hybrid_plant
 from .simulate import SimConfig, simulate_chain, write_waveform_csv
-from .synthesis import (
-    SynthesisError,
-    bisect_gamma,
-    controller_from_dict,
-    controller_to_dict,
-)
+from .synthesis import SynthesisError, bisect_gamma, controller_to_dict, load_controller
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
@@ -70,6 +65,10 @@ DEFAULT_CONFIG = {
 
 class ConfigFileError(ValueError):
     pass
+
+
+class StepMismatchError(Exception):
+    """A controller's step differs from the config's sampling period."""
 
 
 def _merge(user, default, path=""):
@@ -153,8 +152,12 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _check_step(controller, params) -> bool:
-    return abs(controller.K.dt - params.sampling_period) <= 1e-12 * max(1.0, params.sampling_period)
+def _load_controller(path, params: RelayParams):
+    ctrl = load_controller(path)
+    if not step_matches(ctrl.K.dt, params.sampling_period):
+        raise StepMismatchError(f"controller step {ctrl.K.dt} does not match config "
+                                f"sampling period {params.sampling_period}")
+    return ctrl
 
 
 def cmd_design(args) -> int:
@@ -169,7 +172,7 @@ def cmd_design(args) -> int:
         return EXIT_SYNTH
     ctrl = result.controller
     cl = closed_loop(lifted, ctrl.K)
-    radius = eigenvalues(cl.A).spectral_radius
+    radius = spectral_radius(cl.A)
     outdir = Path(args.out if args.out else cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "controller.json", controller_to_dict(ctrl))
@@ -189,15 +192,10 @@ def cmd_design(args) -> int:
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     params = params_from_config(cfg)
-    with open(args.controller) as fh:
-        ctrl = controller_from_dict(json.load(fh))
-    if not _check_step(ctrl, params):
-        print(f"controller step {ctrl.K.dt} does not match config sampling period "
-              f"{params.sampling_period}", file=sys.stderr)
-        return EXIT_STEP_MISMATCH
+    ctrl = _load_controller(args.controller, params)
     lifted = lift(build_hybrid_plant(params))
     cl = closed_loop(lifted, ctrl.K)
-    radius = eigenvalues(cl.A).spectral_radius
+    radius = spectral_radius(cl.A)
     if radius >= 1.0:
         print(f"closed loop unstable: spectral radius {radius:.9f}", file=sys.stderr)
         return EXIT_UNSTABLE
@@ -223,11 +221,7 @@ def cmd_simulate(args) -> int:
         if args.controller is None:
             print(f"canceler {args.canceler!r} requires --controller", file=sys.stderr)
             return EXIT_CONFIG
-        with open(args.controller) as fh:
-            controller = controller_from_dict(json.load(fh))
-        if not _check_step(controller, params):
-            print("controller step does not match config sampling period", file=sys.stderr)
-            return EXIT_STEP_MISMATCH
+        controller = _load_controller(args.controller, params)
     sim = _sim_config(cfg, params, canceler=args.canceler, controller=controller,
                       beta=args.beta, seed=args.seed)
     cc = bind_comms(_comms_config(cfg), params)
@@ -253,11 +247,7 @@ def cmd_sweep(args) -> int:
         if args.controller is None:
             print("sweep with a 'designed' or 'perfect' curve requires --controller", file=sys.stderr)
             return EXIT_CONFIG
-        with open(args.controller) as fh:
-            controller = controller_from_dict(json.load(fh))
-        if not _check_step(controller, params):
-            print("controller step does not match config sampling period", file=sys.stderr)
-            return EXIT_STEP_MISMATCH
+        controller = _load_controller(args.controller, params)
     sim = _sim_config(cfg, params, canceler="none", controller=controller, seed=args.seed)
     cc = _comms_config(cfg)
     if args.betas:
@@ -326,6 +316,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return EXIT_CONFIG
+    except StepMismatchError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_STEP_MISMATCH
+    except FloatingPointError as exc:
+        print(f"closed loop unstable: {exc}", file=sys.stderr)
+        return EXIT_UNSTABLE
     except (ConfigFileError, ModelError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import StateSpace, discretize_zoh
+from .lti import StateSpace, discretize_zoh, step_matches
 from .plant import HybridPlant
 
 __all__ = [
@@ -165,7 +165,7 @@ def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
         raise InterconnectionError(
             f"controller is {K.n_outputs}x{K.n_inputs}, plant wants {nu}x{ny}"
         )
-    if K.is_discrete and abs(K.dt - G.dt) > 1e-12 * max(G.dt, 1.0):
+    if K.is_discrete and not step_matches(K.dt, G.dt):
         raise InterconnectionError(f"controller step {K.dt} != plant step {G.dt}")
 
     A, B1, B2 = G.A, G.B[:, :nw], G.B[:, nw:]

@@ -16,6 +16,8 @@ __all__ = [
     "DimensionError",
     "matrix_exponential",
     "discretize_zoh",
+    "spectral_radius",
+    "step_matches",
 ]
 
 # Default relative accuracy targets; every routine takes an override.
@@ -92,6 +94,16 @@ class StateSpace:
 
     def copy(self) -> "StateSpace":
         return StateSpace(self.A.copy(), self.B.copy(), self.C.copy(), self.D.copy(), self.dt)
+
+
+def spectral_radius(A) -> float:
+    """Largest eigenvalue modulus of a square matrix; 0.0 when it is empty."""
+    return float(np.abs(np.linalg.eigvals(A)).max(initial=0.0))
+
+
+def step_matches(dt: float, period: float) -> bool:
+    """True when a discrete step equals a sampling period to 1e-12 relative."""
+    return abs(dt - period) <= 1e-12 * max(1.0, period)
 
 
 def matrix_exponential(M) -> np.ndarray:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import eigenvalues
 from .lti import StateSpace
 
 __all__ = [
@@ -155,10 +154,7 @@ class HybridPlant:
 
 
 def _require_stable_ct(sys: StateSpace, name: str) -> None:
-    if sys.n_states == 0:
-        return
-    spec = eigenvalues(sys.A)
-    if np.max(spec.eigenvalues.real) >= 0.0:
+    if sys.n_states and np.linalg.eigvals(sys.A).real.max() >= 0.0:
         raise ModelError(f"{name} must be a stable continuous-time system")
 
 

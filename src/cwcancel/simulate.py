@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import discretize_zoh
+from .lti import discretize_zoh, step_matches
 from .plant import RelayParams, carrier_rotation, identity_filter, promote_iq
 from .synthesis import DigitalController
 
@@ -136,7 +136,7 @@ def _period_maps(cfg: SimConfig):
     use_clean = cfg.canceler == "perfect" and nF > 0
     if cfg.canceler in ("designed", "perfect"):
         K = cfg.controller.K
-        if abs(K.dt - prm.sampling_period) > 1e-12 * max(1.0, prm.sampling_period):
+        if not step_matches(K.dt, prm.sampling_period):
             raise ConfigError(
                 f"controller step {K.dt} does not match sampling period {prm.sampling_period}"
             )
@@ -244,10 +244,12 @@ def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
 
     u = np.empty((n_fast, 2))
     x = np.zeros(n)
-    for k in range(n_slow):
-        vec = inputs[k]
-        u[k * N:(k + 1) * N] = (C @ x + D @ vec).reshape(N, 2)
-        x = A @ x + B @ vec
+    # A divergent loop overflows; the finiteness check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_slow):
+            vec = inputs[k]
+            u[k * N:(k + 1) * N] = (C @ x + D @ vec).reshape(N, 2)
+            x = A @ x + B @ vec
 
     if not np.all(np.isfinite(u)):
         bad = int(np.argmin(np.isfinite(u).all(axis=1)))

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import eigenvalues
 from .hnorm import hinf_norm_discrete
 from .lifting import LiftedPlant, closed_loop
-from .lti import StateSpace
+from .lti import StateSpace, spectral_radius
 from .riccati import NoStabilizingSolution, care_stabilizing, is_schur
 
 __all__ = [
@@ -372,7 +371,7 @@ def bisect_gamma(
             lo = mid
 
     cl = closed_loop(Gl, best.K)
-    radius = eigenvalues(cl.A).spectral_radius
+    radius = spectral_radius(cl.A)
     if radius >= 1.0:
         raise SynthesisError(f"final closed loop unstable (radius {radius:.6f})")
     cert = hinf_norm_discrete(cl, tol=1e-6)

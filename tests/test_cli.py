@@ -23,6 +23,17 @@ def controller_file(tmp_path_factory, designed_controller):
 
 
 @pytest.fixture(scope="module")
+def divergent_controller_file(tmp_path_factory):
+    """2-state controller with poles at 1e3: every closed loop diverges."""
+    doc = {"a": [[1e3, 0.0], [0.0, 1e3]], "b": [[1.0, 0.0], [0.0, 1.0]],
+           "c": [[1.0, 0.0], [0.0, 1.0]], "d": [[0.0, 0.0], [0.0, 0.0]],
+           "step_seconds": 1.0, "gamma_achieved": 1.0, "gamma_certified": None}
+    path = tmp_path_factory.mktemp("ctrl") / "divergent.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture(scope="module")
 def quick_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "quick.json"
     path.write_text(json.dumps({
@@ -189,3 +200,32 @@ class TestSweep:
         path.write_text(json.dumps(doc))
         rc = main(["sweep", "--config", str(quick_config), "--controller", str(path)])
         assert rc == EXIT_STEP_MISMATCH
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDivergentController:
+    """A divergent loop exits with EXIT_UNSTABLE and a one-line message."""
+
+    def _assert_one_line(self, capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_certify(self, tmp_path, divergent_controller_file, capsys):
+        rc = main(["certify", "--controller", str(divergent_controller_file),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_UNSTABLE
+        self._assert_one_line(capsys)
+
+    def test_simulate(self, tmp_path, divergent_controller_file, capsys):
+        rc = main(["simulate", "--controller", str(divergent_controller_file),
+                   "--canceler", "designed", "--out", str(tmp_path)])
+        assert rc == EXIT_UNSTABLE
+        self._assert_one_line(capsys)
+
+    def test_sweep(self, tmp_path, divergent_controller_file, quick_config, capsys):
+        rc = main(["sweep", "--config", str(quick_config),
+                   "--controller", str(divergent_controller_file),
+                   "--betas", "1e-3", "--cancelers", "designed", "--out", str(tmp_path)])
+        assert rc == EXIT_UNSTABLE
+        self._assert_one_line(capsys)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from cwcancel.eigen import eigenvalues
 from cwcancel.hnorm import hinf_norm_discrete
 from cwcancel.lifting import LiftedPlant, closed_loop, lift
-from cwcancel.lti import StateSpace
+from cwcancel.lti import StateSpace, spectral_radius
 from cwcancel.plant import RelayParams, build_hybrid_plant
 from cwcancel.synthesis import (
     DigitalController,
@@ -169,7 +168,7 @@ class TestBisection:
         result, _ = design_run
         ctrl = result.controller
         cl = closed_loop(default_lifted, ctrl.K)
-        assert eigenvalues(cl.A).spectral_radius < 1.0
+        assert spectral_radius(cl.A) < 1.0
         assert ctrl.gamma_certified <= result.gamma_min * 1.001
         assert ctrl.gamma_certified <= ctrl.gamma_achieved * (1.0 + 1e-3)
 
@@ -230,6 +229,18 @@ class TestBisection:
         assert np.array_equal(again.controller.K.C, ref.controller.K.C)
         assert np.array_equal(again.controller.K.D, ref.controller.K.D)
         assert again.controller.gamma_certified == ref.controller.gamma_certified
+
+    def test_fsfh_convergence_first_order(self):
+        # gamma_min(N) approaches the sampled-data optimum from above, and
+        # each doubling of the FSFH ratio roughly halves the gap (first-order
+        # FSFH convergence).  A tight tol keeps bisection steps well below
+        # the gaps (about 7e-3 and 3.4e-3).
+        g = {N: bisect_gamma(lift(build_hybrid_plant(RelayParams(fsfh_ratio=N))),
+                             tol=1e-5).gamma_min
+             for N in (8, 16, 32)}
+        assert g[8] > g[16] > g[32]
+        ratio = (g[16] - g[32]) / (g[8] - g[16])
+        assert 0.4 <= ratio <= 0.6, f"gamma_min {g}, gap ratio {ratio:.3f}"
 
 
 class TestFailurePaths:
