@@ -9,7 +9,8 @@ waveform.csv) are deterministic functions of the config and seed.
 Exit codes: 0 success, 1 synthesis failure, 2 malformed JSON or invalid
 config/controller, 3 controller/config step mismatch, 4 unstable closed
 loop (certification finds a spectral radius >= 1, or a simulation or sweep
-diverges).
+diverges), 5 numerical failure (the H-infinity certificate could not prove a
+bound).
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .ber import CommsConfig, bind_comms, default_beta_grid, modulate, sweep_beta, write_ber_csv
-from .hnorm import hinf_norm_discrete
+from .hnorm import UnstableSystemError, hinf_norm_discrete
 from .lifting import closed_loop, lift
 from .lti import StateSpace, spectral_radius, step_matches
 from .plant import ModelError, RelayParams, build_hybrid_plant
+from .riccati import NumericalFailure
 from .simulate import SimConfig, simulate_chain, write_waveform_csv
 from .synthesis import SynthesisError, bisect_gamma, controller_to_dict, load_controller
 
@@ -36,6 +38,7 @@ EXIT_SYNTH = 1
 EXIT_CONFIG = 2
 EXIT_STEP_MISMATCH = 3
 EXIT_UNSTABLE = 4
+EXIT_NUMERICAL = 5
 
 DEFAULT_CONFIG = {
     "relay": {
@@ -319,9 +322,12 @@ def main(argv=None) -> int:
     except StepMismatchError as exc:
         print(exc, file=sys.stderr)
         return EXIT_STEP_MISMATCH
-    except FloatingPointError as exc:
+    except (FloatingPointError, UnstableSystemError) as exc:
         print(f"closed loop unstable: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigFileError, ModelError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,21 +1,32 @@
-"""Discrete-time H-infinity norm by adaptive frequency sweep.
+"""Discrete-time H-infinity norm with a proven two-sided bracket.
 
-The peak gain over the unit circle is located on a dense grid seeded with the
-plant pole phases, then polished with golden-section refinement around each
-candidate maximum.  Simpler than Hamiltonian bisection and accurate well past
-the 1e-4 relative tolerance the certification tests require.
+The norm-preserving bilinear map z = (1+s)/(1-s) takes the system to
+continuous time, where gamma is a singular value of G(jw) exactly when jw is
+an eigenvalue of the gamma-Hamiltonian (Boyd & Balakrishnan 1990; Bruinsma &
+Steinbuch, Systems & Control Letters 1990).  The lower bound lb is always an
+attained gain.  With no imaginary-axis eigenvalue at gamma = lb*(1+2*tol) the
+norm is proven below gamma; otherwise the gain at and between the crossings
+raises lb.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lti import StateSpace
+from .lti import StateSpace, bilinear_to_continuous, spectral_radius
+from .riccati import NumericalFailure
 
 __all__ = ["UnstableSystemError", "hinf_norm_discrete", "frequency_response"]
 
 HINF_NORM_RTOL = 1e-4
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Hamiltonian eigenvalues with |Re| <= this * (1 + |lambda|) lie on the axis.
+_AXIS_RTOL = 1e-8
+_MAX_PASSES = 50
+# Passes that sharpen lb after the proof: a tighter level and a looser axis
+# test, since only attained gains come out of them.
+_POLISH_RTOL, _POLISH_AXIS_RTOL = 1e-12, 1e-4
+# complex128 work arrays (E: n x n, X: n x m) per frequency_response chunk.
+_CHUNK_BYTES = 16 * 2 ** 20
 
 
 class UnstableSystemError(ValueError):
@@ -31,7 +42,7 @@ def frequency_response(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:
         out[:] = sys.D
         return out
     I = np.eye(n)
-    chunk = max(1, int(4_000_000 / (n * n)))
+    chunk = max(1, _CHUNK_BYTES // (16 * n * (n + m)))
     for start in range(0, thetas.size, chunk):
         th = thetas[start:start + chunk]
         E = np.exp(1j * th)[:, None, None] * I - sys.A
@@ -47,69 +58,57 @@ def _sigma_max(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.svd(resp, compute_uv=False)[:, 0]
 
 
-def _golden_refine(sys: StateSpace, lo: float, hi: float, iters: int = 48) -> float:
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = _sigma_max(sys, np.array([x1, x2]))
-    best = max(f1, f2)
-    for _ in range(iters):
-        if b - a < 1e-13:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = _sigma_max(sys, np.array([x2]))[0]
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = _sigma_max(sys, np.array([x1]))[0]
-        best = max(best, f1, f2)
-    return best
+def _raise_lower_bound(sys, sc, lb: float, rtol: float, axis_rtol: float = _AXIS_RTOL):
+    """One pass at gamma = lb*(1+2*rtol) > sigma_max(D_c) on the continuous
+    image ``sc`` of ``sys``: the peak gain found, and whether gamma is crossed.
+
+    eigvals moves an axis eigenvalue by about eps * ||H||, which dominates when
+    R is nearly singular.  sigma_max reaches gamma at a true crossing.
+    """
+    A, B, C, D = sc.A, sc.B, sc.C, sc.D
+    gamma = lb * (1.0 + 2.0 * rtol)
+    R = gamma ** 2 * np.eye(D.shape[1]) - D.T @ D
+    RiBt = np.linalg.solve(R, B.T)
+    Ah = A + RiBt.T @ D.T @ C
+    Q = C.T @ (np.eye(D.shape[0]) + D @ np.linalg.solve(R, D.T)) @ C
+    H = np.block([[Ah, B @ RiBt], [-Q, -Ah.T]])
+    lam = np.linalg.eigvals(H)
+    rounding = H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 1)
+    on_axis = np.abs(lam.real) <= axis_rtol * (1.0 + np.abs(lam)) + rounding
+    crossings = np.unique(2.0 * np.arctan(np.abs(lam[on_axis].imag)))
+    edges = np.concatenate([[0.0], crossings, [np.pi]])
+    probes = np.concatenate([crossings, 0.5 * (edges[:-1] + edges[1:])])
+    peak = max(lb, float(_sigma_max(sys, probes).max()))
+    return peak, crossings.size > 0 and peak >= gamma * (1.0 - rtol)
 
 
-def hinf_norm_discrete(
-    sys: StateSpace,
-    tol: float = HINF_NORM_RTOL,
-    grid_points: int = 1024,
-) -> float:
-    """Peak singular value of a Schur-stable discrete system over [0, pi].
+def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
+    """Peak singular value g of a Schur-stable discrete system over [0, pi].
 
-    Raises :class:`UnstableSystemError` when the spectral radius of A is not
-    strictly inside the unit circle.
+    g is attained at some frequency, and the norm is proven to lie in
+    [g, g*(1+2*tol)].  Raises :class:`UnstableSystemError` when the spectral
+    radius of A is not strictly inside the unit circle, and
+    :class:`~cwcancel.riccati.NumericalFailure` when no bound is proven.
     """
     if not sys.is_discrete:
         raise ValueError("hinf_norm_discrete expects a discrete-time system")
-    if sys.n_states:
-        poles = np.linalg.eigvals(sys.A)
-        radius = np.abs(poles).max()
-        if radius >= 1.0:
-            raise UnstableSystemError(f"spectral radius {radius:.6f} >= 1: norm is infinite")
-        pole_angles = np.abs(np.angle(poles[np.abs(poles) > 0.3]))
-    else:
-        pole_angles = np.zeros(0)
+    radius = spectral_radius(sys.A)
+    if radius >= 1.0:
+        raise UnstableSystemError(f"spectral radius {radius:.6f} >= 1: norm is infinite")
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return 0.0
 
-    base = np.linspace(0.0, np.pi, grid_points + 1)
-    extra = np.concatenate([pole_angles, pole_angles + 1e-4, pole_angles - 1e-4])
-    thetas = np.unique(np.clip(np.concatenate([base, extra]), 0.0, np.pi))
-    gains = _sigma_max(sys, thetas)
-
-    best = float(gains.max())
-    # Refine every local maximum that is within reach of the current peak.
-    candidates = []
-    for i in range(gains.size):
-        left = gains[i - 1] if i > 0 else -np.inf
-        right = gains[i + 1] if i < gains.size - 1 else -np.inf
-        if gains[i] >= left and gains[i] >= right:
-            candidates.append(i)
-    candidates.sort(key=lambda i: -gains[i])
-    for i in candidates[:8]:
-        if gains[i] < best * (1.0 - 50.0 * tol):
+    sc = bilinear_to_continuous(sys, 1.0)
+    # theta = pi is s = infinity, so this seed covers sigma_max(D_c) too.
+    lb = float(_sigma_max(sys, np.array([0.0, np.pi / 2, np.pi])).max())
+    for _ in range(_MAX_PASSES if lb > 0.0 else 0):
+        lb, crossed = _raise_lower_bound(sys, sc, lb, tol)
+        if not crossed:
             break
-        lo = thetas[i - 1] if i > 0 else thetas[0]
-        hi = thetas[i + 1] if i < thetas.size - 1 else thetas[-1]
-        if hi > lo:
-            best = max(best, _golden_refine(sys, lo, hi))
-    return best
+    else:
+        raise NumericalFailure(f"H-infinity norm not bracketed (lower bound {lb:.9g})")
+    for _ in range(_MAX_PASSES):
+        lb, crossed = _raise_lower_bound(sys, sc, lb, _POLISH_RTOL, _POLISH_AXIS_RTOL)
+        if not crossed:
+            break
+    return lb

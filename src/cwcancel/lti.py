@@ -1,12 +1,15 @@
-"""State-space containers, matrix exponential and zero-order-hold discretization.
+"""State-space containers, matrix exponential, zero-order-hold discretization
+and the bilinear (Tustin) maps between discrete and continuous time.
 
-Everything downstream (plant assembly, lifting, synthesis, simulation) moves
-data around as real (A, B, C, D) quadruples, continuous-time or discrete-time
-with a fixed step.  This module is numpy-only by design.
+Everything downstream (plant assembly, lifting, synthesis, the H-infinity
+certificate, simulation) moves data around as real (A, B, C, D) quadruples,
+continuous-time or discrete-time with a fixed step.  This module is
+numpy-only by design.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,8 @@ __all__ = [
     "discretize_zoh",
     "spectral_radius",
     "step_matches",
+    "bilinear_to_continuous",
+    "bilinear_to_discrete",
 ]
 
 # Default relative accuracy targets; every routine takes an override.
@@ -173,3 +178,41 @@ def discretize_zoh(sys: StateSpace, step: float) -> StateSpace:
     aug[:n, n:] = sys.B * step
     E = matrix_exponential(aug)
     return StateSpace(E[:n, :n], E[:n, n:], sys.C.copy(), sys.D.copy(), dt=step)
+
+
+def bilinear_to_continuous(sys: StateSpace, alpha: float) -> StateSpace:
+    """Exact Moebius map z = (alpha+s)/(alpha-s) from disc to left half-plane.
+
+    Preserves the H-infinity norm and stability; requires -1 outside the
+    spectrum of A (a pole at z = -1 maps to s = infinity).
+    """
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n = sys.n_states
+    if n == 0:
+        return StateSpace(A, B, C, D, dt=None)
+    ApI = A + np.eye(n)
+    if np.linalg.cond(ApI) > 1e14:
+        warnings.warn("bilinear transform near pole at z=-1; regularizing A")
+        A = A * (1.0 - 1e-9)
+        ApI = A + np.eye(n)
+    T = np.linalg.inv(ApI)
+    s2a = np.sqrt(2.0 * alpha)
+    return StateSpace(alpha * (T @ (A - np.eye(n))), s2a * (T @ B),
+                      s2a * (C @ T), D - C @ T @ B, dt=None)
+
+
+def bilinear_to_discrete(sys: StateSpace, alpha: float, step: float) -> StateSpace:
+    """Inverse of :func:`bilinear_to_continuous`, tagging the result with step."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n = sys.n_states
+    if n == 0:
+        return StateSpace(A, B, C, D, dt=step)
+    AmI = alpha * np.eye(n) - A
+    if np.linalg.cond(AmI) > 1e14:
+        warnings.warn("inverse bilinear transform near pole at s=alpha; regularizing A")
+        A = A * (1.0 - 1e-9)
+        AmI = alpha * np.eye(n) - A
+    T = np.linalg.inv(AmI)
+    s2a = np.sqrt(2.0 * alpha)
+    return StateSpace(T @ (alpha * np.eye(n) + A), s2a * (T @ B),
+                      s2a * (C @ T), D + C @ T @ B, dt=step)

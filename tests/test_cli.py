@@ -6,12 +6,15 @@ import pytest
 from cwcancel.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_STEP_MISMATCH,
     EXIT_UNSTABLE,
     load_config,
     main,
 )
+from cwcancel.hnorm import UnstableSystemError
+from cwcancel.riccati import NumericalFailure
 from cwcancel.synthesis import controller_to_dict, save_controller
 
 
@@ -229,3 +232,24 @@ class TestDivergentController:
                    "--betas", "1e-3", "--cancelers", "designed", "--out", str(tmp_path)])
         assert rc == EXIT_UNSTABLE
         self._assert_one_line(capsys)
+
+
+class TestCertificateFailures:
+    """Errors raised by the H-infinity certificate exit with their own code."""
+
+    @pytest.mark.parametrize("error, code", [
+        (NumericalFailure("H-infinity norm not bracketed"), EXIT_NUMERICAL),
+        (UnstableSystemError("spectral radius 1.000001 >= 1: norm is infinite"), EXIT_UNSTABLE),
+    ])
+    def test_certify(self, tmp_path, controller_file, monkeypatch, capsys, error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("cwcancel.cli.hinf_norm_discrete", fail)
+        rc = main(["certify", "--controller", str(controller_file), "--out", str(tmp_path)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert str(error) in err
+        assert not (tmp_path / "certification.json").exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwcancel.hnorm import UnstableSystemError, frequency_response, hinf_norm_discrete
 from cwcancel.lti import StateSpace
@@ -16,19 +18,21 @@ def random_stable_discrete(rng, n_max=10, radius=0.92):
                       rng.standard_normal((p, m)), dt=1.0)
 
 
-def grid_oracle(sys, points=2 ** 16):
-    """Dense-grid peak gain via eigendecomposition (oracle path)."""
+def gain_oracle(sys, thetas):
+    """sigma_max(G(e^{j theta})) via eigendecomposition (oracle path)."""
     lam, V = np.linalg.eig(sys.A)
     CV = sys.C @ V
     VB = np.linalg.solve(V, sys.B)
+    z = np.exp(1j * np.asarray(thetas))
+    H = np.einsum("pi,fi,iq->fpq", CV, 1.0 / (z[:, None] - lam[None, :]), VB) + sys.D
+    return np.linalg.svd(H, compute_uv=False)[:, 0]
+
+
+def grid_oracle(sys, points=2 ** 16):
+    """Dense-grid peak gain via eigendecomposition (oracle path)."""
     th = np.linspace(0.0, np.pi, points)
-    z = np.exp(1j * th)
-    best = 0.0
-    for chunk in np.array_split(np.arange(points), 16):
-        H = np.einsum("pi,fi,iq->fpq", CV, 1.0 / (z[chunk, None] - lam[None, :]), VB)
-        H += sys.D
-        best = max(best, np.linalg.svd(H, compute_uv=False)[:, 0].max())
-    return float(best)
+    return float(max(gain_oracle(sys, th[chunk]).max()
+                     for chunk in np.array_split(np.arange(points), 16)))
 
 
 def test_pure_gain():
@@ -76,3 +80,64 @@ def test_frequency_response_values():
     H = frequency_response(sys, th)[:, 0, 0]
     ref = 0.5 / (np.exp(1j * th) - 0.5)
     assert np.abs(H - ref).max() < 1e-13
+
+
+def test_lightly_damped_resonance():
+    # Poles r e^{+-j theta0} of a normal A: the peak is 1/(1 - r) at theta0.
+    r, th0, tol = 1.0 - 1e-5, 1.0, 1e-6
+    A = r * np.array([[np.cos(th0), -np.sin(th0)], [np.sin(th0), np.cos(th0)]])
+    sys = StateSpace(A, np.eye(2), np.eye(2), np.zeros((2, 2)), dt=1.0)
+    peak = 1.0 / (1.0 - r)
+    cert = hinf_norm_discrete(sys, tol=tol)
+    assert peak / (1.0 + 2.0 * tol) <= cert <= peak * (1.0 + 1e-9)
+
+
+def test_peak_at_nyquist():
+    # H(z) = 0.5/(z + 0.5) peaks at theta = pi (s = infinity) with value 1.
+    sys = StateSpace([[-0.5]], [[1.0]], [[0.5]], [[0.0]], dt=1.0)
+    assert hinf_norm_discrete(sys, tol=1e-6) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_pole_near_minus_one():
+    # H(z) = 0.5/(z + 0.999): A + I is badly conditioned and the peak 500 sits
+    # at theta = pi.
+    sys = StateSpace([[-0.999]], [[1.0]], [[0.5]], [[0.0]], dt=1.0)
+    assert hinf_norm_discrete(sys, tol=1e-6) == pytest.approx(500.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("c2", [0.25, 0.5])
+def test_peak_equals_feedthrough(c2):
+    # G = diag(1, c2/(z - 0.5)): sigma_max is 1 at every frequency, so the
+    # peak equals sigma_max(D) and R = gamma^2 I - D^T D is nearly singular
+    # at every test level.
+    sys = StateSpace([[0.5]], [[0.0, 1.0]], [[0.0], [c2]], [[1.0, 0.0], [0.0, 0.0]], dt=1.0)
+    for tol in (1e-4, 1e-6):
+        assert hinf_norm_discrete(sys, tol=tol) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_gain_vanishing_at_both_ends():
+    # H(z) = 1 - z^-2 is zero at theta = 0 and pi and peaks at pi/2 with 2.
+    sys = StateSpace([[0.0, 0.0], [1.0, 0.0]], [[1.0], [0.0]], [[0.0, -1.0]], [[1.0]], dt=1.0)
+    assert hinf_norm_discrete(sys, tol=1e-6) == pytest.approx(2.0, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), radius=st.floats(0.1, 0.97),
+       thetas=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=16))
+def test_certificate_brackets_random_systems(seed, radius, thetas):
+    """g*(1+2*tol) bounds the gain at any frequency, and g is no more than
+    the dense-grid oracle allows.  A general random A gives complex poles,
+    so peaks fall between theta = 0 and pi."""
+    tol = 1e-4
+    rng = np.random.default_rng(seed)
+    n, p, m = (int(k) for k in rng.integers(1, [9, 4, 4]))
+    A = rng.standard_normal((n, n))
+    A *= radius / np.abs(np.linalg.eigvals(A)).max()
+    sys = StateSpace(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)),
+                     rng.standard_normal((p, m)), dt=1.0)
+    cert = hinf_norm_discrete(sys, tol=tol)
+    upper = cert * (1.0 + 2.0 * tol) * (1.0 + 1e-12)
+    grid = grid_oracle(sys, points=2 ** 14)
+    assert gain_oracle(sys, thetas).max() <= upper
+    assert grid <= upper
+    assert cert <= grid * (1.0 + 2.0 * tol)
