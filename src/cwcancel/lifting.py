@@ -7,7 +7,8 @@ of delay), and N fast steps are stacked into one slow step so the result is a
 single-rate discrete generalized plant the synthesis machinery can consume:
 inputs (w lifted: 2N, u: 2), outputs (z lifted: 2N, y: 2).  The measurement y
 is the antialias output sampled at the start of each slow period; the control
-u is held over the whole period.
+u is held over the whole period.  The chain simulator closes the same lift
+of the loop, built with W = I, around K(z).
 """
 
 from __future__ import annotations

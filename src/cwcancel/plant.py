@@ -30,6 +30,7 @@ __all__ = [
     "first_order_lowpass",
     "promote_iq",
     "build_hybrid_plant",
+    "assemble_loop",
     "default_relay_params",
 ]
 
@@ -159,11 +160,24 @@ def _require_stable_ct(sys: StateSpace, name: str) -> None:
 
 
 def build_hybrid_plant(params: RelayParams) -> HybridPlant:
-    """Assemble the design-loop core around W, F and P.
+    """Assemble the design loop around W, F and P.
+
+    The design model requires a strictly proper input-shaping filter W and
+    is noise-free; see :func:`assemble_loop` for the loop itself.
+    """
+    if np.any(promote_iq(params.input_shaping).D != 0.0):
+        raise ModelError("input_shaping must be strictly proper (D = 0)")
+    return assemble_loop(params)
+
+
+def assemble_loop(params: RelayParams) -> HybridPlant:
+    """Assemble the relay-loop core around W, F and P.
 
     State order is (x_W, x_F, x_P).  Outputs: z = W w - u (the cancelation
     error) and y_presample = F (W w + coupling), with the coupling term left
-    symbolic for the lifter.  The design model is noise-free.
+    symbolic for the lifter.  W may have a feedthrough: with W = I the
+    exogenous input is the received signal itself, which is how the chain
+    simulator uses the loop.
     """
     W = promote_iq(params.input_shaping)
     F = promote_iq(params.antialias) if params.antialias is not None else identity_filter()
@@ -171,8 +185,6 @@ def build_hybrid_plant(params: RelayParams) -> HybridPlant:
     for sys, name in ((W, "input_shaping"), (F, "antialias"), (P, "post_filter")):
         if sys.is_discrete:
             raise ModelError(f"{name} must be continuous-time")
-    if np.any(W.D != 0.0):
-        raise ModelError("input_shaping must be strictly proper (D = 0)")
     _require_stable_ct(W, "input_shaping")
     _require_stable_ct(F, "antialias")
     _require_stable_ct(P, "post_filter")
@@ -192,6 +204,7 @@ def build_hybrid_plant(params: RelayParams) -> HybridPlant:
 
     B = np.zeros((n, 4))  # columns: w (2), u_hold (2)
     B[sW, 0:2] = W.B
+    B[sF, 0:2] = F.B @ W.D
     B[sP, 2:4] = P.B
 
     C = np.zeros((4, n))  # rows: z (2), y_presample (2)
@@ -201,6 +214,8 @@ def build_hybrid_plant(params: RelayParams) -> HybridPlant:
     C[2:4, sF] = F.C
 
     D = np.zeros((4, 4))
+    D[0:2, 0:2] = W.D
+    D[2:4, 0:2] = F.D @ W.D
     D[0:2, 2:4] = -P.D  # z = Ww - u picks up -D_P u_hold when P is not strictly proper
 
     coupling_entry = np.zeros((n, 2))

@@ -1,32 +1,35 @@
 """Fast-rate baseband simulation of the BS -> RS -> T chain.
 
-The loop (antialias filter, slow-rate canceler, hold, post filter, delayed
-and rotated coupling feedback, relay forward gain, noise at RS and T) is a
-linear periodically-time-varying recursion: the canceler updates once per
-slow period, everything else every fast step.  One slow period of the
-recursion is precompiled into constant matrices, so a run is a plain linear
-iteration over periods; the semantics are exactly the per-fast-step
-recursion, just batched.
+The relay loop (antialias filter, slow-rate canceler, hold, post filter,
+delayed and rotated coupling feedback) is the design loop of
+:func:`plant.assemble_loop` with the input-shaping filter replaced by an I/Q
+pass-through, so its exogenous input is the received signal w = tx + n_RS.
+FSFH lifting turns one slow period of that loop into a discrete plant and
+:func:`lifting.closed_loop` closes it with K(z), so a run is a plain linear
+iteration over periods and the simulator scores exactly the loop the
+canceler was designed on.  The lifted error output is e = w - u, which gives
+the relay output u = w - e; the relay forward gain and the noise at T act
+outside the loop.
 
 Canceler kinds
 --------------
-``designed``  the supplied K(z) consumes the sampled antialias output.
-``perfect``   the coupling contribution is subtracted exactly (using the
-              simulator's internal loop state) before the same K(z) sees the
-              sample; the ideal baseline differs from ``designed`` only
-              through the coupling path, so with the coupling gain at zero
-              the two runs coincide sample for sample.
+``designed``  the supplied K(z) closes the loop.
+``perfect``   the same loop with the coupling gain at zero, which is exact
+              subtraction of the coupling contribution.  The baseline is
+              independent of the coupling gain, and with the gain at zero
+              it coincides with ``designed`` sample for sample.
 ``none``      K = 0: the relay transmits nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lti import discretize_zoh, step_matches
-from .plant import RelayParams, carrier_rotation, identity_filter, promote_iq
+from .lifting import closed_loop, lift
+from .lti import StateSpace, step_matches
+from .plant import RelayParams, assemble_loop, identity_filter
 from .synthesis import DigitalController
 
 __all__ = [
@@ -107,34 +110,19 @@ def noise_amplitude(p_dbm: float) -> float:
     return float(np.sqrt(10.0 ** (p_dbm / 10.0) / 2.0))
 
 
-def _fast_filters(params: RelayParams, tau: float):
-    F = promote_iq(params.antialias) if params.antialias is not None else identity_filter()
-    P = promote_iq(params.post_filter)
-    Fd = discretize_zoh(F, tau) if F.n_states else F
-    Pd = discretize_zoh(P, tau)
-    return Fd, Pd
+def _period_maps(cfg: SimConfig) -> StateSpace:
+    """One slow period of the closed relay loop: lifted w -> lifted e.
 
-
-def _period_maps(cfg: SimConfig):
-    """Compile one slow period of the loop into (A, B, C, D).
-
-    State: (x_F, x_F_clean when needed, x_P, register, x_K).  Inputs per
-    period: N fast tx samples then N fast RS-noise samples (2 each).
-    Outputs: the N fast samples of the relay baseband output u.
+    Input per period: the N fast samples of w = tx + n_RS (2 each); output:
+    the N fast samples of the error e = w - u.
     """
     prm = cfg.params
-    N = prm.fsfh_ratio
-    tau = prm.sampling_period / N
-    d = prm.delay_fast_steps()
-    alpha = prm.coupling_gain
-    if d == 0 and alpha != 0.0:
+    if prm.delay_fast_steps() == 0 and prm.coupling_gain != 0.0:
         raise ConfigError("delay-free coupling is not supported by the simulator")
-    aAL = alpha * carrier_rotation(prm.carrier_hz, prm.delay_seconds)
-    Fd, Pd = _fast_filters(prm, tau)
-    nF, nP = Fd.n_states, Pd.n_states
-
-    use_clean = cfg.canceler == "perfect" and nF > 0
-    if cfg.canceler in ("designed", "perfect"):
+    if cfg.canceler == "none":
+        K = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
+                       np.zeros((2, 2)), dt=prm.sampling_period)
+    else:
         K = cfg.controller.K
         if not step_matches(K.dt, prm.sampling_period):
             raise ConfigError(
@@ -142,74 +130,9 @@ def _period_maps(cfg: SimConfig):
             )
         if K.n_inputs != 2 or K.n_outputs != 2:
             raise ConfigError("controller must be 2-input 2-output")
-        nK = K.n_states
-    else:
-        K = None
-        nK = 0
-
-    nFc = nF if use_clean else 0
-    n = nF + nFc + nP + 2 * d + nK
-    ncols = n + 4 * N
-    sF = slice(0, nF)
-    sFc = slice(nF, nF + nFc)
-    sP = slice(nF + nFc, nF + nFc + nP)
-    sR = slice(nF + nFc + nP, nF + nFc + nP + 2 * d)
-    sK = slice(nF + nFc + nP + 2 * d, n)
-
-    def tx_cols(j):
-        e = np.zeros((2, ncols))
-        e[:, n + 2 * j:n + 2 * j + 2] = np.eye(2)
-        return e
-
-    def nrs_cols(j):
-        e = np.zeros((2, ncols))
-        e[:, n + 2 * N + 2 * j:n + 2 * N + 2 * j + 2] = np.eye(2)
-        return e
-
-    S = np.zeros((n, ncols))
-    S[:, :n] = np.eye(n)
-
-    def reg_oldest(Scur):
-        if d == 0:
-            return np.zeros((2, ncols))
-        return Scur[sR][2 * (d - 1):2 * d]
-
-    # Measurement at the slow sampling instant (fast index 0 of the period).
-    if cfg.canceler == "perfect":
-        # Exact subtraction of the coupling contribution: the canceler sees
-        # the output of a coupling-free twin of the antialias filter.
-        y_meas = (Fd.C @ S[sFc] if use_clean else 0.0) + Fd.D @ (tx_cols(0) + nrs_cols(0))
-    else:
-        rx0 = tx_cols(0) + nrs_cols(0) + aAL @ reg_oldest(S)
-        y_meas = (Fd.C @ S[sF] if nF else 0.0) + Fd.D @ rx0
-    if K is not None:
-        u_slow = K.C @ S[sK] + K.D @ y_meas
-        xK_next = K.A @ S[sK] + K.B @ y_meas
-    else:
-        u_slow = np.zeros((2, ncols))
-        xK_next = np.zeros((0, ncols))
-
-    out_rows = np.zeros((2 * N, ncols))
-    for j in range(N):
-        u_out = (Pd.C @ S[sP] if nP else 0.0) + Pd.D @ u_slow
-        out_rows[2 * j:2 * j + 2] = u_out
-        Snew = S.copy()
-        drive = tx_cols(j) + nrs_cols(j)
-        if nF:
-            Snew[sF] = Fd.A @ S[sF] + Fd.B @ (drive + aAL @ reg_oldest(S))
-        if use_clean:
-            Snew[sFc] = Fd.A @ S[sFc] + Fd.B @ drive
-        if nP:
-            Snew[sP] = Pd.A @ S[sP] + Pd.B @ u_slow
-        if d:
-            reg = S[sR]
-            Snew[sR.start:sR.start + 2] = u_out
-            Snew[sR.start + 2:sR.stop] = reg[:-2]
-        S = Snew
-    if nK:
-        S[sK] = xK_next
-
-    return S[:, :n], S[:, n:], out_rows[:, :n], out_rows[:, n:], n
+    alpha = 0.0 if cfg.canceler == "perfect" else prm.coupling_gain
+    loop = replace(prm, input_shaping=identity_filter(), coupling_gain=alpha)
+    return closed_loop(lift(assemble_loop(loop)), K)
 
 
 def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
@@ -228,7 +151,8 @@ def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
     if abs(tx.rate - expected_rate) > 1e-9 * expected_rate:
         raise ConfigError(f"waveform rate {tx.rate} != fast rate {expected_rate}")
 
-    A, B, C, D, n = _period_maps(cfg)
+    loop = _period_maps(cfg)
+    A, B, C, D = loop.A, loop.B, loop.C, loop.D
     n_slow = n_fast // N
 
     # Chain noise stream: Philox key (seed, 0); bit streams use (seed, 1).
@@ -238,18 +162,15 @@ def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
     n_rs = sigma_rs * rng.standard_normal((n_fast, 2))
     n_t = sigma_t * rng.standard_normal((n_fast, 2))
 
-    tx_blocks = tx.samples.reshape(n_slow, 2 * N)
-    nrs_blocks = n_rs.reshape(n_slow, 2 * N)
-    inputs = np.hstack([tx_blocks, nrs_blocks])
-
-    u = np.empty((n_fast, 2))
-    x = np.zeros(n)
+    w = (tx.samples + n_rs).reshape(n_slow, 2 * N)
+    e = np.empty_like(w)
+    x = np.zeros(A.shape[0])
     # A divergent loop overflows; the finiteness check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_slow):
-            vec = inputs[k]
-            u[k * N:(k + 1) * N] = (C @ x + D @ vec).reshape(N, 2)
-            x = A @ x + B @ vec
+            e[k] = C @ x + D @ w[k]
+            x = A @ x + B @ w[k]
+        u = (w - e).reshape(n_fast, 2)
 
     if not np.all(np.isfinite(u)):
         bad = int(np.argmin(np.isfinite(u).all(axis=1)))

@@ -1,10 +1,13 @@
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from cwcancel.plant import RelayParams
+from cwcancel.lifting import lift
+from cwcancel.plant import RelayParams, build_hybrid_plant, first_order_lowpass
 from cwcancel.simulate import (
     ConfigError,
     SimConfig,
@@ -13,7 +16,7 @@ from cwcancel.simulate import (
     simulate_chain,
     write_waveform_csv,
 )
-from cwcancel.synthesis import DigitalController
+from cwcancel.synthesis import DigitalController, bisect_gamma
 from cwcancel.lti import StateSpace
 
 
@@ -123,6 +126,104 @@ class TestChain:
         out = simulate_chain(base_cfg, tx)
         early = np.abs(out.u.samples[:1000]).max()
         assert np.abs(out.u.samples).max() <= 100.0 * early
+
+
+def _zoh(A, B, tau):
+    """Zero-order-hold discretization through the augmented exponential."""
+    n, m = B.shape
+    M = np.zeros((n + m, n + m))
+    M[:n, :n] = A
+    M[:n, n:] = B
+    E = expm(M * tau)
+    return E[:n, :n], E[:n, n:]
+
+
+def oracle_relay_output(params, K, kind, tx):
+    """Relay output u of the noise-free loop, one fast step at a time.
+
+    Written without the package's loop model: F and P are discretized
+    separately, a d-sample delay line carries alpha * A_L * u back to the
+    antialias input, and K updates from the sample at fast index 0 of each
+    slow period.  ``perfect`` runs with alpha = 0; ``none`` holds u = 0.
+    """
+    N = params.fsfh_ratio
+    tau = params.sampling_period / N
+    d = round(params.delay_seconds / tau)
+    alpha = 0.0 if kind == "perfect" else params.coupling_gain
+    theta = -2.0 * math.pi * math.fmod(params.carrier_hz * params.delay_seconds, 1.0)
+    AL = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    I2 = np.eye(2)
+
+    def iq(sys):
+        return [np.kron(M, I2) for M in (sys.A, sys.B, sys.C, sys.D)]
+
+    if params.antialias is None:
+        FA, FB, FC, FD = np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), I2
+    else:
+        FA, FB, FC, FD = iq(params.antialias)
+        FA, FB = _zoh(FA, FB, tau)
+    PA, PB, PC, PD = iq(params.post_filter)
+    PA, PB = _zoh(PA, PB, tau)
+
+    xF, xP = np.zeros(FA.shape[0]), np.zeros(PA.shape[0])
+    xK = np.zeros(K.K.n_states) if K is not None else None
+    line = deque(np.zeros(2) for _ in range(d))  # u from d .. 1 fast steps ago
+    u_hold = np.zeros(2)
+    u = np.empty_like(tx)
+    for t in range(tx.shape[0]):
+        r = tx[t] + (alpha * AL @ line[0] if d else 0.0)
+        y = FC @ xF + FD @ r
+        if t % N == 0 and kind != "none":
+            u_hold = K.K.C @ xK + K.K.D @ y
+            xK = K.K.A @ xK + K.K.B @ y
+        u[t] = PC @ xP + PD @ u_hold
+        xF = FA @ xF + FB @ r
+        xP = PA @ xP + PB @ u_hold
+        if d:
+            line.popleft()
+            line.append(u[t])
+    return u
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(default_params, designed_controller):
+    aa = RelayParams(antialias=first_order_lowpass(0.01))
+    return {
+        "defaults": (default_params, designed_controller),
+        "rotated": (replace(default_params, carrier_hz=10000.125), designed_controller),
+        "antialias": (aa, bisect_gamma(lift(build_hybrid_plant(aa)), tol=5e-3).controller),
+        "delay_free": (RelayParams(delay_seconds=0.0, coupling_gain=0.0), designed_controller),
+    }
+
+
+@pytest.mark.parametrize("case", ["defaults", "rotated", "antialias", "delay_free"])
+@pytest.mark.parametrize("kind", ["none", "designed", "perfect"])
+def test_matches_per_step_oracle(oracle_cases, case, kind):
+    params, K = oracle_cases[case]
+    tx = np.random.default_rng(16).standard_normal((16 * 40, 2))
+    cfg = SimConfig(params=params, canceler=kind, controller=K, seed=0, **NOISE_OFF)
+    u = simulate_chain(cfg, fast_wave(tx)).u.samples
+    ref = oracle_relay_output(params, None if kind == "none" else K, kind, tx)
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+    if kind != "none":
+        assert np.abs(ref).max() > 0.1
+
+
+class TestDelayFree:
+    def test_coupling_rejected(self, designed_controller):
+        cfg = SimConfig(params=RelayParams(delay_seconds=0.0), canceler="designed",
+                        controller=designed_controller, seed=0)
+        with pytest.raises(ConfigError, match="delay-free"):
+            simulate_chain(cfg, fast_wave(np.zeros((16, 2))))
+
+    def test_designed_equals_perfect_without_coupling(self, designed_controller):
+        params = RelayParams(delay_seconds=0.0, coupling_gain=0.0)
+        tx = fast_wave(np.random.default_rng(17).standard_normal((16 * 20, 2)))
+        a, b = (simulate_chain(SimConfig(params=params, canceler=kind,
+                                         controller=designed_controller, seed=42), tx)
+                for kind in ("designed", "perfect"))
+        assert np.any(a.u.samples != 0.0)
+        assert np.array_equal(a.y_T.samples, b.y_T.samples)
 
 
 class TestValidation:
