@@ -47,18 +47,12 @@ class CommsConfig:
     symbol_period: float = 2.0
     n_symbols: int = 10000
     samples_per_symbol: int | None = None  # derived; see bind_comms
-    pulse: str = "rectangular"
-    decision: str = "integrate-and-dump"
 
     def __post_init__(self):
         if not self.symbol_period > 0:
             raise ValueError("symbol_period must be positive")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be at least 1")
-        if self.pulse != "rectangular":
-            raise ValueError("only the rectangular time-domain pulse is implemented")
-        if self.decision != "integrate-and-dump":
-            raise ValueError("only integrate-and-dump detection is implemented")
 
 
 @dataclass
@@ -114,7 +108,7 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
     return (min(max(0.0, center - half), p), max(min(1.0, center + half), p))
 
 
-def modulate(bits, cc: CommsConfig, signal_dbm: float, rate: float | None = None) -> Waveform:
+def modulate(bits, cc: CommsConfig, signal_dbm: float) -> Waveform:
     """Map bits to a rectangular-pulse BPSK waveform at the fast rate.
 
     Bit 0 -> -A, bit 1 -> +A on the I component (Q stays zero), with
@@ -128,9 +122,7 @@ def modulate(bits, cc: CommsConfig, signal_dbm: float, rate: float | None = None
     sym = amp * (2.0 * bits - 1.0)
     samples = np.zeros((bits.size * cc.samples_per_symbol, 2))
     samples[:, 0] = np.repeat(sym, cc.samples_per_symbol)
-    if rate is None:
-        rate = cc.samples_per_symbol / cc.symbol_period
-    return Waveform(samples, rate)
+    return Waveform(samples, cc.samples_per_symbol / cc.symbol_period)
 
 
 def _decision_windows(samples: np.ndarray, sps: int, offset: int = 0) -> np.ndarray:

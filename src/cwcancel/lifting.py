@@ -95,9 +95,9 @@ def fast_step_realization(plant: HybridPlant):
     Gu[:n] = Bd_u
     Cz[:, :n] = Cz_core
     Cy[:, :n] = Cy_core
-    Dzu_f = Dzu.copy()
-    Dyu_f = Dyu.copy()
 
+    # assemble_loop rejects a nonzero coupling gain without delay, so d = 0
+    # means the coupling path is absent.
     if d >= 1:
         oldest = slice(n + 2 * (d - 1), n + 2 * d)
         Phi[:n, oldest] += Bd_c @ aAL
@@ -106,14 +106,8 @@ def fast_step_realization(plant: HybridPlant):
         Gu[n:n + 2] = tapD
         for j in range(1, d):
             Phi[n + 2 * j:n + 2 * j + 2, n + 2 * (j - 1):n + 2 * j] = np.eye(2)
-    else:
-        # Delay-free coupling folds straight back through the output tap.
-        Phi[:n, :n] += Bd_c @ aAL @ tap
-        Gu[:n] += Bd_c @ aAL @ tapD
-        Cy[:, :n] += Dcpl @ aAL @ tap
-        Dyu_f += Dcpl @ aAL @ tapD
 
-    return Phi, Gw, Gu, Cz, Dzw, Dzu_f, Cy, Dyw, Dyu_f
+    return Phi, Gw, Gu, Cz, Dzw, Dzu, Cy, Dyw, Dyu
 
 
 def lift(plant: HybridPlant) -> LiftedPlant:

@@ -177,7 +177,9 @@ def assemble_loop(params: RelayParams) -> HybridPlant:
     error) and y_presample = F (W w + coupling), with the coupling term left
     symbolic for the lifter.  W may have a feedthrough: with W = I the
     exogenous input is the received signal itself, which is how the chain
-    simulator uses the loop.
+    simulator uses the loop.  A coupling path needs at least one fast step
+    of delay: a nonzero coupling gain with zero delay raises
+    :class:`ModelError`.
     """
     W = promote_iq(params.input_shaping)
     F = promote_iq(params.antialias) if params.antialias is not None else identity_filter()
@@ -189,6 +191,8 @@ def assemble_loop(params: RelayParams) -> HybridPlant:
     _require_stable_ct(F, "antialias")
     _require_stable_ct(P, "post_filter")
     d = params.delay_fast_steps()
+    if d == 0 and params.coupling_gain != 0.0:
+        raise ModelError("delay-free coupling: a nonzero coupling_gain needs delay_seconds > 0")
 
     nW, nF, nP = W.n_states, F.n_states, P.n_states
     n = nW + nF + nP

@@ -117,8 +117,6 @@ def _period_maps(cfg: SimConfig) -> StateSpace:
     the N fast samples of the error e = w - u.
     """
     prm = cfg.params
-    if prm.delay_fast_steps() == 0 and prm.coupling_gain != 0.0:
-        raise ConfigError("delay-free coupling is not supported by the simulator")
     if cfg.canceler == "none":
         K = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
                        np.zeros((2, 2)), dt=prm.sampling_period)
@@ -130,9 +128,10 @@ def _period_maps(cfg: SimConfig) -> StateSpace:
             )
         if K.n_inputs != 2 or K.n_outputs != 2:
             raise ConfigError("controller must be 2-input 2-output")
-    alpha = 0.0 if cfg.canceler == "perfect" else prm.coupling_gain
-    loop = replace(prm, input_shaping=identity_filter(), coupling_gain=alpha)
-    return closed_loop(lift(assemble_loop(loop)), K)
+    loop = assemble_loop(replace(prm, input_shaping=identity_filter()))
+    if cfg.canceler == "perfect":
+        loop = replace(loop, coupling_gain=0.0)
+    return closed_loop(lift(loop), K)
 
 
 def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:

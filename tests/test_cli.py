@@ -253,3 +253,31 @@ class TestCertificateFailures:
         assert err.strip().splitlines() == [err.strip()]
         assert str(error) in err
         assert not (tmp_path / "certification.json").exists()
+
+
+class TestDelayFreeCoupling:
+    """A nonzero coupling gain with zero delay is rejected by every command."""
+
+    @pytest.fixture
+    def delay_free_config(self, tmp_path):
+        path = tmp_path / "delay_free.json"
+        path.write_text(json.dumps({"relay": {"delay_seconds": 0.0},
+                                    "comms": {"n_symbols": 40}, "sweep": {"n_points": 2}}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["design"],
+        ["certify"],
+        ["simulate", "--canceler", "designed"],
+        ["simulate", "--canceler", "perfect"],
+        ["sweep"],
+    ])
+    def test_exit_config(self, tmp_path, controller_file, delay_free_config, capsys, command):
+        extra = [] if command == ["design"] else ["--controller", str(controller_file)]
+        out = tmp_path / "out"
+        rc = main(command + extra + ["--config", delay_free_config, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "delay-free" in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert not out.exists()

