@@ -9,6 +9,15 @@ inside a fast step), so each window sees exactly its own symbol.
 Monte Carlo points carry Wilson 95% intervals.  Beta sweeps reuse one noise
 seed per beta point across canceler kinds (common random numbers), with
 per-point seeds derived from the base seed by a simple counter rule.
+
+A sweep is one streaming pass (:func:`_error_counts`): each kind's period
+map is built once, all beta points of a kind advance together through the
+simulator's one kernel, and each point's bits and noise are drawn once per
+chunk of ``_CHUNK_SYMBOLS`` symbols and shared by every kind.  Decisions are
+scored chunk by chunk, so memory does not grow with ``n_symbols``.  The
+noise-free pilot is only scaled by beta, so each kind runs one pilot, and
+``none`` (u = 0 exactly) skips the loop.  :func:`run_ber` is the one-point
+case of the same pass.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .simulate import SimConfig, Waveform, noise_amplitude, simulate_chain
+from .simulate import SimConfig, Waveform, _ChainBatch, _philox, noise_amplitude, simulate_chain
 
 __all__ = [
     "CommsConfig",
@@ -125,16 +134,29 @@ def modulate(bits, cc: CommsConfig, signal_dbm: float) -> Waveform:
     return Waveform(samples, cc.samples_per_symbol / cc.symbol_period)
 
 
+def _windows(samples: np.ndarray, sps: int, offset: int, tail, final: bool):
+    """Whole integration windows of one chunk of a stream, and its leftover.
+
+    The windows are delayed by ``offset`` whole samples: the stream's first
+    ``offset`` samples are dropped (pass ``tail=None`` on its first chunk),
+    and on its ``final`` chunk trailing slots repeat the final sample.  The
+    leftover, short of a whole window, is the next chunk's ``tail``.
+    """
+    parts = [samples[offset:]] if tail is None else [tail, samples]
+    if final:
+        parts.append(np.repeat(samples[-1:], offset, axis=0))
+    stream = np.concatenate(parts)
+    n_win = stream.shape[0] // sps
+    return stream[: n_win * sps].reshape(n_win, sps, *stream.shape[1:]), stream[n_win * sps:]
+
+
 def _decision_windows(samples: np.ndarray, sps: int, offset: int = 0) -> np.ndarray:
-    """Per-symbol integration windows, optionally delayed by whole samples.
+    """Per-symbol integration windows of a whole waveform (see :func:`_windows`).
 
     A nonzero offset re-aligns the windows to a chain whose hold updates lag
-    the symbol boundary; trailing slots repeat the final sample.
+    the symbol boundary.
     """
-    n_sym = samples.shape[0] // sps
-    if offset:
-        samples = np.vstack([samples[offset:], np.repeat(samples[-1:], offset, axis=0)])
-    return samples[: n_sym * sps].reshape(n_sym, sps, 2)
+    return _windows(samples, sps, offset, None, True)[0]
 
 
 def demodulate(y: Waveform, cc: CommsConfig, phase_ref, align_offset: int = 0) -> np.ndarray:
@@ -158,6 +180,7 @@ def demodulate(y: Waveform, cc: CommsConfig, phase_ref, align_offset: int = 0) -
 
 
 _CHAIN_ALIGN = 1  # relay receiver window offset, in fast samples
+_CHUNK_SYMBOLS = 64  # symbols per streamed chunk of a BER run
 
 
 def _pilot_reference(cfg: SimConfig, cc: CommsConfig) -> np.ndarray:
@@ -173,26 +196,54 @@ def _pilot_reference(cfg: SimConfig, cc: CommsConfig) -> np.ndarray:
     return vec / norm
 
 
+def _error_counts(cfg: SimConfig, cc: CommsConfig, kinds, betas, seeds) -> dict:
+    """Bit errors per canceler kind at each (beta, seed) point, streamed.
+
+    Every point's bits (Philox key (seed, 1)) and chain noise are drawn once
+    per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by all kinds; the
+    points of a kind advance together as the columns of one loop state.
+    Decisions are scored as each chunk arrives, so memory is bounded by the
+    chunk, not by ``cc.n_symbols``.  The noise-free pilot is only scaled by
+    beta, so each kind's reference comes from one pilot at the first point.
+    """
+    sps, n_symbols = cc.samples_per_symbol, cc.n_symbols
+    batch = _ChainBatch(cfg, kinds, betas, seeds, n_symbols * sps)
+    refs = {kind: _pilot_reference(replace(cfg, canceler=kind, beta=betas[0], seed=seeds[0]), cc)
+            for kind in kinds}
+    bit_rngs = [_philox(seed, 1) for seed in seeds]
+    errors = {kind: np.zeros(len(betas), dtype=int) for kind in kinds}
+    tails = dict.fromkeys(kinds)
+    unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the tails' symbols
+    for start in range(0, n_symbols, _CHUNK_SYMBOLS):
+        n = min(_CHUNK_SYMBOLS, n_symbols - start)
+        bits = np.stack([rng.integers(0, 2, size=n) for rng in bit_rngs], axis=1)
+        tx = np.stack([modulate(b, cc, cfg.signal_dbm).samples for b in bits.T], axis=2)
+        unscored = np.concatenate([unscored, bits])
+        for kind, _, y_t in batch.advance(tx):
+            windows, tails[kind] = _windows(y_t, sps, _CHAIN_ALIGN, tails[kind],
+                                            start + n == n_symbols)
+            decided = refs[kind] @ windows.mean(axis=1) > 0.0
+            errors[kind] += np.sum(decided != unscored[: len(decided)], axis=0)
+        unscored = unscored[len(windows):]
+    return errors
+
+
+def _ber_point(beta: float, errors: int, trials: int) -> BerPoint:
+    return BerPoint(beta=float(beta), errors=errors, trials=trials,
+                    ber=errors / trials, ci95=wilson_interval(errors, trials))
+
+
 def run_ber(cfg: SimConfig, cc: CommsConfig) -> BerPoint:
     """One Monte Carlo BER estimate through the relay chain.
 
     Bits come from a dedicated stream (Philox key (seed, 1)); the chain noise
     uses key (seed, 0), so two runs with the same seed see identical bits and
-    noise regardless of the canceler kind.
+    noise regardless of the canceler kind.  This is the one-point case of
+    :func:`sweep_beta`'s engine.
     """
     cc = bind_comms(cc, cfg.params)
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 1], dtype=np.uint64)))
-    bits = rng.integers(0, 2, size=cc.n_symbols)
-    wave = modulate(bits, cc, cfg.signal_dbm)
-    out = simulate_chain(cfg, wave)
-    ref = _pilot_reference(cfg, cc)
-    decided = demodulate(out.y_T, cc, ref, align_offset=_CHAIN_ALIGN)
-    errors = int(np.sum(decided != bits))
-    ber = errors / cc.n_symbols
-    return BerPoint(
-        beta=float(cfg.beta), errors=errors, trials=cc.n_symbols,
-        ber=ber, ci95=wilson_interval(errors, cc.n_symbols),
-    )
+    errors = _error_counts(cfg, cc, [cfg.canceler], [cfg.beta], [cfg.seed])[cfg.canceler]
+    return _ber_point(cfg.beta, int(errors[0]), cc.n_symbols)
 
 
 def sweep_beta(cfg_base: SimConfig, cc: CommsConfig, betas, cancelers) -> list:
@@ -201,6 +252,7 @@ def sweep_beta(cfg_base: SimConfig, cc: CommsConfig, betas, cancelers) -> list:
     Seed for beta index i is (base seed + i) mod 2^64, shared across kinds
     at that beta so the comparison between curves is paired.  Hence 12-point
     sweeps with base seeds s and s + 1 share 11 of their 12 noise streams.
+    All points of a kind run as one batch (see :func:`_error_counts`).
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -210,15 +262,14 @@ def sweep_beta(cfg_base: SimConfig, cc: CommsConfig, betas, cancelers) -> list:
     betas = sorted(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta values must be distinct")
-    curves = []
-    for kind in cancelers:
-        points = []
-        for i, beta in enumerate(betas):
-            seed_i = (cfg_base.seed + i) % (2 ** 64)
-            cfg = replace(cfg_base, beta=beta, seed=seed_i, canceler=kind)
-            points.append(run_ber(cfg, cc))
-        curves.append(BerCurve(points=points, canceler_kind=kind))
-    return curves
+    cc = bind_comms(cc, cfg_base.params)
+    seeds = [(cfg_base.seed + i) % (2 ** 64) for i in range(len(betas))]
+    errors = _error_counts(cfg_base, cc, cancelers, betas, seeds)
+    return [
+        BerCurve(points=[_ber_point(beta, int(e), cc.n_symbols)
+                         for beta, e in zip(betas, errors[kind])], canceler_kind=kind)
+        for kind in cancelers
+    ]
 
 
 def forwarding_ber_model(cfg: SimConfig, cc: CommsConfig, beta: float) -> float:

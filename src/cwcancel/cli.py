@@ -20,15 +20,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .ber import CommsConfig, bind_comms, default_beta_grid, modulate, sweep_beta, write_ber_csv
 from .hnorm import UnstableSystemError, hinf_norm_discrete
 from .lifting import closed_loop, lift
 from .lti import StateSpace, spectral_radius, step_matches
 from .plant import ModelError, RelayParams, build_hybrid_plant
 from .riccati import NumericalFailure
-from .simulate import SimConfig, simulate_chain, write_waveform_csv
+from .simulate import SimConfig, _philox, simulate_chain, write_waveform_csv
 from .synthesis import SynthesisError, bisect_gamma, controller_to_dict, load_controller
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
@@ -229,8 +227,7 @@ def cmd_simulate(args) -> int:
                       beta=args.beta, seed=args.seed)
     cc = bind_comms(_comms_config(cfg), params)
     n_symbols = args.symbols if args.symbols else min(cc.n_symbols, 200)
-    rng = np.random.Generator(np.random.Philox(key=np.array([sim.seed, 1], dtype=np.uint64)))
-    bits = rng.integers(0, 2, size=n_symbols)
+    bits = _philox(sim.seed, 1).integers(0, 2, size=n_symbols)
     wave = modulate(bits, cc, sim.signal_dbm)
     out = simulate_chain(sim, wave)
     outdir = Path(args.out) if args.out else Path(cfg["output_dir"])

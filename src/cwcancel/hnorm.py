@@ -58,6 +58,19 @@ def _sigma_max(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.svd(resp, compute_uv=False)[:, 0]
 
 
+def _is_zero_system(sys: StateSpace) -> bool:
+    """D = 0 and every Markov parameter C A^k B with k < n is 0, so G = 0
+    (Cayley-Hamilton covers k >= n).  Tested exactly, in floating point."""
+    if np.any(sys.D):
+        return False
+    AkB = sys.B
+    for _ in range(sys.n_states):
+        if np.any(sys.C @ AkB):
+            return False
+        AkB = sys.A @ AkB
+    return True
+
+
 def _raise_lower_bound(sys, sc, lb: float, rtol: float, axis_rtol: float = _AXIS_RTOL):
     """One pass at gamma = lb*(1+2*rtol) > sigma_max(D_c) on the continuous
     image ``sc`` of ``sys``: the peak gain found, and whether gamma is crossed.
@@ -88,7 +101,9 @@ def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
     g is attained at some frequency, and the norm is proven to lie in
     [g, g*(1+2*tol)].  Raises :class:`UnstableSystemError` when the spectral
     radius of A is not strictly inside the unit circle, and
-    :class:`~cwcancel.riccati.NumericalFailure` when no bound is proven.
+    :class:`~cwcancel.riccati.NumericalFailure` when no bound is proven,
+    which includes a nonzero system whose gain is 0 at theta = 0, pi/2 and
+    pi (no level to test).  A zero transfer function has norm 0.0.
     """
     if not sys.is_discrete:
         raise ValueError("hinf_norm_discrete expects a discrete-time system")
@@ -101,6 +116,8 @@ def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
     sc = bilinear_to_continuous(sys, 1.0)
     # theta = pi is s = infinity, so this seed covers sigma_max(D_c) too.
     lb = float(_sigma_max(sys, np.array([0.0, np.pi / 2, np.pi])).max())
+    if lb == 0.0 and _is_zero_system(sys):
+        return 0.0
     for _ in range(_MAX_PASSES if lb > 0.0 else 0):
         lb, crossed = _raise_lower_bound(sys, sc, lb, tol)
         if not crossed:

@@ -11,6 +11,13 @@ canceler was designed on.  The lifted error output is e = w - u, which gives
 the relay output u = w - e; the relay forward gain and the noise at T act
 outside the loop.
 
+One private kernel, :func:`_advance`, writes that iteration: it advances an
+(n_x, P) state matrix, the loop states of P runs, over a chunk of slow
+periods with one GEMM per period.  :class:`_ChainBatch` feeds it chunk by
+chunk for the BER sweeps (every beta point of a kind is a column), and
+:func:`simulate_chain` is its one-run, one-chunk case.  ``none`` is never
+advanced: its relay output is exactly 0.
+
 Canceler kinds
 --------------
 ``designed``  the supplied K(z) closes the loop.
@@ -43,6 +50,7 @@ __all__ = [
 ]
 
 CANCELER_KINDS = ("none", "designed", "perfect")
+_DISCARD_ROWS = 2 ** 14  # n_RS rows drawn at a time to position the n_T stream
 
 
 class ConfigError(ValueError):
@@ -134,12 +142,90 @@ def _period_maps(cfg: SimConfig) -> StateSpace:
     return closed_loop(lift(loop), K)
 
 
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    """Stream 0 of a seed carries the chain noise, stream 1 the bits."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def _advance(loop: StateSpace, X: np.ndarray, W: np.ndarray, first_step: int) -> np.ndarray:
+    """Relay outputs U = W - E of P runs over a chunk of slow periods.
+
+    X is the (n_x, P) loop state of the runs and is advanced in place; W[k]
+    is the (2N, P) input of period k.  Per period E[k] = C X + D W[k] and
+    X <- A X + B W[k]: the input terms of the whole chunk are one batched
+    GEMM, and each period adds one GEMM of [A; C] with X.  ``first_step`` is
+    the fast index of the chunk's first sample, used when the loop diverges.
+    """
+    n = loop.n_states
+    AC = np.vstack([loop.A, loop.C])
+    R = np.matmul(np.vstack([loop.B, loop.D]), W)
+    x = X
+    # A divergent loop overflows; the finiteness check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(W.shape[0]):
+            R[k] += AC @ x
+            x = R[k, :n]
+        U = W - R[:, n:]
+    X[...] = x
+    finite = np.isfinite(U).reshape(-1, 2 * W.shape[2]).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(
+            f"non-finite relay output at fast step {first_step + int(np.argmin(finite))}"
+        )
+    return U
+
+
+class _ChainBatch:
+    """P runs of the relay chain for each canceler kind, fed chunk by chunk.
+
+    Run j has gain ``betas[j]`` and noise seed ``seeds[j]``, and every kind
+    sees the same noise, so the kinds are paired.  A run's n_RS and n_T are
+    the first and the second n_fast x 2 normals of Philox key (seed, 0); the
+    n_T generator is positioned by drawing and discarding n_RS, so chunked
+    draws equal whole ones.  ``none`` transmits u = 0 exactly, so its loop is
+    built (and validated) but never advanced.
+    """
+
+    def __init__(self, cfg: SimConfig, kinds, betas, seeds, n_fast: int):
+        self.loops = {}
+        for kind in kinds:
+            loop = _period_maps(replace(cfg, canceler=kind))
+            self.loops[kind] = (loop, np.zeros((loop.n_states, len(betas))))
+        self.N = cfg.params.fsfh_ratio
+        self.scale = np.array([beta * 10.0 ** (cfg.relay_gain_db / 20.0) for beta in betas])
+        self.sigma_rs = noise_amplitude(cfg.noise_rs_dbm)
+        self.sigma_t = noise_amplitude(cfg.noise_t_dbm)
+        self.rs = [_philox(seed, 0) for seed in seeds]
+        self.t = [_philox(seed, 0) for seed in seeds]
+        for rng in self.t:
+            for start in range(0, n_fast, _DISCARD_ROWS):
+                rng.standard_normal((min(_DISCARD_ROWS, n_fast - start), 2))
+        self.step = 0
+
+    def advance(self, tx: np.ndarray):
+        """Yield (kind, u, y_T) for the next fast samples tx, shaped (n, 2, P).
+
+        Kinds are computed one at a time, as the caller consumes them, so
+        only one kind's outputs are alive at once.
+        """
+        n, _, P = tx.shape
+        step, self.step = self.step, self.step + n
+        w = self.sigma_rs * np.stack([rng.standard_normal((n, 2)) for rng in self.rs], axis=2)
+        w += tx
+        w = w.reshape(n // self.N, 2 * self.N, P)
+        n_t = self.sigma_t * np.stack([rng.standard_normal((n, 2)) for rng in self.t], axis=2)
+        for kind, (loop, X) in self.loops.items():
+            u = np.zeros_like(tx) if kind == "none" else _advance(loop, X, w, step).reshape(tx.shape)
+            yield kind, u, self.scale * u + n_t
+
+
 def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
     """Run the relay chain on a fast-rate input waveform.
 
     The returned ``z`` is the cancelation error tx - u against the noise-free
     incoming signal; ``y_T`` is the terminal-side received waveform
-    beta * g * u + n_T with g the relay amplitude gain.
+    beta * g * u + n_T with g the relay amplitude gain.  This is the
+    one-run case of the batched engine the BER sweeps use.
     """
     prm = cfg.params
     N = prm.fsfh_ratio
@@ -150,37 +236,12 @@ def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
     if abs(tx.rate - expected_rate) > 1e-9 * expected_rate:
         raise ConfigError(f"waveform rate {tx.rate} != fast rate {expected_rate}")
 
-    loop = _period_maps(cfg)
-    A, B, C, D = loop.A, loop.B, loop.C, loop.D
-    n_slow = n_fast // N
-
-    # Chain noise stream: Philox key (seed, 0); bit streams use (seed, 1).
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
-    sigma_rs = noise_amplitude(cfg.noise_rs_dbm)
-    sigma_t = noise_amplitude(cfg.noise_t_dbm)
-    n_rs = sigma_rs * rng.standard_normal((n_fast, 2))
-    n_t = sigma_t * rng.standard_normal((n_fast, 2))
-
-    w = (tx.samples + n_rs).reshape(n_slow, 2 * N)
-    e = np.empty_like(w)
-    x = np.zeros(A.shape[0])
-    # A divergent loop overflows; the finiteness check below reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_slow):
-            e[k] = C @ x + D @ w[k]
-            x = A @ x + B @ w[k]
-        u = (w - e).reshape(n_fast, 2)
-
-    if not np.all(np.isfinite(u)):
-        bad = int(np.argmin(np.isfinite(u).all(axis=1)))
-        raise FloatingPointError(f"non-finite relay output at fast step {bad}")
-
-    gain = 10.0 ** (cfg.relay_gain_db / 20.0)
-    y_t = cfg.beta * gain * u + n_t
-    z = tx.samples - u
+    batch = _ChainBatch(cfg, [cfg.canceler], [cfg.beta], [cfg.seed], n_fast)
+    ((_, u, y_t),) = batch.advance(tx.samples[:, :, None])
+    u, y_t = u[:, :, 0], y_t[:, :, 0]
     rate = tx.rate
     return SimOutput(
-        y_T=Waveform(y_t, rate), u=Waveform(u, rate), z=Waveform(z, rate)
+        y_T=Waveform(y_t, rate), u=Waveform(u, rate), z=Waveform(tx.samples - u, rate)
     )
 
 

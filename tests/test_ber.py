@@ -238,6 +238,67 @@ class TestGrid:
         assert forwarding_ber_model(base_cfg, cc, 1e-9) == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.fixture(scope="module")
+def antialias_cfg():
+    from cwcancel.lifting import lift
+    from cwcancel.plant import build_hybrid_plant, first_order_lowpass
+    from cwcancel.synthesis import bisect_gamma
+
+    params = RelayParams(antialias=first_order_lowpass(0.01))  # F = 100/(s+100)
+    K = bisect_gamma(lift(build_hybrid_plant(params)), tol=5e-3).controller
+    return SimConfig(params=params, canceler="designed", controller=K, seed=2024)
+
+
+def whole_waveform_errors(cfg, cc):
+    """Bit errors of one point from whole waveforms: no batch, no chunks."""
+    from cwcancel.ber import _CHAIN_ALIGN, _pilot_reference
+    from cwcancel.simulate import simulate_chain
+
+    cc = bind_comms(cc, cfg.params)
+    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 1], dtype=np.uint64)))
+    bits = rng.integers(0, 2, size=cc.n_symbols)
+    out = simulate_chain(cfg, modulate(bits, cc, cfg.signal_dbm))
+    decided = demodulate(out.y_T, cc, _pilot_reference(cfg, cc), align_offset=_CHAIN_ALIGN)
+    return int(np.sum(decided != bits))
+
+
+class TestBatchedSweep:
+    """The batched, chunked sweep scores exactly what whole-waveform runs score."""
+
+    @pytest.mark.parametrize("which", ["defaults", "antialias"])
+    def test_counts_equal_per_point_runs(self, base_cfg, antialias_cfg, which):
+        from cwcancel.ber import _CHUNK_SYMBOLS
+
+        cfg = base_cfg if which == "defaults" else antialias_cfg
+        # Not a multiple of the chunk: window carries across two chunk edges
+        # and a short final chunk.
+        cc = CommsConfig(n_symbols=2 * _CHUNK_SYMBOLS + 44)
+        betas = list(default_beta_grid(cfg, cc, n_points=5))
+        curves = sweep_beta(cfg, cc, betas, ["none", "designed", "perfect"])
+        for curve in curves:
+            points = [replace(cfg, beta=beta, seed=cfg.seed + i, canceler=curve.canceler_kind)
+                      for i, beta in enumerate(betas)]
+            whole = [whole_waveform_errors(point, cc) for point in points]
+            assert [p.errors for p in curve.points] == whole
+            assert [run_ber(point, cc).errors for point in points] == whole
+        assert any(0 < p.errors < p.trials // 2 for c in curves[1:] for p in c.points)
+
+    def test_memory_bounded_by_chunk(self, base_cfg):
+        import tracemalloc
+
+        def peak(n_symbols):
+            tracemalloc.start()
+            try:
+                sweep_beta(base_cfg, CommsConfig(n_symbols=n_symbols), [3e-4], ["designed"])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # one-time allocations (lazy imports, caches) stay out of the figures
+        small, large = peak(2000), peak(16000)
+        assert large <= 1.5 * small, (small, large)
+
+
 def test_ber_csv(tmp_path, base_cfg):
     cc = CommsConfig(n_symbols=50)
     curves = sweep_beta(base_cfg, cc, [1e-4, 1e-3], ["none", "designed"])

@@ -121,6 +121,31 @@ def test_gain_vanishing_at_both_ends():
     assert hinf_norm_discrete(sys, tol=1e-6) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("zero", ["B", "C"])
+def test_zero_transfer_function_has_zero_norm(zero):
+    # B = 0 or C = 0 with D = 0: every gain, and every seed, is exactly 0.
+    rng = np.random.default_rng(7)
+    A = 0.5 * np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+    B, C = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+    if zero == "B":
+        B[:] = 0.0
+    else:
+        C[:] = 0.0
+    sys = StateSpace(A, B, C, np.zeros((2, 2)), dt=1.0)
+    assert hinf_norm_discrete(sys, tol=1e-6) == 0.0
+
+
+def test_seeds_zero_up_to_rounding():
+    # H(z) = z^-1 - z^-5 vanishes at theta = 0, pi/2 and pi (z^4 = 1), where
+    # its computed gains are 0, 2.4e-16 and 4.9e-16; the bracket still
+    # climbs from there to the peak 2 at theta = pi/4.
+    A = np.diag(np.ones(4), -1)
+    B = np.eye(5)[:, :1]
+    C = np.array([[1.0, 0.0, 0.0, 0.0, -1.0]])
+    sys = StateSpace(A, B, C, [[0.0]], dt=1.0)
+    assert hinf_norm_discrete(sys, tol=1e-6) == pytest.approx(2.0, rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), radius=st.floats(0.1, 0.97),
        thetas=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=16))

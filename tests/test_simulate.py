@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cwcancel.lifting import lift
@@ -207,6 +209,40 @@ def test_matches_per_step_oracle(oracle_cases, case, kind):
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
     if kind != "none":
         assert np.abs(ref).max() > 0.1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), periods=st.integers(1, 24),
+       a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0),
+       kind=st.sampled_from(["designed", "perfect"]))
+def test_noise_free_chain_is_linear_and_slow_rate_time_invariant(
+        base_cfg, seed, periods, a, b, kind):
+    cfg = replace(base_cfg, canceler=kind, **NOISE_OFF)
+    N = cfg.params.fsfh_ratio
+    rng = np.random.default_rng(seed)
+    x1, x2 = rng.standard_normal((2, N * periods, 2))
+
+    def u(tx):
+        return simulate_chain(cfg, fast_wave(tx)).u.samples
+
+    u1, u2 = u(x1), u(x2)
+    scale = abs(a) * np.abs(u1).max() + abs(b) * np.abs(u2).max()
+    assert np.abs(u(a * x1 + b * x2) - (a * u1 + b * u2)).max() <= 1e-12 * scale
+    # Delaying the input by one slow period (N fast samples) delays u by N.
+    delayed = u(np.vstack([np.zeros((N, 2)), x1]))
+    assert np.all(delayed[:N] == 0.0)
+    assert np.abs(delayed[N:] - u1).max() <= 1e-12 * np.abs(u1).max()
+
+
+def test_none_loop_outputs_exact_zero(base_cfg):
+    # The batched engine skips the none loop because its relay output is
+    # exactly 0; run that loop here to pin it.
+    from cwcancel.simulate import _advance, _period_maps
+
+    loop = _period_maps(replace(base_cfg, canceler="none"))
+    W = np.random.default_rng(18).standard_normal((40, 32, 3))
+    U = _advance(loop, np.zeros((loop.n_states, 3)), W, 0)
+    assert np.all(U == 0.0)
 
 
 class TestDelayFree:
