@@ -15,9 +15,9 @@ map is built once, all beta points of a kind advance together through the
 simulator's one kernel, and each point's bits and noise are drawn once per
 chunk of ``_CHUNK_SYMBOLS`` symbols and shared by every kind.  Decisions are
 scored chunk by chunk, so memory does not grow with ``n_symbols``.  The
-noise-free pilot is only scaled by beta, so each kind runs one pilot, and
-``none`` (u = 0 exactly) skips the loop.  :func:`run_ber` is the one-point
-case of the same pass.
+noise-free pilot is only scaled by beta, so each kind runs one pilot on the
+loop the sweep already built, and ``none`` (u = 0 exactly) skips the loop.
+:func:`run_ber` is the one-point case of the same pass.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .simulate import SimConfig, Waveform, _ChainBatch, _philox, noise_amplitude, simulate_chain
+from .simulate import SimConfig, Waveform, _ChainBatch, _philox, noise_amplitude
 
 __all__ = [
     "CommsConfig",
@@ -183,13 +183,12 @@ _CHAIN_ALIGN = 1  # relay receiver window offset, in fast samples
 _CHUNK_SYMBOLS = 64  # symbols per streamed chunk of a BER run
 
 
-def _pilot_reference(cfg: SimConfig, cc: CommsConfig) -> np.ndarray:
-    """Gain/rotation reference from a short noise-free all-ones pilot run."""
-    pilot_cc = replace(cc, n_symbols=8)
-    pcfg = replace(cfg, noise_rs_dbm=-math.inf, noise_t_dbm=-math.inf)
-    wave = modulate(np.ones(pilot_cc.n_symbols, dtype=int), pilot_cc, cfg.signal_dbm)
-    out = simulate_chain(pcfg, wave)
-    vec = _decision_windows(out.y_T.samples, cc.samples_per_symbol, _CHAIN_ALIGN)[-1].mean(axis=0)
+def _pilot_reference(batch, kind: str, cc: CommsConfig, signal_dbm: float) -> np.ndarray:
+    """Gain/rotation reference from a short noise-free all-ones pilot run of
+    one kind of a :class:`_ChainBatch`, at the batch's first point."""
+    wave = modulate(np.ones(8, dtype=int), cc, signal_dbm)
+    y_t = batch.pilot(kind, wave.samples)
+    vec = _decision_windows(y_t, cc.samples_per_symbol, _CHAIN_ALIGN)[-1].mean(axis=0)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
         return np.array([1.0, 0.0])
@@ -208,8 +207,7 @@ def _error_counts(cfg: SimConfig, cc: CommsConfig, kinds, betas, seeds) -> dict:
     """
     sps, n_symbols = cc.samples_per_symbol, cc.n_symbols
     batch = _ChainBatch(cfg, kinds, betas, seeds, n_symbols * sps)
-    refs = {kind: _pilot_reference(replace(cfg, canceler=kind, beta=betas[0], seed=seeds[0]), cc)
-            for kind in kinds}
+    refs = {kind: _pilot_reference(batch, kind, cc, cfg.signal_dbm) for kind in kinds}
     bit_rngs = [_philox(seed, 1) for seed in seeds]
     errors = {kind: np.zeros(len(betas), dtype=int) for kind in kinds}
     tails = dict.fromkeys(kinds)

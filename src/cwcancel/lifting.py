@@ -1,18 +1,20 @@
 """Fast-sample/fast-hold lifting of the hybrid relay loop.
 
-The continuous core is discretized at the fast period h/N with the exogenous
-input held over each fast step and the error output read at each fast step.
-The coupling delay becomes a fast-rate shift register (2 states per fast step
-of delay), and N fast steps are stacked into one slow step so the result is a
-single-rate discrete generalized plant the synthesis machinery can consume:
-inputs (w lifted: 2N, u: 2), outputs (z lifted: 2N, y: 2).  The measurement y
-is the antialias output sampled at the start of each slow period; the control
+The continuous core is discretized at the fast period h/N with its inputs
+(w, u_hold, c) held over each fast step.  Closing the coupling path t -> c
+through a fast-rate shift register (2 states per fast step of delay) gives
+one discrete fast-step system (w, u_hold) -> (z, y).  N fast steps are
+stacked into one slow step, so the result is a single-rate discrete
+generalized plant the synthesis machinery can consume: inputs
+(w lifted: 2N, u: 2), outputs (z lifted: 2N, y: 2).  The measurement y is
+the antialias output sampled at the start of each slow period; the control
 u is held over the whole period.  The chain simulator closes the same lift
 of the loop, built with W = I, around K(z).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +24,13 @@ from .plant import HybridPlant
 
 __all__ = [
     "LiftedPlant",
+    "PlantBlocks",
     "InterconnectionError",
     "WellPosednessError",
     "lift",
     "closed_loop",
     "fast_step_realization",
+    "partition",
 ]
 
 
@@ -40,80 +44,72 @@ class WellPosednessError(ValueError):
 
 @dataclass
 class LiftedPlant:
-    """Discrete generalized plant produced by FSFH lifting."""
+    """Discrete generalized plant G: (w, u) -> (z, y), produced by FSFH lifting."""
 
     G: StateSpace
     n_w: int
     n_u: int
     n_z: int
     n_y: int
-    fsfh_ratio: int
-    provenance: object  # RelayParams the plant was built from
 
     @property
     def n_states(self) -> int:
         return self.G.n_states
 
 
-def fast_step_realization(plant: HybridPlant):
-    """One-fast-step recursion matrices of the loop including the delay line.
+# State-space blocks of a generalized plant split at (w, u) -> (z, y).
+PlantBlocks = namedtuple("PlantBlocks", "A B1 B2 C1 C2 D11 D12 D21 D22")
+
+
+def partition(G: StateSpace, n_w: int, n_z: int) -> PlantBlocks:
+    """Split G into the blocks of the lower LFT layout (Zhou, Doyle & Glover,
+    1996): the first n_w inputs are w, the rest u; the first n_z outputs are
+    z, the rest y."""
+    return PlantBlocks(
+        G.A, G.B[:, :n_w], G.B[:, n_w:], G.C[:n_z, :], G.C[n_z:, :],
+        G.D[:n_z, :n_w], G.D[:n_z, n_w:], G.D[n_z:, :n_w], G.D[n_z:, n_w:],
+    )
+
+
+def fast_step_realization(plant: HybridPlant) -> StateSpace:
+    """One fast step of the loop with the coupling path closed.
 
     State is (core states, register r_1 .. r_d) where r_j holds the relay
-    output u from j fast steps ago.  Inputs are (w: 2, u_hold: 2); outputs
-    are the fast samples of z and of the pre-sampler signal y.
-
-    Returns (Phi, Gw, Gu, Cz, Dzw, Dzu, Cy, Dyw, Dyu).
+    output t from j fast steps ago, and the coupling input is
+    c = coupling @ r_d.  The result maps (w: 2, u_hold: 2), held over the
+    step, to the fast samples of (z: 2, y_presample: 2) at step h/N.
     """
-    tau = plant.sample_period / plant.fsfh_ratio
     core = plant.ct_core
-    n = core.n_states
-    d = plant.delay_fast_steps
-    aAL = plant.coupling_gain * plant.rotation
-
-    # Discretize with the coupling injection appended as a third input pair;
-    # like w, the delayed coupling value is held over each fast step.
-    B_ext = np.hstack([core.B, plant.coupling_entry])
-    fast = discretize_zoh(StateSpace(core.A, B_ext, core.C, np.zeros((4, 6))), tau)
-    Ad = fast.A
-    Bd_w, Bd_u, Bd_c = fast.B[:, 0:2], fast.B[:, 2:4], fast.B[:, 4:6]
-
-    Cz_core, Cy_core = core.C[0:2, :], core.C[2:4, :]
-    Dzw, Dzu = core.D[0:2, 0:2], core.D[0:2, 2:4]
-    Dyw, Dyu = core.D[2:4, 0:2], core.D[2:4, 2:4]
-    Dcpl = plant.coupling_feedthrough
-    tap, tapD = plant.output_tap, plant.output_tap_feedthrough
+    n, d = core.n_states, plant.delay_fast_steps
+    # Like w and u_hold, the delayed coupling value c is held over each step.
+    fast = discretize_zoh(core, plant.params.sampling_period / plant.params.fsfh_ratio)
 
     nx = n + 2 * d
-    Phi = np.zeros((nx, nx))
-    Gw = np.zeros((nx, 2))
-    Gu = np.zeros((nx, 2))
-    Cz = np.zeros((2, nx))
-    Cy = np.zeros((2, nx))
-
-    Phi[:n, :n] = Ad
-    Gw[:n] = Bd_w
-    Gu[:n] = Bd_u
-    Cz[:, :n] = Cz_core
-    Cy[:, :n] = Cy_core
+    A = np.zeros((nx, nx))
+    B = np.zeros((nx, 4))
+    C = np.zeros((4, nx))
+    A[:n, :n] = fast.A
+    B[:n] = fast.B[:, 0:4]
+    C[:, :n] = core.C[0:4]
 
     # assemble_loop rejects a nonzero coupling gain without delay, so d = 0
     # means the coupling path is absent.
     if d >= 1:
-        oldest = slice(n + 2 * (d - 1), n + 2 * d)
-        Phi[:n, oldest] += Bd_c @ aAL
-        Cy[:, oldest] += Dcpl @ aAL
-        Phi[n:n + 2, :n] = tap
-        Gu[n:n + 2] = tapD
+        oldest = slice(n + 2 * (d - 1), nx)
+        A[:n, oldest] += fast.B[:, 4:6] @ plant.coupling
+        C[2:4, oldest] += core.D[2:4, 4:6] @ plant.coupling
+        A[n:n + 2, :n] = core.C[4:6]
+        B[n:n + 2, 2:4] = core.D[4:6, 2:4]
         for j in range(1, d):
-            Phi[n + 2 * j:n + 2 * j + 2, n + 2 * (j - 1):n + 2 * j] = np.eye(2)
+            A[n + 2 * j:n + 2 * j + 2, n + 2 * (j - 1):n + 2 * j] = np.eye(2)
 
-    return Phi, Gw, Gu, Cz, Dzw, Dzu, Cy, Dyw, Dyu
+    return StateSpace(A, B, C, core.D[0:4, 0:4], dt=fast.dt)
 
 
 def lift(plant: HybridPlant) -> LiftedPlant:
     """Stack N fast steps of the loop into one slow-rate generalized plant."""
-    N = plant.fsfh_ratio
-    Phi, Gw, Gu, Cz, Dzw, Dzu, Cy, Dyw, Dyu = fast_step_realization(plant)
+    N = plant.params.fsfh_ratio
+    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(plant), 2, 2)
     nx = Phi.shape[0]
 
     # Affine propagation: columns track (xi_0, w_0..w_{N-1}, u).
@@ -122,31 +118,23 @@ def lift(plant: HybridPlant) -> LiftedPlant:
     M[:, :nx] = np.eye(nx)
     u_cols = slice(nx + 2 * N, ncols)
 
-    Cz_rows = np.zeros((2 * N, ncols))
+    # Output rows z_0..z_{N-1}, then y (the sample at fast index 0).
+    out = np.zeros((2 * N + 2, ncols))
     for j in range(N):
         w_cols = slice(nx + 2 * j, nx + 2 * j + 2)
         rows = slice(2 * j, 2 * j + 2)
-        Cz_rows[rows, :] = Cz @ M
-        Cz_rows[rows, w_cols] += Dzw
-        Cz_rows[rows, u_cols] += Dzu
+        out[rows, :] = Cz @ M
+        out[rows, w_cols] += Dzw
+        out[rows, u_cols] += Dzu
         M = Phi @ M
         M[:, w_cols] += Gw
         M[:, u_cols] += Gu
+    out[2 * N:, :nx] = Cy
+    out[2 * N:, nx:nx + 2] = Dyw
+    out[2 * N:, u_cols] = Dyu
 
-    y_row = np.zeros((2, ncols))
-    y_row[:, :nx] = Cy
-    y_row[:, nx:nx + 2] = Dyw
-    y_row[:, u_cols] = Dyu
-
-    A = M[:, :nx]
-    B = M[:, nx:]
-    C = np.vstack([Cz_rows[:, :nx], y_row[:, :nx]])
-    D = np.vstack([Cz_rows[:, nx:], y_row[:, nx:]])
-    G = StateSpace(A, B, C, D, dt=plant.sample_period)
-    return LiftedPlant(
-        G=G, n_w=2 * N, n_u=2, n_z=2 * N, n_y=2,
-        fsfh_ratio=N, provenance=plant.params,
-    )
+    G = StateSpace(M[:, :nx], M[:, nx:], out[:, :nx], out[:, nx:], dt=plant.params.sampling_period)
+    return LiftedPlant(G=G, n_w=2 * N, n_u=2, n_z=2 * N, n_y=2)
 
 
 def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
@@ -163,10 +151,7 @@ def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
     if K.is_discrete and not step_matches(K.dt, G.dt):
         raise InterconnectionError(f"controller step {K.dt} != plant step {G.dt}")
 
-    A, B1, B2 = G.A, G.B[:, :nw], G.B[:, nw:]
-    C1, C2 = G.C[:nz, :], G.C[nz:, :]
-    D11, D12 = G.D[:nz, :nw], G.D[:nz, nw:]
-    D21, D22 = G.D[nz:, :nw], G.D[nz:, nw:]
+    A, B1, B2, C1, C2, D11, D12, D21, D22 = partition(G, nw, nz)
     Ak, Bk, Ck, Dk = K.A, K.B, K.C, K.D
 
     M = np.eye(nu) - Dk @ D22

@@ -25,7 +25,6 @@ __all__ = [
     "bilinear_to_discrete",
 ]
 
-# Default relative accuracy targets; every routine takes an override.
 EXPM_PADE_THETA13 = 5.371920351148152
 
 
@@ -96,9 +95,6 @@ class StateSpace:
     @property
     def is_discrete(self) -> bool:
         return self.dt is not None
-
-    def copy(self) -> "StateSpace":
-        return StateSpace(self.A.copy(), self.B.copy(), self.C.copy(), self.D.copy(), self.dt)
 
 
 def spectral_radius(A) -> float:

@@ -7,9 +7,11 @@ path alpha * e^{-Ls} * A_L from the relay output back to the receive side.
 Baseband signals are I/Q pairs, so scalar filter prototypes are promoted to
 2x2 block form; the carrier rotation A_L mixes the two components.
 
-The delay has no finite-dimensional continuous realization, so the coupling
-path is stored as an annotation (gain, rotation, entry/readout matrices) and
-realized as a fast-rate shift register during FSFH lifting.
+The delay has no finite-dimensional continuous realization, so the core
+leaves the coupling path open: it has a coupling input c (entering where the
+delayed echo does, at F's input) and a relay output t (the transmitted
+baseband signal).  The lifter closes t -> alpha * A_L * delay -> c as a
+fast-rate shift register.
 """
 
 from __future__ import annotations
@@ -131,26 +133,17 @@ class RelayParams:
 
 @dataclass
 class HybridPlant:
-    """Continuous core of the design loop plus the coupling annotation.
+    """Continuous core of the relay loop with its coupling path left open.
 
-    ``ct_core`` maps (w: 2, u_hold: 2) to (z: 2, y_presample: 2).  The
-    coupling feedback u -> alpha * A_L * delay -> receive side is NOT folded
-    into ct_core; instead ``coupling_entry``/``coupling_feedthrough`` say
-    where the delayed signal enters (the antialias input) and
-    ``output_tap``/``output_tap_feedthrough`` read the transmitted baseband
-    signal u that gets delayed.
+    ``ct_core`` maps (w: 2, u_hold: 2, c: 2) to (z: 2, y_presample: 2, t: 2),
+    where c is the coupling signal entering at the antialias input and t is
+    the relay output.  The loop closes c[k] = ``coupling`` @ t[k - d] at the
+    fast rate, with d = ``delay_fast_steps`` and ``coupling`` = alpha * A_L.
     """
 
     ct_core: StateSpace
-    coupling_entry: np.ndarray        # n x 2, drives antialias states
-    coupling_feedthrough: np.ndarray  # 2 x 2, direct term into y_presample
-    output_tap: np.ndarray            # 2 x n, u as a state readout
-    output_tap_feedthrough: np.ndarray  # 2 x 2, u_hold feedthrough into u
-    rotation: np.ndarray
-    coupling_gain: float
+    coupling: np.ndarray
     delay_fast_steps: int
-    sample_period: float
-    fsfh_ratio: int
     params: RelayParams
 
 
@@ -173,13 +166,13 @@ def build_hybrid_plant(params: RelayParams) -> HybridPlant:
 def assemble_loop(params: RelayParams) -> HybridPlant:
     """Assemble the relay-loop core around W, F and P.
 
-    State order is (x_W, x_F, x_P).  Outputs: z = W w - u (the cancelation
-    error) and y_presample = F (W w + coupling), with the coupling term left
-    symbolic for the lifter.  W may have a feedthrough: with W = I the
-    exogenous input is the received signal itself, which is how the chain
-    simulator uses the loop.  A coupling path needs at least one fast step
-    of delay: a nonzero coupling gain with zero delay raises
-    :class:`ModelError`.
+    State order is (x_W, x_F, x_P).  Inputs are (w, u_hold, c) and outputs
+    are z = W w - t (the cancelation error), y_presample = F (W w + c) and
+    the relay output t = P u_hold; the lifter closes c from the delayed t.
+    W may have a feedthrough: with W = I the exogenous input is the received
+    signal itself, which is how the chain simulator uses the loop.  A
+    coupling path needs at least one fast step of delay: a nonzero coupling
+    gain with zero delay raises :class:`ModelError`.
     """
     W = promote_iq(params.input_shaping)
     F = promote_iq(params.antialias) if params.antialias is not None else identity_filter()
@@ -206,41 +199,30 @@ def assemble_loop(params: RelayParams) -> HybridPlant:
     A[sF, sW] = F.B @ W.C
     A[sP, sP] = P.A
 
-    B = np.zeros((n, 4))  # columns: w (2), u_hold (2)
+    B = np.zeros((n, 6))  # columns: w, u_hold, c (2 each)
     B[sW, 0:2] = W.B
     B[sF, 0:2] = F.B @ W.D
     B[sP, 2:4] = P.B
+    B[sF, 4:6] = F.B
 
-    C = np.zeros((4, n))  # rows: z (2), y_presample (2)
+    C = np.zeros((6, n))  # rows: z, y_presample, t (2 each)
     C[0:2, sW] = W.C
     C[0:2, sP] = -P.C
     C[2:4, sW] = F.D @ W.C
     C[2:4, sF] = F.C
+    C[4:6, sP] = P.C
 
-    D = np.zeros((4, 4))
+    D = np.zeros((6, 6))
     D[0:2, 0:2] = W.D
     D[2:4, 0:2] = F.D @ W.D
-    D[0:2, 2:4] = -P.D  # z = Ww - u picks up -D_P u_hold when P is not strictly proper
-
-    coupling_entry = np.zeros((n, 2))
-    coupling_entry[sF, :] = F.B
-    coupling_feedthrough = F.D.copy()
-
-    output_tap = np.zeros((2, n))
-    output_tap[:, sP] = P.C
-    output_tap_feedthrough = P.D.copy()
+    D[0:2, 2:4] = -P.D  # z = Ww - t picks up -D_P u_hold when P is not strictly proper
+    D[2:4, 4:6] = F.D
+    D[4:6, 2:4] = P.D
 
     return HybridPlant(
         ct_core=StateSpace(A, B, C, D),
-        coupling_entry=coupling_entry,
-        coupling_feedthrough=coupling_feedthrough,
-        output_tap=output_tap,
-        output_tap_feedthrough=output_tap_feedthrough,
-        rotation=carrier_rotation(params.carrier_hz, params.delay_seconds),
-        coupling_gain=params.coupling_gain,
+        coupling=params.coupling_gain * carrier_rotation(params.carrier_hz, params.delay_seconds),
         delay_fast_steps=d,
-        sample_period=params.sampling_period,
-        fsfh_ratio=params.fsfh_ratio,
         params=params,
     )
 
@@ -249,13 +231,4 @@ def default_relay_params() -> RelayParams:
     """Simulation defaults: h=1 s, N=16, L=1 s, loop gain 0.15, f=10 kHz,
     F = I, P = first-order low-pass with 1 ms time constant, W = first-order
     low-pass with 2 s time constant."""
-    return RelayParams(
-        sampling_period=1.0,
-        fsfh_ratio=16,
-        delay_seconds=1.0,
-        coupling_gain=0.15,
-        carrier_hz=10000.0,
-        input_shaping=first_order_lowpass(2.0),
-        antialias=None,
-        post_filter=first_order_lowpass(0.001),
-    )
+    return RelayParams()

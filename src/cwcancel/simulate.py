@@ -138,7 +138,7 @@ def _period_maps(cfg: SimConfig) -> StateSpace:
             raise ConfigError("controller must be 2-input 2-output")
     loop = assemble_loop(replace(prm, input_shaping=identity_filter()))
     if cfg.canceler == "perfect":
-        loop = replace(loop, coupling_gain=0.0)
+        loop = replace(loop, coupling=np.zeros((2, 2)))
     return closed_loop(lift(loop), K)
 
 
@@ -217,6 +217,14 @@ class _ChainBatch:
         for kind, (loop, X) in self.loops.items():
             u = np.zeros_like(tx) if kind == "none" else _advance(loop, X, w, step).reshape(tx.shape)
             yield kind, u, self.scale * u + n_t
+
+    def pilot(self, kind: str, tx: np.ndarray) -> np.ndarray:
+        """Noise-free y_T of a kind's first run, from rest, for fast samples tx (n, 2)."""
+        loop, _ = self.loops[kind]
+        if kind == "none":
+            return np.zeros_like(tx)
+        u = _advance(loop, np.zeros((loop.n_states, 1)), tx.reshape(-1, 2 * self.N, 1), 0)
+        return self.scale[0] * u.reshape(tx.shape)
 
 
 def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hnorm import hinf_norm_discrete
-from .lifting import LiftedPlant, closed_loop
+from .lifting import LiftedPlant, PlantBlocks, closed_loop, partition
 from .lti import StateSpace, bilinear_to_continuous, bilinear_to_discrete, spectral_radius
 from .riccati import NoStabilizingSolution, care_stabilizing
 
@@ -34,6 +34,7 @@ __all__ = [
     "SynthesisError",
     "synthesize_at_gamma",
     "bisect_gamma",
+    "certify",
     "bilinear_to_continuous",
     "bilinear_to_discrete",
     "controller_to_dict",
@@ -44,6 +45,8 @@ SYNTH_TOL_DEFAULT = 1e-3
 REG_EPS = 1e-8
 _PSD_TOL = 1e-7
 MAX_PROBES = 200
+CERT_TOL = 1e-6  # the certified norm is proven to lie in [g, g*(1+2*CERT_TOL)]
+CERT_SLACK = 1e-3  # a certificate above gamma_achieved * (1 + CERT_SLACK) contradicts it
 
 
 class SynthesisError(RuntimeError):
@@ -72,6 +75,7 @@ class SynthesisResult:
     controller: DigitalController
     gamma_min: float
     bisection_trace: list  # (gamma, feasible) pairs in probe order
+    closed_loop_radius: float  # spectral radius of the final closed loop
 
 
 def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:
@@ -99,30 +103,7 @@ def _regularize_rank(Dblk: np.ndarray, eps: float = REG_EPS) -> np.ndarray:
     return (U * s) @ Vt
 
 
-@dataclass
-class _Parts:
-    A: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-    C1: np.ndarray
-    C2: np.ndarray
-    D11: np.ndarray
-    D12: np.ndarray
-    D21: np.ndarray
-    D22: np.ndarray
-
-
-def _partition(G: StateSpace, nw: int, nz: int) -> _Parts:
-    return _Parts(
-        A=G.A,
-        B1=G.B[:, :nw], B2=G.B[:, nw:],
-        C1=G.C[:nz, :], C2=G.C[nz:, :],
-        D11=G.D[:nz, :nw], D12=G.D[:nz, nw:],
-        D21=G.D[nz:, :nw], D22=G.D[nz:, nw:],
-    )
-
-
-def _absorb_w_feedthrough(p: _Parts) -> _Parts:
+def _absorb_w_feedthrough(p: PlantBlocks) -> PlantBlocks:
     """Exact constant scattering wrap of the (w, z) channels zeroing D11.
 
     Valid whenever the largest singular value of D11 is below one (the
@@ -133,7 +114,7 @@ def _absorb_w_feedthrough(p: _Parts) -> _Parts:
     Tn = N.T @ np.linalg.inv(np.eye(N.shape[0]) - N @ N.T)
     Sw = _inv_sqrt_psd(np.eye(N.shape[1]) - N.T @ N)
     Sz = _inv_sqrt_psd(np.eye(N.shape[0]) - N @ N.T)
-    return _Parts(
+    return PlantBlocks(
         A=p.A + p.B1 @ Tn @ p.C1,
         B1=p.B1 @ Sw,
         B2=p.B2 + p.B1 @ Tn @ p.D12,
@@ -146,7 +127,7 @@ def _absorb_w_feedthrough(p: _Parts) -> _Parts:
     )
 
 
-def _central_controller(p: _Parts) -> StateSpace:
+def _central_controller(p: PlantBlocks) -> StateSpace:
     """Two-Riccati central controller at level 1 for a plant with D11 = 0.
 
     Solvability is the classical triple: stabilizing PSD solutions X of the
@@ -229,13 +210,8 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     alpha = 2.0 / G.dt
 
     Gc = bilinear_to_continuous(G, alpha)
-    p = _partition(Gc, Gl.n_w, Gl.n_z)
-    p = _Parts(
-        A=p.A, B1=p.B1, B2=p.B2,
-        C1=p.C1 / gamma, C2=p.C2,
-        D11=p.D11 / gamma, D12=p.D12 / gamma,
-        D21=p.D21, D22=p.D22,
-    )
+    p = partition(Gc, Gl.n_w, Gl.n_z)
+    p = p._replace(C1=p.C1 / gamma, D11=p.D11 / gamma, D12=p.D12 / gamma)
 
     if min(p.D11.shape) > 0:
         s_max = np.linalg.svd(p.D11, compute_uv=False)[0]
@@ -244,9 +220,8 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
         p = _absorb_w_feedthrough(p)
 
     d_shift = p.D22
-    p = _Parts(p.A, p.B1, p.B2, p.C1, p.C2, p.D11,
-               _regularize_rank(p.D12), _regularize_rank(p.D21),
-               np.zeros_like(p.D22))
+    p = p._replace(D12=_regularize_rank(p.D12), D21=_regularize_rank(p.D21),
+                   D22=np.zeros_like(p.D22))
 
     try:
         Kc = _central_controller(p)
@@ -332,17 +307,30 @@ def bisect_gamma(
         else:
             lo = mid
 
-    cl = closed_loop(Gl, best.K)
-    radius = spectral_radius(cl.A)
-    if radius >= 1.0:
+    radius, cert = certify(Gl, best.K)
+    if cert is None:
         raise SynthesisError(f"final closed loop unstable (radius {radius:.6f})")
-    cert = hinf_norm_discrete(cl, tol=1e-6)
-    if cert > best.gamma_achieved * (1.0 + 1e-3):
+    if cert > best.gamma_achieved * (1.0 + CERT_SLACK):
         raise SynthesisError(
             f"certificate {cert:.6f} contradicts synthesis level {best.gamma_achieved:.6f}"
         )
     best.gamma_certified = float(cert)
-    return SynthesisResult(controller=best, gamma_min=float(hi), bisection_trace=trace)
+    return SynthesisResult(controller=best, gamma_min=float(hi), bisection_trace=trace,
+                           closed_loop_radius=radius)
+
+
+def certify(Gl: LiftedPlant, K: StateSpace):
+    """(radius, g) of the closed loop of Gl and K.
+
+    radius is its spectral radius; g is a peak gain the loop attains, with
+    its H-infinity norm proven to lie in [g, g*(1+2*CERT_TOL)], or None when
+    the loop is unstable (radius >= 1).
+    """
+    cl = closed_loop(Gl, K)
+    radius = spectral_radius(cl.A)
+    if radius >= 1.0:
+        return radius, None
+    return radius, hinf_norm_discrete(cl, tol=CERT_TOL)
 
 
 def controller_to_dict(ctrl: DigitalController) -> dict:

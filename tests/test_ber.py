@@ -252,13 +252,15 @@ def antialias_cfg():
 def whole_waveform_errors(cfg, cc):
     """Bit errors of one point from whole waveforms: no batch, no chunks."""
     from cwcancel.ber import _CHAIN_ALIGN, _pilot_reference
-    from cwcancel.simulate import simulate_chain
+    from cwcancel.simulate import _ChainBatch, simulate_chain
 
     cc = bind_comms(cc, cfg.params)
     rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 1], dtype=np.uint64)))
     bits = rng.integers(0, 2, size=cc.n_symbols)
     out = simulate_chain(cfg, modulate(bits, cc, cfg.signal_dbm))
-    decided = demodulate(out.y_T, cc, _pilot_reference(cfg, cc), align_offset=_CHAIN_ALIGN)
+    batch = _ChainBatch(cfg, [cfg.canceler], [cfg.beta], [cfg.seed], 0)
+    ref = _pilot_reference(batch, cfg.canceler, cc, cfg.signal_dbm)
+    decided = demodulate(out.y_T, cc, ref, align_offset=_CHAIN_ALIGN)
     return int(np.sum(decided != bits))
 
 
@@ -297,6 +299,24 @@ class TestBatchedSweep:
         peak(10)  # one-time allocations (lazy imports, caches) stay out of the figures
         small, large = peak(2000), peak(16000)
         assert large <= 1.5 * small, (small, large)
+
+
+def test_sweep_builds_each_period_map_once(base_cfg, monkeypatch):
+    # The pilots run on the loops the sweep builds, so each kind's period
+    # map is built exactly once per sweep.
+    import cwcancel.simulate as sim
+
+    built = []
+    period_maps = sim._period_maps
+
+    def counting(cfg):
+        built.append(cfg.canceler)
+        return period_maps(cfg)
+
+    monkeypatch.setattr(sim, "_period_maps", counting)
+    kinds = ["none", "designed", "perfect"]
+    sweep_beta(base_cfg, CommsConfig(n_symbols=20), [1e-4, 1e-3, 1e-2], kinds)
+    assert sorted(built) == sorted(kinds)
 
 
 def test_ber_csv(tmp_path, base_cfg):

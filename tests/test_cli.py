@@ -162,6 +162,19 @@ class TestSimulate:
             assert (tmp_path / kind / "waveform.csv").exists()
 
 
+class TestDeterminism:
+    def test_design_certify_simulate_artifacts_repeat(self, tmp_path):
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["design", "--out", str(out), "--tol", "0.05"]) == EXIT_OK
+            ctrl = str(out / "controller.json")
+            assert main(["certify", "--controller", ctrl, "--out", str(out)]) == EXIT_OK
+            assert main(["simulate", "--controller", ctrl, "--symbols", "20",
+                         "--out", str(out)]) == EXIT_OK
+        for name in ("controller.json", "report.json", "certification.json", "waveform.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 class TestSweep:
     def test_artifact_and_determinism(self, tmp_path, controller_file, quick_config):
         args = ["sweep", "--config", str(quick_config),
@@ -245,7 +258,7 @@ class TestCertificateFailures:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr("cwcancel.cli.hinf_norm_discrete", fail)
+        monkeypatch.setattr("cwcancel.synthesis.hinf_norm_discrete", fail)
         rc = main(["certify", "--controller", str(controller_file), "--out", str(tmp_path)])
         assert rc == code
         err = capsys.readouterr().err

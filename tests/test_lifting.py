@@ -9,6 +9,7 @@ from cwcancel.lifting import (
     closed_loop,
     fast_step_realization,
     lift,
+    partition,
 )
 from cwcancel.lti import StateSpace, discretize_zoh
 from cwcancel.plant import RelayParams, build_hybrid_plant
@@ -37,10 +38,11 @@ def test_degenerate_lift_is_plain_zoh():
     plant = build_hybrid_plant(params)
     lifted = lift(plant)
     ref = discretize_zoh(plant.ct_core, params.sampling_period)
+    # Compare the (w, u) -> (z, y) block; the coupling ports (c, t) are unused.
     assert np.abs(lifted.G.A - ref.A).max() < 1e-12
-    assert np.abs(lifted.G.B - ref.B).max() < 1e-12
-    assert np.abs(lifted.G.C - ref.C).max() < 1e-12
-    assert np.abs(lifted.G.D - ref.D).max() < 1e-12
+    assert np.abs(lifted.G.B - ref.B[:, :4]).max() < 1e-12
+    assert np.abs(lifted.G.C - ref.C[:4]).max() < 1e-12
+    assert np.abs(lifted.G.D - ref.D[:4, :4]).max() < 1e-12
 
 
 def test_open_loop_norm_matches_input_shaping_peak():
@@ -58,12 +60,12 @@ def test_delay_timing():
     # exactly d fast steps after that.
     params = RelayParams(coupling_gain=1.0, carrier_hz=0.0)
     plant = build_hybrid_plant(params)
-    Phi, Gw, Gu, Cz, Dzw, Dzu, Cy, Dyw, Dyu = fast_step_realization(plant)
+    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(plant), 2, 2)
     d = plant.delay_fast_steps
     x = np.zeros(Phi.shape[0])
     u = np.array([1.0, 0.0])
     y_hist, u_out_hist = [], []
-    tap, tapD = plant.output_tap, plant.output_tap_feedthrough
+    tap, tapD = plant.ct_core.C[4:6], plant.ct_core.D[4:6, 2:4]  # the relay output t
     n = plant.ct_core.n_states
     for t in range(3 * d + 4):
         y_hist.append(Cy @ x + Dyu @ u)
@@ -80,7 +82,7 @@ def test_energy_bookkeeping_vs_fast_simulation(default_lifted, default_params):
     # Impulse responses of the lifted recursion over 64 slow steps must match
     # a brute-force fast-rate simulation channel by channel.
     plant = build_hybrid_plant(default_params)
-    Phi, Gw, Gu, Cz, Dzw, Dzu, Cy, Dyw, Dyu = fast_step_realization(plant)
+    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(plant), 2, 2)
     G = default_lifted.G
     N = default_params.fsfh_ratio
     n_slow = 64
@@ -150,7 +152,7 @@ def test_closed_loop_algebraic_loop():
     G = StateSpace(np.zeros((1, 1)), np.zeros((1, 3)), np.zeros((3, 1)),
                    np.block([[np.zeros((2, 2)), np.zeros((2, 1))],
                              [np.zeros((1, 2)), np.eye(1)]]), dt=1.0)
-    fake = LiftedPlant(G=G, n_w=2, n_u=1, n_z=2, n_y=1, fsfh_ratio=1, provenance=None)
+    fake = LiftedPlant(G=G, n_w=2, n_u=1, n_z=2, n_y=1)
     K = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), np.eye(1), dt=1.0)
     with pytest.raises(WellPosednessError):
         closed_loop(fake, K)

@@ -65,7 +65,7 @@ class TestBuild:
         plant = build_hybrid_plant(default_params)
         assert plant.ct_core.n_states == 4
         assert plant.delay_fast_steps == 16
-        assert plant.ct_core.n_inputs == 4 and plant.ct_core.n_outputs == 4
+        assert plant.ct_core.n_inputs == 6 and plant.ct_core.n_outputs == 6
 
     def test_open_loop_error_map_equals_input_shaping(self, default_params):
         # With u = 0 the error output is exactly W w, checked in the
@@ -104,7 +104,7 @@ class TestBuild:
         assert np.array_equal(a.ct_core.B, b.ct_core.B)
         assert np.array_equal(a.ct_core.C, b.ct_core.C)
         assert np.array_equal(a.ct_core.D, b.ct_core.D)
-        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.coupling, b.coupling)
 
     def test_iq_block_structure(self, default_params):
         # With scalar prototypes every core block is kron(., I2): the two

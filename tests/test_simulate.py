@@ -190,21 +190,28 @@ def oracle_relay_output(params, K, kind, tx):
 @pytest.fixture(scope="module")
 def oracle_cases(default_params, designed_controller):
     aa = RelayParams(antialias=first_order_lowpass(0.01))
+    ft = RelayParams(fsfh_ratio=4, delay_seconds=0.75, carrier_hz=10000.3,
+                     antialias=StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.5]]),
+                     post_filter=StateSpace([[-1000.0]], [[1000.0]], [[1.0]], [[0.2]]))
     return {
         "defaults": (default_params, designed_controller),
         "rotated": (replace(default_params, carrier_hz=10000.125), designed_controller),
         "antialias": (aa, bisect_gamma(lift(build_hybrid_plant(aa)), tol=5e-3).controller),
         "delay_free": (RelayParams(delay_seconds=0.0, coupling_gain=0.0), designed_controller),
+        # F = 1/(s+1) + 0.5 and P = 1000/(s+1000) + 0.2: both feedthroughs
+        # sit on the coupling path (D[y, c] and D[t, u_hold] of the core).
+        "feedthrough": (ft, bisect_gamma(lift(build_hybrid_plant(ft)), tol=5e-3).controller),
     }
 
 
-@pytest.mark.parametrize("case", ["defaults", "rotated", "antialias", "delay_free"])
+@pytest.mark.parametrize("case", ["defaults", "rotated", "antialias", "delay_free", "feedthrough"])
 @pytest.mark.parametrize("kind", ["none", "designed", "perfect"])
 def test_matches_per_step_oracle(oracle_cases, case, kind):
     params, K = oracle_cases[case]
     tx = np.random.default_rng(16).standard_normal((16 * 40, 2))
     cfg = SimConfig(params=params, canceler=kind, controller=K, seed=0, **NOISE_OFF)
-    u = simulate_chain(cfg, fast_wave(tx)).u.samples
+    wave = Waveform(tx, params.fsfh_ratio / params.sampling_period)
+    u = simulate_chain(cfg, wave).u.samples
     ref = oracle_relay_output(params, None if kind == "none" else K, kind, tx)
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
     if kind != "none":

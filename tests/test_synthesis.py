@@ -31,7 +31,7 @@ def make_plant(A, B1, B2, C1, C2, D11, D12, D21, D22, dt=1.0):
                    np.vstack([C1, C2]),
                    np.block([[D11, D12], [D21, D22]]), dt=dt)
     return LiftedPlant(G=G, n_w=B1.shape[1], n_u=B2.shape[1],
-                       n_z=C1.shape[0], n_y=C2.shape[0], fsfh_ratio=1, provenance=None)
+                       n_z=C1.shape[0], n_y=C2.shape[0])
 
 
 class TestBilinear:
