@@ -11,7 +11,6 @@ from .plant import (
     carrier_rotation,
     first_order_lowpass,
     build_hybrid_plant,
-    default_relay_params,
 )
 from .lifting import (
     LiftedPlant,

@@ -46,6 +46,10 @@ __all__ = [
     "write_ber_csv",
 ]
 
+Z95 = 1.959963984540054  # two-sided 95% normal quantile of the Wilson interval
+GRID_BER_HIGH = 0.3  # ideal-chain BER at the low-beta end of default_beta_grid
+GRID_BER_LOW = 1e-4  # ... at the high-beta end, unless the RS-noise floor sits above it
+
 
 class FramingError(ValueError):
     """Waveform length is not a whole number of symbols."""
@@ -101,17 +105,17 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> tuple:
+def wilson_interval(errors: int, trials: int) -> tuple:
     """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= errors <= trials:
         raise ValueError("errors must lie in [0, trials]")
     p = errors / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     # The score interval always contains the point estimate; guard the
     # floating-point boundary cases so the invariant holds exactly.
     return (min(max(0.0, center - half), p), max(min(1.0, center + half), p))
@@ -292,21 +296,15 @@ def forwarding_ber_model(cfg: SimConfig, cc: CommsConfig, beta: float) -> float:
     return q_function(beta * g * amp / math.sqrt(var))
 
 
-def default_beta_grid(
-    cfg: SimConfig,
-    cc: CommsConfig,
-    n_points: int = 12,
-    ber_high: float = 0.3,
-    ber_low: float = 1e-4,
-) -> np.ndarray:
-    """Log-spaced beta grid spanning [ber_low, ber_high] of the ideal chain.
+def default_beta_grid(cfg: SimConfig, cc: CommsConfig, n_points: int = 12) -> np.ndarray:
+    """Log-spaced beta grid spanning BER [GRID_BER_LOW, GRID_BER_HIGH] of the ideal chain.
 
     Endpoints are located by bisection on the closed-form forwarding model;
     the low-BER end is clipped just above the RS-noise floor when the floor
     sits above the requested target.
     """
     floor = forwarding_ber_model(cfg, cc, 1e12)
-    target_low = max(ber_low, floor * 1.2)
+    target_low = max(GRID_BER_LOW, floor * 1.2)
 
     def solve_for(target):
         lo, hi = 1e-9, 1e3
@@ -318,7 +316,7 @@ def default_beta_grid(
                 hi = mid
         return math.sqrt(lo * hi)
 
-    beta_lo = solve_for(ber_high)
+    beta_lo = solve_for(GRID_BER_HIGH)
     beta_hi = solve_for(target_low)
     if beta_hi <= beta_lo:
         beta_hi = beta_lo * 10.0

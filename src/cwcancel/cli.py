@@ -2,12 +2,15 @@
 
 Configuration lives in one JSON document with the full set of simulation
 defaults compiled in, so ``cwcancel design`` runs with no config at all.
-Unknown keys are rejected with the offending JSON path.  All artifacts
-(controller.json, report.json, certification.json, ber_curves.csv,
-waveform.csv) are deterministic functions of the config and seed.
+:func:`load_config` is the one place a config value is checked: unknown
+keys and values of the wrong JSON type are rejected with the offending JSON
+path, and the relay/sim/comms sections then build RelayParams, SimConfig
+and CommsConfig by field name.  All artifacts (controller.json,
+report.json, certification.json, ber_curves.csv, waveform.csv) are
+deterministic functions of the config and seed.
 
-Exit codes: 0 success, 1 synthesis failure, 2 malformed JSON or invalid
-config/controller, 3 controller/config step mismatch, 4 unstable closed
+Exit codes: 0 success, 1 synthesis failure, 2 malformed JSON, invalid
+config/controller or an unusable file path, 3 controller/config step mismatch, 4 unstable closed
 loop (certification finds a spectral radius >= 1, or a simulation or sweep
 diverges), 5 numerical failure (the H-infinity certificate could not prove a
 bound).
@@ -24,11 +27,11 @@ from .ber import CommsConfig, bind_comms, default_beta_grid, modulate, sweep_bet
 from .hnorm import UnstableSystemError
 from .lifting import lift
 from .lti import StateSpace, step_matches
-from .plant import ModelError, RelayParams, build_hybrid_plant
+from .plant import RelayParams, build_hybrid_plant
 from .riccati import NumericalFailure
 from .simulate import SimConfig, _philox, simulate_chain, write_waveform_csv
-from .synthesis import (CERT_SLACK, SynthesisError, bisect_gamma, certify, controller_to_dict,
-                        load_controller)
+from .synthesis import (CERT_SLACK, SynthesisError, bisect_gamma, certify, load_controller,
+                        save_controller, write_json)
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
@@ -65,6 +68,11 @@ DEFAULT_CONFIG = {
 }
 
 
+_FILTERS = ("input_shaping", "antialias", "post_filter")
+_FILTER_DOC = dict.fromkeys("abcd", [[0.0]])  # a filter is four matrices of numbers
+_JSON_TYPES = {float: "a number", int: "an integer", str: "a string"}
+
+
 class ConfigFileError(ValueError):
     pass
 
@@ -74,88 +82,85 @@ class StepMismatchError(Exception):
 
 
 def _merge(user, default, path=""):
-    # "antialias" is the one entry where null is a value (F = I), not a
-    # request for the default.
+    """``user`` checked against the JSON type of ``default``, defaults filled in.
+
+    Objects reject unknown keys, lists check each element against the
+    default's first, a float entry takes any JSON number (ints widen to
+    float, bools are not numbers) and every other leaf needs its default's
+    type.  A filter is a whole value: an object with exactly the keys a, b,
+    c, d, or null for the antialias filter (F = I).  ``sweep.betas`` is
+    "auto" or a list of numbers.  Errors name the JSON path.
+    """
+    if path in {f"relay.{name}" for name in _FILTERS}:
+        if user is None and path == "relay.antialias":
+            return None
+        if not isinstance(user, dict) or user.keys() != _FILTER_DOC.keys():
+            raise ConfigFileError(
+                f"expected an object with exactly the keys a, b, c, d at '{path}'")
+        default = _FILTER_DOC
+    elif path == "sweep.betas" and user != "auto":
+        default = [0.0]
     if isinstance(default, dict):
-        if user is None:
-            return None if path.endswith("antialias") else default
         if not isinstance(user, dict):
             raise ConfigFileError(f"expected an object at '{path or '<root>'}'")
-        out = {}
-        for key, dval in default.items():
-            sub = f"{path}.{key}" if path else key
-            out[key] = _merge(user[key], dval, sub) if key in user else dval
         for key in user:
             if key not in default:
                 raise ConfigFileError(f"unknown key '{path + '.' if path else ''}{key}'")
-        return out
-    return default if user is None and not path.endswith("antialias") else user
+        return {key: _merge(user.get(key, dval), dval, f"{path}.{key}" if path else key)
+                for key, dval in default.items()}
+    if isinstance(default, list):
+        if not isinstance(user, list):
+            raise ConfigFileError(f"expected a list at '{path}'")
+        return [_merge(item, default[0], f"{path}[{i}]") for i, item in enumerate(user)]
+    if isinstance(default, float) and isinstance(user, (int, float)) and not isinstance(user, bool):
+        return float(user)
+    if type(user) is not type(default):
+        raise ConfigFileError(f"expected {_JSON_TYPES[type(default)]} at '{path}'")
+    return user
 
 
 def load_config(path: str | None) -> dict:
-    """Parse and validate a config file, filling in compiled defaults."""
-    if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
-    with open(path) as fh:
-        user = json.load(fh)
+    """Parse a config file and check it against DEFAULT_CONFIG, filling in defaults."""
+    user = {}
+    if path is not None:
+        with open(path) as fh:
+            user = json.load(fh)
     return _merge(user, DEFAULT_CONFIG)
 
 
-def _filter_from_config(doc, name):
+def _filter(doc, name):
     if doc is None:
         return None
-    extra = set(doc) - {"a", "b", "c", "d"}
-    if extra:
-        raise ConfigFileError(f"unknown key 'relay.{name}.{sorted(extra)[0]}'")
     try:
         return StateSpace(doc["a"], doc["b"], doc["c"], doc["d"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigFileError(f"bad filter entry at 'relay.{name}': {exc}") from exc
+    except ValueError as exc:
+        raise ConfigFileError(f"bad filter at 'relay.{name}': {exc}") from exc
 
 
 def params_from_config(cfg: dict) -> RelayParams:
-    r = cfg["relay"]
-    return RelayParams(
-        sampling_period=float(r["sampling_period"]),
-        fsfh_ratio=int(r["fsfh_ratio"]),
-        delay_seconds=float(r["delay_seconds"]),
-        coupling_gain=float(r["coupling_gain"]),
-        carrier_hz=float(r["carrier_hz"]),
-        input_shaping=_filter_from_config(r["input_shaping"], "input_shaping"),
-        antialias=_filter_from_config(r["antialias"], "antialias"),
-        post_filter=_filter_from_config(r["post_filter"], "post_filter"),
-    )
+    relay = cfg["relay"]
+    return RelayParams(**{**relay, **{name: _filter(relay[name], name) for name in _FILTERS}})
 
 
-def _sim_config(cfg: dict, params: RelayParams, canceler="none", controller=None,
-                beta=None, seed=None) -> SimConfig:
-    s = cfg["sim"]
-    return SimConfig(
-        params=params,
-        relay_gain_db=float(s["relay_gain_db"]),
-        beta=float(s["beta"] if beta is None else beta),
-        noise_rs_dbm=float(s["noise_rs_dbm"]),
-        noise_t_dbm=float(s["noise_t_dbm"]),
-        signal_dbm=float(s["signal_dbm"]),
-        seed=int(s["seed"] if seed is None else seed),
-        canceler=canceler,
-        controller=controller,
-    )
+def _setup(args):
+    """The start of every command: the checked config with the command-line
+    overrides written into it, the relay parameters and the output directory."""
+    cfg = load_config(args.config)
+    for section, key in (("sim", "seed"), ("sim", "beta"), ("synthesis", "tol")):
+        if getattr(args, key, None) is not None:
+            cfg[section][key] = getattr(args, key)
+    return cfg, params_from_config(cfg), Path(args.out or cfg["output_dir"])
 
 
-def _comms_config(cfg: dict) -> CommsConfig:
-    c = cfg["comms"]
-    return CommsConfig(symbol_period=float(c["symbol_period"]), n_symbols=int(c["n_symbols"]))
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _load_controller(path, params: RelayParams):
-    ctrl = load_controller(path)
+def _controller(args, params: RelayParams, kinds):
+    """The --controller that the 'designed' and 'perfect' kinds among
+    ``kinds`` run; None when there are none.  Its step must match the config's."""
+    needs = [kind for kind in kinds if kind in ("designed", "perfect")]
+    if not needs:
+        return None
+    if args.controller is None:
+        raise ConfigFileError(f"canceler {needs[0]!r} requires --controller")
+    ctrl = load_controller(args.controller)
     if not step_matches(ctrl.K.dt, params.sampling_period):
         raise StepMismatchError(f"controller step {ctrl.K.dt} does not match config "
                                 f"sampling period {params.sampling_period}")
@@ -163,21 +168,18 @@ def _load_controller(path, params: RelayParams):
 
 
 def cmd_design(args) -> int:
-    cfg = load_config(args.config)
-    tol = float(args.tol) if args.tol is not None else float(cfg["synthesis"]["tol"])
-    params = params_from_config(cfg)
+    cfg, params, outdir = _setup(args)
     lifted = lift(build_hybrid_plant(params))
     try:
-        result = bisect_gamma(lifted, tol=tol)
+        result = bisect_gamma(lifted, tol=cfg["synthesis"]["tol"])
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTH
     ctrl = result.controller
     radius = result.closed_loop_radius
-    outdir = Path(args.out if args.out else cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "controller.json", controller_to_dict(ctrl))
-    _write_json(outdir / "report.json", {
+    save_controller(ctrl, outdir / "controller.json")
+    write_json(outdir / "report.json", {
         "gamma_min": result.gamma_min,
         "gamma_certified": ctrl.gamma_certified,
         "closed_loop_spectral_radius": radius,
@@ -191,43 +193,34 @@ def cmd_design(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cfg = load_config(args.config)
-    params = params_from_config(cfg)
-    ctrl = _load_controller(args.controller, params)
+    cfg, params, outdir = _setup(args)
+    ctrl = _controller(args, params, ["designed"])
     radius, cert = certify(lift(build_hybrid_plant(params)), ctrl.K)
     if cert is None:
         print(f"closed loop unstable: spectral radius {radius:.9f}", file=sys.stderr)
         return EXIT_UNSTABLE
-    outdir = Path(args.out) if args.out else Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    doc = {
+    write_json(outdir / "certification.json", {
         "spectral_radius": radius,
         "gamma_certified": cert,
         "gamma_achieved": ctrl.gamma_achieved,
         "within_reported": bool(cert <= ctrl.gamma_achieved * (1.0 + CERT_SLACK)),
-    }
-    _write_json(outdir / "certification.json", doc)
+    })
     print(f"spectral radius = {radius:.6f}, certified norm = {cert:.6f}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    params = params_from_config(cfg)
-    controller = None
-    if args.canceler in ("designed", "perfect"):
-        if args.controller is None:
-            print(f"canceler {args.canceler!r} requires --controller", file=sys.stderr)
-            return EXIT_CONFIG
-        controller = _load_controller(args.controller, params)
-    sim = _sim_config(cfg, params, canceler=args.canceler, controller=controller,
-                      beta=args.beta, seed=args.seed)
-    cc = bind_comms(_comms_config(cfg), params)
-    n_symbols = args.symbols if args.symbols else min(cc.n_symbols, 200)
+    cfg, params, outdir = _setup(args)
+    if args.symbols is not None and args.symbols < 1:
+        raise ConfigFileError("--symbols must be at least 1")
+    sim = SimConfig(params=params, **cfg["sim"], canceler=args.canceler,
+                    controller=_controller(args, params, [args.canceler]))
+    cc = bind_comms(CommsConfig(**cfg["comms"]), params)
+    n_symbols = min(cc.n_symbols, 200) if args.symbols is None else args.symbols
     bits = _philox(sim.seed, 1).integers(0, 2, size=n_symbols)
     wave = modulate(bits, cc, sim.signal_dbm)
     out = simulate_chain(sim, wave)
-    outdir = Path(args.out) if args.out else Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "waveform.csv"
     write_waveform_csv(path, wave, out)
@@ -236,25 +229,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    params = params_from_config(cfg)
+    cfg, params, outdir = _setup(args)
     cancelers = args.cancelers.split(",") if args.cancelers else cfg["sweep"]["cancelers"]
-    controller = None
-    if "designed" in cancelers or "perfect" in cancelers:
-        if args.controller is None:
-            print("sweep with a 'designed' or 'perfect' curve requires --controller", file=sys.stderr)
-            return EXIT_CONFIG
-        controller = _load_controller(args.controller, params)
-    sim = _sim_config(cfg, params, canceler="none", controller=controller, seed=args.seed)
-    cc = _comms_config(cfg)
+    sim = SimConfig(params=params, **cfg["sim"], canceler="none",
+                    controller=_controller(args, params, cancelers))
+    cc = CommsConfig(**cfg["comms"])
     if args.betas:
         betas = [float(b) for b in args.betas.split(",")]
     elif cfg["sweep"]["betas"] == "auto":
-        betas = default_beta_grid(sim, cc, n_points=int(cfg["sweep"]["n_points"]))
+        betas = default_beta_grid(sim, cc, n_points=cfg["sweep"]["n_points"])
     else:
-        betas = [float(b) for b in cfg["sweep"]["betas"]]
+        betas = cfg["sweep"]["betas"]
     curves = sweep_beta(sim, cc, betas, cancelers)
-    outdir = Path(args.out) if args.out else Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "ber_curves.csv"
     write_ber_csv(path, curves)
@@ -313,6 +299,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except StepMismatchError as exc:
         print(exc, file=sys.stderr)
         return EXIT_STEP_MISMATCH
@@ -322,7 +311,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigFileError, ModelError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

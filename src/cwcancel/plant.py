@@ -33,7 +33,6 @@ __all__ = [
     "promote_iq",
     "build_hybrid_plant",
     "assemble_loop",
-    "default_relay_params",
 ]
 
 
@@ -226,9 +225,3 @@ def assemble_loop(params: RelayParams) -> HybridPlant:
         params=params,
     )
 
-
-def default_relay_params() -> RelayParams:
-    """Simulation defaults: h=1 s, N=16, L=1 s, loop gain 0.15, f=10 kHz,
-    F = I, P = first-order low-pass with 1 ms time constant, W = first-order
-    low-pass with 2 s time constant."""
-    return RelayParams()

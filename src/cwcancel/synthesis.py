@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hnorm import hinf_norm_discrete
+from .hnorm import _sigma_max, hinf_norm_discrete
 from .lifting import LiftedPlant, PlantBlocks, closed_loop, partition
 from .lti import StateSpace, bilinear_to_continuous, bilinear_to_discrete, spectral_radius
 from .riccati import NoStabilizingSolution, care_stabilizing
@@ -39,10 +39,12 @@ __all__ = [
     "bilinear_to_discrete",
     "controller_to_dict",
     "controller_from_dict",
+    "write_json",
 ]
 
 SYNTH_TOL_DEFAULT = 1e-3
 REG_EPS = 1e-8
+COARSE_POINTS = 33  # frequencies of the coarse sigma-max lower bound
 _PSD_TOL = 1e-7
 MAX_PROBES = 200
 CERT_TOL = 1e-6  # the certified norm is proven to lie in [g, g*(1+2*CERT_TOL)]
@@ -85,21 +87,19 @@ def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:
     return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
-def _sigma_max_coarse(sys: StateSpace, points: int = 33) -> float:
+def _sigma_max_coarse(sys: StateSpace) -> float:
     """Largest singular value over a coarse frequency grid (a lower bound)."""
-    from .hnorm import _sigma_max
-
-    return float(_sigma_max(sys, np.linspace(0.0, np.pi, points)).max())
+    return float(_sigma_max(sys, np.linspace(0.0, np.pi, COARSE_POINTS)).max())
 
 
-def _regularize_rank(Dblk: np.ndarray, eps: float = REG_EPS) -> np.ndarray:
-    """Lift singular values of a feedthrough block to at least eps."""
+def _regularize_rank(Dblk: np.ndarray) -> np.ndarray:
+    """Lift singular values of a feedthrough block to at least REG_EPS."""
     if min(Dblk.shape) == 0:
         return Dblk
     U, s, Vt = np.linalg.svd(Dblk, full_matrices=False)
-    if s.size and s.min() >= eps:
+    if s.size and s.min() >= REG_EPS:
         return Dblk
-    s = np.maximum(s, eps)
+    s = np.maximum(s, REG_EPS)
     return (U * s) @ Vt
 
 
@@ -359,10 +359,15 @@ def controller_from_dict(doc: dict) -> DigitalController:
     return DigitalController(K=K, gamma_achieved=gamma_achieved, gamma_certified=gamma_certified)
 
 
-def save_controller(ctrl: DigitalController, path) -> None:
+def write_json(path, doc: dict) -> None:
+    """Write a JSON artifact: sorted keys, two-space indent, final newline."""
     with open(path, "w") as fh:
-        json.dump(controller_to_dict(ctrl), fh, indent=2)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_controller(ctrl: DigitalController, path) -> None:
+    write_json(path, controller_to_dict(ctrl))
 
 
 def load_controller(path) -> DigitalController:

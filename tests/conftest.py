@@ -2,14 +2,14 @@ import time
 
 import pytest
 
-from cwcancel import build_hybrid_plant, default_relay_params
+from cwcancel import RelayParams, build_hybrid_plant
 from cwcancel.lifting import lift
 from cwcancel.synthesis import bisect_gamma
 
 
 @pytest.fixture(scope="session")
 def default_params():
-    return default_relay_params()
+    return RelayParams()
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from cwcancel.ber import CommsConfig
 from cwcancel.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -12,9 +14,12 @@ from cwcancel.cli import (
     EXIT_UNSTABLE,
     load_config,
     main,
+    params_from_config,
 )
 from cwcancel.hnorm import UnstableSystemError
+from cwcancel.plant import RelayParams
 from cwcancel.riccati import NumericalFailure
+from cwcancel.simulate import SimConfig
 from cwcancel.synthesis import controller_to_dict, save_controller
 
 
@@ -75,6 +80,89 @@ class TestConfig:
     def test_missing_file(self, capsys):
         assert main(["certify", "--controller", "/nonexistent.json"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"relay": {"sampling_period": {"x": 1}}}, "relay.sampling_period"),
+        ({"comms": {"n_symbols": [1]}}, "comms.n_symbols"),
+        ({"sim": {"seed": 1.7}}, "sim.seed"),
+        ({"relay": {"fsfh_ratio": True}}, "relay.fsfh_ratio"),
+        ({"sweep": {"cancelers": "designed"}}, "sweep.cancelers"),
+        ({"sweep": {"betas": [0.001, "x"]}}, "sweep.betas[1]"),
+        ({"relay": {"input_shaping": {"a": [[-1.0]]}}}, "relay.input_shaping"),
+        ({"relay": {"antialias": {"a": [[-1.0]], "b": [[1.0]], "c": [[1.0]], "d": [[0.0]],
+                                  "e": [[0.0]]}}}, "relay.antialias"),
+        ({"output_dir": 5}, "output_dir"),
+    ])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, doc, path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [err.strip()]
+        assert f"'{path}'" in err
+        assert not out.exists()
+
+    def test_sections_pin_dataclass_defaults(self):
+        """relay/sim/comms hold the dataclass defaults, key for key; only the seed differs."""
+        cfg = load_config(None)
+        params = params_from_config(cfg)
+        sim = SimConfig(params=params, **cfg["sim"], canceler="none")
+        built = {"relay": (params, RelayParams(), set()),
+                 "sim": (sim, SimConfig(params=params, canceler="none"),
+                         {"params", "canceler", "controller"}),
+                 "comms": (CommsConfig(**cfg["comms"]), CommsConfig(), {"samples_per_symbol"})}
+        for section, (ours, theirs, not_keys) in built.items():
+            fields = {f.name for f in dataclasses.fields(theirs)} - not_keys
+            assert set(cfg[section]) == fields
+            for name in fields:
+                a, b = getattr(ours, name), getattr(theirs, name)
+                if section == "sim" and name == "seed":
+                    assert (a, b) == (20260808, 0)
+                elif name in ("input_shaping", "post_filter"):
+                    assert all(np.array_equal(getattr(a, m), getattr(b, m)) for m in "ABCD")
+                else:
+                    assert a == b, f"{section}.{name}"
+
+    def test_json_integers_give_the_same_artifacts(self, tmp_path):
+        """N = 8, F = 100/(s+100): every float key written as a JSON integer."""
+        def doc(num):
+            return {"relay": {"sampling_period": num(1), "fsfh_ratio": 8, "delay_seconds": num(1),
+                              "carrier_hz": num(10000),
+                              "antialias": {"a": [[num(-100)]], "b": [[num(100)]],
+                                            "c": [[num(1)]], "d": [[num(0)]]}},
+                    "sim": {"relay_gain_db": num(60), "beta": num(1), "noise_rs_dbm": num(-5),
+                            "noise_t_dbm": num(-2), "signal_dbm": num(0)},
+                    "comms": {"symbol_period": num(2), "n_symbols": 200},
+                    "sweep": {"n_points": 2, "cancelers": ["none", "designed"]},
+                    "synthesis": {"tol": 0.05}}
+        for name, num in (("int", int), ("float", float)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc(num)))
+            out = tmp_path / name
+            assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            assert main(["sweep", "--config", str(cfg), "--controller",
+                         str(out / "controller.json"), "--out", str(out)]) == EXIT_OK
+        assert '"a": [[-100]]' in (tmp_path / "int.json").read_text()
+        for artifact in ("controller.json", "report.json", "ber_curves.csv"):
+            assert (tmp_path / "int" / artifact).read_bytes() == \
+                (tmp_path / "float" / artifact).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--canceler", "none", "--symbols", "0"],
+        ["simulate", "--canceler", "none", "--symbols", "-3"],
+        ["design", "--tol", "0.2", "--out", "{file}/sub"],
+    ])
+    def test_bad_arguments_exit_code(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [a.replace("{file}", str(blocker)) for a in argv]
+        out = ["--out", str(tmp_path / "out")] if "--out" not in argv else []
+        assert main(argv + out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert not (tmp_path / "out").exists()
+
 
 class TestDesign:
     def test_design_writes_artifacts(self, tmp_path):
@@ -88,6 +176,13 @@ class TestDesign:
         ctrl = json.loads((tmp_path / "controller.json").read_text())
         assert ctrl["step_seconds"] == 1.0
         assert len(ctrl["a"]) == len(ctrl["a"][0])
+
+    def test_controller_json_matches_save_controller(self, tmp_path, controller_file):
+        """design and save_controller write the same bytes: sorted keys, indent 2."""
+        assert main(["design", "--out", str(tmp_path)]) == EXIT_OK
+        text = (tmp_path / "controller.json").read_text()
+        assert text == controller_file.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_design_without_coupling_stays_below_one(self, tmp_path):
         cfg = tmp_path / "nocoupling.json"

@@ -8,7 +8,6 @@ from cwcancel.plant import (
     RepresentabilityError,
     build_hybrid_plant,
     carrier_rotation,
-    default_relay_params,
     first_order_lowpass,
     promote_iq,
 )
@@ -42,7 +41,7 @@ class TestCarrierRotation:
 
 class TestDefaults:
     def test_table_values(self):
-        p = default_relay_params()
+        p = RelayParams()
         assert p.coupling_gain == 0.15
         assert p.fsfh_ratio == 16
         assert p.sampling_period == 1.0
@@ -51,7 +50,7 @@ class TestDefaults:
         assert p.antialias is None  # F = I
 
     def test_filter_realizations(self):
-        p = default_relay_params()
+        p = RelayParams()
         # W = 1/(2s+1), P = 1/(0.001s+1) as minimal first-order systems.
         assert p.input_shaping.A[0, 0] == pytest.approx(-0.5)
         assert p.post_filter.A[0, 0] == pytest.approx(-1000.0)
