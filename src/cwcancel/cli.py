@@ -86,10 +86,11 @@ def _merge(user, default, path=""):
 
     Objects reject unknown keys, lists check each element against the
     default's first, a float entry takes any JSON number (ints widen to
-    float, bools are not numbers) and every other leaf needs its default's
-    type.  A filter is a whole value: an object with exactly the keys a, b,
-    c, d, or null for the antialias filter (F = I).  ``sweep.betas`` is
-    "auto" or a list of numbers.  Errors name the JSON path.
+    float and must fit in one, bools are not numbers) and every other leaf
+    needs its default's type.  A filter is a whole value: an object with
+    exactly the keys a, b, c, d, or null for the antialias filter (F = I).
+    ``sweep.betas`` is "auto" or a list of numbers.  Errors name the JSON
+    path.
     """
     if path in {f"relay.{name}" for name in _FILTERS}:
         if user is None and path == "relay.antialias":
@@ -113,7 +114,10 @@ def _merge(user, default, path=""):
             raise ConfigFileError(f"expected a list at '{path}'")
         return [_merge(item, default[0], f"{path}[{i}]") for i, item in enumerate(user)]
     if isinstance(default, float) and isinstance(user, (int, float)) and not isinstance(user, bool):
-        return float(user)
+        try:
+            return float(user)
+        except OverflowError:
+            raise ConfigFileError(f"number too large for a float at '{path}'") from None
     if type(user) is not type(default):
         raise ConfigFileError(f"expected {_JSON_TYPES[type(default)]} at '{path}'")
     return user

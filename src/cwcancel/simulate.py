@@ -96,6 +96,12 @@ class SimConfig:
         for name in ("relay_gain_db", "beta", "signal_dbm"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        # Each level becomes the linear factor 10 ** (level / dB per decade).
+        for name, db_per_decade in (("relay_gain_db", 20.0), ("signal_dbm", 10.0),
+                                    ("noise_rs_dbm", 10.0), ("noise_t_dbm", 10.0)):
+            with np.errstate(over="ignore"):
+                if np.isinf(np.power(10.0, getattr(self, name) / db_per_decade)):
+                    raise ConfigError(f"{name} = {getattr(self, name)} overflows its linear factor")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 

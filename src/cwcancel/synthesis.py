@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hnorm import _sigma_max, hinf_norm_discrete
-from .lifting import LiftedPlant, PlantBlocks, closed_loop, partition
+from . import hnorm
+from .hnorm import hinf_norm_discrete
+from .lifting import COARSE_POINTS, LiftedPlant, PlantBlocks, closed_loop, partition
 from .lti import StateSpace, bilinear_to_continuous, bilinear_to_discrete, spectral_radius
 from .riccati import NoStabilizingSolution, care_stabilizing
 
@@ -44,7 +45,6 @@ __all__ = [
 
 SYNTH_TOL_DEFAULT = 1e-3
 REG_EPS = 1e-8
-COARSE_POINTS = 33  # frequencies of the coarse sigma-max lower bound
 _PSD_TOL = 1e-7
 MAX_PROBES = 200
 CERT_TOL = 1e-6  # the certified norm is proven to lie in [g, g*(1+2*CERT_TOL)]
@@ -87,9 +87,16 @@ def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:
     return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
-def _sigma_max_coarse(sys: StateSpace) -> float:
-    """Largest singular value over a coarse frequency grid (a lower bound)."""
-    return float(_sigma_max(sys, np.linspace(0.0, np.pi, COARSE_POINTS)).max())
+def _coarse_gain(Gl: LiftedPlant, K: StateSpace) -> float:
+    """Largest singular value of the closed loop of Gl and K over the coarse
+    grid (a lower bound on its norm), as the lower LFT of frequency responses:
+    T = G11 + G12 (I - K G22)^{-1} K G21 with G from ``Gl.coarse_response``."""
+    g = Gl.coarse_response
+    nw, nz = Gl.n_w, Gl.n_z
+    k = hnorm.frequency_response(K, np.linspace(0.0, np.pi, COARSE_POINTS))
+    loop = np.eye(Gl.n_u) - k @ g[:, nz:, nw:]
+    T = g[:, :nz, :nw] + g[:, :nz, nw:] @ np.linalg.solve(loop, k @ g[:, nz:, :nw])
+    return float(np.linalg.svd(T, compute_uv=False)[:, 0].max())
 
 
 def _regularize_rank(Dblk: np.ndarray) -> np.ndarray:
@@ -196,6 +203,12 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     (no stabilizing PSD Riccati solution), ``"coupling"`` (spectral-radius
     condition), or ``"closed_loop"`` (the assembled loop has spectral radius
     at least one, or its coarse gain exceeds gamma).
+
+    The coarse gain is the peak singular value at COARSE_POINTS frequencies
+    of the lower LFT of two frequency responses: the plant's,
+    ``Gl.coarse_response``, evaluated once per plant and shared by every
+    probe, and the 2 x 2 controller's, evaluated per probe.  It equals the
+    gain of the assembled closed loop at the same frequencies.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -245,13 +258,12 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     Kc = StateSpace(Ak, Kc.B, Kc.C, Kc.D)
     Kd = bilinear_to_discrete(Kc, alpha, G.dt)
 
-    cl = closed_loop(Gl, Kd)
-    radius = spectral_radius(cl.A)
+    radius = spectral_radius(closed_loop(Gl, Kd).A)
     if radius >= 1.0:
         return Infeasible("closed_loop", f"assembled loop has spectral radius {radius:.6f} >= 1")
     # Coarse lower bound on the achieved norm: catches the rare case where
     # rank regularization manufactured control authority the true plant lacks.
-    coarse = _sigma_max_coarse(cl)
+    coarse = _coarse_gain(Gl, Kd)
     if coarse > gamma * (1.0 + 1e-6):
         return Infeasible("closed_loop", f"closed-loop gain {coarse:.6f} exceeds gamma")
     return DigitalController(K=Kd, gamma_achieved=float(gamma))

@@ -102,6 +102,23 @@ class TestConfig:
         assert f"'{path}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, command, name", [
+        ('{"relay": {"carrier_hz": 1' + "0" * 400 + '}}', ["design"], "'relay.carrier_hz'"),
+        ('{"sim": {"relay_gain_db": 10000}}', ["simulate", "--canceler", "none"],
+         "relay_gain_db"),
+    ])
+    def test_overflowing_number_exit_code(self, tmp_path, capsys, text, command, name):
+        """A number no float holds, or a level whose linear factor overflows."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert name in err
+        assert not out.exists()
+
     def test_sections_pin_dataclass_defaults(self):
         """relay/sim/comms hold the dataclass defaults, key for key; only the seed differs."""
         cfg = load_config(None)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cwcancel.hnorm import hinf_norm_discrete
 from cwcancel.lifting import (
@@ -12,7 +14,7 @@ from cwcancel.lifting import (
     partition,
 )
 from cwcancel.lti import StateSpace, discretize_zoh
-from cwcancel.plant import RelayParams, build_hybrid_plant
+from cwcancel.plant import RelayParams, build_hybrid_plant, first_order_lowpass
 
 
 def open_loop_error_block(lifted):
@@ -31,10 +33,19 @@ def test_dimensions(default_lifted):
     assert np.all(D[32:, :] == 0.0)
 
 
-def test_degenerate_lift_is_plain_zoh():
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(h=st.sampled_from([0.25, 1.0, 3.0]), carrier=st.floats(0.0, 2.0e4),
+       tau_w=st.floats(0.1, 10.0), tau_f=st.one_of(st.none(), st.floats(0.01, 10.0)),
+       tau_p=st.floats(1e-4, 1.0))
+@example(h=1.0, carrier=10000.0, tau_w=2.0, tau_f=None, tau_p=0.001)
+def test_degenerate_lift_is_plain_zoh(h, carrier, tau_w, tau_f, tau_p):
     # N = 1, no delay, no coupling: lifting must coincide with single-step
     # ZOH discretization of the continuous core.
-    params = RelayParams(fsfh_ratio=1, delay_seconds=0.0, coupling_gain=0.0)
+    params = RelayParams(
+        sampling_period=h, fsfh_ratio=1, delay_seconds=0.0, coupling_gain=0.0,
+        carrier_hz=carrier, input_shaping=first_order_lowpass(tau_w),
+        antialias=None if tau_f is None else first_order_lowpass(tau_f),
+        post_filter=first_order_lowpass(tau_p))
     plant = build_hybrid_plant(params)
     lifted = lift(plant)
     ref = discretize_zoh(plant.ct_core, params.sampling_period)

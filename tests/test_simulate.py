@@ -295,6 +295,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SimConfig(params=default_params, canceler="perfect", seed=0)
 
+    @pytest.mark.parametrize("name, fits, overflows", [
+        ("relay_gain_db", 6000.0, 6200.0), ("signal_dbm", 3000.0, 3090.0),
+        ("noise_rs_dbm", 3000.0, 3090.0), ("noise_t_dbm", 3000.0, math.inf),
+    ])
+    def test_level_whose_linear_factor_overflows(self, default_params, name, fits, overflows):
+        SimConfig(params=default_params, canceler="none", **{name: fits})
+        with pytest.raises(ConfigError, match=name):
+            SimConfig(params=default_params, canceler="none", **{name: overflows})
+
+    def test_noise_off_is_allowed(self, default_params):
+        SimConfig(params=default_params, canceler="none", **NOISE_OFF)
+
     def test_waveform_validation(self):
         with pytest.raises(ValueError):
             Waveform(np.zeros((0, 2)), 16.0)

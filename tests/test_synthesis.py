@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cwcancel.hnorm import hinf_norm_discrete
-from cwcancel.lifting import LiftedPlant, closed_loop, lift
+from cwcancel.hnorm import _sigma_max, hinf_norm_discrete
+from cwcancel.lifting import COARSE_POINTS, LiftedPlant, closed_loop, lift
 from cwcancel.lti import StateSpace, spectral_radius
 from cwcancel.plant import RelayParams, build_hybrid_plant
 from cwcancel.synthesis import (
     DigitalController,
     Infeasible,
+    _coarse_gain,
     bilinear_to_continuous,
     bilinear_to_discrete,
     bisect_gamma,
@@ -15,6 +18,23 @@ from cwcancel.synthesis import (
     controller_to_dict,
     synthesize_at_gamma,
 )
+
+# The N = 8, tol 1e-5 bisection: (gamma, feasible) in probe order.
+N8_TRACE = [
+    (1.0, True), (0.5, True), (0.25, False), (0.375, True), (0.3125, True),
+    (0.28125, False), (0.296875, True), (0.2890625, True), (0.28515625, True),
+    (0.283203125, True), (0.2822265625, True), (0.28173828125, True),
+    (0.281494140625, True), (0.2813720703125, False), (0.28143310546875, False),
+    (0.281463623046875, True), (0.2814483642578125, True),
+    (0.28144073486328125, True), (0.2814369201660156, False),
+    (0.28143882751464844, True),
+]
+
+
+@pytest.fixture(scope="module")
+def n8_run():
+    lifted = lift(build_hybrid_plant(RelayParams(fsfh_ratio=8)))
+    return lifted, bisect_gamma(lifted, tol=1e-5)
 
 
 def make_plant(A, B1, B2, C1, C2, D11, D12, D21, D22, dt=1.0):
@@ -35,17 +55,20 @@ def make_plant(A, B1, B2, C1, C2, D11, D12, D21, D22, dt=1.0):
 
 
 class TestBilinear:
-    def test_round_trip(self):
-        rng = np.random.default_rng(71)
-        for _ in range(15):
-            n, m, p = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            A = rng.standard_normal((n, n)) * 0.4
-            sys = StateSpace(A, rng.standard_normal((n, m)),
-                             rng.standard_normal((p, n)), rng.standard_normal((p, m)), dt=0.5)
-            alpha = 2.0 / sys.dt
-            back = bilinear_to_discrete(bilinear_to_continuous(sys, alpha), alpha, sys.dt)
-            for M, R in ((sys.A, back.A), (sys.B, back.B), (sys.C, back.C), (sys.D, back.D)):
-                assert np.abs(M - R).max() < 1e-10
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 3),
+           p=st.integers(1, 3), dt=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_round_trip(self, seed, n, m, p, dt):
+        """bilinear_to_discrete(bilinear_to_continuous(G)) returns G."""
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) * 0.4
+        sys = StateSpace(A, rng.standard_normal((n, m)),
+                         rng.standard_normal((p, n)), rng.standard_normal((p, m)), dt=dt)
+        alpha = 2.0 / sys.dt
+        back = bilinear_to_discrete(bilinear_to_continuous(sys, alpha), alpha, sys.dt)
+        assert back.dt == sys.dt
+        for M, R in ((sys.A, back.A), (sys.B, back.B), (sys.C, back.C), (sys.D, back.D)):
+            assert np.abs(M - R).max() < 1e-10
 
     def test_stability_and_norm_preserved(self):
         rng = np.random.default_rng(72)
@@ -220,6 +243,12 @@ class TestBisection:
         assert sigma <= cert * (1.0 + 1e-6)
         assert sigma >= cert * 0.98
 
+    def test_pinned_n8_bisection(self, n8_run):
+        """Every verdict of the N = 8, tol 1e-5 bisection, so a flipped one shows."""
+        _, result = n8_run
+        assert result.bisection_trace == N8_TRACE
+        assert result.gamma_min == 0.28143882751464844
+
     def test_deterministic(self, default_lifted, design_run):
         again = bisect_gamma(default_lifted, tol=1e-3)
         ref, _ = design_run
@@ -241,6 +270,69 @@ class TestBisection:
         assert g[8] > g[16] > g[32]
         ratio = (g[16] - g[32]) / (g[8] - g[16])
         assert 0.4 <= ratio <= 0.6, f"gamma_min {g}, gap ratio {ratio:.3f}"
+
+
+class TestCoarseGain:
+    """The probe check is the lower LFT of the plant's cached frequency
+    response and K's; it must equal the gain of the assembled loop."""
+
+    @staticmethod
+    def assembled(Gl, K):
+        thetas = np.linspace(0.0, np.pi, COARSE_POINTS)
+        return float(_sigma_max(closed_loop(Gl, K), thetas).max())
+
+    def test_matches_assembled_loop_at_n8(self, n8_run):
+        Gl, result = n8_run
+        K0 = StateSpace(np.zeros((0, 0)), np.zeros((0, Gl.n_y)), np.zeros((Gl.n_u, 0)),
+                        np.zeros((Gl.n_u, Gl.n_y)), dt=Gl.G.dt)
+        for K in (result.controller.K, K0):
+            ref = self.assembled(Gl, K)
+            assert _coarse_gain(Gl, K) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_plant_response_is_cached(self, n8_run):
+        Gl, _ = n8_run
+        assert Gl.coarse_response is Gl.coarse_response
+        assert Gl.coarse_response.shape == (COARSE_POINTS, Gl.n_z + Gl.n_y, Gl.n_w + Gl.n_u)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), nu=st.integers(1, 2),
+           ny=st.integers(1, 2), nk=st.integers(0, 4))
+    def test_matches_assembled_loop_on_random_plants(self, seed, n, nu, ny, nk):
+        """General 1 x 1 to 2 x 2 controllers, where K G22 and G22 K differ."""
+        rng = np.random.default_rng(seed)
+        Gl = make_plant(A=0.3 * rng.standard_normal((n, n)), B1=rng.standard_normal((n, 3)),
+                        B2=rng.standard_normal((n, nu)), C1=rng.standard_normal((3, n)),
+                        C2=rng.standard_normal((ny, n)), D11=rng.standard_normal((3, 3)),
+                        D12=rng.standard_normal((3, nu)), D21=rng.standard_normal((ny, 3)),
+                        D22=0.3 * rng.standard_normal((ny, nu)))
+        K = StateSpace(0.3 * rng.standard_normal((nk, nk)), rng.standard_normal((nk, ny)),
+                       rng.standard_normal((nu, nk)), 0.3 * rng.standard_normal((nu, ny)),
+                       dt=1.0)
+        assert _coarse_gain(Gl, K) == pytest.approx(self.assembled(Gl, K), rel=1e-9, abs=0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), nw=st.integers(1, 3),
+           nz=st.integers(1, 3), nk=st.integers(0, 4))
+    def test_zero_controller_gives_open_loop_gain(self, seed, n, nw, nz, nk):
+        """K = 0, static or with states, leaves T = G11: both the LFT and the
+        assembled loop give the gain of the open-loop w -> z map."""
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / max(1e-9, np.abs(np.linalg.eigvals(A)).max())
+        Gl = make_plant(A=A, B1=rng.standard_normal((n, nw)), B2=rng.standard_normal((n, 1)),
+                        C1=rng.standard_normal((nz, n)), C2=rng.standard_normal((1, n)),
+                        D11=rng.standard_normal((nz, nw)), D12=rng.standard_normal((nz, 1)),
+                        D21=rng.standard_normal((1, nw)), D22=rng.standard_normal((1, 1)))
+        K0 = StateSpace(0.5 * np.eye(nk), rng.standard_normal((nk, 1)), np.zeros((1, nk)),
+                        np.zeros((1, 1)), dt=1.0)
+        G11 = StateSpace(A, Gl.G.B[:, :nw], Gl.G.C[:nz], Gl.G.D[:nz, :nw], dt=1.0)
+        ref = float(_sigma_max(G11, np.linspace(0.0, np.pi, COARSE_POINTS)).max())
+        assert _coarse_gain(Gl, K0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert self.assembled(Gl, K0) == pytest.approx(ref, rel=1e-9, abs=0.0)
+        if nk == 0:
+            cl = closed_loop(Gl, K0)
+            for M, R in ((cl.A, G11.A), (cl.B, G11.B), (cl.C, G11.C), (cl.D, G11.D)):
+                assert np.array_equal(M, R)
 
 
 class TestFailurePaths:
