@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,12 +86,12 @@ def _merge(user, default, path=""):
     """``user`` checked against the JSON type of ``default``, defaults filled in.
 
     Objects reject unknown keys, lists check each element against the
-    default's first, a float entry takes any JSON number (ints widen to
-    float and must fit in one, bools are not numbers) and every other leaf
-    needs its default's type.  A filter is a whole value: an object with
-    exactly the keys a, b, c, d, or null for the antialias filter (F = I).
-    ``sweep.betas`` is "auto" or a list of numbers.  Errors name the JSON
-    path.
+    default's first, a float entry takes any finite JSON number (-Infinity
+    turns a sim noise off; ints widen to float and must fit in one, bools
+    are not numbers) and every other leaf needs its default's type.  A
+    filter is a whole value: an object with exactly the keys a, b, c, d, or
+    null for the antialias filter (F = I).  ``sweep.betas`` is "auto" or a
+    list of numbers.  Errors name the JSON path.
     """
     if path in {f"relay.{name}" for name in _FILTERS}:
         if user is None and path == "relay.antialias":
@@ -115,9 +116,12 @@ def _merge(user, default, path=""):
         return [_merge(item, default[0], f"{path}[{i}]") for i, item in enumerate(user)]
     if isinstance(default, float) and isinstance(user, (int, float)) and not isinstance(user, bool):
         try:
-            return float(user)
+            value = float(user)
         except OverflowError:
             raise ConfigFileError(f"number too large for a float at '{path}'") from None
+        if not math.isfinite(value) and not (value == -math.inf and path.startswith("sim.noise_")):
+            raise ConfigFileError(f"expected a finite number at '{path}', got {value}")
+        return value
     if type(user) is not type(default):
         raise ConfigFileError(f"expected {_JSON_TYPES[type(default)]} at '{path}'")
     return user

@@ -1,15 +1,22 @@
 """Fast-sample/fast-hold lifting of the hybrid relay loop.
 
 The continuous core is discretized at the fast period h/N with its inputs
-(w, u_hold, c) held over each fast step.  Closing the coupling path t -> c
-through a fast-rate shift register (2 states per fast step of delay) gives
-one discrete fast-step system (w, u_hold) -> (z, y).  N fast steps are
-stacked into one slow step, so the result is a single-rate discrete
-generalized plant the synthesis machinery can consume: inputs
-(w lifted: 2N, u: 2), outputs (z lifted: 2N, y: 2).  The measurement y is
-the antialias output sampled at the start of each slow period; the control
-u is held over the whole period.  The chain simulator closes the same lift
-of the loop, built with W = I, around K(z).
+(w, u_hold, c) held over each fast step, and N fast steps are stacked into
+one slow step.  The result is a single-rate discrete generalized plant the
+synthesis machinery can consume: inputs (w lifted: 2N, u: 2), outputs
+(z lifted: 2N, y: 2).  The measurement y is the antialias output sampled at
+the start of each slow period; the control u is held over the whole period.
+The chain simulator closes the same lift of the loop, built with W = I,
+around K(z).
+
+The coupling path t -> c is closed at the slow rate.  Over a slow period
+the relay output t = P u_hold is a fixed linear map of (x_P, u) at the
+period's start, so a register of those pairs for the last ceil(d/N)
+periods holds all the delay needs: nW + nF + nP + ceil(d/N) * (nP + 2)
+lifted states, 8 at the defaults for every N.  This is the same operator as
+the paper's fast-rate shift register of t (2d states, 4 + 2N at the
+defaults); for a delay of whole periods it is the smaller register unless
+N < (nP + 2) / 2, e.g. N = 1.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import hnorm
 from .lti import StateSpace, discretize_zoh, step_matches
-from .plant import HybridPlant
+from .plant import HybridPlant, promote_iq
 
 __all__ = [
     "LiftedPlant",
@@ -31,7 +38,6 @@ __all__ = [
     "WellPosednessError",
     "lift",
     "closed_loop",
-    "fast_step_realization",
     "partition",
     "COARSE_POINTS",
 ]
@@ -83,69 +89,57 @@ def partition(G: StateSpace, n_w: int, n_z: int) -> PlantBlocks:
     )
 
 
-def fast_step_realization(plant: HybridPlant) -> StateSpace:
-    """One fast step of the loop with the coupling path closed.
-
-    State is (core states, register r_1 .. r_d) where r_j holds the relay
-    output t from j fast steps ago, and the coupling input is
-    c = coupling @ r_d.  The result maps (w: 2, u_hold: 2), held over the
-    step, to the fast samples of (z: 2, y_presample: 2) at step h/N.
-    """
-    core = plant.ct_core
-    n, d = core.n_states, plant.delay_fast_steps
-    # Like w and u_hold, the delayed coupling value c is held over each step.
-    fast = discretize_zoh(core, plant.params.sampling_period / plant.params.fsfh_ratio)
-
-    nx = n + 2 * d
-    A = np.zeros((nx, nx))
-    B = np.zeros((nx, 4))
-    C = np.zeros((4, nx))
-    A[:n, :n] = fast.A
-    B[:n] = fast.B[:, 0:4]
-    C[:, :n] = core.C[0:4]
-
-    # assemble_loop rejects a nonzero coupling gain without delay, so d = 0
-    # means the coupling path is absent.
-    if d >= 1:
-        oldest = slice(n + 2 * (d - 1), nx)
-        A[:n, oldest] += fast.B[:, 4:6] @ plant.coupling
-        C[2:4, oldest] += core.D[2:4, 4:6] @ plant.coupling
-        A[n:n + 2, :n] = core.C[4:6]
-        B[n:n + 2, 2:4] = core.D[4:6, 2:4]
-        for j in range(1, d):
-            A[n + 2 * j:n + 2 * j + 2, n + 2 * (j - 1):n + 2 * j] = np.eye(2)
-
-    return StateSpace(A, B, C, core.D[0:4, 0:4], dt=fast.dt)
-
-
 def lift(plant: HybridPlant) -> LiftedPlant:
-    """Stack N fast steps of the loop into one slow-rate generalized plant."""
+    """Stack N fast steps of the loop into one slow-rate generalized plant.
+
+    Fast step j holds c_j = coupling @ t_{j-d} like w and u.  When t_{j-d} is
+    i = ceil((d-j)/N) periods back, it is read from register slot i, which
+    holds that period's (x_P, u); the state is (core, slot 1 .. ceil(d/N)).
+    """
+    core, d = plant.ct_core, plant.delay_fast_steps
     N = plant.params.fsfh_ratio
-    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(plant), 2, 2)
-    nx = Phi.shape[0]
+    fast = discretize_zoh(core, plant.params.sampling_period / N)
+    n = core.n_states
+    nP = promote_iq(plant.params.post_filter).n_states
+    sP = np.arange(n - nP, n)  # P's states close the core's (x_W, x_F, x_P) layout
+    m = nP + 2  # one slot: (x_P, u)
+    R = -(-d // N)  # slots: the periods the delay reaches back
+    nx = n + R * m
 
     # Affine propagation: columns track (xi_0, w_0..w_{N-1}, u).
     ncols = nx + 2 * N + 2
-    M = np.zeros((nx, ncols))
-    M[:, :nx] = np.eye(nx)
     u_cols = slice(nx + 2 * N, ncols)
+    # reads[i]: the columns of (x_P, u) i periods back, this period's first.
+    reads = [np.r_[sP, u_cols]] + [np.arange(n + i * m, n + i * m + m) for i in range(R)]
 
+    # taps[k] maps a period's (x_P, u) to t at its fast step k.
+    E = np.eye(m)
+    E[:nP] = np.hstack([fast.A[np.ix_(sP, sP)], fast.B[sP, 2:4]])
+    taps = [np.hstack([core.C[4:6, sP], core.D[4:6, 2:4]])]
+    for _ in range(1, N):
+        taps.append(taps[-1] @ E)
+
+    M = np.eye(n, ncols)
     # Output rows z_0..z_{N-1}, then y (the sample at fast index 0).
     out = np.zeros((2 * N + 2, ncols))
     for j in range(N):
+        i = -(-(d - j) // N)  # t_{j-d} is i periods back
+        c = np.zeros((2, ncols))
+        c[:, reads[i]] = plant.coupling @ taps[j - d + i * N]
         w_cols = slice(nx + 2 * j, nx + 2 * j + 2)
-        rows = slice(2 * j, 2 * j + 2)
-        out[rows, :] = Cz @ M
-        out[rows, w_cols] += Dzw
-        out[rows, u_cols] += Dzu
-        M = Phi @ M
-        M[:, w_cols] += Gw
-        M[:, u_cols] += Gu
-    out[2 * N:, :nx] = Cy
-    out[2 * N:, nx:nx + 2] = Dyw
-    out[2 * N:, u_cols] = Dyu
+        zy = core.C[0:4] @ M + core.D[0:4, 4:6] @ c
+        zy[:, w_cols] += core.D[0:4, 0:2]
+        zy[:, u_cols] += core.D[0:4, 2:4]
+        out[2 * j:2 * j + 2] = zy[:2]
+        if j == 0:
+            out[2 * N:] = zy[2:]
+        M = fast.A @ M + fast.B[:, 4:6] @ c
+        M[:, w_cols] += fast.B[:, 0:2]
+        M[:, u_cols] += fast.B[:, 2:4]
 
-    G = StateSpace(M[:, :nx], M[:, nx:], out[:, :nx], out[:, nx:], dt=plant.params.sampling_period)
+    # Slot 1 takes this period's (x_P, u), slot i takes slot i - 1.
+    A = np.vstack([M, np.eye(ncols)[np.concatenate(reads)[:R * m]]])
+    G = StateSpace(A[:, :nx], A[:, nx:], out[:, :nx], out[:, nx:], dt=plant.params.sampling_period)
     return LiftedPlant(G=G, n_w=2 * N, n_u=2, n_z=2 * N, n_y=2)
 
 

@@ -10,8 +10,8 @@ Baseband signals are I/Q pairs, so scalar filter prototypes are promoted to
 The delay has no finite-dimensional continuous realization, so the core
 leaves the coupling path open: it has a coupling input c (entering where the
 delayed echo does, at F's input) and a relay output t (the transmitted
-baseband signal).  The lifter closes t -> alpha * A_L * delay -> c as a
-fast-rate shift register.
+baseband signal).  The lifter closes t -> alpha * A_L * delay -> c with a
+slow-rate register of (x_P, u), P's state and the held control.
 """
 
 from __future__ import annotations
@@ -136,8 +136,10 @@ class HybridPlant:
 
     ``ct_core`` maps (w: 2, u_hold: 2, c: 2) to (z: 2, y_presample: 2, t: 2),
     where c is the coupling signal entering at the antialias input and t is
-    the relay output.  The loop closes c[k] = ``coupling`` @ t[k - d] at the
-    fast rate, with d = ``delay_fast_steps`` and ``coupling`` = alpha * A_L.
+    the relay output.  The loop closes c[k] = ``coupling`` @ t[k - d] at fast
+    step k, with d = ``delay_fast_steps`` and ``coupling`` = alpha * A_L.
+    The states are (x_W, x_F, x_P); t depends only on x_P and u_hold, so the
+    lifter's delay register holds (x_P, u) of the last ceil(d/N) periods.
     """
 
     ct_core: StateSpace

@@ -1,9 +1,11 @@
 import time
 
+import numpy as np
 import pytest
 
 from cwcancel import RelayParams, build_hybrid_plant
-from cwcancel.lifting import lift
+from cwcancel.lifting import LiftedPlant, lift, partition
+from cwcancel.lti import StateSpace, discretize_zoh
 from cwcancel.synthesis import bisect_gamma
 
 
@@ -29,3 +31,69 @@ def design_run(default_lifted):
 @pytest.fixture(scope="session")
 def designed_controller(design_run):
     return design_run[0].controller
+
+
+def fast_step_realization(plant):
+    """One fast step of the loop with the coupling path closed by a shift register.
+
+    State is (core states, register r_1 .. r_d) where r_j holds the relay
+    output t from j fast steps ago, and the coupling input is
+    c = coupling @ r_d.  The result maps (w: 2, u_hold: 2), held over the
+    step, to the fast samples of (z: 2, y_presample: 2) at step h/N.  This
+    is the paper's construction, kept as the oracle for ``lift``.
+    """
+    core = plant.ct_core
+    n, d = core.n_states, plant.delay_fast_steps
+    # Like w and u_hold, the delayed coupling value c is held over each step.
+    fast = discretize_zoh(core, plant.params.sampling_period / plant.params.fsfh_ratio)
+
+    nx = n + 2 * d
+    A = np.zeros((nx, nx))
+    B = np.zeros((nx, 4))
+    C = np.zeros((4, nx))
+    A[:n, :n] = fast.A
+    B[:n] = fast.B[:, 0:4]
+    C[:, :n] = core.C[0:4]
+
+    # assemble_loop rejects a nonzero coupling gain without delay, so d = 0
+    # means the coupling path is absent.
+    if d >= 1:
+        oldest = slice(n + 2 * (d - 1), nx)
+        A[:n, oldest] += fast.B[:, 4:6] @ plant.coupling
+        C[2:4, oldest] += core.D[2:4, 4:6] @ plant.coupling
+        A[n:n + 2, :n] = core.C[4:6]
+        B[n:n + 2, 2:4] = core.D[4:6, 2:4]
+        for j in range(1, d):
+            A[n + 2 * j:n + 2 * j + 2, n + 2 * (j - 1):n + 2 * j] = np.eye(2)
+
+    return StateSpace(A, B, C, core.D[0:4, 0:4], dt=fast.dt)
+
+
+def shift_register_lift(plant):
+    """N fast steps of :func:`fast_step_realization` stacked into one slow step."""
+    N = plant.params.fsfh_ratio
+    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(plant), 2, 2)
+    nx = Phi.shape[0]
+
+    # Affine propagation: columns track (xi_0, w_0..w_{N-1}, u).
+    ncols = nx + 2 * N + 2
+    M = np.eye(nx, ncols)
+    u_cols = slice(nx + 2 * N, ncols)
+
+    # Output rows z_0..z_{N-1}, then y (the sample at fast index 0).
+    out = np.zeros((2 * N + 2, ncols))
+    for j in range(N):
+        w_cols = slice(nx + 2 * j, nx + 2 * j + 2)
+        rows = slice(2 * j, 2 * j + 2)
+        out[rows, :] = Cz @ M
+        out[rows, w_cols] += Dzw
+        out[rows, u_cols] += Dzu
+        M = Phi @ M
+        M[:, w_cols] += Gw
+        M[:, u_cols] += Gu
+    out[2 * N:, :nx] = Cy
+    out[2 * N:, nx:nx + 2] = Dyw
+    out[2 * N:, u_cols] = Dyu
+
+    G = StateSpace(M[:, :nx], M[:, nx:], out[:, :nx], out[:, nx:], dt=plant.params.sampling_period)
+    return LiftedPlant(G=G, n_w=2 * N, n_u=2, n_z=2 * N, n_y=2)

@@ -119,6 +119,31 @@ class TestConfig:
         assert name in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, name", [
+        ('{"relay": {"carrier_hz": 1e400}}', "relay.carrier_hz"),  # json reads inf
+        ('{"relay": {"delay_seconds": NaN}}', "relay.delay_seconds"),
+        ('{"synthesis": {"tol": Infinity}}', "synthesis.tol"),
+        ('{"relay": {"coupling_gain": -Infinity}}', "relay.coupling_gain"),
+        ('{"sim": {"noise_t_dbm": Infinity}}', "sim.noise_t_dbm"),
+        ('{"sweep": {"betas": [1.0, NaN]}}', "sweep.betas[1]"),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, text, name):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert f"'{name}'" in err
+        assert not out.exists()
+
+    def test_noise_powers_take_minus_infinity(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"sim": {"noise_rs_dbm": -Infinity, "noise_t_dbm": -Infinity}}')
+        sim = load_config(str(cfg))["sim"]
+        assert sim["noise_rs_dbm"] == sim["noise_t_dbm"] == -float("inf")
+
     def test_sections_pin_dataclass_defaults(self):
         """relay/sim/comms hold the dataclass defaults, key for key; only the seed differs."""
         cfg = load_config(None)

@@ -25,7 +25,7 @@ def dyn_design(dyn_params):
 def test_dimensions(dyn_params):
     plant = build_hybrid_plant(dyn_params)
     assert plant.ct_core.n_states == 6  # shaping + antialias + post, I/Q pairs
-    assert lift(plant).n_states == 6 + 2 * 16
+    assert lift(plant).n_states == 10  # core + one (x_P, u) register slot
 
 
 def test_synthesis_succeeds(dyn_design):

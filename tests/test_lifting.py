@@ -3,13 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwcancel.hnorm import hinf_norm_discrete
+from conftest import fast_step_realization, shift_register_lift
+
+from cwcancel.hnorm import frequency_response, hinf_norm_discrete
 from cwcancel.lifting import (
     InterconnectionError,
     LiftedPlant,
     WellPosednessError,
     closed_loop,
-    fast_step_realization,
     lift,
     partition,
 )
@@ -25,12 +26,38 @@ def open_loop_error_block(lifted):
 
 
 def test_dimensions(default_lifted):
-    assert default_lifted.n_states == 4 + 2 * 16
+    assert default_lifted.n_states == 8
     assert default_lifted.n_w == 32 and default_lifted.n_z == 32
     assert default_lifted.n_u == 2 and default_lifted.n_y == 2
     D = default_lifted.G.D
     # Strictly proper measurement path: no feedthrough into y at all.
     assert np.all(D[32:, :] == 0.0)
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_lifted_order_does_not_grow_with_n(N):
+    # nW + nF + nP + ceil(d/N) * (nP + 2) = 2 + 0 + 2 + 1 * 4 at the defaults.
+    assert lift(build_hybrid_plant(RelayParams(fsfh_ratio=N))).n_states == 8
+
+
+@pytest.mark.parametrize("params", [
+    RelayParams(),
+    RelayParams(antialias=first_order_lowpass(0.01)),
+    RelayParams(delay_seconds=0.25),  # d = 4 < N = 16
+    RelayParams(delay_seconds=2.5, antialias=StateSpace([[-100.0]], [[100.0]], [[1.0]], [[0.0]]),
+                post_filter=first_order_lowpass(0.3)),  # d = 2.5 N
+    RelayParams(fsfh_ratio=1),  # d = 1
+], ids=["defaults", "dynamic-F", "d<N", "d=2.5N", "N=1"])
+def test_lift_matches_shift_register_oracle(params):
+    # The slow-rate (x_P, u) register is the same operator as the paper's
+    # fast-rate shift register of t.
+    plant = build_hybrid_plant(params)
+    theta = np.linspace(0.0, np.pi, 65)
+    ours = frequency_response(lift(plant).G, theta)
+    ref = frequency_response(shift_register_lift(plant).G, theta)
+    assert ours.shape == ref.shape
+    err = np.linalg.norm(ours - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert err.max() < 1e-12
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
