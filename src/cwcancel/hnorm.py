@@ -6,7 +6,7 @@ an eigenvalue of the gamma-Hamiltonian (Boyd & Balakrishnan 1990; Bruinsma &
 Steinbuch, Systems & Control Letters 1990).  The lower bound lb is always an
 attained gain.  With no imaginary-axis eigenvalue at gamma = lb*(1+2*tol) the
 norm is proven below gamma; otherwise the gain at and between the crossings
-raises lb.
+raises lb.  :func:`exceeds` runs one such test at a given level.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .lti import StateSpace, bilinear_to_continuous, spectral_radius
 from .riccati import NumericalFailure
 
-__all__ = ["UnstableSystemError", "hinf_norm_discrete", "frequency_response"]
+__all__ = ["UnstableSystemError", "hinf_norm_discrete", "exceeds", "frequency_response"]
 
 HINF_NORM_RTOL = 1e-4
 # Hamiltonian eigenvalues with |Re| <= this * (1 + |lambda|) lie on the axis.
@@ -25,6 +25,8 @@ _MAX_PASSES = 50
 # Passes that sharpen lb after the proof: a tighter level and a looser axis
 # test, since only attained gains come out of them.
 _POLISH_RTOL, _POLISH_AXIS_RTOL = 1e-12, 1e-4
+# A level test reports a crossing only at a gain within this of the level.
+LEVEL_RTOL = 5e-7
 # complex128 work arrays (E: n x n, X: n x m) per frequency_response chunk.
 _CHUNK_BYTES = 16 * 2 ** 20
 
@@ -58,6 +60,11 @@ def _sigma_max(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.svd(resp, compute_uv=False)[:, 0]
 
 
+def _seed_gain(sys: StateSpace) -> float:
+    """Peak gain at theta = 0, pi/2 and pi (pi is s = infinity: sigma_max(D_c))."""
+    return float(_sigma_max(sys, np.array([0.0, np.pi / 2, np.pi])).max())
+
+
 def _is_zero_system(sys: StateSpace) -> bool:
     """D = 0 and every Markov parameter C A^k B with k < n is 0, so G = 0
     (Cayley-Hamilton covers k >= n).  Tested exactly, in floating point."""
@@ -71,15 +78,16 @@ def _is_zero_system(sys: StateSpace) -> bool:
     return True
 
 
-def _raise_lower_bound(sys, sc, lb: float, rtol: float, axis_rtol: float = _AXIS_RTOL):
-    """One pass at gamma = lb*(1+2*rtol) > sigma_max(D_c) on the continuous
-    image ``sc`` of ``sys``: the peak gain found, and whether gamma is crossed.
+def _test_level(sys, sc, gamma: float, rtol: float, axis_rtol: float = _AXIS_RTOL):
+    """One pass at level gamma > sigma_max(D_c) on the continuous image ``sc``
+    of ``sys``: the peak gain at and between the axis crossings, and whether
+    gamma is crossed.
 
     eigvals moves an axis eigenvalue by about eps * ||H||, which dominates when
-    R is nearly singular.  sigma_max reaches gamma at a true crossing.
+    R is nearly singular.  sigma_max reaches gamma at a true crossing, so only
+    a peak of at least gamma*(1-rtol) counts as one.
     """
     A, B, C, D = sc.A, sc.B, sc.C, sc.D
-    gamma = lb * (1.0 + 2.0 * rtol)
     R = gamma ** 2 * np.eye(D.shape[1]) - D.T @ D
     RiBt = np.linalg.solve(R, B.T)
     Ah = A + RiBt.T @ D.T @ C
@@ -91,8 +99,22 @@ def _raise_lower_bound(sys, sc, lb: float, rtol: float, axis_rtol: float = _AXIS
     crossings = np.unique(2.0 * np.arctan(np.abs(lam[on_axis].imag)))
     edges = np.concatenate([[0.0], crossings, [np.pi]])
     probes = np.concatenate([crossings, 0.5 * (edges[:-1] + edges[1:])])
-    peak = max(lb, float(_sigma_max(sys, probes).max()))
+    peak = float(_sigma_max(sys, probes).max())
     return peak, crossings.size > 0 and peak >= gamma * (1.0 - rtol)
+
+
+def exceeds(sys: StateSpace, level: float) -> float | None:
+    """A gain of at least level*(1-LEVEL_RTOL) that Schur-stable ``sys``
+    attains, or None when its H-infinity norm is proven below ``level``.
+
+    The gains at theta = 0, pi/2 and pi are tried first; below the level,
+    one Hamiltonian test at ``level`` decides, as in :func:`hinf_norm_discrete`.
+    """
+    seed = _seed_gain(sys)
+    if seed >= level:
+        return seed
+    peak, crossed = _test_level(sys, bilinear_to_continuous(sys, 1.0), level, LEVEL_RTOL)
+    return peak if crossed else None
 
 
 def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
@@ -114,18 +136,20 @@ def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
         return 0.0
 
     sc = bilinear_to_continuous(sys, 1.0)
-    # theta = pi is s = infinity, so this seed covers sigma_max(D_c) too.
-    lb = float(_sigma_max(sys, np.array([0.0, np.pi / 2, np.pi])).max())
+    lb = _seed_gain(sys)
     if lb == 0.0 and _is_zero_system(sys):
         return 0.0
     for _ in range(_MAX_PASSES if lb > 0.0 else 0):
-        lb, crossed = _raise_lower_bound(sys, sc, lb, tol)
+        peak, crossed = _test_level(sys, sc, lb * (1.0 + 2.0 * tol), tol)
+        lb = max(lb, peak)
         if not crossed:
             break
     else:
         raise NumericalFailure(f"H-infinity norm not bracketed (lower bound {lb:.9g})")
     for _ in range(_MAX_PASSES):
-        lb, crossed = _raise_lower_bound(sys, sc, lb, _POLISH_RTOL, _POLISH_AXIS_RTOL)
+        peak, crossed = _test_level(sys, sc, lb * (1.0 + 2.0 * _POLISH_RTOL), _POLISH_RTOL,
+                                    _POLISH_AXIS_RTOL)
+        lb = max(lb, peak)
         if not crossed:
             break
     return lb

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from . import hnorm
 from .lti import StateSpace, discretize_zoh, step_matches
 from .plant import HybridPlant, promote_iq
 
@@ -39,10 +37,7 @@ __all__ = [
     "lift",
     "closed_loop",
     "partition",
-    "COARSE_POINTS",
 ]
-
-COARSE_POINTS = 33  # frequencies theta in [0, pi] of each gamma probe's closed-loop gain check
 
 
 class InterconnectionError(ValueError):
@@ -66,13 +61,6 @@ class LiftedPlant:
     @property
     def n_states(self) -> int:
         return self.G.n_states
-
-    @cached_property
-    def coarse_response(self) -> np.ndarray:
-        """G(e^{j theta}) at COARSE_POINTS evenly spaced theta in [0, pi],
-        shape (COARSE_POINTS, n_z + n_y, n_w + n_u).  Computed on first use
-        and kept: G is the same at every gamma probe."""
-        return hnorm.frequency_response(self.G, np.linspace(0.0, np.pi, COARSE_POINTS))
 
 
 # State-space blocks of a generalized plant split at (w, u) -> (z, y).

@@ -105,6 +105,9 @@ class RelayParams:
     post_filter: StateSpace | None = None
 
     def __post_init__(self):
+        for name in ("sampling_period", "fsfh_ratio", "delay_seconds", "coupling_gain", "carrier_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError(f"{name} must be finite")
         if not self.sampling_period > 0:
             raise ModelError("sampling_period must be positive")
         if int(self.fsfh_ratio) != self.fsfh_ratio or self.fsfh_ratio < 1:

@@ -5,10 +5,10 @@ continuous-time problem, gamma-scaling, an exact scattering transform that
 absorbs the w->z feedthrough, then the two-Riccati central controller:
 stabilizing PSD solutions of the full-information and estimation Riccati
 equations plus the spectral-radius coupling condition on their product.
-The controller is mapped back through the inverse bilinear transform and
-certified by the Hamiltonian bracket of :mod:`cwcancel.hnorm`: the
-certificate is a peak gain g the closed loop attains, and its norm is proven
-to lie in [g, g*(1+2e-6)].
+The controller is mapped back through the inverse bilinear transform.  The
+Hamiltonian of :mod:`cwcancel.hnorm` proves each feasible probe's closed
+loop below gamma*(1+1e-6), and certifies the final one: a peak gain g the
+loop attains, with its norm proven to lie in [g, g*(1+2e-6)].
 
 All transforms are norm- and stability-preserving, so a controller feasible
 for the transformed problem is feasible for the lifted discrete one; the
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hnorm
-from .hnorm import hinf_norm_discrete
-from .lifting import COARSE_POINTS, LiftedPlant, PlantBlocks, closed_loop, partition
+from .hnorm import exceeds, hinf_norm_discrete
+from .lifting import LiftedPlant, PlantBlocks, closed_loop, partition
 from .lti import StateSpace, bilinear_to_continuous, bilinear_to_discrete, spectral_radius
 from .riccati import NoStabilizingSolution, care_stabilizing
 
@@ -47,6 +46,8 @@ SYNTH_TOL_DEFAULT = 1e-3
 REG_EPS = 1e-8
 _PSD_TOL = 1e-7
 MAX_PROBES = 200
+MAX_DOUBLINGS = 60
+PROBE_MARGIN = 1e-6  # an accepted probe's closed loop is proven below gamma*(1+PROBE_MARGIN)
 CERT_TOL = 1e-6  # the certified norm is proven to lie in [g, g*(1+2*CERT_TOL)]
 CERT_SLACK = 1e-3  # a certificate above gamma_achieved * (1 + CERT_SLACK) contradicts it
 
@@ -85,18 +86,6 @@ def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:
     if w.min() <= 0.0:
         raise NoStabilizingSolution("scattering transform lost definiteness")
     return (V * (1.0 / np.sqrt(w))) @ V.T
-
-
-def _coarse_gain(Gl: LiftedPlant, K: StateSpace) -> float:
-    """Largest singular value of the closed loop of Gl and K over the coarse
-    grid (a lower bound on its norm), as the lower LFT of frequency responses:
-    T = G11 + G12 (I - K G22)^{-1} K G21 with G from ``Gl.coarse_response``."""
-    g = Gl.coarse_response
-    nw, nz = Gl.n_w, Gl.n_z
-    k = hnorm.frequency_response(K, np.linspace(0.0, np.pi, COARSE_POINTS))
-    loop = np.eye(Gl.n_u) - k @ g[:, nz:, nw:]
-    T = g[:, :nz, :nw] + g[:, :nz, nw:] @ np.linalg.solve(loop, k @ g[:, nz:, :nw])
-    return float(np.linalg.svd(T, compute_uv=False)[:, 0].max())
 
 
 def _regularize_rank(Dblk: np.ndarray) -> np.ndarray:
@@ -202,13 +191,9 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     ``"d11"`` (constant-feedthrough bound), ``"care_x"`` or ``"care_y"``
     (no stabilizing PSD Riccati solution), ``"coupling"`` (spectral-radius
     condition), or ``"closed_loop"`` (the assembled loop has spectral radius
-    at least one, or its coarse gain exceeds gamma).
-
-    The coarse gain is the peak singular value at COARSE_POINTS frequencies
-    of the lower LFT of two frequency responses: the plant's,
-    ``Gl.coarse_response``, evaluated once per plant and shared by every
-    probe, and the 2 x 2 controller's, evaluated per probe.  It equals the
-    gain of the assembled closed loop at the same frequencies.
+    at least one, or :func:`cwcancel.hnorm.exceeds` finds a gain at the
+    level gamma*(1+PROBE_MARGIN)).  A returned controller's closed-loop norm
+    is therefore proven below that level.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -258,27 +243,25 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     Kc = StateSpace(Ak, Kc.B, Kc.C, Kc.D)
     Kd = bilinear_to_discrete(Kc, alpha, G.dt)
 
-    radius = spectral_radius(closed_loop(Gl, Kd).A)
+    cl = closed_loop(Gl, Kd)
+    radius = spectral_radius(cl.A)
     if radius >= 1.0:
         return Infeasible("closed_loop", f"assembled loop has spectral radius {radius:.6f} >= 1")
-    # Coarse lower bound on the achieved norm: catches the rare case where
-    # rank regularization manufactured control authority the true plant lacks.
-    coarse = _coarse_gain(Gl, Kd)
-    if coarse > gamma * (1.0 + 1e-6):
-        return Infeasible("closed_loop", f"closed-loop gain {coarse:.6f} exceeds gamma")
+    # Catches the rare case where rank regularization manufactured control
+    # authority the true plant lacks.
+    gain = exceeds(cl, gamma * (1.0 + PROBE_MARGIN))
+    if gain is not None:
+        return Infeasible("closed_loop", f"closed-loop gain {gain:.6f} exceeds gamma")
     return DigitalController(K=Kd, gamma_achieved=float(gamma))
 
 
-def bisect_gamma(
-    Gl: LiftedPlant,
-    tol: float = SYNTH_TOL_DEFAULT,
-    max_doublings: int = 60,
-) -> SynthesisResult:
+def bisect_gamma(Gl: LiftedPlant, tol: float = SYNTH_TOL_DEFAULT) -> SynthesisResult:
     """gamma-bisection around :func:`synthesize_at_gamma`.
 
-    The upper bracket is found by doubling from gamma = 1; bisection then
-    narrows until (hi - lo)/lo <= tol or MAX_PROBES probes have run.  The
-    returned controller is the one synthesized at the final upper bracket.
+    The upper bracket is found by at most MAX_DOUBLINGS doublings from
+    gamma = 1; bisection then narrows until (hi - lo)/lo <= tol or MAX_PROBES
+    probes have run.  The returned controller is the one synthesized at the
+    final upper bracket.
     Its ``gamma_certified`` is a peak gain g the closed loop attains, with
     the closed-loop norm proven to lie in [g, g*(1+2e-6)].
     """
@@ -296,9 +279,9 @@ def bisect_gamma(
     while isinstance(res, Infeasible):
         last_reason = f"{res.reason}: {res.detail}"
         doublings += 1
-        if doublings > max_doublings:
+        if doublings > MAX_DOUBLINGS:
             raise SynthesisError(
-                f"no feasible gamma after {max_doublings} doublings (last: {last_reason})"
+                f"no feasible gamma after {MAX_DOUBLINGS} doublings (last: {last_reason})"
             )
         hi *= 2.0
         res = probe(hi)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwcancel.hnorm import UnstableSystemError, frequency_response, hinf_norm_discrete
+from cwcancel.hnorm import UnstableSystemError, exceeds, frequency_response, hinf_norm_discrete
 from cwcancel.lti import StateSpace
 
 
@@ -166,3 +166,19 @@ def test_certificate_brackets_random_systems(seed, radius, thetas):
     assert gain_oracle(sys, thetas).max() <= upper
     assert grid <= upper
     assert cert <= grid * (1.0 + 2.0 * tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_level_test_agrees_with_certificate(seed):
+    """Just above the certified bracket the level test proves the norm below
+    the level; just below the norm it returns an attained gain near or above
+    the level, within the bracket."""
+    rng = np.random.default_rng(seed)
+    sys = random_stable_discrete(rng, n_max=6)
+    g = hinf_norm_discrete(sys, tol=1e-6)
+    assert exceeds(sys, g * (1.0 + 2e-6) * (1.0 + 1e-3)) is None
+    level = g * (1.0 - 1e-3)
+    gain = exceeds(sys, level)
+    assert gain is not None
+    assert level * (1.0 - 5e-7) <= gain <= g * (1.0 + 2e-6)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,12 @@ class TestBuild:
             RelayParams(coupling_gain=-0.1)
         with pytest.raises(ValueError):
             first_order_lowpass(0.0)
+
+    @pytest.mark.parametrize("field", ["sampling_period", "fsfh_ratio", "delay_seconds",
+                                       "coupling_gain", "carrier_hz"])
+    def test_rejects_non_finite(self, field):
+        # Without the check, NaN and infinity reach the coupling matrix, the
+        # delay's integer conversion or the carrier phase.
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ModelError, match=f"{field} must be finite"):
+                RelayParams(**{field: value})

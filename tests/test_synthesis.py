@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwcancel.hnorm import _sigma_max, hinf_norm_discrete
-from cwcancel.lifting import COARSE_POINTS, LiftedPlant, closed_loop, lift
+from cwcancel.hnorm import _sigma_max, exceeds, frequency_response, hinf_norm_discrete
+from cwcancel.lifting import LiftedPlant, closed_loop, lift
 from cwcancel.lti import StateSpace, spectral_radius
 from cwcancel.plant import RelayParams, build_hybrid_plant
 from cwcancel.synthesis import (
+    PROBE_MARGIN,
     DigitalController,
     Infeasible,
-    _coarse_gain,
     bilinear_to_continuous,
     bilinear_to_discrete,
     bisect_gamma,
@@ -113,6 +113,36 @@ class TestProbe:
             StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0))
         res = synthesize_at_gamma(Gl, open_norm * 0.7)
         assert isinstance(res, Infeasible)
+
+    def test_decoupled_resonance_rejected_between_seeds(self):
+        # z does not see u, and the open-loop gain peaks near theta = pi/4,
+        # far above its gains at theta = 0, pi/2 and pi: only the
+        # Hamiltonian level test can find that the loop exceeds gamma.
+        A = 0.9 * np.array([[np.cos(np.pi / 4), -np.sin(np.pi / 4)],
+                            [np.sin(np.pi / 4), np.cos(np.pi / 4)]])
+        Gl = make_plant(A=A, B1=[[1.0], [0.0]], B2=[[0.0], [0.0]], C1=[[1.0, 0.0]],
+                        C2=[[0.8, 0.3]], D11=0.0, D12=0.0, D21=0.4, D22=0.0)
+        G11 = StateSpace(A, [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]], dt=1.0)
+        open_norm = hinf_norm_discrete(G11, tol=1e-6)
+        assert _sigma_max(G11, [0.0, np.pi / 2, np.pi]).max() < 0.5 * open_norm
+        res = synthesize_at_gamma(Gl, 0.5 * open_norm)
+        assert isinstance(res, Infeasible) and res.reason == "closed_loop"
+        assert "exceeds gamma" in res.detail
+
+    def test_designed_loop_accepted_at_gamma_min_only(self, n8_run):
+        """The N = 8 design's loop is proven below gamma_min*(1+PROBE_MARGIN),
+        and the level test finds a gain above gamma_certified*(1-1e-4)."""
+        Gl, result = n8_run
+        ctrl = result.controller
+        probe = synthesize_at_gamma(Gl, result.gamma_min)
+        assert isinstance(probe, DigitalController)
+        assert np.array_equal(probe.K.A, ctrl.K.A)
+        cl = closed_loop(Gl, ctrl.K)
+        assert exceeds(cl, result.gamma_min * (1.0 + PROBE_MARGIN)) is None
+        level = ctrl.gamma_certified * (1.0 - 1e-4)
+        gain = exceeds(cl, level)
+        assert gain is not None
+        assert level * (1.0 - 5e-7) <= gain <= ctrl.gamma_certified * (1.0 + 2e-6)
 
     def test_rejects_bad_gamma(self):
         Gl = make_plant(A=0.5, B1=1.0, B2=1.0, C1=1.0, C2=1.0,
@@ -272,14 +302,24 @@ class TestBisection:
         assert 0.4 <= ratio <= 0.6, f"gamma_min {g}, gap ratio {ratio:.3f}"
 
 
-class TestCoarseGain:
-    """The probe check is the lower LFT of the plant's cached frequency
-    response and K's; it must equal the gain of the assembled loop."""
+class TestClosedLoop:
+    """closed_loop against an independent oracle: the lower LFT of the
+    plant's and K's frequency responses, T = G11 + G12 (I - K G22)^{-1} K G21."""
 
-    @staticmethod
-    def assembled(Gl, K):
-        thetas = np.linspace(0.0, np.pi, COARSE_POINTS)
-        return float(_sigma_max(closed_loop(Gl, K), thetas).max())
+    THETAS = np.linspace(0.0, np.pi, 33)
+
+    @classmethod
+    def lft_gain(cls, Gl, K):
+        g = frequency_response(Gl.G, cls.THETAS)
+        k = frequency_response(K, cls.THETAS)
+        nw, nz = Gl.n_w, Gl.n_z
+        loop = np.eye(Gl.n_u) - k @ g[:, nz:, nw:]
+        T = g[:, :nz, :nw] + g[:, :nz, nw:] @ np.linalg.solve(loop, k @ g[:, nz:, :nw])
+        return float(np.linalg.svd(T, compute_uv=False)[:, 0].max())
+
+    @classmethod
+    def assembled(cls, Gl, K):
+        return float(_sigma_max(closed_loop(Gl, K), cls.THETAS).max())
 
     def test_matches_assembled_loop_at_n8(self, n8_run):
         Gl, result = n8_run
@@ -287,12 +327,7 @@ class TestCoarseGain:
                         np.zeros((Gl.n_u, Gl.n_y)), dt=Gl.G.dt)
         for K in (result.controller.K, K0):
             ref = self.assembled(Gl, K)
-            assert _coarse_gain(Gl, K) == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-    def test_plant_response_is_cached(self, n8_run):
-        Gl, _ = n8_run
-        assert Gl.coarse_response is Gl.coarse_response
-        assert Gl.coarse_response.shape == (COARSE_POINTS, Gl.n_z + Gl.n_y, Gl.n_w + Gl.n_u)
+            assert self.lft_gain(Gl, K) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), nu=st.integers(1, 2),
@@ -308,7 +343,7 @@ class TestCoarseGain:
         K = StateSpace(0.3 * rng.standard_normal((nk, nk)), rng.standard_normal((nk, ny)),
                        rng.standard_normal((nu, nk)), 0.3 * rng.standard_normal((nu, ny)),
                        dt=1.0)
-        assert _coarse_gain(Gl, K) == pytest.approx(self.assembled(Gl, K), rel=1e-9, abs=0.0)
+        assert self.lft_gain(Gl, K) == pytest.approx(self.assembled(Gl, K), rel=1e-9, abs=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), nw=st.integers(1, 3),
@@ -326,8 +361,8 @@ class TestCoarseGain:
         K0 = StateSpace(0.5 * np.eye(nk), rng.standard_normal((nk, 1)), np.zeros((1, nk)),
                         np.zeros((1, 1)), dt=1.0)
         G11 = StateSpace(A, Gl.G.B[:, :nw], Gl.G.C[:nz], Gl.G.D[:nz, :nw], dt=1.0)
-        ref = float(_sigma_max(G11, np.linspace(0.0, np.pi, COARSE_POINTS)).max())
-        assert _coarse_gain(Gl, K0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        ref = float(_sigma_max(G11, self.THETAS).max())
+        assert self.lft_gain(Gl, K0) == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert self.assembled(Gl, K0) == pytest.approx(ref, rel=1e-9, abs=0.0)
         if nk == 0:
             cl = closed_loop(Gl, K0)
@@ -344,7 +379,7 @@ class TestFailurePaths:
         Gl = make_plant(A=1.5, B1=1.0, B2=0.0, C1=1.0, C2=1.0,
                         D11=0.0, D12=0.0, D21=0.5, D22=0.0)
         with pytest.raises(SynthesisError, match="doublings"):
-            bisect_gamma(Gl, tol=1e-2, max_doublings=12)
+            bisect_gamma(Gl, tol=1e-2)
 
     def test_ill_posed_shape_rejected(self):
         # More controls than error outputs cannot satisfy the rank condition.
