@@ -6,7 +6,12 @@ an eigenvalue of the gamma-Hamiltonian (Boyd & Balakrishnan 1990; Bruinsma &
 Steinbuch, Systems & Control Letters 1990).  The lower bound lb is always an
 attained gain.  With no imaginary-axis eigenvalue at gamma = lb*(1+2*tol) the
 norm is proven below gamma; otherwise the gain at and between the crossings
-raises lb.  :func:`exceeds` runs one such test at a given level.
+raises lb.  Each test first factors R = gamma^2 I - D_c^T D_c by Cholesky,
+which also checks the proof's premise sigma_max(D_c) < gamma, and evaluates
+the frequency response only at the crossings it flags and between them.
+:func:`exceeds` runs one such test at a given level and seeds nothing, so a
+level it proves costs no frequency response; :func:`hinf_norm_discrete`
+seeds its lower bound with the gains at theta = 0, pi/2 and pi.
 """
 
 from __future__ import annotations
@@ -79,41 +84,55 @@ def _is_zero_system(sys: StateSpace) -> bool:
 
 
 def _test_level(sys, sc, gamma: float, rtol: float, axis_rtol: float = _AXIS_RTOL):
-    """One pass at level gamma > sigma_max(D_c) on the continuous image ``sc``
-    of ``sys``: the peak gain at and between the axis crossings, and whether
-    gamma is crossed.
+    """One pass at level gamma on the continuous image ``sc`` of ``sys``: the
+    peak gain at and between the axis crossings (0.0 when there are none), and
+    whether gamma is crossed.
 
+    Raises ``np.linalg.LinAlgError`` when the Cholesky factorization of
+    R = gamma^2 I - D_c^T D_c fails, that is unless sigma_max(D_c) < gamma.
     eigvals moves an axis eigenvalue by about eps * ||H||, which dominates when
     R is nearly singular.  sigma_max reaches gamma at a true crossing, so only
     a peak of at least gamma*(1-rtol) counts as one.
     """
     A, B, C, D = sc.A, sc.B, sc.C, sc.D
-    R = gamma ** 2 * np.eye(D.shape[1]) - D.T @ D
-    RiBt = np.linalg.solve(R, B.T)
-    Ah = A + RiBt.T @ D.T @ C
-    Q = C.T @ (np.eye(D.shape[0]) + D @ np.linalg.solve(R, D.T)) @ C
-    H = np.block([[Ah, B @ RiBt], [-Q, -Ah.T]])
+    L = np.linalg.cholesky(gamma ** 2 * np.eye(D.shape[1]) - D.T @ D)
+    # With R = L L^T: B R^-1 B^T = Wb^T Wb, B R^-1 D^T C = Wb^T Wd and
+    # C^T (I + D R^-1 D^T) C = C^T C + Wd^T Wd.
+    W = np.linalg.solve(L, np.hstack([B.T, D.T @ C]))
+    Wb, Wd = W[:, :A.shape[0]], W[:, A.shape[0]:]
+    Ah = A + Wb.T @ Wd
+    H = np.block([[Ah, Wb.T @ Wb], [-(C.T @ C + Wd.T @ Wd), -Ah.T]])
     lam = np.linalg.eigvals(H)
     rounding = H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 1)
     on_axis = np.abs(lam.real) <= axis_rtol * (1.0 + np.abs(lam)) + rounding
     crossings = np.unique(2.0 * np.arctan(np.abs(lam[on_axis].imag)))
+    if crossings.size == 0:
+        return 0.0, False
     edges = np.concatenate([[0.0], crossings, [np.pi]])
     probes = np.concatenate([crossings, 0.5 * (edges[:-1] + edges[1:])])
     peak = float(_sigma_max(sys, probes).max())
-    return peak, crossings.size > 0 and peak >= gamma * (1.0 - rtol)
+    return peak, peak >= gamma * (1.0 - rtol)
 
 
 def exceeds(sys: StateSpace, level: float) -> float | None:
     """A gain of at least level*(1-LEVEL_RTOL) that Schur-stable ``sys``
     attains, or None when its H-infinity norm is proven below ``level``.
 
-    The gains at theta = 0, pi/2 and pi are tried first; below the level,
-    one Hamiltonian test at ``level`` decides, as in :func:`hinf_norm_discrete`.
+    The proof needs sigma_max(D_c) < level, where D_c = G(-1) is the gain at
+    theta = pi; a failed Cholesky factorization of level^2 I - D_c^T D_c
+    returns that gain.  Otherwise one Hamiltonian test at ``level`` decides,
+    as in :func:`hinf_norm_discrete`, and the frequency response is
+    evaluated only at its crossings and between them: a norm proven below
+    the level costs none.
     """
-    seed = _seed_gain(sys)
-    if seed >= level:
-        return seed
-    peak, crossed = _test_level(sys, bilinear_to_continuous(sys, 1.0), level, LEVEL_RTOL)
+    sc = bilinear_to_continuous(sys, 1.0)
+    try:
+        peak, crossed = _test_level(sys, sc, level, LEVEL_RTOL)
+    except np.linalg.LinAlgError:
+        gain = float(_sigma_max(sys, np.array([np.pi]))[0])
+        if gain < level * (1.0 - LEVEL_RTOL):  # not the Cholesky premise that failed
+            raise
+        return gain
     return peak if crossed else None
 
 
@@ -125,7 +144,8 @@ def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
     radius of A is not strictly inside the unit circle, and
     :class:`~cwcancel.riccati.NumericalFailure` when no bound is proven,
     which includes a nonzero system whose gain is 0 at theta = 0, pi/2 and
-    pi (no level to test).  A zero transfer function has norm 0.0.
+    pi (no level to test) and a level that the continuous image's
+    sigma_max(D_c) reaches.  A zero transfer function has norm 0.0.
     """
     if not sys.is_discrete:
         raise ValueError("hinf_norm_discrete expects a discrete-time system")
@@ -139,16 +159,25 @@ def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
     lb = _seed_gain(sys)
     if lb == 0.0 and _is_zero_system(sys):
         return 0.0
-    for _ in range(_MAX_PASSES if lb > 0.0 else 0):
-        peak, crossed = _test_level(sys, sc, lb * (1.0 + 2.0 * tol), tol)
-        lb = max(lb, peak)
-        if not crossed:
-            break
-    else:
-        raise NumericalFailure(f"H-infinity norm not bracketed (lower bound {lb:.9g})")
+    try:
+        for _ in range(_MAX_PASSES if lb > 0.0 else 0):
+            peak, crossed = _test_level(sys, sc, lb * (1.0 + 2.0 * tol), tol)
+            lb = max(lb, peak)
+            if not crossed:
+                break
+        else:
+            raise NumericalFailure(f"H-infinity norm not bracketed (lower bound {lb:.9g})")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"H-infinity norm not bracketed (lower bound {lb:.9g}): "
+                               f"{exc}") from exc
     for _ in range(_MAX_PASSES):
-        peak, crossed = _test_level(sys, sc, lb * (1.0 + 2.0 * _POLISH_RTOL), _POLISH_RTOL,
-                                    _POLISH_AXIS_RTOL)
+        try:
+            peak, crossed = _test_level(sys, sc, lb * (1.0 + 2.0 * _POLISH_RTOL), _POLISH_RTOL,
+                                        _POLISH_AXIS_RTOL)
+        except np.linalg.LinAlgError:
+            # sigma_max(D_c) of the continuous image, the gain at theta = pi,
+            # rounds above lb*(1+2e-12) when lb is that gain; the proof stands.
+            break
         lb = max(lb, peak)
         if not crossed:
             break

@@ -10,6 +10,15 @@ Hamiltonian of :mod:`cwcancel.hnorm` proves each feasible probe's closed
 loop below gamma*(1+1e-6), and certifies the final one: a peak gain g the
 loop attains, with its norm proven to lie in [g, g*(1+2e-6)].
 
+The bilinear map does not depend on gamma, so it runs once per plant.  w and
+z are then rotated by the singular vectors of the mapped D11 = U S V^T (the
+loop-shifting of Safonov, Limebeer & Chiang, IJC 1989): the rotation is
+orthogonal, so every closed loop keeps its norm and the controller is the
+same operator.  In the rotated frame D11/gamma is diagonal, and each probe's
+scattering is a diagonal scaling by s/(1-s^2) and 1/sqrt(1-s^2) of the
+singular values s of D11/gamma.  A probe's Riccati inputs are then products
+of the order of the lifted state, whatever the width of w and z.
+
 All transforms are norm- and stability-preserving, so a controller feasible
 for the transformed problem is feasible for the lifted discrete one; the
 certification step checks exactly that on the original plant.
@@ -18,6 +27,7 @@ certification step checks exactly that on the original plant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +91,6 @@ class SynthesisResult:
     closed_loop_radius: float  # spectral radius of the final closed loop
 
 
-def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    if w.min() <= 0.0:
-        raise NoStabilizingSolution("scattering transform lost definiteness")
-    return (V * (1.0 / np.sqrt(w))) @ V.T
-
-
 def _regularize_rank(Dblk: np.ndarray) -> np.ndarray:
     """Lift singular values of a feedthrough block to at least REG_EPS."""
     if min(Dblk.shape) == 0:
@@ -97,30 +100,6 @@ def _regularize_rank(Dblk: np.ndarray) -> np.ndarray:
         return Dblk
     s = np.maximum(s, REG_EPS)
     return (U * s) @ Vt
-
-
-def _absorb_w_feedthrough(p: PlantBlocks) -> PlantBlocks:
-    """Exact constant scattering wrap of the (w, z) channels zeroing D11.
-
-    Valid whenever the largest singular value of D11 is below one (the
-    gamma-scaled target level); preserves the norm-less-than-one property of
-    every closed loop and leaves the controller untouched.
-    """
-    N = p.D11
-    Tn = N.T @ np.linalg.inv(np.eye(N.shape[0]) - N @ N.T)
-    Sw = _inv_sqrt_psd(np.eye(N.shape[1]) - N.T @ N)
-    Sz = _inv_sqrt_psd(np.eye(N.shape[0]) - N @ N.T)
-    return PlantBlocks(
-        A=p.A + p.B1 @ Tn @ p.C1,
-        B1=p.B1 @ Sw,
-        B2=p.B2 + p.B1 @ Tn @ p.D12,
-        C1=Sz @ p.C1,
-        C2=p.C2 + p.D21 @ Tn @ p.C1,
-        D11=np.zeros_like(p.D11),
-        D12=Sz @ p.D12,
-        D21=p.D21 @ Sw,
-        D22=p.D22 + p.D21 @ Tn @ p.D12,
-    )
 
 
 def _central_controller(p: PlantBlocks) -> StateSpace:
@@ -184,19 +163,13 @@ def _central_controller(p: PlantBlocks) -> StateSpace:
     return StateSpace(Ak, Kf, F2, np.zeros((F2.shape[0], Kf.shape[1])))
 
 
-def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
-    """Central controller at level gamma, or an :class:`Infeasible` verdict.
+def _rotated_blocks(Gl: LiftedPlant):
+    """(p, s): the blocks of the lifted plant's bilinear image, with w and z
+    rotated so that D11 = U diag(s) V^T becomes diag(s).
 
-    The verdict's ``reason`` distinguishes which condition failed:
-    ``"d11"`` (constant-feedthrough bound), ``"care_x"`` or ``"care_y"``
-    (no stabilizing PSD Riccati solution), ``"coupling"`` (spectral-radius
-    condition), or ``"closed_loop"`` (the assembled loop has spectral radius
-    at least one, or :func:`cwcancel.hnorm.exceeds` finds a gain at the
-    level gamma*(1+PROBE_MARGIN)).  A returned controller's closed-loop norm
-    is therefore proven below that level.
+    B1 <- B1 V, C1 <- U^T C1, D12 <- U^T D12, D21 <- D21 V; the returned D11
+    is None, since every probe reads it from s.  s is nonincreasing.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
     G = Gl.G
     if not G.is_discrete:
         raise ValueError("synthesis expects a discrete-time lifted plant")
@@ -205,18 +178,49 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
             "ill-posed standard problem: need at least as many error outputs as "
             "controls and at least as many disturbances as measurements"
         )
-    alpha = 2.0 / G.dt
+    p = partition(bilinear_to_continuous(G, 2.0 / G.dt), Gl.n_w, Gl.n_z)
+    U, s, Vt = np.linalg.svd(p.D11)
+    return p._replace(B1=p.B1 @ Vt.T, C1=U.T @ p.C1, D11=None, D12=U.T @ p.D12,
+                      D21=p.D21 @ Vt.T), s
 
-    Gc = bilinear_to_continuous(G, alpha)
-    p = partition(Gc, Gl.n_w, Gl.n_z)
-    p = p._replace(C1=p.C1 / gamma, D11=p.D11 / gamma, D12=p.D12 / gamma)
 
-    if min(p.D11.shape) > 0:
-        s_max = np.linalg.svd(p.D11, compute_uv=False)[0]
-        if s_max >= 1.0 - 1e-9:
-            return Infeasible("d11", f"sigma_max(D11)/gamma = {s_max:.6f} >= 1")
-        p = _absorb_w_feedthrough(p)
+def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float):
+    """:func:`synthesize_at_gamma` on the rotated blocks ``(p, s)`` of
+    :func:`_rotated_blocks`.
 
+    With sigma = s/gamma, the scattering that zeroes D11/gamma feeds
+    z back to w through sigma/(1-sigma^2) and scales the rotated w and z
+    channels by 1/sqrt(1-sigma^2).
+    """
+    sigma = s / gamma
+    if sigma.size and sigma[0] >= 1.0 - 1e-9:
+        return Infeasible("d11", f"sigma_max(D11)/gamma = {sigma[0]:.6f} >= 1")
+    k, rest = sigma.size, 1.0 - sigma ** 2
+    scale = 1.0 / np.sqrt(rest)
+    sw = np.concatenate([scale, np.ones(Gl.n_w - k)])
+    sz = np.concatenate([scale, np.ones(Gl.n_z - k)])
+    C1, D12 = p.C1 / gamma, p.D12 / gamma
+    feed = (sigma / rest)[:, None]
+    fC1, fD12 = feed * C1[:k], feed * D12[:k]
+    B1k, D21k = p.B1[:, :k], p.D21[:, :k]
+    scattered = PlantBlocks(
+        A=p.A + B1k @ fC1,
+        B1=p.B1 * sw,
+        B2=p.B2 + B1k @ fD12,
+        C1=sz[:, None] * C1,
+        C2=p.C2 + D21k @ fC1,
+        D11=None,
+        D12=sz[:, None] * D12,
+        D21=p.D21 * sw,
+        D22=p.D22 + D21k @ fD12,
+    )
+    return _solve_scattered(Gl, scattered, gamma)
+
+
+def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
+    """The central controller of the gamma-scaled, scattered continuous blocks
+    ``p`` (D11 = 0), mapped back to discrete time and checked on the closed
+    loop with the lifted plant; or an :class:`Infeasible` verdict."""
     d_shift = p.D22
     p = p._replace(D12=_regularize_rank(p.D12), D21=_regularize_rank(p.D21),
                    D22=np.zeros_like(p.D22))
@@ -241,7 +245,8 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     # a pure state-matrix correction), then map back to discrete time.
     Ak = Kc.A - Kc.B @ d_shift @ Kc.C
     Kc = StateSpace(Ak, Kc.B, Kc.C, Kc.D)
-    Kd = bilinear_to_discrete(Kc, alpha, G.dt)
+    dt = Gl.G.dt
+    Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
 
     cl = closed_loop(Gl, Kd)
     radius = spectral_radius(cl.A)
@@ -255,20 +260,46 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     return DigitalController(K=Kd, gamma_achieved=float(gamma))
 
 
+def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
+    """Central controller at level gamma, or an :class:`Infeasible` verdict.
+
+    The verdict's ``reason`` distinguishes which condition failed:
+    ``"d11"`` (constant-feedthrough bound), ``"care_x"`` or ``"care_y"``
+    (no stabilizing PSD Riccati solution), ``"coupling"`` (spectral-radius
+    condition), or ``"closed_loop"`` (the assembled loop has spectral radius
+    at least one, or :func:`cwcancel.hnorm.exceeds` finds a gain at the
+    level gamma*(1+PROBE_MARGIN)).  A returned controller's closed-loop norm
+    is therefore proven below that level.
+
+    One call maps and rotates the plant for its single probe;
+    :func:`bisect_gamma` does that once for all of its probes.
+    """
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    p, s = _rotated_blocks(Gl)
+    return _probe(Gl, p, s, gamma)
+
+
 def bisect_gamma(Gl: LiftedPlant, tol: float = SYNTH_TOL_DEFAULT) -> SynthesisResult:
     """gamma-bisection around :func:`synthesize_at_gamma`.
 
+    The plant is mapped and rotated once; each probe then scales, scatters,
+    solves the two Riccati equations and tests its closed loop.
     The upper bracket is found by at most MAX_DOUBLINGS doublings from
     gamma = 1; bisection then narrows until (hi - lo)/lo <= tol or MAX_PROBES
     probes have run.  The returned controller is the one synthesized at the
     final upper bracket.
     Its ``gamma_certified`` is a peak gain g the closed loop attains, with
     the closed-loop norm proven to lie in [g, g*(1+2e-6)].
+    Raises ValueError unless tol is finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    p, s = _rotated_blocks(Gl)
     trace: list = []
 
     def probe(g: float):
-        res = synthesize_at_gamma(Gl, g)
+        res = _probe(Gl, p, s, g)
         trace.append((float(g), isinstance(res, DigitalController)))
         return res
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cwcancel import RelayParams, build_hybrid_plant
-from cwcancel.lifting import LiftedPlant, lift, partition
-from cwcancel.lti import StateSpace, discretize_zoh
-from cwcancel.synthesis import bisect_gamma
+from cwcancel.lifting import LiftedPlant, PlantBlocks, lift, partition
+from cwcancel.lti import StateSpace, bilinear_to_continuous, discretize_zoh
+from cwcancel.synthesis import Infeasible, _solve_scattered, bisect_gamma
 
 
 @pytest.fixture(scope="session")
@@ -97,3 +97,43 @@ def shift_register_lift(plant):
 
     G = StateSpace(M[:, :nx], M[:, nx:], out[:, :nx], out[:, nx:], dt=plant.params.sampling_period)
     return LiftedPlant(G=G, n_w=2 * N, n_u=2, n_z=2 * N, n_y=2)
+
+
+def _inv_sqrt_psd(M):
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    assert w.min() > 0.0, "scattering transform lost definiteness"
+    return (V * (1.0 / np.sqrt(w))) @ V.T
+
+
+def absorb_w_feedthrough(p):
+    """Exact constant scattering wrap of the (w, z) channels zeroing D11,
+    for sigma_max(D11) < 1, with the full matrices of D11."""
+    N = p.D11
+    Tn = N.T @ np.linalg.inv(np.eye(N.shape[0]) - N @ N.T)
+    Sw = _inv_sqrt_psd(np.eye(N.shape[1]) - N.T @ N)
+    Sz = _inv_sqrt_psd(np.eye(N.shape[0]) - N @ N.T)
+    return PlantBlocks(
+        A=p.A + p.B1 @ Tn @ p.C1,
+        B1=p.B1 @ Sw,
+        B2=p.B2 + p.B1 @ Tn @ p.D12,
+        C1=Sz @ p.C1,
+        C2=p.C2 + p.D21 @ Tn @ p.C1,
+        D11=np.zeros_like(p.D11),
+        D12=Sz @ p.D12,
+        D21=p.D21 @ Sw,
+        D22=p.D22 + p.D21 @ Tn @ p.D12,
+    )
+
+
+def scattering_probe(Gl, gamma):
+    """``synthesize_at_gamma`` by the per-probe route, the oracle for the
+    rotated one: the bilinear map, the D11 test on an SVD of D11/gamma and
+    the scattering of the whole D11/gamma at every gamma, then the same
+    Riccati and closed-loop steps."""
+    G = Gl.G
+    p = partition(bilinear_to_continuous(G, 2.0 / G.dt), Gl.n_w, Gl.n_z)
+    p = p._replace(C1=p.C1 / gamma, D11=p.D11 / gamma, D12=p.D12 / gamma)
+    s_max = np.linalg.svd(p.D11, compute_uv=False)[0]
+    if s_max >= 1.0 - 1e-9:
+        return Infeasible("d11", f"sigma_max(D11)/gamma = {s_max:.6f} >= 1")
+    return _solve_scattered(Gl, absorb_w_feedthrough(p), gamma)

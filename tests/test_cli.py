@@ -205,6 +205,27 @@ class TestConfig:
         assert err.strip().splitlines() == [err.strip()]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, text", [
+        ("inf", None), ("nan", None), ("-1", None), ("0", None),
+        (None, '{"synthesis": {"tol": -1}}'), (None, '{"synthesis": {"tol": 0}}'),
+    ])
+    def test_bad_tolerance_exit_code(self, tmp_path, capsys, flag, text):
+        """A tol that is not finite and positive, from --tol or the config,
+        exits 2 with one line before any probe runs."""
+        argv = ["design", "--out", str(tmp_path / "out")]
+        if flag is not None:
+            argv.append(f"--tol={flag}")
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(text)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert "tol must be finite and positive" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDesign:
     def test_design_writes_artifacts(self, tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cwcancel.hnorm import UnstableSystemError, exceeds, frequency_response, hinf_norm_discrete
 from cwcancel.lti import StateSpace
+from cwcancel.riccati import NumericalFailure
 
 
 def random_stable_discrete(rng, n_max=10, radius=0.92):
@@ -105,6 +106,24 @@ def test_pole_near_minus_one():
     assert hinf_norm_discrete(sys, tol=1e-6) == pytest.approx(500.0, rel=1e-12)
 
 
+def test_pole_near_minus_one_image_feedthrough_rounds_above_seed():
+    """A pole at -(1 - 1e-7) behind a non-normal similarity: the gain peaks
+    at theta = pi, and sigma_max(D_c) of the continuous image rounds about
+    5e-10 above the gain the seed computes there.  At tol 1e-6 the proof
+    holds and the polish passes stop at the Cholesky premise; at tol 1e-12
+    no level above the seed is below sigma_max(D_c), so no bound is proven."""
+    rng = np.random.default_rng(0)
+    T = rng.standard_normal((3, 3)) + np.eye(3)
+    A = np.linalg.solve(T, np.diag([-(1.0 - 1e-7), 0.3, -0.2])) @ T
+    sys = StateSpace(A, rng.standard_normal((3, 2)), rng.standard_normal((2, 3)),
+                     np.zeros((2, 2)), dt=1.0)
+    pi_gain = gain_oracle(sys, [np.pi])[0]
+    # cond(A + I) is about 2e7, so any evaluation of G(-1) is good to about 1e-8.
+    assert hinf_norm_discrete(sys, tol=1e-6) == pytest.approx(pi_gain, rel=1e-7)
+    with pytest.raises(NumericalFailure, match="not bracketed"):
+        hinf_norm_discrete(sys, tol=1e-12)
+
+
 @pytest.mark.parametrize("c2", [0.25, 0.5])
 def test_peak_equals_feedthrough(c2):
     # G = diag(1, c2/(z - 0.5)): sigma_max is 1 at every frequency, so the
@@ -182,3 +201,27 @@ def test_level_test_agrees_with_certificate(seed):
     gain = exceeds(sys, level)
     assert gain is not None
     assert level * (1.0 - 5e-7) <= gain <= g * (1.0 + 2e-6)
+
+
+def test_level_test_finds_peak_at_dc():
+    """G = 0.1/(z - 0.9) peaks at 1 at theta = 0, while sigma_max(D_c), its
+    gain 0.1/1.9 at theta = pi, is below the level: the Hamiltonian test
+    alone must return a gain near or above the level."""
+    sys = StateSpace([[0.9]], [[1.0]], [[0.1]], [[0.0]], dt=1.0)
+    level = 0.5
+    gain = exceeds(sys, level)
+    assert gain is not None
+    assert level * (1.0 - 5e-7) <= gain <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("sys, level, expected", [
+    # 1/(z + 0.5) peaks at theta = pi, where it equals D_c = -2.
+    (StateSpace([[-0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0), 1.0, 2.0),
+    (StateSpace([[-0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0), 2.0, 2.0),
+    (StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
+                [[3.0, 0.0], [0.0, 1.0]], dt=1.0), 2.5, 3.0),
+])
+def test_feedthrough_at_or_above_level_is_returned(sys, level, expected):
+    """sigma_max(D_c) >= level fails the Cholesky premise of the proof, and
+    exceeds returns that gain."""
+    assert exceeds(sys, level) == pytest.approx(expected, rel=1e-12)

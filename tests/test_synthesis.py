@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scattering_probe
+
+from cwcancel import hnorm
 from cwcancel.hnorm import _sigma_max, exceeds, frequency_response, hinf_norm_discrete
 from cwcancel.lifting import LiftedPlant, closed_loop, lift
 from cwcancel.lti import StateSpace, spectral_radius
@@ -29,6 +32,26 @@ N8_TRACE = [
     (0.28144073486328125, True), (0.2814369201660156, False),
     (0.28143882751464844, True),
 ]
+
+# The N = 16 and N = 32, tol 1e-5 bisections and their gamma_min.
+PINNED = {
+    16: ([(1.0, True), (0.5, True), (0.25, False), (0.375, True), (0.3125, True),
+          (0.28125, True), (0.265625, False), (0.2734375, False), (0.27734375, True),
+          (0.275390625, True), (0.2744140625, False), (0.27490234375, True),
+          (0.274658203125, True), (0.2745361328125, True), (0.27447509765625, False),
+          (0.274505615234375, True), (0.2744903564453125, False),
+          (0.27449798583984375, True), (0.2744941711425781, False),
+          (0.27449607849121094, True)],
+         0.27449607849121094),
+    32: ([(1.0, True), (0.5, True), (0.25, False), (0.375, True), (0.3125, True),
+          (0.28125, True), (0.265625, False), (0.2734375, True), (0.26953125, False),
+          (0.271484375, True), (0.2705078125, False), (0.27099609375, False),
+          (0.271240234375, True), (0.2711181640625, True), (0.27105712890625, False),
+          (0.271087646484375, False), (0.2711029052734375, True),
+          (0.27109527587890625, False), (0.2710990905761719, False),
+          (0.2711009979248047, False)],
+         0.2711029052734375),
+}
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +166,44 @@ class TestProbe:
         gain = exceeds(cl, level)
         assert gain is not None
         assert level * (1.0 - 5e-7) <= gain <= ctrl.gamma_certified * (1.0 + 2e-6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), nw=st.integers(1, 4),
+           nz=st.integers(1, 4), factor=st.sampled_from([0.5, 0.95, 1.05, 2.0, 8.0, 40.0]))
+    def test_matches_scattering_oracle(self, seed, n, nw, nz, factor):
+        """Rotating w and z once by the SVD of D11 gives the verdict, reason
+        and controller of the scattering of the whole D11 at every gamma, on
+        plants with n_w != n_z too, at levels below and above sigma_max(D11)."""
+        rng = np.random.default_rng(seed)
+        nu, ny = int(rng.integers(1, nz + 1)), int(rng.integers(1, nw + 1))
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / max(1e-9, np.abs(np.linalg.eigvals(A)).max())
+        Gl = make_plant(A=A, B1=rng.standard_normal((n, nw)), B2=rng.standard_normal((n, nu)),
+                        C1=rng.standard_normal((nz, n)), C2=rng.standard_normal((ny, n)),
+                        D11=rng.standard_normal((nz, nw)), D12=rng.standard_normal((nz, nu)),
+                        D21=rng.standard_normal((ny, nw)),
+                        D22=0.3 * rng.standard_normal((ny, nu)))
+        d11 = bilinear_to_continuous(Gl.G, 2.0).D[:nz, :nw]
+        gamma = factor * np.linalg.svd(d11, compute_uv=False)[0]
+        ours, ref = synthesize_at_gamma(Gl, gamma), scattering_probe(Gl, gamma)
+        assert type(ours) is type(ref)
+        if isinstance(ref, Infeasible):
+            assert ours.reason == ref.reason
+        else:
+            th = np.linspace(0.0, np.pi, 17)
+            k_ours, k_ref = frequency_response(ours.K, th), frequency_response(ref.K, th)
+            assert np.abs(k_ours - k_ref).max() <= 1e-9 * max(1.0, np.abs(k_ref).max())
+
+    def test_accepted_probe_evaluates_no_frequency_response(self, monkeypatch):
+        """A probe whose closed loop is proven below the level at N = 32
+        decides with one Cholesky and one Hamiltonian test."""
+        Gl = lift(build_hybrid_plant(RelayParams(fsfh_ratio=32)))
+        calls = []
+        real = hnorm.frequency_response
+        monkeypatch.setattr(hnorm, "frequency_response",
+                            lambda *args: calls.append(args) or real(*args))
+        assert isinstance(synthesize_at_gamma(Gl, PINNED[32][1]), DigitalController)
+        assert calls == []
 
     def test_rejects_bad_gamma(self):
         Gl = make_plant(A=0.5, B1=1.0, B2=1.0, C1=1.0, C2=1.0,
@@ -278,6 +339,20 @@ class TestBisection:
         _, result = n8_run
         assert result.bisection_trace == N8_TRACE
         assert result.gamma_min == 0.28143882751464844
+
+    @pytest.mark.parametrize("N", sorted(PINNED))
+    def test_pinned_bisection(self, N):
+        trace, gamma_min = PINNED[N]
+        result = bisect_gamma(lift(build_hybrid_plant(RelayParams(fsfh_ratio=N))), tol=1e-5)
+        assert result.bisection_trace == trace
+        assert result.gamma_min == gamma_min
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+    def test_rejects_bad_tol(self, tol):
+        Gl = make_plant(A=0.5, B1=1.0, B2=1.0, C1=1.0, C2=1.0,
+                        D11=0.0, D12=0.3, D21=0.3, D22=0.0)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            bisect_gamma(Gl, tol=tol)
 
     def test_deterministic(self, default_lifted, design_run):
         again = bisect_gamma(default_lifted, tol=1e-3)
