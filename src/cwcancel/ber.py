@@ -192,8 +192,12 @@ def _pilot_reference(batch, kind: str, cc: CommsConfig, signal_dbm: float) -> np
     one kind of a :class:`_ChainBatch`, at the batch's first point."""
     wave = modulate(np.ones(8, dtype=int), cc, signal_dbm)
     y_t = batch.pilot(kind, wave.samples)
-    vec = _decision_windows(y_t, cc.samples_per_symbol, _CHAIN_ALIGN)[-1].mean(axis=0)
-    norm = float(np.linalg.norm(vec))
+    # A divergent loop's pilot can stay finite and still overflow here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = _decision_windows(y_t, cc.samples_per_symbol, _CHAIN_ALIGN)[-1].mean(axis=0)
+        norm = float(np.linalg.norm(vec))
+    if not np.isfinite(norm):
+        raise FloatingPointError("pilot output overflows")
     if norm < 1e-12:
         return np.array([1.0, 0.0])
     return vec / norm

@@ -13,10 +13,13 @@ outside the loop.
 
 One private kernel, :func:`_advance`, writes that iteration: it advances an
 (n_x, P) state matrix, the loop states of P runs, over a chunk of slow
-periods with one GEMM per period.  :class:`_ChainBatch` feeds it chunk by
-chunk for the BER sweeps (every beta point of a kind is a column), and
-:func:`simulate_chain` is its one-run, one-chunk case.  ``none`` is never
-advanced: its relay output is exactly 0.
+periods.  It reads only the samples of w that reach the loop (with F = I,
+the one sampled I/Q pair per period) and runs a doubling scan over blocks
+of 64 periods, so its Python loop turns log2(64) times per block, not once
+per period.  :class:`_ChainBatch` feeds it chunk by chunk for the BER
+sweeps (every beta point of a kind is a column), and :func:`simulate_chain`
+is its one-run, one-chunk case.  ``none`` is never advanced: its relay
+output is exactly 0.
 
 Canceler kinds
 --------------
@@ -153,32 +156,81 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def _advance(loop: StateSpace, X: np.ndarray, W: np.ndarray, first_step: int) -> np.ndarray:
-    """Relay outputs U = W - E of P runs over a chunk of slow periods.
+# Periods per scan block of :func:`_advance`: a power of two that divides
+# every 64-symbol sweep chunk.
+_SCAN_BLOCK = 64
+# A divergent loop overflows; the kernel's finiteness check reports it.
+_DIVERGENCE = dict(over="ignore", invalid="ignore")
+
+
+class _PeriodKernel:
+    """A closed loop's period map x <- A x + B w, e = C x + D w, arranged for
+    :func:`_advance`.
+
+    u = w - e = -C x + (I - D) w, so w enters only through the columns of
+    [B; I - D] that are not exactly zero (``cols``): the sampler's I/Q pair
+    at the period's first fast instant when the antialias filter is I, all
+    2N once it has state.  Matrices are stored transposed for the
+    run-by-row layout of :func:`_advance`: ``BT`` = B[:, cols]^T, ``H`` =
+    [-C, (I - D)[:, cols]]^T and ``powers`` = (A^s)^T for s = 1, 2, 4, ...,
+    _SCAN_BLOCK / 2.
+    """
+
+    def __init__(self, loop: StateSpace):
+        n = loop.n_states
+        BG = np.vstack([loop.B, np.eye(loop.n_outputs) - loop.D])
+        self.cols = np.flatnonzero(np.any(BG != 0.0, axis=0))
+        self.n_states = n
+        self.BT = BG[:n, self.cols].T
+        self.H = np.hstack([-loop.C, BG[n:, self.cols]]).T
+        self.powers = [loop.A.T]
+        with np.errstate(**_DIVERGENCE):
+            while 2 ** len(self.powers) < _SCAN_BLOCK:
+                self.powers.append(self.powers[-1] @ self.powers[-1])
+
+
+def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, first_step: int) -> np.ndarray:
+    """Relay outputs U of P runs over a chunk of slow periods.
 
     X is the (n_x, P) loop state of the runs and is advanced in place; W[k]
-    is the (2N, P) input of period k.  Per period E[k] = C X + D W[k] and
-    X <- A X + B W[k]: the input terms of the whole chunk are one batched
-    GEMM, and each period adds one GEMM of [A; C] with X.  ``first_step`` is
-    the fast index of the chunk's first sample, used when the loop diverges.
+    is the (2N, P) input of period k, of which only the kernel's columns
+    are read.  Row (k, p) of the work matrix Z holds run p's state x_k and
+    inputs w_k[cols], so U = Z H is one GEMM per block.  The states advance
+    in blocks of ``_SCAN_BLOCK`` periods by a doubling scan (Blelloch,
+    "Prefix sums and their applications", 1990): with v_k = B w_k, plus
+    A x at the block's first period, x_{k+1} = sum_{i<=k} A^(k-i) v_i, and
+    the doubling with s = 1, 2, 4, ... adds A^s times the partial sums s
+    periods back, one GEMM each.  Blocks start at the chunk's first period,
+    so chunks cut at block edges give the same bits as one whole call.
+    ``first_step`` is the fast index of the chunk's first sample, used when
+    the loop diverges.
     """
-    n = loop.n_states
-    AC = np.vstack([loop.A, loop.C])
-    R = np.matmul(np.vstack([loop.B, loop.D]), W)
-    x = X
-    # A divergent loop overflows; the finiteness check below reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(W.shape[0]):
-            R[k] += AC @ x
-            x = R[k, :n]
-        U = W - R[:, n:]
-    X[...] = x
-    finite = np.isfinite(U).reshape(-1, 2 * W.shape[2]).all(axis=1)
-    if not finite.all():
+    T, n_out, P = W.shape
+    n, m = kernel.n_states, kernel.cols.size
+    Z = np.empty(((T + 1) * P, n + m))
+    Z[:P, :n] = X.T
+    Z[: T * P, n:] = W[:, kernel.cols, :].transpose(0, 2, 1).reshape(T * P, m)
+    U = np.empty((T * P, n_out))
+    with np.errstate(**_DIVERGENCE):
+        for start in range(0, T * P, _SCAN_BLOCK * P):
+            stop = min(start + _SCAN_BLOCK * P, T * P)
+            x = Z[start + P: stop + P, :n]  # the block's x_{k+1}, first v_k
+            np.matmul(Z[start:stop, n:], kernel.BT, out=x)
+            x[:P] += Z[start: start + P, :n] @ kernel.powers[0]
+            s = P  # rows per doubling: s periods of P runs
+            for AsT in kernel.powers:
+                if s >= stop - start:
+                    break
+                x[s:] += x[: stop - start - s] @ AsT
+                s *= 2
+            np.matmul(Z[start:stop], kernel.H, out=U[start:stop])
+    X[...] = Z[T * P:, :n].T
+    if not np.isfinite(U).all():
+        finite = np.isfinite(U.reshape(T, P, n_out // 2, 2)).all(axis=(1, 3)).ravel()
         raise FloatingPointError(
             f"non-finite relay output at fast step {first_step + int(np.argmin(finite))}"
         )
-    return U
+    return U.reshape(T, P, n_out).transpose(0, 2, 1)
 
 
 class _ChainBatch:
@@ -188,15 +240,16 @@ class _ChainBatch:
     sees the same noise, so the kinds are paired.  A run's n_RS and n_T are
     the first and the second n_fast x 2 normals of Philox key (seed, 0); the
     n_T generator is positioned by drawing and discarding n_RS, so chunked
-    draws equal whole ones.  ``none`` transmits u = 0 exactly, so its loop is
+    draws equal whole ones.  Each kind's :class:`_PeriodKernel` lives as
+    long as the batch.  ``none`` transmits u = 0 exactly, so its loop is
     built (and validated) but never advanced.
     """
 
     def __init__(self, cfg: SimConfig, kinds, betas, seeds, n_fast: int):
-        self.loops = {}
+        self.kernels = {}
         for kind in kinds:
-            loop = _period_maps(replace(cfg, canceler=kind))
-            self.loops[kind] = (loop, np.zeros((loop.n_states, len(betas))))
+            kernel = _PeriodKernel(_period_maps(replace(cfg, canceler=kind)))
+            self.kernels[kind] = (kernel, np.zeros((kernel.n_states, len(betas))))
         self.N = cfg.params.fsfh_ratio
         self.scale = np.array([beta * 10.0 ** (cfg.relay_gain_db / 20.0) for beta in betas])
         self.sigma_rs = noise_amplitude(cfg.noise_rs_dbm)
@@ -216,20 +269,27 @@ class _ChainBatch:
         """
         n, _, P = tx.shape
         step, self.step = self.step, self.step + n
-        w = self.sigma_rs * np.stack([rng.standard_normal((n, 2)) for rng in self.rs], axis=2)
+        # Run-major: each run's (n, 2) draws are contiguous, so drawing into
+        # them consumes the stream exactly as standard_normal((n, 2)) does.
+        noise = np.empty((2, P, n, 2))
+        for j in range(P):
+            self.rs[j].standard_normal(out=noise[0, j])
+            self.t[j].standard_normal(out=noise[1, j])
+        w, n_t = noise.transpose(0, 2, 3, 1)  # (n, 2, P) views, scaled in place
+        w *= self.sigma_rs
         w += tx
+        n_t *= self.sigma_t
         w = w.reshape(n // self.N, 2 * self.N, P)
-        n_t = self.sigma_t * np.stack([rng.standard_normal((n, 2)) for rng in self.t], axis=2)
-        for kind, (loop, X) in self.loops.items():
-            u = np.zeros_like(tx) if kind == "none" else _advance(loop, X, w, step).reshape(tx.shape)
+        for kind, (kernel, X) in self.kernels.items():
+            u = np.zeros_like(tx) if kind == "none" else _advance(kernel, X, w, step).reshape(tx.shape)
             yield kind, u, self.scale * u + n_t
 
     def pilot(self, kind: str, tx: np.ndarray) -> np.ndarray:
         """Noise-free y_T of a kind's first run, from rest, for fast samples tx (n, 2)."""
-        loop, _ = self.loops[kind]
+        kernel, _ = self.kernels[kind]
         if kind == "none":
             return np.zeros_like(tx)
-        u = _advance(loop, np.zeros((loop.n_states, 1)), tx.reshape(-1, 2 * self.N, 1), 0)
+        u = _advance(kernel, np.zeros((kernel.n_states, 1)), tx.reshape(-1, 2 * self.N, 1), 0)
         return self.scale[0] * u.reshape(tx.shape)
 
 

@@ -30,10 +30,14 @@ def controller_file(tmp_path_factory, designed_controller):
     return path
 
 
-@pytest.fixture(scope="module")
-def divergent_controller_file(tmp_path_factory):
-    """2-state controller with poles at 1e3: every closed loop diverges."""
-    doc = {"a": [[1e3, 0.0], [0.0, 1e3]], "b": [[1.0, 0.0], [0.0, 1.0]],
+@pytest.fixture(scope="module", params=[1e3, 1e6, 1e12],
+                ids=["poles_1e3", "poles_1e6", "poles_1e12"])
+def divergent_controller_file(request, tmp_path_factory):
+    """2-state controller with both poles at 1e3, 1e6 or 1e12: every closed
+    loop diverges.  At 1e6 the state overflows within the simulator's first
+    64-period scan block; at 1e12 its table of powers A^(2^j) overflows."""
+    p = request.param
+    doc = {"a": [[p, 0.0], [0.0, p]], "b": [[1.0, 0.0], [0.0, 1.0]],
            "c": [[1.0, 0.0], [0.0, 1.0]], "d": [[0.0, 0.0], [0.0, 0.0]],
            "step_seconds": 1.0, "gamma_achieved": 1.0, "gamma_certified": None}
     path = tmp_path_factory.mktemp("ctrl") / "divergent.json"

@@ -244,12 +244,139 @@ def test_noise_free_chain_is_linear_and_slow_rate_time_invariant(
 def test_none_loop_outputs_exact_zero(base_cfg):
     # The batched engine skips the none loop because its relay output is
     # exactly 0; run that loop here to pin it.
-    from cwcancel.simulate import _advance, _period_maps
+    from cwcancel.simulate import _advance, _period_maps, _PeriodKernel
 
-    loop = _period_maps(replace(base_cfg, canceler="none"))
+    kernel = _PeriodKernel(_period_maps(replace(base_cfg, canceler="none")))
     W = np.random.default_rng(18).standard_normal((40, 32, 3))
-    U = _advance(loop, np.zeros((loop.n_states, 3)), W, 0)
+    U = _advance(kernel, np.zeros((kernel.n_states, 3)), W, 0)
     assert np.all(U == 0.0)
+
+
+def sequential_periods(loop, X, W):
+    """The period recurrence one period at a time: e = C x + D w, u = w - e,
+    x <- A x + B w, for the (T, 2N, P) inputs W of P runs."""
+    U = np.empty_like(W)
+    for k in range(W.shape[0]):
+        U[k] = W[k] - (loop.C @ X + loop.D @ W[k])
+        X = loop.A @ X + loop.B @ W[k]
+    return U, X
+
+
+@pytest.fixture(scope="module")
+def period_maps(oracle_cases):
+    """(params, controller) -> kind -> closed period map, by case name."""
+    from cwcancel.simulate import _period_maps
+
+    n32 = RelayParams(fsfh_ratio=32)
+    cases = {
+        "N16": oracle_cases["defaults"],
+        "N32": (n32, bisect_gamma(lift(build_hybrid_plant(n32)), tol=5e-3).controller),
+        "antialias": oracle_cases["antialias"],  # F = 100/(s+100): all of w reaches the loop
+        "feedthrough": oracle_cases["feedthrough"],
+    }
+    return {name: {kind: _period_maps(SimConfig(params=params, canceler=kind, controller=K))
+                   for kind in ("none", "designed")}
+            for name, (params, K) in cases.items()}
+
+
+class TestScanKernel:
+    """The block scan of _advance against the per-period recurrence."""
+
+    @pytest.mark.parametrize("periods", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("P", [1, 12])
+    @pytest.mark.parametrize("case", ["N16", "N32", "antialias", "feedthrough"])
+    def test_matches_sequential_recurrence(self, period_maps, case, P, periods):
+        from cwcancel.simulate import _advance, _PeriodKernel
+
+        loop = period_maps[case]["designed"]
+        rng = np.random.default_rng(1000 * P + periods)
+        W = rng.standard_normal((periods, loop.n_inputs, P))
+        X0 = rng.standard_normal((loop.n_states, P))
+        U_ref, X_ref = sequential_periods(loop, X0, W)
+        X = X0.copy()
+        U = _advance(_PeriodKernel(loop), X, W, 0)
+        assert np.abs(U - U_ref).max() <= 1e-13 * np.abs(U_ref).max()
+        assert np.abs(X - X_ref).max() <= 1e-13 * np.abs(X_ref).max()
+
+    @pytest.mark.parametrize("case", ["N16", "N32", "antialias", "feedthrough"])
+    def test_none_outputs_exact_zero(self, period_maps, case):
+        from cwcancel.simulate import _advance, _PeriodKernel
+
+        loop = period_maps[case]["none"]
+        W = np.random.default_rng(19).standard_normal((200, loop.n_inputs, 12))
+        U = _advance(_PeriodKernel(loop), np.zeros((loop.n_states, 12)), W, 0)
+        assert np.all(U == 0.0)
+
+    @pytest.mark.parametrize("case", ["N16", "antialias"])
+    def test_block_aligned_chunks_equal_one_call(self, period_maps, case):
+        from cwcancel.simulate import _SCAN_BLOCK, _advance, _PeriodKernel
+
+        loop = period_maps[case]["designed"]
+        kernel = _PeriodKernel(loop)
+        rng = np.random.default_rng(20)
+        W = rng.standard_normal((2 * _SCAN_BLOCK + 22, loop.n_inputs, 12))
+        X0 = rng.standard_normal((loop.n_states, 12))
+        X_whole = X0.copy()
+        U_whole = _advance(kernel, X_whole, W, 0)
+        X = X0.copy()
+        U = [_advance(kernel, X, W[:_SCAN_BLOCK], 0),
+             _advance(kernel, X, W[_SCAN_BLOCK:], _SCAN_BLOCK * loop.n_inputs // 2)]
+        assert np.array_equal(np.concatenate(U), U_whole)
+        assert np.array_equal(X, X_whole)
+
+
+class TestInputColumns:
+    """Which columns of w reach the loop: the kernel reads only those."""
+
+    @staticmethod
+    def columns(params):
+        from cwcancel.simulate import _period_maps, _PeriodKernel
+
+        K = bisect_gamma(lift(build_hybrid_plant(params)), tol=5e-3).controller
+        return [_PeriodKernel(_period_maps(SimConfig(params=params, canceler=kind,
+                                                     controller=K))).cols.tolist()
+                for kind in ("designed", "perfect")]
+
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    def test_identity_antialias_reads_the_sampled_pair(self, N):
+        # F = I: w reaches the loop only through the sampler, at the first
+        # fast instant of the period.
+        assert self.columns(RelayParams(fsfh_ratio=N)) == [[0, 1], [0, 1]]
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_dynamic_antialias_reads_every_sample(self, N):
+        params = RelayParams(fsfh_ratio=N, antialias=first_order_lowpass(0.01))
+        assert self.columns(params) == [list(range(2 * N))] * 2
+
+
+def test_in_place_draws_equal_whole_draws():
+    # Drawing (n, 2) normals into a contiguous buffer consumes the stream
+    # exactly as standard_normal((n, 2)) does, chunk after chunk.
+    from cwcancel.simulate import _philox
+
+    whole = _philox(7, 0).standard_normal((1000, 2))
+    rng, buf = _philox(7, 0), np.empty((3, 1000, 2))
+    chunks = []
+    for n in (1, 255, 256, 488):
+        rng.standard_normal(out=buf[1, :n])
+        chunks.append(buf[1, :n].copy())
+    assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def test_batch_noise_equals_whole_draws(base_cfg):
+    # With u = 0 (canceler none), y_T is each run's n_T: the second n_fast x 2
+    # normals of Philox key (seed, 0), however the samples are chunked.
+    from cwcancel.simulate import _ChainBatch, _philox
+
+    seeds, n_fast = [5, 6, 7], 16 * 100
+    batch = _ChainBatch(replace(base_cfg, canceler="none"), ["none"], [1e-3, 1e-2, 1e-1],
+                        seeds, n_fast)
+    y_t = np.concatenate([y for n in (16, 512, 48, 1024)
+                          for _, _, y in batch.advance(np.zeros((n, 2, len(seeds))))])
+    for j, seed in enumerate(seeds):
+        rng = _philox(seed, 0)
+        rng.standard_normal((n_fast, 2))
+        assert np.array_equal(y_t[:, :, j], batch.sigma_t * rng.standard_normal((n_fast, 2)))
 
 
 class TestDelayFree:
