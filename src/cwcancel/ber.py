@@ -6,18 +6,20 @@ pilot-calibrated reference.  For the relay chain the decision windows are
 aligned one fast sample after the hold update (the post filter settles well
 inside a fast step), so each window sees exactly its own symbol.
 
-Monte Carlo points carry Wilson 95% intervals.  Beta sweeps reuse one noise
-seed per beta point across canceler kinds (common random numbers), with
-per-point seeds derived from the base seed by a simple counter rule.
+Monte Carlo points carry Wilson 95% intervals.  Beta point i of a sweep
+draws its n_RS, bits and n_T from Philox keys (seed, 3 i + 0, 1, 2) (see
+:mod:`simulate`), shared by every canceler kind at that point (common random
+numbers); no two points of any two base seeds share a key.
 
 A sweep is one streaming pass (:func:`_error_counts`): each kind's period
 map is built once, all beta points of a kind advance together through the
 simulator's one kernel, and each point's bits and noise are drawn once per
-chunk of ``_CHUNK_SYMBOLS`` symbols and shared by every kind.  Decisions are
-scored chunk by chunk, so memory does not grow with ``n_symbols``.  The
-noise-free pilot is only scaled by beta, so each kind runs one pilot on the
-loop the sweep already built, and ``none`` (u = 0 exactly) skips the loop.
-:func:`run_ber` is the one-point case of the same pass.
+chunk of ``_CHUNK_SYMBOLS`` symbols and shared by every kind.  n_RS is drawn
+only at the samples the loops read.  Decisions are scored chunk by chunk,
+so memory does not grow with ``n_symbols``.  The noise-free pilot is only
+scaled by beta, so each kind runs one pilot on the loop the sweep already
+built, and ``none`` (u = 0 exactly) skips the loop.  :func:`run_ber` is
+point 0 of the same pass.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .simulate import SimConfig, Waveform, _ChainBatch, _philox, noise_amplitude
+from .simulate import _BITS, SimConfig, Waveform, _ChainBatch, _philox, noise_amplitude
 
 __all__ = [
     "CommsConfig",
@@ -130,12 +132,16 @@ def modulate(bits, cc: CommsConfig, signal_dbm: float) -> Waveform:
     """
     if cc.samples_per_symbol is None:
         raise ValueError("CommsConfig not bound; call bind_comms first")
-    bits = np.asarray(bits, dtype=int)
-    amp = math.sqrt(10.0 ** (signal_dbm / 10.0)) if signal_dbm != -math.inf else 0.0
-    sym = amp * (2.0 * bits - 1.0)
-    samples = np.zeros((bits.size * cc.samples_per_symbol, 2))
-    samples[:, 0] = np.repeat(sym, cc.samples_per_symbol)
+    samples = _bpsk(np.asarray(bits, dtype=int).ravel(), cc.samples_per_symbol, signal_dbm)
     return Waveform(samples, cc.samples_per_symbol / cc.symbol_period)
+
+
+def _bpsk(bits: np.ndarray, sps: int, signal_dbm: float) -> np.ndarray:
+    """:func:`modulate`'s samples for bits (n,) or (n, P): (n sps, 2) or (n sps, 2, P)."""
+    amp = math.sqrt(10.0 ** (signal_dbm / 10.0)) if signal_dbm != -math.inf else 0.0
+    samples = np.zeros((bits.shape[0] * sps, 2) + bits.shape[1:])
+    samples[:, 0] = np.repeat(amp * (2.0 * bits - 1.0), sps, axis=0)
+    return samples
 
 
 def _windows(samples: np.ndarray, sps: int, offset: int, tail, final: bool):
@@ -203,27 +209,28 @@ def _pilot_reference(batch, kind: str, cc: CommsConfig, signal_dbm: float) -> np
     return vec / norm
 
 
-def _error_counts(cfg: SimConfig, cc: CommsConfig, kinds, betas, seeds) -> dict:
-    """Bit errors per canceler kind at each (beta, seed) point, streamed.
+def _error_counts(cfg: SimConfig, cc: CommsConfig, kinds, betas) -> dict:
+    """Bit errors per canceler kind at each beta point, streamed.
 
-    Every point's bits (Philox key (seed, 1)) and chain noise are drawn once
-    per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by all kinds; the
+    Point i's bits (Philox key (seed, 3 i + 1)) and chain noise are drawn
+    once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by all kinds; the
     points of a kind advance together as the columns of one loop state.
     Decisions are scored as each chunk arrives, so memory is bounded by the
     chunk, not by ``cc.n_symbols``.  The noise-free pilot is only scaled by
     beta, so each kind's reference comes from one pilot at the first point.
     """
     sps, n_symbols = cc.samples_per_symbol, cc.n_symbols
-    batch = _ChainBatch(cfg, kinds, betas, seeds, n_symbols * sps)
+    points = range(len(betas))
+    batch = _ChainBatch(cfg, kinds, betas, points)
     refs = {kind: _pilot_reference(batch, kind, cc, cfg.signal_dbm) for kind in kinds}
-    bit_rngs = [_philox(seed, 1) for seed in seeds]
+    bit_rngs = [_philox(cfg.seed, i, _BITS) for i in points]
     errors = {kind: np.zeros(len(betas), dtype=int) for kind in kinds}
     tails = dict.fromkeys(kinds)
     unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the tails' symbols
     for start in range(0, n_symbols, _CHUNK_SYMBOLS):
         n = min(_CHUNK_SYMBOLS, n_symbols - start)
         bits = np.stack([rng.integers(0, 2, size=n) for rng in bit_rngs], axis=1)
-        tx = np.stack([modulate(b, cc, cfg.signal_dbm).samples for b in bits.T], axis=2)
+        tx = _bpsk(bits, sps, cfg.signal_dbm)
         unscored = np.concatenate([unscored, bits])
         for kind, _, y_t in batch.advance(tx):
             windows, tails[kind] = _windows(y_t, sps, _CHAIN_ALIGN, tails[kind],
@@ -242,24 +249,26 @@ def _ber_point(beta: float, errors: int, trials: int) -> BerPoint:
 def run_ber(cfg: SimConfig, cc: CommsConfig) -> BerPoint:
     """One Monte Carlo BER estimate through the relay chain.
 
-    Bits come from a dedicated stream (Philox key (seed, 1)); the chain noise
-    uses key (seed, 0), so two runs with the same seed see identical bits and
-    noise regardless of the canceler kind.  This is the one-point case of
-    :func:`sweep_beta`'s engine.
+    The bits, n_RS and n_T are the streams of sweep point 0 of ``cfg.seed``
+    (Philox keys (seed, 1), (seed, 0) and (seed, 2)), so two runs with the
+    same seed see identical bits and noise regardless of the canceler kind.
+    This is point 0 of :func:`sweep_beta`'s engine.
     """
     cc = bind_comms(cc, cfg.params)
-    errors = _error_counts(cfg, cc, [cfg.canceler], [cfg.beta], [cfg.seed])[cfg.canceler]
+    errors = _error_counts(cfg, cc, [cfg.canceler], [cfg.beta])[cfg.canceler]
     return _ber_point(cfg.beta, int(errors[0]), cc.n_symbols)
 
 
 def sweep_beta(cfg_base: SimConfig, cc: CommsConfig, betas, cancelers) -> list:
     """One BER curve per canceler kind over a common beta grid.
 
-    Seed for beta index i is (base seed + i) mod 2^64, shared across kinds
-    at that beta so the comparison between curves is paired.  Hence 12-point
-    sweeps with base seeds s and s + 1 share 11 of their 12 noise streams.
-    All points of a kind run as one batch (see :func:`_error_counts`).
+    Beta index i is sweep point i: its streams have Philox keys
+    (seed, 3 i + k), shared across kinds at that beta so the comparison
+    between curves is paired.  All points of a kind run as one batch (see
+    :func:`_error_counts`).  Canceler kinds must be distinct.
     """
+    if len(set(cancelers)) != len(cancelers):
+        raise ValueError(f"canceler kinds must be distinct, got {list(cancelers)}")
     betas = [float(b) for b in betas]
     if not betas:
         raise ValueError("beta grid must be nonempty")
@@ -269,8 +278,7 @@ def sweep_beta(cfg_base: SimConfig, cc: CommsConfig, betas, cancelers) -> list:
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta values must be distinct")
     cc = bind_comms(cc, cfg_base.params)
-    seeds = [(cfg_base.seed + i) % (2 ** 64) for i in range(len(betas))]
-    errors = _error_counts(cfg_base, cc, cancelers, betas, seeds)
+    errors = _error_counts(cfg_base, cc, cancelers, betas)
     return [
         BerCurve(points=[_ber_point(beta, int(e), cc.n_symbols)
                          for beta, e in zip(betas, errors[kind])], canceler_kind=kind)

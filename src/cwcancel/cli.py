@@ -30,7 +30,7 @@ from .lifting import lift
 from .lti import StateSpace, step_matches
 from .plant import RelayParams, build_hybrid_plant
 from .riccati import NumericalFailure
-from .simulate import SimConfig, _philox, simulate_chain, write_waveform_csv
+from .simulate import _BITS, SimConfig, _philox, simulate_chain, write_waveform_csv
 from .synthesis import (CERT_SLACK, SynthesisError, bisect_gamma, certify, load_controller,
                         save_controller, write_json)
 
@@ -226,7 +226,7 @@ def cmd_simulate(args) -> int:
                     controller=_controller(args, params, [args.canceler]))
     cc = bind_comms(CommsConfig(**cfg["comms"]), params)
     n_symbols = min(cc.n_symbols, 200) if args.symbols is None else args.symbols
-    bits = _philox(sim.seed, 1).integers(0, 2, size=n_symbols)
+    bits = _philox(sim.seed, 0, _BITS).integers(0, 2, size=n_symbols)
     wave = modulate(bits, cc, sim.signal_dbm)
     out = simulate_chain(sim, wave)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -13,13 +13,21 @@ outside the loop.
 
 One private kernel, :func:`_advance`, writes that iteration: it advances an
 (n_x, P) state matrix, the loop states of P runs, over a chunk of slow
-periods.  It reads only the samples of w that reach the loop (with F = I,
+periods.  It takes only the samples of w that reach the loop (with F = I,
 the one sampled I/Q pair per period) and runs a doubling scan over blocks
 of 64 periods, so its Python loop turns log2(64) times per block, not once
 per period.  :class:`_ChainBatch` feeds it chunk by chunk for the BER
 sweeps (every beta point of a kind is a column), and :func:`simulate_chain`
 is its one-run, one-chunk case.  ``none`` is never advanced: its relay
 output is exactly 0.
+
+Random streams
+--------------
+Stream k of sweep point i has Philox key (seed, 3 i + k): k = 0 is the
+noise n_RS at the relay, 1 the bits, 2 the noise n_T at the terminal
+(:func:`_philox`).  :func:`simulate_chain` is point 0.  n_RS is drawn only
+at the samples of w that a loop reads, as (periods, columns) normals, since
+no other sample can reach u, y_T or a decision; n_T is (n, 2) normals.
 
 Canceler kinds
 --------------
@@ -34,6 +42,7 @@ Canceler kinds
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -53,7 +62,7 @@ __all__ = [
 ]
 
 CANCELER_KINDS = ("none", "designed", "perfect")
-_DISCARD_ROWS = 2 ** 14  # n_RS rows drawn at a time to position the n_T stream
+_NOISE_RS, _BITS, _NOISE_T = range(3)  # the streams of a sweep point
 
 
 class ConfigError(ValueError):
@@ -151,9 +160,15 @@ def _period_maps(cfg: SimConfig) -> StateSpace:
     return closed_loop(lift(loop), K)
 
 
-def _philox(seed: int, stream: int) -> np.random.Generator:
-    """Stream 0 of a seed carries the chain noise, stream 1 the bits."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+def _philox(seed: int, point: int, stream: int) -> np.random.Generator:
+    """Stream ``stream`` of sweep point ``point``: Philox key (seed, 3 point + stream).
+
+    Distinct (seed, point, stream) triples get distinct keys, so sweeps with
+    different base seeds share no stream (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC 2011).
+    """
+    key = np.array([seed, 3 * point + stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # Periods per scan block of :func:`_advance`: a power of two that divides
@@ -173,7 +188,8 @@ class _PeriodKernel:
     2N once it has state.  Matrices are stored transposed for the
     run-by-row layout of :func:`_advance`: ``BT`` = B[:, cols]^T, ``H`` =
     [-C, (I - D)[:, cols]]^T and ``powers`` = (A^s)^T for s = 1, 2, 4, ...,
-    _SCAN_BLOCK / 2.
+    _SCAN_BLOCK / 2.  ``Z`` is :func:`_advance`'s work matrix, kept across
+    calls and grown when a call needs more rows.
     """
 
     def __init__(self, loop: StateSpace):
@@ -187,14 +203,15 @@ class _PeriodKernel:
         with np.errstate(**_DIVERGENCE):
             while 2 ** len(self.powers) < _SCAN_BLOCK:
                 self.powers.append(self.powers[-1] @ self.powers[-1])
+        self.Z = np.empty((0, n + self.cols.size))
 
 
 def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, first_step: int) -> np.ndarray:
     """Relay outputs U of P runs over a chunk of slow periods.
 
-    X is the (n_x, P) loop state of the runs and is advanced in place; W[k]
-    is the (2N, P) input of period k, of which only the kernel's columns
-    are read.  Row (k, p) of the work matrix Z holds run p's state x_k and
+    X is the (n_x, P) loop state of the runs and is advanced in place;
+    W[k, p] is run p's w_k[cols] in period k, the only samples of w the
+    loop reads.  Row (k, p) of the work matrix Z holds run p's state x_k and
     inputs w_k[cols], so U = Z H is one GEMM per block.  The states advance
     in blocks of ``_SCAN_BLOCK`` periods by a doubling scan (Blelloch,
     "Prefix sums and their applications", 1990): with v_k = B w_k, plus
@@ -202,14 +219,16 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, first_step: in
     the doubling with s = 1, 2, 4, ... adds A^s times the partial sums s
     periods back, one GEMM each.  Blocks start at the chunk's first period,
     so chunks cut at block edges give the same bits as one whole call.
-    ``first_step`` is the fast index of the chunk's first sample, used when
-    the loop diverges.
+    U[k, p] is run p's 2N output samples of period k.  ``first_step`` is
+    the fast index of the chunk's first sample, used when the loop diverges.
     """
-    T, n_out, P = W.shape
-    n, m = kernel.n_states, kernel.cols.size
-    Z = np.empty(((T + 1) * P, n + m))
+    T, P, m = W.shape
+    n, n_out = kernel.n_states, kernel.H.shape[1]
+    if kernel.Z.shape[0] < (T + 1) * P:
+        kernel.Z = np.empty(((T + 1) * P, n + m))
+    Z = kernel.Z[: (T + 1) * P]
     Z[:P, :n] = X.T
-    Z[: T * P, n:] = W[:, kernel.cols, :].transpose(0, 2, 1).reshape(T * P, m)
+    Z[: T * P].reshape(T, P, n + m)[:, :, n:] = W
     U = np.empty((T * P, n_out))
     with np.errstate(**_DIVERGENCE):
         for start in range(0, T * P, _SCAN_BLOCK * P):
@@ -230,66 +249,80 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, first_step: in
         raise FloatingPointError(
             f"non-finite relay output at fast step {first_step + int(np.argmin(finite))}"
         )
-    return U.reshape(T, P, n_out).transpose(0, 2, 1)
+    return U.reshape(T, P, n_out)
 
 
 class _ChainBatch:
     """P runs of the relay chain for each canceler kind, fed chunk by chunk.
 
-    Run j has gain ``betas[j]`` and noise seed ``seeds[j]``, and every kind
-    sees the same noise, so the kinds are paired.  A run's n_RS and n_T are
-    the first and the second n_fast x 2 normals of Philox key (seed, 0); the
-    n_T generator is positioned by drawing and discarding n_RS, so chunked
-    draws equal whole ones.  Each kind's :class:`_PeriodKernel` lives as
-    long as the batch.  ``none`` transmits u = 0 exactly, so its loop is
-    built (and validated) but never advanced.
+    Run j is sweep point ``points[j]`` with gain ``betas[j]``.  Its n_RS and
+    n_T come from that point's streams (:func:`_philox`), and every kind sees
+    the same noise, so the kinds are paired.  n_RS is drawn only at
+    ``cols``, the union of the columns that the advanced loops read: per
+    chunk, a run draws (periods, cols.size) normals, which is 2 per period
+    with F = I, all 2N with a dynamic F and none when only ``none`` runs.
+    tx is added at those columns only.  A run's n_T is (n, 2) normals.
+    Chunked draws equal whole ones.  Each kind's :class:`_PeriodKernel`
+    lives as long as the batch.  ``none`` transmits u = 0 exactly, so its
+    loop is built (and validated) but never advanced.
     """
 
-    def __init__(self, cfg: SimConfig, kinds, betas, seeds, n_fast: int):
+    def __init__(self, cfg: SimConfig, kinds, betas, points):
         self.kernels = {}
         for kind in kinds:
             kernel = _PeriodKernel(_period_maps(replace(cfg, canceler=kind)))
             self.kernels[kind] = (kernel, np.zeros((kernel.n_states, len(betas))))
+        read = [kernel.cols for kind, (kernel, _) in self.kernels.items() if kind != "none"]
+        self.cols = reduce(np.union1d, read, np.zeros(0, dtype=np.intp))
         self.N = cfg.params.fsfh_ratio
         self.scale = np.array([beta * 10.0 ** (cfg.relay_gain_db / 20.0) for beta in betas])
         self.sigma_rs = noise_amplitude(cfg.noise_rs_dbm)
         self.sigma_t = noise_amplitude(cfg.noise_t_dbm)
-        self.rs = [_philox(seed, 0) for seed in seeds]
-        self.t = [_philox(seed, 0) for seed in seeds]
-        for rng in self.t:
-            for start in range(0, n_fast, _DISCARD_ROWS):
-                rng.standard_normal((min(_DISCARD_ROWS, n_fast - start), 2))
+        self.rs = [_philox(cfg.seed, i, _NOISE_RS) for i in points]
+        self.t = [_philox(cfg.seed, i, _NOISE_T) for i in points]
         self.step = 0
 
     def advance(self, tx: np.ndarray):
         """Yield (kind, u, y_T) for the next fast samples tx, shaped (n, 2, P).
 
-        Kinds are computed one at a time, as the caller consumes them, so
-        only one kind's outputs are alive at once.
+        u is run by row, (n / N, P, 2N) with u[k, p] run p's samples of
+        period k; y_T is (n, 2, P).  Kinds are computed one at a time, as
+        the caller consumes them, so only one kind's outputs are alive at
+        once.
         """
         n, _, P = tx.shape
+        T, N = n // self.N, self.N
         step, self.step = self.step, self.step + n
-        # Run-major: each run's (n, 2) draws are contiguous, so drawing into
-        # them consumes the stream exactly as standard_normal((n, 2)) does.
-        noise = np.empty((2, P, n, 2))
+        # Run-major: each run's draws are contiguous, so drawing into them
+        # consumes its streams exactly as whole draws do.
+        rs, n_t = np.empty((P, T, self.cols.size)), np.empty((P, n, 2))
         for j in range(P):
-            self.rs[j].standard_normal(out=noise[0, j])
-            self.t[j].standard_normal(out=noise[1, j])
-        w, n_t = noise.transpose(0, 2, 3, 1)  # (n, 2, P) views, scaled in place
-        w *= self.sigma_rs
-        w += tx
+            self.rs[j].standard_normal(out=rs[j])
+            self.t[j].standard_normal(out=n_t[j])
+        rs *= self.sigma_rs
+        rs += tx.reshape(T, 2 * N, P)[:, self.cols].transpose(2, 0, 1)
         n_t *= self.sigma_t
-        w = w.reshape(n // self.N, 2 * self.N, P)
+        n_t = n_t.transpose(1, 2, 0)  # (n, 2, P)
+        W = rs.transpose(1, 0, 2)  # (T, P, cols.size)
         for kind, (kernel, X) in self.kernels.items():
-            u = np.zeros_like(tx) if kind == "none" else _advance(kernel, X, w, step).reshape(tx.shape)
-            yield kind, u, self.scale * u + n_t
+            if kind == "none":
+                yield kind, np.zeros((T, P, 2 * N)), n_t
+                continue
+            pos = np.searchsorted(self.cols, kernel.cols)
+            u = _advance(kernel, X, W if pos.size == self.cols.size else W[:, :, pos], step)
+            y_t = np.empty(tx.shape)
+            np.multiply(u.reshape(T, P, N, 2).transpose(0, 2, 3, 1), self.scale,
+                        out=y_t.reshape(T, N, 2, P))
+            y_t += n_t
+            yield kind, u, y_t
 
     def pilot(self, kind: str, tx: np.ndarray) -> np.ndarray:
         """Noise-free y_T of a kind's first run, from rest, for fast samples tx (n, 2)."""
         kernel, _ = self.kernels[kind]
         if kind == "none":
             return np.zeros_like(tx)
-        u = _advance(kernel, np.zeros((kernel.n_states, 1)), tx.reshape(-1, 2 * self.N, 1), 0)
+        W = tx.reshape(-1, 2 * self.N)[:, None, kernel.cols]
+        u = _advance(kernel, np.zeros((kernel.n_states, 1)), W, 0)
         return self.scale[0] * u.reshape(tx.shape)
 
 
@@ -299,7 +332,8 @@ def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
     The returned ``z`` is the cancelation error tx - u against the noise-free
     incoming signal; ``y_T`` is the terminal-side received waveform
     beta * g * u + n_T with g the relay amplitude gain.  This is the
-    one-run case of the batched engine the BER sweeps use.
+    one-run case of the batched engine the BER sweeps use, at sweep point 0
+    of ``cfg.seed``.
     """
     prm = cfg.params
     N = prm.fsfh_ratio
@@ -310,9 +344,9 @@ def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
     if abs(tx.rate - expected_rate) > 1e-9 * expected_rate:
         raise ConfigError(f"waveform rate {tx.rate} != fast rate {expected_rate}")
 
-    batch = _ChainBatch(cfg, [cfg.canceler], [cfg.beta], [cfg.seed], n_fast)
+    batch = _ChainBatch(cfg, [cfg.canceler], [cfg.beta], [0])
     ((_, u, y_t),) = batch.advance(tx.samples[:, :, None])
-    u, y_t = u[:, :, 0], y_t[:, :, 0]
+    u, y_t = u.reshape(n_fast, 2), y_t[:, :, 0]
     rate = tx.rate
     return SimOutput(
         y_T=Waveform(y_t, rate), u=Waveform(u, rate), z=Waveform(tx.samples - u, rate)

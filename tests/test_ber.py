@@ -204,6 +204,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_beta(base_cfg, cc, [1e-3, 1e-3], ["none"])
 
+    def test_duplicate_kinds_rejected(self, base_cfg):
+        with pytest.raises(ValueError, match="distinct"):
+            sweep_beta(base_cfg, CommsConfig(n_symbols=10), [1e-3], ["designed", "none", "designed"])
+
     def test_curve_requires_increasing_betas(self):
         p = BerPoint(beta=1.0, errors=0, trials=10, ber=0.0, ci95=(0.0, 0.3))
         q = BerPoint(beta=0.5, errors=0, trials=10, ber=0.0, ci95=(0.0, 0.3))
@@ -249,18 +253,22 @@ def antialias_cfg():
     return SimConfig(params=params, canceler="designed", controller=K, seed=2024)
 
 
-def whole_waveform_errors(cfg, cc):
-    """Bit errors of one point from whole waveforms: no batch, no chunks."""
+def whole_waveform_errors(cfg, cc, point):
+    """Bit errors of sweep point ``point`` from whole waveforms: one run, no chunks."""
     from cwcancel.ber import _CHAIN_ALIGN, _pilot_reference
     from cwcancel.simulate import _ChainBatch, simulate_chain
 
     cc = bind_comms(cc, cfg.params)
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 1], dtype=np.uint64)))
-    bits = rng.integers(0, 2, size=cc.n_symbols)
-    out = simulate_chain(cfg, modulate(bits, cc, cfg.signal_dbm))
-    batch = _ChainBatch(cfg, [cfg.canceler], [cfg.beta], [cfg.seed], 0)
+    key = np.array([cfg.seed, 3 * point + 1], dtype=np.uint64)
+    bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=cc.n_symbols)
+    wave = modulate(bits, cc, cfg.signal_dbm)
+    batch = _ChainBatch(cfg, [cfg.canceler], [cfg.beta], [point])
     ref = _pilot_reference(batch, cfg.canceler, cc, cfg.signal_dbm)
-    decided = demodulate(out.y_T, cc, ref, align_offset=_CHAIN_ALIGN)
+    ((_, _, y_t),) = batch.advance(wave.samples[:, :, None])
+    y_t = Waveform(y_t[:, :, 0], wave.rate)
+    if point == 0:
+        assert np.array_equal(simulate_chain(cfg, wave).y_T.samples, y_t.samples)
+    decided = demodulate(y_t, cc, ref, align_offset=_CHAIN_ALIGN)
     return int(np.sum(decided != bits))
 
 
@@ -278,12 +286,20 @@ class TestBatchedSweep:
         betas = list(default_beta_grid(cfg, cc, n_points=5))
         curves = sweep_beta(cfg, cc, betas, ["none", "designed", "perfect"])
         for curve in curves:
-            points = [replace(cfg, beta=beta, seed=cfg.seed + i, canceler=curve.canceler_kind)
-                      for i, beta in enumerate(betas)]
-            whole = [whole_waveform_errors(point, cc) for point in points]
+            whole = [whole_waveform_errors(replace(cfg, beta=beta, canceler=curve.canceler_kind),
+                                           cc, i)
+                     for i, beta in enumerate(betas)]
             assert [p.errors for p in curve.points] == whole
-            assert [run_ber(point, cc).errors for point in points] == whole
         assert any(0 < p.errors < p.trials // 2 for c in curves[1:] for p in c.points)
+
+    @pytest.mark.parametrize("which", ["defaults", "antialias"])
+    def test_point_zero_is_run_ber(self, base_cfg, antialias_cfg, which):
+        cfg = base_cfg if which == "defaults" else antialias_cfg
+        cc = CommsConfig(n_symbols=300)
+        betas = [1e-4, 3e-4, 1e-3]
+        for curve in sweep_beta(cfg, cc, betas, ["none", "designed", "perfect"]):
+            point = run_ber(replace(cfg, beta=betas[0], canceler=curve.canceler_kind), cc)
+            assert curve.points[0] == point
 
     def test_memory_bounded_by_chunk(self, base_cfg):
         import tracemalloc

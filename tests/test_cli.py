@@ -363,6 +363,16 @@ class TestSweep:
         kinds = {r.split(b",")[1] for r in body}
         assert kinds == {b"designed", b"perfect"}
 
+    def test_duplicate_kinds_exit_code(self, tmp_path, controller_file, quick_config, capsys):
+        rc = main(["sweep", "--config", str(quick_config), "--controller", str(controller_file),
+                   "--cancelers", "designed,designed", "--betas", "1e-3",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "distinct" in err
+        assert not (tmp_path / "ber_curves.csv").exists()
+
     def test_none_only_needs_no_controller(self, tmp_path, quick_config):
         rc = main(["sweep", "--config", str(quick_config), "--cancelers", "none",
                    "--betas", "1e-4", "--out", str(tmp_path)])

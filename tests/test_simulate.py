@@ -241,14 +241,21 @@ def test_noise_free_chain_is_linear_and_slow_rate_time_invariant(
     assert np.abs(delayed[N:] - u1).max() <= 1e-12 * np.abs(u1).max()
 
 
+def advance_full(kernel, X, W, first_step=0):
+    """_advance on the full (T, 2N, P) inputs W, with U in the same layout."""
+    from cwcancel.simulate import _advance
+
+    return _advance(kernel, X, W[:, kernel.cols].transpose(0, 2, 1), first_step).transpose(0, 2, 1)
+
+
 def test_none_loop_outputs_exact_zero(base_cfg):
     # The batched engine skips the none loop because its relay output is
     # exactly 0; run that loop here to pin it.
-    from cwcancel.simulate import _advance, _period_maps, _PeriodKernel
+    from cwcancel.simulate import _period_maps, _PeriodKernel
 
     kernel = _PeriodKernel(_period_maps(replace(base_cfg, canceler="none")))
     W = np.random.default_rng(18).standard_normal((40, 32, 3))
-    U = _advance(kernel, np.zeros((kernel.n_states, 3)), W, 0)
+    U = advance_full(kernel, np.zeros((kernel.n_states, 3)), W)
     assert np.all(U == 0.0)
 
 
@@ -286,7 +293,7 @@ class TestScanKernel:
     @pytest.mark.parametrize("P", [1, 12])
     @pytest.mark.parametrize("case", ["N16", "N32", "antialias", "feedthrough"])
     def test_matches_sequential_recurrence(self, period_maps, case, P, periods):
-        from cwcancel.simulate import _advance, _PeriodKernel
+        from cwcancel.simulate import _PeriodKernel
 
         loop = period_maps[case]["designed"]
         rng = np.random.default_rng(1000 * P + periods)
@@ -294,22 +301,22 @@ class TestScanKernel:
         X0 = rng.standard_normal((loop.n_states, P))
         U_ref, X_ref = sequential_periods(loop, X0, W)
         X = X0.copy()
-        U = _advance(_PeriodKernel(loop), X, W, 0)
+        U = advance_full(_PeriodKernel(loop), X, W)
         assert np.abs(U - U_ref).max() <= 1e-13 * np.abs(U_ref).max()
         assert np.abs(X - X_ref).max() <= 1e-13 * np.abs(X_ref).max()
 
     @pytest.mark.parametrize("case", ["N16", "N32", "antialias", "feedthrough"])
     def test_none_outputs_exact_zero(self, period_maps, case):
-        from cwcancel.simulate import _advance, _PeriodKernel
+        from cwcancel.simulate import _PeriodKernel
 
         loop = period_maps[case]["none"]
         W = np.random.default_rng(19).standard_normal((200, loop.n_inputs, 12))
-        U = _advance(_PeriodKernel(loop), np.zeros((loop.n_states, 12)), W, 0)
+        U = advance_full(_PeriodKernel(loop), np.zeros((loop.n_states, 12)), W)
         assert np.all(U == 0.0)
 
     @pytest.mark.parametrize("case", ["N16", "antialias"])
     def test_block_aligned_chunks_equal_one_call(self, period_maps, case):
-        from cwcancel.simulate import _SCAN_BLOCK, _advance, _PeriodKernel
+        from cwcancel.simulate import _SCAN_BLOCK, _PeriodKernel
 
         loop = period_maps[case]["designed"]
         kernel = _PeriodKernel(loop)
@@ -317,10 +324,10 @@ class TestScanKernel:
         W = rng.standard_normal((2 * _SCAN_BLOCK + 22, loop.n_inputs, 12))
         X0 = rng.standard_normal((loop.n_states, 12))
         X_whole = X0.copy()
-        U_whole = _advance(kernel, X_whole, W, 0)
+        U_whole = advance_full(kernel, X_whole, W)
         X = X0.copy()
-        U = [_advance(kernel, X, W[:_SCAN_BLOCK], 0),
-             _advance(kernel, X, W[_SCAN_BLOCK:], _SCAN_BLOCK * loop.n_inputs // 2)]
+        U = [advance_full(kernel, X, W[:_SCAN_BLOCK]),
+             advance_full(kernel, X, W[_SCAN_BLOCK:], _SCAN_BLOCK * loop.n_inputs // 2)]
         assert np.array_equal(np.concatenate(U), U_whole)
         assert np.array_equal(X, X_whole)
 
@@ -354,8 +361,8 @@ def test_in_place_draws_equal_whole_draws():
     # exactly as standard_normal((n, 2)) does, chunk after chunk.
     from cwcancel.simulate import _philox
 
-    whole = _philox(7, 0).standard_normal((1000, 2))
-    rng, buf = _philox(7, 0), np.empty((3, 1000, 2))
+    whole = _philox(7, 0, 0).standard_normal((1000, 2))
+    rng, buf = _philox(7, 0, 0), np.empty((3, 1000, 2))
     chunks = []
     for n in (1, 255, 256, 488):
         rng.standard_normal(out=buf[1, :n])
@@ -363,20 +370,82 @@ def test_in_place_draws_equal_whole_draws():
     assert np.array_equal(np.concatenate(chunks), whole)
 
 
-def test_batch_noise_equals_whole_draws(base_cfg):
-    # With u = 0 (canceler none), y_T is each run's n_T: the second n_fast x 2
-    # normals of Philox key (seed, 0), however the samples are chunked.
-    from cwcancel.simulate import _ChainBatch, _philox
+def test_batch_terminal_noise_is_its_own_stream(base_cfg):
+    # With u = 0 (canceler none), y_T is each run's n_T: sigma_t times the
+    # first n_fast x 2 normals of Philox key (seed, 3 i + 2) for sweep point
+    # i, however the samples are chunked; no n_RS is drawn at all.
+    from cwcancel.simulate import _ChainBatch
 
-    seeds, n_fast = [5, 6, 7], 16 * 100
+    points, n_fast = [0, 4, 11], 16 * 100
     batch = _ChainBatch(replace(base_cfg, canceler="none"), ["none"], [1e-3, 1e-2, 1e-1],
-                        seeds, n_fast)
+                        points)
+    assert batch.cols.size == 0
     y_t = np.concatenate([y for n in (16, 512, 48, 1024)
-                          for _, _, y in batch.advance(np.zeros((n, 2, len(seeds))))])
-    for j, seed in enumerate(seeds):
-        rng = _philox(seed, 0)
-        rng.standard_normal((n_fast, 2))
-        assert np.array_equal(y_t[:, :, j], batch.sigma_t * rng.standard_normal((n_fast, 2)))
+                          for _, _, y in batch.advance(np.zeros((n, 2, len(points))))])
+    for j, i in enumerate(points):
+        key = np.array([base_cfg.seed, 3 * i + 2], dtype=np.uint64)
+        n_t = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_fast, 2))
+        assert np.array_equal(y_t[:, :, j], batch.sigma_t * n_t)
+
+
+def test_stream_keys_of_adjacent_seeds_are_disjoint():
+    # Point i's n_RS, bits and n_T have keys (seed, 3 i + 0, 1, 2): over 12
+    # points, base seeds s and s + 1 share no key, and neither does one
+    # sweep's (point, stream) pairs among themselves.
+    from cwcancel.simulate import _philox
+
+    s = 20260808
+    keys = [tuple(_philox(seed, i, k).bit_generator.state["state"]["key"])
+            for seed in (s, s + 1) for i in range(12) for k in range(3)]
+    assert len(set(keys)) == len(keys) == 72
+    assert keys[:3] == [(s, 0), (s, 1), (s, 2)]
+
+
+@pytest.mark.parametrize("case", ["defaults", "antialias"])
+def test_samples_no_loop_reads_do_not_reach_u(oracle_cases, case):
+    # n_RS is drawn only at the kernel's columns; that is exact because the
+    # other samples of w cannot reach u.  Changing tx there leaves u bit for
+    # bit; changing one sample the loop reads does not.
+    from cwcancel.simulate import _period_maps, _PeriodKernel
+
+    params, K = oracle_cases[case]
+    N, periods = params.fsfh_ratio, 50
+    rng = np.random.default_rng(21)
+    tx = rng.standard_normal((periods * N, 2))
+    for kind in ("designed", "perfect"):
+        cfg = SimConfig(params=params, canceler=kind, controller=K, seed=9)
+        cols = _PeriodKernel(_period_maps(cfg)).cols
+        unread = np.setdiff1d(np.arange(2 * N), cols)
+        assert unread.size == (2 * N - 2 if case == "defaults" else 0)
+        u = simulate_chain(cfg, fast_wave(tx)).u.samples
+        changed = tx.reshape(periods, 2 * N).copy()
+        changed[:, unread] += rng.standard_normal((periods, unread.size))
+        assert np.array_equal(simulate_chain(cfg, fast_wave(changed.reshape(-1, 2))).u.samples, u)
+        changed[periods // 2, cols[-1]] += 1.0
+        assert not np.array_equal(simulate_chain(cfg, fast_wave(changed.reshape(-1, 2))).u.samples, u)
+
+
+@pytest.mark.parametrize("case", ["defaults", "antialias"])
+def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
+    # Sweep point i's n_RS is sigma_rs times (periods, m) normals of Philox
+    # key (seed, 3 i) at the m columns the loop reads, however the samples
+    # are chunked (at block edges, so the kernel's bits do not depend on it).
+    from cwcancel.simulate import _SCAN_BLOCK, _advance, _ChainBatch, _period_maps, _PeriodKernel
+
+    params, K = oracle_cases[case]
+    cfg = SimConfig(params=params, canceler="designed", controller=K, seed=5,
+                    noise_t_dbm=-math.inf)
+    N, chunks = params.fsfh_ratio, (_SCAN_BLOCK, 2 * _SCAN_BLOCK, _SCAN_BLOCK)
+    for point in (0, 3):
+        batch = _ChainBatch(cfg, ["designed"], [1.0], [point])
+        u = np.concatenate([u for T in chunks
+                            for _, u, _ in batch.advance(np.zeros((T * N, 2, 1)))])
+        kernel = _PeriodKernel(_period_maps(cfg))
+        key = np.array([cfg.seed, 3 * point], dtype=np.uint64)
+        n_rs = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+            (sum(chunks), kernel.cols.size))
+        ref = _advance(kernel, np.zeros((kernel.n_states, 1)), batch.sigma_rs * n_rs[:, None], 0)
+        assert np.array_equal(u, ref)
 
 
 class TestDelayFree:
