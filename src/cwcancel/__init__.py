@@ -1,7 +1,8 @@
 """Digital coupling-wave canceler design and BER evaluation toolkit."""
 
-from .lti import StateSpace, DimensionError, matrix_exponential, discretize_zoh, spectral_radius
-from .riccati import NumericalFailure, NoStabilizingSolution, solve_care, care_stabilizing
+from .lti import (StateSpace, DimensionError, NumericalFailure, matrix_exponential,
+                  discretize_zoh, spectral_radius)
+from .riccati import NoStabilizingSolution, solve_care, care_stabilizing
 from .hnorm import UnstableSystemError, hinf_norm_discrete, frequency_response
 from .plant import (
     ModelError,
@@ -37,7 +38,6 @@ from .ber import (
     FramingError,
     modulate,
     demodulate,
-    run_ber,
     sweep_beta,
     default_beta_grid,
     q_function,

@@ -7,9 +7,10 @@ aligned one fast sample after the hold update (the post filter settles well
 inside a fast step), so each window sees exactly its own symbol.
 
 Monte Carlo points carry Wilson 95% intervals.  Beta point i of a sweep
-draws its n_RS, bits and n_T from Philox keys (seed, 3 i + 0, 1, 2) (see
-:mod:`simulate`), shared by every canceler kind at that point (common random
-numbers); no two points of any two base seeds share a key.
+draws its n_RS, bits and n_T from :func:`simulate.point_streams`, shared by
+every canceler kind at that point (common random numbers); no two points of
+any two base seeds share a key.  Samples per symbol are derived from the
+relay timing at each use (:func:`samples_per_symbol`), never stored.
 
 A sweep is one streaming pass (:func:`_error_counts`): each kind's period
 map is built once, all beta points of a kind advance together through the
@@ -18,28 +19,27 @@ chunk of ``_CHUNK_SYMBOLS`` symbols and shared by every kind.  n_RS is drawn
 only at the samples the loops read.  Decisions are scored chunk by chunk,
 so memory does not grow with ``n_symbols``.  The noise-free pilot is only
 scaled by beta, so each kind runs one pilot on the loop the sweep already
-built, and ``none`` (u = 0 exactly) skips the loop.  :func:`run_ber` is
-point 0 of the same pass.
+built, and ``none`` (u = 0 exactly) skips the loop.  A single BER point
+is a one-beta, one-kind sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import _BITS, SimConfig, Waveform, _ChainBatch, _philox, noise_amplitude
+from .simulate import SimConfig, Waveform, _ChainBatch, noise_amplitude, point_streams
 
 __all__ = [
     "CommsConfig",
     "BerPoint",
     "BerCurve",
     "FramingError",
-    "bind_comms",
+    "samples_per_symbol",
     "modulate",
     "demodulate",
-    "run_ber",
     "sweep_beta",
     "default_beta_grid",
     "forwarding_ber_model",
@@ -61,7 +61,6 @@ class FramingError(ValueError):
 class CommsConfig:
     symbol_period: float = 2.0
     n_symbols: int = 10000
-    samples_per_symbol: int | None = None  # derived; see bind_comms
 
     def __post_init__(self):
         if not self.symbol_period > 0:
@@ -90,16 +89,15 @@ class BerCurve:
             raise ValueError("BER curve requires strictly increasing beta values")
 
 
-def bind_comms(cc: CommsConfig, params) -> CommsConfig:
-    """Fill in samples_per_symbol against the relay timing parameters."""
+def samples_per_symbol(cc: CommsConfig, params) -> int:
+    """Fast samples per symbol: N per slow period of the relay timing ``params``."""
     h, N = params.sampling_period, params.fsfh_ratio
     periods = cc.symbol_period / h
     if abs(periods - round(periods)) > 1e-9:
         raise ValueError(
             f"symbol period {cc.symbol_period} must be an integer multiple of h={h}"
         )
-    sps = int(round(periods)) * N
-    return replace(cc, samples_per_symbol=sps)
+    return int(round(periods)) * N
 
 
 def q_function(x: float) -> float:
@@ -123,17 +121,16 @@ def wilson_interval(errors: int, trials: int) -> tuple:
     return (min(max(0.0, center - half), p), max(min(1.0, center + half), p))
 
 
-def modulate(bits, cc: CommsConfig, signal_dbm: float) -> Waveform:
-    """Map bits to a rectangular-pulse BPSK waveform at the fast rate.
+def modulate(bits, cc: CommsConfig, params, signal_dbm: float) -> Waveform:
+    """Map bits to a rectangular-pulse BPSK waveform at the fast rate of ``params``.
 
     Bit 0 -> -A, bit 1 -> +A on the I component (Q stays zero), with
     A = sqrt(10^(signal_dbm/10)) so the configured power is the per-sample
     signal power.
     """
-    if cc.samples_per_symbol is None:
-        raise ValueError("CommsConfig not bound; call bind_comms first")
-    samples = _bpsk(np.asarray(bits, dtype=int).ravel(), cc.samples_per_symbol, signal_dbm)
-    return Waveform(samples, cc.samples_per_symbol / cc.symbol_period)
+    sps = samples_per_symbol(cc, params)
+    samples = _bpsk(np.asarray(bits, dtype=int).ravel(), sps, signal_dbm)
+    return Waveform(samples, sps / cc.symbol_period)
 
 
 def _bpsk(bits: np.ndarray, sps: int, signal_dbm: float) -> np.ndarray:
@@ -169,7 +166,8 @@ def _decision_windows(samples: np.ndarray, sps: int, offset: int = 0) -> np.ndar
     return _windows(samples, sps, offset, None, True)[0]
 
 
-def demodulate(y: Waveform, cc: CommsConfig, phase_ref, align_offset: int = 0) -> np.ndarray:
+def demodulate(y: Waveform, cc: CommsConfig, params, phase_ref,
+               align_offset: int = 0) -> np.ndarray:
     """Integrate-and-dump detection against a 2-vector phase reference.
 
     ``align_offset`` delays the integration windows by that many fast
@@ -177,9 +175,7 @@ def demodulate(y: Waveform, cc: CommsConfig, phase_ref, align_offset: int = 0) -
     own symbol's settled hold values (the post filter settles well inside a
     fast step).  Leave it at zero for a plain channel.
     """
-    if cc.samples_per_symbol is None:
-        raise ValueError("CommsConfig not bound; call bind_comms first")
-    sps = cc.samples_per_symbol
+    sps = samples_per_symbol(cc, params)
     n = y.samples.shape[0]
     if n % sps != 0:
         raise FramingError(f"waveform length {n} is not a multiple of {sps} samples/symbol")
@@ -193,14 +189,15 @@ _CHAIN_ALIGN = 1  # relay receiver window offset, in fast samples
 _CHUNK_SYMBOLS = 64  # symbols per streamed chunk of a BER run
 
 
-def _pilot_reference(batch, kind: str, cc: CommsConfig, signal_dbm: float) -> np.ndarray:
+def _pilot_reference(cfg: SimConfig, batch, kind: str, cc: CommsConfig) -> np.ndarray:
     """Gain/rotation reference from a short noise-free all-ones pilot run of
-    one kind of a :class:`_ChainBatch`, at the batch's first point."""
-    wave = modulate(np.ones(8, dtype=int), cc, signal_dbm)
+    one kind of a :class:`_ChainBatch` of ``cfg``, at the batch's first point."""
+    wave = modulate(np.ones(8, dtype=int), cc, cfg.params, cfg.signal_dbm)
     y_t = batch.pilot(kind, wave.samples)
+    sps = samples_per_symbol(cc, cfg.params)
     # A divergent loop's pilot can stay finite and still overflow here.
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = _decision_windows(y_t, cc.samples_per_symbol, _CHAIN_ALIGN)[-1].mean(axis=0)
+        vec = _decision_windows(y_t, sps, _CHAIN_ALIGN)[-1].mean(axis=0)
         norm = float(np.linalg.norm(vec))
     if not np.isfinite(norm):
         raise FloatingPointError("pilot output overflows")
@@ -212,18 +209,18 @@ def _pilot_reference(batch, kind: str, cc: CommsConfig, signal_dbm: float) -> np
 def _error_counts(cfg: SimConfig, cc: CommsConfig, kinds, betas) -> dict:
     """Bit errors per canceler kind at each beta point, streamed.
 
-    Point i's bits (Philox key (seed, 3 i + 1)) and chain noise are drawn
+    Point i's bits and chain noise (:func:`point_streams`) are drawn
     once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by all kinds; the
     points of a kind advance together as the columns of one loop state.
     Decisions are scored as each chunk arrives, so memory is bounded by the
     chunk, not by ``cc.n_symbols``.  The noise-free pilot is only scaled by
     beta, so each kind's reference comes from one pilot at the first point.
     """
-    sps, n_symbols = cc.samples_per_symbol, cc.n_symbols
+    sps, n_symbols = samples_per_symbol(cc, cfg.params), cc.n_symbols
     points = range(len(betas))
     batch = _ChainBatch(cfg, kinds, betas, points)
-    refs = {kind: _pilot_reference(batch, kind, cc, cfg.signal_dbm) for kind in kinds}
-    bit_rngs = [_philox(cfg.seed, i, _BITS) for i in points]
+    refs = {kind: _pilot_reference(cfg, batch, kind, cc) for kind in kinds}
+    bit_rngs = [point_streams(cfg.seed, i)[1] for i in points]
     errors = {kind: np.zeros(len(betas), dtype=int) for kind in kinds}
     tails = dict.fromkeys(kinds)
     unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the tails' symbols
@@ -246,26 +243,13 @@ def _ber_point(beta: float, errors: int, trials: int) -> BerPoint:
                     ber=errors / trials, ci95=wilson_interval(errors, trials))
 
 
-def run_ber(cfg: SimConfig, cc: CommsConfig) -> BerPoint:
-    """One Monte Carlo BER estimate through the relay chain.
-
-    The bits, n_RS and n_T are the streams of sweep point 0 of ``cfg.seed``
-    (Philox keys (seed, 1), (seed, 0) and (seed, 2)), so two runs with the
-    same seed see identical bits and noise regardless of the canceler kind.
-    This is point 0 of :func:`sweep_beta`'s engine.
-    """
-    cc = bind_comms(cc, cfg.params)
-    errors = _error_counts(cfg, cc, [cfg.canceler], [cfg.beta])[cfg.canceler]
-    return _ber_point(cfg.beta, int(errors[0]), cc.n_symbols)
-
-
 def sweep_beta(cfg_base: SimConfig, cc: CommsConfig, betas, cancelers) -> list:
     """One BER curve per canceler kind over a common beta grid.
 
-    Beta index i is sweep point i: its streams have Philox keys
-    (seed, 3 i + k), shared across kinds at that beta so the comparison
-    between curves is paired.  All points of a kind run as one batch (see
-    :func:`_error_counts`).  Canceler kinds must be distinct.
+    Beta index i is sweep point i, whose streams every kind shares, so the
+    curves are paired.  All points of a kind run as one batch (see
+    :func:`_error_counts`).  Canceler kinds must be distinct.  A one-beta,
+    one-kind sweep is a single BER estimate at sweep point 0.
     """
     if len(set(cancelers)) != len(cancelers):
         raise ValueError(f"canceler kinds must be distinct, got {list(cancelers)}")
@@ -277,7 +261,6 @@ def sweep_beta(cfg_base: SimConfig, cc: CommsConfig, betas, cancelers) -> list:
     betas = sorted(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta values must be distinct")
-    cc = bind_comms(cc, cfg_base.params)
     errors = _error_counts(cfg_base, cc, cancelers, betas)
     return [
         BerCurve(points=[_ber_point(beta, int(e), cc.n_symbols)
@@ -295,8 +278,7 @@ def forwarding_ber_model(cfg: SimConfig, cc: CommsConfig, beta: float) -> float:
     the canceler chain shifts the real curves by its own in-band gain, which
     does not matter for grid placement.
     """
-    cc = bind_comms(cc, cfg.params)
-    sps = cc.samples_per_symbol
+    sps = samples_per_symbol(cc, cfg.params)
     m = sps // cfg.params.fsfh_ratio
     g = 10.0 ** (cfg.relay_gain_db / 20.0)
     amp = math.sqrt(10.0 ** (cfg.signal_dbm / 10.0))

@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 synthesis failure, 2 malformed JSON, invalid
 config/controller or an unusable file path, 3 controller/config step mismatch, 4 unstable closed
 loop (certification finds a spectral radius >= 1, or a simulation or sweep
 diverges), 5 numerical failure (the H-infinity certificate could not prove a
-bound).
+bound, or a bilinear map is singular).
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ import math
 import sys
 from pathlib import Path
 
-from .ber import CommsConfig, bind_comms, default_beta_grid, modulate, sweep_beta, write_ber_csv
+from .ber import CommsConfig, default_beta_grid, modulate, sweep_beta, write_ber_csv
 from .hnorm import UnstableSystemError
 from .lifting import lift
-from .lti import StateSpace, step_matches
+from .lti import NumericalFailure, StateSpace, step_matches
 from .plant import RelayParams, build_hybrid_plant
-from .riccati import NumericalFailure
-from .simulate import _BITS, SimConfig, _philox, simulate_chain, write_waveform_csv
+from .simulate import (CANCELER_KINDS, CONTROLLED_KINDS, SimConfig, point_streams, simulate_chain,
+                       write_waveform_csv)
 from .synthesis import (CERT_SLACK, SynthesisError, bisect_gamma, certify, load_controller,
                         save_controller, write_json)
 
@@ -161,9 +161,9 @@ def _setup(args):
 
 
 def _controller(args, params: RelayParams, kinds):
-    """The --controller that the 'designed' and 'perfect' kinds among
-    ``kinds`` run; None when there are none.  Its step must match the config's."""
-    needs = [kind for kind in kinds if kind in ("designed", "perfect")]
+    """The --controller that the kinds among ``kinds`` that run one need;
+    None when there are none.  Its step must match the config's."""
+    needs = [kind for kind in kinds if kind in CONTROLLED_KINDS]
     if not needs:
         return None
     if args.controller is None:
@@ -173,6 +173,12 @@ def _controller(args, params: RelayParams, kinds):
         raise StepMismatchError(f"controller step {ctrl.K.dt} does not match config "
                                 f"sampling period {params.sampling_period}")
     return ctrl
+
+
+def _sim_config(cfg, params: RelayParams, controller) -> SimConfig:
+    """The shared channel of the sim section; its beta only feeds ``simulate``."""
+    sim = {key: value for key, value in cfg["sim"].items() if key != "beta"}
+    return SimConfig(params=params, **sim, controller=controller)
 
 
 def cmd_design(args) -> int:
@@ -222,13 +228,12 @@ def cmd_simulate(args) -> int:
     cfg, params, outdir = _setup(args)
     if args.symbols is not None and args.symbols < 1:
         raise ConfigFileError("--symbols must be at least 1")
-    sim = SimConfig(params=params, **cfg["sim"], canceler=args.canceler,
-                    controller=_controller(args, params, [args.canceler]))
-    cc = bind_comms(CommsConfig(**cfg["comms"]), params)
+    sim = _sim_config(cfg, params, _controller(args, params, [args.canceler]))
+    cc = CommsConfig(**cfg["comms"])
     n_symbols = min(cc.n_symbols, 200) if args.symbols is None else args.symbols
-    bits = _philox(sim.seed, 0, _BITS).integers(0, 2, size=n_symbols)
-    wave = modulate(bits, cc, sim.signal_dbm)
-    out = simulate_chain(sim, wave)
+    bits = point_streams(sim.seed, 0)[1].integers(0, 2, size=n_symbols)
+    wave = modulate(bits, cc, params, sim.signal_dbm)
+    out = simulate_chain(sim, wave, args.canceler, cfg["sim"]["beta"])
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "waveform.csv"
     write_waveform_csv(path, wave, out)
@@ -239,8 +244,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, params, outdir = _setup(args)
     cancelers = args.cancelers.split(",") if args.cancelers else cfg["sweep"]["cancelers"]
-    sim = SimConfig(params=params, **cfg["sim"], canceler="none",
-                    controller=_controller(args, params, cancelers))
+    sim = _sim_config(cfg, params, _controller(args, params, cancelers))
     cc = CommsConfig(**cfg["comms"])
     if args.betas:
         betas = [float(b) for b in args.betas.split(",")]
@@ -278,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the time-domain chain and dump waveform.csv")
     p.add_argument("--config", help="config JSON path")
     p.add_argument("--controller", help="controller JSON path")
-    p.add_argument("--canceler", default="designed", choices=["none", "designed", "perfect"])
+    p.add_argument("--canceler", default="designed", choices=CANCELER_KINDS)
     p.add_argument("--beta", type=float, help="RS-T channel gain")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--symbols", type=int,
@@ -290,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="config JSON path")
     p.add_argument("--controller", help="controller JSON path")
     p.add_argument("--betas", help="comma-separated beta grid (default: auto)")
-    p.add_argument("--cancelers", help="comma-separated subset of none,designed,perfect")
+    p.add_argument("--cancelers", help=f"comma-separated subset of {','.join(CANCELER_KINDS)}")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_sweep)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lti import StateSpace, bilinear_to_continuous, spectral_radius
-from .riccati import NumericalFailure
+from .lti import NumericalFailure, StateSpace, bilinear_to_continuous, spectral_radius
 
 __all__ = ["UnstableSystemError", "hinf_norm_discrete", "exceeds", "frequency_response"]
 
@@ -142,7 +141,7 @@ def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
     g is attained at some frequency, and the norm is proven to lie in
     [g, g*(1+2*tol)].  Raises :class:`UnstableSystemError` when the spectral
     radius of A is not strictly inside the unit circle, and
-    :class:`~cwcancel.riccati.NumericalFailure` when no bound is proven,
+    :class:`~cwcancel.lti.NumericalFailure` when no bound is proven,
     which includes a nonzero system whose gain is 0 at theta = 0, pi/2 and
     pi (no level to test) and a level that the continuous image's
     sigma_max(D_c) reaches.  A zero transfer function has norm 0.0.

@@ -9,7 +9,6 @@ numpy-only by design.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 __all__ = [
     "StateSpace",
     "DimensionError",
+    "NumericalFailure",
     "matrix_exponential",
     "discretize_zoh",
     "spectral_radius",
@@ -30,6 +30,10 @@ EXPM_PADE_THETA13 = 5.371920351148152
 
 class DimensionError(ValueError):
     """Matrix dimensions are inconsistent with a state-space quadruple."""
+
+
+class NumericalFailure(RuntimeError):
+    """A numerical routine failed: no convergence, or a singular map."""
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -176,39 +180,43 @@ def discretize_zoh(sys: StateSpace, step: float) -> StateSpace:
     return StateSpace(E[:n, :n], E[:n, n:], sys.C.copy(), sys.D.copy(), dt=step)
 
 
+def _bilinear_inverse(M: np.ndarray, name: str) -> np.ndarray:
+    """M^-1 for a bilinear map, or :class:`NumericalFailure` when M is singular
+    to working precision (condition number above 1e14)."""
+    cond = np.linalg.cond(M)
+    if cond > 1e14:
+        raise NumericalFailure(f"bilinear map: {name} has condition number {cond:.3g}")
+    return np.linalg.inv(M)
+
+
 def bilinear_to_continuous(sys: StateSpace, alpha: float) -> StateSpace:
     """Exact Moebius map z = (alpha+s)/(alpha-s) from disc to left half-plane.
 
     Preserves the H-infinity norm and stability; requires -1 outside the
-    spectrum of A (a pole at z = -1 maps to s = infinity).
+    spectrum of A (a pole at z = -1 maps to s = infinity).  Raises
+    :class:`NumericalFailure` when A + I is singular to working precision.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = sys.n_states
     if n == 0:
         return StateSpace(A, B, C, D, dt=None)
-    ApI = A + np.eye(n)
-    if np.linalg.cond(ApI) > 1e14:
-        warnings.warn("bilinear transform near pole at z=-1; regularizing A")
-        A = A * (1.0 - 1e-9)
-        ApI = A + np.eye(n)
-    T = np.linalg.inv(ApI)
+    T = _bilinear_inverse(A + np.eye(n), "A + I (a pole at z = -1)")
     s2a = np.sqrt(2.0 * alpha)
     return StateSpace(alpha * (T @ (A - np.eye(n))), s2a * (T @ B),
                       s2a * (C @ T), D - C @ T @ B, dt=None)
 
 
 def bilinear_to_discrete(sys: StateSpace, alpha: float, step: float) -> StateSpace:
-    """Inverse of :func:`bilinear_to_continuous`, tagging the result with step."""
+    """Inverse of :func:`bilinear_to_continuous`, tagging the result with step.
+
+    Raises :class:`NumericalFailure` when alpha I - A is singular to working
+    precision (a pole at s = alpha maps to z = infinity).
+    """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = sys.n_states
     if n == 0:
         return StateSpace(A, B, C, D, dt=step)
-    AmI = alpha * np.eye(n) - A
-    if np.linalg.cond(AmI) > 1e14:
-        warnings.warn("inverse bilinear transform near pole at s=alpha; regularizing A")
-        A = A * (1.0 - 1e-9)
-        AmI = alpha * np.eye(n) - A
-    T = np.linalg.inv(AmI)
+    T = _bilinear_inverse(alpha * np.eye(n) - A, "alpha I - A (a pole at s = alpha)")
     s2a = np.sqrt(2.0 * alpha)
     return StateSpace(T @ (alpha * np.eye(n) + A), s2a * (T @ B),
                       s2a * (C @ T), D + C @ T @ B, dt=step)

@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lti import _as_matrix
+from .lti import NumericalFailure, _as_matrix
 
-__all__ = ["NumericalFailure", "NoStabilizingSolution", "solve_care", "care_stabilizing"]
+__all__ = ["NoStabilizingSolution", "solve_care", "care_stabilizing"]
 
 CARE_RESIDUAL_RTOL = 1e-8
 SIGN_MAX_ITER = 120
-
-
-class NumericalFailure(RuntimeError):
-    """An iterative numerical routine failed to converge."""
 
 
 class NoStabilizingSolution(NumericalFailure):

@@ -23,11 +23,12 @@ output is exactly 0.
 
 Random streams
 --------------
-Stream k of sweep point i has Philox key (seed, 3 i + k): k = 0 is the
-noise n_RS at the relay, 1 the bits, 2 the noise n_T at the terminal
-(:func:`_philox`).  :func:`simulate_chain` is point 0.  n_RS is drawn only
-at the samples of w that a loop reads, as (periods, columns) normals, since
-no other sample can reach u, y_T or a decision; n_T is (n, 2) normals.
+:func:`point_streams` is the one owner of the stream layout: stream k of
+sweep point i has Philox key (seed, 3 i + k), where k = 0 is the noise n_RS
+at the relay, 1 the bits and 2 the noise n_T at the terminal.
+:func:`simulate_chain` is point 0.  n_RS is drawn only at the samples of w
+that a loop reads, as (periods, columns) normals, since no other sample can
+reach u, y_T or a decision; n_T is (n, 2) normals.
 
 Canceler kinds
 --------------
@@ -52,17 +53,20 @@ from .plant import RelayParams, assemble_loop, identity_filter
 from .synthesis import DigitalController
 
 __all__ = [
+    "CANCELER_KINDS",
+    "CONTROLLED_KINDS",
     "SimConfig",
     "Waveform",
     "SimOutput",
     "ConfigError",
     "noise_amplitude",
+    "point_streams",
     "simulate_chain",
     "write_waveform_csv",
 ]
 
 CANCELER_KINDS = ("none", "designed", "perfect")
-_NOISE_RS, _BITS, _NOISE_T = range(3)  # the streams of a sweep point
+CONTROLLED_KINDS = ("designed", "perfect")  # the kinds that run a controller
 
 
 class ConfigError(ValueError):
@@ -88,24 +92,18 @@ class Waveform:
 
 @dataclass
 class SimConfig:
+    """The channel that every run shares; a run's kind and beta are arguments."""
+
     params: RelayParams
     relay_gain_db: float = 60.0
-    beta: float = 1.0
     noise_rs_dbm: float = -5.0
     noise_t_dbm: float = -2.0
     signal_dbm: float = 0.0
     seed: int = 0
-    canceler: str = "designed"
     controller: DigitalController | None = None
 
     def __post_init__(self):
-        if self.canceler not in CANCELER_KINDS:
-            raise ConfigError(f"canceler must be one of {CANCELER_KINDS}, got {self.canceler!r}")
-        if self.canceler in ("designed", "perfect") and self.controller is None:
-            raise ConfigError(f"canceler={self.canceler!r} requires a controller")
-        if self.beta < 0:
-            raise ConfigError("beta must be nonnegative")
-        for name in ("relay_gain_db", "beta", "signal_dbm"):
+        for name in ("relay_gain_db", "signal_dbm"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         # Each level becomes the linear factor 10 ** (level / dB per decade).
@@ -136,17 +134,23 @@ def noise_amplitude(p_dbm: float) -> float:
     return float(np.sqrt(10.0 ** (p_dbm / 10.0) / 2.0))
 
 
-def _period_maps(cfg: SimConfig) -> StateSpace:
-    """One slow period of the closed relay loop: lifted w -> lifted e.
+def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
+    """One slow period of the relay loop closed by canceler ``kind``: lifted
+    w -> lifted e.
 
     Input per period: the N fast samples of w = tx + n_RS (2 each); output:
-    the N fast samples of the error e = w - u.
+    the N fast samples of the error e = w - u.  This is where a kind is
+    checked, and where a kind that runs a controller finds it missing.
     """
+    if kind not in CANCELER_KINDS:
+        raise ConfigError(f"canceler must be one of {CANCELER_KINDS}, got {kind!r}")
     prm = cfg.params
-    if cfg.canceler == "none":
+    if kind not in CONTROLLED_KINDS:
         K = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
                        np.zeros((2, 2)), dt=prm.sampling_period)
     else:
+        if cfg.controller is None:
+            raise ConfigError(f"canceler={kind!r} requires a controller")
         K = cfg.controller.K
         if not step_matches(K.dt, prm.sampling_period):
             raise ConfigError(
@@ -155,20 +159,21 @@ def _period_maps(cfg: SimConfig) -> StateSpace:
         if K.n_inputs != 2 or K.n_outputs != 2:
             raise ConfigError("controller must be 2-input 2-output")
     loop = assemble_loop(replace(prm, input_shaping=identity_filter()))
-    if cfg.canceler == "perfect":
+    if kind == "perfect":
         loop = replace(loop, coupling=np.zeros((2, 2)))
     return closed_loop(lift(loop), K)
 
 
-def _philox(seed: int, point: int, stream: int) -> np.random.Generator:
-    """Stream ``stream`` of sweep point ``point``: Philox key (seed, 3 point + stream).
+def point_streams(seed: int, point: int) -> tuple:
+    """(n_RS, bits, n_T): the generators of sweep point ``point``.
 
-    Distinct (seed, point, stream) triples get distinct keys, so sweeps with
-    different base seeds share no stream (Salmon et al., "Parallel random
-    numbers: as easy as 1, 2, 3", SC 2011).
+    Stream k has Philox key (seed, 3 point + k).  Distinct (seed, point, k)
+    triples get distinct keys, so sweeps with different base seeds share no
+    stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+    SC 2011).
     """
-    key = np.array([seed, 3 * point + stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return tuple(np.random.Generator(np.random.Philox(
+        key=np.array([seed, 3 * point + k], dtype=np.uint64))) for k in range(3))
 
 
 # Periods per scan block of :func:`_advance`: a power of two that divides
@@ -256,8 +261,8 @@ class _ChainBatch:
     """P runs of the relay chain for each canceler kind, fed chunk by chunk.
 
     Run j is sweep point ``points[j]`` with gain ``betas[j]``.  Its n_RS and
-    n_T come from that point's streams (:func:`_philox`), and every kind sees
-    the same noise, so the kinds are paired.  n_RS is drawn only at
+    n_T come from :func:`point_streams`, and every kind sees the same
+    noise, so the kinds are paired.  n_RS is drawn only at
     ``cols``, the union of the columns that the advanced loops read: per
     chunk, a run draws (periods, cols.size) normals, which is 2 per period
     with F = I, all 2N with a dynamic F and none when only ``none`` runs.
@@ -270,7 +275,7 @@ class _ChainBatch:
     def __init__(self, cfg: SimConfig, kinds, betas, points):
         self.kernels = {}
         for kind in kinds:
-            kernel = _PeriodKernel(_period_maps(replace(cfg, canceler=kind)))
+            kernel = _PeriodKernel(_period_maps(cfg, kind))
             self.kernels[kind] = (kernel, np.zeros((kernel.n_states, len(betas))))
         read = [kernel.cols for kind, (kernel, _) in self.kernels.items() if kind != "none"]
         self.cols = reduce(np.union1d, read, np.zeros(0, dtype=np.intp))
@@ -278,8 +283,7 @@ class _ChainBatch:
         self.scale = np.array([beta * 10.0 ** (cfg.relay_gain_db / 20.0) for beta in betas])
         self.sigma_rs = noise_amplitude(cfg.noise_rs_dbm)
         self.sigma_t = noise_amplitude(cfg.noise_t_dbm)
-        self.rs = [_philox(cfg.seed, i, _NOISE_RS) for i in points]
-        self.t = [_philox(cfg.seed, i, _NOISE_T) for i in points]
+        self.rs, _, self.t = zip(*(point_streams(cfg.seed, i) for i in points))
         self.step = 0
 
     def advance(self, tx: np.ndarray):
@@ -326,8 +330,8 @@ class _ChainBatch:
         return self.scale[0] * u.reshape(tx.shape)
 
 
-def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
-    """Run the relay chain on a fast-rate input waveform.
+def simulate_chain(cfg: SimConfig, tx: Waveform, kind: str, beta: float) -> SimOutput:
+    """Run the relay chain with canceler ``kind`` on a fast-rate input waveform.
 
     The returned ``z`` is the cancelation error tx - u against the noise-free
     incoming signal; ``y_T`` is the terminal-side received waveform
@@ -335,6 +339,10 @@ def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
     one-run case of the batched engine the BER sweeps use, at sweep point 0
     of ``cfg.seed``.
     """
+    if beta < 0:
+        raise ConfigError("beta must be nonnegative")
+    if not np.isfinite(beta):
+        raise ConfigError("beta must be finite")
     prm = cfg.params
     N = prm.fsfh_ratio
     n_fast = tx.samples.shape[0]
@@ -344,7 +352,7 @@ def simulate_chain(cfg: SimConfig, tx: Waveform) -> SimOutput:
     if abs(tx.rate - expected_rate) > 1e-9 * expected_rate:
         raise ConfigError(f"waveform rate {tx.rate} != fast rate {expected_rate}")
 
-    batch = _ChainBatch(cfg, [cfg.canceler], [cfg.beta], [0])
+    batch = _ChainBatch(cfg, [kind], [beta], [0])
     ((_, u, y_t),) = batch.advance(tx.samples[:, :, None])
     u, y_t = u.reshape(n_fast, 2), y_t[:, :, 0]
     rate = tx.rate

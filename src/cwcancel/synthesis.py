@@ -34,7 +34,8 @@ import numpy as np
 
 from .hnorm import exceeds, hinf_norm_discrete
 from .lifting import LiftedPlant, PlantBlocks, closed_loop, partition
-from .lti import StateSpace, bilinear_to_continuous, bilinear_to_discrete, spectral_radius
+from .lti import (NumericalFailure, StateSpace, bilinear_to_continuous, bilinear_to_discrete,
+                  spectral_radius)
 from .riccati import NoStabilizingSolution, care_stabilizing
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "synthesize_at_gamma",
     "bisect_gamma",
     "certify",
-    "bilinear_to_continuous",
-    "bilinear_to_discrete",
     "controller_to_dict",
     "controller_from_dict",
     "write_json",
@@ -102,46 +101,49 @@ def _regularize_rank(Dblk: np.ndarray) -> np.ndarray:
     return (U * s) @ Vt
 
 
-def _central_controller(p: PlantBlocks) -> StateSpace:
-    """Two-Riccati central controller at level 1 for a plant with D11 = 0.
+def _psd_riccati(A, G, Q, reason: str):
+    """The stabilizing solution of A'X + XA - XGX + Q = 0 (G and Q
+    symmetrized), or an :class:`Infeasible` verdict with ``reason`` when there
+    is none or it is not PSD."""
+    try:
+        X = care_stabilizing(A, 0.5 * (G + G.T), 0.5 * (Q + Q.T))
+    except NoStabilizingSolution as exc:
+        return Infeasible(reason, str(exc))
+    eigs = np.linalg.eigvalsh(X)
+    if eigs.size and eigs.min() < -_PSD_TOL * (1.0 + abs(eigs).max()):
+        return Infeasible(reason, f"Riccati solution not PSD (eigenvalue {eigs.min():.3g})")
+    return X
+
+
+def _central_controller(p: PlantBlocks):
+    """Two-Riccati central controller at level 1 for a plant with D11 = 0,
+    or the :class:`Infeasible` verdict of the condition that fails.
 
     Solvability is the classical triple: stabilizing PSD solutions X of the
-    full-information Riccati and Y of the dual (estimation) Riccati, plus the
-    coupling condition rho(XY) < 1.  Both equations keep the feedthrough
-    cross terms in the quadratic completion.  The controller is the
-    certainty-equivalence observer driven by the worst-case disturbance
-    estimate, with filter gain built from Y (I - XY)^{-1}.
-
-    Raises :class:`NoStabilizingSolution` (message tagged ``X:``, ``Y:`` or
-    ``coupling:``) when a condition fails.
+    full-information Riccati (``care_x``) and Y of the dual (estimation)
+    Riccati (``care_y``), plus the coupling condition rho(XY) < 1
+    (``coupling``).  Both equations keep the feedthrough cross terms in the
+    quadratic completion.  The controller is the certainty-equivalence
+    observer driven by the worst-case disturbance estimate, with filter gain
+    built from Y (I - XY)^{-1}.
     """
     A, B1, B2, C1, C2 = p.A, p.B1, p.B2, p.C1, p.C2
     D12, D21 = p.D12, p.D21
     n = A.shape[0]
 
     Ru = D12.T @ D12
-    At_x = A - B2 @ np.linalg.solve(Ru, D12.T @ C1)
-    Gx = B2 @ np.linalg.solve(Ru, B2.T) - B1 @ B1.T
-    Qx = C1.T @ C1 - (C1.T @ D12) @ np.linalg.solve(Ru, D12.T @ C1)
-    try:
-        X = care_stabilizing(At_x, 0.5 * (Gx + Gx.T), 0.5 * (Qx + Qx.T))
-    except NoStabilizingSolution as exc:
-        raise NoStabilizingSolution(f"X: {exc}") from exc
-    x_eigs = np.linalg.eigvalsh(X)
-    if x_eigs.size and x_eigs.min() < -_PSD_TOL * (1.0 + abs(x_eigs).max()):
-        raise NoStabilizingSolution("X: full-information Riccati solution not PSD")
+    X = _psd_riccati(A - B2 @ np.linalg.solve(Ru, D12.T @ C1),
+                     B2 @ np.linalg.solve(Ru, B2.T) - B1 @ B1.T,
+                     C1.T @ C1 - (C1.T @ D12) @ np.linalg.solve(Ru, D12.T @ C1), "care_x")
+    if isinstance(X, Infeasible):
+        return X
 
     Ry = D21 @ D21.T
-    At_y = (A - B1 @ D21.T @ np.linalg.solve(Ry, C2)).T
-    Gy = C2.T @ np.linalg.solve(Ry, C2) - C1.T @ C1
-    Qy = B1 @ B1.T - (B1 @ D21.T) @ np.linalg.solve(Ry, D21 @ B1.T)
-    try:
-        Y = care_stabilizing(At_y, 0.5 * (Gy + Gy.T), 0.5 * (Qy + Qy.T))
-    except NoStabilizingSolution as exc:
-        raise NoStabilizingSolution(f"Y: {exc}") from exc
-    y_eigs = np.linalg.eigvalsh(Y)
-    if y_eigs.size and y_eigs.min() < -_PSD_TOL * (1.0 + abs(y_eigs).max()):
-        raise NoStabilizingSolution("Y: estimation Riccati solution not PSD")
+    Y = _psd_riccati((A - B1 @ D21.T @ np.linalg.solve(Ry, C2)).T,
+                     C2.T @ np.linalg.solve(Ry, C2) - C1.T @ C1,
+                     B1 @ B1.T - (B1 @ D21.T) @ np.linalg.solve(Ry, D21 @ B1.T), "care_y")
+    if isinstance(Y, Infeasible):
+        return Y
 
     # rho(XY) through the symmetric form sqrt(X) Y sqrt(X): X and Y are PSD,
     # so the spectrum is real and the symmetric solver is the stable route.
@@ -149,7 +151,7 @@ def _central_controller(p: PlantBlocks) -> StateSpace:
     Xh = (Vx * np.sqrt(np.clip(wx, 0.0, None))) @ Vx.T
     rho = float(np.linalg.eigvalsh(Xh @ Y @ Xh).max()) if X.shape[0] else 0.0
     if rho >= 1.0 - 1e-9:
-        raise NoStabilizingSolution(f"coupling: rho(XY) = {rho:.6f} >= 1")
+        return Infeasible("coupling", f"rho(XY) = {rho:.6f} >= 1")
 
     F2 = -np.linalg.solve(Ru, B2.T @ X + D12.T @ C1)
     F1 = B1.T @ X
@@ -227,26 +229,22 @@ def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
 
     try:
         Kc = _central_controller(p)
-    except NoStabilizingSolution as exc:
-        msg = str(exc)
-        if msg.startswith("Y:"):
-            reason = "care_y"
-        elif msg.startswith("coupling:"):
-            reason = "coupling"
-        else:
-            reason = "care_x"
-        return Infeasible(reason, msg)
     except np.linalg.LinAlgError as exc:
         # Conservative: a linear-algebra breakdown inside the Riccati
         # machinery is treated like any other solver failure at this level.
         return Infeasible("care_x", f"linear algebra failure: {exc}")
+    if isinstance(Kc, Infeasible):
+        return Kc
 
     # Restore the feedthrough set aside before synthesis (D_K = 0 keeps this
     # a pure state-matrix correction), then map back to discrete time.
     Ak = Kc.A - Kc.B @ d_shift @ Kc.C
     Kc = StateSpace(Ak, Kc.B, Kc.C, Kc.D)
     dt = Gl.G.dt
-    Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
+    try:
+        Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
+    except NumericalFailure as exc:
+        return Infeasible("closed_loop", str(exc))
 
     cl = closed_loop(Gl, Kd)
     radius = spectral_radius(cl.A)
@@ -254,7 +252,10 @@ def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
         return Infeasible("closed_loop", f"assembled loop has spectral radius {radius:.6f} >= 1")
     # Catches the rare case where rank regularization manufactured control
     # authority the true plant lacks.
-    gain = exceeds(cl, gamma * (1.0 + PROBE_MARGIN))
+    try:
+        gain = exceeds(cl, gamma * (1.0 + PROBE_MARGIN))
+    except NumericalFailure as exc:  # the loop's bilinear image is singular
+        return Infeasible("closed_loop", str(exc))
     if gain is not None:
         return Infeasible("closed_loop", f"closed-loop gain {gain:.6f} exceeds gamma")
     return DigitalController(K=Kd, gamma_achieved=float(gamma))
@@ -268,8 +269,8 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     (no stabilizing PSD Riccati solution), ``"coupling"`` (spectral-radius
     condition), or ``"closed_loop"`` (the assembled loop has spectral radius
     at least one, or :func:`cwcancel.hnorm.exceeds` finds a gain at the
-    level gamma*(1+PROBE_MARGIN)).  A returned controller's closed-loop norm
-    is therefore proven below that level.
+    level gamma*(1+PROBE_MARGIN), or a bilinear map is singular).  A returned
+    controller's closed-loop norm is therefore proven below that level.
 
     One call maps and rotates the plant for its single probe;
     :func:`bisect_gamma` does that once for all of its probes.

@@ -10,11 +10,11 @@ import pytest
 
 from cwcancel.ber import (
     CommsConfig,
-    bind_comms,
     default_beta_grid,
     demodulate,
     modulate,
     q_function,
+    samples_per_symbol,
     sweep_beta,
 )
 from cwcancel.hnorm import hinf_norm_discrete
@@ -33,8 +33,7 @@ def report(number: int, ok: bool, text: str) -> None:
 @pytest.fixture(scope="module")
 def sweep_results(default_params, designed_controller):
     """Timed 12-point sweep at 10000 symbols for all three canceler kinds."""
-    cfg = SimConfig(params=default_params, canceler="designed",
-                    controller=designed_controller, seed=20260808)
+    cfg = SimConfig(params=default_params, controller=designed_controller, seed=20260808)
     cc = CommsConfig(symbol_period=2.0, n_symbols=10000)
     betas = default_beta_grid(cfg, cc, n_points=12)
     t0 = time.perf_counter()
@@ -177,19 +176,19 @@ def test_criterion_6_fsfh_convergence():
 def test_criterion_7_awgn_calibration(default_params):
     # Relay bypassed: the modulated waveform plus white Gaussian noise goes
     # straight to the detector.
-    cc = bind_comms(CommsConfig(symbol_period=2.0, n_symbols=10000), default_params)
-    sps = cc.samples_per_symbol
+    cc = CommsConfig(symbol_period=2.0, n_symbols=10000)
+    sps = samples_per_symbol(cc, default_params)
     rng = np.random.default_rng(20260808)
     ok = True
     detail = []
     for ebn0_db in (0.0, 2.0, 4.0, 6.0):
         ebn0 = 10.0 ** (ebn0_db / 10.0)
         bits = rng.integers(0, 2, size=cc.n_symbols)
-        wave = modulate(bits, cc, 0.0)
+        wave = modulate(bits, cc, default_params, 0.0)
         sigma = math.sqrt(sps / (2.0 * ebn0))
         noisy = Waveform(wave.samples + sigma * rng.standard_normal(wave.samples.shape),
                          wave.rate)
-        ber = float(np.mean(demodulate(noisy, cc, [1.0, 0.0]) != bits))
+        ber = float(np.mean(demodulate(noisy, cc, default_params, [1.0, 0.0]) != bits))
         p = q_function(math.sqrt(2.0 * ebn0))
         tol = 3.0 * math.sqrt(p * (1.0 - p) / cc.n_symbols)
         ok = ok and abs(ber - p) <= tol
@@ -206,8 +205,7 @@ def test_criterion_8_time_domain_certificate(default_params, designed_controller
     wd = discretize_zoh(default_params.input_shaping, tau)
     b = [0.0, wd.C[0, 0] * wd.B[0, 0]]
     a = [1.0, -wd.A[0, 0]]
-    cfg = SimConfig(params=default_params, canceler="designed",
-                    controller=designed_controller, seed=0,
+    cfg = SimConfig(params=default_params, controller=designed_controller, seed=0,
                     noise_rs_dbm=-math.inf, noise_t_dbm=-math.inf)
     worst = 0.0
     n_fast = N * 10_000
@@ -215,7 +213,8 @@ def test_criterion_8_time_domain_certificate(default_params, designed_controller
         rng = np.random.default_rng(9000 + trial)
         w = rng.standard_normal((n_fast, 2))
         tx = np.column_stack([lfilter(b, a, w[:, 0]), lfilter(b, a, w[:, 1])])
-        out = simulate_chain(cfg, Waveform(tx, N / default_params.sampling_period))
+        out = simulate_chain(cfg, Waveform(tx, N / default_params.sampling_period),
+                             "designed", 1.0)
         worst = max(worst, np.linalg.norm(out.z.samples) / np.linalg.norm(w))
     ok = worst <= bound
     report(8, ok, f"time-domain ||z||/||w|| over 20 runs: worst {worst:.4f} <= {bound:.4f}")

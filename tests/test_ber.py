@@ -9,13 +9,12 @@ from cwcancel.ber import (
     BerPoint,
     CommsConfig,
     FramingError,
-    bind_comms,
     default_beta_grid,
     demodulate,
     forwarding_ber_model,
     modulate,
     q_function,
-    run_ber,
+    samples_per_symbol,
     sweep_beta,
     wilson_interval,
     write_ber_csv,
@@ -25,14 +24,20 @@ from cwcancel.simulate import SimConfig, Waveform
 
 
 @pytest.fixture(scope="module")
-def cc16(default_params):
-    return bind_comms(CommsConfig(symbol_period=2.0, n_symbols=100), default_params)
+def cc16():
+    return CommsConfig(symbol_period=2.0, n_symbols=100)
 
 
 @pytest.fixture(scope="module")
 def base_cfg(default_params, designed_controller):
-    return SimConfig(params=default_params, canceler="designed",
-                     controller=designed_controller, seed=777)
+    return SimConfig(params=default_params, controller=designed_controller, seed=777)
+
+
+def one_point(cfg, cc, kind, beta):
+    """A single BER estimate: the one point of a one-beta, one-kind sweep."""
+    (curve,) = sweep_beta(cfg, cc, [beta], [kind])
+    (point,) = curve.points
+    return point
 
 
 class TestWilson:
@@ -63,38 +68,38 @@ class TestWilson:
 
 
 class TestModDemod:
-    def test_single_zero_bit(self, cc16):
+    def test_single_zero_bit(self, cc16, default_params):
         cc = replace(cc16, n_symbols=1)
-        w = modulate([0], cc, 0.0)
+        w = modulate([0], cc, default_params, 0.0)
         assert w.samples.shape == (32, 2)
         assert np.all(w.samples[:, 0] == -1.0)
         assert np.all(w.samples[:, 1] == 0.0)
 
-    def test_constant_bits(self, cc16):
-        w = modulate([1, 1], cc16, -3.0)
+    def test_constant_bits(self, cc16, default_params):
+        w = modulate([1, 1], cc16, default_params, -3.0)
         amp = math.sqrt(10.0 ** -0.3)
         assert np.all(w.samples[:, 0] == pytest.approx(amp))
 
-    def test_zero_power(self, cc16):
-        w = modulate([1, 0, 1], cc16, -math.inf)
+    def test_zero_power(self, cc16, default_params):
+        w = modulate([1, 0, 1], cc16, default_params, -math.inf)
         assert np.all(w.samples == 0.0)
 
-    def test_loopback(self, cc16):
+    def test_loopback(self, cc16, default_params):
         rng = np.random.default_rng(83)
         bits = rng.integers(0, 2, size=64)
-        w = modulate(bits, cc16, 0.0)
-        got = demodulate(w, cc16, [1.0, 0.0])
+        w = modulate(bits, cc16, default_params, 0.0)
+        got = demodulate(w, cc16, default_params, [1.0, 0.0])
         assert np.array_equal(got, bits)
 
-    def test_antipodal_flip(self, cc16):
+    def test_antipodal_flip(self, cc16, default_params):
         rng = np.random.default_rng(84)
         bits = rng.integers(0, 2, size=64)
-        w = modulate(bits, cc16, 0.0)
+        w = modulate(bits, cc16, default_params, 0.0)
         flipped = Waveform(-w.samples, w.rate)
-        got = demodulate(flipped, cc16, [1.0, 0.0])
+        got = demodulate(flipped, cc16, default_params, [1.0, 0.0])
         assert np.array_equal(got, 1 - bits)
 
-    def test_awgn_matches_q_function(self, cc16):
+    def test_awgn_matches_q_function(self, cc16, default_params):
         # Direct AWGN channel at Eb/N0 = 4 dB; matched-filter BER is
         # Q(sqrt(2 Eb/N0)) ~ 0.0125.
         ebn0 = 10.0 ** 0.4
@@ -102,52 +107,58 @@ class TestModDemod:
         cc = replace(cc16, n_symbols=n_sym)
         rng = np.random.default_rng(85)
         bits = rng.integers(0, 2, size=n_sym)
-        w = modulate(bits, cc, 0.0)
+        w = modulate(bits, cc, default_params, 0.0)
         sigma = math.sqrt(sps / (2.0 * ebn0))
         noisy = Waveform(w.samples + sigma * rng.standard_normal(w.samples.shape), w.rate)
-        got = demodulate(noisy, cc, [1.0, 0.0])
+        got = demodulate(noisy, cc, default_params, [1.0, 0.0])
         ber = np.mean(got != bits)
         p = q_function(math.sqrt(2.0 * ebn0))
         assert abs(ber - p) <= 3.0 * math.sqrt(p * (1 - p) / n_sym)
 
-    def test_framing_error(self, cc16):
+    def test_framing_error(self, cc16, default_params):
         with pytest.raises(FramingError):
-            demodulate(Waveform(np.zeros((33, 2)), 16.0), cc16, [1.0, 0.0])
+            demodulate(Waveform(np.zeros((33, 2)), 16.0), cc16, default_params, [1.0, 0.0])
 
-    def test_symbol_period_must_divide(self, default_params):
-        with pytest.raises(ValueError):
-            bind_comms(CommsConfig(symbol_period=1.5), default_params)
-
-    def test_unbound_config_rejected(self):
-        with pytest.raises(ValueError):
-            modulate([1], CommsConfig(), 0.0)
+    def test_symbol_period_must_divide(self, default_params, base_cfg):
+        # Every user of the derived samples per symbol rejects a symbol
+        # period that is not a whole number of slow periods, with one message.
+        cc = CommsConfig(symbol_period=1.5)
+        assert samples_per_symbol(CommsConfig(symbol_period=3.0), default_params) == 48
+        for call in (lambda: samples_per_symbol(cc, default_params),
+                     lambda: modulate([1], cc, default_params, 0.0),
+                     lambda: demodulate(Waveform(np.zeros((48, 2)), 32.0), cc, default_params,
+                                        [1.0, 0.0]),
+                     lambda: forwarding_ber_model(base_cfg, cc, 1.0),
+                     lambda: sweep_beta(base_cfg, cc, [1e-3], ["none"])):
+            with pytest.raises(ValueError, match="must be an integer multiple of h=1.0"):
+                call()
 
 
 class TestRunBer:
+    """A single BER point: a one-beta, one-kind sweep."""
+
     def test_noise_free_designed_is_error_free(self, base_cfg):
-        cfg = replace(base_cfg, beta=1.0, noise_rs_dbm=-math.inf, noise_t_dbm=-math.inf)
-        point = run_ber(cfg, CommsConfig(n_symbols=300))
+        cfg = replace(base_cfg, noise_rs_dbm=-math.inf, noise_t_dbm=-math.inf)
+        point = one_point(cfg, CommsConfig(n_symbols=300), "designed", 1.0)
         assert point.ber == 0.0
         assert point.trials == 300
 
     def test_trials_equal_symbol_count(self, base_cfg):
-        point = run_ber(replace(base_cfg, beta=1.0), CommsConfig(n_symbols=123))
+        point = one_point(base_cfg, CommsConfig(n_symbols=123), "designed", 1.0)
         assert point.trials == 123
         assert point.errors == int(round(point.ber * 123))
         assert point.ci95[0] <= point.ber <= point.ci95[1]
 
     def test_deterministic(self, base_cfg):
         cc = CommsConfig(n_symbols=500)
-        cfg = replace(base_cfg, beta=3e-4)
-        a = run_ber(cfg, cc)
-        b = run_ber(cfg, cc)
+        a = one_point(base_cfg, cc, "designed", 3e-4)
+        b = one_point(base_cfg, cc, "designed", 3e-4)
         assert (a.errors, a.trials, a.ber, a.ci95) == (b.errors, b.trials, b.ber, b.ci95)
 
     def test_none_kind_is_coin_flipping(self, base_cfg):
         # K = 0 transmits nothing; the pilot reference falls back to the
         # I axis and decisions come from terminal noise alone.
-        cfg = replace(base_cfg, canceler="none", beta=1.0)
-        point = run_ber(cfg, CommsConfig(n_symbols=2000))
+        point = one_point(base_cfg, CommsConfig(n_symbols=2000), "none", 1.0)
         assert abs(point.ber - 0.5) < 0.05
 
     def test_snr_bookkeeping_without_relay_noise(self, base_cfg):
@@ -157,17 +168,17 @@ class TestRunBer:
         from cwcancel.ber import _CHAIN_ALIGN, _decision_windows
         from cwcancel.simulate import simulate_chain
 
-        cc = bind_comms(CommsConfig(n_symbols=8000), base_cfg.params)
+        cc = CommsConfig(n_symbols=8000)
+        sps = samples_per_symbol(cc, base_cfg.params)
         beta = 2e-3
-        cfg = replace(base_cfg, beta=beta, noise_rs_dbm=-math.inf)
+        cfg = replace(base_cfg, noise_rs_dbm=-math.inf)
         pilot = replace(cfg, noise_t_dbm=-math.inf)
-        wave = modulate(np.ones(8, dtype=int), replace(cc, n_symbols=8), cfg.signal_dbm)
-        resp = simulate_chain(pilot, wave)
-        gain = _decision_windows(resp.y_T.samples, cc.samples_per_symbol,
-                                 _CHAIN_ALIGN)[-1].mean(axis=0)[0]
+        wave = modulate(np.ones(8, dtype=int), cc, cfg.params, cfg.signal_dbm)
+        resp = simulate_chain(pilot, wave, "designed", beta)
+        gain = _decision_windows(resp.y_T.samples, sps, _CHAIN_ALIGN)[-1].mean(axis=0)[0]
         sigma = math.sqrt(10.0 ** (cfg.noise_t_dbm / 10.0) / 2.0)
-        p = q_function(gain / (sigma / math.sqrt(cc.samples_per_symbol)))
-        point = run_ber(cfg, cc)
+        p = q_function(gain / (sigma / math.sqrt(sps)))
+        point = one_point(cfg, cc, "designed", beta)
         assert abs(point.ber - p) <= 3.0 * math.sqrt(p * (1 - p) / cc.n_symbols) + 1e-12
 
 
@@ -175,7 +186,7 @@ class TestSweep:
     def test_paired_curves_share_randomness(self, base_cfg, designed_controller):
         # At alpha = 0 the designed and perfect runs are identical sample for
         # sample, so paired sweeps must produce identical error counts.
-        cfg = SimConfig(params=RelayParams(coupling_gain=0.0), canceler="designed",
+        cfg = SimConfig(params=RelayParams(coupling_gain=0.0),
                         controller=designed_controller, seed=555)
         cc = CommsConfig(n_symbols=400)
         curves = sweep_beta(cfg, cc, [1e-4, 3e-4], ["designed", "perfect"])
@@ -250,25 +261,24 @@ def antialias_cfg():
 
     params = RelayParams(antialias=first_order_lowpass(0.01))  # F = 100/(s+100)
     K = bisect_gamma(lift(build_hybrid_plant(params)), tol=5e-3).controller
-    return SimConfig(params=params, canceler="designed", controller=K, seed=2024)
+    return SimConfig(params=params, controller=K, seed=2024)
 
 
-def whole_waveform_errors(cfg, cc, point):
+def whole_waveform_errors(cfg, cc, kind, beta, point):
     """Bit errors of sweep point ``point`` from whole waveforms: one run, no chunks."""
     from cwcancel.ber import _CHAIN_ALIGN, _pilot_reference
     from cwcancel.simulate import _ChainBatch, simulate_chain
 
-    cc = bind_comms(cc, cfg.params)
     key = np.array([cfg.seed, 3 * point + 1], dtype=np.uint64)
     bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=cc.n_symbols)
-    wave = modulate(bits, cc, cfg.signal_dbm)
-    batch = _ChainBatch(cfg, [cfg.canceler], [cfg.beta], [point])
-    ref = _pilot_reference(batch, cfg.canceler, cc, cfg.signal_dbm)
+    wave = modulate(bits, cc, cfg.params, cfg.signal_dbm)
+    batch = _ChainBatch(cfg, [kind], [beta], [point])
+    ref = _pilot_reference(cfg, batch, kind, cc)
     ((_, _, y_t),) = batch.advance(wave.samples[:, :, None])
     y_t = Waveform(y_t[:, :, 0], wave.rate)
     if point == 0:
-        assert np.array_equal(simulate_chain(cfg, wave).y_T.samples, y_t.samples)
-    decided = demodulate(y_t, cc, ref, align_offset=_CHAIN_ALIGN)
+        assert np.array_equal(simulate_chain(cfg, wave, kind, beta).y_T.samples, y_t.samples)
+    decided = demodulate(y_t, cc, cfg.params, ref, align_offset=_CHAIN_ALIGN)
     return int(np.sum(decided != bits))
 
 
@@ -286,20 +296,18 @@ class TestBatchedSweep:
         betas = list(default_beta_grid(cfg, cc, n_points=5))
         curves = sweep_beta(cfg, cc, betas, ["none", "designed", "perfect"])
         for curve in curves:
-            whole = [whole_waveform_errors(replace(cfg, beta=beta, canceler=curve.canceler_kind),
-                                           cc, i)
+            whole = [whole_waveform_errors(cfg, cc, curve.canceler_kind, beta, i)
                      for i, beta in enumerate(betas)]
             assert [p.errors for p in curve.points] == whole
         assert any(0 < p.errors < p.trials // 2 for c in curves[1:] for p in c.points)
 
     @pytest.mark.parametrize("which", ["defaults", "antialias"])
-    def test_point_zero_is_run_ber(self, base_cfg, antialias_cfg, which):
+    def test_point_zero_is_a_one_beta_sweep(self, base_cfg, antialias_cfg, which):
         cfg = base_cfg if which == "defaults" else antialias_cfg
         cc = CommsConfig(n_symbols=300)
         betas = [1e-4, 3e-4, 1e-3]
         for curve in sweep_beta(cfg, cc, betas, ["none", "designed", "perfect"]):
-            point = run_ber(replace(cfg, beta=betas[0], canceler=curve.canceler_kind), cc)
-            assert curve.points[0] == point
+            assert curve.points[0] == one_point(cfg, cc, curve.canceler_kind, betas[0])
 
     def test_memory_bounded_by_chunk(self, base_cfg):
         import tracemalloc
@@ -325,9 +333,9 @@ def test_sweep_builds_each_period_map_once(base_cfg, monkeypatch):
     built = []
     period_maps = sim._period_maps
 
-    def counting(cfg):
-        built.append(cfg.canceler)
-        return period_maps(cfg)
+    def counting(cfg, kind):
+        built.append(kind)
+        return period_maps(cfg, kind)
 
     monkeypatch.setattr(sim, "_period_maps", counting)
     kinds = ["none", "designed", "perfect"]

@@ -11,16 +11,17 @@ from cwcancel.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_STEP_MISMATCH,
+    EXIT_SYNTH,
     EXIT_UNSTABLE,
     load_config,
     main,
     params_from_config,
 )
 from cwcancel.hnorm import UnstableSystemError
+from cwcancel.lti import NumericalFailure
 from cwcancel.plant import RelayParams
-from cwcancel.riccati import NumericalFailure
 from cwcancel.simulate import SimConfig
-from cwcancel.synthesis import controller_to_dict, save_controller
+from cwcancel.synthesis import Infeasible, controller_to_dict, save_controller
 
 
 @pytest.fixture(scope="module")
@@ -149,17 +150,19 @@ class TestConfig:
         assert sim["noise_rs_dbm"] == sim["noise_t_dbm"] == -float("inf")
 
     def test_sections_pin_dataclass_defaults(self):
-        """relay/sim/comms hold the dataclass defaults, key for key; only the seed differs."""
+        """relay/sim/comms hold the dataclass defaults, key for key; only the
+        seed differs.  sim.beta is the one key of no dataclass: the gain that
+        ``simulate`` runs (a sweep's gains are its beta grid)."""
         cfg = load_config(None)
         params = params_from_config(cfg)
-        sim = SimConfig(params=params, **cfg["sim"], canceler="none")
+        assert cfg["sim"]["beta"] == 1.0
+        sim = SimConfig(params=params, **{k: v for k, v in cfg["sim"].items() if k != "beta"})
         built = {"relay": (params, RelayParams(), set()),
-                 "sim": (sim, SimConfig(params=params, canceler="none"),
-                         {"params", "canceler", "controller"}),
-                 "comms": (CommsConfig(**cfg["comms"]), CommsConfig(), {"samples_per_symbol"})}
+                 "sim": (sim, SimConfig(params=params), {"params", "controller"}),
+                 "comms": (CommsConfig(**cfg["comms"]), CommsConfig(), set())}
         for section, (ours, theirs, not_keys) in built.items():
             fields = {f.name for f in dataclasses.fields(theirs)} - not_keys
-            assert set(cfg[section]) == fields
+            assert set(cfg[section]) - {"beta"} == fields
             for name in fields:
                 a, b = getattr(ours, name), getattr(theirs, name)
                 if section == "sim" and name == "seed":
@@ -259,6 +262,19 @@ class TestDesign:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["gamma_min"] <= 1.0 + 0.2
 
+    def test_no_feasible_gamma_exit_code(self, tmp_path, monkeypatch, capsys):
+        """When every probe is infeasible, design exits 1 with one line and
+        writes nothing."""
+        monkeypatch.setattr("cwcancel.synthesis._probe",
+                            lambda *args: Infeasible("care_x", "forced"))
+        out = tmp_path / "out"
+        assert main(["design", "--out", str(out)]) == EXIT_SYNTH
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert "synthesis failed" in err and "care_x" in err
+        assert not out.exists()
+
 
 class TestCertify:
     def test_fresh_controller(self, tmp_path, controller_file, designed_controller):
@@ -314,6 +330,21 @@ class TestSimulate:
     def test_designed_needs_controller(self, capsys):
         assert main(["simulate", "--canceler", "designed"]) == EXIT_CONFIG
         assert main(["simulate", "--canceler", "perfect"]) == EXIT_CONFIG
+
+    def test_beta_from_config_or_flag(self, tmp_path, controller_file):
+        """sim.beta and --beta set the gain of the simulated run: without
+        terminal noise y_T = beta g u, so halving beta halves y_T."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"sim": {"beta": 0.5, "noise_t_dbm": -Infinity}}')
+        common = ["simulate", "--config", str(cfg), "--controller", str(controller_file),
+                  "--symbols", "5", "--out"]
+        assert main(common + [str(tmp_path / "config")]) == EXIT_OK
+        assert main(common + [str(tmp_path / "flag"), "--beta", "0.25"]) == EXIT_OK
+        y_config, y_flag = (np.loadtxt(tmp_path / run / "waveform.csv", delimiter=",",
+                                       skiprows=1, usecols=(7, 8))
+                            for run in ("config", "flag"))
+        assert np.abs(y_config).max() > 0.0
+        assert np.allclose(y_flag, 0.5 * y_config, rtol=1e-9, atol=0.0)
 
     def test_other_kinds(self, tmp_path, controller_file):
         for kind in ("perfect", "none"):
@@ -372,6 +403,15 @@ class TestSweep:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert "distinct" in err
         assert not (tmp_path / "ber_curves.csv").exists()
+
+    def test_unknown_kind_exit_code(self, tmp_path, quick_config, capsys):
+        rc = main(["sweep", "--config", str(quick_config), "--cancelers", "bogus",
+                   "--betas", "1e-3", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "'bogus'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_none_only_needs_no_controller(self, tmp_path, quick_config):
         rc = main(["sweep", "--config", str(quick_config), "--cancelers", "none",

@@ -38,8 +38,9 @@ def test_designed_equals_perfect_without_coupling(dyn_design):
     K = dyn_design.controller
     rng = np.random.default_rng(91)
     tx = Waveform(rng.standard_normal((16 * 40, 2)), 16.0)
-    a = simulate_chain(SimConfig(params=params, canceler="designed", controller=K, seed=5), tx)
-    b = simulate_chain(SimConfig(params=params, canceler="perfect", controller=K, seed=5), tx)
+    cfg = SimConfig(params=params, controller=K, seed=5)
+    a = simulate_chain(cfg, tx, "designed", 1.0)
+    b = simulate_chain(cfg, tx, "perfect", 1.0)
     # At alpha = 0 both kinds build the same loop, so the runs agree bit for bit.
     assert np.array_equal(a.y_T.samples, b.y_T.samples)
 
@@ -51,8 +52,7 @@ def test_perfect_is_coupling_gain_invariant(dyn_params, dyn_design):
     ref = None
     for alpha in (0.0, 0.15, 0.5):
         params = RelayParams(antialias=first_order_lowpass(0.01), coupling_gain=alpha)
-        out = simulate_chain(SimConfig(params=params, canceler="perfect",
-                                       controller=K, seed=5), tx)
+        out = simulate_chain(SimConfig(params=params, controller=K, seed=5), tx, "perfect", 1.0)
         if ref is None:
             ref = out.y_T.samples
         else:

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwcancel.hnorm import UnstableSystemError, exceeds, frequency_response, hinf_norm_discrete
-from cwcancel.lti import StateSpace
-from cwcancel.riccati import NumericalFailure
+from cwcancel.lti import NumericalFailure, StateSpace
 
 
 def random_stable_discrete(rng, n_max=10, radius=0.92):
@@ -122,6 +121,14 @@ def test_pole_near_minus_one_image_feedthrough_rounds_above_seed():
     assert hinf_norm_discrete(sys, tol=1e-6) == pytest.approx(pi_gain, rel=1e-7)
     with pytest.raises(NumericalFailure, match="not bracketed"):
         hinf_norm_discrete(sys, tol=1e-12)
+
+
+def test_pole_at_minus_one_to_working_precision_is_a_failure():
+    # Schur stable, but cond(A + I) > 1e14: the bilinear image does not exist.
+    sys = StateSpace(np.diag([-1.0 + 1e-15, 0.5]), np.ones((2, 1)), np.ones((1, 2)),
+                     [[0.0]], dt=1.0)
+    with pytest.raises(NumericalFailure, match="condition number"):
+        hinf_norm_discrete(sys)
 
 
 @pytest.mark.parametrize("c2", [0.25, 0.5])

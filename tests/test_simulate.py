@@ -15,6 +15,7 @@ from cwcancel.simulate import (
     SimConfig,
     Waveform,
     noise_amplitude,
+    point_streams,
     simulate_chain,
     write_waveform_csv,
 )
@@ -31,8 +32,7 @@ def fast_wave(samples):
 
 @pytest.fixture(scope="module")
 def base_cfg(default_params, designed_controller):
-    return SimConfig(params=default_params, canceler="designed",
-                     controller=designed_controller, seed=123)
+    return SimConfig(params=default_params, controller=designed_controller, seed=123)
 
 
 class TestNoiseAmplitude:
@@ -57,8 +57,7 @@ class TestChain:
     def test_zero_input_zero_noise(self, base_cfg, designed_controller, default_params):
         tx = fast_wave(np.zeros((16 * 12, 2)))
         for kind in ("none", "designed", "perfect"):
-            cfg = replace(base_cfg, canceler=kind, **NOISE_OFF)
-            out = simulate_chain(cfg, tx)
+            out = simulate_chain(replace(base_cfg, **NOISE_OFF), tx, kind, 1.0)
             assert np.all(out.u.samples == 0.0)
             assert np.all(out.y_T.samples == 0.0)
             assert np.all(out.z.samples == 0.0)
@@ -67,16 +66,16 @@ class TestChain:
         cfg = replace(base_cfg, **NOISE_OFF)
         rng = np.random.default_rng(8)
         tx = rng.standard_normal((16 * 30, 2))
-        one = simulate_chain(cfg, fast_wave(tx))
-        five = simulate_chain(cfg, fast_wave(5.0 * tx))
+        one = simulate_chain(cfg, fast_wave(tx), "designed", 1.0)
+        five = simulate_chain(cfg, fast_wave(5.0 * tx), "designed", 1.0)
         assert np.abs(five.u.samples - 5.0 * one.u.samples).max() < 1e-10
         assert np.abs(five.y_T.samples - 5.0 * one.y_T.samples).max() < 1e-8
 
     def test_reproducibility(self, base_cfg):
         rng = np.random.default_rng(9)
         tx = fast_wave(rng.standard_normal((16 * 20, 2)))
-        a = simulate_chain(base_cfg, tx)
-        b = simulate_chain(base_cfg, tx)
+        a = simulate_chain(base_cfg, tx, "designed", 1.0)
+        b = simulate_chain(base_cfg, tx, "designed", 1.0)
         assert np.array_equal(a.y_T.samples, b.y_T.samples)
         assert np.array_equal(a.u.samples, b.u.samples)
 
@@ -87,9 +86,8 @@ class TestChain:
         tx = fast_wave(rng.standard_normal((16 * 40, 2)))
         outs = {}
         for kind in ("designed", "perfect"):
-            cfg = SimConfig(params=params, canceler=kind,
-                            controller=designed_controller, seed=42)
-            outs[kind] = simulate_chain(cfg, tx)
+            cfg = SimConfig(params=params, controller=designed_controller, seed=42)
+            outs[kind] = simulate_chain(cfg, tx, kind, 1.0)
         assert np.array_equal(outs["designed"].y_T.samples, outs["perfect"].y_T.samples)
 
     def test_perfect_is_coupling_gain_invariant(self, designed_controller, default_params):
@@ -98,25 +96,24 @@ class TestChain:
         tx = fast_wave(rng.standard_normal((16 * 40, 2)))
         outs = []
         for alpha in (0.0, 0.15, 0.6):
-            cfg = SimConfig(params=RelayParams(coupling_gain=alpha), canceler="perfect",
+            cfg = SimConfig(params=RelayParams(coupling_gain=alpha),
                             controller=designed_controller, seed=42)
-            outs.append(simulate_chain(cfg, tx).y_T.samples)
+            outs.append(simulate_chain(cfg, tx, "perfect", 1.0).y_T.samples)
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
 
     def test_none_transmits_nothing(self, base_cfg):
-        cfg = replace(base_cfg, canceler="none")
         rng = np.random.default_rng(12)
         tx = fast_wave(rng.standard_normal((16 * 10, 2)))
-        out = simulate_chain(cfg, tx)
+        out = simulate_chain(base_cfg, tx, "none", 1.0)
         assert np.all(out.u.samples == 0.0)
         assert np.array_equal(out.z.samples, tx.samples)
 
     def test_forward_gain_and_error_definitions(self, base_cfg):
-        cfg = replace(base_cfg, beta=0.25, relay_gain_db=20.0, **NOISE_OFF)
+        cfg = replace(base_cfg, relay_gain_db=20.0, **NOISE_OFF)
         rng = np.random.default_rng(13)
         tx = fast_wave(rng.standard_normal((16 * 10, 2)))
-        out = simulate_chain(cfg, tx)
+        out = simulate_chain(cfg, tx, "designed", 0.25)
         assert np.abs(out.y_T.samples - 0.25 * 10.0 * out.u.samples).max() < 1e-12
         assert np.abs(out.z.samples - (tx.samples - out.u.samples)).max() < 1e-12
 
@@ -125,7 +122,7 @@ class TestChain:
         rng = np.random.default_rng(14)
         n = 16 * 6250
         tx = fast_wave(rng.standard_normal((n, 2)))
-        out = simulate_chain(base_cfg, tx)
+        out = simulate_chain(base_cfg, tx, "designed", 1.0)
         early = np.abs(out.u.samples[:1000]).max()
         assert np.abs(out.u.samples).max() <= 100.0 * early
 
@@ -209,9 +206,9 @@ def oracle_cases(default_params, designed_controller):
 def test_matches_per_step_oracle(oracle_cases, case, kind):
     params, K = oracle_cases[case]
     tx = np.random.default_rng(16).standard_normal((16 * 40, 2))
-    cfg = SimConfig(params=params, canceler=kind, controller=K, seed=0, **NOISE_OFF)
+    cfg = SimConfig(params=params, controller=K, seed=0, **NOISE_OFF)
     wave = Waveform(tx, params.fsfh_ratio / params.sampling_period)
-    u = simulate_chain(cfg, wave).u.samples
+    u = simulate_chain(cfg, wave, kind, 1.0).u.samples
     ref = oracle_relay_output(params, None if kind == "none" else K, kind, tx)
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
     if kind != "none":
@@ -224,13 +221,13 @@ def test_matches_per_step_oracle(oracle_cases, case, kind):
        kind=st.sampled_from(["designed", "perfect"]))
 def test_noise_free_chain_is_linear_and_slow_rate_time_invariant(
         base_cfg, seed, periods, a, b, kind):
-    cfg = replace(base_cfg, canceler=kind, **NOISE_OFF)
+    cfg = replace(base_cfg, **NOISE_OFF)
     N = cfg.params.fsfh_ratio
     rng = np.random.default_rng(seed)
     x1, x2 = rng.standard_normal((2, N * periods, 2))
 
     def u(tx):
-        return simulate_chain(cfg, fast_wave(tx)).u.samples
+        return simulate_chain(cfg, fast_wave(tx), kind, 1.0).u.samples
 
     u1, u2 = u(x1), u(x2)
     scale = abs(a) * np.abs(u1).max() + abs(b) * np.abs(u2).max()
@@ -253,7 +250,7 @@ def test_none_loop_outputs_exact_zero(base_cfg):
     # exactly 0; run that loop here to pin it.
     from cwcancel.simulate import _period_maps, _PeriodKernel
 
-    kernel = _PeriodKernel(_period_maps(replace(base_cfg, canceler="none")))
+    kernel = _PeriodKernel(_period_maps(base_cfg, "none"))
     W = np.random.default_rng(18).standard_normal((40, 32, 3))
     U = advance_full(kernel, np.zeros((kernel.n_states, 3)), W)
     assert np.all(U == 0.0)
@@ -281,7 +278,7 @@ def period_maps(oracle_cases):
         "antialias": oracle_cases["antialias"],  # F = 100/(s+100): all of w reaches the loop
         "feedthrough": oracle_cases["feedthrough"],
     }
-    return {name: {kind: _period_maps(SimConfig(params=params, canceler=kind, controller=K))
+    return {name: {kind: _period_maps(SimConfig(params=params, controller=K), kind)
                    for kind in ("none", "designed")}
             for name, (params, K) in cases.items()}
 
@@ -340,8 +337,8 @@ class TestInputColumns:
         from cwcancel.simulate import _period_maps, _PeriodKernel
 
         K = bisect_gamma(lift(build_hybrid_plant(params)), tol=5e-3).controller
-        return [_PeriodKernel(_period_maps(SimConfig(params=params, canceler=kind,
-                                                     controller=K))).cols.tolist()
+        return [_PeriodKernel(_period_maps(SimConfig(params=params, controller=K),
+                                           kind)).cols.tolist()
                 for kind in ("designed", "perfect")]
 
     @pytest.mark.parametrize("N", [8, 16, 32])
@@ -359,10 +356,8 @@ class TestInputColumns:
 def test_in_place_draws_equal_whole_draws():
     # Drawing (n, 2) normals into a contiguous buffer consumes the stream
     # exactly as standard_normal((n, 2)) does, chunk after chunk.
-    from cwcancel.simulate import _philox
-
-    whole = _philox(7, 0, 0).standard_normal((1000, 2))
-    rng, buf = _philox(7, 0, 0), np.empty((3, 1000, 2))
+    whole = point_streams(7, 0)[0].standard_normal((1000, 2))
+    rng, buf = point_streams(7, 0)[0], np.empty((3, 1000, 2))
     chunks = []
     for n in (1, 255, 256, 488):
         rng.standard_normal(out=buf[1, :n])
@@ -377,8 +372,7 @@ def test_batch_terminal_noise_is_its_own_stream(base_cfg):
     from cwcancel.simulate import _ChainBatch
 
     points, n_fast = [0, 4, 11], 16 * 100
-    batch = _ChainBatch(replace(base_cfg, canceler="none"), ["none"], [1e-3, 1e-2, 1e-1],
-                        points)
+    batch = _ChainBatch(base_cfg, ["none"], [1e-3, 1e-2, 1e-1], points)
     assert batch.cols.size == 0
     y_t = np.concatenate([y for n in (16, 512, 48, 1024)
                           for _, _, y in batch.advance(np.zeros((n, 2, len(points))))])
@@ -392,11 +386,9 @@ def test_stream_keys_of_adjacent_seeds_are_disjoint():
     # Point i's n_RS, bits and n_T have keys (seed, 3 i + 0, 1, 2): over 12
     # points, base seeds s and s + 1 share no key, and neither does one
     # sweep's (point, stream) pairs among themselves.
-    from cwcancel.simulate import _philox
-
     s = 20260808
-    keys = [tuple(_philox(seed, i, k).bit_generator.state["state"]["key"])
-            for seed in (s, s + 1) for i in range(12) for k in range(3)]
+    keys = [tuple(rng.bit_generator.state["state"]["key"])
+            for seed in (s, s + 1) for i in range(12) for rng in point_streams(seed, i)]
     assert len(set(keys)) == len(keys) == 72
     assert keys[:3] == [(s, 0), (s, 1), (s, 2)]
 
@@ -413,16 +405,20 @@ def test_samples_no_loop_reads_do_not_reach_u(oracle_cases, case):
     rng = np.random.default_rng(21)
     tx = rng.standard_normal((periods * N, 2))
     for kind in ("designed", "perfect"):
-        cfg = SimConfig(params=params, canceler=kind, controller=K, seed=9)
-        cols = _PeriodKernel(_period_maps(cfg)).cols
+        cfg = SimConfig(params=params, controller=K, seed=9)
+        cols = _PeriodKernel(_period_maps(cfg, kind)).cols
         unread = np.setdiff1d(np.arange(2 * N), cols)
         assert unread.size == (2 * N - 2 if case == "defaults" else 0)
-        u = simulate_chain(cfg, fast_wave(tx)).u.samples
+
+        def relay_output(samples):
+            return simulate_chain(cfg, fast_wave(samples.reshape(-1, 2)), kind, 1.0).u.samples
+
+        u = relay_output(tx)
         changed = tx.reshape(periods, 2 * N).copy()
         changed[:, unread] += rng.standard_normal((periods, unread.size))
-        assert np.array_equal(simulate_chain(cfg, fast_wave(changed.reshape(-1, 2))).u.samples, u)
+        assert np.array_equal(relay_output(changed), u)
         changed[periods // 2, cols[-1]] += 1.0
-        assert not np.array_equal(simulate_chain(cfg, fast_wave(changed.reshape(-1, 2))).u.samples, u)
+        assert not np.array_equal(relay_output(changed), u)
 
 
 @pytest.mark.parametrize("case", ["defaults", "antialias"])
@@ -433,14 +429,13 @@ def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
     from cwcancel.simulate import _SCAN_BLOCK, _advance, _ChainBatch, _period_maps, _PeriodKernel
 
     params, K = oracle_cases[case]
-    cfg = SimConfig(params=params, canceler="designed", controller=K, seed=5,
-                    noise_t_dbm=-math.inf)
+    cfg = SimConfig(params=params, controller=K, seed=5, noise_t_dbm=-math.inf)
     N, chunks = params.fsfh_ratio, (_SCAN_BLOCK, 2 * _SCAN_BLOCK, _SCAN_BLOCK)
     for point in (0, 3):
         batch = _ChainBatch(cfg, ["designed"], [1.0], [point])
         u = np.concatenate([u for T in chunks
                             for _, u, _ in batch.advance(np.zeros((T * N, 2, 1)))])
-        kernel = _PeriodKernel(_period_maps(cfg))
+        kernel = _PeriodKernel(_period_maps(cfg, "designed"))
         key = np.array([cfg.seed, 3 * point], dtype=np.uint64)
         n_rs = np.random.Generator(np.random.Philox(key=key)).standard_normal(
             (sum(chunks), kernel.cols.size))
@@ -450,17 +445,16 @@ def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
 
 class TestDelayFree:
     def test_coupling_rejected(self, designed_controller):
-        cfg = SimConfig(params=RelayParams(delay_seconds=0.0), canceler="designed",
+        cfg = SimConfig(params=RelayParams(delay_seconds=0.0),
                         controller=designed_controller, seed=0)
         with pytest.raises(ModelError, match="delay-free"):
-            simulate_chain(cfg, fast_wave(np.zeros((16, 2))))
+            simulate_chain(cfg, fast_wave(np.zeros((16, 2))), "designed", 1.0)
 
     def test_designed_equals_perfect_without_coupling(self, designed_controller):
         params = RelayParams(delay_seconds=0.0, coupling_gain=0.0)
         tx = fast_wave(np.random.default_rng(17).standard_normal((16 * 20, 2)))
-        a, b = (simulate_chain(SimConfig(params=params, canceler=kind,
-                                         controller=designed_controller, seed=42), tx)
-                for kind in ("designed", "perfect"))
+        cfg = SimConfig(params=params, controller=designed_controller, seed=42)
+        a, b = (simulate_chain(cfg, tx, kind, 1.0) for kind in ("designed", "perfect"))
         assert np.any(a.u.samples != 0.0)
         assert np.array_equal(a.y_T.samples, b.y_T.samples)
 
@@ -471,37 +465,52 @@ class TestValidation:
             K=StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
                          np.zeros((2, 2)), dt=2.0),
             gamma_achieved=1.0)
-        cfg = SimConfig(params=default_params, canceler="designed", controller=K, seed=0)
+        cfg = SimConfig(params=default_params, controller=K, seed=0)
         with pytest.raises(ConfigError):
-            simulate_chain(cfg, fast_wave(np.zeros((16, 2))))
+            simulate_chain(cfg, fast_wave(np.zeros((16, 2))), "designed", 1.0)
 
     def test_length_must_be_whole_periods(self, base_cfg):
         with pytest.raises(ConfigError):
-            simulate_chain(base_cfg, fast_wave(np.zeros((17, 2))))
+            simulate_chain(base_cfg, fast_wave(np.zeros((17, 2))), "designed", 1.0)
 
     def test_rate_must_match(self, base_cfg):
         with pytest.raises(ConfigError):
-            simulate_chain(base_cfg, Waveform(np.zeros((32, 2)), 8.0))
+            simulate_chain(base_cfg, Waveform(np.zeros((32, 2)), 8.0), "designed", 1.0)
 
     def test_kind_validation(self, default_params):
-        with pytest.raises(ConfigError):
-            SimConfig(params=default_params, canceler="bogus", seed=0)
-        with pytest.raises(ConfigError):
-            SimConfig(params=default_params, canceler="designed", seed=0)
-        with pytest.raises(ConfigError):
-            SimConfig(params=default_params, canceler="perfect", seed=0)
+        # The kind is checked where its loop is built, by the one engine
+        # that both simulate_chain and sweep_beta run.
+        from cwcancel.ber import CommsConfig, sweep_beta
+
+        cfg = SimConfig(params=default_params, seed=0)
+        tx, cc = fast_wave(np.zeros((16, 2))), CommsConfig(n_symbols=10)
+        for kind, message in (("bogus", "must be one of"), ("designed", "requires a controller"),
+                              ("perfect", "requires a controller")):
+            with pytest.raises(ConfigError, match=message):
+                simulate_chain(cfg, tx, kind, 1.0)
+            with pytest.raises(ConfigError, match=message):
+                sweep_beta(cfg, cc, [1e-3], ["none", kind])
+        simulate_chain(cfg, tx, "none", 1.0)
+
+    @pytest.mark.parametrize("beta, message", [
+        (-1.0, "nonnegative"), (-math.inf, "nonnegative"), (math.inf, "finite"),
+        (math.nan, "finite"),
+    ])
+    def test_beta_validation(self, base_cfg, beta, message):
+        with pytest.raises(ConfigError, match=message):
+            simulate_chain(base_cfg, fast_wave(np.zeros((16, 2))), "designed", beta)
 
     @pytest.mark.parametrize("name, fits, overflows", [
         ("relay_gain_db", 6000.0, 6200.0), ("signal_dbm", 3000.0, 3090.0),
         ("noise_rs_dbm", 3000.0, 3090.0), ("noise_t_dbm", 3000.0, math.inf),
     ])
     def test_level_whose_linear_factor_overflows(self, default_params, name, fits, overflows):
-        SimConfig(params=default_params, canceler="none", **{name: fits})
+        SimConfig(params=default_params, **{name: fits})
         with pytest.raises(ConfigError, match=name):
-            SimConfig(params=default_params, canceler="none", **{name: overflows})
+            SimConfig(params=default_params, **{name: overflows})
 
     def test_noise_off_is_allowed(self, default_params):
-        SimConfig(params=default_params, canceler="none", **NOISE_OFF)
+        SimConfig(params=default_params, **NOISE_OFF)
 
     def test_waveform_validation(self):
         with pytest.raises(ValueError):
@@ -513,7 +522,7 @@ class TestValidation:
 def test_waveform_csv(tmp_path, base_cfg):
     rng = np.random.default_rng(15)
     tx = fast_wave(rng.standard_normal((16 * 4, 2)))
-    out = simulate_chain(base_cfg, tx)
+    out = simulate_chain(base_cfg, tx, "designed", 1.0)
     path = tmp_path / "waveform.csv"
     write_waveform_csv(path, tx, out)
     raw = path.read_bytes()

@@ -8,14 +8,13 @@ from conftest import scattering_probe
 from cwcancel import hnorm
 from cwcancel.hnorm import _sigma_max, exceeds, frequency_response, hinf_norm_discrete
 from cwcancel.lifting import LiftedPlant, closed_loop, lift
-from cwcancel.lti import StateSpace, spectral_radius
+from cwcancel.lti import (NumericalFailure, StateSpace, bilinear_to_continuous,
+                         bilinear_to_discrete, spectral_radius)
 from cwcancel.plant import RelayParams, build_hybrid_plant
 from cwcancel.synthesis import (
     PROBE_MARGIN,
     DigitalController,
     Infeasible,
-    bilinear_to_continuous,
-    bilinear_to_discrete,
     bisect_gamma,
     controller_from_dict,
     controller_to_dict,
@@ -115,6 +114,23 @@ class TestBilinear:
                 gd = max(gd, np.linalg.svd(Hd, compute_uv=False)[0])
             assert gd > 0
 
+    @pytest.mark.parametrize("pole, to_continuous", [(-1.0 + 1e-15, True), (1.0 - 1e-15, False)],
+                             ids=["to_continuous", "to_discrete"])
+    def test_singular_denominator_raises(self, pole, to_continuous):
+        """A denominator A + I (or alpha I - A at alpha = 1) whose condition
+        number exceeds 1e14 raises; A is never perturbed."""
+        A = np.diag([pole, 0.5])
+        sys = StateSpace(A, np.ones((2, 1)), np.ones((1, 2)), [[0.0]],
+                         dt=1.0 if to_continuous else None)
+        denominator = A + np.eye(2) if to_continuous else np.eye(2) - A
+        assert np.linalg.cond(denominator) > 1e14
+        with pytest.raises(NumericalFailure, match="condition number"):
+            if to_continuous:
+                bilinear_to_continuous(sys, 1.0)
+            else:
+                bilinear_to_discrete(sys, 1.0, 1.0)
+        assert np.array_equal(sys.A, A)
+
 
 class TestProbe:
     def test_decoupled_feasible(self):
@@ -204,6 +220,30 @@ class TestProbe:
                             lambda *args: calls.append(args) or real(*args))
         assert isinstance(synthesize_at_gamma(Gl, PINNED[32][1]), DigitalController)
         assert calls == []
+
+    @pytest.mark.parametrize("gamma, verdict", [
+        (0.1, "d11"), (0.2, "care_y"), (0.265, "coupling"), (0.3, None),
+    ])
+    def test_verdicts_on_the_default_plant(self, default_lifted, gamma, verdict):
+        """Each probe condition fails on the default lifted plant at some
+        level: the D11 bound, the estimation Riccati, then the coupling."""
+        res = synthesize_at_gamma(default_lifted, gamma)
+        if verdict is None:
+            assert isinstance(res, DigitalController)
+        else:
+            assert isinstance(res, Infeasible) and res.reason == verdict
+
+    def test_singular_controller_map_is_infeasible(self, default_lifted, monkeypatch):
+        """A bilinear map that fails inside a probe rejects the probe."""
+        import cwcancel.synthesis as synthesis
+
+        def singular(*args):
+            raise NumericalFailure("bilinear map: alpha I - A has condition number 1e+16")
+
+        monkeypatch.setattr(synthesis, "bilinear_to_discrete", singular)
+        res = synthesize_at_gamma(default_lifted, 0.3)
+        assert isinstance(res, Infeasible) and res.reason == "closed_loop"
+        assert "condition number" in res.detail
 
     def test_rejects_bad_gamma(self):
         Gl = make_plant(A=0.5, B1=1.0, B2=1.0, C1=1.0, C2=1.0,
