@@ -30,9 +30,8 @@ from .synthesis import (
     save_controller,
     load_controller,
 )
-from .simulate import SimConfig, Waveform, SimOutput, ConfigError, noise_amplitude, simulate_chain
+from .simulate import SimConfig, SimOutput, ConfigError, noise_amplitude, simulate_chain
 from .ber import (
-    CommsConfig,
     BerPoint,
     BerCurve,
     FramingError,

@@ -9,8 +9,9 @@ inside a fast step), so each window sees exactly its own symbol.
 Monte Carlo points carry Wilson 95% intervals.  Beta point i of a sweep
 draws its n_RS, bits and n_T from :func:`simulate.point_streams`, shared by
 every canceler kind at that point (common random numbers); no two points of
-any two base seeds share a key.  Samples per symbol are derived from the
-relay timing at each use (:func:`samples_per_symbol`), never stored.
+any two base seeds share a key.  A :class:`simulate.SimConfig` describes
+the whole channel, symbol timing included, and derives samples per symbol
+and every linear factor that modulation and detection read.
 
 A sweep is one streaming pass (:func:`_error_counts`): each kind's period
 map is built once, all beta points of a kind advance together through the
@@ -30,14 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import SimConfig, Waveform, _ChainBatch, noise_amplitude, point_streams
+from .simulate import SimConfig, _ChainBatch, _iq_samples, point_streams
 
 __all__ = [
-    "CommsConfig",
     "BerPoint",
     "BerCurve",
     "FramingError",
-    "samples_per_symbol",
     "modulate",
     "demodulate",
     "sweep_beta",
@@ -54,19 +53,7 @@ GRID_BER_LOW = 1e-4  # ... at the high-beta end, unless the RS-noise floor sits 
 
 
 class FramingError(ValueError):
-    """Waveform length is not a whole number of symbols."""
-
-
-@dataclass
-class CommsConfig:
-    symbol_period: float = 2.0
-    n_symbols: int = 10000
-
-    def __post_init__(self):
-        if not self.symbol_period > 0:
-            raise ValueError("symbol_period must be positive")
-        if self.n_symbols < 1:
-            raise ValueError("n_symbols must be at least 1")
+    """A sample count is not a whole number of symbols."""
 
 
 @dataclass
@@ -87,17 +74,6 @@ class BerCurve:
         betas = [p.beta for p in self.points]
         if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("BER curve requires strictly increasing beta values")
-
-
-def samples_per_symbol(cc: CommsConfig, params) -> int:
-    """Fast samples per symbol: N per slow period of the relay timing ``params``."""
-    h, N = params.sampling_period, params.fsfh_ratio
-    periods = cc.symbol_period / h
-    if abs(periods - round(periods)) > 1e-9:
-        raise ValueError(
-            f"symbol period {cc.symbol_period} must be an integer multiple of h={h}"
-        )
-    return int(round(periods)) * N
 
 
 def q_function(x: float) -> float:
@@ -121,21 +97,18 @@ def wilson_interval(errors: int, trials: int) -> tuple:
     return (min(max(0.0, center - half), p), max(min(1.0, center + half), p))
 
 
-def modulate(bits, cc: CommsConfig, params, signal_dbm: float) -> Waveform:
-    """Map bits to a rectangular-pulse BPSK waveform at the fast rate of ``params``.
+def modulate(bits, cfg: SimConfig) -> np.ndarray:
+    """Map bits to rectangular-pulse BPSK I/Q samples (n sps, 2) at the fast rate.
 
     Bit 0 -> -A, bit 1 -> +A on the I component (Q stays zero), with
-    A = sqrt(10^(signal_dbm/10)) so the configured power is the per-sample
+    A = ``cfg.signal_amplitude`` so the configured power is the per-sample
     signal power.
     """
-    sps = samples_per_symbol(cc, params)
-    samples = _bpsk(np.asarray(bits, dtype=int).ravel(), sps, signal_dbm)
-    return Waveform(samples, sps / cc.symbol_period)
+    return _bpsk(np.asarray(bits, dtype=int).ravel(), cfg.sps, cfg.signal_amplitude)
 
 
-def _bpsk(bits: np.ndarray, sps: int, signal_dbm: float) -> np.ndarray:
+def _bpsk(bits: np.ndarray, sps: int, amp: float) -> np.ndarray:
     """:func:`modulate`'s samples for bits (n,) or (n, P): (n sps, 2) or (n sps, 2, P)."""
-    amp = math.sqrt(10.0 ** (signal_dbm / 10.0)) if signal_dbm != -math.inf else 0.0
     samples = np.zeros((bits.shape[0] * sps, 2) + bits.shape[1:])
     samples[:, 0] = np.repeat(amp * (2.0 * bits - 1.0), sps, axis=0)
     return samples
@@ -166,21 +139,20 @@ def _decision_windows(samples: np.ndarray, sps: int, offset: int = 0) -> np.ndar
     return _windows(samples, sps, offset, None, True)[0]
 
 
-def demodulate(y: Waveform, cc: CommsConfig, params, phase_ref,
-               align_offset: int = 0) -> np.ndarray:
-    """Integrate-and-dump detection against a 2-vector phase reference.
+def demodulate(y, cfg: SimConfig, phase_ref, align_offset: int = 0) -> np.ndarray:
+    """Integrate-and-dump detection of I/Q samples y (n, 2) against a 2-vector phase reference.
 
     ``align_offset`` delays the integration windows by that many fast
     samples; the relay receiver uses one sample so each window sees only its
     own symbol's settled hold values (the post filter settles well inside a
     fast step).  Leave it at zero for a plain channel.
     """
-    sps = samples_per_symbol(cc, params)
-    n = y.samples.shape[0]
+    y, sps = _iq_samples(y), cfg.sps
+    n = y.shape[0]
     if n % sps != 0:
         raise FramingError(f"waveform length {n} is not a multiple of {sps} samples/symbol")
     ref = np.asarray(phase_ref, dtype=float).reshape(2)
-    means = _decision_windows(y.samples, sps, align_offset).mean(axis=1)
+    means = _decision_windows(y, sps, align_offset).mean(axis=1)
     stat = means @ ref
     return (stat > 0.0).astype(int)
 
@@ -189,15 +161,13 @@ _CHAIN_ALIGN = 1  # relay receiver window offset, in fast samples
 _CHUNK_SYMBOLS = 64  # symbols per streamed chunk of a BER run
 
 
-def _pilot_reference(cfg: SimConfig, batch, kind: str, cc: CommsConfig) -> np.ndarray:
+def _pilot_reference(cfg: SimConfig, batch, kind: str) -> np.ndarray:
     """Gain/rotation reference from a short noise-free all-ones pilot run of
     one kind of a :class:`_ChainBatch` of ``cfg``, at the batch's first point."""
-    wave = modulate(np.ones(8, dtype=int), cc, cfg.params, cfg.signal_dbm)
-    y_t = batch.pilot(kind, wave.samples)
-    sps = samples_per_symbol(cc, cfg.params)
+    y_t = batch.pilot(kind, modulate(np.ones(8, dtype=int), cfg))
     # A divergent loop's pilot can stay finite and still overflow here.
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = _decision_windows(y_t, sps, _CHAIN_ALIGN)[-1].mean(axis=0)
+        vec = _decision_windows(y_t, cfg.sps, _CHAIN_ALIGN)[-1].mean(axis=0)
         norm = float(np.linalg.norm(vec))
     if not np.isfinite(norm):
         raise FloatingPointError("pilot output overflows")
@@ -206,20 +176,20 @@ def _pilot_reference(cfg: SimConfig, batch, kind: str, cc: CommsConfig) -> np.nd
     return vec / norm
 
 
-def _error_counts(cfg: SimConfig, cc: CommsConfig, kinds, betas) -> dict:
+def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
     """Bit errors per canceler kind at each beta point, streamed.
 
     Point i's bits and chain noise (:func:`point_streams`) are drawn
     once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by all kinds; the
     points of a kind advance together as the columns of one loop state.
     Decisions are scored as each chunk arrives, so memory is bounded by the
-    chunk, not by ``cc.n_symbols``.  The noise-free pilot is only scaled by
+    chunk, not by ``cfg.n_symbols``.  The noise-free pilot is only scaled by
     beta, so each kind's reference comes from one pilot at the first point.
     """
-    sps, n_symbols = samples_per_symbol(cc, cfg.params), cc.n_symbols
+    sps, amp, n_symbols = cfg.sps, cfg.signal_amplitude, cfg.n_symbols
     points = range(len(betas))
     batch = _ChainBatch(cfg, kinds, betas, points)
-    refs = {kind: _pilot_reference(cfg, batch, kind, cc) for kind in kinds}
+    refs = {kind: _pilot_reference(cfg, batch, kind) for kind in kinds}
     bit_rngs = [point_streams(cfg.seed, i)[1] for i in points]
     errors = {kind: np.zeros(len(betas), dtype=int) for kind in kinds}
     tails = dict.fromkeys(kinds)
@@ -227,7 +197,7 @@ def _error_counts(cfg: SimConfig, cc: CommsConfig, kinds, betas) -> dict:
     for start in range(0, n_symbols, _CHUNK_SYMBOLS):
         n = min(_CHUNK_SYMBOLS, n_symbols - start)
         bits = np.stack([rng.integers(0, 2, size=n) for rng in bit_rngs], axis=1)
-        tx = _bpsk(bits, sps, cfg.signal_dbm)
+        tx = _bpsk(bits, sps, amp)
         unscored = np.concatenate([unscored, bits])
         for kind, _, y_t in batch.advance(tx):
             windows, tails[kind] = _windows(y_t, sps, _CHAIN_ALIGN, tails[kind],
@@ -243,33 +213,36 @@ def _ber_point(beta: float, errors: int, trials: int) -> BerPoint:
                     ber=errors / trials, ci95=wilson_interval(errors, trials))
 
 
-def sweep_beta(cfg_base: SimConfig, cc: CommsConfig, betas, cancelers) -> list:
+def sweep_beta(cfg: SimConfig, betas, cancelers) -> list:
     """One BER curve per canceler kind over a common beta grid.
 
     Beta index i is sweep point i, whose streams every kind shares, so the
     curves are paired.  All points of a kind run as one batch (see
-    :func:`_error_counts`).  Canceler kinds must be distinct.  A one-beta,
-    one-kind sweep is a single BER estimate at sweep point 0.
+    :func:`_error_counts`).  Kinds must be distinct; betas finite, positive
+    and distinct.  A one-beta, one-kind sweep is a single BER estimate at
+    sweep point 0.
     """
     if len(set(cancelers)) != len(cancelers):
         raise ValueError(f"canceler kinds must be distinct, got {list(cancelers)}")
     betas = [float(b) for b in betas]
     if not betas:
         raise ValueError("beta grid must be nonempty")
+    if not all(math.isfinite(b) for b in betas):
+        raise ValueError(f"beta values must be finite, got {betas}")
     if any(b <= 0 for b in betas):
         raise ValueError("beta values must be positive")
     betas = sorted(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta values must be distinct")
-    errors = _error_counts(cfg_base, cc, cancelers, betas)
+    errors = _error_counts(cfg, cancelers, betas)
     return [
-        BerCurve(points=[_ber_point(beta, int(e), cc.n_symbols)
+        BerCurve(points=[_ber_point(beta, int(e), cfg.n_symbols)
                          for beta, e in zip(betas, errors[kind])], canceler_kind=kind)
         for kind in cancelers
     ]
 
 
-def forwarding_ber_model(cfg: SimConfig, cc: CommsConfig, beta: float) -> float:
+def forwarding_ber_model(cfg: SimConfig, beta: float) -> float:
     """Closed-form BER for an idealized unit-gain sample-forwarding relay.
 
     The relay holds one clean-plus-noise sample per slow period, so a symbol
@@ -278,33 +251,29 @@ def forwarding_ber_model(cfg: SimConfig, cc: CommsConfig, beta: float) -> float:
     the canceler chain shifts the real curves by its own in-band gain, which
     does not matter for grid placement.
     """
-    sps = samples_per_symbol(cc, cfg.params)
+    sps, g = cfg.sps, cfg.relay_gain
     m = sps // cfg.params.fsfh_ratio
-    g = 10.0 ** (cfg.relay_gain_db / 20.0)
-    amp = math.sqrt(10.0 ** (cfg.signal_dbm / 10.0))
-    sigma_rs = noise_amplitude(cfg.noise_rs_dbm)
-    sigma_t = noise_amplitude(cfg.noise_t_dbm)
-    var = (beta * g * sigma_rs) ** 2 / m + sigma_t ** 2 / sps
+    var = (beta * g * cfg.sigma_rs) ** 2 / m + cfg.sigma_t ** 2 / sps
     if var == 0.0:
         return 0.0
-    return q_function(beta * g * amp / math.sqrt(var))
+    return q_function(beta * g * cfg.signal_amplitude / math.sqrt(var))
 
 
-def default_beta_grid(cfg: SimConfig, cc: CommsConfig, n_points: int = 12) -> np.ndarray:
+def default_beta_grid(cfg: SimConfig, n_points: int = 12) -> np.ndarray:
     """Log-spaced beta grid spanning BER [GRID_BER_LOW, GRID_BER_HIGH] of the ideal chain.
 
     Endpoints are located by bisection on the closed-form forwarding model;
     the low-BER end is clipped just above the RS-noise floor when the floor
     sits above the requested target.
     """
-    floor = forwarding_ber_model(cfg, cc, 1e12)
+    floor = forwarding_ber_model(cfg, 1e12)
     target_low = max(GRID_BER_LOW, floor * 1.2)
 
     def solve_for(target):
         lo, hi = 1e-9, 1e3
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            if forwarding_ber_model(cfg, cc, mid) > target:
+            if forwarding_ber_model(cfg, mid) > target:
                 lo = mid
             else:
                 hi = mid

@@ -4,8 +4,8 @@ Configuration lives in one JSON document with the full set of simulation
 defaults compiled in, so ``cwcancel design`` runs with no config at all.
 :func:`load_config` is the one place a config value is checked: unknown
 keys and values of the wrong JSON type are rejected with the offending JSON
-path, and the relay/sim/comms sections then build RelayParams, SimConfig
-and CommsConfig by field name.  All artifacts (controller.json,
+path, and the relay section then builds RelayParams, and the sim and comms
+sections one SimConfig, by field name.  All artifacts (controller.json,
 report.json, certification.json, ber_curves.csv, waveform.csv) are
 deterministic functions of the config and seed.
 
@@ -24,7 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-from .ber import CommsConfig, default_beta_grid, modulate, sweep_beta, write_ber_csv
+from .ber import default_beta_grid, modulate, sweep_beta, write_ber_csv
 from .hnorm import UnstableSystemError
 from .lifting import lift
 from .lti import NumericalFailure, StateSpace, step_matches
@@ -176,9 +176,9 @@ def _controller(args, params: RelayParams, kinds):
 
 
 def _sim_config(cfg, params: RelayParams, controller) -> SimConfig:
-    """The shared channel of the sim section; its beta only feeds ``simulate``."""
+    """The shared channel of the sim and comms sections; sim.beta feeds only ``simulate``."""
     sim = {key: value for key, value in cfg["sim"].items() if key != "beta"}
-    return SimConfig(params=params, **sim, controller=controller)
+    return SimConfig(params=params, **sim, **cfg["comms"], controller=controller)
 
 
 def cmd_design(args) -> int:
@@ -229,15 +229,14 @@ def cmd_simulate(args) -> int:
     if args.symbols is not None and args.symbols < 1:
         raise ConfigFileError("--symbols must be at least 1")
     sim = _sim_config(cfg, params, _controller(args, params, [args.canceler]))
-    cc = CommsConfig(**cfg["comms"])
-    n_symbols = min(cc.n_symbols, 200) if args.symbols is None else args.symbols
+    n_symbols = min(sim.n_symbols, 200) if args.symbols is None else args.symbols
     bits = point_streams(sim.seed, 0)[1].integers(0, 2, size=n_symbols)
-    wave = modulate(bits, cc, params, sim.signal_dbm)
-    out = simulate_chain(sim, wave, args.canceler, cfg["sim"]["beta"])
+    tx = modulate(bits, sim)
+    out = simulate_chain(sim, tx, args.canceler, cfg["sim"]["beta"])
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "waveform.csv"
-    write_waveform_csv(path, wave, out)
-    print(f"wrote {path} ({wave.samples.shape[0]} fast samples)")
+    write_waveform_csv(path, sim, tx, out)
+    print(f"wrote {path} ({tx.shape[0]} fast samples)")
     return EXIT_OK
 
 
@@ -245,14 +244,13 @@ def cmd_sweep(args) -> int:
     cfg, params, outdir = _setup(args)
     cancelers = args.cancelers.split(",") if args.cancelers else cfg["sweep"]["cancelers"]
     sim = _sim_config(cfg, params, _controller(args, params, cancelers))
-    cc = CommsConfig(**cfg["comms"])
     if args.betas:
         betas = [float(b) for b in args.betas.split(",")]
     elif cfg["sweep"]["betas"] == "auto":
-        betas = default_beta_grid(sim, cc, n_points=cfg["sweep"]["n_points"])
+        betas = default_beta_grid(sim, n_points=cfg["sweep"]["n_points"])
     else:
         betas = cfg["sweep"]["betas"]
-    curves = sweep_beta(sim, cc, betas, cancelers)
+    curves = sweep_beta(sim, betas, cancelers)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "ber_curves.csv"
     write_ber_csv(path, curves)

@@ -42,8 +42,10 @@ Canceler kinds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
+from numbers import Integral
 
 import numpy as np
 
@@ -56,7 +58,6 @@ __all__ = [
     "CANCELER_KINDS",
     "CONTROLLED_KINDS",
     "SimConfig",
-    "Waveform",
     "SimOutput",
     "ConfigError",
     "noise_amplitude",
@@ -74,25 +75,15 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class Waveform:
-    """I/Q samples at the fast rate: samples has shape (n, 2)."""
-
-    samples: np.ndarray
-    rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 2 or self.samples.shape[1] != 2:
-            raise ValueError(f"waveform samples must be (n, 2), got {self.samples.shape}")
-        if self.samples.shape[0] == 0:
-            raise ValueError("waveform must contain at least one sample")
-        if not self.rate > 0:
-            raise ValueError("waveform rate must be positive")
-
-
-@dataclass
 class SimConfig:
-    """The channel that every run shares; a run's kind and beta are arguments."""
+    """The channel that every run of a sweep shares; a run's kind and beta are arguments.
+
+    The linear factors a run reads are derived here, and only here, from
+    the stored levels: a power of P dBm is 10^(P/10) power units, and a
+    gain of G dB scales amplitudes by 10^(G/20).  Construction checks that
+    each factor is finite and that a symbol lasts a whole number of slow
+    periods.
+    """
 
     params: RelayParams
     relay_gain_db: float = 60.0
@@ -100,27 +91,69 @@ class SimConfig:
     noise_t_dbm: float = -2.0
     signal_dbm: float = 0.0
     seed: int = 0
+    symbol_period: float = 2.0
+    n_symbols: int = 10000
     controller: DigitalController | None = None
 
     def __post_init__(self):
+        for name in ("seed", "n_symbols"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise ConfigError("seed must be a 64-bit unsigned integer")
+        if self.n_symbols < 1:
+            raise ConfigError("n_symbols must be at least 1")
+        if not 0 < self.symbol_period < math.inf:
+            raise ConfigError("symbol_period must be positive and finite")
         for name in ("relay_gain_db", "signal_dbm"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        # Each level becomes the linear factor 10 ** (level / dB per decade).
-        for name, db_per_decade in (("relay_gain_db", 20.0), ("signal_dbm", 10.0),
-                                    ("noise_rs_dbm", 10.0), ("noise_t_dbm", 10.0)):
+        self.sps  # raises unless a symbol is whole slow periods
+        for name, factor in (("relay_gain_db", "relay_gain"), ("signal_dbm", "signal_amplitude"),
+                             ("noise_rs_dbm", "sigma_rs"), ("noise_t_dbm", "sigma_t")):
             with np.errstate(over="ignore"):
-                if np.isinf(np.power(10.0, getattr(self, name) / db_per_decade)):
-                    raise ConfigError(f"{name} = {getattr(self, name)} overflows its linear factor")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ConfigError("seed must be a 64-bit unsigned integer")
+                try:
+                    finite = math.isfinite(getattr(self, factor))
+                except OverflowError:  # a Python float's power overflows by raising
+                    finite = False
+            if not finite:
+                raise ConfigError(f"{name} = {getattr(self, name)} overflows its linear factor")
+
+    @property
+    def sps(self) -> int:
+        """Fast samples per symbol: N per slow period of the relay timing."""
+        h, N = self.params.sampling_period, self.params.fsfh_ratio
+        periods = self.symbol_period / h
+        if abs(periods - round(periods)) > 1e-9:
+            raise ConfigError(f"symbol period {self.symbol_period} must be an integer "
+                              f"multiple of h={h}")
+        return int(round(periods)) * N
+
+    @property
+    def relay_gain(self) -> float:
+        """The relay's forward amplitude gain."""
+        return 10.0 ** (self.relay_gain_db / 20.0)
+
+    @property
+    def signal_amplitude(self) -> float:
+        """The BPSK amplitude A, whose square is the per-sample signal power."""
+        return math.sqrt(10.0 ** (self.signal_dbm / 10.0))
+
+    @property
+    def sigma_rs(self) -> float:
+        return noise_amplitude(self.noise_rs_dbm)
+
+    @property
+    def sigma_t(self) -> float:
+        return noise_amplitude(self.noise_t_dbm)
 
 
 @dataclass
 class SimOutput:
-    y_T: Waveform
-    u: Waveform
-    z: Waveform
+    y_T: np.ndarray
+    u: np.ndarray
+    z: np.ndarray
 
 
 def noise_amplitude(p_dbm: float) -> float:
@@ -132,6 +165,16 @@ def noise_amplitude(p_dbm: float) -> float:
     if np.isnan(p_dbm):
         raise ValueError("noise power must not be NaN")
     return float(np.sqrt(10.0 ** (p_dbm / 10.0) / 2.0))
+
+
+def _iq_samples(samples) -> np.ndarray:
+    """Outside I/Q samples as a float (n, 2) array with n >= 1."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 2:
+        raise ValueError(f"waveform samples must be (n, 2), got {samples.shape}")
+    if samples.shape[0] == 0:
+        raise ValueError("waveform must contain at least one sample")
+    return samples
 
 
 def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
@@ -280,9 +323,8 @@ class _ChainBatch:
         read = [kernel.cols for kind, (kernel, _) in self.kernels.items() if kind != "none"]
         self.cols = reduce(np.union1d, read, np.zeros(0, dtype=np.intp))
         self.N = cfg.params.fsfh_ratio
-        self.scale = np.array([beta * 10.0 ** (cfg.relay_gain_db / 20.0) for beta in betas])
-        self.sigma_rs = noise_amplitude(cfg.noise_rs_dbm)
-        self.sigma_t = noise_amplitude(cfg.noise_t_dbm)
+        self.scale = np.array([beta * cfg.relay_gain for beta in betas])
+        self.sigma_rs, self.sigma_t = cfg.sigma_rs, cfg.sigma_t
         self.rs, _, self.t = zip(*(point_streams(cfg.seed, i) for i in points))
         self.step = 0
 
@@ -330,49 +372,40 @@ class _ChainBatch:
         return self.scale[0] * u.reshape(tx.shape)
 
 
-def simulate_chain(cfg: SimConfig, tx: Waveform, kind: str, beta: float) -> SimOutput:
-    """Run the relay chain with canceler ``kind`` on a fast-rate input waveform.
+def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
+    """Run the relay chain with canceler ``kind`` on fast-rate I/Q samples tx (n, 2).
 
-    The returned ``z`` is the cancelation error tx - u against the noise-free
-    incoming signal; ``y_T`` is the terminal-side received waveform
-    beta * g * u + n_T with g the relay amplitude gain.  This is the
-    one-run case of the batched engine the BER sweeps use, at sweep point 0
-    of ``cfg.seed``.
+    Each output is (n, 2) like tx: ``z`` is the cancelation error tx - u
+    against the noise-free incoming signal; ``y_T`` is the terminal-side
+    received waveform beta * g * u + n_T with g the relay amplitude gain.
+    This is the one-run case of the batched engine the BER sweeps use, at
+    sweep point 0 of ``cfg.seed``.
     """
     if beta < 0:
         raise ConfigError("beta must be nonnegative")
     if not np.isfinite(beta):
         raise ConfigError("beta must be finite")
-    prm = cfg.params
-    N = prm.fsfh_ratio
-    n_fast = tx.samples.shape[0]
+    tx = _iq_samples(tx)
+    N, n_fast = cfg.params.fsfh_ratio, tx.shape[0]
     if n_fast % N != 0:
         raise ConfigError(f"waveform length {n_fast} is not a multiple of the FSFH ratio {N}")
-    expected_rate = N / prm.sampling_period
-    if abs(tx.rate - expected_rate) > 1e-9 * expected_rate:
-        raise ConfigError(f"waveform rate {tx.rate} != fast rate {expected_rate}")
-
     batch = _ChainBatch(cfg, [kind], [beta], [0])
-    ((_, u, y_t),) = batch.advance(tx.samples[:, :, None])
-    u, y_t = u.reshape(n_fast, 2), y_t[:, :, 0]
-    rate = tx.rate
-    return SimOutput(
-        y_T=Waveform(y_t, rate), u=Waveform(u, rate), z=Waveform(tx.samples - u, rate)
-    )
+    ((_, u, y_t),) = batch.advance(tx[:, :, None])
+    u = u.reshape(n_fast, 2)
+    return SimOutput(y_T=y_t[:, :, 0], u=u, z=tx - u)
 
 
-def write_waveform_csv(path, tx: Waveform, out: SimOutput) -> None:
+def write_waveform_csv(path, cfg: SimConfig, tx: np.ndarray, out: SimOutput) -> None:
     """Dump a run as RFC-4180 CSV: t, v, u, z, yT with I/Q columns."""
     import csv
 
-    n = tx.samples.shape[0]
-    t = np.arange(n) / tx.rate
+    n = tx.shape[0]
+    t = np.arange(n) / (cfg.sps / cfg.symbol_period)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["t", "v_i", "v_q", "u_i", "u_q", "z_i", "z_q", "yT_i", "yT_q"])
         for i in range(n):
             writer.writerow(
                 [f"{t[i]:.9g}"]
-                + [f"{v:.12g}" for v in (*tx.samples[i], *out.u.samples[i],
-                                          *out.z.samples[i], *out.y_T.samples[i])]
+                + [f"{v:.12g}" for v in (*tx[i], *out.u[i], *out.z[i], *out.y_T[i])]
             )

@@ -8,21 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from cwcancel.ber import (
-    CommsConfig,
-    default_beta_grid,
-    demodulate,
-    modulate,
-    q_function,
-    samples_per_symbol,
-    sweep_beta,
-)
+from cwcancel.ber import default_beta_grid, demodulate, modulate, q_function, sweep_beta
 from cwcancel.hnorm import hinf_norm_discrete
 from cwcancel.lifting import closed_loop, lift
 from cwcancel.lti import StateSpace, discretize_zoh, spectral_radius
 from cwcancel.plant import RelayParams, build_hybrid_plant, carrier_rotation
 from cwcancel.riccati import solve_care
-from cwcancel.simulate import SimConfig, Waveform, simulate_chain
+from cwcancel.simulate import SimConfig, simulate_chain
 
 
 def report(number: int, ok: bool, text: str) -> None:
@@ -33,11 +25,11 @@ def report(number: int, ok: bool, text: str) -> None:
 @pytest.fixture(scope="module")
 def sweep_results(default_params, designed_controller):
     """Timed 12-point sweep at 10000 symbols for all three canceler kinds."""
-    cfg = SimConfig(params=default_params, controller=designed_controller, seed=20260808)
-    cc = CommsConfig(symbol_period=2.0, n_symbols=10000)
-    betas = default_beta_grid(cfg, cc, n_points=12)
+    cfg = SimConfig(params=default_params, controller=designed_controller, seed=20260808,
+                    symbol_period=2.0, n_symbols=10000)
+    betas = default_beta_grid(cfg, n_points=12)
     t0 = time.perf_counter()
-    curves = sweep_beta(cfg, cc, betas, ["none", "designed", "perfect"])
+    curves = sweep_beta(cfg, betas, ["none", "designed", "perfect"])
     elapsed = time.perf_counter() - t0
     return {c.canceler_kind: c for c in curves}, elapsed
 
@@ -176,21 +168,20 @@ def test_criterion_6_fsfh_convergence():
 def test_criterion_7_awgn_calibration(default_params):
     # Relay bypassed: the modulated waveform plus white Gaussian noise goes
     # straight to the detector.
-    cc = CommsConfig(symbol_period=2.0, n_symbols=10000)
-    sps = samples_per_symbol(cc, default_params)
+    chan = SimConfig(params=default_params, signal_dbm=0.0, symbol_period=2.0, n_symbols=10000)
+    sps = chan.sps
     rng = np.random.default_rng(20260808)
     ok = True
     detail = []
     for ebn0_db in (0.0, 2.0, 4.0, 6.0):
         ebn0 = 10.0 ** (ebn0_db / 10.0)
-        bits = rng.integers(0, 2, size=cc.n_symbols)
-        wave = modulate(bits, cc, default_params, 0.0)
+        bits = rng.integers(0, 2, size=chan.n_symbols)
+        wave = modulate(bits, chan)
         sigma = math.sqrt(sps / (2.0 * ebn0))
-        noisy = Waveform(wave.samples + sigma * rng.standard_normal(wave.samples.shape),
-                         wave.rate)
-        ber = float(np.mean(demodulate(noisy, cc, default_params, [1.0, 0.0]) != bits))
+        noisy = wave + sigma * rng.standard_normal(wave.shape)
+        ber = float(np.mean(demodulate(noisy, chan, [1.0, 0.0]) != bits))
         p = q_function(math.sqrt(2.0 * ebn0))
-        tol = 3.0 * math.sqrt(p * (1.0 - p) / cc.n_symbols)
+        tol = 3.0 * math.sqrt(p * (1.0 - p) / chan.n_symbols)
         ok = ok and abs(ber - p) <= tol
         detail.append(f"{ebn0_db:.0f}dB:{ber:.4f}/{p:.4f}")
     report(7, ok, f"BER matches Q(sqrt(2 Eb/N0)) within 3 sigma ({', '.join(detail)})")
@@ -213,9 +204,8 @@ def test_criterion_8_time_domain_certificate(default_params, designed_controller
         rng = np.random.default_rng(9000 + trial)
         w = rng.standard_normal((n_fast, 2))
         tx = np.column_stack([lfilter(b, a, w[:, 0]), lfilter(b, a, w[:, 1])])
-        out = simulate_chain(cfg, Waveform(tx, N / default_params.sampling_period),
-                             "designed", 1.0)
-        worst = max(worst, np.linalg.norm(out.z.samples) / np.linalg.norm(w))
+        out = simulate_chain(cfg, tx, "designed", 1.0)
+        worst = max(worst, np.linalg.norm(out.z) / np.linalg.norm(w))
     ok = worst <= bound
     report(8, ok, f"time-domain ||z||/||w|| over 20 runs: worst {worst:.4f} <= {bound:.4f}")
 

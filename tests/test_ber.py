@@ -7,25 +7,24 @@ import pytest
 from cwcancel.ber import (
     BerCurve,
     BerPoint,
-    CommsConfig,
     FramingError,
     default_beta_grid,
     demodulate,
     forwarding_ber_model,
     modulate,
     q_function,
-    samples_per_symbol,
     sweep_beta,
     wilson_interval,
     write_ber_csv,
 )
 from cwcancel.plant import RelayParams
-from cwcancel.simulate import SimConfig, Waveform
+from cwcancel.simulate import ConfigError, SimConfig
 
 
 @pytest.fixture(scope="module")
-def cc16():
-    return CommsConfig(symbol_period=2.0, n_symbols=100)
+def chan(default_params):
+    """A plain channel: 32 fast samples per symbol at 0 dBm."""
+    return SimConfig(params=default_params, symbol_period=2.0, n_symbols=100)
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +32,9 @@ def base_cfg(default_params, designed_controller):
     return SimConfig(params=default_params, controller=designed_controller, seed=777)
 
 
-def one_point(cfg, cc, kind, beta):
+def one_point(cfg, kind, beta):
     """A single BER estimate: the one point of a one-beta, one-kind sweep."""
-    (curve,) = sweep_beta(cfg, cc, [beta], [kind])
+    (curve,) = sweep_beta(cfg, [beta], [kind])
     (point,) = curve.points
     return point
 
@@ -68,70 +67,65 @@ class TestWilson:
 
 
 class TestModDemod:
-    def test_single_zero_bit(self, cc16, default_params):
-        cc = replace(cc16, n_symbols=1)
-        w = modulate([0], cc, default_params, 0.0)
-        assert w.samples.shape == (32, 2)
-        assert np.all(w.samples[:, 0] == -1.0)
-        assert np.all(w.samples[:, 1] == 0.0)
+    def test_single_zero_bit(self, chan):
+        w = modulate([0], chan)
+        assert w.shape == (32, 2)
+        assert np.all(w[:, 0] == -1.0)
+        assert np.all(w[:, 1] == 0.0)
 
-    def test_constant_bits(self, cc16, default_params):
-        w = modulate([1, 1], cc16, default_params, -3.0)
+    def test_constant_bits(self, chan):
+        w = modulate([1, 1], replace(chan, signal_dbm=-3.0))
         amp = math.sqrt(10.0 ** -0.3)
-        assert np.all(w.samples[:, 0] == pytest.approx(amp))
+        assert np.all(w[:, 0] == pytest.approx(amp))
 
-    def test_zero_power(self, cc16, default_params):
-        w = modulate([1, 0, 1], cc16, default_params, -math.inf)
-        assert np.all(w.samples == 0.0)
+    def test_zero_power(self, chan):
+        # A channel's signal level is finite, so zero power is reachable only
+        # as the modulator kernel's zero amplitude.
+        from cwcancel.ber import _bpsk
 
-    def test_loopback(self, cc16, default_params):
+        with pytest.raises(ConfigError, match="signal_dbm must be finite"):
+            replace(chan, signal_dbm=-math.inf)
+        assert np.all(_bpsk(np.array([1, 0, 1]), chan.sps, 0.0) == 0.0)
+
+    def test_loopback(self, chan):
         rng = np.random.default_rng(83)
         bits = rng.integers(0, 2, size=64)
-        w = modulate(bits, cc16, default_params, 0.0)
-        got = demodulate(w, cc16, default_params, [1.0, 0.0])
+        got = demodulate(modulate(bits, chan), chan, [1.0, 0.0])
         assert np.array_equal(got, bits)
 
-    def test_antipodal_flip(self, cc16, default_params):
+    def test_antipodal_flip(self, chan):
         rng = np.random.default_rng(84)
         bits = rng.integers(0, 2, size=64)
-        w = modulate(bits, cc16, default_params, 0.0)
-        flipped = Waveform(-w.samples, w.rate)
-        got = demodulate(flipped, cc16, default_params, [1.0, 0.0])
+        got = demodulate(-modulate(bits, chan), chan, [1.0, 0.0])
         assert np.array_equal(got, 1 - bits)
 
-    def test_awgn_matches_q_function(self, cc16, default_params):
+    def test_awgn_matches_q_function(self, chan):
         # Direct AWGN channel at Eb/N0 = 4 dB; matched-filter BER is
         # Q(sqrt(2 Eb/N0)) ~ 0.0125.
         ebn0 = 10.0 ** 0.4
         n_sym, sps = 20000, 32
-        cc = replace(cc16, n_symbols=n_sym)
         rng = np.random.default_rng(85)
         bits = rng.integers(0, 2, size=n_sym)
-        w = modulate(bits, cc, default_params, 0.0)
+        w = modulate(bits, chan)
         sigma = math.sqrt(sps / (2.0 * ebn0))
-        noisy = Waveform(w.samples + sigma * rng.standard_normal(w.samples.shape), w.rate)
-        got = demodulate(noisy, cc, default_params, [1.0, 0.0])
+        got = demodulate(w + sigma * rng.standard_normal(w.shape), chan, [1.0, 0.0])
         ber = np.mean(got != bits)
         p = q_function(math.sqrt(2.0 * ebn0))
         assert abs(ber - p) <= 3.0 * math.sqrt(p * (1 - p) / n_sym)
 
-    def test_framing_error(self, cc16, default_params):
+    def test_framing_error(self, chan):
         with pytest.raises(FramingError):
-            demodulate(Waveform(np.zeros((33, 2)), 16.0), cc16, default_params, [1.0, 0.0])
+            demodulate(np.zeros((33, 2)), chan, [1.0, 0.0])
 
     def test_symbol_period_must_divide(self, default_params, base_cfg):
-        # Every user of the derived samples per symbol rejects a symbol
-        # period that is not a whole number of slow periods, with one message.
-        cc = CommsConfig(symbol_period=1.5)
-        assert samples_per_symbol(CommsConfig(symbol_period=3.0), default_params) == 48
-        for call in (lambda: samples_per_symbol(cc, default_params),
-                     lambda: modulate([1], cc, default_params, 0.0),
-                     lambda: demodulate(Waveform(np.zeros((48, 2)), 32.0), cc, default_params,
-                                        [1.0, 0.0]),
-                     lambda: forwarding_ber_model(base_cfg, cc, 1.0),
-                     lambda: sweep_beta(base_cfg, cc, [1e-3], ["none"])):
-            with pytest.raises(ValueError, match="must be an integer multiple of h=1.0"):
-                call()
+        # A symbol period that is not a whole number of slow periods is
+        # rejected where the channel is built, with one message, so no
+        # modulation, detection or sweep ever sees it.
+        assert replace(base_cfg, symbol_period=3.0).sps == 48
+        with pytest.raises(ConfigError, match="must be an integer multiple of h=1.0"):
+            SimConfig(params=default_params, symbol_period=1.5)
+        with pytest.raises(ConfigError, match="must be an integer multiple of h=1.0"):
+            replace(base_cfg, symbol_period=1.5)
 
 
 class TestRunBer:
@@ -139,26 +133,26 @@ class TestRunBer:
 
     def test_noise_free_designed_is_error_free(self, base_cfg):
         cfg = replace(base_cfg, noise_rs_dbm=-math.inf, noise_t_dbm=-math.inf)
-        point = one_point(cfg, CommsConfig(n_symbols=300), "designed", 1.0)
+        point = one_point(replace(cfg, n_symbols=300), "designed", 1.0)
         assert point.ber == 0.0
         assert point.trials == 300
 
     def test_trials_equal_symbol_count(self, base_cfg):
-        point = one_point(base_cfg, CommsConfig(n_symbols=123), "designed", 1.0)
+        point = one_point(replace(base_cfg, n_symbols=123), "designed", 1.0)
         assert point.trials == 123
         assert point.errors == int(round(point.ber * 123))
         assert point.ci95[0] <= point.ber <= point.ci95[1]
 
     def test_deterministic(self, base_cfg):
-        cc = CommsConfig(n_symbols=500)
-        a = one_point(base_cfg, cc, "designed", 3e-4)
-        b = one_point(base_cfg, cc, "designed", 3e-4)
+        cfg = replace(base_cfg, n_symbols=500)
+        a = one_point(cfg, "designed", 3e-4)
+        b = one_point(cfg, "designed", 3e-4)
         assert (a.errors, a.trials, a.ber, a.ci95) == (b.errors, b.trials, b.ber, b.ci95)
 
     def test_none_kind_is_coin_flipping(self, base_cfg):
         # K = 0 transmits nothing; the pilot reference falls back to the
         # I axis and decisions come from terminal noise alone.
-        point = one_point(base_cfg, CommsConfig(n_symbols=2000), "none", 1.0)
+        point = one_point(replace(base_cfg, n_symbols=2000), "none", 1.0)
         assert abs(point.ber - 0.5) < 0.05
 
     def test_snr_bookkeeping_without_relay_noise(self, base_cfg):
@@ -168,18 +162,16 @@ class TestRunBer:
         from cwcancel.ber import _CHAIN_ALIGN, _decision_windows
         from cwcancel.simulate import simulate_chain
 
-        cc = CommsConfig(n_symbols=8000)
-        sps = samples_per_symbol(cc, base_cfg.params)
         beta = 2e-3
-        cfg = replace(base_cfg, noise_rs_dbm=-math.inf)
+        cfg = replace(base_cfg, noise_rs_dbm=-math.inf, n_symbols=8000)
+        sps = cfg.sps
         pilot = replace(cfg, noise_t_dbm=-math.inf)
-        wave = modulate(np.ones(8, dtype=int), cc, cfg.params, cfg.signal_dbm)
-        resp = simulate_chain(pilot, wave, "designed", beta)
-        gain = _decision_windows(resp.y_T.samples, sps, _CHAIN_ALIGN)[-1].mean(axis=0)[0]
+        resp = simulate_chain(pilot, modulate(np.ones(8, dtype=int), cfg), "designed", beta)
+        gain = _decision_windows(resp.y_T, sps, _CHAIN_ALIGN)[-1].mean(axis=0)[0]
         sigma = math.sqrt(10.0 ** (cfg.noise_t_dbm / 10.0) / 2.0)
         p = q_function(gain / (sigma / math.sqrt(sps)))
-        point = one_point(cfg, cc, "designed", beta)
-        assert abs(point.ber - p) <= 3.0 * math.sqrt(p * (1 - p) / cc.n_symbols) + 1e-12
+        point = one_point(cfg, "designed", beta)
+        assert abs(point.ber - p) <= 3.0 * math.sqrt(p * (1 - p) / cfg.n_symbols) + 1e-12
 
 
 class TestSweep:
@@ -187,16 +179,15 @@ class TestSweep:
         # At alpha = 0 the designed and perfect runs are identical sample for
         # sample, so paired sweeps must produce identical error counts.
         cfg = SimConfig(params=RelayParams(coupling_gain=0.0),
-                        controller=designed_controller, seed=555)
-        cc = CommsConfig(n_symbols=400)
-        curves = sweep_beta(cfg, cc, [1e-4, 3e-4], ["designed", "perfect"])
+                        controller=designed_controller, seed=555, n_symbols=400)
+        curves = sweep_beta(cfg, [1e-4, 3e-4], ["designed", "perfect"])
         for pd, pp in zip(curves[0].points, curves[1].points):
             assert pd.errors == pp.errors
 
     def test_ordering_and_labels(self, base_cfg):
-        cc = CommsConfig(n_symbols=800)
         betas = [8e-5, 3e-4, 1.2e-3]
-        curves = sweep_beta(base_cfg, cc, betas, ["none", "designed", "perfect"])
+        curves = sweep_beta(replace(base_cfg, n_symbols=800), betas,
+                            ["none", "designed", "perfect"])
         assert [c.canceler_kind for c in curves] == ["none", "designed", "perfect"]
         by_kind = {c.canceler_kind: c.points for c in curves}
         for i in range(len(betas)):
@@ -207,17 +198,24 @@ class TestSweep:
             assert des.ber >= per.ber - slack
 
     def test_beta_grid_validation(self, base_cfg):
-        cc = CommsConfig(n_symbols=10)
+        cfg = replace(base_cfg, n_symbols=10)
         with pytest.raises(ValueError):
-            sweep_beta(base_cfg, cc, [], ["none"])
+            sweep_beta(cfg, [], ["none"])
         with pytest.raises(ValueError):
-            sweep_beta(base_cfg, cc, [0.0, 1.0], ["none"])
+            sweep_beta(cfg, [0.0, 1.0], ["none"])
         with pytest.raises(ValueError):
-            sweep_beta(base_cfg, cc, [1e-3, 1e-3], ["none"])
+            sweep_beta(cfg, [1e-3, 1e-3], ["none"])
+
+    @pytest.mark.parametrize("betas", [[math.nan], [math.inf], [1e-4, math.nan], [-math.inf]])
+    def test_non_finite_betas_rejected(self, base_cfg, betas):
+        # NaN passes an order check, and inf overflows the loop; both are
+        # refused before any loop is built.
+        with pytest.raises(ValueError, match="finite"):
+            sweep_beta(replace(base_cfg, n_symbols=10), betas, ["none", "designed"])
 
     def test_duplicate_kinds_rejected(self, base_cfg):
         with pytest.raises(ValueError, match="distinct"):
-            sweep_beta(base_cfg, CommsConfig(n_symbols=10), [1e-3], ["designed", "none", "designed"])
+            sweep_beta(replace(base_cfg, n_symbols=10), [1e-3], ["designed", "none", "designed"])
 
     def test_curve_requires_increasing_betas(self):
         p = BerPoint(beta=1.0, errors=0, trials=10, ber=0.0, ci95=(0.0, 0.3))
@@ -228,29 +226,26 @@ class TestSweep:
     def test_large_beta_drives_ber_to_zero(self, base_cfg):
         # With the relay-side noise off, the only impairment is terminal
         # noise, which a large beta swamps.
-        cfg = replace(base_cfg, noise_rs_dbm=-math.inf)
-        cc = CommsConfig(n_symbols=500)
-        curves = sweep_beta(cfg, cc, [0.5, 1.0], ["designed", "perfect"])
+        cfg = replace(base_cfg, noise_rs_dbm=-math.inf, n_symbols=500)
+        curves = sweep_beta(cfg, [0.5, 1.0], ["designed", "perfect"])
         for curve in curves:
             assert curve.points[-1].ber == 0.0
 
 
 class TestGrid:
     def test_default_grid_shape(self, base_cfg):
-        cc = CommsConfig(n_symbols=100)
-        grid = default_beta_grid(base_cfg, cc)
+        grid = default_beta_grid(base_cfg)
         assert len(grid) == 12
         assert np.all(np.diff(grid) > 0)
-        assert forwarding_ber_model(base_cfg, cc, grid[0]) == pytest.approx(0.3, rel=0.02)
-        floor = forwarding_ber_model(base_cfg, cc, 1e12)
-        assert forwarding_ber_model(base_cfg, cc, grid[-1]) == pytest.approx(
+        assert forwarding_ber_model(base_cfg, grid[0]) == pytest.approx(0.3, rel=0.02)
+        floor = forwarding_ber_model(base_cfg, 1e12)
+        assert forwarding_ber_model(base_cfg, grid[-1]) == pytest.approx(
             max(1e-4, 1.2 * floor), rel=0.02)
 
     def test_model_limits(self, base_cfg):
-        cc = CommsConfig(n_symbols=100)
         quiet = replace(base_cfg, noise_rs_dbm=-math.inf, noise_t_dbm=-math.inf)
-        assert forwarding_ber_model(quiet, cc, 1.0) == 0.0
-        assert forwarding_ber_model(base_cfg, cc, 1e-9) == pytest.approx(0.5, abs=1e-3)
+        assert forwarding_ber_model(quiet, 1.0) == 0.0
+        assert forwarding_ber_model(base_cfg, 1e-9) == pytest.approx(0.5, abs=1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -264,21 +259,21 @@ def antialias_cfg():
     return SimConfig(params=params, controller=K, seed=2024)
 
 
-def whole_waveform_errors(cfg, cc, kind, beta, point):
+def whole_waveform_errors(cfg, kind, beta, point):
     """Bit errors of sweep point ``point`` from whole waveforms: one run, no chunks."""
     from cwcancel.ber import _CHAIN_ALIGN, _pilot_reference
     from cwcancel.simulate import _ChainBatch, simulate_chain
 
     key = np.array([cfg.seed, 3 * point + 1], dtype=np.uint64)
-    bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=cc.n_symbols)
-    wave = modulate(bits, cc, cfg.params, cfg.signal_dbm)
+    bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=cfg.n_symbols)
+    tx = modulate(bits, cfg)
     batch = _ChainBatch(cfg, [kind], [beta], [point])
-    ref = _pilot_reference(cfg, batch, kind, cc)
-    ((_, _, y_t),) = batch.advance(wave.samples[:, :, None])
-    y_t = Waveform(y_t[:, :, 0], wave.rate)
+    ref = _pilot_reference(cfg, batch, kind)
+    ((_, _, y_t),) = batch.advance(tx[:, :, None])
+    y_t = y_t[:, :, 0]
     if point == 0:
-        assert np.array_equal(simulate_chain(cfg, wave, kind, beta).y_T.samples, y_t.samples)
-    decided = demodulate(y_t, cc, cfg.params, ref, align_offset=_CHAIN_ALIGN)
+        assert np.array_equal(simulate_chain(cfg, tx, kind, beta).y_T, y_t)
+    decided = demodulate(y_t, cfg, ref, align_offset=_CHAIN_ALIGN)
     return int(np.sum(decided != bits))
 
 
@@ -289,25 +284,24 @@ class TestBatchedSweep:
     def test_counts_equal_per_point_runs(self, base_cfg, antialias_cfg, which):
         from cwcancel.ber import _CHUNK_SYMBOLS
 
-        cfg = base_cfg if which == "defaults" else antialias_cfg
         # Not a multiple of the chunk: window carries across two chunk edges
         # and a short final chunk.
-        cc = CommsConfig(n_symbols=2 * _CHUNK_SYMBOLS + 44)
-        betas = list(default_beta_grid(cfg, cc, n_points=5))
-        curves = sweep_beta(cfg, cc, betas, ["none", "designed", "perfect"])
+        cfg = replace(base_cfg if which == "defaults" else antialias_cfg,
+                      n_symbols=2 * _CHUNK_SYMBOLS + 44)
+        betas = list(default_beta_grid(cfg, n_points=5))
+        curves = sweep_beta(cfg, betas, ["none", "designed", "perfect"])
         for curve in curves:
-            whole = [whole_waveform_errors(cfg, cc, curve.canceler_kind, beta, i)
+            whole = [whole_waveform_errors(cfg, curve.canceler_kind, beta, i)
                      for i, beta in enumerate(betas)]
             assert [p.errors for p in curve.points] == whole
         assert any(0 < p.errors < p.trials // 2 for c in curves[1:] for p in c.points)
 
     @pytest.mark.parametrize("which", ["defaults", "antialias"])
     def test_point_zero_is_a_one_beta_sweep(self, base_cfg, antialias_cfg, which):
-        cfg = base_cfg if which == "defaults" else antialias_cfg
-        cc = CommsConfig(n_symbols=300)
+        cfg = replace(base_cfg if which == "defaults" else antialias_cfg, n_symbols=300)
         betas = [1e-4, 3e-4, 1e-3]
-        for curve in sweep_beta(cfg, cc, betas, ["none", "designed", "perfect"]):
-            assert curve.points[0] == one_point(cfg, cc, curve.canceler_kind, betas[0])
+        for curve in sweep_beta(cfg, betas, ["none", "designed", "perfect"]):
+            assert curve.points[0] == one_point(cfg, curve.canceler_kind, betas[0])
 
     def test_memory_bounded_by_chunk(self, base_cfg):
         import tracemalloc
@@ -315,7 +309,7 @@ class TestBatchedSweep:
         def peak(n_symbols):
             tracemalloc.start()
             try:
-                sweep_beta(base_cfg, CommsConfig(n_symbols=n_symbols), [3e-4], ["designed"])
+                sweep_beta(replace(base_cfg, n_symbols=n_symbols), [3e-4], ["designed"])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -339,13 +333,12 @@ def test_sweep_builds_each_period_map_once(base_cfg, monkeypatch):
 
     monkeypatch.setattr(sim, "_period_maps", counting)
     kinds = ["none", "designed", "perfect"]
-    sweep_beta(base_cfg, CommsConfig(n_symbols=20), [1e-4, 1e-3, 1e-2], kinds)
+    sweep_beta(replace(base_cfg, n_symbols=20), [1e-4, 1e-3, 1e-2], kinds)
     assert sorted(built) == sorted(kinds)
 
 
 def test_ber_csv(tmp_path, base_cfg):
-    cc = CommsConfig(n_symbols=50)
-    curves = sweep_beta(base_cfg, cc, [1e-4, 1e-3], ["none", "designed"])
+    curves = sweep_beta(replace(base_cfg, n_symbols=50), [1e-4, 1e-3], ["none", "designed"])
     path = tmp_path / "ber.csv"
     write_ber_csv(path, curves)
     lines = path.read_bytes().split(b"\r\n")

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from cwcancel.ber import CommsConfig
 from cwcancel.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -150,19 +149,21 @@ class TestConfig:
         assert sim["noise_rs_dbm"] == sim["noise_t_dbm"] == -float("inf")
 
     def test_sections_pin_dataclass_defaults(self):
-        """relay/sim/comms hold the dataclass defaults, key for key; only the
-        seed differs.  sim.beta is the one key of no dataclass: the gain that
-        ``simulate`` runs (a sweep's gains are its beta grid)."""
+        """relay holds the RelayParams defaults and sim with comms the
+        SimConfig defaults, key for key; only the seed differs.  sim.beta is
+        the one key of no dataclass: the gain that ``simulate`` runs (a
+        sweep's gains are its beta grid)."""
         cfg = load_config(None)
         params = params_from_config(cfg)
         assert cfg["sim"]["beta"] == 1.0
-        sim = SimConfig(params=params, **{k: v for k, v in cfg["sim"].items() if k != "beta"})
-        built = {"relay": (params, RelayParams(), set()),
-                 "sim": (sim, SimConfig(params=params), {"params", "controller"}),
-                 "comms": (CommsConfig(**cfg["comms"]), CommsConfig(), set())}
-        for section, (ours, theirs, not_keys) in built.items():
+        assert not cfg["sim"].keys() & cfg["comms"].keys()
+        channel = {k: v for k, v in {**cfg["sim"], **cfg["comms"]}.items() if k != "beta"}
+        sim = SimConfig(params=params, **channel)
+        built = {"relay": (params, RelayParams(), set(), set(cfg["relay"])),
+                 "sim": (sim, SimConfig(params=params), {"params", "controller"}, set(channel))}
+        for section, (ours, theirs, not_keys, keys) in built.items():
             fields = {f.name for f in dataclasses.fields(theirs)} - not_keys
-            assert set(cfg[section]) - {"beta"} == fields
+            assert keys == fields
             for name in fields:
                 a, b = getattr(ours, name), getattr(theirs, name)
                 if section == "sim" and name == "seed":
@@ -403,6 +404,17 @@ class TestSweep:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert "distinct" in err
         assert not (tmp_path / "ber_curves.csv").exists()
+
+    @pytest.mark.parametrize("betas", ["nan", "inf", "1e-4,nan"])
+    def test_non_finite_betas_exit_code(self, tmp_path, controller_file, quick_config, capsys,
+                                        betas):
+        rc = main(["sweep", "--config", str(quick_config), "--controller", str(controller_file),
+                   "--betas", betas, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_kind_exit_code(self, tmp_path, quick_config, capsys):
         rc = main(["sweep", "--config", str(quick_config), "--cancelers", "bogus",

@@ -13,7 +13,6 @@ from cwcancel.plant import ModelError, RelayParams, build_hybrid_plant, first_or
 from cwcancel.simulate import (
     ConfigError,
     SimConfig,
-    Waveform,
     noise_amplitude,
     point_streams,
     simulate_chain,
@@ -24,10 +23,6 @@ from cwcancel.lti import StateSpace
 
 
 NOISE_OFF = {"noise_rs_dbm": -math.inf, "noise_t_dbm": -math.inf}
-
-
-def fast_wave(samples):
-    return Waveform(samples, 16.0)
 
 
 @pytest.fixture(scope="module")
@@ -55,76 +50,76 @@ class TestNoiseAmplitude:
 
 class TestChain:
     def test_zero_input_zero_noise(self, base_cfg, designed_controller, default_params):
-        tx = fast_wave(np.zeros((16 * 12, 2)))
+        tx = np.zeros((16 * 12, 2))
         for kind in ("none", "designed", "perfect"):
             out = simulate_chain(replace(base_cfg, **NOISE_OFF), tx, kind, 1.0)
-            assert np.all(out.u.samples == 0.0)
-            assert np.all(out.y_T.samples == 0.0)
-            assert np.all(out.z.samples == 0.0)
+            assert np.all(out.u == 0.0)
+            assert np.all(out.y_T == 0.0)
+            assert np.all(out.z == 0.0)
 
     def test_linearity(self, base_cfg):
         cfg = replace(base_cfg, **NOISE_OFF)
         rng = np.random.default_rng(8)
         tx = rng.standard_normal((16 * 30, 2))
-        one = simulate_chain(cfg, fast_wave(tx), "designed", 1.0)
-        five = simulate_chain(cfg, fast_wave(5.0 * tx), "designed", 1.0)
-        assert np.abs(five.u.samples - 5.0 * one.u.samples).max() < 1e-10
-        assert np.abs(five.y_T.samples - 5.0 * one.y_T.samples).max() < 1e-8
+        one = simulate_chain(cfg, tx, "designed", 1.0)
+        five = simulate_chain(cfg, 5.0 * tx, "designed", 1.0)
+        assert np.abs(five.u - 5.0 * one.u).max() < 1e-10
+        assert np.abs(five.y_T - 5.0 * one.y_T).max() < 1e-8
 
     def test_reproducibility(self, base_cfg):
         rng = np.random.default_rng(9)
-        tx = fast_wave(rng.standard_normal((16 * 20, 2)))
+        tx = rng.standard_normal((16 * 20, 2))
         a = simulate_chain(base_cfg, tx, "designed", 1.0)
         b = simulate_chain(base_cfg, tx, "designed", 1.0)
-        assert np.array_equal(a.y_T.samples, b.y_T.samples)
-        assert np.array_equal(a.u.samples, b.u.samples)
+        assert np.array_equal(a.y_T, b.y_T)
+        assert np.array_equal(a.u, b.u)
 
     def test_designed_equals_perfect_without_coupling(self, designed_controller):
         # The only difference between the two kinds is the coupling term.
         params = RelayParams(coupling_gain=0.0)
         rng = np.random.default_rng(10)
-        tx = fast_wave(rng.standard_normal((16 * 40, 2)))
+        tx = rng.standard_normal((16 * 40, 2))
         outs = {}
         for kind in ("designed", "perfect"):
             cfg = SimConfig(params=params, controller=designed_controller, seed=42)
             outs[kind] = simulate_chain(cfg, tx, kind, 1.0)
-        assert np.array_equal(outs["designed"].y_T.samples, outs["perfect"].y_T.samples)
+        assert np.array_equal(outs["designed"].y_T, outs["perfect"].y_T)
 
     def test_perfect_is_coupling_gain_invariant(self, designed_controller, default_params):
         # Exact subtraction makes the perfect baseline independent of alpha.
         rng = np.random.default_rng(11)
-        tx = fast_wave(rng.standard_normal((16 * 40, 2)))
+        tx = rng.standard_normal((16 * 40, 2))
         outs = []
         for alpha in (0.0, 0.15, 0.6):
             cfg = SimConfig(params=RelayParams(coupling_gain=alpha),
                             controller=designed_controller, seed=42)
-            outs.append(simulate_chain(cfg, tx, "perfect", 1.0).y_T.samples)
+            outs.append(simulate_chain(cfg, tx, "perfect", 1.0).y_T)
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
 
     def test_none_transmits_nothing(self, base_cfg):
         rng = np.random.default_rng(12)
-        tx = fast_wave(rng.standard_normal((16 * 10, 2)))
+        tx = rng.standard_normal((16 * 10, 2))
         out = simulate_chain(base_cfg, tx, "none", 1.0)
-        assert np.all(out.u.samples == 0.0)
-        assert np.array_equal(out.z.samples, tx.samples)
+        assert np.all(out.u == 0.0)
+        assert np.array_equal(out.z, tx)
 
     def test_forward_gain_and_error_definitions(self, base_cfg):
         cfg = replace(base_cfg, relay_gain_db=20.0, **NOISE_OFF)
         rng = np.random.default_rng(13)
-        tx = fast_wave(rng.standard_normal((16 * 10, 2)))
+        tx = rng.standard_normal((16 * 10, 2))
         out = simulate_chain(cfg, tx, "designed", 0.25)
-        assert np.abs(out.y_T.samples - 0.25 * 10.0 * out.u.samples).max() < 1e-12
-        assert np.abs(out.z.samples - (tx.samples - out.u.samples)).max() < 1e-12
+        assert np.abs(out.y_T - 0.25 * 10.0 * out.u).max() < 1e-12
+        assert np.abs(out.z - (tx - out.u)).max() < 1e-12
 
     def test_bounded_over_long_horizon(self, base_cfg):
         # No slow divergence: 1e5 fast steps stay within 100x the early peak.
         rng = np.random.default_rng(14)
         n = 16 * 6250
-        tx = fast_wave(rng.standard_normal((n, 2)))
+        tx = rng.standard_normal((n, 2))
         out = simulate_chain(base_cfg, tx, "designed", 1.0)
-        early = np.abs(out.u.samples[:1000]).max()
-        assert np.abs(out.u.samples).max() <= 100.0 * early
+        early = np.abs(out.u[:1000]).max()
+        assert np.abs(out.u).max() <= 100.0 * early
 
 
 def _zoh(A, B, tau):
@@ -207,8 +202,7 @@ def test_matches_per_step_oracle(oracle_cases, case, kind):
     params, K = oracle_cases[case]
     tx = np.random.default_rng(16).standard_normal((16 * 40, 2))
     cfg = SimConfig(params=params, controller=K, seed=0, **NOISE_OFF)
-    wave = Waveform(tx, params.fsfh_ratio / params.sampling_period)
-    u = simulate_chain(cfg, wave, kind, 1.0).u.samples
+    u = simulate_chain(cfg, tx, kind, 1.0).u
     ref = oracle_relay_output(params, None if kind == "none" else K, kind, tx)
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
     if kind != "none":
@@ -227,7 +221,7 @@ def test_noise_free_chain_is_linear_and_slow_rate_time_invariant(
     x1, x2 = rng.standard_normal((2, N * periods, 2))
 
     def u(tx):
-        return simulate_chain(cfg, fast_wave(tx), kind, 1.0).u.samples
+        return simulate_chain(cfg, tx, kind, 1.0).u
 
     u1, u2 = u(x1), u(x2)
     scale = abs(a) * np.abs(u1).max() + abs(b) * np.abs(u2).max()
@@ -411,7 +405,7 @@ def test_samples_no_loop_reads_do_not_reach_u(oracle_cases, case):
         assert unread.size == (2 * N - 2 if case == "defaults" else 0)
 
         def relay_output(samples):
-            return simulate_chain(cfg, fast_wave(samples.reshape(-1, 2)), kind, 1.0).u.samples
+            return simulate_chain(cfg, samples.reshape(-1, 2), kind, 1.0).u
 
         u = relay_output(tx)
         changed = tx.reshape(periods, 2 * N).copy()
@@ -448,15 +442,15 @@ class TestDelayFree:
         cfg = SimConfig(params=RelayParams(delay_seconds=0.0),
                         controller=designed_controller, seed=0)
         with pytest.raises(ModelError, match="delay-free"):
-            simulate_chain(cfg, fast_wave(np.zeros((16, 2))), "designed", 1.0)
+            simulate_chain(cfg, np.zeros((16, 2)), "designed", 1.0)
 
     def test_designed_equals_perfect_without_coupling(self, designed_controller):
         params = RelayParams(delay_seconds=0.0, coupling_gain=0.0)
-        tx = fast_wave(np.random.default_rng(17).standard_normal((16 * 20, 2)))
+        tx = np.random.default_rng(17).standard_normal((16 * 20, 2))
         cfg = SimConfig(params=params, controller=designed_controller, seed=42)
         a, b = (simulate_chain(cfg, tx, kind, 1.0) for kind in ("designed", "perfect"))
-        assert np.any(a.u.samples != 0.0)
-        assert np.array_equal(a.y_T.samples, b.y_T.samples)
+        assert np.any(a.u != 0.0)
+        assert np.array_equal(a.y_T, b.y_T)
 
 
 class TestValidation:
@@ -467,29 +461,25 @@ class TestValidation:
             gamma_achieved=1.0)
         cfg = SimConfig(params=default_params, controller=K, seed=0)
         with pytest.raises(ConfigError):
-            simulate_chain(cfg, fast_wave(np.zeros((16, 2))), "designed", 1.0)
+            simulate_chain(cfg, np.zeros((16, 2)), "designed", 1.0)
 
     def test_length_must_be_whole_periods(self, base_cfg):
         with pytest.raises(ConfigError):
-            simulate_chain(base_cfg, fast_wave(np.zeros((17, 2))), "designed", 1.0)
-
-    def test_rate_must_match(self, base_cfg):
-        with pytest.raises(ConfigError):
-            simulate_chain(base_cfg, Waveform(np.zeros((32, 2)), 8.0), "designed", 1.0)
+            simulate_chain(base_cfg, np.zeros((17, 2)), "designed", 1.0)
 
     def test_kind_validation(self, default_params):
         # The kind is checked where its loop is built, by the one engine
         # that both simulate_chain and sweep_beta run.
-        from cwcancel.ber import CommsConfig, sweep_beta
+        from cwcancel.ber import sweep_beta
 
-        cfg = SimConfig(params=default_params, seed=0)
-        tx, cc = fast_wave(np.zeros((16, 2))), CommsConfig(n_symbols=10)
+        cfg = SimConfig(params=default_params, seed=0, n_symbols=10)
+        tx = np.zeros((16, 2))
         for kind, message in (("bogus", "must be one of"), ("designed", "requires a controller"),
                               ("perfect", "requires a controller")):
             with pytest.raises(ConfigError, match=message):
                 simulate_chain(cfg, tx, kind, 1.0)
             with pytest.raises(ConfigError, match=message):
-                sweep_beta(cfg, cc, [1e-3], ["none", kind])
+                sweep_beta(cfg, [1e-3], ["none", kind])
         simulate_chain(cfg, tx, "none", 1.0)
 
     @pytest.mark.parametrize("beta, message", [
@@ -498,7 +488,7 @@ class TestValidation:
     ])
     def test_beta_validation(self, base_cfg, beta, message):
         with pytest.raises(ConfigError, match=message):
-            simulate_chain(base_cfg, fast_wave(np.zeros((16, 2))), "designed", beta)
+            simulate_chain(base_cfg, np.zeros((16, 2)), "designed", beta)
 
     @pytest.mark.parametrize("name, fits, overflows", [
         ("relay_gain_db", 6000.0, 6200.0), ("signal_dbm", 3000.0, 3090.0),
@@ -512,20 +502,68 @@ class TestValidation:
     def test_noise_off_is_allowed(self, default_params):
         SimConfig(params=default_params, **NOISE_OFF)
 
-    def test_waveform_validation(self):
-        with pytest.raises(ValueError):
-            Waveform(np.zeros((0, 2)), 16.0)
-        with pytest.raises(ValueError):
-            Waveform(np.zeros((4, 3)), 16.0)
+    def test_waveform_validation(self, base_cfg):
+        # The two entry points that take outside samples share one check.
+        from cwcancel.ber import demodulate
+
+        for bad, message in ((np.zeros((0, 2)), "at least one sample"),
+                             (np.zeros((4, 3)), "must be \\(n, 2\\)")):
+            with pytest.raises(ValueError, match=message):
+                simulate_chain(base_cfg, bad, "designed", 1.0)
+            with pytest.raises(ValueError, match=message):
+                demodulate(bad, base_cfg, [1.0, 0.0])
+
+    @pytest.mark.parametrize("seed", [1.7, True, np.float64(3.0), -1, 2 ** 64])
+    def test_seed_must_be_a_64_bit_integer(self, default_params, seed):
+        # A float seed would be cast to its integer part by the stream keys.
+        with pytest.raises(ConfigError, match="seed"):
+            SimConfig(params=default_params, seed=seed)
+        SimConfig(params=default_params, seed=np.uint64(2 ** 64 - 1))
+
+    @pytest.mark.parametrize("name", ["noise_rs_dbm", "noise_t_dbm"])
+    def test_nan_noise_rejected_at_construction(self, default_params, name):
+        with pytest.raises(ValueError, match="NaN"):
+            SimConfig(params=default_params, **{name: math.nan})
+
+    @pytest.mark.parametrize("n_symbols, message", [
+        (2.5, "integer"), (True, "integer"), (np.float64(10.0), "integer"), (0, "at least 1"),
+    ])
+    def test_n_symbols_must_be_a_positive_integer(self, default_params, n_symbols, message):
+        with pytest.raises(ConfigError, match=message):
+            SimConfig(params=default_params, n_symbols=n_symbols)
+        SimConfig(params=default_params, n_symbols=np.int64(1))
+
+    @pytest.mark.parametrize("symbol_period", [0.0, -2.0, math.inf, math.nan])
+    def test_symbol_period_must_be_positive_and_finite(self, default_params, symbol_period):
+        with pytest.raises(ConfigError, match="symbol_period"):
+            SimConfig(params=default_params, symbol_period=symbol_period)
+
+
+@pytest.mark.parametrize("gain_db, signal_dbm, noise_dbm", [
+    (60.0, 0.0, -5.0), (-13.5, 7.25, -math.inf), (0.0, -30.0, 12.0),
+])
+def test_derived_factors_equal_their_formulas(default_params, gain_db, signal_dbm, noise_dbm):
+    cfg = SimConfig(params=replace(default_params, fsfh_ratio=8), relay_gain_db=gain_db,
+                    signal_dbm=signal_dbm, noise_rs_dbm=noise_dbm, noise_t_dbm=noise_dbm - 1.0,
+                    symbol_period=3.0)
+    assert cfg.sps == 3 * 8
+    assert cfg.relay_gain == 10.0 ** (gain_db / 20.0)
+    assert cfg.signal_amplitude == math.sqrt(10.0 ** (signal_dbm / 10.0))
+    assert cfg.sigma_rs == math.sqrt(10.0 ** (noise_dbm / 10.0) / 2.0)
+    assert cfg.sigma_t == math.sqrt(10.0 ** ((noise_dbm - 1.0) / 10.0) / 2.0)
+    if noise_dbm == -math.inf:
+        assert cfg.sigma_rs == cfg.sigma_t == 0.0
 
 
 def test_waveform_csv(tmp_path, base_cfg):
     rng = np.random.default_rng(15)
-    tx = fast_wave(rng.standard_normal((16 * 4, 2)))
+    tx = rng.standard_normal((16 * 4, 2))
     out = simulate_chain(base_cfg, tx, "designed", 1.0)
     path = tmp_path / "waveform.csv"
-    write_waveform_csv(path, tx, out)
+    write_waveform_csv(path, base_cfg, tx, out)
     raw = path.read_bytes()
     assert raw.count(b"\r\n") == 16 * 4 + 1  # header + one line per sample
     header = raw.split(b"\r\n")[0].decode()
     assert header == "t,v_i,v_q,u_i,u_q,z_i,z_q,yT_i,yT_q"
+    # t runs at the fast rate N / h = 16, derived from the channel.
+    assert [line.split(b",")[0] for line in raw.split(b"\r\n")[1:4]] == [b"0", b"0.0625", b"0.125"]
