@@ -8,10 +8,8 @@ from .plant import (
     ModelError,
     RepresentabilityError,
     RelayParams,
-    HybridPlant,
     carrier_rotation,
     first_order_lowpass,
-    build_hybrid_plant,
 )
 from .lifting import (
     LiftedPlant,

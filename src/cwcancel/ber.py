@@ -187,10 +187,9 @@ def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
     beta, so each kind's reference comes from one pilot at the first point.
     """
     sps, amp, n_symbols = cfg.sps, cfg.signal_amplitude, cfg.n_symbols
-    points = range(len(betas))
-    batch = _ChainBatch(cfg, kinds, betas, points)
+    batch = _ChainBatch(cfg, kinds, betas)
     refs = {kind: _pilot_reference(cfg, batch, kind) for kind in kinds}
-    bit_rngs = [point_streams(cfg.seed, i)[1] for i in points]
+    bit_rngs = [point_streams(cfg.seed, i)[1] for i in range(len(betas))]
     errors = {kind: np.zeros(len(betas), dtype=int) for kind in kinds}
     tails = dict.fromkeys(kinds)
     unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the tails' symbols

@@ -2,9 +2,10 @@
 
 Configuration lives in one JSON document with the full set of simulation
 defaults compiled in, so ``cwcancel design`` runs with no config at all.
-:func:`load_config` is the one place a config value is checked: unknown
-keys and values of the wrong JSON type are rejected with the offending JSON
-path, and the relay section then builds RelayParams, and the sim and comms
+:func:`load_config` is the one place a config value's JSON type is
+checked: unknown keys and values of the wrong JSON type are rejected with
+the offending JSON path.  The relay section then builds RelayParams, which
+checks the relay loop before any command uses it, and the sim and comms
 sections one SimConfig, by field name.  All artifacts (controller.json,
 report.json, certification.json, ber_curves.csv, waveform.csv) are
 deterministic functions of the config and seed.
@@ -28,7 +29,7 @@ from .ber import default_beta_grid, modulate, sweep_beta, write_ber_csv
 from .hnorm import UnstableSystemError
 from .lifting import lift
 from .lti import NumericalFailure, StateSpace, step_matches
-from .plant import RelayParams, build_hybrid_plant
+from .plant import RelayParams
 from .simulate import (CANCELER_KINDS, CONTROLLED_KINDS, SimConfig, point_streams, simulate_chain,
                        write_waveform_csv)
 from .synthesis import (CERT_SLACK, SynthesisError, bisect_gamma, certify, load_controller,
@@ -183,7 +184,7 @@ def _sim_config(cfg, params: RelayParams, controller) -> SimConfig:
 
 def cmd_design(args) -> int:
     cfg, params, outdir = _setup(args)
-    lifted = lift(build_hybrid_plant(params))
+    lifted = lift(params)
     try:
         result = bisect_gamma(lifted, tol=cfg["synthesis"]["tol"])
     except SynthesisError as exc:
@@ -209,7 +210,7 @@ def cmd_design(args) -> int:
 def cmd_certify(args) -> int:
     cfg, params, outdir = _setup(args)
     ctrl = _controller(args, params, ["designed"])
-    radius, cert = certify(lift(build_hybrid_plant(params)), ctrl.K)
+    radius, cert = certify(lift(params), ctrl.K)
     if cert is None:
         print(f"closed loop unstable: spectral radius {radius:.9f}", file=sys.stderr)
         return EXIT_UNSTABLE

@@ -1,13 +1,14 @@
 """Fast-sample/fast-hold lifting of the hybrid relay loop.
 
-The continuous core is discretized at the fast period h/N with its inputs
-(w, u_hold, c) held over each fast step, and N fast steps are stacked into
-one slow step.  The result is a single-rate discrete generalized plant the
-synthesis machinery can consume: inputs (w lifted: 2N, u: 2), outputs
-(z lifted: 2N, y: 2).  The measurement y is the antialias output sampled at
-the start of each slow period; the control u is held over the whole period.
-The chain simulator closes the same lift of the loop, built with W = I,
-around K(z).
+:func:`lift` reads the loop from :class:`plant.RelayParams`, which has
+already checked it.  The continuous core is discretized at the fast period
+h/N with its inputs (w, u_hold, c) held over each fast step, and N fast
+steps are stacked into one slow step.  The result is a single-rate discrete
+generalized plant the synthesis machinery can consume: inputs (w lifted:
+2N, u: 2), outputs (z lifted: 2N, y: 2).  The measurement y is the
+antialias output sampled at the start of each slow period; the control u
+is held over the whole period.  The chain simulator closes the same lift
+of the loop, built with W = I, around K(z).
 
 The coupling path t -> c is closed at the slow rate.  Over a slow period
 the relay output t = P u_hold is a fixed linear map of (x_P, u) at the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lti import StateSpace, discretize_zoh, step_matches
-from .plant import HybridPlant, promote_iq
+from .plant import RelayParams, assemble_loop, carrier_rotation
 
 __all__ = [
     "LiftedPlant",
@@ -77,18 +78,19 @@ def partition(G: StateSpace, n_w: int, n_z: int) -> PlantBlocks:
     )
 
 
-def lift(plant: HybridPlant) -> LiftedPlant:
-    """Stack N fast steps of the loop into one slow-rate generalized plant.
+def lift(params: RelayParams) -> LiftedPlant:
+    """Stack N fast steps of the relay loop into one slow-rate generalized plant.
 
-    Fast step j holds c_j = coupling @ t_{j-d} like w and u.  When t_{j-d} is
-    i = ceil((d-j)/N) periods back, it is read from register slot i, which
-    holds that period's (x_P, u); the state is (core, slot 1 .. ceil(d/N)).
+    Fast step j holds c_j = coupling @ t_{j-d} like w and u, with coupling
+    alpha * A_L.  When t_{j-d} is i = ceil((d-j)/N) periods back, it is read
+    from register slot i, which holds that period's (x_P, u); the state is
+    (core, slot 1 .. ceil(d/N)).
     """
-    core, d = plant.ct_core, plant.delay_fast_steps
-    N = plant.params.fsfh_ratio
-    fast = discretize_zoh(core, plant.params.sampling_period / N)
+    core, d, N = assemble_loop(params), params.delay_fast_steps(), params.fsfh_ratio
+    coupling = params.coupling_gain * carrier_rotation(params.carrier_hz, params.delay_seconds)
+    fast = discretize_zoh(core, params.sampling_period / N)
     n = core.n_states
-    nP = promote_iq(plant.params.post_filter).n_states
+    nP = params.post_filter.n_states
     sP = np.arange(n - nP, n)  # P's states close the core's (x_W, x_F, x_P) layout
     m = nP + 2  # one slot: (x_P, u)
     R = -(-d // N)  # slots: the periods the delay reaches back
@@ -113,7 +115,7 @@ def lift(plant: HybridPlant) -> LiftedPlant:
     for j in range(N):
         i = -(-(d - j) // N)  # t_{j-d} is i periods back
         c = np.zeros((2, ncols))
-        c[:, reads[i]] = plant.coupling @ taps[j - d + i * N]
+        c[:, reads[i]] = coupling @ taps[j - d + i * N]
         w_cols = slice(nx + 2 * j, nx + 2 * j + 2)
         zy = core.C[0:4] @ M + core.D[0:4, 4:6] @ c
         zy[:, w_cols] += core.D[0:4, 0:2]
@@ -127,14 +129,15 @@ def lift(plant: HybridPlant) -> LiftedPlant:
 
     # Slot 1 takes this period's (x_P, u), slot i takes slot i - 1.
     A = np.vstack([M, np.eye(ncols)[np.concatenate(reads)[:R * m]]])
-    G = StateSpace(A[:, :nx], A[:, nx:], out[:, :nx], out[:, nx:], dt=plant.params.sampling_period)
+    G = StateSpace(A[:, :nx], A[:, nx:], out[:, :nx], out[:, nx:], dt=params.sampling_period)
     return LiftedPlant(G=G, n_w=2 * N, n_u=2, n_z=2 * N, n_y=2)
 
 
 def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
     """Lower linear-fractional interconnection of the lifted plant with K.
 
-    Returns the lifted w -> z closed-loop system at the slow rate.
+    Returns the lifted w -> z closed-loop system at the slow rate.  K must
+    be 2x2 and, unless it is a static gain, discrete at the plant's step.
     """
     G = Gl.G
     nw, nu, nz, ny = Gl.n_w, Gl.n_u, Gl.n_z, Gl.n_y
@@ -142,7 +145,7 @@ def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
         raise InterconnectionError(
             f"controller is {K.n_outputs}x{K.n_inputs}, plant wants {nu}x{ny}"
         )
-    if K.is_discrete and not step_matches(K.dt, G.dt):
+    if not (step_matches(K.dt, G.dt) if K.is_discrete else K.n_states == 0):
         raise InterconnectionError(f"controller step {K.dt} != plant step {G.dt}")
 
     A, B1, B2, C1, C2, D11, D12, D21, D22 = partition(G, nw, nz)

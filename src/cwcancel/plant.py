@@ -12,12 +12,18 @@ leaves the coupling path open: it has a coupling input c (entering where the
 delayed echo does, at F's input) and a relay output t (the transmitted
 baseband signal).  The lifter closes t -> alpha * A_L * delay -> c with a
 slow-rate register of (x_P, u), P's state and the held control.
+
+:class:`RelayParams` is the one checked description of the loop: it stores
+the filters in I/Q form and refuses a loop the lifter or the simulator
+cannot represent, so :func:`assemble_loop` and :func:`lifting.lift` read it
+without checks of their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -27,11 +33,9 @@ __all__ = [
     "ModelError",
     "RepresentabilityError",
     "RelayParams",
-    "HybridPlant",
     "carrier_rotation",
     "first_order_lowpass",
     "promote_iq",
-    "build_hybrid_plant",
     "assemble_loop",
 ]
 
@@ -88,11 +92,18 @@ def identity_filter() -> StateSpace:
 
 @dataclass
 class RelayParams:
-    """Physical parameters of the relay coupling loop.
+    """Physical parameters of the relay coupling loop, checked once.
 
-    ``input_shaping`` (W), ``antialias`` (F) and ``post_filter`` (P) are
-    continuous-time I/Q systems; pass scalar prototypes through
-    :func:`promote_iq` first or rely on :func:`build_hybrid_plant` to do it.
+    ``input_shaping`` (W), ``antialias`` (F) and ``post_filter`` (P) may be
+    scalar prototypes or I/Q systems; construction stores each in I/Q form
+    (:func:`promote_iq`), with F = None stored as :func:`identity_filter`.
+    Every filter must be continuous-time and stable.  W must be strictly
+    proper, as the sampled-data problem needs of the path from w to the
+    sampler (Chen & Francis, *Optimal Sampled-Data Control Systems*, 1995),
+    or exactly the zero-state I/Q pass-through the simulator feeds the
+    received signal through.  The delay must be a whole number of fast
+    steps, and a nonzero coupling gain needs at least one of them.  A
+    :class:`ModelError` names the first rule broken.
     """
 
     sampling_period: float = 1.0
@@ -106,11 +117,14 @@ class RelayParams:
 
     def __post_init__(self):
         for name in ("sampling_period", "fsfh_ratio", "delay_seconds", "coupling_gain", "carrier_hz"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ModelError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ModelError(f"{name} must be finite")
         if not self.sampling_period > 0:
             raise ModelError("sampling_period must be positive")
-        if int(self.fsfh_ratio) != self.fsfh_ratio or self.fsfh_ratio < 1:
+        if not isinstance(self.fsfh_ratio, Integral) or self.fsfh_ratio < 1:
             raise ModelError("fsfh_ratio must be a positive integer")
         self.fsfh_ratio = int(self.fsfh_ratio)
         if self.delay_seconds < 0:
@@ -119,8 +133,22 @@ class RelayParams:
             raise ModelError("coupling_gain must be nonnegative")
         if self.input_shaping is None:
             self.input_shaping = first_order_lowpass(2.0)
+        if self.antialias is None:
+            self.antialias = identity_filter()
         if self.post_filter is None:
             self.post_filter = first_order_lowpass(0.001)
+        for name in ("input_shaping", "antialias", "post_filter"):
+            sys = promote_iq(getattr(self, name))
+            if sys.is_discrete:
+                raise ModelError(f"{name} must be continuous-time")
+            if sys.n_states and np.linalg.eigvals(sys.A).real.max() >= 0.0:
+                raise ModelError(f"{name} must be a stable continuous-time system")
+            setattr(self, name, sys)
+        W = self.input_shaping
+        if np.any(W.D != 0.0) and not (W.n_states == 0 and np.array_equal(W.D, np.eye(2))):
+            raise ModelError("input_shaping must be strictly proper (D = 0)")
+        if self.delay_fast_steps() == 0 and self.coupling_gain != 0.0:
+            raise ModelError("delay-free coupling: a nonzero coupling_gain needs delay_seconds > 0")
 
     def delay_fast_steps(self) -> int:
         """Coupling delay expressed in fast steps; must be an integer."""
@@ -133,64 +161,19 @@ class RelayParams:
         return int(round(d))
 
 
-@dataclass
-class HybridPlant:
-    """Continuous core of the relay loop with its coupling path left open.
+def assemble_loop(params: RelayParams) -> StateSpace:
+    """The relay-loop core around W, F and P, with the coupling path open.
 
-    ``ct_core`` maps (w: 2, u_hold: 2, c: 2) to (z: 2, y_presample: 2, t: 2),
-    where c is the coupling signal entering at the antialias input and t is
-    the relay output.  The loop closes c[k] = ``coupling`` @ t[k - d] at fast
-    step k, with d = ``delay_fast_steps`` and ``coupling`` = alpha * A_L.
-    The states are (x_W, x_F, x_P); t depends only on x_P and u_hold, so the
-    lifter's delay register holds (x_P, u) of the last ceil(d/N) periods.
+    The core maps (w: 2, u_hold: 2, c: 2) to (z: 2, y_presample: 2, t: 2):
+    z = W w - t is the cancelation error, y_presample = F (W w + c) and the
+    relay output t = P u_hold, where c is the coupling signal entering at the
+    antialias input.  The state order is (x_W, x_F, x_P); t depends only on
+    x_P and u_hold, so the lifter closes c[k] = alpha * A_L * t[k - d] with a
+    register of (x_P, u) over the last ceil(d/N) periods.  W may have a
+    feedthrough: with W = I the exogenous input is the received signal
+    itself, which is how the chain simulator uses the loop.
     """
-
-    ct_core: StateSpace
-    coupling: np.ndarray
-    delay_fast_steps: int
-    params: RelayParams
-
-
-def _require_stable_ct(sys: StateSpace, name: str) -> None:
-    if sys.n_states and np.linalg.eigvals(sys.A).real.max() >= 0.0:
-        raise ModelError(f"{name} must be a stable continuous-time system")
-
-
-def build_hybrid_plant(params: RelayParams) -> HybridPlant:
-    """Assemble the design loop around W, F and P.
-
-    The design model requires a strictly proper input-shaping filter W and
-    is noise-free; see :func:`assemble_loop` for the loop itself.
-    """
-    if np.any(promote_iq(params.input_shaping).D != 0.0):
-        raise ModelError("input_shaping must be strictly proper (D = 0)")
-    return assemble_loop(params)
-
-
-def assemble_loop(params: RelayParams) -> HybridPlant:
-    """Assemble the relay-loop core around W, F and P.
-
-    State order is (x_W, x_F, x_P).  Inputs are (w, u_hold, c) and outputs
-    are z = W w - t (the cancelation error), y_presample = F (W w + c) and
-    the relay output t = P u_hold; the lifter closes c from the delayed t.
-    W may have a feedthrough: with W = I the exogenous input is the received
-    signal itself, which is how the chain simulator uses the loop.  A
-    coupling path needs at least one fast step of delay: a nonzero coupling
-    gain with zero delay raises :class:`ModelError`.
-    """
-    W = promote_iq(params.input_shaping)
-    F = promote_iq(params.antialias) if params.antialias is not None else identity_filter()
-    P = promote_iq(params.post_filter)
-    for sys, name in ((W, "input_shaping"), (F, "antialias"), (P, "post_filter")):
-        if sys.is_discrete:
-            raise ModelError(f"{name} must be continuous-time")
-    _require_stable_ct(W, "input_shaping")
-    _require_stable_ct(F, "antialias")
-    _require_stable_ct(P, "post_filter")
-    d = params.delay_fast_steps()
-    if d == 0 and params.coupling_gain != 0.0:
-        raise ModelError("delay-free coupling: a nonzero coupling_gain needs delay_seconds > 0")
-
+    W, F, P = params.input_shaping, params.antialias, params.post_filter
     nW, nF, nP = W.n_states, F.n_states, P.n_states
     n = nW + nF + nP
     sW = slice(0, nW)
@@ -223,10 +206,4 @@ def assemble_loop(params: RelayParams) -> HybridPlant:
     D[2:4, 4:6] = F.D
     D[4:6, 2:4] = P.D
 
-    return HybridPlant(
-        ct_core=StateSpace(A, B, C, D),
-        coupling=params.coupling_gain * carrier_rotation(params.carrier_hz, params.delay_seconds),
-        delay_fast_steps=d,
-        params=params,
-    )
-
+    return StateSpace(A, B, C, D)

@@ -2,14 +2,14 @@
 
 The relay loop (antialias filter, slow-rate canceler, hold, post filter,
 delayed and rotated coupling feedback) is the design loop of
-:func:`plant.assemble_loop` with the input-shaping filter replaced by an I/Q
+:class:`plant.RelayParams` with the input-shaping filter replaced by an I/Q
 pass-through, so its exogenous input is the received signal w = tx + n_RS.
-FSFH lifting turns one slow period of that loop into a discrete plant and
-:func:`lifting.closed_loop` closes it with K(z), so a run is a plain linear
-iteration over periods and the simulator scores exactly the loop the
-canceler was designed on.  The lifted error output is e = w - u, which gives
-the relay output u = w - e; the relay forward gain and the noise at T act
-outside the loop.
+:func:`lifting.lift` turns one slow period of that loop into a discrete
+plant and :func:`lifting.closed_loop` closes it with K(z), so a run is a
+plain linear iteration over periods and the simulator scores exactly the
+loop the canceler was designed on.  The lifted error output is e = w - u,
+which gives the relay output u = w - e; the relay forward gain and the noise
+at T act outside the loop.
 
 One private kernel, :func:`_advance`, writes that iteration: it advances an
 (n_x, P) state matrix, the loop states of P runs, over a chunk of slow
@@ -50,8 +50,8 @@ from numbers import Integral
 import numpy as np
 
 from .lifting import closed_loop, lift
-from .lti import StateSpace, step_matches
-from .plant import RelayParams, assemble_loop, identity_filter
+from .lti import StateSpace
+from .plant import RelayParams, identity_filter
 from .synthesis import DigitalController
 
 __all__ = [
@@ -183,28 +183,21 @@ def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
 
     Input per period: the N fast samples of w = tx + n_RS (2 each); output:
     the N fast samples of the error e = w - u.  This is where a kind is
-    checked, and where a kind that runs a controller finds it missing.
+    checked, and where a kind that runs a controller finds it missing;
+    :func:`lifting.closed_loop` checks the controller's shape and step.
     """
     if kind not in CANCELER_KINDS:
         raise ConfigError(f"canceler must be one of {CANCELER_KINDS}, got {kind!r}")
-    prm = cfg.params
+    prm = replace(cfg.params, input_shaping=identity_filter())
     if kind not in CONTROLLED_KINDS:
-        K = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
-                       np.zeros((2, 2)), dt=prm.sampling_period)
+        K = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2)))
+    elif cfg.controller is None:
+        raise ConfigError(f"canceler={kind!r} requires a controller")
     else:
-        if cfg.controller is None:
-            raise ConfigError(f"canceler={kind!r} requires a controller")
         K = cfg.controller.K
-        if not step_matches(K.dt, prm.sampling_period):
-            raise ConfigError(
-                f"controller step {K.dt} does not match sampling period {prm.sampling_period}"
-            )
-        if K.n_inputs != 2 or K.n_outputs != 2:
-            raise ConfigError("controller must be 2-input 2-output")
-    loop = assemble_loop(replace(prm, input_shaping=identity_filter()))
     if kind == "perfect":
-        loop = replace(loop, coupling=np.zeros((2, 2)))
-    return closed_loop(lift(loop), K)
+        prm = replace(prm, coupling_gain=0.0)
+    return closed_loop(lift(prm), K)
 
 
 def point_streams(seed: int, point: int) -> tuple:
@@ -303,19 +296,19 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, first_step: in
 class _ChainBatch:
     """P runs of the relay chain for each canceler kind, fed chunk by chunk.
 
-    Run j is sweep point ``points[j]`` with gain ``betas[j]``.  Its n_RS and
-    n_T come from :func:`point_streams`, and every kind sees the same
-    noise, so the kinds are paired.  n_RS is drawn only at
-    ``cols``, the union of the columns that the advanced loops read: per
-    chunk, a run draws (periods, cols.size) normals, which is 2 per period
-    with F = I, all 2N with a dynamic F and none when only ``none`` runs.
+    Run j is sweep point j with gain ``betas[j]``.  Its n_RS and n_T come
+    from :func:`point_streams`, and every kind sees the same noise, so the
+    kinds are paired.  n_RS is drawn only at ``cols``, the union of the
+    columns that the advanced loops read: per chunk, a run draws (periods,
+    cols.size) normals, which is 2 per period with F = I, all 2N with a
+    dynamic F and none when only ``none`` runs.
     tx is added at those columns only.  A run's n_T is (n, 2) normals.
     Chunked draws equal whole ones.  Each kind's :class:`_PeriodKernel`
     lives as long as the batch.  ``none`` transmits u = 0 exactly, so its
     loop is built (and validated) but never advanced.
     """
 
-    def __init__(self, cfg: SimConfig, kinds, betas, points):
+    def __init__(self, cfg: SimConfig, kinds, betas):
         self.kernels = {}
         for kind in kinds:
             kernel = _PeriodKernel(_period_maps(cfg, kind))
@@ -325,7 +318,7 @@ class _ChainBatch:
         self.N = cfg.params.fsfh_ratio
         self.scale = np.array([beta * cfg.relay_gain for beta in betas])
         self.sigma_rs, self.sigma_t = cfg.sigma_rs, cfg.sigma_t
-        self.rs, _, self.t = zip(*(point_streams(cfg.seed, i) for i in points))
+        self.rs, _, self.t = zip(*(point_streams(cfg.seed, i) for i in range(len(betas))))
         self.step = 0
 
     def advance(self, tx: np.ndarray):
@@ -389,7 +382,7 @@ def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
     N, n_fast = cfg.params.fsfh_ratio, tx.shape[0]
     if n_fast % N != 0:
         raise ConfigError(f"waveform length {n_fast} is not a multiple of the FSFH ratio {N}")
-    batch = _ChainBatch(cfg, [kind], [beta], [0])
+    batch = _ChainBatch(cfg, [kind], [beta])
     ((_, u, y_t),) = batch.advance(tx[:, :, None])
     u = u.reshape(n_fast, 2)
     return SimOutput(y_T=y_t[:, :, 0], u=u, z=tx - u)

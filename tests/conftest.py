@@ -3,9 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from cwcancel import RelayParams, build_hybrid_plant
+from cwcancel import RelayParams
 from cwcancel.lifting import LiftedPlant, PlantBlocks, lift, partition
 from cwcancel.lti import StateSpace, bilinear_to_continuous, discretize_zoh
+from cwcancel.plant import assemble_loop, carrier_rotation
 from cwcancel.synthesis import Infeasible, _solve_scattered, bisect_gamma
 
 
@@ -16,7 +17,7 @@ def default_params():
 
 @pytest.fixture(scope="session")
 def default_lifted(default_params):
-    return lift(build_hybrid_plant(default_params))
+    return lift(default_params)
 
 
 @pytest.fixture(scope="session")
@@ -33,19 +34,21 @@ def designed_controller(design_run):
     return design_run[0].controller
 
 
-def fast_step_realization(plant):
+def fast_step_realization(params):
     """One fast step of the loop with the coupling path closed by a shift register.
 
     State is (core states, register r_1 .. r_d) where r_j holds the relay
     output t from j fast steps ago, and the coupling input is
-    c = coupling @ r_d.  The result maps (w: 2, u_hold: 2), held over the
-    step, to the fast samples of (z: 2, y_presample: 2) at step h/N.  This
-    is the paper's construction, kept as the oracle for ``lift``.
+    c = coupling @ r_d with coupling = alpha * A_L.  The result maps
+    (w: 2, u_hold: 2), held over the step, to the fast samples of
+    (z: 2, y_presample: 2) at step h/N.  This is the paper's construction,
+    kept as the oracle for ``lift``.
     """
-    core = plant.ct_core
-    n, d = core.n_states, plant.delay_fast_steps
+    core = assemble_loop(params)
+    n, d = core.n_states, params.delay_fast_steps()
+    coupling = params.coupling_gain * carrier_rotation(params.carrier_hz, params.delay_seconds)
     # Like w and u_hold, the delayed coupling value c is held over each step.
-    fast = discretize_zoh(core, plant.params.sampling_period / plant.params.fsfh_ratio)
+    fast = discretize_zoh(core, params.sampling_period / params.fsfh_ratio)
 
     nx = n + 2 * d
     A = np.zeros((nx, nx))
@@ -55,12 +58,12 @@ def fast_step_realization(plant):
     B[:n] = fast.B[:, 0:4]
     C[:, :n] = core.C[0:4]
 
-    # assemble_loop rejects a nonzero coupling gain without delay, so d = 0
+    # RelayParams rejects a nonzero coupling gain without delay, so d = 0
     # means the coupling path is absent.
     if d >= 1:
         oldest = slice(n + 2 * (d - 1), nx)
-        A[:n, oldest] += fast.B[:, 4:6] @ plant.coupling
-        C[2:4, oldest] += core.D[2:4, 4:6] @ plant.coupling
+        A[:n, oldest] += fast.B[:, 4:6] @ coupling
+        C[2:4, oldest] += core.D[2:4, 4:6] @ coupling
         A[n:n + 2, :n] = core.C[4:6]
         B[n:n + 2, 2:4] = core.D[4:6, 2:4]
         for j in range(1, d):
@@ -69,10 +72,10 @@ def fast_step_realization(plant):
     return StateSpace(A, B, C, core.D[0:4, 0:4], dt=fast.dt)
 
 
-def shift_register_lift(plant):
+def shift_register_lift(params):
     """N fast steps of :func:`fast_step_realization` stacked into one slow step."""
-    N = plant.params.fsfh_ratio
-    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(plant), 2, 2)
+    N = params.fsfh_ratio
+    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(params), 2, 2)
     nx = Phi.shape[0]
 
     # Affine propagation: columns track (xi_0, w_0..w_{N-1}, u).
@@ -95,7 +98,7 @@ def shift_register_lift(plant):
     out[2 * N:, nx:nx + 2] = Dyw
     out[2 * N:, u_cols] = Dyu
 
-    G = StateSpace(M[:, :nx], M[:, nx:], out[:, :nx], out[:, nx:], dt=plant.params.sampling_period)
+    G = StateSpace(M[:, :nx], M[:, nx:], out[:, :nx], out[:, nx:], dt=params.sampling_period)
     return LiftedPlant(G=G, n_w=2 * N, n_u=2, n_z=2 * N, n_y=2)
 
 

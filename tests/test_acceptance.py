@@ -12,7 +12,7 @@ from cwcancel.ber import default_beta_grid, demodulate, modulate, q_function, sw
 from cwcancel.hnorm import hinf_norm_discrete
 from cwcancel.lifting import closed_loop, lift
 from cwcancel.lti import StateSpace, discretize_zoh, spectral_radius
-from cwcancel.plant import RelayParams, build_hybrid_plant, carrier_rotation
+from cwcancel.plant import RelayParams, carrier_rotation
 from cwcancel.riccati import solve_care
 from cwcancel.simulate import SimConfig, simulate_chain
 
@@ -149,7 +149,7 @@ def test_criterion_6_fsfh_convergence():
     # is 1 at every N and the measured gaps sit at rounding level.
     norms = {}
     for N in (8, 16, 32):
-        lifted = lift(build_hybrid_plant(RelayParams(fsfh_ratio=N, coupling_gain=0.0)))
+        lifted = lift(RelayParams(fsfh_ratio=N, coupling_gain=0.0))
         G = lifted.G
         block = StateSpace(G.A, G.B[:, :lifted.n_w], G.C[:lifted.n_z, :],
                            G.D[:lifted.n_z, :lifted.n_w], dt=G.dt)

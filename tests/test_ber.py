@@ -251,11 +251,11 @@ class TestGrid:
 @pytest.fixture(scope="module")
 def antialias_cfg():
     from cwcancel.lifting import lift
-    from cwcancel.plant import build_hybrid_plant, first_order_lowpass
+    from cwcancel.plant import first_order_lowpass
     from cwcancel.synthesis import bisect_gamma
 
     params = RelayParams(antialias=first_order_lowpass(0.01))  # F = 100/(s+100)
-    K = bisect_gamma(lift(build_hybrid_plant(params)), tol=5e-3).controller
+    K = bisect_gamma(lift(params), tol=5e-3).controller
     return SimConfig(params=params, controller=K, seed=2024)
 
 
@@ -267,10 +267,11 @@ def whole_waveform_errors(cfg, kind, beta, point):
     key = np.array([cfg.seed, 3 * point + 1], dtype=np.uint64)
     bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=cfg.n_symbols)
     tx = modulate(bits, cfg)
-    batch = _ChainBatch(cfg, [kind], [beta], [point])
+    # Runs 0 .. point of one batch at the same beta; run ``point`` is sweep point ``point``.
+    batch = _ChainBatch(cfg, [kind], [beta] * (point + 1))
     ref = _pilot_reference(cfg, batch, kind)
-    ((_, _, y_t),) = batch.advance(tx[:, :, None])
-    y_t = y_t[:, :, 0]
+    ((_, _, y_t),) = batch.advance(np.repeat(tx[:, :, None], point + 1, axis=2))
+    y_t = y_t[:, :, point]
     if point == 0:
         assert np.array_equal(simulate_chain(cfg, tx, kind, beta).y_T, y_t)
     decided = demodulate(y_t, cfg, ref, align_offset=_CHAIN_ALIGN)

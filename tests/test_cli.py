@@ -168,7 +168,7 @@ class TestConfig:
                 a, b = getattr(ours, name), getattr(theirs, name)
                 if section == "sim" and name == "seed":
                     assert (a, b) == (20260808, 0)
-                elif name in ("input_shaping", "post_filter"):
+                elif name in ("input_shaping", "antialias", "post_filter"):
                     assert all(np.array_equal(getattr(a, m), getattr(b, m)) for m in "ABCD")
                 else:
                     assert a == b, f"{section}.{name}"
@@ -516,5 +516,30 @@ class TestDelayFreeCoupling:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "delay-free" in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert not out.exists()
+
+
+class TestInvalidInputShaping:
+    """An unstable or not strictly proper W is refused by every command, also
+    by the two that run the loop with W replaced by the pass-through."""
+
+    @pytest.mark.parametrize("shaping", [
+        {"a": [[0.5]], "b": [[0.5]], "c": [[1.0]], "d": [[0.0]]},
+        {"a": [[-0.5]], "b": [[0.5]], "c": [[1.0]], "d": [[0.3]]},
+    ], ids=["unstable", "feedthrough"])
+    @pytest.mark.parametrize("command", [
+        ["design"],
+        ["simulate", "--canceler", "none"],
+        ["sweep", "--cancelers", "none"],
+    ], ids=["design", "simulate", "sweep"])
+    def test_exit_config(self, tmp_path, capsys, shaping, command):
+        path = tmp_path / "shaping.json"
+        path.write_text(json.dumps({"relay": {"input_shaping": shaping},
+                                    "comms": {"n_symbols": 40}, "sweep": {"n_points": 2}}))
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "input_shaping must be" in err
         assert err.strip().splitlines() == [err.strip()]
         assert not out.exists()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cwcancel.lifting import lift
-from cwcancel.plant import RelayParams, build_hybrid_plant, first_order_lowpass
+from cwcancel.plant import RelayParams, assemble_loop, first_order_lowpass
 from cwcancel.simulate import SimConfig, simulate_chain
 from cwcancel.synthesis import bisect_gamma
 
@@ -19,13 +19,12 @@ def dyn_params():
 
 @pytest.fixture(scope="module")
 def dyn_design(dyn_params):
-    return bisect_gamma(lift(build_hybrid_plant(dyn_params)), tol=5e-3)
+    return bisect_gamma(lift(dyn_params), tol=5e-3)
 
 
 def test_dimensions(dyn_params):
-    plant = build_hybrid_plant(dyn_params)
-    assert plant.ct_core.n_states == 6  # shaping + antialias + post, I/Q pairs
-    assert lift(plant).n_states == 10  # core + one (x_P, u) register slot
+    assert assemble_loop(dyn_params).n_states == 6  # shaping + antialias + post, I/Q pairs
+    assert lift(dyn_params).n_states == 10  # core + one (x_P, u) register slot
 
 
 def test_synthesis_succeeds(dyn_design):

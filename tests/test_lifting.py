@@ -15,7 +15,7 @@ from cwcancel.lifting import (
     partition,
 )
 from cwcancel.lti import StateSpace, discretize_zoh
-from cwcancel.plant import RelayParams, build_hybrid_plant, first_order_lowpass
+from cwcancel.plant import RelayParams, assemble_loop, first_order_lowpass
 
 
 def open_loop_error_block(lifted):
@@ -37,7 +37,7 @@ def test_dimensions(default_lifted):
 @pytest.mark.parametrize("N", [8, 16, 32, 64])
 def test_lifted_order_does_not_grow_with_n(N):
     # nW + nF + nP + ceil(d/N) * (nP + 2) = 2 + 0 + 2 + 1 * 4 at the defaults.
-    assert lift(build_hybrid_plant(RelayParams(fsfh_ratio=N))).n_states == 8
+    assert lift(RelayParams(fsfh_ratio=N)).n_states == 8
 
 
 @pytest.mark.parametrize("params", [
@@ -51,10 +51,9 @@ def test_lifted_order_does_not_grow_with_n(N):
 def test_lift_matches_shift_register_oracle(params):
     # The slow-rate (x_P, u) register is the same operator as the paper's
     # fast-rate shift register of t.
-    plant = build_hybrid_plant(params)
     theta = np.linspace(0.0, np.pi, 65)
-    ours = frequency_response(lift(plant).G, theta)
-    ref = frequency_response(shift_register_lift(plant).G, theta)
+    ours = frequency_response(lift(params).G, theta)
+    ref = frequency_response(shift_register_lift(params).G, theta)
     assert ours.shape == ref.shape
     err = np.linalg.norm(ours - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
     assert err.max() < 1e-12
@@ -73,9 +72,8 @@ def test_degenerate_lift_is_plain_zoh(h, carrier, tau_w, tau_f, tau_p):
         carrier_hz=carrier, input_shaping=first_order_lowpass(tau_w),
         antialias=None if tau_f is None else first_order_lowpass(tau_f),
         post_filter=first_order_lowpass(tau_p))
-    plant = build_hybrid_plant(params)
-    lifted = lift(plant)
-    ref = discretize_zoh(plant.ct_core, params.sampling_period)
+    lifted = lift(params)
+    ref = discretize_zoh(assemble_loop(params), params.sampling_period)
     # Compare the (w, u) -> (z, y) block; the coupling ports (c, t) are unused.
     assert np.abs(lifted.G.A - ref.A).max() < 1e-12
     assert np.abs(lifted.G.B - ref.B[:, :4]).max() < 1e-12
@@ -87,7 +85,7 @@ def test_open_loop_norm_matches_input_shaping_peak():
     # alpha = 0, K = 0: the lifted error map is the blocked ZOH-discretized
     # 1/(2s+1), whose peak sits at DC and survives discretization exactly.
     for N in (8, 16):
-        lifted = lift(build_hybrid_plant(RelayParams(fsfh_ratio=N, coupling_gain=0.0)))
+        lifted = lift(RelayParams(fsfh_ratio=N, coupling_gain=0.0))
         nrm = hinf_norm_discrete(open_loop_error_block(lifted), tol=1e-8)
         assert abs(nrm - 1.0) < 1e-9
 
@@ -97,14 +95,14 @@ def test_delay_timing():
     # (strictly proper post filter); its echo must hit the measurement
     # exactly d fast steps after that.
     params = RelayParams(coupling_gain=1.0, carrier_hz=0.0)
-    plant = build_hybrid_plant(params)
-    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(plant), 2, 2)
-    d = plant.delay_fast_steps
+    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(params), 2, 2)
+    d = params.delay_fast_steps()
+    core = assemble_loop(params)
     x = np.zeros(Phi.shape[0])
     u = np.array([1.0, 0.0])
     y_hist, u_out_hist = [], []
-    tap, tapD = plant.ct_core.C[4:6], plant.ct_core.D[4:6, 2:4]  # the relay output t
-    n = plant.ct_core.n_states
+    tap, tapD = core.C[4:6], core.D[4:6, 2:4]  # the relay output t
+    n = core.n_states
     for t in range(3 * d + 4):
         y_hist.append(Cy @ x + Dyu @ u)
         u_out_hist.append(tap @ x[:n] + tapD @ u)
@@ -119,8 +117,8 @@ def test_delay_timing():
 def test_energy_bookkeeping_vs_fast_simulation(default_lifted, default_params):
     # Impulse responses of the lifted recursion over 64 slow steps must match
     # a brute-force fast-rate simulation channel by channel.
-    plant = build_hybrid_plant(default_params)
-    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(plant), 2, 2)
+    Phi, Gw, Gu, Cz, Cy, Dzw, Dzu, Dyw, Dyu = partition(fast_step_realization(default_params),
+                                                        2, 2)
     G = default_lifted.G
     N = default_params.fsfh_ratio
     n_slow = 64
@@ -183,6 +181,19 @@ def test_closed_loop_rejects_mismatched_controller(default_lifted):
                             np.zeros((2, 2)), dt=2.0)
     with pytest.raises(InterconnectionError):
         closed_loop(default_lifted, wrong_step)
+
+
+def test_closed_loop_rejects_continuous_controller():
+    # A K with states and dt = None is not a controller of the sampled loop;
+    # a static gain has no step and is accepted.
+    lifted = lift(RelayParams(fsfh_ratio=8))
+    rng = np.random.default_rng(7)
+    K = StateSpace(-np.eye(2), rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+                   np.zeros((2, 2)))
+    with pytest.raises(InterconnectionError, match="controller step None"):
+        closed_loop(lifted, K)
+    gain = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2)))
+    assert closed_loop(lifted, gain).n_states == lifted.n_states
 
 
 def test_closed_loop_algebraic_loop():

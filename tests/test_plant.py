@@ -8,9 +8,10 @@ from cwcancel.plant import (
     ModelError,
     RelayParams,
     RepresentabilityError,
-    build_hybrid_plant,
+    assemble_loop,
     carrier_rotation,
     first_order_lowpass,
+    identity_filter,
     promote_iq,
 )
 
@@ -49,7 +50,9 @@ class TestDefaults:
         assert p.sampling_period == 1.0
         assert p.delay_seconds == 1.0
         assert p.carrier_hz == 10000.0
-        assert p.antialias is None  # F = I
+        F = identity_filter()  # F = I, however it was given
+        for q in (p, RelayParams(antialias=None), RelayParams(antialias=F)):
+            assert all(np.array_equal(getattr(q.antialias, m), getattr(F, m)) for m in "ABCD")
 
     def test_filter_realizations(self):
         p = RelayParams()
@@ -63,18 +66,17 @@ class TestDefaults:
 
 class TestBuild:
     def test_state_dimension(self, default_params):
-        plant = build_hybrid_plant(default_params)
-        assert plant.ct_core.n_states == 4
-        assert plant.delay_fast_steps == 16
-        assert plant.ct_core.n_inputs == 6 and plant.ct_core.n_outputs == 6
+        core = assemble_loop(default_params)
+        assert core.n_states == 4
+        assert default_params.delay_fast_steps() == 16
+        assert core.n_inputs == 6 and core.n_outputs == 6
 
     def test_open_loop_error_map_equals_input_shaping(self, default_params):
         # With u = 0 the error output is exactly W w, checked in the
         # frequency domain on the continuous core.
-        plant = build_hybrid_plant(default_params)
-        core = plant.ct_core
+        core = assemble_loop(default_params)
         n = core.n_states
-        W = promote_iq(default_params.input_shaping)
+        W = default_params.input_shaping
         for w in (0.0, 0.3, 2.0, 17.0):
             E = 1j * w * np.eye(n) - core.A
             Hzw = core.C[0:2] @ np.linalg.solve(E, core.B[:, 0:2]) + core.D[0:2, 0:2]
@@ -83,35 +85,58 @@ class TestBuild:
             assert np.abs(Hzw - Hw).max() < 1e-12
 
     def test_rejects_non_strictly_proper_shaping(self):
-        bad = StateSpace([[-0.5]], [[0.5]], [[1.0]], [[0.1]])
-        with pytest.raises(ModelError):
-            build_hybrid_plant(RelayParams(input_shaping=bad))
+        # Checked at construction; only the zero-state I/Q pass-through, the
+        # simulator's W, may have a feedthrough.
+        for bad in (StateSpace([[-0.5]], [[0.5]], [[1.0]], [[0.1]]),
+                    StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
+                               0.3 * np.eye(2))):
+            with pytest.raises(ModelError, match="strictly proper"):
+                RelayParams(input_shaping=bad)
+        assert RelayParams(input_shaping=identity_filter()).input_shaping.n_states == 0
 
     def test_rejects_unstable_shaping(self):
         bad = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]])
-        with pytest.raises(ModelError):
-            build_hybrid_plant(RelayParams(input_shaping=bad))
+        with pytest.raises(ModelError, match="input_shaping must be a stable"):
+            RelayParams(input_shaping=bad)
+
+    @pytest.mark.parametrize("name", ["input_shaping", "antialias", "post_filter"])
+    def test_filters_checked_at_construction(self, name):
+        unstable = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]])
+        discrete = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0)
+        odd = StateSpace([[-1.0]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]])
+        for bad, message in ((unstable, f"{name} must be a stable"),
+                             (discrete, f"{name} must be continuous-time"),
+                             (odd, "1x1 .scalar. or 2x2")):
+            with pytest.raises(ModelError, match=message):
+                RelayParams(**{name: bad})
+
+    def test_filters_stored_in_iq_form(self):
+        lp = first_order_lowpass(0.01)
+        p = RelayParams(input_shaping=lp, antialias=lp, post_filter=lp)
+        for name in ("input_shaping", "antialias", "post_filter"):
+            f = getattr(p, name)
+            assert (f.n_inputs, f.n_outputs, f.n_states) == (2, 2, 2)
+            assert np.array_equal(f.A, promote_iq(lp).A)
 
     def test_rejects_non_representable_delay(self):
         with pytest.raises(RepresentabilityError):
-            RelayParams(delay_seconds=0.3, fsfh_ratio=16).delay_fast_steps()
+            RelayParams(delay_seconds=0.3, fsfh_ratio=16)
         with pytest.raises(RepresentabilityError):
-            build_hybrid_plant(RelayParams(delay_seconds=1.0 / 3.0))
+            RelayParams(delay_seconds=1.0 / 3.0)
 
     def test_deterministic(self, default_params):
-        a = build_hybrid_plant(default_params)
-        b = build_hybrid_plant(default_params)
-        assert np.array_equal(a.ct_core.A, b.ct_core.A)
-        assert np.array_equal(a.ct_core.B, b.ct_core.B)
-        assert np.array_equal(a.ct_core.C, b.ct_core.C)
-        assert np.array_equal(a.ct_core.D, b.ct_core.D)
-        assert np.array_equal(a.coupling, b.coupling)
+        a = assemble_loop(default_params)
+        b = assemble_loop(default_params)
+        assert np.array_equal(a.A, b.A)
+        assert np.array_equal(a.B, b.B)
+        assert np.array_equal(a.C, b.C)
+        assert np.array_equal(a.D, b.D)
 
     def test_iq_block_structure(self, default_params):
         # With scalar prototypes every core block is kron(., I2): the two
         # baseband components never mix inside the core.
-        plant = build_hybrid_plant(default_params)
-        for M in (plant.ct_core.A, plant.ct_core.B, plant.ct_core.C, plant.ct_core.D):
+        core = assemble_loop(default_params)
+        for M in (core.A, core.B, core.C, core.D):
             r, c = M.shape
             for i in range(0, r, 2):
                 for j in range(0, c, 2):
@@ -131,6 +156,20 @@ class TestBuild:
             RelayParams(coupling_gain=-0.1)
         with pytest.raises(ValueError):
             first_order_lowpass(0.0)
+
+    @pytest.mark.parametrize("field", ["sampling_period", "fsfh_ratio", "delay_seconds",
+                                       "coupling_gain", "carrier_hz"])
+    def test_rejects_bools(self, field):
+        # True would otherwise run as 1: N = 1, or h = 1 stored as True.
+        with pytest.raises(ModelError, match=f"{field} must be a number, got True"):
+            RelayParams(**{field: True})
+
+    @pytest.mark.parametrize("value", [16.0, np.float64(16.0), 2.5])
+    def test_fsfh_ratio_must_be_an_integer(self, value):
+        with pytest.raises(ModelError, match="fsfh_ratio must be a positive integer"):
+            RelayParams(fsfh_ratio=value)
+        p = RelayParams(fsfh_ratio=np.int64(16))
+        assert type(p.fsfh_ratio) is int and p.fsfh_ratio == 16
 
     @pytest.mark.parametrize("field", ["sampling_period", "fsfh_ratio", "delay_seconds",
                                        "coupling_gain", "carrier_hz"])

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cwcancel.lifting import lift
-from cwcancel.plant import ModelError, RelayParams, build_hybrid_plant, first_order_lowpass
+from cwcancel.lifting import InterconnectionError, lift
+from cwcancel.plant import ModelError, RelayParams, first_order_lowpass
 from cwcancel.simulate import (
     ConfigError,
     SimConfig,
@@ -146,18 +146,10 @@ def oracle_relay_output(params, K, kind, tx):
     alpha = 0.0 if kind == "perfect" else params.coupling_gain
     theta = -2.0 * math.pi * math.fmod(params.carrier_hz * params.delay_seconds, 1.0)
     AL = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    I2 = np.eye(2)
-
-    def iq(sys):
-        return [np.kron(M, I2) for M in (sys.A, sys.B, sys.C, sys.D)]
-
-    if params.antialias is None:
-        FA, FB, FC, FD = np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), I2
-    else:
-        FA, FB, FC, FD = iq(params.antialias)
-        FA, FB = _zoh(FA, FB, tau)
-    PA, PB, PC, PD = iq(params.post_filter)
-    PA, PB = _zoh(PA, PB, tau)
+    # RelayParams stores F and P in I/Q form; F = I has no states.
+    F, P = params.antialias, params.post_filter
+    (FA, FB), FC, FD = _zoh(F.A, F.B, tau), F.C, F.D
+    (PA, PB), PC, PD = _zoh(P.A, P.B, tau), P.C, P.D
 
     xF, xP = np.zeros(FA.shape[0]), np.zeros(PA.shape[0])
     xK = np.zeros(K.K.n_states) if K is not None else None
@@ -188,11 +180,11 @@ def oracle_cases(default_params, designed_controller):
     return {
         "defaults": (default_params, designed_controller),
         "rotated": (replace(default_params, carrier_hz=10000.125), designed_controller),
-        "antialias": (aa, bisect_gamma(lift(build_hybrid_plant(aa)), tol=5e-3).controller),
+        "antialias": (aa, bisect_gamma(lift(aa), tol=5e-3).controller),
         "delay_free": (RelayParams(delay_seconds=0.0, coupling_gain=0.0), designed_controller),
         # F = 1/(s+1) + 0.5 and P = 1000/(s+1000) + 0.2: both feedthroughs
         # sit on the coupling path (D[y, c] and D[t, u_hold] of the core).
-        "feedthrough": (ft, bisect_gamma(lift(build_hybrid_plant(ft)), tol=5e-3).controller),
+        "feedthrough": (ft, bisect_gamma(lift(ft), tol=5e-3).controller),
     }
 
 
@@ -268,7 +260,7 @@ def period_maps(oracle_cases):
     n32 = RelayParams(fsfh_ratio=32)
     cases = {
         "N16": oracle_cases["defaults"],
-        "N32": (n32, bisect_gamma(lift(build_hybrid_plant(n32)), tol=5e-3).controller),
+        "N32": (n32, bisect_gamma(lift(n32), tol=5e-3).controller),
         "antialias": oracle_cases["antialias"],  # F = 100/(s+100): all of w reaches the loop
         "feedthrough": oracle_cases["feedthrough"],
     }
@@ -330,7 +322,7 @@ class TestInputColumns:
     def columns(params):
         from cwcancel.simulate import _period_maps, _PeriodKernel
 
-        K = bisect_gamma(lift(build_hybrid_plant(params)), tol=5e-3).controller
+        K = bisect_gamma(lift(params), tol=5e-3).controller
         return [_PeriodKernel(_period_maps(SimConfig(params=params, controller=K),
                                            kind)).cols.tolist()
                 for kind in ("designed", "perfect")]
@@ -365,15 +357,15 @@ def test_batch_terminal_noise_is_its_own_stream(base_cfg):
     # i, however the samples are chunked; no n_RS is drawn at all.
     from cwcancel.simulate import _ChainBatch
 
-    points, n_fast = [0, 4, 11], 16 * 100
-    batch = _ChainBatch(base_cfg, ["none"], [1e-3, 1e-2, 1e-1], points)
+    betas, n_fast = [1e-3, 1e-2, 1e-1, 1.0], 16 * 100
+    batch = _ChainBatch(base_cfg, ["none"], betas)
     assert batch.cols.size == 0
     y_t = np.concatenate([y for n in (16, 512, 48, 1024)
-                          for _, _, y in batch.advance(np.zeros((n, 2, len(points))))])
-    for j, i in enumerate(points):
+                          for _, _, y in batch.advance(np.zeros((n, 2, len(betas))))])
+    for i in range(len(betas)):
         key = np.array([base_cfg.seed, 3 * i + 2], dtype=np.uint64)
         n_t = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_fast, 2))
-        assert np.array_equal(y_t[:, :, j], batch.sigma_t * n_t)
+        assert np.array_equal(y_t[:, :, i], batch.sigma_t * n_t)
 
 
 def test_stream_keys_of_adjacent_seeds_are_disjoint():
@@ -425,24 +417,23 @@ def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
     params, K = oracle_cases[case]
     cfg = SimConfig(params=params, controller=K, seed=5, noise_t_dbm=-math.inf)
     N, chunks = params.fsfh_ratio, (_SCAN_BLOCK, 2 * _SCAN_BLOCK, _SCAN_BLOCK)
-    for point in (0, 3):
-        batch = _ChainBatch(cfg, ["designed"], [1.0], [point])
+    for P in (1, 4):  # run i of a batch is sweep point i
+        batch = _ChainBatch(cfg, ["designed"], [1.0] * P)
         u = np.concatenate([u for T in chunks
-                            for _, u, _ in batch.advance(np.zeros((T * N, 2, 1)))])
+                            for _, u, _ in batch.advance(np.zeros((T * N, 2, P)))])
         kernel = _PeriodKernel(_period_maps(cfg, "designed"))
-        key = np.array([cfg.seed, 3 * point], dtype=np.uint64)
-        n_rs = np.random.Generator(np.random.Philox(key=key)).standard_normal(
-            (sum(chunks), kernel.cols.size))
-        ref = _advance(kernel, np.zeros((kernel.n_states, 1)), batch.sigma_rs * n_rs[:, None], 0)
+        n_rs = np.stack([np.random.Generator(np.random.Philox(
+            key=np.array([cfg.seed, 3 * i], dtype=np.uint64))).standard_normal(
+            (sum(chunks), kernel.cols.size)) for i in range(P)], axis=1)
+        ref = _advance(kernel, np.zeros((kernel.n_states, P)), batch.sigma_rs * n_rs, 0)
         assert np.array_equal(u, ref)
 
 
 class TestDelayFree:
-    def test_coupling_rejected(self, designed_controller):
-        cfg = SimConfig(params=RelayParams(delay_seconds=0.0),
-                        controller=designed_controller, seed=0)
+    def test_coupling_rejected(self):
+        # The relay parameters refuse the loop, before any SimConfig holds them.
         with pytest.raises(ModelError, match="delay-free"):
-            simulate_chain(cfg, np.zeros((16, 2)), "designed", 1.0)
+            RelayParams(delay_seconds=0.0)
 
     def test_designed_equals_perfect_without_coupling(self, designed_controller):
         params = RelayParams(delay_seconds=0.0, coupling_gain=0.0)
@@ -460,7 +451,7 @@ class TestValidation:
                          np.zeros((2, 2)), dt=2.0),
             gamma_achieved=1.0)
         cfg = SimConfig(params=default_params, controller=K, seed=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InterconnectionError):
             simulate_chain(cfg, np.zeros((16, 2)), "designed", 1.0)
 
     def test_length_must_be_whole_periods(self, base_cfg):

@@ -10,7 +10,7 @@ from cwcancel.hnorm import _sigma_max, exceeds, frequency_response, hinf_norm_di
 from cwcancel.lifting import LiftedPlant, closed_loop, lift
 from cwcancel.lti import (NumericalFailure, StateSpace, bilinear_to_continuous,
                          bilinear_to_discrete, spectral_radius)
-from cwcancel.plant import RelayParams, build_hybrid_plant
+from cwcancel.plant import RelayParams
 from cwcancel.synthesis import (
     PROBE_MARGIN,
     DigitalController,
@@ -55,7 +55,7 @@ PINNED = {
 
 @pytest.fixture(scope="module")
 def n8_run():
-    lifted = lift(build_hybrid_plant(RelayParams(fsfh_ratio=8)))
+    lifted = lift(RelayParams(fsfh_ratio=8))
     return lifted, bisect_gamma(lifted, tol=1e-5)
 
 
@@ -213,7 +213,7 @@ class TestProbe:
     def test_accepted_probe_evaluates_no_frequency_response(self, monkeypatch):
         """A probe whose closed loop is proven below the level at N = 32
         decides with one Cholesky and one Hamiltonian test."""
-        Gl = lift(build_hybrid_plant(RelayParams(fsfh_ratio=32)))
+        Gl = lift(RelayParams(fsfh_ratio=32))
         calls = []
         real = hnorm.frequency_response
         monkeypatch.setattr(hnorm, "frequency_response",
@@ -327,7 +327,7 @@ class TestBisection:
         assert ctrl.gamma_certified <= ctrl.gamma_achieved * (1.0 + 1e-3)
 
     def test_alpha_zero_gamma_below_one(self):
-        lifted = lift(build_hybrid_plant(RelayParams(coupling_gain=0.0)))
+        lifted = lift(RelayParams(coupling_gain=0.0))
         result = bisect_gamma(lifted, tol=1e-3)
         assert result.gamma_min <= 1.0 + 1e-3
 
@@ -383,7 +383,7 @@ class TestBisection:
     @pytest.mark.parametrize("N", sorted(PINNED))
     def test_pinned_bisection(self, N):
         trace, gamma_min = PINNED[N]
-        result = bisect_gamma(lift(build_hybrid_plant(RelayParams(fsfh_ratio=N))), tol=1e-5)
+        result = bisect_gamma(lift(RelayParams(fsfh_ratio=N)), tol=1e-5)
         assert result.bisection_trace == trace
         assert result.gamma_min == gamma_min
 
@@ -409,7 +409,7 @@ class TestBisection:
         # each doubling of the FSFH ratio roughly halves the gap (first-order
         # FSFH convergence).  A tight tol keeps bisection steps well below
         # the gaps (about 7e-3 and 3.4e-3).
-        g = {N: bisect_gamma(lift(build_hybrid_plant(RelayParams(fsfh_ratio=N))),
+        g = {N: bisect_gamma(lift(RelayParams(fsfh_ratio=N)),
                              tol=1e-5).gamma_min
              for N in (8, 16, 32)}
         assert g[8] > g[16] > g[32]
