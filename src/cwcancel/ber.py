@@ -130,7 +130,7 @@ def _windows(samples: np.ndarray, sps: int, offset: int, tail, final: bool):
     return stream[: n_win * sps].reshape(n_win, sps, *stream.shape[1:]), stream[n_win * sps:]
 
 
-def _decision_windows(samples: np.ndarray, sps: int, offset: int = 0) -> np.ndarray:
+def _decision_windows(samples: np.ndarray, sps: int, offset: int) -> np.ndarray:
     """Per-symbol integration windows of a whole waveform (see :func:`_windows`).
 
     A nonzero offset re-aligns the windows to a chain whose hold updates lag
@@ -165,7 +165,8 @@ def _pilot_reference(cfg: SimConfig, batch, kind: str) -> np.ndarray:
     """Gain/rotation reference from a short noise-free all-ones pilot run of
     one kind of a :class:`_ChainBatch` of ``cfg``, at the batch's first point."""
     y_t = batch.pilot(kind, modulate(np.ones(8, dtype=int), cfg))
-    # A divergent loop's pilot can stay finite and still overflow here.
+    # A stable loop's pilot can stay finite at a large enough scale and
+    # still overflow here.
     with np.errstate(over="ignore", invalid="ignore"):
         vec = _decision_windows(y_t, cfg.sps, _CHAIN_ALIGN)[-1].mean(axis=0)
         norm = float(np.linalg.norm(vec))

@@ -20,7 +20,8 @@ import numpy as np
 
 from .lti import NumericalFailure, StateSpace, bilinear_to_continuous, spectral_radius
 
-__all__ = ["UnstableSystemError", "hinf_norm_discrete", "exceeds", "frequency_response"]
+__all__ = ["UnstableSystemError", "require_stable", "hinf_norm_discrete", "exceeds",
+           "frequency_response"]
 
 HINF_NORM_RTOL = 1e-4
 # Hamiltonian eigenvalues with |Re| <= this * (1 + |lambda|) lie on the axis.
@@ -36,7 +37,20 @@ _CHUNK_BYTES = 16 * 2 ** 20
 
 
 class UnstableSystemError(ValueError):
-    """The discrete H-infinity norm of an unstable system is infinite."""
+    """A discrete closed loop whose spectral radius is not below 1."""
+
+
+def require_stable(A, loop: str) -> float:
+    """The spectral radius of a discrete loop's state matrix A.
+
+    A loop is usable only when the radius is below 1: an unstable loop has
+    an infinite H-infinity norm and diverges when simulated.  Otherwise,
+    a NaN radius included, raises :class:`UnstableSystemError` naming ``loop``.
+    """
+    radius = spectral_radius(A)
+    if not radius < 1.0:
+        raise UnstableSystemError(f"{loop}: spectral radius {radius:.9f} >= 1")
+    return radius
 
 
 def frequency_response(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:
@@ -139,8 +153,8 @@ def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
     """Peak singular value g of a Schur-stable discrete system over [0, pi].
 
     g is attained at some frequency, and the norm is proven to lie in
-    [g, g*(1+2*tol)].  Raises :class:`UnstableSystemError` when the spectral
-    radius of A is not strictly inside the unit circle, and
+    [g, g*(1+2*tol)].  Raises :class:`UnstableSystemError` when
+    :func:`require_stable` refuses A, and
     :class:`~cwcancel.lti.NumericalFailure` when no bound is proven,
     which includes a nonzero system whose gain is 0 at theta = 0, pi/2 and
     pi (no level to test) and a level that the continuous image's
@@ -148,9 +162,7 @@ def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
     """
     if not sys.is_discrete:
         raise ValueError("hinf_norm_discrete expects a discrete-time system")
-    radius = spectral_radius(sys.A)
-    if radius >= 1.0:
-        raise UnstableSystemError(f"spectral radius {radius:.6f} >= 1: norm is infinite")
+    require_stable(sys.A, "system")
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return 0.0
 

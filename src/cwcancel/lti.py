@@ -121,8 +121,6 @@ def matrix_exponential(M) -> np.ndarray:
     n, m = A.shape
     if n != m:
         raise DimensionError(f"matrix_exponential needs a square matrix, got {A.shape}")
-    if n == 0:
-        return np.zeros((0, 0))
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix_exponential: input has non-finite entries")
 
@@ -171,8 +169,6 @@ def discretize_zoh(sys: StateSpace, step: float) -> StateSpace:
     if not step > 0:
         raise ValueError(f"discretization step must be positive, got {step}")
     n, m = sys.n_states, sys.n_inputs
-    if n == 0:
-        return StateSpace(sys.A, sys.B, sys.C, sys.D, dt=step)
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = sys.A * step
     aug[:n, n:] = sys.B * step

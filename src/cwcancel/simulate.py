@@ -49,6 +49,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .hnorm import require_stable
 from .lifting import closed_loop, lift
 from .lti import StateSpace
 from .plant import RelayParams, identity_filter
@@ -183,7 +184,8 @@ def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
 
     Input per period: the N fast samples of w = tx + n_RS (2 each); output:
     the N fast samples of the error e = w - u.  This is where a kind is
-    checked, and where a kind that runs a controller finds it missing;
+    checked, where a kind that runs a controller finds it missing, and where
+    an unstable loop is refused, before any noise is drawn;
     :func:`lifting.closed_loop` checks the controller's shape and step.
     """
     if kind not in CANCELER_KINDS:
@@ -197,7 +199,9 @@ def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
         K = cfg.controller.K
     if kind == "perfect":
         prm = replace(prm, coupling_gain=0.0)
-    return closed_loop(lift(prm), K)
+    loop = closed_loop(lift(prm), K)
+    require_stable(loop.A, f"{kind} loop")
+    return loop
 
 
 def point_streams(seed: int, point: int) -> tuple:
@@ -215,7 +219,8 @@ def point_streams(seed: int, point: int) -> tuple:
 # Periods per scan block of :func:`_advance`: a power of two that divides
 # every 64-symbol sweep chunk.
 _SCAN_BLOCK = 64
-# A divergent loop overflows; the kernel's finiteness check reports it.
+# A stable loop can still overflow a float at a large enough scale; the
+# kernel's finiteness check reports it.
 _DIVERGENCE = dict(over="ignore", invalid="ignore")
 
 
@@ -247,7 +252,7 @@ class _PeriodKernel:
         self.Z = np.empty((0, n + self.cols.size))
 
 
-def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, first_step: int) -> np.ndarray:
+def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Relay outputs U of P runs over a chunk of slow periods.
 
     X is the (n_x, P) loop state of the runs and is advanced in place;
@@ -260,8 +265,8 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, first_step: in
     the doubling with s = 1, 2, 4, ... adds A^s times the partial sums s
     periods back, one GEMM each.  Blocks start at the chunk's first period,
     so chunks cut at block edges give the same bits as one whole call.
-    U[k, p] is run p's 2N output samples of period k.  ``first_step`` is
-    the fast index of the chunk's first sample, used when the loop diverges.
+    U[k, p] is run p's 2N output samples of period k.  Raises
+    FloatingPointError when an output overflows a float.
     """
     T, P, m = W.shape
     n, n_out = kernel.n_states, kernel.H.shape[1]
@@ -286,10 +291,7 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, first_step: in
             np.matmul(Z[start:stop], kernel.H, out=U[start:stop])
     X[...] = Z[T * P:, :n].T
     if not np.isfinite(U).all():
-        finite = np.isfinite(U.reshape(T, P, n_out // 2, 2)).all(axis=(1, 3)).ravel()
-        raise FloatingPointError(
-            f"non-finite relay output at fast step {first_step + int(np.argmin(finite))}"
-        )
+        raise FloatingPointError("relay output overflows a float")
     return U.reshape(T, P, n_out)
 
 
@@ -319,7 +321,6 @@ class _ChainBatch:
         self.scale = np.array([beta * cfg.relay_gain for beta in betas])
         self.sigma_rs, self.sigma_t = cfg.sigma_rs, cfg.sigma_t
         self.rs, _, self.t = zip(*(point_streams(cfg.seed, i) for i in range(len(betas))))
-        self.step = 0
 
     def advance(self, tx: np.ndarray):
         """Yield (kind, u, y_T) for the next fast samples tx, shaped (n, 2, P).
@@ -331,7 +332,6 @@ class _ChainBatch:
         """
         n, _, P = tx.shape
         T, N = n // self.N, self.N
-        step, self.step = self.step, self.step + n
         # Run-major: each run's draws are contiguous, so drawing into them
         # consumes its streams exactly as whole draws do.
         rs, n_t = np.empty((P, T, self.cols.size)), np.empty((P, n, 2))
@@ -348,7 +348,7 @@ class _ChainBatch:
                 yield kind, np.zeros((T, P, 2 * N)), n_t
                 continue
             pos = np.searchsorted(self.cols, kernel.cols)
-            u = _advance(kernel, X, W if pos.size == self.cols.size else W[:, :, pos], step)
+            u = _advance(kernel, X, W if pos.size == self.cols.size else W[:, :, pos])
             y_t = np.empty(tx.shape)
             np.multiply(u.reshape(T, P, N, 2).transpose(0, 2, 3, 1), self.scale,
                         out=y_t.reshape(T, N, 2, P))
@@ -361,7 +361,7 @@ class _ChainBatch:
         if kind == "none":
             return np.zeros_like(tx)
         W = tx.reshape(-1, 2 * self.N)[:, None, kernel.cols]
-        u = _advance(kernel, np.zeros((kernel.n_states, 1)), W, 0)
+        u = _advance(kernel, np.zeros((kernel.n_states, 1)), W)
         return self.scale[0] * u.reshape(tx.shape)
 
 

@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hnorm import exceeds, hinf_norm_discrete
+from .hnorm import UnstableSystemError, exceeds, hinf_norm_discrete, require_stable
 from .lifting import LiftedPlant, PlantBlocks, closed_loop, partition
-from .lti import (NumericalFailure, StateSpace, bilinear_to_continuous, bilinear_to_discrete,
-                  spectral_radius)
+from .lti import NumericalFailure, StateSpace, bilinear_to_continuous, bilinear_to_discrete
 from .riccati import NoStabilizingSolution, care_stabilizing
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "write_json",
 ]
 
-SYNTH_TOL_DEFAULT = 1e-3
 REG_EPS = 1e-8
 _PSD_TOL = 1e-7
 MAX_PROBES = 200
@@ -79,7 +77,7 @@ class Infeasible:
     """Verdict returned by a failed gamma probe, with the failing condition."""
 
     reason: str
-    detail: str = ""
+    detail: str
 
 
 @dataclass
@@ -247,9 +245,10 @@ def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
         return Infeasible("closed_loop", str(exc))
 
     cl = closed_loop(Gl, Kd)
-    radius = spectral_radius(cl.A)
-    if radius >= 1.0:
-        return Infeasible("closed_loop", f"assembled loop has spectral radius {radius:.6f} >= 1")
+    try:
+        require_stable(cl.A, "assembled loop")
+    except UnstableSystemError as exc:
+        return Infeasible("closed_loop", str(exc))
     # Catches the rare case where rank regularization manufactured control
     # authority the true plant lacks.
     try:
@@ -267,9 +266,9 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     The verdict's ``reason`` distinguishes which condition failed:
     ``"d11"`` (constant-feedthrough bound), ``"care_x"`` or ``"care_y"``
     (no stabilizing PSD Riccati solution), ``"coupling"`` (spectral-radius
-    condition), or ``"closed_loop"`` (the assembled loop has spectral radius
-    at least one, or :func:`cwcancel.hnorm.exceeds` finds a gain at the
-    level gamma*(1+PROBE_MARGIN), or a bilinear map is singular).  A returned
+    condition), or ``"closed_loop"`` (:func:`cwcancel.hnorm.require_stable`
+    refuses the assembled loop, :func:`cwcancel.hnorm.exceeds` finds a gain
+    at the level gamma*(1+PROBE_MARGIN), or a bilinear map is singular).  A returned
     controller's closed-loop norm is therefore proven below that level.
 
     One call maps and rotates the plant for its single probe;
@@ -281,7 +280,7 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     return _probe(Gl, p, s, gamma)
 
 
-def bisect_gamma(Gl: LiftedPlant, tol: float = SYNTH_TOL_DEFAULT) -> SynthesisResult:
+def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     """gamma-bisection around :func:`synthesize_at_gamma`.
 
     The plant is mapped and rotated once; each probe then scales, scatters,
@@ -320,23 +319,19 @@ def bisect_gamma(Gl: LiftedPlant, tol: float = SYNTH_TOL_DEFAULT) -> SynthesisRe
 
     lo = 0.0
     best = res
-    probes = len(trace)
-    while probes < MAX_PROBES:
+    while len(trace) < MAX_PROBES:
         if lo > 0.0 and (hi - lo) / lo <= tol:
             break
         if hi < 1e-12:
             break
         mid = 0.5 * (hi + lo)
         res = probe(mid)
-        probes += 1
         if isinstance(res, DigitalController):
             hi, best = mid, res
         else:
             lo = mid
 
     radius, cert = certify(Gl, best.K)
-    if cert is None:
-        raise SynthesisError(f"final closed loop unstable (radius {radius:.6f})")
     if cert > best.gamma_achieved * (1.0 + CERT_SLACK):
         raise SynthesisError(
             f"certificate {cert:.6f} contradicts synthesis level {best.gamma_achieved:.6f}"
@@ -350,13 +345,11 @@ def certify(Gl: LiftedPlant, K: StateSpace):
     """(radius, g) of the closed loop of Gl and K.
 
     radius is its spectral radius; g is a peak gain the loop attains, with
-    its H-infinity norm proven to lie in [g, g*(1+2*CERT_TOL)], or None when
-    the loop is unstable (radius >= 1).
+    its H-infinity norm proven to lie in [g, g*(1+2*CERT_TOL)].  Raises
+    :class:`~cwcancel.hnorm.UnstableSystemError` when the loop is unstable.
     """
     cl = closed_loop(Gl, K)
-    radius = spectral_radius(cl.A)
-    if radius >= 1.0:
-        return radius, None
+    radius = require_stable(cl.A, "certified loop")
     return radius, hinf_norm_discrete(cl, tol=CERT_TOL)
 
 

@@ -95,6 +95,10 @@ class TestConfig:
         ({"relay": {"antialias": {"a": [[-1.0]], "b": [[1.0]], "c": [[1.0]], "d": [[0.0]],
                                   "e": [[0.0]]}}}, "relay.antialias"),
         ({"output_dir": 5}, "output_dir"),
+        ({"relay": 3}, "relay"),
+        # matrices that do not fit each other: B has 2 rows under a 1-state A
+        ({"relay": {"input_shaping": {"a": [[-1.0]], "b": [[1.0], [2.0]], "c": [[1.0]],
+                                      "d": [[0.0]]}}}, "relay.input_shaping"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, doc, path):
         cfg = tmp_path / "c.json"
@@ -383,6 +387,16 @@ class TestSweep:
         rows = [ln for ln in a.split(b"\r\n") if ln]
         assert len(rows) == 1 + 3 * 3  # header + kinds x betas
 
+    def test_config_betas_equal_flag(self, tmp_path, controller_file):
+        cfg = tmp_path / "betas.json"
+        cfg.write_text(json.dumps({"comms": {"n_symbols": 400},
+                                   "sweep": {"betas": [1e-4, 3e-4, 1e-3]}}))
+        base = ["sweep", "--config", str(cfg), "--controller", str(controller_file)]
+        assert main(base + ["--out", str(tmp_path / "config")]) == EXIT_OK
+        assert main(base + ["--betas", "1e-4,3e-4,1e-3", "--out", str(tmp_path / "flag")]) == EXIT_OK
+        assert ((tmp_path / "config" / "ber_curves.csv").read_bytes()
+                == (tmp_path / "flag" / "ber_curves.csv").read_bytes())
+
     def test_canceler_filter(self, tmp_path, controller_file, quick_config):
         rc = main(["sweep", "--config", str(quick_config),
                    "--controller", str(controller_file),
@@ -469,6 +483,42 @@ class TestDivergentController:
                    "--betas", "1e-3", "--cancelers", "designed", "--out", str(tmp_path)])
         assert rc == EXIT_UNSTABLE
         self._assert_one_line(capsys)
+
+
+@pytest.fixture(scope="module")
+def slow_unstable_controller_file(tmp_path_factory):
+    """2-state controller with both poles at 1.0005: the designed loop's
+    spectral radius is 1.000649805, and a sweep's run grows by far less
+    than a float's range, so only the radius shows that it diverges."""
+    doc = {"a": [[1.0005, 0.0], [0.0, 1.0005]], "b": [[1e-3, 0.0], [0.0, 1e-3]],
+           "c": [[1.0, 0.0], [0.0, 1.0]], "d": [[0.0, 0.0], [0.0, 0.0]],
+           "step_seconds": 1.0, "gamma_achieved": 1.0, "gamma_certified": None}
+    path = tmp_path_factory.mktemp("ctrl") / "slow.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestSlowlyDivergentController:
+    """A loop with spectral radius just above 1 exits with EXIT_UNSTABLE
+    and writes nothing, from every command that runs it."""
+
+    @pytest.mark.parametrize("command, loop", [
+        (["certify"], "certified loop"),
+        (["simulate", "--canceler", "designed"], "designed loop"),
+        (["sweep", "--cancelers", "designed,perfect"], "designed loop"),
+        (["sweep", "--cancelers", "perfect"], "perfect loop"),
+    ], ids=["certify", "simulate", "sweep", "sweep-perfect"])
+    def test_exit_unstable(self, tmp_path, slow_unstable_controller_file, quick_config, capsys,
+                           command, loop):
+        out = tmp_path / "out"
+        rc = main(command + ["--config", str(quick_config),
+                             "--controller", str(slow_unstable_controller_file),
+                             "--out", str(out)])
+        assert rc == EXIT_UNSTABLE
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [err.strip()]
+        assert f"{loop}: spectral radius 1.000" in err
+        assert not out.exists()
 
 
 class TestCertificateFailures:

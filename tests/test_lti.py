@@ -4,6 +4,17 @@ import pytest
 from cwcancel.lti import DimensionError, StateSpace, discretize_zoh, matrix_exponential
 
 
+def test_zero_state_cases_take_the_general_path():
+    assert matrix_exponential(np.zeros((0, 0))).shape == (0, 0)
+    sys = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)),
+                     np.arange(6.0).reshape(3, 2))
+    d = discretize_zoh(sys, 0.5)
+    for name in "ABCD":
+        got, want = getattr(d, name), getattr(sys, name)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert d.dt == 0.5
+
+
 class TestMatrixExponential:
     def test_zero_matrix_gives_identity(self):
         assert np.array_equal(matrix_exponential(np.zeros((2, 2))), np.eye(2))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from cwcancel.ber import sweep_beta
+from cwcancel.hnorm import UnstableSystemError
 from cwcancel.lifting import InterconnectionError, lift
 from cwcancel.plant import ModelError, RelayParams, first_order_lowpass
 from cwcancel.simulate import (
@@ -28,6 +30,39 @@ NOISE_OFF = {"noise_rs_dbm": -math.inf, "noise_t_dbm": -math.inf}
 @pytest.fixture(scope="module")
 def base_cfg(default_params, designed_controller):
     return SimConfig(params=default_params, controller=designed_controller, seed=123)
+
+
+@pytest.fixture(scope="module")
+def slow_unstable_cfg(default_params):
+    """K with both poles at 1.0005 and input gain 1e-3: the designed loop's
+    spectral radius is 1.000649805, and perfect runs K open-loop (1.0005).
+    A 20 000-period run grows by about e^13, so no value overflows."""
+    K = StateSpace(1.0005 * np.eye(2), 1e-3 * np.eye(2), np.eye(2), np.zeros((2, 2)), dt=1.0)
+    return SimConfig(params=default_params, controller=DigitalController(K=K, gamma_achieved=1.0))
+
+
+class TestUnstableLoop:
+    """An unstable loop is refused by its spectral radius before any noise is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_streams(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("noise drawn for an unstable loop")
+
+        monkeypatch.setattr("cwcancel.simulate.point_streams", draw)
+
+    def test_simulate_chain(self, slow_unstable_cfg):
+        with pytest.raises(UnstableSystemError,
+                           match="^designed loop: spectral radius 1.000649805 >= 1$"):
+            simulate_chain(slow_unstable_cfg, np.zeros((16 * 40, 2)), "designed", 1.0)
+
+    @pytest.mark.parametrize("kinds, message", [
+        (["none", "designed", "perfect"], "designed loop: spectral radius 1.000649805 >= 1"),
+        (["perfect"], "perfect loop: spectral radius 1.000500000 >= 1"),
+    ], ids=["designed", "perfect"])
+    def test_sweep_beta(self, slow_unstable_cfg, kinds, message):
+        with pytest.raises(UnstableSystemError, match=f"^{message}$"):
+            sweep_beta(slow_unstable_cfg, [1e-4, 1e-3], kinds)
 
 
 class TestNoiseAmplitude:
@@ -224,11 +259,11 @@ def test_noise_free_chain_is_linear_and_slow_rate_time_invariant(
     assert np.abs(delayed[N:] - u1).max() <= 1e-12 * np.abs(u1).max()
 
 
-def advance_full(kernel, X, W, first_step=0):
+def advance_full(kernel, X, W):
     """_advance on the full (T, 2N, P) inputs W, with U in the same layout."""
     from cwcancel.simulate import _advance
 
-    return _advance(kernel, X, W[:, kernel.cols].transpose(0, 2, 1), first_step).transpose(0, 2, 1)
+    return _advance(kernel, X, W[:, kernel.cols].transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 def test_none_loop_outputs_exact_zero(base_cfg):
@@ -310,7 +345,7 @@ class TestScanKernel:
         U_whole = advance_full(kernel, X_whole, W)
         X = X0.copy()
         U = [advance_full(kernel, X, W[:_SCAN_BLOCK]),
-             advance_full(kernel, X, W[_SCAN_BLOCK:], _SCAN_BLOCK * loop.n_inputs // 2)]
+             advance_full(kernel, X, W[_SCAN_BLOCK:])]
         assert np.array_equal(np.concatenate(U), U_whole)
         assert np.array_equal(X, X_whole)
 
@@ -425,7 +460,7 @@ def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
         n_rs = np.stack([np.random.Generator(np.random.Philox(
             key=np.array([cfg.seed, 3 * i], dtype=np.uint64))).standard_normal(
             (sum(chunks), kernel.cols.size)) for i in range(P)], axis=1)
-        ref = _advance(kernel, np.zeros((kernel.n_states, P)), batch.sigma_rs * n_rs, 0)
+        ref = _advance(kernel, np.zeros((kernel.n_states, P)), batch.sigma_rs * n_rs)
         assert np.array_equal(u, ref)
 
 
