@@ -14,6 +14,7 @@ from .plant import (
 from .lifting import (
     LiftedPlant,
     InterconnectionError,
+    StepMismatchError,
     WellPosednessError,
     lift,
     closed_loop,

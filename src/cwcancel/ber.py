@@ -259,7 +259,7 @@ def forwarding_ber_model(cfg: SimConfig, beta: float) -> float:
     return q_function(beta * g * cfg.signal_amplitude / math.sqrt(var))
 
 
-def default_beta_grid(cfg: SimConfig, n_points: int = 12) -> np.ndarray:
+def default_beta_grid(cfg: SimConfig, n_points: int) -> np.ndarray:
     """Log-spaced beta grid spanning BER [GRID_BER_LOW, GRID_BER_HIGH] of the ideal chain.
 
     Endpoints are located by bisection on the closed-form forwarding model;

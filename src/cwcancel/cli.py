@@ -8,10 +8,13 @@ the offending JSON path.  The relay section then builds RelayParams, which
 checks the relay loop before any command uses it, and the sim and comms
 sections one SimConfig, by field name.  All artifacts (controller.json,
 report.json, certification.json, ber_curves.csv, waveform.csv) are
-deterministic functions of the config and seed.
+deterministic functions of the config and seed.  ``--controller`` is
+read whenever it is given; the loop that runs it checks the rest.
 
 Exit codes: 0 success, 1 synthesis failure, 2 malformed JSON, invalid
-config/controller or an unusable file path, 3 controller/config step mismatch, 4 unstable closed
+config or controller (a designed or perfect canceler without one, too) or
+an unusable file path, 3 a controller whose step differs from the config's
+sampling period (refused where the loop is closed), 4 unstable closed
 loop (a closed loop with spectral radius ≥ 1, refused before any command runs
 it, or a simulated signal that overflows a float), 5 numerical failure (the
 H-infinity certificate could not prove a bound, or a bilinear map is singular).
@@ -27,11 +30,10 @@ from pathlib import Path
 
 from .ber import default_beta_grid, modulate, sweep_beta, write_ber_csv
 from .hnorm import UnstableSystemError
-from .lifting import lift
-from .lti import NumericalFailure, StateSpace, step_matches
+from .lifting import StepMismatchError, lift
+from .lti import NumericalFailure, StateSpace
 from .plant import RelayParams
-from .simulate import (CANCELER_KINDS, CONTROLLED_KINDS, SimConfig, point_streams, simulate_chain,
-                       write_waveform_csv)
+from .simulate import CANCELER_KINDS, SimConfig, point_streams, simulate_chain, write_waveform_csv
 from .synthesis import (CERT_SLACK, SynthesisError, bisect_gamma, certify, load_controller,
                         save_controller, write_json)
 
@@ -77,10 +79,6 @@ _JSON_TYPES = {float: "a number", int: "an integer", str: "a string"}
 
 class ConfigFileError(ValueError):
     pass
-
-
-class StepMismatchError(Exception):
-    """A controller's step differs from the config's sampling period."""
 
 
 def _merge(user, default, path=""):
@@ -161,24 +159,12 @@ def _setup(args):
     return cfg, params_from_config(cfg), Path(args.out or cfg["output_dir"])
 
 
-def _controller(args, params: RelayParams, kinds):
-    """The --controller that the kinds among ``kinds`` that run one need;
-    None when there are none.  Its step must match the config's."""
-    needs = [kind for kind in kinds if kind in CONTROLLED_KINDS]
-    if not needs:
-        return None
-    if args.controller is None:
-        raise ConfigFileError(f"canceler {needs[0]!r} requires --controller")
-    ctrl = load_controller(args.controller)
-    if not step_matches(ctrl.K.dt, params.sampling_period):
-        raise StepMismatchError(f"controller step {ctrl.K.dt} does not match config "
-                                f"sampling period {params.sampling_period}")
-    return ctrl
-
-
-def _sim_config(cfg, params: RelayParams, controller) -> SimConfig:
-    """The shared channel of the sim and comms sections; sim.beta feeds only ``simulate``."""
+def _sim_config(cfg, params: RelayParams, args) -> SimConfig:
+    """The shared channel of the sim and comms sections, with the --controller
+    loaded whenever it is given; sim.beta feeds only ``simulate``.  The loop
+    that runs a kind checks that it has a controller and that its step fits."""
     sim = {key: value for key, value in cfg["sim"].items() if key != "beta"}
+    controller = None if args.controller is None else load_controller(args.controller)
     return SimConfig(params=params, **sim, **cfg["comms"], controller=controller)
 
 
@@ -209,7 +195,7 @@ def cmd_design(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg, params, outdir = _setup(args)
-    ctrl = _controller(args, params, ["designed"])
+    ctrl = load_controller(args.controller)
     radius, cert = certify(lift(params), ctrl.K)
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "certification.json", {
@@ -226,7 +212,7 @@ def cmd_simulate(args) -> int:
     cfg, params, outdir = _setup(args)
     if args.symbols is not None and args.symbols < 1:
         raise ConfigFileError("--symbols must be at least 1")
-    sim = _sim_config(cfg, params, _controller(args, params, [args.canceler]))
+    sim = _sim_config(cfg, params, args)
     n_symbols = min(sim.n_symbols, 200) if args.symbols is None else args.symbols
     bits = point_streams(sim.seed, 0)[1].integers(0, 2, size=n_symbols)
     tx = modulate(bits, sim)
@@ -241,7 +227,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, params, outdir = _setup(args)
     cancelers = args.cancelers.split(",") if args.cancelers else cfg["sweep"]["cancelers"]
-    sim = _sim_config(cfg, params, _controller(args, params, cancelers))
+    sim = _sim_config(cfg, params, args)
     if args.betas:
         betas = [float(b) for b in args.betas.split(",")]
     elif cfg["sweep"]["betas"] == "auto":

@@ -23,7 +23,6 @@ from .lti import NumericalFailure, StateSpace, bilinear_to_continuous, spectral_
 __all__ = ["UnstableSystemError", "require_stable", "hinf_norm_discrete", "exceeds",
            "frequency_response"]
 
-HINF_NORM_RTOL = 1e-4
 # Hamiltonian eigenvalues with |Re| <= this * (1 + |lambda|) lie on the axis.
 _AXIS_RTOL = 1e-8
 _MAX_PASSES = 50
@@ -149,7 +148,7 @@ def exceeds(sys: StateSpace, level: float) -> float | None:
     return peak if crossed else None
 
 
-def hinf_norm_discrete(sys: StateSpace, tol: float = HINF_NORM_RTOL) -> float:
+def hinf_norm_discrete(sys: StateSpace, tol: float) -> float:
     """Peak singular value g of a Schur-stable discrete system over [0, pi].
 
     g is attained at some frequency, and the norm is proven to lie in

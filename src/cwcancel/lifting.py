@@ -34,6 +34,7 @@ __all__ = [
     "LiftedPlant",
     "PlantBlocks",
     "InterconnectionError",
+    "StepMismatchError",
     "WellPosednessError",
     "lift",
     "closed_loop",
@@ -43,6 +44,10 @@ __all__ = [
 
 class InterconnectionError(ValueError):
     """Controller and plant I/O dimensions do not match."""
+
+
+class StepMismatchError(InterconnectionError):
+    """A dynamic controller's step differs from the plant's sampling period."""
 
 
 class WellPosednessError(ValueError):
@@ -137,7 +142,9 @@ def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
     """Lower linear-fractional interconnection of the lifted plant with K.
 
     Returns the lifted w -> z closed-loop system at the slow rate.  K must
-    be 2x2 and, unless it is a static gain, discrete at the plant's step.
+    be 2x2 and, unless it is a static gain, discrete at the plant's step:
+    this is the one place a controller's step is checked, and a mismatch
+    raises :class:`StepMismatchError`.
     """
     G = Gl.G
     nw, nu, nz, ny = Gl.n_w, Gl.n_u, Gl.n_z, Gl.n_y
@@ -146,7 +153,8 @@ def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
             f"controller is {K.n_outputs}x{K.n_inputs}, plant wants {nu}x{ny}"
         )
     if not (step_matches(K.dt, G.dt) if K.is_discrete else K.n_states == 0):
-        raise InterconnectionError(f"controller step {K.dt} != plant step {G.dt}")
+        raise StepMismatchError(f"controller step {K.dt} does not match the plant's "
+                                f"sampling period {G.dt}")
 
     A, B1, B2, C1, C2, D11, D12, D21, D22 = partition(G, nw, nz)
     Ak, Bk, Ck, Dk = K.A, K.B, K.C, K.D

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from numbers import Integral
 
 import numpy as np
@@ -57,7 +56,6 @@ from .synthesis import DigitalController
 
 __all__ = [
     "CANCELER_KINDS",
-    "CONTROLLED_KINDS",
     "SimConfig",
     "SimOutput",
     "ConfigError",
@@ -68,7 +66,6 @@ __all__ = [
 ]
 
 CANCELER_KINDS = ("none", "designed", "perfect")
-CONTROLLED_KINDS = ("designed", "perfect")  # the kinds that run a controller
 
 
 class ConfigError(ValueError):
@@ -113,10 +110,12 @@ class SimConfig:
         self.sps  # raises unless a symbol is whole slow periods
         for name, factor in (("relay_gain_db", "relay_gain"), ("signal_dbm", "signal_amplitude"),
                              ("noise_rs_dbm", "sigma_rs"), ("noise_t_dbm", "sigma_t")):
+            # A Python float's power overflows by raising, a numpy scalar's
+            # (a level given through the Python API) with a warning.
             with np.errstate(over="ignore"):
                 try:
                     finite = math.isfinite(getattr(self, factor))
-                except OverflowError:  # a Python float's power overflows by raising
+                except OverflowError:
                     finite = False
             if not finite:
                 raise ConfigError(f"{name} = {getattr(self, name)} overflows its linear factor")
@@ -191,7 +190,7 @@ def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
     if kind not in CANCELER_KINDS:
         raise ConfigError(f"canceler must be one of {CANCELER_KINDS}, got {kind!r}")
     prm = replace(cfg.params, input_shaping=identity_filter())
-    if kind not in CONTROLLED_KINDS:
+    if kind == "none":
         K = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2)))
     elif cfg.controller is None:
         raise ConfigError(f"canceler={kind!r} requires a controller")
@@ -300,8 +299,9 @@ class _ChainBatch:
 
     Run j is sweep point j with gain ``betas[j]``.  Its n_RS and n_T come
     from :func:`point_streams`, and every kind sees the same noise, so the
-    kinds are paired.  n_RS is drawn only at ``cols``, the union of the
-    columns that the advanced loops read: per chunk, a run draws (periods,
+    kinds are paired.  n_RS is drawn only at ``cols``, the columns that the
+    advanced loops read: ``designed`` and ``perfect`` close the same K with
+    W = I, so they read the same ones.  Per chunk, a run draws (periods,
     cols.size) normals, which is 2 per period with F = I, all 2N with a
     dynamic F and none when only ``none`` runs.
     tx is added at those columns only.  A run's n_T is (n, 2) normals.
@@ -316,7 +316,7 @@ class _ChainBatch:
             kernel = _PeriodKernel(_period_maps(cfg, kind))
             self.kernels[kind] = (kernel, np.zeros((kernel.n_states, len(betas))))
         read = [kernel.cols for kind, (kernel, _) in self.kernels.items() if kind != "none"]
-        self.cols = reduce(np.union1d, read, np.zeros(0, dtype=np.intp))
+        self.cols = read[0] if read else np.zeros(0, dtype=np.intp)
         self.N = cfg.params.fsfh_ratio
         self.scale = np.array([beta * cfg.relay_gain for beta in betas])
         self.sigma_rs, self.sigma_t = cfg.sigma_rs, cfg.sigma_t
@@ -347,8 +347,7 @@ class _ChainBatch:
             if kind == "none":
                 yield kind, np.zeros((T, P, 2 * N)), n_t
                 continue
-            pos = np.searchsorted(self.cols, kernel.cols)
-            u = _advance(kernel, X, W if pos.size == self.cols.size else W[:, :, pos])
+            u = _advance(kernel, X, W)
             y_t = np.empty(tx.shape)
             np.multiply(u.reshape(T, P, N, 2).transpose(0, 2, 3, 1), self.scale,
                         out=y_t.reshape(T, N, 2, P))

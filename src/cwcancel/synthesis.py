@@ -5,7 +5,10 @@ continuous-time problem, gamma-scaling, an exact scattering transform that
 absorbs the w->z feedthrough, then the two-Riccati central controller:
 stabilizing PSD solutions of the full-information and estimation Riccati
 equations plus the spectral-radius coupling condition on their product.
-The controller is mapped back through the inverse bilinear transform.  The
+The controller is mapped back through the inverse bilinear transform.
+Those formulas need a regular problem: D12 of the continuous image of full
+column rank and D21 of full row rank.  Every FSFH-lifted relay plant tried
+is one; a plant that is not is refused before any probe runs.  The
 Hamiltonian of :mod:`cwcancel.hnorm` proves each feasible probe's closed
 loop below gamma*(1+1e-6), and certifies the final one: a peak gain g the
 loop attains, with its norm proven to lie in [g, g*(1+2e-6)].
@@ -50,7 +53,7 @@ __all__ = [
     "write_json",
 ]
 
-REG_EPS = 1e-8
+_RANK_RTOL = 1e-8  # a singular value at or below this times the largest counts as zero
 _PSD_TOL = 1e-7
 MAX_PROBES = 200
 MAX_DOUBLINGS = 60
@@ -86,17 +89,6 @@ class SynthesisResult:
     gamma_min: float
     bisection_trace: list  # (gamma, feasible) pairs in probe order
     closed_loop_radius: float  # spectral radius of the final closed loop
-
-
-def _regularize_rank(Dblk: np.ndarray) -> np.ndarray:
-    """Lift singular values of a feedthrough block to at least REG_EPS."""
-    if min(Dblk.shape) == 0:
-        return Dblk
-    U, s, Vt = np.linalg.svd(Dblk, full_matrices=False)
-    if s.size and s.min() >= REG_EPS:
-        return Dblk
-    s = np.maximum(s, REG_EPS)
-    return (U * s) @ Vt
 
 
 def _psd_riccati(A, G, Q, reason: str):
@@ -169,16 +161,23 @@ def _rotated_blocks(Gl: LiftedPlant):
 
     B1 <- B1 V, C1 <- U^T C1, D12 <- U^T D12, D21 <- D21 V; the returned D11
     is None, since every probe reads it from s.  s is nonincreasing.
+
+    This is where the problem's regularity is checked, once for all probes:
+    the central controller needs the image's D12 of full column rank and D21
+    of full row rank (Doyle, Glover, Khargonekar & Francis, IEEE TAC 1989),
+    so a ValueError refuses a block whose smallest singular value is at most
+    _RANK_RTOL times its largest, or which has too few rows or columns.
     """
     G = Gl.G
     if not G.is_discrete:
         raise ValueError("synthesis expects a discrete-time lifted plant")
-    if Gl.n_z < Gl.n_u or Gl.n_w < Gl.n_y:
-        raise ValueError(
-            "ill-posed standard problem: need at least as many error outputs as "
-            "controls and at least as many disturbances as measurements"
-        )
     p = partition(bilinear_to_continuous(G, 2.0 / G.dt), Gl.n_w, Gl.n_z)
+    for name, D, rank in (("D12", p.D12, Gl.n_u), ("D21", p.D21, Gl.n_y)):
+        sv = np.linalg.svd(D, compute_uv=False)
+        if sv.size < rank or (sv.size and sv[-1] <= _RANK_RTOL * sv[0]):
+            raise ValueError(f"ill-posed standard problem: {name} of the plant's bilinear "
+                             f"image needs rank {rank}, its singular values are "
+                             f"{np.array2string(sv, precision=3)}")
     U, s, Vt = np.linalg.svd(p.D11)
     return p._replace(B1=p.B1 @ Vt.T, C1=U.T @ p.C1, D11=None, D12=U.T @ p.D12,
                       D21=p.D21 @ Vt.T), s
@@ -221,10 +220,6 @@ def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
     """The central controller of the gamma-scaled, scattered continuous blocks
     ``p`` (D11 = 0), mapped back to discrete time and checked on the closed
     loop with the lifted plant; or an :class:`Infeasible` verdict."""
-    d_shift = p.D22
-    p = p._replace(D12=_regularize_rank(p.D12), D21=_regularize_rank(p.D21),
-                   D22=np.zeros_like(p.D22))
-
     try:
         Kc = _central_controller(p)
     except np.linalg.LinAlgError as exc:
@@ -234,9 +229,10 @@ def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
     if isinstance(Kc, Infeasible):
         return Kc
 
-    # Restore the feedthrough set aside before synthesis (D_K = 0 keeps this
-    # a pure state-matrix correction), then map back to discrete time.
-    Ak = Kc.A - Kc.B @ d_shift @ Kc.C
+    # The central controller is built for D22 = 0; close its loop around
+    # D22 (D_K = 0 keeps this a pure state-matrix correction), then map
+    # back to discrete time.
+    Ak = Kc.A - Kc.B @ p.D22 @ Kc.C
     Kc = StateSpace(Ak, Kc.B, Kc.C, Kc.D)
     dt = Gl.G.dt
     try:
@@ -249,8 +245,6 @@ def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
         require_stable(cl.A, "assembled loop")
     except UnstableSystemError as exc:
         return Infeasible("closed_loop", str(exc))
-    # Catches the rare case where rank regularization manufactured control
-    # authority the true plant lacks.
     try:
         gain = exceeds(cl, gamma * (1.0 + PROBE_MARGIN))
     except NumericalFailure as exc:  # the loop's bilinear image is singular
@@ -272,7 +266,8 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     controller's closed-loop norm is therefore proven below that level.
 
     One call maps and rotates the plant for its single probe;
-    :func:`bisect_gamma` does that once for all of its probes.
+    :func:`bisect_gamma` does that once for all of its probes.  Raises
+    ValueError on an ill-posed problem (see :func:`_rotated_blocks`).
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -291,7 +286,8 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     final upper bracket.
     Its ``gamma_certified`` is a peak gain g the closed loop attains, with
     the closed-loop norm proven to lie in [g, g*(1+2e-6)].
-    Raises ValueError unless tol is finite and positive.
+    Raises ValueError unless tol is finite and positive, and on an
+    ill-posed problem before any probe runs (see :func:`_rotated_blocks`).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")

@@ -234,7 +234,7 @@ class TestSweep:
 
 class TestGrid:
     def test_default_grid_shape(self, base_cfg):
-        grid = default_beta_grid(base_cfg)
+        grid = default_beta_grid(base_cfg, n_points=12)
         assert len(grid) == 12
         assert np.all(np.diff(grid) > 0)
         assert forwarding_ber_model(base_cfg, grid[0]) == pytest.approx(0.3, rel=0.02)

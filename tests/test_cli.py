@@ -46,6 +46,16 @@ def divergent_controller_file(request, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def half_step_controller_file(tmp_path_factory, designed_controller):
+    """The designed controller relabelled with step_seconds = 0.5 (h = 1)."""
+    doc = controller_to_dict(designed_controller)
+    doc["step_seconds"] = 0.5
+    path = tmp_path_factory.mktemp("ctrl") / "half_step.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture(scope="module")
 def quick_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "quick.json"
     path.write_text(json.dumps({
@@ -336,6 +346,25 @@ class TestSimulate:
         assert main(["simulate", "--canceler", "designed"]) == EXIT_CONFIG
         assert main(["simulate", "--canceler", "perfect"]) == EXIT_CONFIG
 
+    def test_step_mismatch(self, tmp_path, half_step_controller_file, capsys):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--controller", str(half_step_controller_file),
+                   "--symbols", "5", "--out", str(out)])
+        assert rc == EXIT_STEP_MISMATCH
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "controller step 0.5" in err
+        assert not out.exists()
+
+    def test_controller_is_read_whenever_given(self, tmp_path, capsys):
+        """--controller is loaded even for ``none``, which does not run it."""
+        out = tmp_path / "out"
+        rc = main(["simulate", "--canceler", "none", "--controller",
+                   str(tmp_path / "missing.json"), "--symbols", "5", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "missing.json" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_beta_from_config_or_flag(self, tmp_path, controller_file):
         """sim.beta and --beta set the gain of the simulated run: without
         terminal noise y_T = beta g u, so halving beta halves y_T."""
@@ -447,13 +476,23 @@ class TestSweep:
     def test_designed_requires_controller(self, quick_config):
         assert main(["sweep", "--config", str(quick_config)]) == EXIT_CONFIG
 
-    def test_step_mismatch_exit(self, tmp_path, designed_controller, quick_config):
-        doc = controller_to_dict(designed_controller)
-        doc["step_seconds"] = 0.5
-        path = tmp_path / "mismatch.json"
-        path.write_text(json.dumps(doc))
-        rc = main(["sweep", "--config", str(quick_config), "--controller", str(path)])
+    def test_step_mismatch_exit(self, tmp_path, half_step_controller_file, quick_config,
+                                capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(quick_config),
+                   "--controller", str(half_step_controller_file), "--out", str(out)])
         assert rc == EXIT_STEP_MISMATCH
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_none_only_never_closes_the_controller(self, tmp_path, half_step_controller_file,
+                                                   quick_config):
+        """The step is checked where a loop is closed with K; ``none`` closes none."""
+        rc = main(["sweep", "--config", str(quick_config), "--cancelers", "none",
+                   "--controller", str(half_step_controller_file), "--betas", "1e-4",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

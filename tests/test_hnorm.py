@@ -38,19 +38,19 @@ def grid_oracle(sys, points=2 ** 16):
 def test_pure_gain():
     g = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
                    [[3.0, 0.0], [0.0, 1.0]], dt=1.0)
-    assert hinf_norm_discrete(g) == pytest.approx(3.0, abs=1e-14)
+    assert hinf_norm_discrete(g, tol=1e-4) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_fir_two_taps():
     # H(z) = 1 + z^-1 peaks at omega = 0 with value 2.
     sys = StateSpace([[0.0]], [[1.0]], [[1.0]], [[1.0]], dt=1.0)
-    assert hinf_norm_discrete(sys) == pytest.approx(2.0, abs=1e-10)
+    assert hinf_norm_discrete(sys, tol=1e-4) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_first_order_pole():
     # H(z) = 0.5/(z - 0.5) peaks at omega = 0 with value 1.
     sys = StateSpace([[0.5]], [[1.0]], [[0.5]], [[0.0]], dt=1.0)
-    assert hinf_norm_discrete(sys) == pytest.approx(1.0, abs=1e-10)
+    assert hinf_norm_discrete(sys, tol=1e-4) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_against_dense_grid_oracle():
@@ -65,13 +65,13 @@ def test_against_dense_grid_oracle():
 def test_unstable_raises():
     sys = StateSpace([[1.01]], [[1.0]], [[1.0]], [[0.0]], dt=1.0)
     with pytest.raises(UnstableSystemError):
-        hinf_norm_discrete(sys)
+        hinf_norm_discrete(sys, tol=1e-4)
 
 
 def test_requires_discrete_time():
     sys = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(ValueError):
-        hinf_norm_discrete(sys)
+        hinf_norm_discrete(sys, tol=1e-4)
 
 
 def test_frequency_response_values():
@@ -128,7 +128,7 @@ def test_pole_at_minus_one_to_working_precision_is_a_failure():
     sys = StateSpace(np.diag([-1.0 + 1e-15, 0.5]), np.ones((2, 1)), np.ones((1, 2)),
                      [[0.0]], dt=1.0)
     with pytest.raises(NumericalFailure, match="condition number"):
-        hinf_norm_discrete(sys)
+        hinf_norm_discrete(sys, tol=1e-4)
 
 
 @pytest.mark.parametrize("c2", [0.25, 0.5])

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from cwcancel.ber import sweep_beta
 from cwcancel.hnorm import UnstableSystemError
-from cwcancel.lifting import InterconnectionError, lift
+from cwcancel.lifting import StepMismatchError, lift
 from cwcancel.plant import ModelError, RelayParams, first_order_lowpass
 from cwcancel.simulate import (
     ConfigError,
@@ -373,6 +373,24 @@ class TestInputColumns:
         params = RelayParams(fsfh_ratio=N, antialias=first_order_lowpass(0.01))
         assert self.columns(params) == [list(range(2 * N))] * 2
 
+    @pytest.mark.parametrize("antialias", [None, first_order_lowpass(0.01)],
+                             ids=["F_identity", "F_lowpass"])
+    def test_controlled_kinds_share_columns_with_feedthrough(self, antialias):
+        """``designed`` and ``perfect`` close the same K with W = I, so they
+        read the same columns of w, and the batch draws n_RS at exactly
+        those; a K with feedthrough keeps it so."""
+        from cwcancel.simulate import _ChainBatch, _period_maps, _PeriodKernel
+
+        K = StateSpace([[0.5]], [[0.1, 0.0]], [[1.0], [0.0]], [[0.2, 0.1], [0.0, 0.3]], dt=1.0)
+        cfg = SimConfig(params=RelayParams(fsfh_ratio=8, antialias=antialias),
+                        controller=DigitalController(K=K, gamma_achieved=1.0))
+        designed, perfect = (_PeriodKernel(_period_maps(cfg, kind)).cols
+                             for kind in ("designed", "perfect"))
+        assert np.array_equal(designed, perfect)
+        assert designed.tolist() == ([0, 1] if antialias is None else list(range(16)))
+        batch = _ChainBatch(cfg, ["none", "perfect", "designed"], [1.0])
+        assert np.array_equal(batch.cols, designed)
+
 
 def test_in_place_draws_equal_whole_draws():
     # Drawing (n, 2) normals into a contiguous buffer consumes the stream
@@ -486,7 +504,7 @@ class TestValidation:
                          np.zeros((2, 2)), dt=2.0),
             gamma_achieved=1.0)
         cfg = SimConfig(params=default_params, controller=K, seed=0)
-        with pytest.raises(InterconnectionError):
+        with pytest.raises(StepMismatchError, match="controller step 2.0"):
             simulate_chain(cfg, np.zeros((16, 2)), "designed", 1.0)
 
     def test_length_must_be_whole_periods(self, base_cfg):
@@ -520,10 +538,13 @@ class TestValidation:
         ("relay_gain_db", 6000.0, 6200.0), ("signal_dbm", 3000.0, 3090.0),
         ("noise_rs_dbm", 3000.0, 3090.0), ("noise_t_dbm", 3000.0, math.inf),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_level_whose_linear_factor_overflows(self, default_params, name, fits, overflows):
+        # A numpy scalar's power overflows with a warning, not an OverflowError.
         SimConfig(params=default_params, **{name: fits})
-        with pytest.raises(ConfigError, match=name):
-            SimConfig(params=default_params, **{name: overflows})
+        for level in (overflows, np.float64(overflows)):
+            with pytest.raises(ConfigError, match=name):
+                SimConfig(params=default_params, **{name: level})
 
     def test_noise_off_is_allowed(self, default_params):
         SimConfig(params=default_params, **NOISE_OFF)

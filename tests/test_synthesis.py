@@ -133,40 +133,48 @@ class TestBilinear:
 
 
 class TestProbe:
-    def test_decoupled_feasible(self):
-        # z does not see u: K = 0 is among the valid answers, so any gamma
-        # above the open-loop norm must be feasible and certified below it.
-        Gl = make_plant(A=0.5, B1=1.0, B2=0.0, C1=1.0, C2=0.8,
-                        D11=0.0, D12=0.0, D21=0.4, D22=0.0)
-        open_norm = hinf_norm_discrete(
-            StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0))
-        res = synthesize_at_gamma(Gl, open_norm * 1.3)
-        assert isinstance(res, DigitalController)
-        cl = closed_loop(Gl, res.K)
-        assert hinf_norm_discrete(cl) <= open_norm * 1.3 * (1 + 1e-6)
+    def test_resonance_rejected_between_seeds(self, monkeypatch):
+        # The Riccati steps are stubbed to return K = 0, so the probe's loop
+        # is the open loop, whose gain peaks near theta = pi/4, far above its
+        # gains at theta = 0, pi/2 and pi: only the Hamiltonian level test
+        # can find that the loop exceeds gamma.
+        import cwcancel.synthesis as synthesis
 
-    def test_decoupled_infeasible_below_open_loop(self):
-        Gl = make_plant(A=0.5, B1=1.0, B2=0.0, C1=1.0, C2=0.8,
-                        D11=0.0, D12=0.0, D21=0.4, D22=0.0)
-        open_norm = hinf_norm_discrete(
-            StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0))
-        res = synthesize_at_gamma(Gl, open_norm * 0.7)
-        assert isinstance(res, Infeasible)
-
-    def test_decoupled_resonance_rejected_between_seeds(self):
-        # z does not see u, and the open-loop gain peaks near theta = pi/4,
-        # far above its gains at theta = 0, pi/2 and pi: only the
-        # Hamiltonian level test can find that the loop exceeds gamma.
         A = 0.9 * np.array([[np.cos(np.pi / 4), -np.sin(np.pi / 4)],
                             [np.sin(np.pi / 4), np.cos(np.pi / 4)]])
         Gl = make_plant(A=A, B1=[[1.0], [0.0]], B2=[[0.0], [0.0]], C1=[[1.0, 0.0]],
-                        C2=[[0.8, 0.3]], D11=0.0, D12=0.0, D21=0.4, D22=0.0)
+                        C2=[[0.8, 0.3]], D11=0.0, D12=0.5, D21=0.4, D22=0.0)
+        zero = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
+                          np.zeros((1, 1)))
+        monkeypatch.setattr(synthesis, "_central_controller", lambda p: zero)
         G11 = StateSpace(A, [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]], dt=1.0)
         open_norm = hinf_norm_discrete(G11, tol=1e-6)
         assert _sigma_max(G11, [0.0, np.pi / 2, np.pi]).max() < 0.5 * open_norm
         res = synthesize_at_gamma(Gl, 0.5 * open_norm)
         assert isinstance(res, Infeasible) and res.reason == "closed_loop"
         assert "exceeds gamma" in res.detail
+
+    @pytest.mark.parametrize("run", [lambda Gl: bisect_gamma(Gl, tol=1e-2),
+                                     lambda Gl: synthesize_at_gamma(Gl, 1.0)],
+                             ids=["bisect_gamma", "synthesize_at_gamma"])
+    @pytest.mark.parametrize("plant", [
+        # z does not see u: the mapped D12 is 0.
+        dict(A=0.5, B1=1.0, B2=0.0, C1=1.0, C2=0.8, D11=0.0, D12=0.0, D21=0.4, D22=0.0),
+        # y sees neither x nor w: the mapped D21 is 0.
+        dict(A=0.5, B1=1.0, B2=1.0, C1=1.0, C2=0.0, D11=0.0, D12=0.5, D21=0.0, D22=0.0),
+        # Two controls reach z along one direction: D12 has rank 1.
+        dict(A=0.5, B1=1.0, B2=[[0.0, 0.0]], C1=[[1.0], [0.0]], C2=1.0,
+             D11=[[0.0], [0.0]], D12=[[0.5, 0.5], [0.0, 0.0]], D21=0.4, D22=[[0.0, 0.0]]),
+    ], ids=["d12_zero", "d21_zero", "d12_rank_one"])
+    def test_singular_problem_refused_before_any_probe(self, monkeypatch, plant, run):
+        import cwcancel.synthesis as synthesis
+
+        def no_probe(*args):
+            raise AssertionError("a probe ran on an ill-posed problem")
+
+        monkeypatch.setattr(synthesis, "_probe", no_probe)
+        with pytest.raises(ValueError, match="ill-posed"):
+            run(make_plant(**plant))
 
     def test_designed_loop_accepted_at_gamma_min_only(self, n8_run):
         """The N = 8 design's loop is proven below gamma_min*(1+PROBE_MARGIN),
@@ -487,12 +495,12 @@ class TestClosedLoop:
 
 class TestFailurePaths:
     def test_no_feasible_gamma_raises(self):
-        # Unstable dynamics with no control channel at all: no gamma level
+        # A regular problem whose unstable mode u cannot reach: no gamma level
         # admits a stabilizing controller, so the doubling search must give up.
         from cwcancel.synthesis import SynthesisError
 
         Gl = make_plant(A=1.5, B1=1.0, B2=0.0, C1=1.0, C2=1.0,
-                        D11=0.0, D12=0.0, D21=0.5, D22=0.0)
+                        D11=0.0, D12=0.5, D21=0.5, D22=0.0)
         with pytest.raises(SynthesisError, match="doublings"):
             bisect_gamma(Gl, tol=1e-2)
 
