@@ -7,21 +7,24 @@ aligned one fast sample after the hold update (the post filter settles well
 inside a fast step), so each window sees exactly its own symbol.
 
 Monte Carlo points carry Wilson 95% intervals.  Beta point i of a sweep
-draws its n_RS, bits and n_T from :func:`simulate.point_streams`, shared by
-every canceler kind at that point (common random numbers); no two points of
-any two base seeds share a key.  A :class:`simulate.SimConfig` describes
-the whole channel, symbol timing included, and derives samples per symbol
-and every linear factor that modulation and detection read.
+draws its n_RS, bits and n_T from the generators that its batch makes once
+(:func:`simulate.point_streams`), shared by every canceler kind at that
+point (common random numbers); no two points of any two base seeds share a
+key.  A :class:`simulate.SimConfig` describes the whole channel, symbol
+timing included, and derives samples per symbol and every linear factor
+that modulation and detection read.
 
-A sweep is one streaming pass (:func:`_error_counts`): each kind's period
-map is built once, all beta points of a kind advance together through the
-simulator's one kernel, and each point's bits and noise are drawn once per
-chunk of ``_CHUNK_SYMBOLS`` symbols and shared by every kind.  n_RS is drawn
+A sweep is one streaming pass (:func:`_error_counts`): each controlled
+kind's period map is built once, all beta points of a kind advance
+together through the simulator's one kernel, and each point's bits and
+noise are drawn once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by
+every kind.  n_RS is drawn
 only at the samples the loops read.  Decisions are scored chunk by chunk,
-so memory does not grow with ``n_symbols``.  The noise-free pilot is only
+so memory does not grow with ``n_symbols``; one receiver (:func:`_decide`)
+makes them, and :func:`demodulate`'s too.  The noise-free pilot is only
 scaled by beta, so each kind runs one pilot on the loop the sweep already
-built, and ``none`` (u = 0 exactly) skips the loop.  A single BER point
-is a one-beta, one-kind sweep.
+built, and ``none`` (u = 0 exactly) has no loop.  A single BER point is a
+one-beta, one-kind sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import SimConfig, _ChainBatch, _iq_samples, point_streams
+from .simulate import SimConfig, _ChainBatch, _iq_samples
 
 __all__ = [
     "BerPoint",
@@ -130,13 +133,15 @@ def _windows(samples: np.ndarray, sps: int, offset: int, tail, final: bool):
     return stream[: n_win * sps].reshape(n_win, sps, *stream.shape[1:]), stream[n_win * sps:]
 
 
-def _decision_windows(samples: np.ndarray, sps: int, offset: int) -> np.ndarray:
-    """Per-symbol integration windows of a whole waveform (see :func:`_windows`).
+def _decide(y: np.ndarray, ref: np.ndarray, sps: int, offset: int, tail, final: bool):
+    """The receiver: BPSK decisions on one chunk of a stream y (n, 2, P), and its leftover.
 
-    A nonzero offset re-aligns the windows to a chain whose hold updates lag
-    the symbol boundary.
+    Each whole window of :func:`_windows` is integrated, and its bit is 1
+    where the mean's projection on the phase reference ``ref`` is positive:
+    (windows, P) booleans.
     """
-    return _windows(samples, sps, offset, None, True)[0]
+    windows, tail = _windows(y, sps, offset, tail, final)
+    return ref @ windows.mean(axis=1) > 0.0, tail
 
 
 def demodulate(y, cfg: SimConfig, phase_ref, align_offset: int = 0) -> np.ndarray:
@@ -152,9 +157,8 @@ def demodulate(y, cfg: SimConfig, phase_ref, align_offset: int = 0) -> np.ndarra
     if n % sps != 0:
         raise FramingError(f"waveform length {n} is not a multiple of {sps} samples/symbol")
     ref = np.asarray(phase_ref, dtype=float).reshape(2)
-    means = _decision_windows(y, sps, align_offset).mean(axis=1)
-    stat = means @ ref
-    return (stat > 0.0).astype(int)
+    decided, _ = _decide(y[:, :, None], ref, sps, align_offset, None, True)
+    return decided[:, 0].astype(int)
 
 
 _CHAIN_ALIGN = 1  # relay receiver window offset, in fast samples
@@ -168,7 +172,7 @@ def _pilot_reference(cfg: SimConfig, batch, kind: str) -> np.ndarray:
     # A stable loop's pilot can stay finite at a large enough scale and
     # still overflow here.
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = _decision_windows(y_t, cfg.sps, _CHAIN_ALIGN)[-1].mean(axis=0)
+        vec = _windows(y_t, cfg.sps, _CHAIN_ALIGN, None, True)[0][-1].mean(axis=0)
         norm = float(np.linalg.norm(vec))
     if not np.isfinite(norm):
         raise FloatingPointError("pilot output overflows")
@@ -180,7 +184,7 @@ def _pilot_reference(cfg: SimConfig, batch, kind: str) -> np.ndarray:
 def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
     """Bit errors per canceler kind at each beta point, streamed.
 
-    Point i's bits and chain noise (:func:`point_streams`) are drawn
+    Point i's bits and chain noise, from the batch's streams, are drawn
     once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by all kinds; the
     points of a kind advance together as the columns of one loop state.
     Decisions are scored as each chunk arrives, so memory is bounded by the
@@ -189,22 +193,20 @@ def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
     """
     sps, amp, n_symbols = cfg.sps, cfg.signal_amplitude, cfg.n_symbols
     batch = _ChainBatch(cfg, kinds, betas)
-    refs = {kind: _pilot_reference(cfg, batch, kind) for kind in kinds}
-    bit_rngs = [point_streams(cfg.seed, i)[1] for i in range(len(betas))]
-    errors = {kind: np.zeros(len(betas), dtype=int) for kind in kinds}
-    tails = dict.fromkeys(kinds)
+    refs = {kind: _pilot_reference(cfg, batch, kind) for kind in batch.kinds}
+    errors = {kind: np.zeros(len(betas), dtype=int) for kind in batch.kinds}
+    tails = dict.fromkeys(batch.kinds)
     unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the tails' symbols
     for start in range(0, n_symbols, _CHUNK_SYMBOLS):
         n = min(_CHUNK_SYMBOLS, n_symbols - start)
-        bits = np.stack([rng.integers(0, 2, size=n) for rng in bit_rngs], axis=1)
+        bits = np.stack([rng.integers(0, 2, size=n) for rng in batch.bits], axis=1)
         tx = _bpsk(bits, sps, amp)
         unscored = np.concatenate([unscored, bits])
         for kind, _, y_t in batch.advance(tx):
-            windows, tails[kind] = _windows(y_t, sps, _CHAIN_ALIGN, tails[kind],
-                                            start + n == n_symbols)
-            decided = refs[kind] @ windows.mean(axis=1) > 0.0
+            decided, tails[kind] = _decide(y_t, refs[kind], sps, _CHAIN_ALIGN, tails[kind],
+                                           start + n == n_symbols)
             errors[kind] += np.sum(decided != unscored[: len(decided)], axis=0)
-        unscored = unscored[len(windows):]
+        unscored = unscored[len(decided):]
     return errors
 
 
@@ -218,12 +220,10 @@ def sweep_beta(cfg: SimConfig, betas, cancelers) -> list:
 
     Beta index i is sweep point i, whose streams every kind shares, so the
     curves are paired.  All points of a kind run as one batch (see
-    :func:`_error_counts`).  Kinds must be distinct; betas finite, positive
-    and distinct.  A one-beta, one-kind sweep is a single BER estimate at
-    sweep point 0.
+    :func:`_error_counts`), whose :class:`simulate._ChainBatch` checks the
+    kinds; betas must be finite, positive and distinct.  A one-beta, one-kind
+    sweep is a single BER estimate at sweep point 0.
     """
-    if len(set(cancelers)) != len(cancelers):
-        raise ValueError(f"canceler kinds must be distinct, got {list(cancelers)}")
     betas = [float(b) for b in betas]
     if not betas:
         raise ValueError("beta grid must be nonempty")

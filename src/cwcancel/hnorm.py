@@ -31,8 +31,6 @@ _MAX_PASSES = 50
 _POLISH_RTOL, _POLISH_AXIS_RTOL = 1e-12, 1e-4
 # A level test reports a crossing only at a gain within this of the level.
 LEVEL_RTOL = 5e-7
-# complex128 work arrays (E: n x n, X: n x m) per frequency_response chunk.
-_CHUNK_BYTES = 16 * 2 ** 20
 
 
 class UnstableSystemError(ValueError):
@@ -55,19 +53,9 @@ def require_stable(A, loop: str) -> float:
 def frequency_response(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:
     """Transfer matrix C (e^{j theta} I - A)^{-1} B + D, shape (F, p, m)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    n, p, m = sys.n_states, sys.n_outputs, sys.n_inputs
-    out = np.empty((thetas.size, p, m), dtype=complex)
-    if n == 0:
-        out[:] = sys.D
-        return out
-    I = np.eye(n)
-    chunk = max(1, _CHUNK_BYTES // (16 * n * (n + m)))
-    for start in range(0, thetas.size, chunk):
-        th = thetas[start:start + chunk]
-        E = np.exp(1j * th)[:, None, None] * I - sys.A
-        X = np.linalg.solve(E, np.broadcast_to(sys.B, (th.size, n, m)))
-        out[start:start + chunk] = sys.C @ X + sys.D
-    return out
+    E = np.exp(1j * thetas)[:, None, None] * np.eye(sys.n_states) - sys.A
+    X = np.linalg.solve(E, np.broadcast_to(sys.B, (thetas.size,) + sys.B.shape))
+    return sys.C @ X + sys.D
 
 
 def _sigma_max(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:

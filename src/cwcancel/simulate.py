@@ -18,17 +18,18 @@ the one sampled I/Q pair per period) and runs a doubling scan over blocks
 of 64 periods, so its Python loop turns log2(64) times per block, not once
 per period.  :class:`_ChainBatch` feeds it chunk by chunk for the BER
 sweeps (every beta point of a kind is a column), and :func:`simulate_chain`
-is its one-run, one-chunk case.  ``none`` is never advanced: its relay
-output is exactly 0.
+is its one-run, one-chunk case.  The batch is the one gate of a run: it
+checks the kinds, builds and checks the loops, and makes the streams.
 
 Random streams
 --------------
 :func:`point_streams` is the one owner of the stream layout: stream k of
 sweep point i has Philox key (seed, 3 i + k), where k = 0 is the noise n_RS
-at the relay, 1 the bits and 2 the noise n_T at the terminal.
-:func:`simulate_chain` is point 0.  n_RS is drawn only at the samples of w
-that a loop reads, as (periods, columns) normals, since no other sample can
-reach u, y_T or a decision; n_T is (n, 2) normals.
+at the relay, 1 the bits and 2 the noise n_T at the terminal.  A batch
+makes each point's three generators once, and :func:`simulate_chain` is
+point 0.  n_RS is drawn only at the samples of w that a loop reads, as
+(periods, columns) normals, since no other sample can reach u, y_T or a
+decision; n_T is (n, 2) normals.
 
 Canceler kinds
 --------------
@@ -37,7 +38,8 @@ Canceler kinds
               subtraction of the coupling contribution.  The baseline is
               independent of the coupling gain, and with the gain at zero
               it coincides with ``designed`` sample for sample.
-``none``      K = 0: the relay transmits nothing.
+``none``      the relay transmits nothing, u = 0 exactly, so no loop is
+              built or run.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class SimConfig:
     the stored levels: a power of P dBm is 10^(P/10) power units, and a
     gain of G dB scales amplitudes by 10^(G/20).  Construction checks that
     each factor is finite and that a symbol lasts a whole number of slow
-    periods.
+    periods, at least one.
     """
 
     params: RelayParams
@@ -107,7 +109,7 @@ class SimConfig:
         for name in ("relay_gain_db", "signal_dbm"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        self.sps  # raises unless a symbol is whole slow periods
+        self.sps  # raises unless a symbol is one or more whole slow periods
         for name, factor in (("relay_gain_db", "relay_gain"), ("signal_dbm", "signal_amplitude"),
                              ("noise_rs_dbm", "sigma_rs"), ("noise_t_dbm", "sigma_t")):
             # A Python float's power overflows by raising, a numpy scalar's
@@ -125,9 +127,9 @@ class SimConfig:
         """Fast samples per symbol: N per slow period of the relay timing."""
         h, N = self.params.sampling_period, self.params.fsfh_ratio
         periods = self.symbol_period / h
-        if abs(periods - round(periods)) > 1e-9:
+        if not 0.5 < periods < math.inf or abs(periods - round(periods)) > 1e-9:
             raise ConfigError(f"symbol period {self.symbol_period} must be an integer "
-                              f"multiple of h={h}")
+                              f"multiple of h={h}, at least one")
         return int(round(periods)) * N
 
     @property
@@ -178,27 +180,21 @@ def _iq_samples(samples) -> np.ndarray:
 
 
 def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
-    """One slow period of the relay loop closed by canceler ``kind``: lifted
-    w -> lifted e.
+    """One slow period of the relay loop closed by the controller of a kind
+    that runs one (``designed`` or ``perfect``): lifted w -> lifted e.
 
     Input per period: the N fast samples of w = tx + n_RS (2 each); output:
-    the N fast samples of the error e = w - u.  This is where a kind is
-    checked, where a kind that runs a controller finds it missing, and where
-    an unstable loop is refused, before any noise is drawn;
-    :func:`lifting.closed_loop` checks the controller's shape and step.
+    the N fast samples of the error e = w - u.  This is where a missing
+    controller is found and where an unstable loop is refused, before any
+    noise is drawn; :func:`lifting.closed_loop` checks the controller's
+    shape and step.
     """
-    if kind not in CANCELER_KINDS:
-        raise ConfigError(f"canceler must be one of {CANCELER_KINDS}, got {kind!r}")
-    prm = replace(cfg.params, input_shaping=identity_filter())
-    if kind == "none":
-        K = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2)))
-    elif cfg.controller is None:
+    if cfg.controller is None:
         raise ConfigError(f"canceler={kind!r} requires a controller")
-    else:
-        K = cfg.controller.K
+    prm = replace(cfg.params, input_shaping=identity_filter())
     if kind == "perfect":
         prm = replace(prm, coupling_gain=0.0)
-    loop = closed_loop(lift(prm), K)
+    loop = closed_loop(lift(prm), cfg.controller.K)
     require_stable(loop.A, f"{kind} loop")
     return loop
 
@@ -297,30 +293,41 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
 class _ChainBatch:
     """P runs of the relay chain for each canceler kind, fed chunk by chunk.
 
-    Run j is sweep point j with gain ``betas[j]``.  Its n_RS and n_T come
-    from :func:`point_streams`, and every kind sees the same noise, so the
-    kinds are paired.  n_RS is drawn only at ``cols``, the columns that the
-    advanced loops read: ``designed`` and ``perfect`` close the same K with
-    W = I, so they read the same ones.  Per chunk, a run draws (periods,
-    cols.size) normals, which is 2 per period with F = I, all 2N with a
-    dynamic F and none when only ``none`` runs.
-    tx is added at those columns only.  A run's n_T is (n, 2) normals.
-    Chunked draws equal whole ones.  Each kind's :class:`_PeriodKernel`
-    lives as long as the batch.  ``none`` transmits u = 0 exactly, so its
-    loop is built (and validated) but never advanced.
+    This is the one gate of a run.  It checks the kinds (at least one, each
+    in :data:`CANCELER_KINDS`, none repeated), then builds and checks the
+    loop of each kind that runs a controller, and only then makes the
+    streams, so a refused run draws nothing.  ``none`` transmits u = 0
+    exactly and has no loop.
+
+    Run j is sweep point j with gain ``betas[j]``, and its n_RS, bits and
+    n_T generators are ``rs[j]``, ``bits[j]`` and ``t[j]``; the caller
+    draws the bits.  Every kind sees the same noise, so the kinds are
+    paired.  n_RS is drawn only at ``cols``, the columns that the loops
+    read: ``designed`` and ``perfect`` close the same K with W = I, so they
+    read the same ones.  Per chunk, a run draws (periods, cols.size)
+    normals, which is 2 per period with F = I, all 2N with a dynamic F and
+    none when only ``none`` runs, and tx is added at those columns only.  A
+    run's n_T is (n, 2) normals.  Chunked draws equal whole ones.  Each
+    kernel and loop state ``X[kind]`` lives as long as the batch.
     """
 
     def __init__(self, cfg: SimConfig, kinds, betas):
-        self.kernels = {}
-        for kind in kinds:
-            kernel = _PeriodKernel(_period_maps(cfg, kind))
-            self.kernels[kind] = (kernel, np.zeros((kernel.n_states, len(betas))))
-        read = [kernel.cols for kind, (kernel, _) in self.kernels.items() if kind != "none"]
-        self.cols = read[0] if read else np.zeros(0, dtype=np.intp)
+        self.kinds = list(kinds)
+        if not self.kinds:
+            raise ConfigError("at least one canceler kind is required")
+        for kind in self.kinds:
+            if kind not in CANCELER_KINDS:
+                raise ConfigError(f"canceler must be one of {CANCELER_KINDS}, got {kind!r}")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ConfigError(f"canceler kinds must be distinct, got {self.kinds}")
+        self.kernels = {kind: _PeriodKernel(_period_maps(cfg, kind))
+                        for kind in self.kinds if kind != "none"}
+        self.X = {kind: np.zeros((k.n_states, len(betas))) for kind, k in self.kernels.items()}
+        self.cols = next((k.cols for k in self.kernels.values()), np.zeros(0, dtype=np.intp))
         self.N = cfg.params.fsfh_ratio
         self.scale = np.array([beta * cfg.relay_gain for beta in betas])
         self.sigma_rs, self.sigma_t = cfg.sigma_rs, cfg.sigma_t
-        self.rs, _, self.t = zip(*(point_streams(cfg.seed, i) for i in range(len(betas))))
+        self.rs, self.bits, self.t = zip(*(point_streams(cfg.seed, i) for i in range(len(betas))))
 
     def advance(self, tx: np.ndarray):
         """Yield (kind, u, y_T) for the next fast samples tx, shaped (n, 2, P).
@@ -343,11 +350,11 @@ class _ChainBatch:
         n_t *= self.sigma_t
         n_t = n_t.transpose(1, 2, 0)  # (n, 2, P)
         W = rs.transpose(1, 0, 2)  # (T, P, cols.size)
-        for kind, (kernel, X) in self.kernels.items():
-            if kind == "none":
+        for kind in self.kinds:
+            if kind not in self.kernels:
                 yield kind, np.zeros((T, P, 2 * N)), n_t
                 continue
-            u = _advance(kernel, X, W)
+            u = _advance(self.kernels[kind], self.X[kind], W)
             y_t = np.empty(tx.shape)
             np.multiply(u.reshape(T, P, N, 2).transpose(0, 2, 3, 1), self.scale,
                         out=y_t.reshape(T, N, 2, P))
@@ -356,9 +363,9 @@ class _ChainBatch:
 
     def pilot(self, kind: str, tx: np.ndarray) -> np.ndarray:
         """Noise-free y_T of a kind's first run, from rest, for fast samples tx (n, 2)."""
-        kernel, _ = self.kernels[kind]
-        if kind == "none":
+        if kind not in self.kernels:
             return np.zeros_like(tx)
+        kernel = self.kernels[kind]
         W = tx.reshape(-1, 2 * self.N)[:, None, kernel.cols]
         u = _advance(kernel, np.zeros((kernel.n_states, 1)), W)
         return self.scale[0] * u.reshape(tx.shape)

@@ -127,6 +127,20 @@ class TestModDemod:
         with pytest.raises(ConfigError, match="must be an integer multiple of h=1.0"):
             replace(base_cfg, symbol_period=1.5)
 
+    @pytest.mark.parametrize("symbol_period", [1e-12, 5e-10])
+    def test_symbol_must_last_a_slow_period(self, default_params, symbol_period):
+        # Such a symbol rounds to zero slow periods within the whole-number
+        # tolerance; it would leave no sample per symbol.
+        assert SimConfig(params=default_params, symbol_period=1.0).sps == 16
+        with pytest.raises(ConfigError, match="must be an integer multiple of h=1.0"):
+            SimConfig(params=default_params, symbol_period=symbol_period)
+
+    def test_symbol_too_long_for_a_float_count_of_periods(self):
+        # symbol_period / h overflows to inf, which has no whole number.
+        params = RelayParams(sampling_period=1e-10, delay_seconds=1e-10)
+        with pytest.raises(ConfigError, match="must be an integer multiple of h=1e-10"):
+            SimConfig(params=params, symbol_period=1e300)
+
 
 class TestRunBer:
     """A single BER point: a one-beta, one-kind sweep."""
@@ -159,7 +173,7 @@ class TestRunBer:
         # With RS noise off the designed chain is deterministic up to the
         # terminal AWGN; the analytic prediction only needs the chain gain,
         # which a noise-free pilot measures exactly.
-        from cwcancel.ber import _CHAIN_ALIGN, _decision_windows
+        from cwcancel.ber import _CHAIN_ALIGN, _windows
         from cwcancel.simulate import simulate_chain
 
         beta = 2e-3
@@ -167,7 +181,7 @@ class TestRunBer:
         sps = cfg.sps
         pilot = replace(cfg, noise_t_dbm=-math.inf)
         resp = simulate_chain(pilot, modulate(np.ones(8, dtype=int), cfg), "designed", beta)
-        gain = _decision_windows(resp.y_T, sps, _CHAIN_ALIGN)[-1].mean(axis=0)[0]
+        gain = _windows(resp.y_T, sps, _CHAIN_ALIGN, None, True)[0][-1].mean(axis=0)[0]
         sigma = math.sqrt(10.0 ** (cfg.noise_t_dbm / 10.0) / 2.0)
         p = q_function(gain / (sigma / math.sqrt(sps)))
         point = one_point(cfg, "designed", beta)
@@ -216,6 +230,10 @@ class TestSweep:
     def test_duplicate_kinds_rejected(self, base_cfg):
         with pytest.raises(ValueError, match="distinct"):
             sweep_beta(replace(base_cfg, n_symbols=10), [1e-3], ["designed", "none", "designed"])
+
+    def test_empty_kinds_rejected(self, base_cfg):
+        with pytest.raises(ConfigError, match="at least one canceler kind"):
+            sweep_beta(replace(base_cfg, n_symbols=10), [1e-3], [])
 
     def test_curve_requires_increasing_betas(self):
         p = BerPoint(beta=1.0, errors=0, trials=10, ber=0.0, ci95=(0.0, 0.3))
@@ -321,8 +339,9 @@ class TestBatchedSweep:
 
 
 def test_sweep_builds_each_period_map_once(base_cfg, monkeypatch):
-    # The pilots run on the loops the sweep builds, so each kind's period
-    # map is built exactly once per sweep.
+    # The pilots run on the loops the sweep builds, so each controlled
+    # kind's period map is built exactly once per sweep, and none builds
+    # no loop at all.
     import cwcancel.simulate as sim
 
     built = []
@@ -335,7 +354,68 @@ def test_sweep_builds_each_period_map_once(base_cfg, monkeypatch):
     monkeypatch.setattr(sim, "_period_maps", counting)
     kinds = ["none", "designed", "perfect"]
     sweep_beta(replace(base_cfg, n_symbols=20), [1e-4, 1e-3, 1e-2], kinds)
-    assert sorted(built) == sorted(kinds)
+    assert sorted(built) == ["designed", "perfect"]
+
+
+def test_none_only_sweep_builds_no_loop(base_cfg, monkeypatch):
+    # none's relay output is exactly 0, so no loop is lifted for it.
+    def lift(*args):
+        raise AssertionError("a loop was lifted for none")
+
+    monkeypatch.setattr("cwcancel.simulate.lift", lift)
+    (curve,) = sweep_beta(replace(base_cfg, n_symbols=100), [1e-4, 1e-3], ["none"])
+    assert [p.trials for p in curve.points] == [100, 100]
+
+
+def test_sweep_makes_each_point_streams_once(base_cfg, monkeypatch):
+    # The batch makes a point's n_RS, bits and n_T generators, and the
+    # receiver draws its bits from the batch's: each key is made once.
+    keys = []
+    philox = np.random.Philox
+
+    def counting(key):
+        keys.append(tuple(int(k) for k in key))
+        return philox(key=key)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    sweep_beta(replace(base_cfg, n_symbols=100), [1e-4, 1e-3, 1e-2],
+               ["none", "designed", "perfect"])
+    assert keys == [(base_cfg.seed, k) for k in range(9)]
+
+
+class TestLevelInvariance:
+    """Metamorphic relations of a sweep.  The chain is linear and a decision
+    is a sign, so raising levels together by the same 20 dB scales every
+    sample that a decision reads by 10 and leaves every error count
+    unchanged."""
+
+    @pytest.fixture(scope="class")
+    def cfg(self, base_cfg):
+        return replace(base_cfg, n_symbols=2000)
+
+    @pytest.fixture(scope="class")
+    def betas(self, cfg):
+        return default_beta_grid(cfg, 6)[1:5]
+
+    @staticmethod
+    def counts(cfg, betas):
+        return {curve.canceler_kind: [p.errors for p in curve.points]
+                for curve in sweep_beta(cfg, betas, ["none", "designed", "perfect"])}
+
+    @pytest.fixture(scope="class")
+    def reference(self, cfg, betas):
+        counts = self.counts(cfg, betas)
+        # The relations are informative only off the curve's ends.
+        assert all(0 < e < cfg.n_symbols for e in counts["designed"] + counts["perfect"])
+        return counts
+
+    @pytest.mark.parametrize("levels", [
+        ("signal_dbm", "noise_rs_dbm", "noise_t_dbm"),  # the received signal and every noise
+        ("relay_gain_db", "noise_t_dbm"),  # the relay's gain and the noise at the terminal
+    ], ids=["signal_and_noises", "relay_gain_and_terminal_noise"])
+    def test_counts_unchanged(self, cfg, betas, reference, levels):
+        raised = replace(cfg, **{name: getattr(cfg, name) + 20.0 for name in levels})
+        assert self.counts(raised, betas) == reference
 
 
 def test_ber_csv(tmp_path, base_cfg):

@@ -459,6 +459,17 @@ class TestSweep:
         assert "finite" in err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_kinds_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"comms": {"n_symbols": 40}, "sweep": {"n_points": 2,
+                                                                           "cancelers": []}}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "at least one canceler kind" in err
+        assert not out.exists()
+
     def test_unknown_kind_exit_code(self, tmp_path, quick_config, capsys):
         rc = main(["sweep", "--config", str(quick_config), "--cancelers", "bogus",
                    "--betas", "1e-3", "--out", str(tmp_path / "out")])
@@ -605,6 +616,24 @@ class TestDelayFreeCoupling:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "delay-free" in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert not out.exists()
+
+
+class TestShortSymbol:
+    """A symbol shorter than half a slow period rounds to zero slow periods
+    and leaves no sample per symbol; it is refused where the channel is built."""
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep"]], ids=["simulate", "sweep"])
+    def test_exit_config(self, tmp_path, controller_file, capsys, command):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"comms": {"symbol_period": 1e-12}}))
+        out = tmp_path / "out"
+        rc = main(command + ["--controller", str(controller_file), "--config", str(path),
+                             "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "must be an integer multiple of h=1.0" in err
         assert err.strip().splitlines() == [err.strip()]
         assert not out.exists()
 

@@ -266,12 +266,22 @@ def advance_full(kernel, X, W):
     return _advance(kernel, X, W[:, kernel.cols].transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def test_none_loop_outputs_exact_zero(base_cfg):
-    # The batched engine skips the none loop because its relay output is
-    # exactly 0; run that loop here to pin it.
-    from cwcancel.simulate import _period_maps, _PeriodKernel
+def none_loop(params):
+    """The relay loop closed by K = 0, which the batch never builds for
+    ``none``: the tests that run it pin that its relay output is exactly 0."""
+    from cwcancel.lifting import closed_loop
+    from cwcancel.plant import identity_filter
 
-    kernel = _PeriodKernel(_period_maps(base_cfg, "none"))
+    K = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2)))
+    return closed_loop(lift(replace(params, input_shaping=identity_filter())), K)
+
+
+def test_none_loop_outputs_exact_zero(base_cfg):
+    # The batched engine builds no loop for none because its relay output
+    # is exactly 0; run that loop here to pin it.
+    from cwcancel.simulate import _PeriodKernel
+
+    kernel = _PeriodKernel(none_loop(base_cfg.params))
     W = np.random.default_rng(18).standard_normal((40, 32, 3))
     U = advance_full(kernel, np.zeros((kernel.n_states, 3)), W)
     assert np.all(U == 0.0)
@@ -299,8 +309,8 @@ def period_maps(oracle_cases):
         "antialias": oracle_cases["antialias"],  # F = 100/(s+100): all of w reaches the loop
         "feedthrough": oracle_cases["feedthrough"],
     }
-    return {name: {kind: _period_maps(SimConfig(params=params, controller=K), kind)
-                   for kind in ("none", "designed")}
+    return {name: {"none": none_loop(params),
+                   "designed": _period_maps(SimConfig(params=params, controller=K), "designed")}
             for name, (params, K) in cases.items()}
 
 
@@ -512,8 +522,9 @@ class TestValidation:
             simulate_chain(base_cfg, np.zeros((17, 2)), "designed", 1.0)
 
     def test_kind_validation(self, default_params):
-        # The kind is checked where its loop is built, by the one engine
-        # that both simulate_chain and sweep_beta run.
+        # The kind is checked by the batch, the one gate of the one engine
+        # that both simulate_chain and sweep_beta run, before any loop is
+        # built; a missing controller is found where its loop is built.
         from cwcancel.ber import sweep_beta
 
         cfg = SimConfig(params=default_params, seed=0, n_symbols=10)
@@ -525,6 +536,15 @@ class TestValidation:
             with pytest.raises(ConfigError, match=message):
                 sweep_beta(cfg, [1e-3], ["none", kind])
         simulate_chain(cfg, tx, "none", 1.0)
+
+    @pytest.mark.parametrize("kinds, message", [
+        (["designed", "bogus"], "must be one of"), (["designed", "designed"], "must be distinct"),
+    ], ids=["unknown", "repeated"])
+    def test_kinds_checked_before_any_loop(self, default_params, kinds, message):
+        # Without a controller, building the designed loop would fail first.
+        cfg = SimConfig(params=default_params, seed=0, n_symbols=10)
+        with pytest.raises(ConfigError, match=message):
+            sweep_beta(cfg, [1e-3], kinds)
 
     @pytest.mark.parametrize("beta, message", [
         (-1.0, "nonnegative"), (-math.inf, "nonnegative"), (math.inf, "finite"),
