@@ -8,16 +8,19 @@ the offending JSON path.  The relay section then builds RelayParams, which
 checks the relay loop before any command uses it, and the sim and comms
 sections one SimConfig, by field name.  All artifacts (controller.json,
 report.json, certification.json, ber_curves.csv, waveform.csv) are
-deterministic functions of the config and seed.  ``--controller`` is
-read whenever it is given; the loop that runs it checks the rest.
+deterministic functions of the config and seed; certification.json is
+:func:`cwcancel.synthesis.certify`'s document as it is.  ``--controller``
+is read whenever it is given; the loop that runs it checks the rest.
 
-Exit codes: 0 success, 1 synthesis failure, 2 malformed JSON, invalid
-config or controller (a designed or perfect canceler without one, too) or
-an unusable file path, 3 a controller whose step differs from the config's
-sampling period (refused where the loop is closed), 4 unstable closed
-loop (a closed loop with spectral radius ≥ 1, refused before any command runs
-it, or a simulated signal that overflows a float), 5 numerical failure (the
-H-infinity certificate could not prove a bound, or a bilinear map is singular).
+Commands raise, and :func:`main` maps every failure to its exit code: 0
+success, 1 synthesis failure (no feasible gamma, or a certificate that
+contradicts its level), 2 malformed JSON, invalid config, controller or flag
+(an empty ``--cancelers`` or ``--betas``, too) or an unusable file path, 3 a
+controller whose step differs from the config's sampling period (refused where
+the loop is closed), 4 unstable closed loop (a closed loop with spectral radius
+≥ 1, refused before any command runs it, or a simulated signal that overflows a
+float), 5 numerical failure (the H-infinity certificate could not prove a
+bound, or a bilinear map is singular).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .lifting import StepMismatchError, lift
 from .lti import NumericalFailure, StateSpace
 from .plant import RelayParams
 from .simulate import CANCELER_KINDS, SimConfig, point_streams, simulate_chain, write_waveform_csv
-from .synthesis import (CERT_SLACK, SynthesisError, bisect_gamma, certify, load_controller,
-                        save_controller, write_json)
+from .synthesis import (SynthesisError, bisect_gamma, certify, load_controller, save_controller,
+                        write_json)
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
@@ -170,12 +173,7 @@ def _sim_config(cfg, params: RelayParams, args) -> SimConfig:
 
 def cmd_design(args) -> int:
     cfg, params, outdir = _setup(args)
-    lifted = lift(params)
-    try:
-        result = bisect_gamma(lifted, tol=cfg["synthesis"]["tol"])
-    except SynthesisError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_SYNTH
+    result = bisect_gamma(lift(params), tol=cfg["synthesis"]["tol"])
     ctrl = result.controller
     radius = result.closed_loop_radius
     outdir.mkdir(parents=True, exist_ok=True)
@@ -196,15 +194,11 @@ def cmd_design(args) -> int:
 def cmd_certify(args) -> int:
     cfg, params, outdir = _setup(args)
     ctrl = load_controller(args.controller)
-    radius, cert = certify(lift(params), ctrl.K)
+    doc = certify(lift(params), ctrl)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_json(outdir / "certification.json", {
-        "spectral_radius": radius,
-        "gamma_certified": cert,
-        "gamma_achieved": ctrl.gamma_achieved,
-        "within_reported": bool(cert <= ctrl.gamma_achieved * (1.0 + CERT_SLACK)),
-    })
-    print(f"spectral radius = {radius:.6f}, certified norm = {cert:.6f}")
+    write_json(outdir / "certification.json", doc)
+    print(f"spectral radius = {doc['spectral_radius']:.6f}, "
+          f"certified norm = {doc['gamma_certified']:.6f}")
     return EXIT_OK
 
 
@@ -226,9 +220,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, params, outdir = _setup(args)
-    cancelers = args.cancelers.split(",") if args.cancelers else cfg["sweep"]["cancelers"]
+    cancelers = cfg["sweep"]["cancelers"] if args.cancelers is None else args.cancelers.split(",")
     sim = _sim_config(cfg, params, args)
-    if args.betas:
+    if args.betas is not None:
         betas = [float(b) for b in args.betas.split(",")]
     elif cfg["sweep"]["betas"] == "auto":
         betas = default_beta_grid(sim, n_points=cfg["sweep"]["n_points"])
@@ -287,6 +281,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SynthesisError as exc:
+        print(f"synthesis failed: {exc}", file=sys.stderr)
+        return EXIT_SYNTH
     except json.JSONDecodeError as exc:
         print(f"malformed JSON: {exc.msg} at line {exc.lineno} column {exc.colno}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,8 +23,9 @@ singular values s of D11/gamma.  A probe's Riccati inputs are then products
 of the order of the lifted state, whatever the width of w and z.
 
 All transforms are norm- and stability-preserving, so a controller feasible
-for the transformed problem is feasible for the lifted discrete one; the
-certification step checks exactly that on the original plant.
+for the transformed problem is feasible for the lifted discrete one;
+:func:`certify` checks exactly that on the original plant, and is the one
+judge of whether a certificate contradicts the controller's level.
 """
 
 from __future__ import annotations
@@ -237,17 +238,10 @@ def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
     dt = Gl.G.dt
     try:
         Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
-    except NumericalFailure as exc:
-        return Infeasible("closed_loop", str(exc))
-
-    cl = closed_loop(Gl, Kd)
-    try:
+        cl = closed_loop(Gl, Kd)
         require_stable(cl.A, "assembled loop")
-    except UnstableSystemError as exc:
-        return Infeasible("closed_loop", str(exc))
-    try:
         gain = exceeds(cl, gamma * (1.0 + PROBE_MARGIN))
-    except NumericalFailure as exc:  # the loop's bilinear image is singular
+    except (NumericalFailure, UnstableSystemError) as exc:
         return Infeasible("closed_loop", str(exc))
     if gain is not None:
         return Infeasible("closed_loop", f"closed-loop gain {gain:.6f} exceeds gamma")
@@ -276,16 +270,18 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
 
 
 def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
-    """gamma-bisection around :func:`synthesize_at_gamma`.
+    """The smallest feasible gamma level, to a relative tol, and its
+    certified central controller.
 
     The plant is mapped and rotated once; each probe then scales, scatters,
-    solves the two Riccati equations and tests its closed loop.
-    The upper bracket is found by at most MAX_DOUBLINGS doublings from
-    gamma = 1; bisection then narrows until (hi - lo)/lo <= tol or MAX_PROBES
-    probes have run.  The returned controller is the one synthesized at the
-    final upper bracket.
-    Its ``gamma_certified`` is a peak gain g the closed loop attains, with
-    the closed-loop norm proven to lie in [g, g*(1+2e-6)].
+    solves the two Riccati equations and tests its closed loop.  One loop
+    brackets and bisects: until a level is feasible, each infeasible level
+    becomes the lower bracket and the next probe doubles it (from gamma = 1,
+    at most MAX_DOUBLINGS times); after that each probe bisects [lo, hi]
+    until (hi - lo)/lo <= tol or MAX_PROBES probes have run, so no level is
+    probed twice.  The controller of the final upper bracket is returned
+    once :func:`certify` finds it within its level (else
+    :class:`SynthesisError`), with ``gamma_certified`` set from that document.
     Raises ValueError unless tol is finite and positive, and on an
     ill-posed problem before any probe runs (see :func:`_rotated_blocks`).
     """
@@ -293,60 +289,50 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     p, s = _rotated_blocks(Gl)
     trace: list = []
-
-    def probe(g: float):
-        res = _probe(Gl, p, s, g)
-        trace.append((float(g), isinstance(res, DigitalController)))
-        return res
-
-    hi = 1.0
-    res = probe(hi)
-    doublings = 0
-    last_reason = ""
-    while isinstance(res, Infeasible):
-        last_reason = f"{res.reason}: {res.detail}"
-        doublings += 1
-        if doublings > MAX_DOUBLINGS:
-            raise SynthesisError(
-                f"no feasible gamma after {MAX_DOUBLINGS} doublings (last: {last_reason})"
-            )
-        hi *= 2.0
-        res = probe(hi)
-
-    lo = 0.0
-    best = res
-    while len(trace) < MAX_PROBES:
-        if lo > 0.0 and (hi - lo) / lo <= tol:
-            break
-        if hi < 1e-12:
-            break
-        mid = 0.5 * (hi + lo)
-        res = probe(mid)
+    lo, hi, best = 0.0, 1.0, None
+    while best is None or (len(trace) < MAX_PROBES and hi >= 1e-12
+                           and not (lo > 0.0 and (hi - lo) / lo <= tol)):
+        gamma = hi if best is None else 0.5 * (hi + lo)
+        res = _probe(Gl, p, s, gamma)
+        trace.append((float(gamma), isinstance(res, DigitalController)))
         if isinstance(res, DigitalController):
-            hi, best = mid, res
+            hi, best = gamma, res
+        elif best is not None:
+            lo = gamma
+        elif len(trace) > MAX_DOUBLINGS:
+            raise SynthesisError(f"no feasible gamma after {MAX_DOUBLINGS} doublings "
+                                 f"(last: {res.reason}: {res.detail})")
         else:
-            lo = mid
+            lo, hi = gamma, 2.0 * gamma
 
-    radius, cert = certify(Gl, best.K)
-    if cert > best.gamma_achieved * (1.0 + CERT_SLACK):
-        raise SynthesisError(
-            f"certificate {cert:.6f} contradicts synthesis level {best.gamma_achieved:.6f}"
-        )
-    best.gamma_certified = float(cert)
+    doc = certify(Gl, best)
+    if not doc["within_reported"]:
+        raise SynthesisError(f"certificate {doc['gamma_certified']:.6f} contradicts "
+                             f"synthesis level {best.gamma_achieved:.6f}")
+    best.gamma_certified = float(doc["gamma_certified"])
     return SynthesisResult(controller=best, gamma_min=float(hi), bisection_trace=trace,
-                           closed_loop_radius=radius)
+                           closed_loop_radius=doc["spectral_radius"])
 
 
-def certify(Gl: LiftedPlant, K: StateSpace):
-    """(radius, g) of the closed loop of Gl and K.
+def certify(Gl: LiftedPlant, ctrl: DigitalController) -> dict:
+    """The certification document of the closed loop of Gl and ctrl.K.
 
-    radius is its spectral radius; g is a peak gain the loop attains, with
-    its H-infinity norm proven to lie in [g, g*(1+2*CERT_TOL)].  Raises
+    ``spectral_radius`` is the loop's spectral radius and ``gamma_certified``
+    a peak gain g it attains, with its H-infinity norm proven to lie in
+    [g, g*(1+2*CERT_TOL)].  ``within_reported`` is False when g exceeds the
+    ``gamma_achieved`` ctrl reports by more than CERT_SLACK (0.1 %): that
+    certificate contradicts the controller.  Raises
     :class:`~cwcancel.hnorm.UnstableSystemError` when the loop is unstable.
     """
-    cl = closed_loop(Gl, K)
+    cl = closed_loop(Gl, ctrl.K)
     radius = require_stable(cl.A, "certified loop")
-    return radius, hinf_norm_discrete(cl, tol=CERT_TOL)
+    cert = hinf_norm_discrete(cl, tol=CERT_TOL)
+    return {
+        "spectral_radius": radius,
+        "gamma_certified": cert,
+        "gamma_achieved": ctrl.gamma_achieved,
+        "within_reported": bool(cert <= ctrl.gamma_achieved * (1.0 + CERT_SLACK)),
+    }
 
 
 def controller_to_dict(ctrl: DigitalController) -> dict:

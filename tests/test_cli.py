@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cwcancel import synthesis
 from cwcancel.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -290,6 +291,20 @@ class TestDesign:
         assert "synthesis failed" in err and "care_x" in err
         assert not out.exists()
 
+    def test_contradicted_certificate_exit_code(self, tmp_path, monkeypatch, capsys):
+        """A certificate above the synthesis level (here a doubled norm) is
+        refused: design exits 1 with one line and writes nothing."""
+        norm = synthesis.hinf_norm_discrete
+        monkeypatch.setattr("cwcancel.synthesis.hinf_norm_discrete",
+                            lambda *args, **kwargs: 2.0 * norm(*args, **kwargs))
+        out = tmp_path / "out"
+        assert main(["design", "--tol", "0.05", "--out", str(out)]) == EXIT_SYNTH
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert "synthesis failed" in err and "contradicts" in err
+        assert not out.exists()
+
 
 class TestCertify:
     def test_fresh_controller(self, tmp_path, controller_file, designed_controller):
@@ -299,6 +314,21 @@ class TestCertify:
         assert doc["spectral_radius"] < 1.0
         assert doc["within_reported"] is True
         assert doc["gamma_certified"] == pytest.approx(
+            designed_controller.gamma_certified, rel=1e-6)
+
+    def test_certificate_above_reported_level(self, tmp_path, designed_controller):
+        """certify reports, and does not refuse, a controller whose certified
+        norm exceeds its gamma_achieved by more than 0.1 %."""
+        doc = controller_to_dict(designed_controller)
+        doc["gamma_achieved"] = 0.5 * designed_controller.gamma_certified
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["certify", "--controller", str(path), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        cert = json.loads((tmp_path / "certification.json").read_text())
+        assert cert["within_reported"] is False
+        assert cert["gamma_achieved"] == doc["gamma_achieved"]
+        assert cert["gamma_certified"] == pytest.approx(
             designed_controller.gamma_certified, rel=1e-6)
 
     def test_zero_stub_controller_is_stable(self, tmp_path):
@@ -468,6 +498,22 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert "at least one canceler kind" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--cancelers=", "--betas", "1e-3"], "got ''"),
+        (["--cancelers", "none", "--betas="], "could not convert string to float: ''"),
+    ], ids=["cancelers", "betas"])
+    def test_empty_flag_exit_code(self, tmp_path, controller_file, quick_config, capsys,
+                                  argv, text):
+        """An empty --cancelers or --betas is a value, not an absent flag."""
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(quick_config), "--controller", str(controller_file),
+                   *argv, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert text in err
         assert not out.exists()
 
     def test_unknown_kind_exit_code(self, tmp_path, quick_config, capsys):

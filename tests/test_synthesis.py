@@ -395,6 +395,25 @@ class TestBisection:
         assert result.bisection_trace == trace
         assert result.gamma_min == gamma_min
 
+    @pytest.mark.parametrize("scale, gamma_min, first_feasible", [
+        (8.0, 2.251953125, 4.0),
+        (40.0, 11.2578125, 16.0),
+    ], ids=["Wx8", "Wx40"])
+    def test_doubling_brackets_without_repeating_a_level(self, scale, gamma_min,
+                                                         first_feasible):
+        """With W scaled so that gamma_min > 1, the infeasible levels 1, 2, 4, ...
+        double up to the first feasible level h; the last of them is the lower
+        bracket, so the next probe is 0.75 h and no level is probed twice."""
+        W = StateSpace([[-0.5]], [[0.5]], [[scale]], [[0.0]])
+        result = bisect_gamma(lift(RelayParams(fsfh_ratio=8, input_shaping=W)), tol=1e-3)
+        levels = [g for g, _ in result.bisection_trace]
+        k = [ok for _, ok in result.bisection_trace].index(True)
+        assert levels[:k + 1] == [2.0 ** j for j in range(k + 1)]
+        assert levels[k] == first_feasible
+        assert levels[k + 1] == 0.75 * first_feasible
+        assert len(set(levels)) == len(levels)
+        assert result.gamma_min == gamma_min
+
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
     def test_rejects_bad_tol(self, tol):
         Gl = make_plant(A=0.5, B1=1.0, B2=1.0, C1=1.0, C2=1.0,
