@@ -4,14 +4,15 @@ The norm-preserving bilinear map z = (1+s)/(1-s) takes the system to
 continuous time, where gamma is a singular value of G(jw) exactly when jw is
 an eigenvalue of the gamma-Hamiltonian (Boyd & Balakrishnan 1990; Bruinsma &
 Steinbuch, Systems & Control Letters 1990).  The lower bound lb is always an
-attained gain.  With no imaginary-axis eigenvalue at gamma = lb*(1+2*tol) the
-norm is proven below gamma; otherwise the gain at and between the crossings
-raises lb.  Each test first factors R = gamma^2 I - D_c^T D_c by Cholesky,
-which also checks the proof's premise sigma_max(D_c) < gamma, and evaluates
-the frequency response only at the crossings it flags and between them.
-:func:`exceeds` runs one such test at a given level and seeds nothing, so a
-level it proves costs no frequency response; :func:`hinf_norm_discrete`
-seeds its lower bound with the gains at theta = 0, pi/2 and pi.
+attained gain.  The first test at gamma = lb*(1+2*tol) with no imaginary-axis
+eigenvalue proves the norm below gamma and ends the iteration; otherwise the
+gain at and between the crossings raises lb.  Each test first checks the
+proof's premise sigma_max(D_c) < gamma by a Cholesky factorization of
+R = gamma^2 I - D_c^T D_c, and evaluates the frequency response only at the
+crossings it flags and between them.  :func:`exceeds` runs one such test at
+a given level and seeds nothing, so a level it proves costs no frequency
+response; :func:`hinf_norm_discrete` seeds lb with the gains at theta = 0,
+pi/2 and pi.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ __all__ = ["UnstableSystemError", "require_stable", "hinf_norm_discrete", "excee
 # Hamiltonian eigenvalues with |Re| <= this * (1 + |lambda|) lie on the axis.
 _AXIS_RTOL = 1e-8
 _MAX_PASSES = 50
-# Passes that sharpen lb after the proof: a tighter level and a looser axis
-# test, since only attained gains come out of them.
-_POLISH_RTOL, _POLISH_AXIS_RTOL = 1e-12, 1e-4
 # A level test reports a crossing only at a gain within this of the level.
 LEVEL_RTOL = 5e-7
 
@@ -65,11 +63,6 @@ def _sigma_max(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.svd(resp, compute_uv=False)[:, 0]
 
 
-def _seed_gain(sys: StateSpace) -> float:
-    """Peak gain at theta = 0, pi/2 and pi (pi is s = infinity: sigma_max(D_c))."""
-    return float(_sigma_max(sys, np.array([0.0, np.pi / 2, np.pi])).max())
-
-
 def _is_zero_system(sys: StateSpace) -> bool:
     """D = 0 and every Markov parameter C A^k B with k < n is 0, so G = 0
     (Cayley-Hamilton covers k >= n).  Tested exactly, in floating point."""
@@ -83,19 +76,27 @@ def _is_zero_system(sys: StateSpace) -> bool:
     return True
 
 
-def _test_level(sys, sc, gamma: float, rtol: float, axis_rtol: float = _AXIS_RTOL):
+def _test_level(sys, sc, gamma: float, rtol: float):
     """One pass at level gamma on the continuous image ``sc`` of ``sys``: the
     peak gain at and between the axis crossings (0.0 when there are none), and
     whether gamma is crossed.
 
-    Raises ``np.linalg.LinAlgError`` when the Cholesky factorization of
-    R = gamma^2 I - D_c^T D_c fails, that is unless sigma_max(D_c) < gamma.
-    eigvals moves an axis eigenvalue by about eps * ||H||, which dominates when
-    R is nearly singular.  sigma_max reaches gamma at a true crossing, so only
-    a peak of at least gamma*(1-rtol) counts as one.
+    The proof needs sigma_max(D_c) < gamma.  Where the Cholesky factorization
+    of R = gamma^2 I - D_c^T D_c fails, the gain at theta = pi (G(-1) = D_c)
+    is the peak if it reaches gamma*(1-rtol); else NumericalFailure is raised.
+    eigvals moves an axis eigenvalue by about eps * ||H||, which dominates
+    when R is nearly singular.  sigma_max reaches gamma at a true crossing,
+    so only a peak of at least gamma*(1-rtol) counts as one.
     """
     A, B, C, D = sc.A, sc.B, sc.C, sc.D
-    L = np.linalg.cholesky(gamma ** 2 * np.eye(D.shape[1]) - D.T @ D)
+    try:
+        L = np.linalg.cholesky(gamma ** 2 * np.eye(D.shape[1]) - D.T @ D)
+    except np.linalg.LinAlgError as exc:
+        peak = float(_sigma_max(sys, np.array([np.pi]))[0])
+        if peak < gamma * (1.0 - rtol):
+            raise NumericalFailure(f"sigma_max(D_c) reaches the level {gamma:.9g}, "
+                                   f"the gain {peak:.9g} at theta = pi does not") from exc
+        return peak, True
     # With R = L L^T: B R^-1 B^T = Wb^T Wb, B R^-1 D^T C = Wb^T Wd and
     # C^T (I + D R^-1 D^T) C = C^T C + Wd^T Wd.
     W = np.linalg.solve(L, np.hstack([B.T, D.T @ C]))
@@ -104,7 +105,7 @@ def _test_level(sys, sc, gamma: float, rtol: float, axis_rtol: float = _AXIS_RTO
     H = np.block([[Ah, Wb.T @ Wb], [-(C.T @ C + Wd.T @ Wd), -Ah.T]])
     lam = np.linalg.eigvals(H)
     rounding = H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 1)
-    on_axis = np.abs(lam.real) <= axis_rtol * (1.0 + np.abs(lam)) + rounding
+    on_axis = np.abs(lam.real) <= _AXIS_RTOL * (1.0 + np.abs(lam)) + rounding
     crossings = np.unique(2.0 * np.arctan(np.abs(lam[on_axis].imag)))
     if crossings.size == 0:
         return 0.0, False
@@ -118,34 +119,24 @@ def exceeds(sys: StateSpace, level: float) -> float | None:
     """A gain of at least level*(1-LEVEL_RTOL) that Schur-stable ``sys``
     attains, or None when its H-infinity norm is proven below ``level``.
 
-    The proof needs sigma_max(D_c) < level, where D_c = G(-1) is the gain at
-    theta = pi; a failed Cholesky factorization of level^2 I - D_c^T D_c
-    returns that gain.  Otherwise one Hamiltonian test at ``level`` decides,
-    as in :func:`hinf_norm_discrete`, and the frequency response is
-    evaluated only at its crossings and between them: a norm proven below
-    the level costs none.
+    One :func:`_test_level` at ``level`` decides, so a norm proven below the
+    level costs no frequency response.  Raises
+    :class:`~cwcancel.lti.NumericalFailure` when sigma_max(D_c) reaches the
+    level but the gain at theta = pi does not, or a bilinear map is singular.
     """
-    sc = bilinear_to_continuous(sys, 1.0)
-    try:
-        peak, crossed = _test_level(sys, sc, level, LEVEL_RTOL)
-    except np.linalg.LinAlgError:
-        gain = float(_sigma_max(sys, np.array([np.pi]))[0])
-        if gain < level * (1.0 - LEVEL_RTOL):  # not the Cholesky premise that failed
-            raise
-        return gain
+    peak, crossed = _test_level(sys, bilinear_to_continuous(sys, 1.0), level, LEVEL_RTOL)
     return peak if crossed else None
 
 
 def hinf_norm_discrete(sys: StateSpace, tol: float) -> float:
-    """Peak singular value g of a Schur-stable discrete system over [0, pi].
+    """A gain g that a Schur-stable discrete system attains, within 1+2*tol of its peak.
 
-    g is attained at some frequency, and the norm is proven to lie in
-    [g, g*(1+2*tol)].  Raises :class:`UnstableSystemError` when
-    :func:`require_stable` refuses A, and
-    :class:`~cwcancel.lti.NumericalFailure` when no bound is proven,
-    which includes a nonzero system whose gain is 0 at theta = 0, pi/2 and
-    pi (no level to test) and a level that the continuous image's
-    sigma_max(D_c) reaches.  A zero transfer function has norm 0.0.
+    g is the lower bound of the first level test that finds no crossing, which
+    proves the norm below g*(1+2*tol).  Raises :class:`UnstableSystemError`
+    when :func:`require_stable` refuses A, and :class:`~cwcancel.lti.NumericalFailure`
+    when no bound is proven: a level test raises, _MAX_PASSES tests all cross,
+    or a nonzero system's gain is 0 at theta = 0, pi/2 and pi (no level to
+    test).  A zero transfer function has norm 0.0.
     """
     if not sys.is_discrete:
         raise ValueError("hinf_norm_discrete expects a discrete-time system")
@@ -154,7 +145,7 @@ def hinf_norm_discrete(sys: StateSpace, tol: float) -> float:
         return 0.0
 
     sc = bilinear_to_continuous(sys, 1.0)
-    lb = _seed_gain(sys)
+    lb = float(_sigma_max(sys, np.array([0.0, np.pi / 2, np.pi])).max())
     if lb == 0.0 and _is_zero_system(sys):
         return 0.0
     try:
@@ -162,21 +153,8 @@ def hinf_norm_discrete(sys: StateSpace, tol: float) -> float:
             peak, crossed = _test_level(sys, sc, lb * (1.0 + 2.0 * tol), tol)
             lb = max(lb, peak)
             if not crossed:
-                break
-        else:
-            raise NumericalFailure(f"H-infinity norm not bracketed (lower bound {lb:.9g})")
-    except np.linalg.LinAlgError as exc:
+                return lb
+    except NumericalFailure as exc:
         raise NumericalFailure(f"H-infinity norm not bracketed (lower bound {lb:.9g}): "
                                f"{exc}") from exc
-    for _ in range(_MAX_PASSES):
-        try:
-            peak, crossed = _test_level(sys, sc, lb * (1.0 + 2.0 * _POLISH_RTOL), _POLISH_RTOL,
-                                        _POLISH_AXIS_RTOL)
-        except np.linalg.LinAlgError:
-            # sigma_max(D_c) of the continuous image, the gain at theta = pi,
-            # rounds above lb*(1+2e-12) when lb is that gain; the proof stands.
-            break
-        lb = max(lb, peak)
-        if not crossed:
-            break
-    return lb
+    raise NumericalFailure(f"H-infinity norm not bracketed (lower bound {lb:.9g})")

@@ -59,7 +59,8 @@ class StateSpace:
     dt: float | None = None
 
     def __post_init__(self):
-        self.A = _as_matrix(self.A, "A")
+        A = _as_matrix(self.A, "A")
+        self.A = A if A.size else A.reshape(0, 0)  # JSON's [] reads as (1, 0)
         self.B = _as_matrix(self.B, "B")
         self.C = _as_matrix(self.C, "C")
         self.D = _as_matrix(self.D, "D")

@@ -215,7 +215,7 @@ def point_streams(seed: int, point: int) -> tuple:
 # every 64-symbol sweep chunk.
 _SCAN_BLOCK = 64
 # A stable loop can still overflow a float at a large enough scale; the
-# kernel's finiteness check reports it.
+# finiteness check of the terminal waveform (:func:`_terminal`) reports it.
 _DIVERGENCE = dict(over="ignore", invalid="ignore")
 
 
@@ -260,8 +260,7 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     the doubling with s = 1, 2, 4, ... adds A^s times the partial sums s
     periods back, one GEMM each.  Blocks start at the chunk's first period,
     so chunks cut at block edges give the same bits as one whole call.
-    U[k, p] is run p's 2N output samples of period k.  Raises
-    FloatingPointError when an output overflows a float.
+    U[k, p] is run p's 2N output samples of period k; :func:`_terminal` checks them.
     """
     T, P, m = W.shape
     n, n_out = kernel.n_states, kernel.H.shape[1]
@@ -285,9 +284,14 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
                 s *= 2
             np.matmul(Z[start:stop], kernel.H, out=U[start:stop])
     X[...] = Z[T * P:, :n].T
-    if not np.isfinite(U).all():
-        raise FloatingPointError("relay output overflows a float")
     return U.reshape(T, P, n_out)
+
+
+def _terminal(y_t: np.ndarray) -> np.ndarray:
+    """y_T as it is, or FloatingPointError when it, or the u it scales, overflows a float."""
+    if not np.isfinite(y_t).all():
+        raise FloatingPointError("terminal waveform overflows a float")
+    return y_t
 
 
 class _ChainBatch:
@@ -356,10 +360,11 @@ class _ChainBatch:
                 continue
             u = _advance(self.kernels[kind], self.X[kind], W)
             y_t = np.empty(tx.shape)
-            np.multiply(u.reshape(T, P, N, 2).transpose(0, 2, 3, 1), self.scale,
-                        out=y_t.reshape(T, N, 2, P))
-            y_t += n_t
-            yield kind, u, y_t
+            with np.errstate(**_DIVERGENCE):
+                np.multiply(u.reshape(T, P, N, 2).transpose(0, 2, 3, 1), self.scale,
+                            out=y_t.reshape(T, N, 2, P))
+                y_t += n_t
+            yield kind, u, _terminal(y_t)
 
     def pilot(self, kind: str, tx: np.ndarray) -> np.ndarray:
         """Noise-free y_T of a kind's first run, from rest, for fast samples tx (n, 2)."""
@@ -368,7 +373,8 @@ class _ChainBatch:
         kernel = self.kernels[kind]
         W = tx.reshape(-1, 2 * self.N)[:, None, kernel.cols]
         u = _advance(kernel, np.zeros((kernel.n_states, 1)), W)
-        return self.scale[0] * u.reshape(tx.shape)
+        with np.errstate(**_DIVERGENCE):
+            return _terminal(self.scale[0] * u.reshape(tx.shape))
 
 
 def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:

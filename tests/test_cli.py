@@ -18,7 +18,7 @@ from cwcancel.cli import (
     params_from_config,
 )
 from cwcancel.hnorm import UnstableSystemError
-from cwcancel.lti import NumericalFailure
+from cwcancel.lti import NumericalFailure, StateSpace
 from cwcancel.plant import RelayParams
 from cwcancel.simulate import SimConfig
 from cwcancel.synthesis import Infeasible, controller_to_dict, save_controller
@@ -615,6 +615,58 @@ class TestSlowlyDivergentController:
         assert err.strip().splitlines() == [err.strip()]
         assert f"{loop}: spectral radius 1.000" in err
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingTerminalWaveform:
+    """A stable loop whose terminal waveform overflows a float exits with
+    EXIT_UNSTABLE, one stderr line and no output."""
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--betas", "1,1e200"],
+        ["simulate", "--beta", "1e200"],
+    ], ids=["sweep", "simulate"])
+    def test_exit_unstable(self, tmp_path, controller_file, capsys, command):
+        cfg = tmp_path / "loud.json"
+        cfg.write_text(json.dumps({"sim": {"relay_gain_db": 2800.0},
+                                   "comms": {"n_symbols": 200}}))
+        out = tmp_path / "out"
+        rc = main(command + ["--config", str(cfg), "--controller", str(controller_file),
+                             "--out", str(out)])
+        assert rc == EXIT_UNSTABLE
+        err = capsys.readouterr().err
+        assert err.strip() == "closed loop unstable: terminal waveform overflows a float"
+        assert not out.exists()
+
+
+class TestZeroStateSystems:
+    """A zero-state system's A is [] in JSON, and reads back with no states."""
+
+    def test_static_controller_round_trips_and_certifies(self, tmp_path):
+        K = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2)),
+                       dt=1.0)
+        path = tmp_path / "static.json"
+        save_controller(synthesis.DigitalController(K=K, gamma_achieved=1.0), path)
+        assert json.loads(path.read_text())["a"] == []
+        loaded = synthesis.load_controller(path)
+        assert loaded.K.A.shape == (0, 0)
+        assert loaded.K.B.shape == (0, 2) and loaded.K.C.shape == (2, 0)
+        rc = main(["certify", "--controller", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        assert (tmp_path / "out" / "certification.json").exists()
+
+    def test_zero_state_antialias_is_no_antialias(self, tmp_path):
+        """F = [] / [] / [] / [[1.0]] is F = I: the design's bytes are the same."""
+        for name, antialias in (("static", {"a": [], "b": [], "c": [], "d": [[1.0]]}),
+                                ("none", None)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"relay": {"fsfh_ratio": 8, "antialias": antialias}}))
+            rc = main(["design", "--config", str(cfg), "--tol", "0.05",
+                       "--out", str(tmp_path / name)])
+            assert rc == EXIT_OK
+        for artifact in ("controller.json", "report.json"):
+            assert ((tmp_path / "static" / artifact).read_bytes()
+                    == (tmp_path / "none" / artifact).read_bytes())
 
 
 class TestCertificateFailures:

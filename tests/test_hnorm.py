@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cwcancel import hnorm
 from cwcancel.hnorm import UnstableSystemError, exceeds, frequency_response, hinf_norm_discrete
+from cwcancel.lifting import closed_loop
 from cwcancel.lti import NumericalFailure, StateSpace
+from cwcancel.synthesis import CERT_TOL, Infeasible, synthesize_at_gamma
 
 
 def random_stable_discrete(rng, n_max=10, radius=0.92):
@@ -109,8 +112,8 @@ def test_pole_near_minus_one_image_feedthrough_rounds_above_seed():
     """A pole at -(1 - 1e-7) behind a non-normal similarity: the gain peaks
     at theta = pi, and sigma_max(D_c) of the continuous image rounds about
     5e-10 above the gain the seed computes there.  At tol 1e-6 the proof
-    holds and the polish passes stop at the Cholesky premise; at tol 1e-12
-    no level above the seed is below sigma_max(D_c), so no bound is proven."""
+    holds; at tol 1e-12 no level above the seed is below sigma_max(D_c), so
+    no bound is proven."""
     rng = np.random.default_rng(0)
     T = rng.standard_normal((3, 3)) + np.eye(3)
     A = np.linalg.solve(T, np.diag([-(1.0 - 1e-7), 0.3, -0.2])) @ T
@@ -232,3 +235,87 @@ def test_feedthrough_at_or_above_level_is_returned(sys, level, expected):
     """sigma_max(D_c) >= level fails the Cholesky premise of the proof, and
     exceeds returns that gain."""
     assert exceeds(sys, level) == pytest.approx(expected, rel=1e-12)
+
+
+class TestCertificateStopsAtItsProof:
+    """hinf_norm_discrete returns the lower bound of the first level test
+    that finds no crossing, and _test_level alone decides the proof's
+    premise sigma_max(D_c) < level."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """(calls, angles): each _test_level result and each angle at which
+        the gain is evaluated, as the certificate runs."""
+        calls, angles = [], []
+        test_level, sigma_max = hnorm._test_level, hnorm._sigma_max
+
+        def recording_test_level(*args):
+            calls.append(test_level(*args))
+            return calls[-1]
+
+        def recording_sigma_max(sys, thetas):
+            angles.extend(np.atleast_1d(thetas))
+            return sigma_max(sys, thetas)
+
+        monkeypatch.setattr(hnorm, "_test_level", recording_test_level)
+        monkeypatch.setattr(hnorm, "_sigma_max", recording_sigma_max)
+        return calls, angles
+
+    def test_default_certificate_is_one_level_test(self, monkeypatch, default_lifted,
+                                                  designed_controller):
+        """At the defaults the seed's level is proven at once, so the gain is
+        evaluated only at the three seed angles."""
+        calls, angles = self._record(monkeypatch)
+        cl = closed_loop(default_lifted, designed_controller.K)
+        g = hinf_norm_discrete(cl, tol=CERT_TOL)
+        assert g == designed_controller.gamma_certified
+        assert calls == [(0.0, False)]
+        assert len(angles) == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_last_level_test_is_the_first_without_crossing(self, monkeypatch, seed):
+        # Poles 0.95 e^{+-j}: the gain peaks near theta = 1, between the seeds.
+        A = 0.95 * np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+        rng = np.random.default_rng(seed)
+        sys = StateSpace(A, rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+                         0.1 * rng.standard_normal((2, 2)), dt=1.0)
+        calls, _ = self._record(monkeypatch)
+        g = hinf_norm_discrete(sys, tol=1e-6)
+        crossed = [c for _, c in calls]
+        assert len(calls) >= 2
+        assert crossed == [True] * (len(calls) - 1) + [False]
+        assert g == max(peak for peak, _ in calls)
+
+    def test_not_bracketed_after_the_last_pass(self, monkeypatch):
+        """H(z) = z^-1 - z^-5 is about 0 at every seed angle, so its first
+        pass crosses; with one pass allowed no bound is proven."""
+        A = np.diag(np.ones(4), -1)
+        sys = StateSpace(A, np.eye(5)[:, :1], [[1.0, 0.0, 0.0, 0.0, -1.0]], [[0.0]], dt=1.0)
+        calls, _ = self._record(monkeypatch)
+        monkeypatch.setattr(hnorm, "_MAX_PASSES", 1)
+        with pytest.raises(NumericalFailure, match="not bracketed"):
+            hinf_norm_discrete(sys, tol=1e-6)
+        assert [c for _, c in calls] == [True]
+
+    @pytest.fixture
+    def failing_cholesky(self, monkeypatch):
+        """Cholesky factorizations fail, whatever the level."""
+        def fail(M):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+
+    def test_premise_failing_below_the_level_is_a_numerical_failure(self, failing_cholesky):
+        # G = 0.1/(z - 0.9): the gain at theta = pi is 0.1/1.9, far below 0.5.
+        sys = StateSpace([[0.9]], [[1.0]], [[0.1]], [[0.0]], dt=1.0)
+        with pytest.raises(NumericalFailure, match="sigma_max\\(D_c\\) reaches the level"):
+            exceeds(sys, 0.5)
+        with pytest.raises(NumericalFailure, match="not bracketed"):
+            hinf_norm_discrete(sys, tol=1e-6)
+
+    def test_premise_failing_below_the_level_makes_a_probe_infeasible(
+            self, default_lifted, designed_controller, failing_cholesky):
+        res = synthesize_at_gamma(default_lifted, designed_controller.gamma_achieved)
+        assert isinstance(res, Infeasible)
+        assert res.reason == "closed_loop"
+        assert "sigma_max(D_c) reaches the level" in res.detail

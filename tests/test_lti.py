@@ -136,3 +136,13 @@ class TestStateSpace:
     def test_zero_state_gain(self):
         g = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.eye(2))
         assert g.n_states == 0 and g.n_inputs == 2 and g.n_outputs == 2
+
+    @pytest.mark.parametrize("b, c, d", [
+        ([], [[], []], [[0.0, 0.0], [0.0, 0.0]]),  # a static 2 x 2 controller's JSON
+        ([], [], [[1.0]]),  # a zero-state filter in a config
+    ])
+    def test_empty_a_has_zero_states(self, b, c, d):
+        """JSON writes a zero-state A as [], which numpy reads as 1 x 0."""
+        g = StateSpace([], b, c, d)
+        assert g.A.shape == (0, 0)
+        assert g.B.shape == (0, len(d[0])) and g.C.shape == (len(d), 0)

@@ -65,6 +65,35 @@ class TestUnstableLoop:
             sweep_beta(slow_unstable_cfg, [1e-4, 1e-3], kinds)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingTerminalWaveform:
+    """A stable loop whose terminal waveform beta g u + n_T overflows a float
+    is refused, without a warning, wherever that waveform is formed."""
+
+    @pytest.fixture(scope="class")
+    def loud_cfg(self, base_cfg):
+        # g = 1e140: y_T is finite at beta = 1 and overflows at beta = 1e200.
+        return replace(base_cfg, relay_gain_db=2800.0, n_symbols=200)
+
+    def test_simulate_chain(self, loud_cfg):
+        tx = np.ones((16 * 4, 2))
+        assert np.isfinite(simulate_chain(loud_cfg, tx, "designed", 1.0).y_T).all()
+        with pytest.raises(FloatingPointError, match="^terminal waveform overflows a float$"):
+            simulate_chain(loud_cfg, tx, "designed", 1e200)
+
+    @pytest.mark.parametrize("betas", [[1.0, 1e200], [1e200]], ids=["run", "pilot"])
+    def test_sweep_beta(self, loud_cfg, betas):
+        """The pilot runs at the smallest beta, so only a sweep's runs see 1e200
+        when 1 is in the grid."""
+        with pytest.raises(FloatingPointError, match="^terminal waveform overflows a float$"):
+            sweep_beta(loud_cfg, betas, ["none", "designed"])
+
+    def test_finite_pilot_whose_norm_overflows(self, base_cfg):
+        # g = 1e300: the pilot's samples are finite, but their norm is not.
+        with pytest.raises(FloatingPointError, match="^pilot output overflows$"):
+            sweep_beta(replace(base_cfg, relay_gain_db=6000.0, n_symbols=10), [1.0], ["designed"])
+
+
 class TestNoiseAmplitude:
     def test_unit_reference(self):
         sigma = noise_amplitude(0.0)
