@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import SimConfig, _ChainBatch, _iq_samples
+from .simulate import ConfigError, SimConfig, _ChainBatch, _iq_samples
 
 __all__ = [
     "BerPoint",
@@ -144,20 +144,15 @@ def _decide(y: np.ndarray, ref: np.ndarray, sps: int, offset: int, tail, final: 
     return ref @ windows.mean(axis=1) > 0.0, tail
 
 
-def demodulate(y, cfg: SimConfig, phase_ref, align_offset: int = 0) -> np.ndarray:
-    """Integrate-and-dump detection of I/Q samples y (n, 2) against a 2-vector phase reference.
-
-    ``align_offset`` delays the integration windows by that many fast
-    samples; the relay receiver uses one sample so each window sees only its
-    own symbol's settled hold values (the post filter settles well inside a
-    fast step).  Leave it at zero for a plain channel.
-    """
+def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
+    """Integrate-and-dump detection of I/Q samples y (n, 2) of a plain channel
+    against a 2-vector phase reference: window k is samples k sps .. (k+1) sps - 1."""
     y, sps = _iq_samples(y), cfg.sps
     n = y.shape[0]
     if n % sps != 0:
         raise FramingError(f"waveform length {n} is not a multiple of {sps} samples/symbol")
     ref = np.asarray(phase_ref, dtype=float).reshape(2)
-    decided, _ = _decide(y[:, :, None], ref, sps, align_offset, None, True)
+    decided, _ = _decide(y[:, :, None], ref, sps, 0, None, True)
     return decided[:, 0].astype(int)
 
 
@@ -262,22 +257,29 @@ def forwarding_ber_model(cfg: SimConfig, beta: float) -> float:
 def default_beta_grid(cfg: SimConfig, n_points: int) -> np.ndarray:
     """Log-spaced beta grid spanning BER [GRID_BER_LOW, GRID_BER_HIGH] of the ideal chain.
 
-    Endpoints are located by bisection on the closed-form forwarding model;
-    the low-BER end is clipped just above the RS-noise floor when the floor
-    sits above the requested target.
+    Endpoints are located by bisection on the closed-form forwarding model
+    over beta in [1e-9, 1e3], until the bracket cannot shrink; the low-BER end
+    is clipped just above the RS-noise floor when the floor sits above the
+    requested target.  A target that range does not reach raises ConfigError.
     """
     floor = forwarding_ber_model(cfg, 1e12)
     target_low = max(GRID_BER_LOW, floor * 1.2)
 
     def solve_for(target):
         lo, hi = 1e-9, 1e3
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
+        ber_lo, ber_hi = forwarding_ber_model(cfg, lo), forwarding_ber_model(cfg, hi)
+        if not ber_hi <= target < ber_lo:
+            raise ConfigError(f"no beta in [{lo:g}, {hi:g}] gives the auto grid's BER "
+                              f"{target:.3g}: the ideal relay's BER there runs from "
+                              f"{ber_lo:.3g} to {ber_hi:.3g}; give sweep.betas instead")
+        mid = math.sqrt(lo * hi)
+        while lo < mid < hi:
             if forwarding_ber_model(cfg, mid) > target:
                 lo = mid
             else:
                 hi = mid
-        return math.sqrt(lo * hi)
+            mid = math.sqrt(lo * hi)
+        return mid
 
     beta_lo = solve_for(GRID_BER_HIGH)
     beta_hi = solve_for(target_low)

@@ -29,6 +29,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .ber import default_beta_grid, modulate, sweep_beta, write_ber_csv
@@ -204,11 +205,9 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, params, outdir = _setup(args)
-    if args.symbols is not None and args.symbols < 1:
-        raise ConfigFileError("--symbols must be at least 1")
     sim = _sim_config(cfg, params, args)
-    n_symbols = min(sim.n_symbols, 200) if args.symbols is None else args.symbols
-    bits = point_streams(sim.seed, 0)[1].integers(0, 2, size=n_symbols)
+    sim = replace(sim, n_symbols=min(sim.n_symbols, 200) if args.symbols is None else args.symbols)
+    bits = point_streams(sim.seed, 0)[1].integers(0, 2, size=sim.n_symbols)
     tx = modulate(bits, sim)
     out = simulate_chain(sim, tx, args.canceler, cfg["sim"]["beta"])
     outdir.mkdir(parents=True, exist_ok=True)

@@ -34,10 +34,10 @@ decision; n_T is (n, 2) normals.
 Canceler kinds
 --------------
 ``designed``  the supplied K(z) closes the loop.
-``perfect``   the same loop with the coupling gain at zero, which is exact
-              subtraction of the coupling contribution.  The baseline is
-              independent of the coupling gain, and with the gain at zero
-              it coincides with ``designed`` sample for sample.
+``perfect``   K(z) on the same loop with the coupling gain at zero.  K keeps
+              its model of the echo, so this is not exact subtraction.  It
+              does not depend on the coupling gain, and with the gain at
+              zero it coincides with ``designed`` sample for sample.
 ``none``      the relay transmits nothing, u = 0 exactly, so no loop is
               built or run.
 """
@@ -229,8 +229,7 @@ class _PeriodKernel:
     2N once it has state.  Matrices are stored transposed for the
     run-by-row layout of :func:`_advance`: ``BT`` = B[:, cols]^T, ``H`` =
     [-C, (I - D)[:, cols]]^T and ``powers`` = (A^s)^T for s = 1, 2, 4, ...,
-    _SCAN_BLOCK / 2.  ``Z`` is :func:`_advance`'s work matrix, kept across
-    calls and grown when a call needs more rows.
+    _SCAN_BLOCK / 2.
     """
 
     def __init__(self, loop: StateSpace):
@@ -244,7 +243,6 @@ class _PeriodKernel:
         with np.errstate(**_DIVERGENCE):
             while 2 ** len(self.powers) < _SCAN_BLOCK:
                 self.powers.append(self.powers[-1] @ self.powers[-1])
-        self.Z = np.empty((0, n + self.cols.size))
 
 
 def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -264,9 +262,7 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
     T, P, m = W.shape
     n, n_out = kernel.n_states, kernel.H.shape[1]
-    if kernel.Z.shape[0] < (T + 1) * P:
-        kernel.Z = np.empty(((T + 1) * P, n + m))
-    Z = kernel.Z[: (T + 1) * P]
+    Z = np.empty(((T + 1) * P, n + m))
     Z[:P, :n] = X.T
     Z[: T * P].reshape(T, P, n + m)[:, :, n:] = W
     U = np.empty((T * P, n_out))

@@ -56,7 +56,6 @@ __all__ = [
 
 _RANK_RTOL = 1e-8  # a singular value at or below this times the largest counts as zero
 _PSD_TOL = 1e-7
-MAX_PROBES = 200
 MAX_DOUBLINGS = 60
 PROBE_MARGIN = 1e-6  # an accepted probe's closed loop is proven below gamma*(1+PROBE_MARGIN)
 CERT_TOL = 1e-6  # the certified norm is proven to lie in [g, g*(1+2*CERT_TOL)]
@@ -278,9 +277,11 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     brackets and bisects: until a level is feasible, each infeasible level
     becomes the lower bracket and the next probe doubles it (from gamma = 1,
     at most MAX_DOUBLINGS times); after that each probe bisects [lo, hi]
-    until (hi - lo)/lo <= tol or MAX_PROBES probes have run, so no level is
-    probed twice.  The controller of the final upper bracket is returned
-    once :func:`certify` finds it within its level (else
+    until (hi - lo)/lo <= tol, hi < 1e-12 or lo and hi are adjacent floats
+    (the midpoint is not strictly inside).  Each probe lies strictly inside
+    the bracket of all earlier verdicts, so no level is probed twice and the
+    bracket alone bounds the probe count.  The controller of the final upper
+    bracket is returned once :func:`certify` finds it within its level (else
     :class:`SynthesisError`), with ``gamma_certified`` set from that document.
     Raises ValueError unless tol is finite and positive, and on an
     ill-posed problem before any probe runs (see :func:`_rotated_blocks`).
@@ -290,7 +291,7 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     p, s = _rotated_blocks(Gl)
     trace: list = []
     lo, hi, best = 0.0, 1.0, None
-    while best is None or (len(trace) < MAX_PROBES and hi >= 1e-12
+    while best is None or (hi >= 1e-12 and lo < 0.5 * (hi + lo) < hi
                            and not (lo > 0.0 and (hi - lo) / lo <= tol)):
         gamma = hi if best is None else 0.5 * (hi + lo)
         res = _probe(Gl, p, s, gamma)

@@ -265,6 +265,59 @@ class TestGrid:
         assert forwarding_ber_model(quiet, 1.0) == 0.0
         assert forwarding_ber_model(base_cfg, 1e-9) == pytest.approx(0.5, abs=1e-3)
 
+    @staticmethod
+    def fixed_step_grid(cfg, n_points):
+        """Reference grid: each end bisected by 200 fixed geometric steps."""
+        floor = forwarding_ber_model(cfg, 1e12)
+
+        def solve_for(target):
+            lo, hi = 1e-9, 1e3
+            for _ in range(200):
+                mid = math.sqrt(lo * hi)
+                if forwarding_ber_model(cfg, mid) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            return math.sqrt(lo * hi)
+
+        beta_lo, beta_hi = solve_for(0.3), solve_for(max(1e-4, floor * 1.2))
+        if beta_hi <= beta_lo:
+            beta_hi = beta_lo * 10.0
+        return np.geomspace(beta_lo, beta_hi, n_points)
+
+    @pytest.mark.parametrize("change", [
+        {}, {"noise_rs_dbm": -math.inf}, {"relay_gain_db": 0.0}, {"signal_dbm": -10.0},
+        {"noise_t_dbm": 10.0}, {"symbol_period": 5.0},
+    ], ids=["defaults", "no_rs_noise", "gain_0dB", "signal_-10dBm", "loud_t", "long_symbol"])
+    def test_grid_stops_when_its_bracket_cannot_shrink(self, base_cfg, monkeypatch, change):
+        """The grid equals the fixed 200-step bisection's bit for bit, from at
+        most 64 model evaluations per end (plus the floor's)."""
+        from cwcancel import ber
+
+        cfg = replace(base_cfg, **change)
+        expected = self.fixed_step_grid(cfg, 12)
+        calls = []
+        monkeypatch.setattr(ber, "forwarding_ber_model",
+                            lambda c, beta: calls.append(beta) or forwarding_ber_model(c, beta))
+        grid = default_beta_grid(cfg, n_points=12)
+        assert np.array_equal(grid, expected)
+        assert len(calls) <= 1 + 2 * 64
+
+    @pytest.mark.parametrize("change, end", [
+        ({"signal_dbm": -30.0}, 1e3),
+        ({"relay_gain_db": 200.0}, 1e-9),
+        ({"noise_t_dbm": -math.inf}, 1e-9),
+    ], ids=["signal_-30dBm", "gain_200dB", "no_t_noise"])
+    def test_unreachable_target_is_refused(self, default_params, change, end):
+        """A target BER that beta in [1e-9, 1e3] does not reach raises rather
+        than pinning the grid to an end of that range: at -30 dBm the floor
+        (0.455) is above 0.3; at 200 dB, or with no noise at T, the BER at
+        beta = 1e-9 is already at the RS-noise floor."""
+        cfg = SimConfig(params=default_params, **change)
+        with pytest.raises(ConfigError, match="sweep.betas") as info:
+            default_beta_grid(cfg, n_points=4)
+        assert f"{forwarding_ber_model(cfg, end):.3g}" in str(info.value)
+
 
 @pytest.fixture(scope="module")
 def antialias_cfg():
@@ -279,7 +332,7 @@ def antialias_cfg():
 
 def whole_waveform_errors(cfg, kind, beta, point):
     """Bit errors of sweep point ``point`` from whole waveforms: one run, no chunks."""
-    from cwcancel.ber import _CHAIN_ALIGN, _pilot_reference
+    from cwcancel.ber import _CHAIN_ALIGN, _decide, _pilot_reference
     from cwcancel.simulate import _ChainBatch, simulate_chain
 
     key = np.array([cfg.seed, 3 * point + 1], dtype=np.uint64)
@@ -292,8 +345,8 @@ def whole_waveform_errors(cfg, kind, beta, point):
     y_t = y_t[:, :, point]
     if point == 0:
         assert np.array_equal(simulate_chain(cfg, tx, kind, beta).y_T, y_t)
-    decided = demodulate(y_t, cfg, ref, align_offset=_CHAIN_ALIGN)
-    return int(np.sum(decided != bits))
+    decided, _ = _decide(y_t[:, :, None], ref, cfg.sps, _CHAIN_ALIGN, None, True)
+    return int(np.sum(decided[:, 0] != bits))
 
 
 class TestBatchedSweep:

@@ -489,6 +489,20 @@ class TestSweep:
         assert "finite" in err
         assert not (tmp_path / "out").exists()
 
+    def test_unreachable_auto_grid_exit_code(self, tmp_path, capsys):
+        """At -30 dBm no beta in the auto grid's range reaches BER 0.3, so the
+        sweep exits 2 with one line and writes nothing."""
+        path = tmp_path / "faint.json"
+        path.write_text(json.dumps({"sim": {"signal_dbm": -30.0}, "comms": {"n_symbols": 400},
+                                    "sweep": {"n_points": 4}}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--cancelers", "none",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "sweep.betas" in err
+        assert not out.exists()
+
     def test_empty_kinds_exit_code(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"comms": {"n_symbols": 40}, "sweep": {"n_points": 2,

@@ -414,6 +414,18 @@ class TestBisection:
         assert len(set(levels)) == len(levels)
         assert result.gamma_min == gamma_min
 
+    @pytest.mark.parametrize("tol", [1e-16, 1e-20])
+    def test_tiny_tol_stops_when_the_bracket_cannot_shrink(self, n8_run, tol):
+        """Below the float spacing of gamma_min, the bisection stops once lo and
+        hi are adjacent floats: no level is probed twice, the probe count stays
+        bounded, and gamma_min is the tol-1e-16 value."""
+        lifted, _ = n8_run
+        result = bisect_gamma(lifted, tol=tol)
+        levels = [g for g, _ in result.bisection_trace]
+        assert len(set(levels)) == len(levels)
+        assert len(levels) <= 64
+        assert result.gamma_min == 0.2814382929927582
+
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
     def test_rejects_bad_tol(self, tol):
         Gl = make_plant(A=0.5, B1=1.0, B2=1.0, C1=1.0, C2=1.0,
