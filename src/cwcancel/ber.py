@@ -138,10 +138,15 @@ def _decide(y: np.ndarray, ref: np.ndarray, sps: int, offset: int, tail, final: 
 
     Each whole window of :func:`_windows` is integrated, and its bit is 1
     where the mean's projection on the phase reference ``ref`` is positive:
-    (windows, P) booleans.
+    (windows, P) booleans.  A statistic that overflows a float raises
+    FloatingPointError, so every sample that a decision reads is checked.
     """
     windows, tail = _windows(y, sps, offset, tail, final)
-    return ref @ windows.mean(axis=1) > 0.0, tail
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat = ref @ windows.mean(axis=1)
+    if not np.isfinite(stat).all():
+        raise FloatingPointError("terminal waveform overflows a float")
+    return stat > 0.0, tail
 
 
 def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
@@ -242,9 +247,9 @@ def forwarding_ber_model(cfg: SimConfig, beta: float) -> float:
 
     The relay holds one clean-plus-noise sample per slow period, so a symbol
     decision averages m held RS-noise draws (m slow periods per symbol) and
-    sps white terminal-noise draws.  Used to place the default beta grid;
-    the canceler chain shifts the real curves by its own in-band gain, which
-    does not matter for grid placement.
+    sps white terminal-noise draws.  :func:`default_beta_grid` inverts it, and
+    the tests check the grid against it; the canceler chain shifts the real
+    curves by its own in-band gain, which does not matter for grid placement.
     """
     sps, g = cfg.sps, cfg.relay_gain
     m = sps // cfg.params.fsfh_ratio
@@ -257,29 +262,27 @@ def forwarding_ber_model(cfg: SimConfig, beta: float) -> float:
 def default_beta_grid(cfg: SimConfig, n_points: int) -> np.ndarray:
     """Log-spaced beta grid spanning BER [GRID_BER_LOW, GRID_BER_HIGH] of the ideal chain.
 
-    Endpoints are located by bisection on the closed-form forwarding model
-    over beta in [1e-9, 1e3], until the bracket cannot shrink; the low-BER end
-    is clipped just above the RS-noise floor when the floor sits above the
-    requested target.  A target that range does not reach raises ConfigError.
+    Each end inverts :func:`forwarding_ber_model`: with m = sps / N,
+    r = sigma_rs^2 / m, t = sigma_t^2 / sps and relay gain g, BER b = Q(x)
+    is reached at beta = x sqrt(t) / (g sqrt(A^2 - x^2 r)).  The low-BER end
+    is clipped just above the RS-noise floor Q(A / sqrt(r)) when that sits
+    above the target.  A target that no finite beta > 0 reaches raises ConfigError.
     """
-    floor = forwarding_ber_model(cfg, 1e12)
+    from statistics import NormalDist
+
+    A, g, sps = cfg.signal_amplitude, cfg.relay_gain, cfg.sps
+    r, t = cfg.sigma_rs ** 2 / (sps // cfg.params.fsfh_ratio), cfg.sigma_t ** 2 / sps
+    floor = q_function(A / math.sqrt(r)) if r > 0.0 else 0.0
     target_low = max(GRID_BER_LOW, floor * 1.2)
 
     def solve_for(target):
-        lo, hi = 1e-9, 1e3
-        ber_lo, ber_hi = forwarding_ber_model(cfg, lo), forwarding_ber_model(cfg, hi)
-        if not ber_hi <= target < ber_lo:
-            raise ConfigError(f"no beta in [{lo:g}, {hi:g}] gives the auto grid's BER "
-                              f"{target:.3g}: the ideal relay's BER there runs from "
-                              f"{ber_lo:.3g} to {ber_hi:.3g}; give sweep.betas instead")
-        mid = math.sqrt(lo * hi)
-        while lo < mid < hi:
-            if forwarding_ber_model(cfg, mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            mid = math.sqrt(lo * hi)
-        return mid
+        x = -NormalDist().inv_cdf(target)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta = x * math.sqrt(t) / (g * np.sqrt(A * A - x * x * r))
+        if not 0.0 < beta < math.inf:
+            raise ConfigError(f"no beta gives the auto grid's BER {target:.3g} (the ideal "
+                              f"relay's RS-noise floor is {floor:.3g}); give sweep.betas instead")
+        return float(beta)
 
     beta_lo = solve_for(GRID_BER_HIGH)
     beta_hi = solve_for(target_low)

@@ -37,7 +37,8 @@ from .hnorm import UnstableSystemError
 from .lifting import StepMismatchError, lift
 from .lti import NumericalFailure, StateSpace
 from .plant import RelayParams
-from .simulate import CANCELER_KINDS, SimConfig, point_streams, simulate_chain, write_waveform_csv
+from .simulate import (CANCELER_KINDS, ConfigError, SimConfig, point_streams, simulate_chain,
+                       write_waveform_csv)
 from .synthesis import (SynthesisError, bisect_gamma, certify, load_controller, save_controller,
                         write_json)
 
@@ -81,10 +82,6 @@ _FILTER_DOC = dict.fromkeys("abcd", [[0.0]])  # a filter is four matrices of num
 _JSON_TYPES = {float: "a number", int: "an integer", str: "a string"}
 
 
-class ConfigFileError(ValueError):
-    pass
-
-
 def _merge(user, default, path=""):
     """``user`` checked against the JSON type of ``default``, defaults filled in.
 
@@ -100,33 +97,32 @@ def _merge(user, default, path=""):
         if user is None and path == "relay.antialias":
             return None
         if not isinstance(user, dict) or user.keys() != _FILTER_DOC.keys():
-            raise ConfigFileError(
-                f"expected an object with exactly the keys a, b, c, d at '{path}'")
+            raise ConfigError(f"expected an object with exactly the keys a, b, c, d at '{path}'")
         default = _FILTER_DOC
     elif path == "sweep.betas" and user != "auto":
         default = [0.0]
     if isinstance(default, dict):
         if not isinstance(user, dict):
-            raise ConfigFileError(f"expected an object at '{path or '<root>'}'")
+            raise ConfigError(f"expected an object at '{path or '<root>'}'")
         for key in user:
             if key not in default:
-                raise ConfigFileError(f"unknown key '{path + '.' if path else ''}{key}'")
+                raise ConfigError(f"unknown key '{path + '.' if path else ''}{key}'")
         return {key: _merge(user.get(key, dval), dval, f"{path}.{key}" if path else key)
                 for key, dval in default.items()}
     if isinstance(default, list):
         if not isinstance(user, list):
-            raise ConfigFileError(f"expected a list at '{path}'")
+            raise ConfigError(f"expected a list at '{path}'")
         return [_merge(item, default[0], f"{path}[{i}]") for i, item in enumerate(user)]
     if isinstance(default, float) and isinstance(user, (int, float)) and not isinstance(user, bool):
         try:
             value = float(user)
         except OverflowError:
-            raise ConfigFileError(f"number too large for a float at '{path}'") from None
+            raise ConfigError(f"number too large for a float at '{path}'") from None
         if not math.isfinite(value) and not (value == -math.inf and path.startswith("sim.noise_")):
-            raise ConfigFileError(f"expected a finite number at '{path}', got {value}")
+            raise ConfigError(f"expected a finite number at '{path}', got {value}")
         return value
     if type(user) is not type(default):
-        raise ConfigFileError(f"expected {_JSON_TYPES[type(default)]} at '{path}'")
+        raise ConfigError(f"expected {_JSON_TYPES[type(default)]} at '{path}'")
     return user
 
 
@@ -145,7 +141,7 @@ def _filter(doc, name):
     try:
         return StateSpace(doc["a"], doc["b"], doc["c"], doc["d"])
     except ValueError as exc:
-        raise ConfigFileError(f"bad filter at 'relay.{name}': {exc}") from exc
+        raise ConfigError(f"bad filter at 'relay.{name}': {exc}") from exc
 
 
 def params_from_config(cfg: dict) -> RelayParams:

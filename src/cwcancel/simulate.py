@@ -71,7 +71,7 @@ CANCELER_KINDS = ("none", "designed", "perfect")
 
 
 class ConfigError(ValueError):
-    """Simulation configuration is inconsistent."""
+    """Any invalid configuration value: a config file's, a flag's or a parameter's."""
 
 
 @dataclass
@@ -215,7 +215,7 @@ def point_streams(seed: int, point: int) -> tuple:
 # every 64-symbol sweep chunk.
 _SCAN_BLOCK = 64
 # A stable loop can still overflow a float at a large enough scale; the
-# finiteness check of the terminal waveform (:func:`_terminal`) reports it.
+# receiver (:func:`ber._decide`) or :func:`_terminal` reports it.
 _DIVERGENCE = dict(over="ignore", invalid="ignore")
 
 
@@ -258,7 +258,7 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     the doubling with s = 1, 2, 4, ... adds A^s times the partial sums s
     periods back, one GEMM each.  Blocks start at the chunk's first period,
     so chunks cut at block edges give the same bits as one whole call.
-    U[k, p] is run p's 2N output samples of period k; :func:`_terminal` checks them.
+    U[k, p] is run p's 2N output samples of period k, unchecked: see :data:`_DIVERGENCE`.
     """
     T, P, m = W.shape
     n, n_out = kernel.n_states, kernel.H.shape[1]
@@ -284,7 +284,7 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _terminal(y_t: np.ndarray) -> np.ndarray:
-    """y_T as it is, or FloatingPointError when it, or the u it scales, overflows a float."""
+    """A pilot's or :func:`simulate_chain`'s y_T, or FloatingPointError if it overflows a float."""
     if not np.isfinite(y_t).all():
         raise FloatingPointError("terminal waveform overflows a float")
     return y_t
@@ -333,9 +333,9 @@ class _ChainBatch:
         """Yield (kind, u, y_T) for the next fast samples tx, shaped (n, 2, P).
 
         u is run by row, (n / N, P, 2N) with u[k, p] run p's samples of
-        period k; y_T is (n, 2, P).  Kinds are computed one at a time, as
-        the caller consumes them, so only one kind's outputs are alive at
-        once.
+        period k; y_T is (n, 2, P), and its reader checks it for overflow.
+        Kinds are computed one at a time, as the caller consumes them, so
+        only one kind's outputs are alive at once.
         """
         n, _, P = tx.shape
         T, N = n // self.N, self.N
@@ -360,7 +360,7 @@ class _ChainBatch:
                 np.multiply(u.reshape(T, P, N, 2).transpose(0, 2, 3, 1), self.scale,
                             out=y_t.reshape(T, N, 2, P))
                 y_t += n_t
-            yield kind, u, _terminal(y_t)
+            yield kind, u, y_t
 
     def pilot(self, kind: str, tx: np.ndarray) -> np.ndarray:
         """Noise-free y_T of a kind's first run, from rest, for fast samples tx (n, 2)."""
@@ -393,7 +393,7 @@ def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
     batch = _ChainBatch(cfg, [kind], [beta])
     ((_, u, y_t),) = batch.advance(tx[:, :, None])
     u = u.reshape(n_fast, 2)
-    return SimOutput(y_T=y_t[:, :, 0], u=u, z=tx - u)
+    return SimOutput(y_T=_terminal(y_t[:, :, 0]), u=u, z=tx - u)
 
 
 def write_waveform_csv(path, cfg: SimConfig, tx: np.ndarray, out: SimOutput) -> None:

@@ -113,6 +113,13 @@ class TestModDemod:
         p = q_function(math.sqrt(2.0 * ebn0))
         assert abs(ber - p) <= 3.0 * math.sqrt(p * (1 - p) / n_sym)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_window_sum_overflow_is_refused(self, chan):
+        """Finite samples whose window sum overflows a float decide no bit."""
+        y = np.full((2 * chan.sps, 2), 1e307)
+        with pytest.raises(FloatingPointError, match="^terminal waveform overflows a float$"):
+            demodulate(y, chan, [1.0, 0.0])
+
     def test_framing_error(self, chan):
         with pytest.raises(FramingError):
             demodulate(np.zeros((33, 2)), chan, [1.0, 0.0])
@@ -289,34 +296,43 @@ class TestGrid:
         {}, {"noise_rs_dbm": -math.inf}, {"relay_gain_db": 0.0}, {"signal_dbm": -10.0},
         {"noise_t_dbm": 10.0}, {"symbol_period": 5.0},
     ], ids=["defaults", "no_rs_noise", "gain_0dB", "signal_-10dBm", "loud_t", "long_symbol"])
-    def test_grid_stops_when_its_bracket_cannot_shrink(self, base_cfg, monkeypatch, change):
-        """The grid equals the fixed 200-step bisection's bit for bit, from at
-        most 64 model evaluations per end (plus the floor's)."""
+    def test_grid_inverts_the_model(self, base_cfg, monkeypatch, change):
+        """The model meets each target at the grid's ends, and the grid equals
+        the fixed 200-step bisection's, all to 1e-12, from no model evaluation."""
         from cwcancel import ber
 
         cfg = replace(base_cfg, **change)
         expected = self.fixed_step_grid(cfg, 12)
+        floor = forwarding_ber_model(cfg, 1e12)
         calls = []
         monkeypatch.setattr(ber, "forwarding_ber_model",
                             lambda c, beta: calls.append(beta) or forwarding_ber_model(c, beta))
         grid = default_beta_grid(cfg, n_points=12)
-        assert np.array_equal(grid, expected)
-        assert len(calls) <= 1 + 2 * 64
+        assert calls == []
+        assert forwarding_ber_model(cfg, grid[0]) == pytest.approx(0.3, rel=1e-12, abs=0)
+        assert forwarding_ber_model(cfg, grid[-1]) == pytest.approx(max(1e-4, 1.2 * floor),
+                                                                    rel=1e-12, abs=0)
+        np.testing.assert_allclose(grid, expected, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("change, end", [
-        ({"signal_dbm": -30.0}, 1e3),
-        ({"relay_gain_db": 200.0}, 1e-9),
-        ({"noise_t_dbm": -math.inf}, 1e-9),
-    ], ids=["signal_-30dBm", "gain_200dB", "no_t_noise"])
-    def test_unreachable_target_is_refused(self, default_params, change, end):
-        """A target BER that beta in [1e-9, 1e3] does not reach raises rather
-        than pinning the grid to an end of that range: at -30 dBm the floor
-        (0.455) is above 0.3; at 200 dB, or with no noise at T, the BER at
-        beta = 1e-9 is already at the RS-noise floor."""
+    def test_grid_scales_with_the_relay_gain(self, default_params):
+        """The model reads beta only through beta g, so 140 dB more gain divides
+        the grid by 1e7, however small its betas become."""
+        grid_60 = default_beta_grid(SimConfig(params=default_params), n_points=12)
+        grid_200 = default_beta_grid(SimConfig(params=default_params, relay_gain_db=200.0),
+                                     n_points=12)
+        assert grid_200[0] < 1e-9
+        np.testing.assert_allclose(grid_200, grid_60 * 1e-7, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("change", [{"signal_dbm": -30.0}, {"noise_t_dbm": -math.inf}],
+                             ids=["signal_-30dBm", "no_t_noise"])
+    def test_unreachable_target_is_refused(self, default_params, change):
+        """A target BER that no finite, positive beta reaches raises, naming the
+        RS-noise floor: at -30 dBm the floor (0.455) is above 0.3, and with no
+        noise at T the BER is the floor at every beta."""
         cfg = SimConfig(params=default_params, **change)
         with pytest.raises(ConfigError, match="sweep.betas") as info:
             default_beta_grid(cfg, n_points=4)
-        assert f"{forwarding_ber_model(cfg, end):.3g}" in str(info.value)
+        assert f"floor is {forwarding_ber_model(cfg, 1e12):.3g}" in str(info.value)
 
 
 @pytest.fixture(scope="module")

@@ -35,8 +35,8 @@ def controller_file(tmp_path_factory, designed_controller):
                 ids=["poles_1e3", "poles_1e6", "poles_1e12"])
 def divergent_controller_file(request, tmp_path_factory):
     """2-state controller with both poles at 1e3, 1e6 or 1e12: every closed
-    loop diverges.  At 1e6 the state overflows within the simulator's first
-    64-period scan block; at 1e12 its table of powers A^(2^j) overflows."""
+    loop diverges, and each command refuses it by its spectral radius before
+    it runs the loop, so no state or power of A gets the chance to overflow."""
     p = request.param
     doc = {"a": [[p, 0.0], [0.0, p]], "b": [[1.0, 0.0], [0.0, 1.0]],
            "c": [[1.0, 0.0], [0.0, 1.0]], "d": [[0.0, 0.0], [0.0, 0.0]],
@@ -636,13 +636,15 @@ class TestOverflowingTerminalWaveform:
     """A stable loop whose terminal waveform overflows a float exits with
     EXIT_UNSTABLE, one stderr line and no output."""
 
-    @pytest.mark.parametrize("command", [
-        ["sweep", "--betas", "1,1e200"],
-        ["simulate", "--beta", "1e200"],
-    ], ids=["sweep", "simulate"])
-    def test_exit_unstable(self, tmp_path, controller_file, capsys, command):
+    @pytest.mark.parametrize("gain_db, command", [
+        (2800.0, ["sweep", "--betas", "1,1e200"]),
+        (2800.0, ["simulate", "--beta", "1e200"]),
+        # g = 1e150, beta = 3e157: finite samples whose decision windows' sums overflow.
+        (3000.0, ["sweep", "--betas", "1,3e157"]),
+    ], ids=["sweep", "simulate", "window_sum"])
+    def test_exit_unstable(self, tmp_path, controller_file, capsys, gain_db, command):
         cfg = tmp_path / "loud.json"
-        cfg.write_text(json.dumps({"sim": {"relay_gain_db": 2800.0},
+        cfg.write_text(json.dumps({"sim": {"relay_gain_db": gain_db},
                                    "comms": {"n_symbols": 200}}))
         out = tmp_path / "out"
         rc = main(command + ["--config", str(cfg), "--controller", str(controller_file),

@@ -88,6 +88,13 @@ class TestOverflowingTerminalWaveform:
         with pytest.raises(FloatingPointError, match="^terminal waveform overflows a float$"):
             sweep_beta(loud_cfg, betas, ["none", "designed"])
 
+    def test_window_sum_overflows(self, base_cfg):
+        """g = 1e150: every sample of y_T at beta = 3e157 is finite, but a
+        decision window's sum of them is not."""
+        with pytest.raises(FloatingPointError, match="^terminal waveform overflows a float$"):
+            sweep_beta(replace(base_cfg, relay_gain_db=3000.0, n_symbols=200), [1.0, 3e157],
+                       ["designed"])
+
     def test_finite_pilot_whose_norm_overflows(self, base_cfg):
         # g = 1e300: the pilot's samples are finite, but their norm is not.
         with pytest.raises(FloatingPointError, match="^pilot output overflows$"):
