@@ -1,24 +1,10 @@
 """Digital coupling-wave canceler design and BER evaluation toolkit."""
 
-from .lti import (StateSpace, DimensionError, NumericalFailure, matrix_exponential,
-                  discretize_zoh, spectral_radius)
-from .riccati import NoStabilizingSolution, solve_care, care_stabilizing
+from .lti import StateSpace, NumericalFailure, matrix_exponential, discretize_zoh, spectral_radius
+from .riccati import solve_care, care_stabilizing
 from .hnorm import UnstableSystemError, hinf_norm_discrete, frequency_response
-from .plant import (
-    ModelError,
-    RepresentabilityError,
-    RelayParams,
-    carrier_rotation,
-    first_order_lowpass,
-)
-from .lifting import (
-    LiftedPlant,
-    InterconnectionError,
-    StepMismatchError,
-    WellPosednessError,
-    lift,
-    closed_loop,
-)
+from .plant import RelayParams, carrier_rotation, first_order_lowpass
+from .lifting import LiftedPlant, StepMismatchError, lift, closed_loop
 from .synthesis import (
     DigitalController,
     SynthesisResult,
@@ -29,11 +15,10 @@ from .synthesis import (
     save_controller,
     load_controller,
 )
-from .simulate import SimConfig, SimOutput, ConfigError, noise_amplitude, simulate_chain
+from .simulate import SimConfig, SimOutput, noise_amplitude, simulate_chain
 from .ber import (
     BerPoint,
     BerCurve,
-    FramingError,
     modulate,
     demodulate,
     sweep_beta,

@@ -34,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import ConfigError, SimConfig, _ChainBatch, _iq_samples
+from .simulate import SimConfig, _ChainBatch, _iq_samples
 
 __all__ = [
     "BerPoint",
     "BerCurve",
-    "FramingError",
     "modulate",
     "demodulate",
     "sweep_beta",
@@ -53,10 +52,6 @@ __all__ = [
 Z95 = 1.959963984540054  # two-sided 95% normal quantile of the Wilson interval
 GRID_BER_HIGH = 0.3  # ideal-chain BER at the low-beta end of default_beta_grid
 GRID_BER_LOW = 1e-4  # ... at the high-beta end, unless the RS-noise floor sits above it
-
-
-class FramingError(ValueError):
-    """A sample count is not a whole number of symbols."""
 
 
 @dataclass
@@ -155,7 +150,7 @@ def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
     y, sps = _iq_samples(y), cfg.sps
     n = y.shape[0]
     if n % sps != 0:
-        raise FramingError(f"waveform length {n} is not a multiple of {sps} samples/symbol")
+        raise ValueError(f"waveform length {n} is not a multiple of {sps} samples/symbol")
     ref = np.asarray(phase_ref, dtype=float).reshape(2)
     decided, _ = _decide(y[:, :, None], ref, sps, 0, None, True)
     return decided[:, 0].astype(int)
@@ -266,7 +261,7 @@ def default_beta_grid(cfg: SimConfig, n_points: int) -> np.ndarray:
     r = sigma_rs^2 / m, t = sigma_t^2 / sps and relay gain g, BER b = Q(x)
     is reached at beta = x sqrt(t) / (g sqrt(A^2 - x^2 r)).  The low-BER end
     is clipped just above the RS-noise floor Q(A / sqrt(r)) when that sits
-    above the target.  A target that no finite beta > 0 reaches raises ConfigError.
+    above the target.  A target that no finite beta > 0 reaches raises ValueError.
     """
     from statistics import NormalDist
 
@@ -280,8 +275,8 @@ def default_beta_grid(cfg: SimConfig, n_points: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             beta = x * math.sqrt(t) / (g * np.sqrt(A * A - x * x * r))
         if not 0.0 < beta < math.inf:
-            raise ConfigError(f"no beta gives the auto grid's BER {target:.3g} (the ideal "
-                              f"relay's RS-noise floor is {floor:.3g}); give sweep.betas instead")
+            raise ValueError(f"no beta gives the auto grid's BER {target:.3g} (the ideal "
+                             f"relay's RS-noise floor is {floor:.3g}); give sweep.betas instead")
         return float(beta)
 
     beta_lo = solve_for(GRID_BER_HIGH)

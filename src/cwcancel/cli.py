@@ -14,13 +14,13 @@ is read whenever it is given; the loop that runs it checks the rest.
 
 Commands raise, and :func:`main` maps every failure to its exit code: 0
 success, 1 synthesis failure (no feasible gamma, or a certificate that
-contradicts its level), 2 malformed JSON, invalid config, controller or flag
-(an empty ``--cancelers`` or ``--betas``, too) or an unusable file path, 3 a
-controller whose step differs from the config's sampling period (refused where
-the loop is closed), 4 unstable closed loop (a closed loop with spectral radius
-≥ 1, refused before any command runs it, or a simulated signal that overflows a
-float), 5 numerical failure (the H-infinity certificate could not prove a
-bound, or a bilinear map is singular).
+contradicts its level or an infeasible verdict), 2 malformed JSON, invalid
+config, controller or flag (an empty ``--cancelers`` or ``--betas``, too) or an
+unusable file path, 3 a controller whose step differs from the config's
+sampling period (refused where the loop is closed), 4 unstable closed loop (a
+closed loop with spectral radius ≥ 1, refused before any command runs it, or a
+simulated signal that overflows a float), 5 numerical failure (the H-infinity
+certificate could not prove a bound, or a bilinear map is singular).
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .hnorm import UnstableSystemError
 from .lifting import StepMismatchError, lift
 from .lti import NumericalFailure, StateSpace
 from .plant import RelayParams
-from .simulate import (CANCELER_KINDS, ConfigError, SimConfig, point_streams, simulate_chain,
-                       write_waveform_csv)
+from .simulate import CANCELER_KINDS, SimConfig, point_streams, simulate_chain, write_waveform_csv
 from .synthesis import (SynthesisError, bisect_gamma, certify, load_controller, save_controller,
                         write_json)
 
@@ -97,32 +96,32 @@ def _merge(user, default, path=""):
         if user is None and path == "relay.antialias":
             return None
         if not isinstance(user, dict) or user.keys() != _FILTER_DOC.keys():
-            raise ConfigError(f"expected an object with exactly the keys a, b, c, d at '{path}'")
+            raise ValueError(f"expected an object with exactly the keys a, b, c, d at '{path}'")
         default = _FILTER_DOC
     elif path == "sweep.betas" and user != "auto":
         default = [0.0]
     if isinstance(default, dict):
         if not isinstance(user, dict):
-            raise ConfigError(f"expected an object at '{path or '<root>'}'")
+            raise ValueError(f"expected an object at '{path or '<root>'}'")
         for key in user:
             if key not in default:
-                raise ConfigError(f"unknown key '{path + '.' if path else ''}{key}'")
+                raise ValueError(f"unknown key '{path + '.' if path else ''}{key}'")
         return {key: _merge(user.get(key, dval), dval, f"{path}.{key}" if path else key)
                 for key, dval in default.items()}
     if isinstance(default, list):
         if not isinstance(user, list):
-            raise ConfigError(f"expected a list at '{path}'")
+            raise ValueError(f"expected a list at '{path}'")
         return [_merge(item, default[0], f"{path}[{i}]") for i, item in enumerate(user)]
     if isinstance(default, float) and isinstance(user, (int, float)) and not isinstance(user, bool):
         try:
             value = float(user)
         except OverflowError:
-            raise ConfigError(f"number too large for a float at '{path}'") from None
+            raise ValueError(f"number too large for a float at '{path}'") from None
         if not math.isfinite(value) and not (value == -math.inf and path.startswith("sim.noise_")):
-            raise ConfigError(f"expected a finite number at '{path}', got {value}")
+            raise ValueError(f"expected a finite number at '{path}', got {value}")
         return value
     if type(user) is not type(default):
-        raise ConfigError(f"expected {_JSON_TYPES[type(default)]} at '{path}'")
+        raise ValueError(f"expected {_JSON_TYPES[type(default)]} at '{path}'")
     return user
 
 
@@ -141,7 +140,7 @@ def _filter(doc, name):
     try:
         return StateSpace(doc["a"], doc["b"], doc["c"], doc["d"])
     except ValueError as exc:
-        raise ConfigError(f"bad filter at 'relay.{name}': {exc}") from exc
+        raise ValueError(f"bad filter at 'relay.{name}': {exc}") from exc
 
 
 def params_from_config(cfg: dict) -> RelayParams:

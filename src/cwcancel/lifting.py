@@ -33,25 +33,15 @@ from .plant import RelayParams, assemble_loop, carrier_rotation
 __all__ = [
     "LiftedPlant",
     "PlantBlocks",
-    "InterconnectionError",
     "StepMismatchError",
-    "WellPosednessError",
     "lift",
     "closed_loop",
     "partition",
 ]
 
 
-class InterconnectionError(ValueError):
-    """Controller and plant I/O dimensions do not match."""
-
-
-class StepMismatchError(InterconnectionError):
+class StepMismatchError(ValueError):
     """A dynamic controller's step differs from the plant's sampling period."""
-
-
-class WellPosednessError(ValueError):
-    """The feedback interconnection has a singular algebraic loop."""
 
 
 @dataclass
@@ -149,9 +139,7 @@ def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
     G = Gl.G
     nw, nu, nz, ny = Gl.n_w, Gl.n_u, Gl.n_z, Gl.n_y
     if K.n_inputs != ny or K.n_outputs != nu:
-        raise InterconnectionError(
-            f"controller is {K.n_outputs}x{K.n_inputs}, plant wants {nu}x{ny}"
-        )
+        raise ValueError(f"controller is {K.n_outputs}x{K.n_inputs}, plant wants {nu}x{ny}")
     if not (step_matches(K.dt, G.dt) if K.is_discrete else K.n_states == 0):
         raise StepMismatchError(f"controller step {K.dt} does not match the plant's "
                                 f"sampling period {G.dt}")
@@ -161,7 +149,7 @@ def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
 
     M = np.eye(nu) - Dk @ D22
     if abs(np.linalg.det(M)) < 1e-12:
-        raise WellPosednessError("algebraic loop: I - Dk D22 is singular")
+        raise ValueError("algebraic loop: I - Dk D22 is singular")
     Minv = np.linalg.inv(M)
     # u = Minv (Ck xk + Dk C2 x + Dk D21 w)
     Fu_x = Minv @ Dk @ C2

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "StateSpace",
-    "DimensionError",
     "NumericalFailure",
     "matrix_exponential",
     "discretize_zoh",
@@ -28,10 +27,6 @@ __all__ = [
 EXPM_PADE_THETA13 = 5.371920351148152
 
 
-class DimensionError(ValueError):
-    """Matrix dimensions are inconsistent with a state-space quadruple."""
-
-
 class NumericalFailure(RuntimeError):
     """A numerical routine failed: no convergence, or a singular map."""
 
@@ -39,7 +34,7 @@ class NumericalFailure(RuntimeError):
 def _as_matrix(M, name: str) -> np.ndarray:
     A = np.atleast_2d(np.asarray(M, dtype=float))
     if A.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-D matrix, got ndim={A.ndim}")
+        raise ValueError(f"{name} must be a 2-D matrix, got ndim={A.ndim}")
     return A
 
 
@@ -66,19 +61,17 @@ class StateSpace:
         self.D = _as_matrix(self.D, "D")
         n = self.A.shape[0]
         if self.A.shape[1] != n:
-            raise DimensionError(f"A must be square, got {self.A.shape}")
+            raise ValueError(f"A must be square, got {self.A.shape}")
         # Normalize empty matrices so n==0 systems keep consistent shapes.
         if n == 0:
             self.B = self.B.reshape(0, self.B.shape[1] if self.B.size else self.D.shape[1])
             self.C = self.C.reshape(self.C.shape[0] if self.C.size else self.D.shape[0], 0)
         if self.B.shape[0] != n:
-            raise DimensionError(f"B has {self.B.shape[0]} rows, expected {n}")
+            raise ValueError(f"B has {self.B.shape[0]} rows, expected {n}")
         if self.C.shape[1] != n:
-            raise DimensionError(f"C has {self.C.shape[1]} cols, expected {n}")
+            raise ValueError(f"C has {self.C.shape[1]} cols, expected {n}")
         if self.D.shape != (self.C.shape[0], self.B.shape[1]):
-            raise DimensionError(
-                f"D must be {self.C.shape[0]}x{self.B.shape[1]}, got {self.D.shape}"
-            )
+            raise ValueError(f"D must be {self.C.shape[0]}x{self.B.shape[1]}, got {self.D.shape}")
         for name, M in (("A", self.A), ("B", self.B), ("C", self.C), ("D", self.D)):
             if M.size and not np.all(np.isfinite(M)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -121,7 +114,7 @@ def matrix_exponential(M) -> np.ndarray:
     A = _as_matrix(M, "M")
     n, m = A.shape
     if n != m:
-        raise DimensionError(f"matrix_exponential needs a square matrix, got {A.shape}")
+        raise ValueError(f"matrix_exponential needs a square matrix, got {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix_exponential: input has non-finite entries")
 

@@ -30,22 +30,12 @@ import numpy as np
 from .lti import StateSpace
 
 __all__ = [
-    "ModelError",
-    "RepresentabilityError",
     "RelayParams",
     "carrier_rotation",
     "first_order_lowpass",
     "promote_iq",
     "assemble_loop",
 ]
-
-
-class ModelError(ValueError):
-    """The relay model violates a structural requirement."""
-
-
-class RepresentabilityError(ModelError):
-    """The coupling delay is not an integer number of fast steps."""
 
 
 def carrier_rotation(carrier_hz: float, delay_seconds: float) -> np.ndarray:
@@ -78,7 +68,7 @@ def promote_iq(sys: StateSpace) -> StateSpace:
     if sys.n_inputs == 2 and sys.n_outputs == 2:
         return sys
     if sys.n_inputs != 1 or sys.n_outputs != 1:
-        raise ModelError("filter prototypes must be 1x1 (scalar) or 2x2 (I/Q)")
+        raise ValueError("filter prototypes must be 1x1 (scalar) or 2x2 (I/Q)")
     I2 = np.eye(2)
     return StateSpace(
         np.kron(sys.A, I2), np.kron(sys.B, I2), np.kron(sys.C, I2), np.kron(sys.D, I2), sys.dt
@@ -103,7 +93,7 @@ class RelayParams:
     or exactly the zero-state I/Q pass-through the simulator feeds the
     received signal through.  The delay must be a whole number of fast
     steps, and a nonzero coupling gain needs at least one of them.  A
-    :class:`ModelError` names the first rule broken.
+    ValueError names the first rule broken.
     """
 
     sampling_period: float = 1.0
@@ -119,18 +109,18 @@ class RelayParams:
         for name in ("sampling_period", "fsfh_ratio", "delay_seconds", "coupling_gain", "carrier_hz"):
             value = getattr(self, name)
             if isinstance(value, bool):
-                raise ModelError(f"{name} must be a number, got {value!r}")
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
-                raise ModelError(f"{name} must be finite")
+                raise ValueError(f"{name} must be finite")
         if not self.sampling_period > 0:
-            raise ModelError("sampling_period must be positive")
+            raise ValueError("sampling_period must be positive")
         if not isinstance(self.fsfh_ratio, Integral) or self.fsfh_ratio < 1:
-            raise ModelError("fsfh_ratio must be a positive integer")
+            raise ValueError("fsfh_ratio must be a positive integer")
         self.fsfh_ratio = int(self.fsfh_ratio)
         if self.delay_seconds < 0:
-            raise ModelError("delay_seconds must be nonnegative")
+            raise ValueError("delay_seconds must be nonnegative")
         if self.coupling_gain < 0:
-            raise ModelError("coupling_gain must be nonnegative")
+            raise ValueError("coupling_gain must be nonnegative")
         if self.input_shaping is None:
             self.input_shaping = first_order_lowpass(2.0)
         if self.antialias is None:
@@ -140,24 +130,22 @@ class RelayParams:
         for name in ("input_shaping", "antialias", "post_filter"):
             sys = promote_iq(getattr(self, name))
             if sys.is_discrete:
-                raise ModelError(f"{name} must be continuous-time")
+                raise ValueError(f"{name} must be continuous-time")
             if sys.n_states and np.linalg.eigvals(sys.A).real.max() >= 0.0:
-                raise ModelError(f"{name} must be a stable continuous-time system")
+                raise ValueError(f"{name} must be a stable continuous-time system")
             setattr(self, name, sys)
         W = self.input_shaping
         if np.any(W.D != 0.0) and not (W.n_states == 0 and np.array_equal(W.D, np.eye(2))):
-            raise ModelError("input_shaping must be strictly proper (D = 0)")
+            raise ValueError("input_shaping must be strictly proper (D = 0)")
         if self.delay_fast_steps() == 0 and self.coupling_gain != 0.0:
-            raise ModelError("delay-free coupling: a nonzero coupling_gain needs delay_seconds > 0")
+            raise ValueError("delay-free coupling: a nonzero coupling_gain needs delay_seconds > 0")
 
     def delay_fast_steps(self) -> int:
         """Coupling delay expressed in fast steps; must be an integer."""
         d = self.delay_seconds * self.fsfh_ratio / self.sampling_period
         if abs(d - round(d)) > 1e-9 * max(1.0, abs(d)):
-            raise RepresentabilityError(
-                f"delay {self.delay_seconds}s is {d} fast steps; "
-                "delay * N / h must be an integer"
-            )
+            raise ValueError(f"delay {self.delay_seconds}s is {d} fast steps; "
+                             "delay * N / h must be an integer")
         return int(round(d))
 
 

@@ -6,8 +6,8 @@ serves both the standard LQ-type equation (PSD quadratic term) and the
 indefinite equations that show up in gamma-level feedback synthesis.  The
 solution is not refined: a non-converging sign iteration, a residual above
 ``CARE_RESIDUAL_RTOL`` or a non-Hurwitz A - GX is reported through
-:class:`NoStabilizingSolution`; callers in the bisection loop rely on that
-signal to classify a gamma level as infeasible."""
+:class:`~cwcancel.lti.NumericalFailure`, which the bisection loop reads as
+"gamma infeasible"."""
 
 from __future__ import annotations
 
@@ -15,18 +15,10 @@ import numpy as np
 
 from .lti import NumericalFailure, _as_matrix
 
-__all__ = ["NoStabilizingSolution", "solve_care", "care_stabilizing"]
+__all__ = ["solve_care", "care_stabilizing"]
 
 CARE_RESIDUAL_RTOL = 1e-8
 SIGN_MAX_ITER = 120
-
-
-class NoStabilizingSolution(NumericalFailure):
-    """The Riccati equation admits no stabilizing solution at this data.
-
-    Typically the Hamiltonian has eigenvalues on (or numerically at) the
-    imaginary axis.  gamma-bisection treats this as "gamma infeasible".
-    """
 
 
 def _matrix_sign(H: np.ndarray) -> np.ndarray:
@@ -38,13 +30,13 @@ def _matrix_sign(H: np.ndarray) -> np.ndarray:
         try:
             Zinv = np.linalg.inv(Z)
         except np.linalg.LinAlgError as exc:
-            raise NoStabilizingSolution(f"sign iteration hit a singular iterate: {exc}")
+            raise NumericalFailure(f"sign iteration hit a singular iterate: {exc}")
         if not np.all(np.isfinite(Zinv)):
-            raise NoStabilizingSolution("sign iteration diverged (non-finite inverse)")
+            raise NumericalFailure("sign iteration diverged (non-finite inverse)")
         if rel_err > 1e-2:
             sign_det, logdet = np.linalg.slogdet(Z)
             if sign_det == 0:
-                raise NoStabilizingSolution("sign iteration: singular determinant")
+                raise NumericalFailure("sign iteration: singular determinant")
             c = np.exp(-logdet / n2)
         else:
             c = 1.0
@@ -55,7 +47,7 @@ def _matrix_sign(H: np.ndarray) -> np.ndarray:
         Z = Znew
         if rel_err <= 50.0 * n2 * np.finfo(float).eps:
             return Z
-    raise NoStabilizingSolution(
+    raise NumericalFailure(
         "sign iteration did not converge (Hamiltonian eigenvalues on the imaginary axis?)"
     )
 
@@ -70,7 +62,7 @@ def care_stabilizing(A, G, Q) -> np.ndarray:
 
     Raises
     ------
-    NoStabilizingSolution
+    NumericalFailure
         If the sign iteration fails, the subspace is not a graph, the
         residual misses its tolerance, or A - GX is not Hurwitz.
     """
@@ -91,21 +83,19 @@ def care_stabilizing(A, G, Q) -> np.ndarray:
     # Stable subspace must be the graph of X: X V1 = V2.
     X, _, rank, _ = np.linalg.lstsq(V1.T, V2.T, rcond=None)
     if rank < n:
-        raise NoStabilizingSolution("stable subspace is not a graph (rank deficiency)")
+        raise NumericalFailure("stable subspace is not a graph (rank deficiency)")
     X = X.T
     sym_err = np.linalg.norm(X - X.T, "fro") / (1.0 + np.linalg.norm(X, "fro"))
     if sym_err > 1e-6:
-        raise NoStabilizingSolution(f"solution not symmetric (err {sym_err:.2e})")
+        raise NumericalFailure(f"solution not symmetric (err {sym_err:.2e})")
     X = 0.5 * (X + X.T)
 
     res_norm = np.linalg.norm(A.T @ X + X @ A - X @ G @ X + Q, "fro")
     tol = CARE_RESIDUAL_RTOL * (1.0 + np.linalg.norm(X, "fro"))
     if res_norm > tol:
-        raise NoStabilizingSolution(
-            f"Riccati residual {res_norm:.2e} exceeds tolerance {tol:.2e}"
-        )
+        raise NumericalFailure(f"Riccati residual {res_norm:.2e} exceeds tolerance {tol:.2e}")
     if np.linalg.eigvals(A - G @ X).real.max() >= 0.0:
-        raise NoStabilizingSolution("A - GX is not Hurwitz: solution not stabilizing")
+        raise NumericalFailure("A - GX is not Hurwitz: solution not stabilizing")
     return X
 
 
@@ -114,7 +104,7 @@ def solve_care(A, B, Q, R) -> np.ndarray:
 
     Q must be symmetric PSD, R symmetric PD, (A, B) stabilizable; violations
     surface either as an immediate ValueError (shape/symmetry/definiteness)
-    or as :class:`NoStabilizingSolution` from the sign iteration.
+    or as :class:`~cwcancel.lti.NumericalFailure` from the sign iteration.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")

@@ -60,7 +60,6 @@ __all__ = [
     "CANCELER_KINDS",
     "SimConfig",
     "SimOutput",
-    "ConfigError",
     "noise_amplitude",
     "point_streams",
     "simulate_chain",
@@ -68,10 +67,6 @@ __all__ = [
 ]
 
 CANCELER_KINDS = ("none", "designed", "perfect")
-
-
-class ConfigError(ValueError):
-    """Any invalid configuration value: a config file's, a flag's or a parameter's."""
 
 
 @dataclass
@@ -99,16 +94,19 @@ class SimConfig:
         for name in ("seed", "n_symbols"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= int(self.seed) < 2 ** 64:
-            raise ConfigError("seed must be a 64-bit unsigned integer")
+            raise ValueError("seed must be a 64-bit unsigned integer")
         if self.n_symbols < 1:
-            raise ConfigError("n_symbols must be at least 1")
+            raise ValueError("n_symbols must be at least 1")
         if not 0 < self.symbol_period < math.inf:
-            raise ConfigError("symbol_period must be positive and finite")
+            raise ValueError("symbol_period must be positive and finite")
         for name in ("relay_gain_db", "signal_dbm"):
             if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+                raise ValueError(f"{name} must be finite")
+        for name in ("noise_rs_dbm", "noise_t_dbm"):
+            if np.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
         self.sps  # raises unless a symbol is one or more whole slow periods
         for name, factor in (("relay_gain_db", "relay_gain"), ("signal_dbm", "signal_amplitude"),
                              ("noise_rs_dbm", "sigma_rs"), ("noise_t_dbm", "sigma_t")):
@@ -120,7 +118,7 @@ class SimConfig:
                 except OverflowError:
                     finite = False
             if not finite:
-                raise ConfigError(f"{name} = {getattr(self, name)} overflows its linear factor")
+                raise ValueError(f"{name} = {getattr(self, name)} overflows its linear factor")
 
     @property
     def sps(self) -> int:
@@ -128,8 +126,8 @@ class SimConfig:
         h, N = self.params.sampling_period, self.params.fsfh_ratio
         periods = self.symbol_period / h
         if not 0.5 < periods < math.inf or abs(periods - round(periods)) > 1e-9:
-            raise ConfigError(f"symbol period {self.symbol_period} must be an integer "
-                              f"multiple of h={h}, at least one")
+            raise ValueError(f"symbol period {self.symbol_period} must be an integer "
+                             f"multiple of h={h}, at least one")
         return int(round(periods)) * N
 
     @property
@@ -190,7 +188,7 @@ def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
     shape and step.
     """
     if cfg.controller is None:
-        raise ConfigError(f"canceler={kind!r} requires a controller")
+        raise ValueError(f"canceler={kind!r} requires a controller")
     prm = replace(cfg.params, input_shaping=identity_filter())
     if kind == "perfect":
         prm = replace(prm, coupling_gain=0.0)
@@ -314,12 +312,12 @@ class _ChainBatch:
     def __init__(self, cfg: SimConfig, kinds, betas):
         self.kinds = list(kinds)
         if not self.kinds:
-            raise ConfigError("at least one canceler kind is required")
+            raise ValueError("at least one canceler kind is required")
         for kind in self.kinds:
             if kind not in CANCELER_KINDS:
-                raise ConfigError(f"canceler must be one of {CANCELER_KINDS}, got {kind!r}")
+                raise ValueError(f"canceler must be one of {CANCELER_KINDS}, got {kind!r}")
         if len(set(self.kinds)) != len(self.kinds):
-            raise ConfigError(f"canceler kinds must be distinct, got {self.kinds}")
+            raise ValueError(f"canceler kinds must be distinct, got {self.kinds}")
         self.kernels = {kind: _PeriodKernel(_period_maps(cfg, kind))
                         for kind in self.kinds if kind != "none"}
         self.X = {kind: np.zeros((k.n_states, len(betas))) for kind, k in self.kernels.items()}
@@ -383,13 +381,13 @@ def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
     sweep point 0 of ``cfg.seed``.
     """
     if beta < 0:
-        raise ConfigError("beta must be nonnegative")
+        raise ValueError("beta must be nonnegative")
     if not np.isfinite(beta):
-        raise ConfigError("beta must be finite")
+        raise ValueError("beta must be finite")
     tx = _iq_samples(tx)
     N, n_fast = cfg.params.fsfh_ratio, tx.shape[0]
     if n_fast % N != 0:
-        raise ConfigError(f"waveform length {n_fast} is not a multiple of the FSFH ratio {N}")
+        raise ValueError(f"waveform length {n_fast} is not a multiple of the FSFH ratio {N}")
     batch = _ChainBatch(cfg, [kind], [beta])
     ((_, u, y_t),) = batch.advance(tx[:, :, None])
     u = u.reshape(n_fast, 2)

@@ -39,7 +39,7 @@ import numpy as np
 from .hnorm import UnstableSystemError, exceeds, hinf_norm_discrete, require_stable
 from .lifting import LiftedPlant, PlantBlocks, closed_loop, partition
 from .lti import NumericalFailure, StateSpace, bilinear_to_continuous, bilinear_to_discrete
-from .riccati import NoStabilizingSolution, care_stabilizing
+from .riccati import care_stabilizing
 
 __all__ = [
     "DigitalController",
@@ -97,7 +97,7 @@ def _psd_riccati(A, G, Q, reason: str):
     is none or it is not PSD."""
     try:
         X = care_stabilizing(A, 0.5 * (G + G.T), 0.5 * (Q + Q.T))
-    except NoStabilizingSolution as exc:
+    except NumericalFailure as exc:
         return Infeasible(reason, str(exc))
     eigs = np.linalg.eigvalsh(X)
     if eigs.size and eigs.min() < -_PSD_TOL * (1.0 + abs(eigs).max()):
@@ -281,7 +281,8 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     (the midpoint is not strictly inside).  Each probe lies strictly inside
     the bracket of all earlier verdicts, so no level is probed twice and the
     bracket alone bounds the probe count.  The controller of the final upper
-    bracket is returned once :func:`certify` finds it within its level (else
+    bracket is returned once :func:`certify` finds it within its level and
+    its proven bound not below the largest infeasible level (else
     :class:`SynthesisError`), with ``gamma_certified`` set from that document.
     Raises ValueError unless tol is finite and positive, and on an
     ill-posed problem before any probe runs (see :func:`_rotated_blocks`).
@@ -310,6 +311,9 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     if not doc["within_reported"]:
         raise SynthesisError(f"certificate {doc['gamma_certified']:.6f} contradicts "
                              f"synthesis level {best.gamma_achieved:.6f}")
+    if doc["gamma_certified"] * (1.0 + 2.0 * CERT_TOL) < lo:
+        raise SynthesisError(f"certificate {doc['gamma_certified']:.6g} lies below the "
+                             f"infeasible level {lo:.6g}: the bisection's verdict is wrong")
     best.gamma_certified = float(doc["gamma_certified"])
     return SynthesisResult(controller=best, gamma_min=float(hi), bisection_trace=trace,
                            closed_loop_radius=doc["spectral_radius"])

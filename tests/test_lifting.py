@@ -6,14 +6,7 @@ from hypothesis import strategies as st
 from conftest import fast_step_realization, shift_register_lift
 
 from cwcancel.hnorm import frequency_response, hinf_norm_discrete
-from cwcancel.lifting import (
-    InterconnectionError,
-    LiftedPlant,
-    WellPosednessError,
-    closed_loop,
-    lift,
-    partition,
-)
+from cwcancel.lifting import LiftedPlant, StepMismatchError, closed_loop, lift, partition
 from cwcancel.lti import StateSpace, discretize_zoh
 from cwcancel.plant import RelayParams, assemble_loop, first_order_lowpass
 
@@ -175,11 +168,11 @@ def test_closed_loop_dimension(default_lifted, designed_controller):
 def test_closed_loop_rejects_mismatched_controller(default_lifted):
     bad = StateSpace(np.zeros((1, 1)), np.zeros((1, 3)), np.zeros((2, 1)),
                      np.zeros((2, 3)), dt=1.0)
-    with pytest.raises(InterconnectionError):
+    with pytest.raises(ValueError, match="controller is 2x3, plant wants 2x2"):
         closed_loop(default_lifted, bad)
     wrong_step = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
                             np.zeros((2, 2)), dt=2.0)
-    with pytest.raises(InterconnectionError):
+    with pytest.raises(StepMismatchError, match="controller step 2.0"):
         closed_loop(default_lifted, wrong_step)
 
 
@@ -190,7 +183,7 @@ def test_closed_loop_rejects_continuous_controller():
     rng = np.random.default_rng(7)
     K = StateSpace(-np.eye(2), rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
                    np.zeros((2, 2)))
-    with pytest.raises(InterconnectionError, match="controller step None"):
+    with pytest.raises(StepMismatchError, match="controller step None"):
         closed_loop(lifted, K)
     gain = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2)))
     assert closed_loop(lifted, gain).n_states == lifted.n_states
@@ -203,5 +196,5 @@ def test_closed_loop_algebraic_loop():
                              [np.zeros((1, 2)), np.eye(1)]]), dt=1.0)
     fake = LiftedPlant(G=G, n_w=2, n_u=1, n_z=2, n_y=1)
     K = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), np.eye(1), dt=1.0)
-    with pytest.raises(WellPosednessError):
+    with pytest.raises(ValueError, match="algebraic loop"):
         closed_loop(fake, K)

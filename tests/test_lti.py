@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cwcancel.lti import DimensionError, StateSpace, discretize_zoh, matrix_exponential
+from cwcancel.lti import StateSpace, discretize_zoh, matrix_exponential
 
 
 def test_zero_state_cases_take_the_general_path():
@@ -49,7 +49,7 @@ class TestMatrixExponential:
             assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="needs a square matrix"):
             matrix_exponential(np.zeros((2, 3)))
 
     def test_rejects_non_finite(self):
@@ -116,13 +116,13 @@ class TestDiscretizeZoh:
 
 class TestStateSpace:
     def test_dimension_checks(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="A must be square"):
             StateSpace(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="B has 3 rows, expected 2"):
             StateSpace(np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)), np.zeros((1, 1)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="C has 3 cols, expected 2"):
             StateSpace(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 3)), np.zeros((1, 1)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="D must be 1x1, got"):
             StateSpace(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 2)))
 
     def test_rejects_nonpositive_step(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cwcancel import riccati
-from cwcancel.lti import spectral_radius
-from cwcancel.riccati import NoStabilizingSolution, care_stabilizing, solve_care
+from cwcancel.lti import NumericalFailure, spectral_radius
+from cwcancel.riccati import care_stabilizing, solve_care
 
 
 def random_stabilizable(rng, n_max=8):
@@ -57,17 +57,17 @@ def test_imaginary_axis_hamiltonian_raises():
     # Undamped oscillator with no actuation authority and no cost: the
     # Hamiltonian sits exactly on the imaginary axis.
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(NoStabilizingSolution):
+    with pytest.raises(NumericalFailure, match="sign iteration"):
         care_stabilizing(A, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        solve_care([[0.0]], [[1.0]], [[-1.0]], [[1.0]])  # Q not PSD
-    with pytest.raises(ValueError):
-        solve_care([[0.0]], [[1.0]], [[1.0]], [[0.0]])  # R not PD
-    with pytest.raises(ValueError):
-        solve_care([[0.0]], [[1.0]], [[1.0, 0.0]], [[1.0]])  # Q shape
+    with pytest.raises(ValueError, match="Q must be positive semidefinite"):
+        solve_care([[0.0]], [[1.0]], [[-1.0]], [[1.0]])
+    with pytest.raises(ValueError, match="R must be positive definite"):
+        solve_care([[0.0]], [[1.0]], [[1.0]], [[0.0]])
+    with pytest.raises(ValueError, match="Q must be symmetric"):  # a 1x2 Q
+        solve_care([[0.0]], [[1.0]], [[1.0, 0.0]], [[1.0]])
 
 
 def test_residual_miss_raises(monkeypatch):
@@ -77,7 +77,7 @@ def test_residual_miss_raises(monkeypatch):
     true_sign = riccati._matrix_sign
     monkeypatch.setattr(riccati, "_matrix_sign",
                         lambda H: true_sign(H) + 1e-6 * np.eye(H.shape[0], k=1))
-    with pytest.raises(NoStabilizingSolution, match="residual"):
+    with pytest.raises(NumericalFailure, match="residual"):
         care_stabilizing([[1.0]], [[1.0]], [[1.0]])
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import scattering_probe
 
-from cwcancel import hnorm
+from cwcancel import hnorm, synthesis
 from cwcancel.hnorm import _sigma_max, exceeds, frequency_response, hinf_norm_discrete
 from cwcancel.lifting import LiftedPlant, closed_loop, lift
 from cwcancel.lti import (NumericalFailure, StateSpace, bilinear_to_continuous,
@@ -534,6 +534,20 @@ class TestFailurePaths:
                         D11=0.0, D12=0.5, D21=0.5, D22=0.0)
         with pytest.raises(SynthesisError, match="doublings"):
             bisect_gamma(Gl, tol=1e-2)
+
+    def test_certificate_below_an_infeasible_level_raises(self, monkeypatch):
+        """A verdict that the final certificate disproves is refused: with every
+        level below 0.3 called infeasible, the bisection ends at gamma_min
+        0.30005 with a controller proven below 0.29868, under the largest
+        infeasible level 0.29980."""
+        from cwcancel.synthesis import SynthesisError
+
+        probe = synthesis._probe
+        monkeypatch.setattr(synthesis, "_probe", lambda Gl, p, s, gamma: (
+            Infeasible("care_x", "forced") if gamma < 0.3 else probe(Gl, p, s, gamma)))
+        message = r"certificate 0\.29867\d lies below the infeasible level 0\.29980\d"
+        with pytest.raises(SynthesisError, match=message):
+            bisect_gamma(lift(RelayParams(fsfh_ratio=8)), tol=1e-3)
 
     def test_ill_posed_shape_rejected(self):
         # More controls than error outputs cannot satisfy the rank condition.
