@@ -21,10 +21,11 @@ noise are drawn once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by
 every kind.  n_RS is drawn
 only at the samples the loops read.  Decisions are scored chunk by chunk,
 so memory does not grow with ``n_symbols``; one receiver (:func:`_decide`)
-makes them, and :func:`demodulate`'s too.  The noise-free pilot is only
-scaled by beta, so each kind runs one pilot on the loop the sweep already
-built, and ``none`` (u = 0 exactly) has no loop.  A single BER point is a
-one-beta, one-kind sweep.
+makes them, and :func:`demodulate`'s too.  The phase reference is a
+property of a kind's loop: one noise-free pilot reads the relay output u of
+the loop the sweep already built, since the terminal's beta g > 0 keeps
+u's direction, and ``none`` (u = 0 exactly) has no loop.  A single BER
+point is a one-beta, one-kind sweep.
 """
 
 from __future__ import annotations
@@ -112,36 +113,38 @@ def _bpsk(bits: np.ndarray, sps: int, amp: float) -> np.ndarray:
     return samples
 
 
-def _windows(samples: np.ndarray, sps: int, offset: int, tail, final: bool):
-    """Whole integration windows of one chunk of a stream, and its leftover.
+def _window_means(samples: np.ndarray, sps: int, offset: int, tail, final: bool):
+    """Means of the whole integration windows of one chunk of a stream, and its leftover.
 
     The windows are delayed by ``offset`` whole samples: the stream's first
     ``offset`` samples are dropped (pass ``tail=None`` on its first chunk),
     and on its ``final`` chunk trailing slots repeat the final sample.  The
-    leftover, short of a whole window, is the next chunk's ``tail``.
+    leftover, short of a whole window, is the next chunk's ``tail``.  Every
+    mean is checked: one that overflows a float raises FloatingPointError.
     """
     parts = [samples[offset:]] if tail is None else [tail, samples]
     if final:
         parts.append(np.repeat(samples[-1:], offset, axis=0))
     stream = np.concatenate(parts)
     n_win = stream.shape[0] // sps
-    return stream[: n_win * sps].reshape(n_win, sps, *stream.shape[1:]), stream[n_win * sps:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = stream[: n_win * sps].reshape(n_win, sps, *stream.shape[1:]).mean(axis=1)
+    if not np.isfinite(means).all():
+        raise FloatingPointError("terminal waveform overflows a float")
+    return means, stream[n_win * sps:]
 
 
 def _decide(y: np.ndarray, ref: np.ndarray, sps: int, offset: int, tail, final: bool):
     """The receiver: BPSK decisions on one chunk of a stream y (n, 2, P), and its leftover.
 
-    Each whole window of :func:`_windows` is integrated, and its bit is 1
-    where the mean's projection on the phase reference ``ref`` is positive:
-    (windows, P) booleans.  A statistic that overflows a float raises
-    FloatingPointError, so every sample that a decision reads is checked.
+    The bit of each window of :func:`_window_means` is 1 where the mean's
+    projection on the unit phase reference ``ref`` is positive: (windows, P)
+    booleans.  Each product of a finite mean and ``ref`` is finite, so their
+    sum may round to +-inf but never to NaN, and its sign is the decision.
     """
-    windows, tail = _windows(y, sps, offset, tail, final)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stat = ref @ windows.mean(axis=1)
-    if not np.isfinite(stat).all():
-        raise FloatingPointError("terminal waveform overflows a float")
-    return stat > 0.0, tail
+    means, tail = _window_means(y, sps, offset, tail, final)
+    with np.errstate(over="ignore"):
+        return ref @ means > 0.0, tail
 
 
 def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
@@ -161,19 +164,13 @@ _CHUNK_SYMBOLS = 64  # symbols per streamed chunk of a BER run
 
 
 def _pilot_reference(cfg: SimConfig, batch, kind: str) -> np.ndarray:
-    """Gain/rotation reference from a short noise-free all-ones pilot run of
-    one kind of a :class:`_ChainBatch` of ``cfg``, at the batch's first point."""
-    y_t = batch.pilot(kind, modulate(np.ones(8, dtype=int), cfg))
-    # A stable loop's pilot can stay finite at a large enough scale and
-    # still overflow here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        vec = _windows(y_t, cfg.sps, _CHAIN_ALIGN, None, True)[0][-1].mean(axis=0)
-        norm = float(np.linalg.norm(vec))
-    if not np.isfinite(norm):
-        raise FloatingPointError("pilot output overflows")
-    if norm < 1e-12:
-        return np.array([1.0, 0.0])
-    return vec / norm
+    """Unit gain/rotation reference of one kind of a :class:`_ChainBatch` of
+    ``cfg``: the last window mean of its loop's noise-free relay output u
+    for an all-ones pilot, or the I axis where that mean is 0 (``none``)."""
+    u = batch.pilot(kind, modulate(np.ones(8, dtype=int), cfg))
+    i, q = _window_means(u, cfg.sps, _CHAIN_ALIGN, None, True)[0][-1]
+    norm = math.hypot(i, q)
+    return np.array([i / norm, q / norm]) if norm > 0.0 else np.array([1.0, 0.0])
 
 
 def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
@@ -183,8 +180,8 @@ def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
     once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by all kinds; the
     points of a kind advance together as the columns of one loop state.
     Decisions are scored as each chunk arrives, so memory is bounded by the
-    chunk, not by ``cfg.n_symbols``.  The noise-free pilot is only scaled by
-    beta, so each kind's reference comes from one pilot at the first point.
+    chunk, not by ``cfg.n_symbols``.  Each kind's reference is a property of
+    its loop, so one pilot serves every point.
     """
     sps, amp, n_symbols = cfg.sps, cfg.signal_amplitude, cfg.n_symbols
     batch = _ChainBatch(cfg, kinds, betas)
@@ -216,17 +213,13 @@ def sweep_beta(cfg: SimConfig, betas, cancelers) -> list:
     Beta index i is sweep point i, whose streams every kind shares, so the
     curves are paired.  All points of a kind run as one batch (see
     :func:`_error_counts`), whose :class:`simulate._ChainBatch` checks the
-    kinds; betas must be finite, positive and distinct.  A one-beta, one-kind
-    sweep is a single BER estimate at sweep point 0.
+    kinds and betas; a curve's betas must also be positive and distinct
+    (which refuses -inf here, as not finite and not positive).
+    A one-beta, one-kind sweep is a single BER estimate at sweep point 0.
     """
-    betas = [float(b) for b in betas]
-    if not betas:
-        raise ValueError("beta grid must be nonempty")
-    if not all(math.isfinite(b) for b in betas):
-        raise ValueError(f"beta values must be finite, got {betas}")
+    betas = sorted(float(b) for b in betas)
     if any(b <= 0 for b in betas):
-        raise ValueError("beta values must be positive")
-    betas = sorted(betas)
+        raise ValueError("beta values must be finite and positive")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta values must be distinct")
     errors = _error_counts(cfg, cancelers, betas)

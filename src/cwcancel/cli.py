@@ -15,12 +15,13 @@ is read whenever it is given; the loop that runs it checks the rest.
 Commands raise, and :func:`main` maps every failure to its exit code: 0
 success, 1 synthesis failure (no feasible gamma, or a certificate that
 contradicts its level or an infeasible verdict), 2 malformed JSON, invalid
-config, controller or flag (an empty ``--cancelers`` or ``--betas``, too) or an
-unusable file path, 3 a controller whose step differs from the config's
-sampling period (refused where the loop is closed), 4 unstable closed loop (a
-closed loop with spectral radius ≥ 1, refused before any command runs it, or a
-simulated signal that overflows a float), 5 numerical failure (the H-infinity
-certificate could not prove a bound, or a bilinear map is singular).
+config, controller or flag (an empty ``--cancelers`` or ``--betas``, too), an
+unusable file path or a problem too large to allocate, 3 a controller whose
+step differs from the config's sampling period (refused where the loop is
+closed), 4 unstable closed loop (a closed loop with spectral radius ≥ 1,
+refused before any command runs it, or a simulated signal that overflows a
+float), 5 numerical failure (the H-infinity certificate could not prove a
+bound, or a bilinear map is singular).
 """
 
 from __future__ import annotations
@@ -298,6 +299,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"not enough memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -143,7 +143,7 @@ class RelayParams:
     def delay_fast_steps(self) -> int:
         """Coupling delay expressed in fast steps; must be an integer."""
         d = self.delay_seconds * self.fsfh_ratio / self.sampling_period
-        if abs(d - round(d)) > 1e-9 * max(1.0, abs(d)):
+        if not math.isfinite(d) or abs(d - round(d)) > 1e-9 * max(1.0, abs(d)):
             raise ValueError(f"delay {self.delay_seconds}s is {d} fast steps; "
                              "delay * N / h must be an integer")
         return int(round(d))

@@ -213,7 +213,7 @@ def point_streams(seed: int, point: int) -> tuple:
 # every 64-symbol sweep chunk.
 _SCAN_BLOCK = 64
 # A stable loop can still overflow a float at a large enough scale; the
-# receiver (:func:`ber._decide`) or :func:`_terminal` reports it.
+# receiver (:func:`ber._window_means`) or :func:`simulate_chain` reports it.
 _DIVERGENCE = dict(over="ignore", invalid="ignore")
 
 
@@ -281,20 +281,14 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return U.reshape(T, P, n_out)
 
 
-def _terminal(y_t: np.ndarray) -> np.ndarray:
-    """A pilot's or :func:`simulate_chain`'s y_T, or FloatingPointError if it overflows a float."""
-    if not np.isfinite(y_t).all():
-        raise FloatingPointError("terminal waveform overflows a float")
-    return y_t
-
-
 class _ChainBatch:
     """P runs of the relay chain for each canceler kind, fed chunk by chunk.
 
     This is the one gate of a run.  It checks the kinds (at least one, each
-    in :data:`CANCELER_KINDS`, none repeated), then builds and checks the
-    loop of each kind that runs a controller, and only then makes the
-    streams, so a refused run draws nothing.  ``none`` transmits u = 0
+    in :data:`CANCELER_KINDS`, none repeated) and the betas (at least one,
+    each finite and nonnegative), then builds and checks the loop of each
+    kind that runs a controller, and only then makes the streams, so a
+    refused run draws nothing.  ``none`` transmits u = 0
     exactly and has no loop.
 
     Run j is sweep point j with gain ``betas[j]``, and its n_RS, bits and
@@ -318,6 +312,12 @@ class _ChainBatch:
                 raise ValueError(f"canceler must be one of {CANCELER_KINDS}, got {kind!r}")
         if len(set(self.kinds)) != len(self.kinds):
             raise ValueError(f"canceler kinds must be distinct, got {self.kinds}")
+        if len(betas) == 0:
+            raise ValueError("beta grid must be nonempty")
+        if any(beta < 0 for beta in betas):
+            raise ValueError(f"beta values must be nonnegative, got {list(betas)}")
+        if not all(math.isfinite(beta) for beta in betas):
+            raise ValueError(f"beta values must be finite, got {list(betas)}")
         self.kernels = {kind: _PeriodKernel(_period_maps(cfg, kind))
                         for kind in self.kinds if kind != "none"}
         self.X = {kind: np.zeros((k.n_states, len(betas))) for kind, k in self.kernels.items()}
@@ -361,14 +361,13 @@ class _ChainBatch:
             yield kind, u, y_t
 
     def pilot(self, kind: str, tx: np.ndarray) -> np.ndarray:
-        """Noise-free y_T of a kind's first run, from rest, for fast samples tx (n, 2)."""
+        """Noise-free relay output u (n, 2) of a kind's loop, from rest, for
+        fast samples tx (n, 2); u = 0 for ``none``."""
         if kind not in self.kernels:
             return np.zeros_like(tx)
         kernel = self.kernels[kind]
         W = tx.reshape(-1, 2 * self.N)[:, None, kernel.cols]
-        u = _advance(kernel, np.zeros((kernel.n_states, 1)), W)
-        with np.errstate(**_DIVERGENCE):
-            return _terminal(self.scale[0] * u.reshape(tx.shape))
+        return _advance(kernel, np.zeros((kernel.n_states, 1)), W).reshape(tx.shape)
 
 
 def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
@@ -380,18 +379,16 @@ def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
     This is the one-run case of the batched engine the BER sweeps use, at
     sweep point 0 of ``cfg.seed``.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if not np.isfinite(beta):
-        raise ValueError("beta must be finite")
     tx = _iq_samples(tx)
     N, n_fast = cfg.params.fsfh_ratio, tx.shape[0]
     if n_fast % N != 0:
         raise ValueError(f"waveform length {n_fast} is not a multiple of the FSFH ratio {N}")
     batch = _ChainBatch(cfg, [kind], [beta])
     ((_, u, y_t),) = batch.advance(tx[:, :, None])
+    if not np.isfinite(y_t).all():
+        raise FloatingPointError("terminal waveform overflows a float")
     u = u.reshape(n_fast, 2)
-    return SimOutput(y_T=_terminal(y_t[:, :, 0]), u=u, z=tx - u)
+    return SimOutput(y_T=y_t[:, :, 0], u=u, z=tx - u)
 
 
 def write_waveform_csv(path, cfg: SimConfig, tx: np.ndarray, out: SimOutput) -> None:

@@ -358,9 +358,13 @@ def controller_from_dict(doc: dict) -> DigitalController:
     try:
         K = StateSpace(doc["a"], doc["b"], doc["c"], doc["d"], dt=float(doc["step_seconds"]))
         gamma_achieved = float(doc["gamma_achieved"])
+        if not 0.0 < gamma_achieved < math.inf:
+            raise ValueError(f"gamma_achieved must be finite and positive, got {gamma_achieved}")
         gamma_certified = doc.get("gamma_certified")
         if gamma_certified is not None:
             gamma_certified = float(gamma_certified)
+            if not math.isfinite(gamma_certified):
+                raise ValueError(f"gamma_certified must be finite or null, got {gamma_certified}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed controller document: {exc}") from exc
     return DigitalController(K=K, gamma_achieved=gamma_achieved, gamma_certified=gamma_certified)

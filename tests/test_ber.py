@@ -179,7 +179,7 @@ class TestRunBer:
         # With RS noise off the designed chain is deterministic up to the
         # terminal AWGN; the analytic prediction only needs the chain gain,
         # which a noise-free pilot measures exactly.
-        from cwcancel.ber import _CHAIN_ALIGN, _windows
+        from cwcancel.ber import _CHAIN_ALIGN, _window_means
         from cwcancel.simulate import simulate_chain
 
         beta = 2e-3
@@ -187,7 +187,7 @@ class TestRunBer:
         sps = cfg.sps
         pilot = replace(cfg, noise_t_dbm=-math.inf)
         resp = simulate_chain(pilot, modulate(np.ones(8, dtype=int), cfg), "designed", beta)
-        gain = _windows(resp.y_T, sps, _CHAIN_ALIGN, None, True)[0][-1].mean(axis=0)[0]
+        gain = _window_means(resp.y_T, sps, _CHAIN_ALIGN, None, True)[0][-1, 0]
         sigma = math.sqrt(10.0 ** (cfg.noise_t_dbm / 10.0) / 2.0)
         p = q_function(gain / (sigma / math.sqrt(sps)))
         point = one_point(cfg, "designed", beta)
@@ -225,11 +225,15 @@ class TestSweep:
             sweep_beta(cfg, [0.0, 1.0], ["none"])
         with pytest.raises(ValueError):
             sweep_beta(cfg, [1e-3, 1e-3], ["none"])
+        # A curve's rule refuses -inf before the batch's finiteness gate or any loop.
+        with pytest.raises(ValueError, match="positive"):
+            sweep_beta(replace(cfg, controller=None), [-math.inf], ["none", "designed"])
 
     @pytest.mark.parametrize("betas", [[math.nan], [math.inf], [1e-4, math.nan], [-math.inf]])
     def test_non_finite_betas_rejected(self, base_cfg, betas):
-        # NaN passes an order check, and inf overflows the loop; both are
-        # refused before any loop is built.
+        # NaN passes an order check, and inf overflows the loop; the batch
+        # refuses both before any loop is built, and a curve's positivity
+        # rule refuses -inf before the batch.
         with pytest.raises(ValueError, match="finite"):
             sweep_beta(replace(base_cfg, n_symbols=10), betas, ["none", "designed"])
 
@@ -362,6 +366,18 @@ def whole_waveform_errors(cfg, kind, beta, point):
         assert np.array_equal(simulate_chain(cfg, tx, kind, beta).y_T, y_t)
     decided, _ = _decide(y_t[:, :, None], ref, cfg.sps, _CHAIN_ALIGN, None, True)
     return int(np.sum(decided[:, 0] != bits))
+
+
+@pytest.mark.parametrize("kind", ["designed", "perfect"])
+def test_pilot_reference_does_not_depend_on_beta(base_cfg, kind):
+    # The terminal scales u by beta g > 0, which keeps its direction, so the
+    # reference reads the loop alone: no beta moves it by a single bit.
+    from cwcancel.ber import _pilot_reference
+    from cwcancel.simulate import _ChainBatch
+
+    small, large = (_pilot_reference(base_cfg, _ChainBatch(base_cfg, [kind], [beta]), kind)
+                    for beta in (1e-6, 1e3))
+    assert small.tobytes() == large.tobytes()
 
 
 class TestBatchedSweep:

@@ -291,6 +291,18 @@ class TestDesign:
         assert "synthesis failed" in err and "care_x" in err
         assert not out.exists()
 
+    def test_allocation_too_large_exit_code(self, tmp_path, monkeypatch, capsys):
+        """A problem the machine cannot allocate exits 2 with one line."""
+        def lift(params):
+            raise MemoryError("Unable to allocate 1.16 TiB for an array")
+
+        monkeypatch.setattr("cwcancel.cli.lift", lift)
+        out = tmp_path / "out"
+        assert main(["design", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "not enough memory: Unable to allocate 1.16 TiB for an array\n")
+        assert not out.exists()
+
     def test_contradicted_certificate_exit_code(self, tmp_path, monkeypatch, capsys):
         """A certificate above the synthesis level (here a doubled norm) is
         refused: design exits 1 with one line and writes nothing."""
@@ -364,6 +376,25 @@ class TestCertify:
         rc = main(["certify", "--controller", str(path)])
         assert rc == EXIT_UNSTABLE
         assert "radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma_achieved", float("nan")), ("gamma_achieved", float("inf")),
+        ("gamma_achieved", 0.0), ("gamma_certified", float("nan")),
+        ("gamma_certified", float("-inf")),
+    ])
+    def test_non_finite_level_exit_code(self, tmp_path, designed_controller, capsys,
+                                        field, value):
+        """json reads NaN and Infinity, but certification.json must stay
+        RFC 8259 JSON: such a level is a malformed controller."""
+        doc = controller_to_dict(designed_controller)
+        doc[field] = value
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["certify", "--controller", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "malformed controller document" in err and field in err
+        assert not out.exists()
 
     def test_corrupted_controller(self, tmp_path):
         path = tmp_path / "corrupt.json"

@@ -121,6 +121,8 @@ class TestBuild:
             RelayParams(delay_seconds=0.3, fsfh_ratio=16)
         with pytest.raises(ValueError, match="fast steps; delay . N / h must be an integer"):
             RelayParams(delay_seconds=1.0 / 3.0)
+        with pytest.raises(ValueError, match="is inf fast steps"):  # too long for a float
+            RelayParams(delay_seconds=1e308)
 
     def test_deterministic(self, default_params):
         a = assemble_loop(default_params)

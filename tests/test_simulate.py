@@ -82,8 +82,8 @@ class TestOverflowingTerminalWaveform:
 
     @pytest.mark.parametrize("betas", [[1.0, 1e200], [1e200]], ids=["run", "pilot"])
     def test_sweep_beta(self, loud_cfg, betas):
-        """The pilot runs at the smallest beta, so only a sweep's runs see 1e200
-        when 1 is in the grid."""
+        """The pilot reads the loop's u, not y_T, so with or without a finite
+        point in the grid it is the runs at 1e200 whose windows overflow."""
         with pytest.raises(FloatingPointError, match="^terminal waveform overflows a float$"):
             sweep_beta(loud_cfg, betas, ["none", "designed"])
 
@@ -94,10 +94,20 @@ class TestOverflowingTerminalWaveform:
             sweep_beta(replace(base_cfg, relay_gain_db=3000.0, n_symbols=200), [1.0, 3e157],
                        ["designed"])
 
-    def test_finite_pilot_whose_norm_overflows(self, base_cfg):
-        # g = 1e300: the pilot's samples are finite, but their norm is not.
-        with pytest.raises(FloatingPointError, match="^pilot output overflows$"):
-            sweep_beta(replace(base_cfg, relay_gain_db=6000.0, n_symbols=10), [1.0], ["designed"])
+    def test_large_finite_gain_decides_as_without_terminal_noise(self, default_params):
+        """g = 1e300 keeps every sample and window mean of y_T finite at beta = 1
+        and 2, and n_T is lost below their rounding, so the counts are those of
+        a 60 dB relay with n_T off."""
+        params = replace(default_params, fsfh_ratio=8)
+        controller = bisect_gamma(lift(params), tol=1e-3).controller
+        loud = SimConfig(params=params, controller=controller, relay_gain_db=6000.0,
+                         noise_rs_dbm=5.0, n_symbols=400)
+        quiet = replace(loud, relay_gain_db=60.0, noise_t_dbm=-math.inf)
+        counts = [[[p.errors for p in curve.points]
+                   for curve in sweep_beta(cfg, [1.0, 2.0], ["designed", "perfect"])]
+                  for cfg in (loud, quiet)]
+        assert counts[0] == counts[1]
+        assert 0 < min(map(min, counts[0]))  # RS noise makes errors to compare
 
 
 class TestNoiseAmplitude:
