@@ -12,7 +12,7 @@ R = gamma^2 I - D_c^T D_c, and evaluates the frequency response only at the
 crossings it flags and between them.  :func:`exceeds` runs one such test at
 a given level and seeds nothing, so a level it proves costs no frequency
 response; :func:`hinf_norm_discrete` seeds lb with the gains at theta = 0,
-pi/2 and pi.
+pi/2 and pi.  Both first refuse what no test can prove a bound for.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ def frequency_response(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:
 
 
 def _sigma_max(sys: StateSpace, thetas: np.ndarray) -> np.ndarray:
-    resp = frequency_response(sys, thetas)
-    if resp.shape[1] == 0 or resp.shape[2] == 0:
-        return np.zeros(resp.shape[0])
-    return np.linalg.svd(resp, compute_uv=False)[:, 0]
+    resp = frequency_response(sys, thetas)  # no input or no output: every gain is 0
+    return np.linalg.svd(resp, compute_uv=False).max(axis=1, initial=0.0)
 
 
 def _is_zero_system(sys: StateSpace) -> bool:
@@ -115,15 +113,25 @@ def _test_level(sys, sc, gamma: float, rtol: float):
     return peak, peak >= gamma * (1.0 - rtol)
 
 
+def _require_premise(sys: StateSpace, name: str, value: float) -> None:
+    """Refuse a system or a level that no missing crossing proves a bound for."""
+    if not (sys.is_discrete and 0.0 < value < np.inf):
+        raise ValueError(f"the H-infinity proof needs a discrete-time system and a "
+                         f"finite positive {name}, got dt = {sys.dt}, {name} = {value}")
+    require_stable(sys.A, "system")
+
+
 def exceeds(sys: StateSpace, level: float) -> float | None:
-    """A gain of at least level*(1-LEVEL_RTOL) that Schur-stable ``sys``
-    attains, or None when its H-infinity norm is proven below ``level``.
+    """A gain of at least level*(1-LEVEL_RTOL) that ``sys`` attains, or None
+    when its H-infinity norm is proven below ``level``.
 
     One :func:`_test_level` at ``level`` decides, so a norm proven below the
-    level costs no frequency response.  Raises
-    :class:`~cwcancel.lti.NumericalFailure` when sigma_max(D_c) reaches the
-    level but the gain at theta = pi does not, or a bilinear map is singular.
+    level costs no frequency response.  Raises ValueError unless ``sys`` is
+    discrete and ``level`` finite and positive, :class:`UnstableSystemError`
+    unless A is Schur stable, and NumericalFailure when sigma_max(D_c) reaches
+    the level but the gain at theta = pi does not, or a bilinear map is singular.
     """
+    _require_premise(sys, "level", level)
     peak, crossed = _test_level(sys, bilinear_to_continuous(sys, 1.0), level, LEVEL_RTOL)
     return peak if crossed else None
 
@@ -132,22 +140,17 @@ def hinf_norm_discrete(sys: StateSpace, tol: float) -> float:
     """A gain g that a Schur-stable discrete system attains, within 1+2*tol of its peak.
 
     g is the lower bound of the first level test that finds no crossing, which
-    proves the norm below g*(1+2*tol).  Raises :class:`UnstableSystemError`
-    when :func:`require_stable` refuses A, and :class:`~cwcancel.lti.NumericalFailure`
+    proves the norm below g*(1+2*tol).  Raises ValueError and UnstableSystemError
+    as :func:`exceeds` does, with ``tol`` for its level, and NumericalFailure
     when no bound is proven: a level test raises, _MAX_PASSES tests all cross,
     or a nonzero system's gain is 0 at theta = 0, pi/2 and pi (no level to
-    test).  A zero transfer function has norm 0.0.
+    test).  A zero transfer function, one with no input or output too, is 0.0.
     """
-    if not sys.is_discrete:
-        raise ValueError("hinf_norm_discrete expects a discrete-time system")
-    require_stable(sys.A, "system")
-    if sys.n_inputs == 0 or sys.n_outputs == 0:
-        return 0.0
-
-    sc = bilinear_to_continuous(sys, 1.0)
+    _require_premise(sys, "tol", tol)
     lb = float(_sigma_max(sys, np.array([0.0, np.pi / 2, np.pi])).max())
     if lb == 0.0 and _is_zero_system(sys):
         return 0.0
+    sc = bilinear_to_continuous(sys, 1.0)
     try:
         for _ in range(_MAX_PASSES if lb > 0.0 else 0):
             peak, crossed = _test_level(sys, sc, lb * (1.0 + 2.0 * tol), tol)

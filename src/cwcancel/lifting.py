@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import StateSpace, discretize_zoh, step_matches
+from .lti import StateSpace, discretize_zoh
 from .plant import RelayParams, assemble_loop, carrier_rotation
 
 __all__ = [
@@ -132,15 +132,15 @@ def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
     """Lower linear-fractional interconnection of the lifted plant with K.
 
     Returns the lifted w -> z closed-loop system at the slow rate.  K must
-    be 2x2 and, unless it is a static gain, discrete at the plant's step:
-    this is the one place a controller's step is checked, and a mismatch
-    raises :class:`StepMismatchError`.
+    be 2x2 and, unless it is a static gain, discrete at the plant's step to
+    1e-12 relative: this is the one place a controller's step is checked, and
+    a mismatch raises :class:`StepMismatchError`.
     """
     G = Gl.G
     nw, nu, nz, ny = Gl.n_w, Gl.n_u, Gl.n_z, Gl.n_y
     if K.n_inputs != ny or K.n_outputs != nu:
         raise ValueError(f"controller is {K.n_outputs}x{K.n_inputs}, plant wants {nu}x{ny}")
-    if not (step_matches(K.dt, G.dt) if K.is_discrete else K.n_states == 0):
+    if not (abs(K.dt - G.dt) <= 1e-12 * max(1.0, G.dt) if K.is_discrete else K.n_states == 0):
         raise StepMismatchError(f"controller step {K.dt} does not match the plant's "
                                 f"sampling period {G.dt}")
 

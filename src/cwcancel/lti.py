@@ -19,7 +19,6 @@ __all__ = [
     "matrix_exponential",
     "discretize_zoh",
     "spectral_radius",
-    "step_matches",
     "bilinear_to_continuous",
     "bilinear_to_discrete",
 ]
@@ -98,11 +97,6 @@ class StateSpace:
 def spectral_radius(A) -> float:
     """Largest eigenvalue modulus of a square matrix; 0.0 when it is empty."""
     return float(np.abs(np.linalg.eigvals(A)).max(initial=0.0))
-
-
-def step_matches(dt: float, period: float) -> bool:
-    """True when a discrete step equals a sampling period to 1e-12 relative."""
-    return abs(dt - period) <= 1e-12 * max(1.0, period)
 
 
 def matrix_exponential(M) -> np.ndarray:

@@ -344,7 +344,7 @@ class TestCertify:
 
     def test_certificate_above_reported_level(self, tmp_path, designed_controller):
         """certify reports, and does not refuse, a controller whose certified
-        norm exceeds its gamma_achieved by more than 0.1 %."""
+        norm exceeds its gamma_achieved by more than the 1e-6 probe margin."""
         doc = controller_to_dict(designed_controller)
         doc["gamma_achieved"] = 0.5 * designed_controller.gamma_certified
         path = tmp_path / "low.json"
@@ -354,6 +354,20 @@ class TestCertify:
         cert = json.loads((tmp_path / "certification.json").read_text())
         assert cert["within_reported"] is False
         assert cert["gamma_achieved"] == doc["gamma_achieved"]
+        assert cert["gamma_certified"] == pytest.approx(
+            designed_controller.gamma_certified, rel=1e-6)
+
+    def test_certificate_just_above_reported_level(self, tmp_path, designed_controller):
+        """A certificate 1e-4 above gamma_achieved is outside the 1e-6 margin
+        that every feasible probe proves: not within the reported level."""
+        doc = controller_to_dict(designed_controller)
+        doc["gamma_achieved"] = designed_controller.gamma_certified / (1.0 + 1e-4)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["certify", "--controller", str(path), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        cert = json.loads((tmp_path / "certification.json").read_text())
+        assert cert["within_reported"] is False
         assert cert["gamma_certified"] == pytest.approx(
             designed_controller.gamma_certified, rel=1e-6)
 

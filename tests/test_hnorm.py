@@ -150,17 +150,24 @@ def test_gain_vanishing_at_both_ends():
     assert hinf_norm_discrete(sys, tol=1e-6) == pytest.approx(2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("zero", ["B", "C"])
-def test_zero_transfer_function_has_zero_norm(zero):
-    # B = 0 or C = 0 with D = 0: every gain, and every seed, is exactly 0.
+@pytest.mark.parametrize("zero", ["B", "C", "no inputs", "no outputs"])
+def test_zero_transfer_function_has_zero_norm(zero, monkeypatch):
+    # B = 0 or C = 0 with D = 0, or no input or no output at all: every gain,
+    # and every seed, is exactly 0, and the bilinear image is never formed.
     rng = np.random.default_rng(7)
     A = 0.5 * np.eye(3) + 0.1 * rng.standard_normal((3, 3))
     B, C = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+    m, p = 2, 2
     if zero == "B":
         B[:] = 0.0
-    else:
+    elif zero == "C":
         C[:] = 0.0
-    sys = StateSpace(A, B, C, np.zeros((2, 2)), dt=1.0)
+    elif zero == "no inputs":
+        B, m = np.zeros((3, 0)), 0
+    else:
+        C, p = np.zeros((0, 3)), 0
+    sys = StateSpace(A, B, C, np.zeros((p, m)), dt=1.0)
+    monkeypatch.delattr(hnorm, "bilinear_to_continuous")
     assert hinf_norm_discrete(sys, tol=1e-6) == 0.0
 
 
@@ -235,6 +242,39 @@ def test_feedthrough_at_or_above_level_is_returned(sys, level, expected):
     """sigma_max(D_c) >= level fails the Cholesky premise of the proof, and
     exceeds returns that gain."""
     assert exceeds(sys, level) == pytest.approx(expected, rel=1e-12)
+
+
+class TestProofPremises:
+    """exceeds and hinf_norm_discrete refuse, before any bilinear map, every
+    input for which a missing crossing proves nothing."""
+
+    @pytest.fixture(autouse=True)
+    def no_bilinear_map(self, monkeypatch):
+        monkeypatch.delattr(hnorm, "bilinear_to_continuous")
+
+    def test_exceeds_refuses_an_unstable_system(self):
+        # x+ = 2x + u: the norm is infinite, yet no Hamiltonian eigenvalue
+        # lies on the axis at level 2.
+        sys = StateSpace([[2.0]], [[1.0]], [[1.0]], [[0.0]], dt=1.0)
+        with pytest.raises(UnstableSystemError, match="^system: spectral radius 2.0"):
+            exceeds(sys, 2.0)
+
+    def test_exceeds_refuses_a_continuous_system(self):
+        sys = StateSpace([[-0.5]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(ValueError, match="discrete-time"):
+            exceeds(sys, 0.5)
+
+    @pytest.mark.parametrize("level", [np.nan, 0.0, -1.0, np.inf])
+    def test_exceeds_refuses_a_level_that_is_not_finite_and_positive(self, level):
+        sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0)
+        with pytest.raises(ValueError, match="finite positive level"):
+            exceeds(sys, level)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-3, np.inf])
+    def test_norm_refuses_a_tol_that_is_not_finite_and_positive(self, tol):
+        sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0)
+        with pytest.raises(ValueError, match="finite positive tol"):
+            hinf_norm_discrete(sys, tol=tol)
 
 
 class TestCertificateStopsAtItsProof:

@@ -52,6 +52,41 @@ def test_lift_matches_shift_register_oracle(params):
     assert err.max() < 1e-12
 
 
+@st.composite
+def scalar_filters(draw, strictly_proper=False):
+    """A stable scalar filter of order 1 (pole in [0.2, 50]) or 2 (omega_n in
+    [0.5, 50], zeta in [0.2, 1.5]), with output gain in [0.5, 2] and, unless
+    strictly proper, sometimes a feedthrough in [-0.5, 0.5]."""
+    gain = draw(st.floats(0.5, 2.0))
+    d = 0.0 if strictly_proper else draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+    if draw(st.booleans()):
+        pole = draw(st.floats(0.2, 50.0))
+        return StateSpace([[-pole]], [[pole]], [[gain]], [[d]])
+    wn, zeta = draw(st.floats(0.5, 50.0)), draw(st.floats(0.2, 1.5))
+    return StateSpace([[0.0, 1.0], [-wn ** 2, -2.0 * zeta * wn]], [[0.0], [wn ** 2]],
+                      [[gain, 0.0]], [[d]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), N=st.sampled_from([1, 2, 4, 8]), h=st.sampled_from([0.5, 1.0, 2.0]),
+       alpha=st.floats(0.0, 0.9), carrier=st.floats(0.0, 2.0e4),
+       W=scalar_filters(strictly_proper=True), F=st.one_of(st.none(), scalar_filters()),
+       P=scalar_filters())
+def test_lift_matches_shift_register_oracle_on_random_filters(data, N, h, alpha, carrier,
+                                                              W, F, P):
+    # Any delay of 1 to 3N fast steps, whole periods or not.
+    d = data.draw(st.integers(1, 3 * N))
+    params = RelayParams(sampling_period=h, fsfh_ratio=N, delay_seconds=d * h / N,
+                         coupling_gain=alpha, carrier_hz=carrier, input_shaping=W,
+                         antialias=F, post_filter=P)
+    assert params.delay_fast_steps() == d
+    theta = np.linspace(0.0, np.pi, 65)
+    ours = frequency_response(lift(params).G, theta)
+    ref = frequency_response(shift_register_lift(params).G, theta)
+    err = np.linalg.norm(ours - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert err.max() < 1e-12
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(h=st.sampled_from([0.25, 1.0, 3.0]), carrier=st.floats(0.0, 2.0e4),
        tau_w=st.floats(0.1, 10.0), tau_f=st.one_of(st.none(), st.floats(0.01, 10.0)),
