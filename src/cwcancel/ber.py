@@ -3,8 +3,9 @@
 Transmission is antipodal on the in-phase component with a rectangular
 time-domain pulse; detection is coherent integrate-and-dump against a
 pilot-calibrated reference.  For the relay chain the decision windows are
-aligned one fast sample after the hold update (the post filter settles well
-inside a fast step), so each window sees exactly its own symbol.
+aligned one fast sample after the hold update (``simulate._CHAIN_ALIGN``;
+the post filter settles well inside a fast step), so each window sees
+exactly its own symbol.
 
 Monte Carlo points carry Wilson 95% intervals.  Beta point i of a sweep
 draws its n_RS, bits and n_T from the generators that its batch makes once
@@ -18,14 +19,17 @@ A sweep is one streaming pass (:func:`_error_counts`): each controlled
 kind's period map is built once, all beta points of a kind advance
 together through the simulator's one kernel, and each point's bits and
 noise are drawn once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by
-every kind.  n_RS is drawn
-only at the samples the loops read.  Decisions are scored chunk by chunk,
-so memory does not grow with ``n_symbols``; one receiver (:func:`_decide`)
-makes them, and :func:`demodulate`'s too.  The phase reference is a
-property of a kind's loop: one noise-free pilot reads the relay output u of
-the loop the sweep already built, since the terminal's beta g > 0 keeps
-u's direction, and ``none`` (u = 0 exactly) has no loop.  A single BER
-point is a one-beta, one-kind sweep.
+every kind.  n_RS is drawn only at the samples the loops read, and n_T as
+one sum per decision window.  The kernel folds each period's relay output
+into the sums that the windows read, so a sweep scores each window's
+statistic beta g Sum u + Sum n_T and never forms a waveform sample.
+Decisions are scored chunk by chunk, so memory does not grow with
+``n_symbols``; one receiver (:func:`_decide`) makes them, and
+:func:`demodulate`'s too.  The phase reference is a property of a kind's
+loop: one noise-free pilot reads the folded relay output u of the loop the
+sweep already built, since the terminal's beta g > 0 keeps u's direction,
+and ``none`` (u = 0 exactly) has no loop.  A single BER point is a
+one-beta, one-kind sweep.
 """
 
 from __future__ import annotations
@@ -113,38 +117,26 @@ def _bpsk(bits: np.ndarray, sps: int, amp: float) -> np.ndarray:
     return samples
 
 
-def _window_means(samples: np.ndarray, sps: int, offset: int, tail, final: bool):
-    """Means of the whole integration windows of one chunk of a stream, and its leftover.
-
-    The windows are delayed by ``offset`` whole samples: the stream's first
-    ``offset`` samples are dropped (pass ``tail=None`` on its first chunk),
-    and on its ``final`` chunk trailing slots repeat the final sample.  The
-    leftover, short of a whole window, is the next chunk's ``tail``.  Every
-    mean is checked: one that overflows a float raises FloatingPointError.
-    """
-    parts = [samples[offset:]] if tail is None else [tail, samples]
-    if final:
-        parts.append(np.repeat(samples[-1:], offset, axis=0))
-    stream = np.concatenate(parts)
-    n_win = stream.shape[0] // sps
+def _window_means(samples: np.ndarray, sps: int) -> np.ndarray:
+    """Means (n / sps, 2) of the consecutive sps-sample windows of samples
+    (n, 2), n a multiple of sps; unchecked."""
     with np.errstate(over="ignore", invalid="ignore"):
-        means = stream[: n_win * sps].reshape(n_win, sps, *stream.shape[1:]).mean(axis=1)
-    if not np.isfinite(means).all():
-        raise FloatingPointError("terminal waveform overflows a float")
-    return means, stream[n_win * sps:]
+        return samples.reshape(-1, sps, 2).mean(axis=1)
 
 
-def _decide(y: np.ndarray, ref: np.ndarray, sps: int, offset: int, tail, final: bool):
-    """The receiver: BPSK decisions on one chunk of a stream y (n, 2, P), and its leftover.
+def _decide(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The receiver: BPSK decisions on window statistics y (..., 2).
 
-    The bit of each window of :func:`_window_means` is 1 where the mean's
-    projection on the unit phase reference ``ref`` is positive: (windows, P)
-    booleans.  Each product of a finite mean and ``ref`` is finite, so their
-    sum may round to +-inf but never to NaN, and its sign is the decision.
+    A bit is 1 where its window's projection on the unit phase reference
+    ``ref`` is positive.  Every statistic is checked: one that is not
+    finite raises FloatingPointError.  Each product of a finite statistic
+    and ``ref`` is finite, so their sum may round to +-inf but never to
+    NaN, and its sign is the decision.
     """
-    means, tail = _window_means(y, sps, offset, tail, final)
+    if not np.isfinite(y).all():
+        raise FloatingPointError("terminal waveform overflows a float")
     with np.errstate(over="ignore"):
-        return ref @ means > 0.0, tail
+        return y @ ref > 0.0
 
 
 def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
@@ -155,20 +147,18 @@ def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
     if n % sps != 0:
         raise ValueError(f"waveform length {n} is not a multiple of {sps} samples/symbol")
     ref = np.asarray(phase_ref, dtype=float).reshape(2)
-    decided, _ = _decide(y[:, :, None], ref, sps, 0, None, True)
-    return decided[:, 0].astype(int)
+    return _decide(_window_means(y, sps), ref).astype(int)
 
 
-_CHAIN_ALIGN = 1  # relay receiver window offset, in fast samples
 _CHUNK_SYMBOLS = 64  # symbols per streamed chunk of a BER run
 
 
 def _pilot_reference(cfg: SimConfig, batch, kind: str) -> np.ndarray:
     """Unit gain/rotation reference of one kind of a :class:`_ChainBatch` of
-    ``cfg``: the last window mean of its loop's noise-free relay output u
-    for an all-ones pilot, or the I axis where that mean is 0 (``none``)."""
-    u = batch.pilot(kind, modulate(np.ones(8, dtype=int), cfg))
-    i, q = _window_means(u, cfg.sps, _CHAIN_ALIGN, None, True)[0][-1]
+    ``cfg``: the direction of the last decision window's sum of its loop's
+    noise-free relay output u for an all-ones pilot, or the I axis where
+    that sum is 0 (``none``)."""
+    i, q = batch.pilot(kind, modulate(np.ones(8, dtype=int), cfg))
     norm = math.hypot(i, q)
     return np.array([i / norm, q / norm]) if norm > 0.0 else np.array([1.0, 0.0])
 
@@ -179,24 +169,22 @@ def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
     Point i's bits and chain noise, from the batch's streams, are drawn
     once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by all kinds; the
     points of a kind advance together as the columns of one loop state.
-    Decisions are scored as each chunk arrives, so memory is bounded by the
-    chunk, not by ``cfg.n_symbols``.  Each kind's reference is a property of
-    its loop, so one pilot serves every point.
+    Decisions are scored on each window's statistic as the batch completes
+    it, so memory is bounded by the chunk, not by ``cfg.n_symbols``.  Each
+    kind's reference is a property of its loop, so one pilot serves every
+    point.
     """
     sps, amp, n_symbols = cfg.sps, cfg.signal_amplitude, cfg.n_symbols
     batch = _ChainBatch(cfg, kinds, betas)
     refs = {kind: _pilot_reference(cfg, batch, kind) for kind in batch.kinds}
     errors = {kind: np.zeros(len(betas), dtype=int) for kind in batch.kinds}
-    tails = dict.fromkeys(batch.kinds)
-    unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the tails' symbols
+    unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the windows not yet complete
     for start in range(0, n_symbols, _CHUNK_SYMBOLS):
         n = min(_CHUNK_SYMBOLS, n_symbols - start)
         bits = np.stack([rng.integers(0, 2, size=n) for rng in batch.bits], axis=1)
-        tx = _bpsk(bits, sps, amp)
         unscored = np.concatenate([unscored, bits])
-        for kind, _, y_t in batch.advance(tx):
-            decided, tails[kind] = _decide(y_t, refs[kind], sps, _CHAIN_ALIGN, tails[kind],
-                                           start + n == n_symbols)
+        for kind, y in batch.advance(_bpsk(bits, sps, amp)):
+            decided = _decide(y, refs[kind])
             errors[kind] += np.sum(decided != unscored[: len(decided)], axis=0)
         unscored = unscored[len(decided):]
     return errors

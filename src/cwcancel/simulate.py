@@ -13,23 +13,38 @@ at T act outside the loop.
 
 One private kernel, :func:`_advance`, writes that iteration: it advances an
 (n_x, P) state matrix, the loop states of P runs, over a chunk of slow
-periods.  It takes only the samples of w that reach the loop (with F = I,
-the one sampled I/Q pair per period) and runs a doubling scan over blocks
-of 64 periods, so its Python loop turns log2(64) times per block, not once
-per period.  :class:`_ChainBatch` feeds it chunk by chunk for the BER
-sweeps (every beta point of a kind is a column), and :func:`simulate_chain`
-is its one-run, one-chunk case.  The batch is the one gate of a run: it
-checks the kinds, builds and checks the loops, and makes the streams.
+periods, and maps each period through the output matrix it is given.  It
+takes only the samples of w that reach the loop (with F = I, the one
+sampled I/Q pair per period) and runs a doubling scan over blocks of 64
+periods, so its Python loop turns log2(64) times per block, not once per
+period.  :class:`_ChainBatch` feeds it chunk by chunk for the BER sweeps
+(every beta point of a kind is a column), and :func:`simulate_chain` is its
+one-run, one-chunk case.  The batch is the one gate of a run: it checks the
+kinds, builds and checks the loops, and makes the streams.
+
+A sweep reads u only through its decision windows, which start
+``_CHAIN_ALIGN`` = 1 fast sample after each symbol edge, one after the hold
+update.  So the batch folds each period's 2N output samples into six numbers
+(:func:`_fold`): the I/Q sums of its first sample and of the rest, and its
+last sample.  A window is the sum of the "rest" of each of its m = sps / N
+periods and the first sample of the period after each of them
+(:func:`_window_sums`).
+The sweep never forms u or y_T sample by sample; :func:`simulate_chain`
+does, for ``waveform.csv``.
 
 Random streams
 --------------
-:func:`point_streams` is the one owner of the stream layout: stream k of
+:func:`point_streams` is the one owner of the stream keys: stream k of
 sweep point i has Philox key (seed, 3 i + k), where k = 0 is the noise n_RS
 at the relay, 1 the bits and 2 the noise n_T at the terminal.  A batch
 makes each point's three generators once, and :func:`simulate_chain` is
 point 0.  n_RS is drawn only at the samples of w that a loop reads, as
 (periods, columns) normals, since no other sample can reach u, y_T or a
-decision; n_T is (n, 2) normals.
+decision.  n_T is drawn per decision window, since a decision reads only
+its window's sum: each window but the last is sqrt(sps) sigma_t times 2
+normals, then come the last window's sps - 1 samples, then sample 0, which
+falls before the first window.  :func:`_terminal_noise` spreads a window's
+sum over its samples for ``waveform.csv``.
 
 Canceler kinds
 --------------
@@ -213,8 +228,11 @@ def point_streams(seed: int, point: int) -> tuple:
 # every 64-symbol sweep chunk.
 _SCAN_BLOCK = 64
 # A stable loop can still overflow a float at a large enough scale; the
-# receiver (:func:`ber._window_means`) or :func:`simulate_chain` reports it.
+# receiver (:func:`ber._decide`) or :func:`simulate_chain` reports it.
 _DIVERGENCE = dict(over="ignore", invalid="ignore")
+# The relay receiver's windows start this many fast samples after a symbol
+# edge: one after the hold update, so each window sees its own symbol.
+_CHAIN_ALIGN = 1
 
 
 class _PeriodKernel:
@@ -243,27 +261,29 @@ class _PeriodKernel:
                 self.powers.append(self.powers[-1] @ self.powers[-1])
 
 
-def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Relay outputs U of P runs over a chunk of slow periods.
+def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Outputs of P runs over a chunk of slow periods, through the output matrix H.
 
     X is the (n_x, P) loop state of the runs and is advanced in place;
     W[k, p] is run p's w_k[cols] in period k, the only samples of w the
     loop reads.  Row (k, p) of the work matrix Z holds run p's state x_k and
-    inputs w_k[cols], so U = Z H is one GEMM per block.  The states advance
-    in blocks of ``_SCAN_BLOCK`` periods by a doubling scan (Blelloch,
-    "Prefix sums and their applications", 1990): with v_k = B w_k, plus
-    A x at the block's first period, x_{k+1} = sum_{i<=k} A^(k-i) v_i, and
-    the doubling with s = 1, 2, 4, ... adds A^s times the partial sums s
-    periods back, one GEMM each.  Blocks start at the chunk's first period,
-    so chunks cut at block edges give the same bits as one whole call.
-    U[k, p] is run p's 2N output samples of period k, unchecked: see :data:`_DIVERGENCE`.
+    inputs w_k[cols], so Z ``kernel.H`` is the relay output u, and Z H for
+    H = ``kernel.H`` S is S's map of it (see :func:`_fold`): one GEMM per
+    block.  The states advance in blocks of ``_SCAN_BLOCK`` periods by a
+    doubling scan (Blelloch, "Prefix sums and their applications", 1990):
+    with v_k = B w_k, plus A x at the block's first period,
+    x_{k+1} = sum_{i<=k} A^(k-i) v_i, and the doubling with s = 1, 2, 4, ...
+    adds A^s times the partial sums s periods back, one GEMM each.  Blocks
+    start at the chunk's first period, so chunks cut at block edges give the
+    same bits as one whole call.  The result is (T, P, H's columns),
+    unchecked: see :data:`_DIVERGENCE`.
     """
     T, P, m = W.shape
-    n, n_out = kernel.n_states, kernel.H.shape[1]
+    n = kernel.n_states
     Z = np.empty(((T + 1) * P, n + m))
     Z[:P, :n] = X.T
     Z[: T * P].reshape(T, P, n + m)[:, :, n:] = W
-    U = np.empty((T * P, n_out))
+    U = np.empty((T * P, H.shape[1]))
     with np.errstate(**_DIVERGENCE):
         for start in range(0, T * P, _SCAN_BLOCK * P):
             stop = min(start + _SCAN_BLOCK * P, T * P)
@@ -276,19 +296,87 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray) -> np.ndarray:
                     break
                 x[s:] += x[: stop - start - s] @ AsT
                 s *= 2
-            np.matmul(Z[start:stop], kernel.H, out=U[start:stop])
+            np.matmul(Z[start:stop], H, out=U[start:stop])
     X[...] = Z[T * P:, :n].T
-    return U.reshape(T, P, n_out)
+    return U.reshape(T, P, H.shape[1])
+
+
+def _fold(N: int) -> np.ndarray:
+    """S (2N x 6): a period's output samples, I/Q interleaved, to the I/Q sums
+    of its first ``_CHAIN_ALIGN`` samples ("head") and of the rest ("rest"),
+    and its last sample."""
+    S = np.zeros((N, 2, 3, 2))
+    S[:_CHAIN_ALIGN, :, 0] = np.eye(2)
+    S[_CHAIN_ALIGN:, :, 1] = np.eye(2)
+    S[N - 1, :, 2] = np.eye(2)
+    return S.reshape(2 * N, 6)
+
+
+def _window_sums(F: np.ndarray, m: int, carry, final: bool):
+    """Sums of u over the decision windows that one chunk's folded periods complete.
+
+    F (T, P, 6) is :func:`_advance`'s output through :func:`_fold` for the
+    T = n m periods of n whole symbols.  Window k starts ``_CHAIN_ALIGN``
+    samples into symbol k, so it sums the rest of each of the symbol's m
+    periods and the head of the period after each of them, the last of
+    which opens the next symbol.  For the chunk's last window that head is
+    in the next chunk: the window is returned as ``carry`` (pass None on a
+    run's first chunk) and completed by the next call.  On the ``final``
+    chunk it takes ``_CHAIN_ALIGN`` more copies of the last sample instead,
+    as the receiver repeats the final sample of a stream.  Returns the
+    completed windows (windows, P, 2) and the new carry, unchecked.
+    """
+    T, P, _ = F.shape
+    c = F[:, :, 2:4].copy()
+    c[:-1] += F[1:, :, 0:2]
+    sums = c.reshape(T // m, m, P, 2).sum(axis=1)
+    if final:
+        sums[-1] += _CHAIN_ALIGN * F[-1, :, 4:6]
+        done, new_carry = sums, None
+    else:
+        done, new_carry = sums[:-1], sums[-1]
+    if carry is not None:
+        carry += F[0, :, 0:2]
+        done = np.concatenate([carry[None], done])
+    return done, new_carry
+
+
+def _terminal_noise(rng: np.random.Generator, sigma_t: float, n: int, sps: int) -> np.ndarray:
+    """One run's n_T at n fast samples, (n, 2), from its n_T generator ``rng``.
+
+    The stream is laid out as :meth:`_ChainBatch.advance` draws it: first
+    the sum S of each whole window before the one that holds the last
+    sample, as sqrt(sps) sigma_t times 2 normals; then each later sample;
+    then the ``_CHAIN_ALIGN`` samples before the first window, each sigma_t
+    times 2 normals.  Inside a window the samples are S / sps + (g - mean(g)),
+    with g sigma_t times normals of ``Philox(key).jumped()`` for the
+    stream's key: they sum to S and are iid N(0, sigma_t^2), like every
+    other sample.
+    """
+    head, windows = _CHAIN_ALIGN, max(n - _CHAIN_ALIGN - 1, 0) // sps
+    g = np.random.Generator(rng.bit_generator.jumped()).standard_normal((windows, sps, 2))
+    S = rng.standard_normal((windows, 2)) * (math.sqrt(sps) * sigma_t)
+    n_t = np.empty((n, 2))
+    rng.standard_normal(out=n_t[head + windows * sps:])
+    rng.standard_normal(out=n_t[:head])
+    n_t[head + windows * sps:] *= sigma_t
+    n_t[:head] *= sigma_t
+    g *= sigma_t
+    g -= g.mean(axis=1, keepdims=True)
+    g += S[:, None] / sps
+    n_t[head: head + windows * sps] = g.reshape(-1, 2)
+    return n_t
 
 
 class _ChainBatch:
     """P runs of the relay chain for each canceler kind, fed chunk by chunk.
 
     This is the one gate of a run.  It checks the kinds (at least one, each
-    in :data:`CANCELER_KINDS`, none repeated) and the betas (at least one,
-    each finite and nonnegative), then builds and checks the loop of each
-    kind that runs a controller, and only then makes the streams, so a
-    refused run draws nothing.  ``none`` transmits u = 0
+    in :data:`CANCELER_KINDS`, none repeated), the betas (at least one, each
+    finite and nonnegative) and that a symbol holds more than the
+    ``_CHAIN_ALIGN`` samples before its decision window, then builds and
+    checks the loop of each kind that runs a controller, and only then makes
+    the streams, so a refused run draws nothing.  ``none`` transmits u = 0
     exactly and has no loop.
 
     Run j is sweep point j with gain ``betas[j]``, and its n_RS, bits and
@@ -299,8 +387,9 @@ class _ChainBatch:
     read the same ones.  Per chunk, a run draws (periods, cols.size)
     normals, which is 2 per period with F = I, all 2N with a dynamic F and
     none when only ``none`` runs, and tx is added at those columns only.  A
-    run's n_T is (n, 2) normals.  Chunked draws equal whole ones.  Each
-    kernel and loop state ``X[kind]`` lives as long as the batch.
+    run's n_T is drawn per window, as :func:`_terminal_noise` lays it out.
+    Chunked draws equal whole ones.  Each kernel, loop state ``X[kind]``
+    and window ``carry[kind]`` lives as long as the batch.
     """
 
     def __init__(self, cfg: SimConfig, kinds, betas):
@@ -318,56 +407,85 @@ class _ChainBatch:
             raise ValueError(f"beta values must be nonnegative, got {list(betas)}")
         if not all(math.isfinite(beta) for beta in betas):
             raise ValueError(f"beta values must be finite, got {list(betas)}")
+        self.sps, self.N = cfg.sps, cfg.params.fsfh_ratio
+        self.m = self.sps // self.N
+        if self.sps <= _CHAIN_ALIGN:
+            raise ValueError(f"the relay receiver's windows start {_CHAIN_ALIGN} fast sample(s) "
+                             f"after a symbol edge, so a symbol needs more than that, got {self.sps}")
         self.kernels = {kind: _PeriodKernel(_period_maps(cfg, kind))
                         for kind in self.kinds if kind != "none"}
         self.X = {kind: np.zeros((k.n_states, len(betas))) for kind, k in self.kernels.items()}
+        fold = _fold(self.N)
+        self.H_dec = {kind: k.H @ fold for kind, k in self.kernels.items()}
+        self.carry = dict.fromkeys(self.kernels)
         self.cols = next((k.cols for k in self.kernels.values()), np.zeros(0, dtype=np.intp))
-        self.N = cfg.params.fsfh_ratio
         self.scale = np.array([beta * cfg.relay_gain for beta in betas])
         self.sigma_rs, self.sigma_t = cfg.sigma_rs, cfg.sigma_t
+        self.n_symbols, self.symbols_done = cfg.n_symbols, 0
         self.rs, self.bits, self.t = zip(*(point_streams(cfg.seed, i) for i in range(len(betas))))
 
-    def advance(self, tx: np.ndarray):
-        """Yield (kind, u, y_T) for the next fast samples tx, shaped (n, 2, P).
-
-        u is run by row, (n / N, P, 2N) with u[k, p] run p's samples of
-        period k; y_T is (n, 2, P), and its reader checks it for overflow.
-        Kinds are computed one at a time, as the caller consumes them, so
-        only one kind's outputs are alive at once.
-        """
+    def loop_inputs(self, tx: np.ndarray) -> np.ndarray:
+        """W (periods, P, cols.size): w = tx + n_RS at the columns the loops
+        read, for the next fast samples tx (n, 2, P) of the runs."""
         n, _, P = tx.shape
-        T, N = n // self.N, self.N
+        T = n // self.N
         # Run-major: each run's draws are contiguous, so drawing into them
         # consumes its streams exactly as whole draws do.
-        rs, n_t = np.empty((P, T, self.cols.size)), np.empty((P, n, 2))
+        rs = np.empty((P, T, self.cols.size))
         for j in range(P):
             self.rs[j].standard_normal(out=rs[j])
-            self.t[j].standard_normal(out=n_t[j])
         rs *= self.sigma_rs
-        rs += tx.reshape(T, 2 * N, P)[:, self.cols].transpose(2, 0, 1)
-        n_t *= self.sigma_t
-        n_t = n_t.transpose(1, 2, 0)  # (n, 2, P)
-        W = rs.transpose(1, 0, 2)  # (T, P, cols.size)
+        rs += tx.reshape(T, 2 * self.N, P)[:, self.cols].transpose(2, 0, 1)
+        return rs.transpose(1, 0, 2)
+
+    def advance(self, tx: np.ndarray):
+        """Yield (kind, y) for the next whole symbols tx (n, 2, P) of the sweep.
+
+        y (windows, P, 2) is, for each decision window that tx completes,
+        the statistic scale Sum u + Sum n_T that the receiver projects:
+        every window of the chunk but its last, which waits for the next
+        chunk's first sample, and on the run's ``cfg.n_symbols``-th symbol
+        that window too.  Its reader checks it for overflow.  Kinds are
+        computed one at a time, as the caller consumes them, so only one
+        kind's outputs are alive at once.
+        """
+        n, _, P = tx.shape
+        symbols, a = n // self.sps, _CHAIN_ALIGN
+        first = self.symbols_done == 0
+        self.symbols_done += symbols
+        final = self.symbols_done == self.n_symbols
+        W = self.loop_inputs(tx)
+        inner = symbols - first
+        n_t = np.empty((P, inner + final, 2))
+        for j in range(P):
+            self.t[j].standard_normal(out=n_t[j, :inner])
+            if final:
+                last = self.t[j].standard_normal((self.sps - a, 2))
+                n_t[j, inner] = last.sum(axis=0) + a * last[-1]
+        n_t[:, :inner] *= math.sqrt(self.sps) * self.sigma_t
+        n_t[:, inner:] *= self.sigma_t
+        n_t = n_t.transpose(1, 0, 2)
         for kind in self.kinds:
             if kind not in self.kernels:
-                yield kind, np.zeros((T, P, 2 * N)), n_t
+                yield kind, n_t
                 continue
-            u = _advance(self.kernels[kind], self.X[kind], W)
-            y_t = np.empty(tx.shape)
             with np.errstate(**_DIVERGENCE):
-                np.multiply(u.reshape(T, P, N, 2).transpose(0, 2, 3, 1), self.scale,
-                            out=y_t.reshape(T, N, 2, P))
-                y_t += n_t
-            yield kind, u, y_t
+                F = _advance(self.kernels[kind], self.X[kind], W, self.H_dec[kind])
+                sums, self.carry[kind] = _window_sums(F, self.m, self.carry[kind], final)
+                y = sums * self.scale[:, None] + n_t
+            yield kind, y
 
     def pilot(self, kind: str, tx: np.ndarray) -> np.ndarray:
-        """Noise-free relay output u (n, 2) of a kind's loop, from rest, for
-        fast samples tx (n, 2); u = 0 for ``none``."""
+        """The last decision window's sum (2,) of a kind's noise-free relay
+        output u, from rest, for whole symbols tx (n, 2); 0 for ``none``."""
         if kind not in self.kernels:
-            return np.zeros_like(tx)
+            return np.zeros(2)
         kernel = self.kernels[kind]
         W = tx.reshape(-1, 2 * self.N)[:, None, kernel.cols]
-        return _advance(kernel, np.zeros((kernel.n_states, 1)), W).reshape(tx.shape)
+        F = _advance(kernel, np.zeros((kernel.n_states, 1)), W, self.H_dec[kind])
+        with np.errstate(**_DIVERGENCE):
+            sums, _ = _window_sums(F, self.m, None, True)
+        return sums[-1, 0]
 
 
 def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
@@ -375,20 +493,29 @@ def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
 
     Each output is (n, 2) like tx: ``z`` is the cancelation error tx - u
     against the noise-free incoming signal; ``y_T`` is the terminal-side
-    received waveform beta * g * u + n_T with g the relay amplitude gain.
-    This is the one-run case of the batched engine the BER sweeps use, at
-    sweep point 0 of ``cfg.seed``.
+    received waveform beta * g * u + n_T with g the relay amplitude gain,
+    and every sample of it is finite.  This is the one-run case of the
+    batched engine the BER sweeps use, at sweep point 0 of ``cfg.seed``:
+    the receiver's windows of y_T hold the statistics that a one-beta
+    sweep of the same symbols decides on.
     """
     tx = _iq_samples(tx)
     N, n_fast = cfg.params.fsfh_ratio, tx.shape[0]
     if n_fast % N != 0:
         raise ValueError(f"waveform length {n_fast} is not a multiple of the FSFH ratio {N}")
     batch = _ChainBatch(cfg, [kind], [beta])
-    ((_, u, y_t),) = batch.advance(tx[:, :, None])
+    W = batch.loop_inputs(tx[:, :, None])
+    n_t = _terminal_noise(batch.t[0], batch.sigma_t, n_fast, batch.sps)
+    if kind == "none":
+        u, y_t = np.zeros_like(tx), n_t
+    else:
+        kernel = batch.kernels[kind]
+        u = _advance(kernel, batch.X[kind], W, kernel.H).reshape(n_fast, 2)
+        with np.errstate(**_DIVERGENCE):
+            y_t = batch.scale[0] * u + n_t
     if not np.isfinite(y_t).all():
         raise FloatingPointError("terminal waveform overflows a float")
-    u = u.reshape(n_fast, 2)
-    return SimOutput(y_T=y_t[:, :, 0], u=u, z=tx - u)
+    return SimOutput(y_T=y_t, u=u, z=tx - u)
 
 
 def write_waveform_csv(path, cfg: SimConfig, tx: np.ndarray, out: SimOutput) -> None:

@@ -140,3 +140,29 @@ def scattering_probe(Gl, gamma):
     if s_max >= 1.0 - 1e-9:
         return Infeasible("d11", f"sigma_max(D11)/gamma = {s_max:.6f} >= 1")
     return _solve_scattered(Gl, absorb_w_feedthrough(p), gamma)
+
+
+# The relay receiver as the tests define it, apart from the package: a
+# window starts one fast sample after its symbol's edge, and the final
+# window repeats the stream's last sample in the slot that the stream
+# lacks.
+RECEIVER_OFFSET = 1
+
+
+def relay_window_sums(y, sps):
+    """Window sums (windows, 2, ...) of per-sample waveforms y (n, 2, ...)
+    at the relay receiver's alignment, n a multiple of sps."""
+    y = np.asarray(y)
+    stream = np.concatenate([y[RECEIVER_OFFSET:], np.repeat(y[-1:], RECEIVER_OFFSET, axis=0)])
+    return stream.reshape(-1, sps, *y.shape[1:]).sum(axis=1)
+
+
+def simulate_point(cfg, tx, kind, beta, point):
+    """``simulate_chain`` run on sweep point ``point``'s streams instead of
+    point 0's: the whole-waveform run of that point."""
+    from cwcancel import simulate
+
+    streams = simulate.point_streams
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "point_streams", lambda seed, i: streams(seed, i + point))
+        return simulate.simulate_chain(cfg, tx, kind, beta)

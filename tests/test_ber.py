@@ -16,6 +16,7 @@ from cwcancel.ber import (
     wilson_interval,
     write_ber_csv,
 )
+from conftest import relay_window_sums, simulate_point
 from cwcancel.plant import RelayParams
 from cwcancel.simulate import SimConfig
 
@@ -179,7 +180,6 @@ class TestRunBer:
         # With RS noise off the designed chain is deterministic up to the
         # terminal AWGN; the analytic prediction only needs the chain gain,
         # which a noise-free pilot measures exactly.
-        from cwcancel.ber import _CHAIN_ALIGN, _window_means
         from cwcancel.simulate import simulate_chain
 
         beta = 2e-3
@@ -187,7 +187,7 @@ class TestRunBer:
         sps = cfg.sps
         pilot = replace(cfg, noise_t_dbm=-math.inf)
         resp = simulate_chain(pilot, modulate(np.ones(8, dtype=int), cfg), "designed", beta)
-        gain = _window_means(resp.y_T, sps, _CHAIN_ALIGN, None, True)[0][-1, 0]
+        gain = relay_window_sums(resp.y_T, sps)[-1, 0] / sps
         sigma = math.sqrt(10.0 ** (cfg.noise_t_dbm / 10.0) / 2.0)
         p = q_function(gain / (sigma / math.sqrt(sps)))
         point = one_point(cfg, "designed", beta)
@@ -350,22 +350,18 @@ def antialias_cfg():
 
 
 def whole_waveform_errors(cfg, kind, beta, point):
-    """Bit errors of sweep point ``point`` from whole waveforms: one run, no chunks."""
-    from cwcancel.ber import _CHAIN_ALIGN, _decide, _pilot_reference
-    from cwcancel.simulate import _ChainBatch, simulate_chain
+    """Bit errors of sweep point ``point`` from its whole waveform: the y_T of
+    ``simulate_chain`` run on point ``point``'s streams (one run, no
+    chunks), summed per window one sample after each symbol edge."""
+    from cwcancel.ber import _decide, _pilot_reference
+    from cwcancel.simulate import _ChainBatch
 
     key = np.array([cfg.seed, 3 * point + 1], dtype=np.uint64)
     bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=cfg.n_symbols)
     tx = modulate(bits, cfg)
-    # Runs 0 .. point of one batch at the same beta; run ``point`` is sweep point ``point``.
-    batch = _ChainBatch(cfg, [kind], [beta] * (point + 1))
-    ref = _pilot_reference(cfg, batch, kind)
-    ((_, _, y_t),) = batch.advance(np.repeat(tx[:, :, None], point + 1, axis=2))
-    y_t = y_t[:, :, point]
-    if point == 0:
-        assert np.array_equal(simulate_chain(cfg, tx, kind, beta).y_T, y_t)
-    decided, _ = _decide(y_t[:, :, None], ref, cfg.sps, _CHAIN_ALIGN, None, True)
-    return int(np.sum(decided[:, 0] != bits))
+    ref = _pilot_reference(cfg, _ChainBatch(cfg, [kind], [beta]), kind)
+    y_t = simulate_point(cfg, tx, kind, beta, point).y_T
+    return int(np.sum(_decide(relay_window_sums(y_t, cfg.sps), ref) != bits))
 
 
 @pytest.mark.parametrize("kind", ["designed", "perfect"])
@@ -404,7 +400,9 @@ class TestBatchedSweep:
         cfg = replace(base_cfg if which == "defaults" else antialias_cfg, n_symbols=300)
         betas = [1e-4, 3e-4, 1e-3]
         for curve in sweep_beta(cfg, betas, ["none", "designed", "perfect"]):
-            assert curve.points[0] == one_point(cfg, curve.canceler_kind, betas[0])
+            point = curve.points[0]
+            assert point == one_point(cfg, curve.canceler_kind, betas[0])
+            assert point.errors == whole_waveform_errors(cfg, curve.canceler_kind, betas[0], 0)
 
     def test_memory_bounded_by_chunk(self, base_cfg):
         import tracemalloc

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import relay_window_sums, simulate_point
 from cwcancel.ber import sweep_beta
 from cwcancel.hnorm import UnstableSystemError
 from cwcancel.lifting import StepMismatchError, lift
@@ -88,15 +89,15 @@ class TestOverflowingTerminalWaveform:
             sweep_beta(loud_cfg, betas, ["none", "designed"])
 
     def test_window_sum_overflows(self, base_cfg):
-        """g = 1e150: every sample of y_T at beta = 3e157 is finite, but a
-        decision window's sum of them is not."""
+        """g = 1e150: at beta = 3e157 every sample of y_T would be finite, but
+        a decision window's statistic, their sum, is not."""
         with pytest.raises(FloatingPointError, match="^terminal waveform overflows a float$"):
             sweep_beta(replace(base_cfg, relay_gain_db=3000.0, n_symbols=200), [1.0, 3e157],
                        ["designed"])
 
     def test_large_finite_gain_decides_as_without_terminal_noise(self, default_params):
-        """g = 1e300 keeps every sample and window mean of y_T finite at beta = 1
-        and 2, and n_T is lost below their rounding, so the counts are those of
+        """g = 1e300 keeps every decision window's statistic finite at beta = 1
+        and 2, and n_T is lost below its rounding, so the counts are those of
         a 60 dB relay with n_T off."""
         params = replace(default_params, fsfh_ratio=8)
         controller = bisect_gamma(lift(params), tol=1e-3).controller
@@ -308,7 +309,7 @@ def advance_full(kernel, X, W):
     """_advance on the full (T, 2N, P) inputs W, with U in the same layout."""
     from cwcancel.simulate import _advance
 
-    return _advance(kernel, X, W[:, kernel.cols].transpose(0, 2, 1)).transpose(0, 2, 1)
+    return _advance(kernel, X, W[:, kernel.cols].transpose(0, 2, 1), kernel.H).transpose(0, 2, 1)
 
 
 def none_loop(params):
@@ -459,23 +460,97 @@ def test_in_place_draws_equal_whole_draws():
     assert np.array_equal(np.concatenate(chunks), whole)
 
 
+def sweep_statistics(batch, tx, chunks):
+    """The batch's window statistics of a sweep of whole symbols tx (n, 2, P),
+    fed as ``chunks`` symbols at a time: kind -> (windows, P, 2)."""
+    out, start = {}, 0
+    for n in chunks:
+        for kind, y in batch.advance(tx[start * batch.sps:(start + n) * batch.sps]):
+            out.setdefault(kind, []).append(y)
+        start += n
+    return {kind: np.concatenate(ys) for kind, ys in out.items()}
+
+
+def terminal_window_sums(cfg, point, n_symbols):
+    """Sweep point ``point``'s n_T window sums (n_symbols, 2) from Philox key
+    (seed, 3 point + 2), whole: each window but the last is sqrt(sps)
+    sigma_t times 2 normals, and the last sums its sps - 1 samples, the
+    last of them twice."""
+    key = np.array([cfg.seed, 3 * point + 2], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    sums = rng.standard_normal((n_symbols - 1, 2)) * (math.sqrt(cfg.sps) * cfg.sigma_t)
+    last = rng.standard_normal((cfg.sps - 1, 2))
+    return np.vstack([sums, (last.sum(axis=0) + last[-1]) * cfg.sigma_t])
+
+
 def test_batch_terminal_noise_is_its_own_stream(base_cfg):
-    # With u = 0 (canceler none), y_T is each run's n_T: sigma_t times the
-    # first n_fast x 2 normals of Philox key (seed, 3 i + 2) for sweep point
-    # i, however the samples are chunked; no n_RS is drawn at all.
+    # With u = 0 (canceler none), each window's statistic is its n_T sum,
+    # drawn per window from Philox key (seed, 3 i + 2) for sweep point i,
+    # however the symbols are chunked; no n_RS is drawn at all.
     from cwcancel.simulate import _ChainBatch
 
-    betas, n_fast = [1e-3, 1e-2, 1e-1, 1.0], 16 * 100
-    batch = _ChainBatch(base_cfg, ["none"], betas)
+    betas, n_symbols = [1e-3, 1e-2, 1e-1, 1.0], 172
+    cfg = replace(base_cfg, n_symbols=n_symbols)
+    batch = _ChainBatch(cfg, ["none"], betas)
     assert batch.cols.size == 0
-    y_t = np.concatenate([y for n in (16, 512, 48, 1024)
-                          for _, _, y in batch.advance(np.zeros((n, 2, len(betas))))])
+    tx = np.zeros((n_symbols * cfg.sps, 2, len(betas)))
+    y = sweep_statistics(batch, tx, (1, 64, 63, 44))["none"]
     for i in range(len(betas)):
-        key = np.array([base_cfg.seed, 3 * i + 2], dtype=np.uint64)
-        n_t = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_fast, 2))
-        assert np.array_equal(y_t[:, :, i], batch.sigma_t * n_t)
+        ref = terminal_window_sums(cfg, i, n_symbols)
+        assert np.array_equal(y[:-1, i], ref[:-1])
+        assert np.abs(y[-1, i] - ref[-1]).max() <= 1e-15 * np.abs(ref[-1]).max()
 
 
+def test_window_noise_variances():
+    """Interior window sums of n_T have variance sps sigma_t^2, and the final
+    window, which counts its last sample twice, (sps + 2) sigma_t^2.  Over
+    10 000 runs x 2 components each sample variance lies within 4 of its
+    standard errors, sqrt(2 / 20 000) = 1 %, of that; at sps = 32 the final
+    window's two extra shares are 6.25 %."""
+    from cwcancel.simulate import _ChainBatch
+
+    cfg = SimConfig(params=RelayParams(), seed=31, n_symbols=2, noise_t_dbm=0.0)
+    P, sps, var = 10000, cfg.sps, cfg.sigma_t ** 2
+    batch = _ChainBatch(cfg, ["none"], [1.0] * P)
+    ((_, y),) = batch.advance(np.zeros((2 * sps, 2, P)))
+    for sums, expected in ((y[0], sps * var), (y[1], (sps + 2) * var)):
+        assert abs(np.mean(sums ** 2) / expected - 1.0) <= 4.0 * math.sqrt(2.0 / sums.size)
+
+
+class TestWaveformNoise:
+    """waveform.csv's per-sample n_T: each window's samples spread its sum S
+    as S / sps + (g - mean(g)), g from the jumped stream, so they sum to
+    the statistic a sweep decides on and are iid N(0, sigma_t^2)."""
+
+    @pytest.fixture(scope="class")
+    def cfg(self, default_params):
+        return SimConfig(params=default_params, seed=77, noise_t_dbm=3.0)
+
+    def test_windows_sum_to_the_sweep_statistic(self, cfg):
+        n_symbols = 40
+        n_t = simulate_chain(cfg, np.zeros((n_symbols * cfg.sps, 2)), "none", 1.0).y_T
+        ref = terminal_window_sums(cfg, 0, n_symbols)
+        sums = relay_window_sums(n_t, cfg.sps)
+        assert np.abs(sums - ref).max() <= 1e-12 * np.abs(ref).max()
+        # Sample 0, before the first window, is the stream's next draw.
+        key = np.array([cfg.seed, 2], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        rng.standard_normal((n_symbols - 1 + cfg.sps - 1, 2))
+        assert np.array_equal(n_t[0], cfg.sigma_t * rng.standard_normal(2))
+
+    def test_samples_are_white(self, cfg):
+        """Over 2 000 symbols (128 000 values), the sample variance lies within
+        4 standard errors of sigma_t^2, and the lag-1 correlation within 4
+        standard errors, 1 / sqrt(pairs), of 0: over pairs inside a window
+        and over pairs that straddle a window edge."""
+        n_symbols, sps = 2000, cfg.sps
+        n_t = simulate_chain(cfg, np.zeros((n_symbols * sps, 2)), "none", 1.0).y_T
+        x = n_t / cfg.sigma_t
+        assert abs(np.mean(x ** 2) - 1.0) <= 4.0 * math.sqrt(2.0 / x.size)
+        products = x[:-1] * x[1:]  # pair (j, j + 1)
+        edge = (np.arange(1, x.shape[0]) % sps) == 1  # j + 1 starts a window
+        for pairs in (products[~edge], products[edge]):
+            assert abs(pairs.mean()) <= 4.0 / math.sqrt(pairs.size)
 def test_stream_keys_of_adjacent_seeds_are_disjoint():
     # Point i's n_RS, bits and n_T have keys (seed, 3 i + 0, 1, 2): over 12
     # points, base seeds s and s + 1 share no key, and neither does one
@@ -518,23 +593,55 @@ def test_samples_no_loop_reads_do_not_reach_u(oracle_cases, case):
 @pytest.mark.parametrize("case", ["defaults", "antialias"])
 def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
     # Sweep point i's n_RS is sigma_rs times (periods, m) normals of Philox
-    # key (seed, 3 i) at the m columns the loop reads, however the samples
-    # are chunked (at block edges, so the kernel's bits do not depend on it).
-    from cwcancel.simulate import _SCAN_BLOCK, _advance, _ChainBatch, _period_maps, _PeriodKernel
+    # key (seed, 3 i) at the m columns the loop reads, however the symbols
+    # are chunked: the batch's window sums of u equal those of the kernel's
+    # per-sample output on those inputs.
+    from cwcancel.simulate import _advance, _ChainBatch, _period_maps, _PeriodKernel
 
     params, K = oracle_cases[case]
-    cfg = SimConfig(params=params, controller=K, seed=5, noise_t_dbm=-math.inf)
-    N, chunks = params.fsfh_ratio, (_SCAN_BLOCK, 2 * _SCAN_BLOCK, _SCAN_BLOCK)
+    cfg = SimConfig(params=params, controller=K, seed=5, relay_gain_db=0.0,
+                    noise_t_dbm=-math.inf, n_symbols=100)
+    kernel = _PeriodKernel(_period_maps(cfg, "designed"))
+    periods = cfg.n_symbols * cfg.sps // params.fsfh_ratio
     for P in (1, 4):  # run i of a batch is sweep point i
         batch = _ChainBatch(cfg, ["designed"], [1.0] * P)
-        u = np.concatenate([u for T in chunks
-                            for _, u, _ in batch.advance(np.zeros((T * N, 2, P)))])
-        kernel = _PeriodKernel(_period_maps(cfg, "designed"))
+        y = sweep_statistics(batch, np.zeros((cfg.n_symbols * cfg.sps, 2, P)), (32, 64, 4))
         n_rs = np.stack([np.random.Generator(np.random.Philox(
             key=np.array([cfg.seed, 3 * i], dtype=np.uint64))).standard_normal(
-            (sum(chunks), kernel.cols.size)) for i in range(P)], axis=1)
-        ref = _advance(kernel, np.zeros((kernel.n_states, P)), batch.sigma_rs * n_rs)
-        assert np.array_equal(u, ref)
+            (periods, kernel.cols.size)) for i in range(P)], axis=1)
+        u = _advance(kernel, np.zeros((kernel.n_states, P)), batch.sigma_rs * n_rs, kernel.H)
+        ref = relay_window_sums(u.reshape(periods, P, -1, 2).transpose(0, 2, 3, 1)
+                                .reshape(-1, 2, P), cfg.sps).transpose(0, 2, 1)
+        assert np.abs(y["designed"] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestFoldedStatistic:
+    """The sweep's window sums of u, folded in the kernel, against the window
+    sums of the per-sample relay output of the same run: over two chunk
+    edges and a short final chunk, and for a lone symbol."""
+
+    @pytest.mark.parametrize("n_symbols", [2 * 64 + 44, 1])
+    @pytest.mark.parametrize("case", ["defaults", "antialias"])  # F = I, F = 100/(s+100)
+    def test_equals_per_sample_sums(self, oracle_cases, case, n_symbols):
+        from cwcancel.simulate import _ChainBatch
+
+        params, K = oracle_cases[case]
+        # g = 1 and beta = 1, 0.5, 2 scale u exactly; n_T is off and n_RS on.
+        cfg = SimConfig(params=params, controller=K, seed=11, relay_gain_db=0.0,
+                        noise_t_dbm=-math.inf, n_symbols=n_symbols)
+        betas, sps = [1.0, 0.5, 2.0], cfg.sps
+        rng = np.random.default_rng(n_symbols)
+        tx = np.stack([rng.choice([-1.0, 1.0], n_symbols).repeat(sps)[:, None] * [1.0, 0.0]
+                       for _ in betas], axis=2)
+        kinds = ["designed", "perfect"]
+        y = sweep_statistics(_ChainBatch(cfg, kinds, betas), tx,
+                             [64] * (n_symbols // 64) + [n_symbols % 64])
+        for i, beta in enumerate(betas):
+            for kind in kinds:
+                u = simulate_point(cfg, tx[:, :, i], kind, beta, i).u
+                ref = relay_window_sums(u, sps)
+                assert y[kind].shape == (n_symbols, len(betas), 2)
+                assert np.abs(y[kind][:, i] / beta - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestDelayFree:
@@ -561,6 +668,19 @@ class TestValidation:
         cfg = SimConfig(params=default_params, controller=K, seed=0)
         with pytest.raises(StepMismatchError, match="controller step 2.0"):
             simulate_chain(cfg, np.zeros((16, 2)), "designed", 1.0)
+
+    def test_symbol_must_outlast_the_window_offset(self, default_params):
+        # At N = 1 and one slow period per symbol a symbol is one fast
+        # sample, and the relay receiver's window, which starts one sample
+        # after the symbol edge, would hold none of its symbol's samples.
+        cfg = SimConfig(params=replace(default_params, fsfh_ratio=1), symbol_period=1.0,
+                        n_symbols=4)
+        with pytest.raises(ValueError, match="^the relay receiver's windows start 1 fast"):
+            simulate_chain(cfg, np.zeros((4, 2)), "none", 1.0)
+        with pytest.raises(ValueError, match="^the relay receiver's windows start 1 fast"):
+            sweep_beta(cfg, [1.0], ["none"])
+        (curve,) = sweep_beta(replace(cfg, symbol_period=2.0), [1.0], ["none"])
+        assert curve.points[0].trials == 4
 
     def test_length_must_be_whole_periods(self, base_cfg):
         with pytest.raises(ValueError, match="waveform length 17 is not a multiple of the FSFH"):
