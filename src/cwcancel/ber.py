@@ -16,20 +16,20 @@ timing included, and derives samples per symbol and every linear factor
 that modulation and detection read.
 
 A sweep is one streaming pass (:func:`_error_counts`): each controlled
-kind's period map is built once, all beta points of a kind advance
-together through the simulator's one kernel, and each point's bits and
-noise are drawn once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by
-every kind.  n_RS is drawn only at the samples the loops read, and n_T as
-one sum per decision window.  The kernel folds each period's relay output
-into the sums that the windows read, so a sweep scores each window's
-statistic beta g Sum u + Sum n_T and never forms a waveform sample.
-Decisions are scored chunk by chunk, so memory does not grow with
-``n_symbols``; one receiver (:func:`_decide`) makes them, and
+kind's period map is built once, and each point's bits and noise are
+drawn once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by every
+kind.  n_RS is drawn, and the BPSK tx formed from the bits, only at the
+samples the loops read, and n_T as one sum per decision window.  All beta
+points of a kind advance together: one product with the kind's window map
+(``simulate._WindowMap``) gives a chunk's window sums of u, so a sweep
+scores each window's statistic beta g Sum u + Sum n_T and never forms a
+waveform sample.  Decisions are scored chunk by chunk, so memory does not
+grow with ``n_symbols``; one receiver (:func:`_decide`) makes them, and
 :func:`demodulate`'s too.  The phase reference is a property of a kind's
-loop: one noise-free pilot reads the folded relay output u of the loop the
-sweep already built, since the terminal's beta g > 0 keeps u's direction,
-and ``none`` (u = 0 exactly) has no loop.  A single BER point is a
-one-beta, one-kind sweep.
+loop: one noise-free pilot, through the same window maps, reads the relay
+output u of the loop the sweep already built, since the terminal's
+beta g > 0 keeps u's direction, and ``none`` (u = 0 exactly) has no loop.
+A single BER point is a one-beta, one-kind sweep.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ def modulate(bits, cfg: SimConfig) -> np.ndarray:
 
 
 def _bpsk(bits: np.ndarray, sps: int, amp: float) -> np.ndarray:
-    """:func:`modulate`'s samples for bits (n,) or (n, P): (n sps, 2) or (n sps, 2, P)."""
-    samples = np.zeros((bits.shape[0] * sps, 2) + bits.shape[1:])
-    samples[:, 0] = np.repeat(amp * (2.0 * bits - 1.0), sps, axis=0)
+    """:func:`modulate`'s samples (n sps, 2) for bits (n,)."""
+    samples = np.zeros((bits.size * sps, 2))
+    samples[:, 0] = np.repeat(amp * (2.0 * bits - 1.0), sps)
     return samples
 
 
@@ -153,12 +153,12 @@ def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
 _CHUNK_SYMBOLS = 64  # symbols per streamed chunk of a BER run
 
 
-def _pilot_reference(cfg: SimConfig, batch, kind: str) -> np.ndarray:
-    """Unit gain/rotation reference of one kind of a :class:`_ChainBatch` of
-    ``cfg``: the direction of the last decision window's sum of its loop's
+def _pilot_reference(batch, kind: str) -> np.ndarray:
+    """Unit gain/rotation reference of one kind of a :class:`_ChainBatch`:
+    the direction of the last decision window's sum of its loop's
     noise-free relay output u for an all-ones pilot, or the I axis where
     that sum is 0 (``none``)."""
-    i, q = batch.pilot(kind, modulate(np.ones(8, dtype=int), cfg))
+    i, q = batch.pilot(kind, np.ones(8, dtype=int))
     norm = math.hypot(i, q)
     return np.array([i / norm, q / norm]) if norm > 0.0 else np.array([1.0, 0.0])
 
@@ -174,16 +174,16 @@ def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
     kind's reference is a property of its loop, so one pilot serves every
     point.
     """
-    sps, amp, n_symbols = cfg.sps, cfg.signal_amplitude, cfg.n_symbols
+    n_symbols = cfg.n_symbols
     batch = _ChainBatch(cfg, kinds, betas)
-    refs = {kind: _pilot_reference(cfg, batch, kind) for kind in batch.kinds}
+    refs = {kind: _pilot_reference(batch, kind) for kind in batch.kinds}
     errors = {kind: np.zeros(len(betas), dtype=int) for kind in batch.kinds}
     unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the windows not yet complete
     for start in range(0, n_symbols, _CHUNK_SYMBOLS):
         n = min(_CHUNK_SYMBOLS, n_symbols - start)
         bits = np.stack([rng.integers(0, 2, size=n) for rng in batch.bits], axis=1)
         unscored = np.concatenate([unscored, bits])
-        for kind, y in batch.advance(_bpsk(bits, sps, amp)):
+        for kind, y in batch.advance(bits):
             decided = _decide(y, refs[kind])
             errors[kind] += np.sum(decided != unscored[: len(decided)], axis=0)
         unscored = unscored[len(decided):]

@@ -17,18 +17,21 @@ periods, and maps each period through the output matrix it is given.  It
 takes only the samples of w that reach the loop (with F = I, the one
 sampled I/Q pair per period) and runs a doubling scan over blocks of 64
 periods, so its Python loop turns log2(64) times per block, not once per
-period.  :class:`_ChainBatch` feeds it chunk by chunk for the BER sweeps
-(every beta point of a kind is a column), and :func:`simulate_chain` is its
-one-run, one-chunk case.  The batch is the one gate of a run: it checks the
-kinds, builds and checks the loops, and makes the streams.
+period.  :func:`simulate_chain` runs it over a whole waveform.
+:class:`_ChainBatch` runs the BER sweeps chunk by chunk, every beta point
+of a kind as a run, and is the one gate of a run: it checks the kinds,
+builds and checks the loops, and makes the streams.
 
 A sweep reads u only through its decision windows, which start
 ``_CHAIN_ALIGN`` = 1 fast sample after each symbol edge, one after the hold
-update.  So the batch folds each period's 2N output samples into six numbers
-(:func:`_fold`): the I/Q sums of its first sample and of the rest, and its
-last sample.  A window is the sum of the "rest" of each of its m = sps / N
-periods and the first sample of the period after each of them
-(:func:`_window_sums`).
+update.  :func:`_fold` maps a period's 2N output samples to six numbers:
+the I/Q sums of its first sample and of the rest, and its last sample.  A
+window is the sum of the "rest" of each of its m = sps / N periods and the
+first sample of the period after each of them (:func:`_window_sums`).  The
+loop is linear and time-invariant, so what a chunk hands the sweep, its
+window sums and its final state, is one linear map of the runs' states and
+inputs (:class:`_WindowMap`), built once per kind and chunk length from
+:func:`_advance`'s unit responses; a chunk of a kind is one matrix product.
 The sweep never forms u or y_T sample by sample; :func:`simulate_chain`
 does, for ``waveform.csv``.
 
@@ -60,10 +63,12 @@ Canceler kinds
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hnorm import require_stable
 from .lifting import closed_loop, lift
@@ -341,6 +346,106 @@ def _window_sums(F: np.ndarray, m: int, carry, final: bool):
     return done, new_carry
 
 
+def _unit_windows(F: np.ndarray, m: int):
+    """Windows -1 .. S-1 (S + 1, R, 2) of R runs' folded outputs F (T, R, 6)
+    from rest, window -1 being the head of period 0 and S-1 open, and the
+    open sums (S, R, 2) of windows 0 .. S-1, each without the head that
+    closes it."""
+    R = F.shape[1]
+    F = np.concatenate([F, F], axis=1)
+    F[m::m, R:, 0:2] = 0.0
+    done, carry = _window_sums(F, m, None, False)
+    windows = np.concatenate([F[None, 0, :, 0:2], done, carry[None]])
+    return windows[:, :R], windows[1:, R:]
+
+
+class _WindowMap:
+    """What a chunk of T = S m periods hands the sweep, as one linear map ``M``.
+
+    A run's row [x_0, v_0, ..., v_{T-1}] (n + T q numbers) times ``M``
+    gives [head, window_0 .. window_{S-1}, last, x_T]: the head of period 0,
+    which closes the previous chunk's carry; the chunk's S window sums of
+    u, the last one still open (the carry); the last sample, which a final
+    window adds once more; and the state after the chunk.  v_k is period
+    k's w at the kernel's columns, or, where fewer numbers hold all that a
+    period passes on of w, its image under ``image``: the entries of the
+    state kick B w and the folded feedthrough H_w w (n + 6 numbers) that
+    are not exactly zero.  With F = 100/(s+100) that is the filter's I/Q
+    state kick, 2 numbers at every N, so ``M`` does not grow with N.  This
+    lifts the period map to the decision rate (Chen and Francis, "Optimal
+    Sampled-Data Control Systems", 1995).
+
+    ``M`` is built from the loop's unit responses: one :func:`_advance` of
+    the n unit states and of a unit input in each of the q columns at
+    period 0.  The loop is time-invariant, so an input at period s m + phi
+    responds as the one at period 0 does, s m + phi periods later:
+    :func:`_unit_windows` sums the windows of each of the m shifts phi, and
+    s whole windows move those sums s places, the head of period 0 being
+    window -1.  Only the window that the chunk's end cuts is read from the
+    open sums, those without the head that would close it.  Building ``M``
+    takes time and memory linear in T.
+    """
+
+    def __init__(self, kernel: _PeriodKernel, periods: int, m: int):
+        n, c = kernel.n_states, kernel.cols.size
+        H_dec = kernel.H @ _fold(kernel.H.shape[1] // 2)
+        unit, H_in, self.image = kernel, H_dec[n:], None
+        image = np.hstack([kernel.BT, H_in])
+        live = np.flatnonzero(np.any(image != 0.0, axis=0))
+        if live.size < c:
+            self.image = image[:, live]
+            unit, H_in = copy(kernel), np.eye(n + 6, 6, -n)[live]
+            unit.BT = np.eye(n + 6, n)[live]
+        q, S = H_in.shape[0], periods // m
+        self.n_states, self.S = n, S
+        # Runs: the n unit states, then a unit input in each column at period 0.
+        # Output per period: the folded u, then the next state x_{k+1}.
+        H = np.block([[H_dec[:n], kernel.powers[0]], [H_in, unit.BT]])
+        W = np.zeros((periods, n + q, q))
+        W[0, n:] = np.eye(q)
+        U = _advance(unit, np.eye(n, n + q), W, H)
+        M = self.M = np.empty((n + periods * q, 2 * S + 4 + n))
+        windows, _ = _unit_windows(U[:, :n, :6], m)
+        M[:n, :2 * S + 2] = windows.transpose(1, 0, 2).reshape(n, -1)
+        M[:n, 2 * S + 2:] = U[-1, :n, 4:]
+        # Row (s, phi, j) of the inputs: column j at period s m + phi.
+        inputs = M[n:].reshape(S, m, q, -1)
+        for phi in range(m):
+            F = np.zeros((periods, q, 6))
+            F[phi:] = U[:periods - phi, n:, :6]
+            closed, opened = _unit_windows(F, m)
+            ahead = np.concatenate([np.zeros((S, q, 2)), closed[:S]])
+            shifted = sliding_window_view(ahead, S, axis=0)[S:0:-1]  # [s, j, iq, i] = ahead[S - s + i]
+            for iq in range(2):
+                inputs[:, phi, :, iq:2 * S:2] = shifted[:, :, iq]
+            inputs[:, phi, :, 2 * S:2 * S + 2] = opened[::-1]  # open window S - 1 - s
+            # The input at period s m + phi is at its period T - 1 - s m - phi when the chunk ends.
+            inputs[:, phi, :, 2 * S + 2:] = U[periods - 1 - phi - m * np.arange(S), n:, 4:]
+
+    def apply(self, W: np.ndarray, X: np.ndarray, carry, final: bool):
+        """One chunk of P runs, as :func:`_window_sums` reads it after :func:`_advance`.
+
+        W (P, T, cols.size) is the runs' w at the kernel's columns,
+        run-major, and X (P, n) their states, replaced by x_T.  Returns the
+        completed windows (windows, P, 2) and the new carry, unchecked.
+        """
+        P, S, n = W.shape[0], self.S, self.n_states
+        if self.image is not None:
+            W = W @ self.image
+        Y = W.reshape(P, -1) @ self.M[n:]
+        Y += X @ self.M[:n]
+        X[...] = Y[:, 2 * S + 4:]
+        sums = Y[:, :2 * S + 2].reshape(P, S + 1, 2).transpose(1, 0, 2)
+        if carry is None:  # a run's first chunk: its sample 0 is in no window
+            sums = sums[1:]
+        else:
+            sums[0] += carry
+        if final:
+            sums[-1] += _CHAIN_ALIGN * Y[:, 2 * S + 2: 2 * S + 4]
+            return sums, None
+        return sums[:-1], sums[-1]
+
+
 def _terminal_noise(rng: np.random.Generator, sigma_t: float, n: int, sps: int) -> np.ndarray:
     """One run's n_T at n fast samples, (n, 2), from its n_T generator ``rng``.
 
@@ -386,9 +491,10 @@ class _ChainBatch:
     read: ``designed`` and ``perfect`` close the same K with W = I, so they
     read the same ones.  Per chunk, a run draws (periods, cols.size)
     normals, which is 2 per period with F = I, all 2N with a dynamic F and
-    none when only ``none`` runs, and tx is added at those columns only.  A
-    run's n_T is drawn per window, as :func:`_terminal_noise` lays it out.
-    Chunked draws equal whole ones.  Each kernel, loop state ``X[kind]``
+    none when only ``none`` runs, and its BPSK tx is formed at those
+    columns only, from its bits (:meth:`bpsk`).  A run's n_T is drawn per
+    window, as :func:`_terminal_noise` lays it out.  Chunked draws equal
+    whole ones.  Each kernel, window map, loop state ``X[kind]`` (P, n_x)
     and window ``carry[kind]`` lives as long as the batch.
     """
 
@@ -407,54 +513,68 @@ class _ChainBatch:
             raise ValueError(f"beta values must be nonnegative, got {list(betas)}")
         if not all(math.isfinite(beta) for beta in betas):
             raise ValueError(f"beta values must be finite, got {list(betas)}")
-        self.sps, self.N = cfg.sps, cfg.params.fsfh_ratio
-        self.m = self.sps // self.N
+        self.sps = cfg.sps
+        self.m = self.sps // cfg.params.fsfh_ratio
         if self.sps <= _CHAIN_ALIGN:
             raise ValueError(f"the relay receiver's windows start {_CHAIN_ALIGN} fast sample(s) "
                              f"after a symbol edge, so a symbol needs more than that, got {self.sps}")
         self.kernels = {kind: _PeriodKernel(_period_maps(cfg, kind))
                         for kind in self.kinds if kind != "none"}
-        self.X = {kind: np.zeros((k.n_states, len(betas))) for kind, k in self.kernels.items()}
-        fold = _fold(self.N)
-        self.H_dec = {kind: k.H @ fold for kind, k in self.kernels.items()}
+        self.maps = {}  # (kind, periods) -> _WindowMap, built on first use
+        self.X = {kind: np.zeros((len(betas), k.n_states)) for kind, k in self.kernels.items()}
         self.carry = dict.fromkeys(self.kernels)
         self.cols = next((k.cols for k in self.kernels.values()), np.zeros(0, dtype=np.intp))
+        self.amp = cfg.signal_amplitude
         self.scale = np.array([beta * cfg.relay_gain for beta in betas])
         self.sigma_rs, self.sigma_t = cfg.sigma_rs, cfg.sigma_t
         self.n_symbols, self.symbols_done = cfg.n_symbols, 0
         self.rs, self.bits, self.t = zip(*(point_streams(cfg.seed, i) for i in range(len(betas))))
 
     def loop_inputs(self, tx: np.ndarray) -> np.ndarray:
-        """W (periods, P, cols.size): w = tx + n_RS at the columns the loops
-        read, for the next fast samples tx (n, 2, P) of the runs."""
-        n, _, P = tx.shape
-        T = n // self.N
-        # Run-major: each run's draws are contiguous, so drawing into them
-        # consumes its streams exactly as whole draws do.
-        rs = np.empty((P, T, self.cols.size))
-        for j in range(P):
-            self.rs[j].standard_normal(out=rs[j])
-        rs *= self.sigma_rs
-        rs += tx.reshape(T, 2 * self.N, P)[:, self.cols].transpose(2, 0, 1)
-        return rs.transpose(1, 0, 2)
+        """W (P, periods, cols.size), run-major: w = tx + n_RS at the columns
+        the loops read, for the runs' tx at those columns, tx of that shape."""
+        # Each run's draws are contiguous, so drawing into them consumes
+        # its streams exactly as whole draws do.
+        W = np.empty(tx.shape)
+        for j in range(tx.shape[0]):
+            self.rs[j].standard_normal(out=W[j])
+        W *= self.sigma_rs
+        W += tx
+        return W
 
-    def advance(self, tx: np.ndarray):
-        """Yield (kind, y) for the next whole symbols tx (n, 2, P) of the sweep.
+    def bpsk(self, bits: np.ndarray) -> np.ndarray:
+        """The runs' BPSK tx at the columns the loops read, (P, periods,
+        cols.size), for bits (symbols, P): amp (2 b - 1) at the I columns and
+        0 at the Q ones, in every period of the bit's symbol."""
+        tx = np.zeros((bits.shape[1], bits.shape[0] * self.m, self.cols.size))
+        tx[:, :, self.cols % 2 == 0] = np.repeat(
+            self.amp * (2.0 * bits.T - 1.0), self.m, axis=1)[:, :, None]
+        return tx
 
-        y (windows, P, 2) is, for each decision window that tx completes,
-        the statistic scale Sum u + Sum n_T that the receiver projects:
-        every window of the chunk but its last, which waits for the next
-        chunk's first sample, and on the run's ``cfg.n_symbols``-th symbol
-        that window too.  Its reader checks it for overflow.  Kinds are
-        computed one at a time, as the caller consumes them, so only one
-        kind's outputs are alive at once.
+    def window_map(self, kind: str, periods: int) -> _WindowMap:
+        """The :class:`_WindowMap` of a kind's loop for chunks of ``periods``."""
+        if (kind, periods) not in self.maps:
+            self.maps[kind, periods] = _WindowMap(self.kernels[kind], periods, self.m)
+        return self.maps[kind, periods]
+
+    def advance(self, bits: np.ndarray):
+        """Yield (kind, y) for the next whole symbols of the sweep, with bits (n, P).
+
+        y (windows, P, 2) is, for each decision window that the chunk
+        completes, the statistic scale Sum u + Sum n_T that the receiver
+        projects: every window of the chunk but its last, which waits for
+        the next chunk's first sample, and on the run's
+        ``cfg.n_symbols``-th symbol that window too.  Each controlled kind's
+        sums of u are one product with its chunk's :class:`_WindowMap`.
+        Its reader checks y for overflow.  Kinds are computed one at a
+        time, as the caller consumes them, so only one kind's outputs are
+        alive at once.
         """
-        n, _, P = tx.shape
-        symbols, a = n // self.sps, _CHAIN_ALIGN
+        (symbols, P), a = bits.shape, _CHAIN_ALIGN
         first = self.symbols_done == 0
         self.symbols_done += symbols
         final = self.symbols_done == self.n_symbols
-        W = self.loop_inputs(tx)
+        W = self.loop_inputs(self.bpsk(bits))
         inner = symbols - first
         n_t = np.empty((P, inner + final, 2))
         for j in range(P):
@@ -469,22 +589,21 @@ class _ChainBatch:
             if kind not in self.kernels:
                 yield kind, n_t
                 continue
+            wmap = self.window_map(kind, symbols * self.m)
             with np.errstate(**_DIVERGENCE):
-                F = _advance(self.kernels[kind], self.X[kind], W, self.H_dec[kind])
-                sums, self.carry[kind] = _window_sums(F, self.m, self.carry[kind], final)
+                sums, self.carry[kind] = wmap.apply(W, self.X[kind], self.carry[kind], final)
                 y = sums * self.scale[:, None] + n_t
             yield kind, y
 
-    def pilot(self, kind: str, tx: np.ndarray) -> np.ndarray:
+    def pilot(self, kind: str, bits: np.ndarray) -> np.ndarray:
         """The last decision window's sum (2,) of a kind's noise-free relay
-        output u, from rest, for whole symbols tx (n, 2); 0 for ``none``."""
+        output u, from rest, for the BPSK of bits (n,); 0 for ``none``."""
         if kind not in self.kernels:
             return np.zeros(2)
-        kernel = self.kernels[kind]
-        W = tx.reshape(-1, 2 * self.N)[:, None, kernel.cols]
-        F = _advance(kernel, np.zeros((kernel.n_states, 1)), W, self.H_dec[kind])
+        wmap = self.window_map(kind, len(bits) * self.m)
         with np.errstate(**_DIVERGENCE):
-            sums, _ = _window_sums(F, self.m, None, True)
+            sums, _ = wmap.apply(self.bpsk(bits[:, None]), np.zeros((1, wmap.n_states)),
+                                 None, True)
         return sums[-1, 0]
 
 
@@ -504,13 +623,14 @@ def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
     if n_fast % N != 0:
         raise ValueError(f"waveform length {n_fast} is not a multiple of the FSFH ratio {N}")
     batch = _ChainBatch(cfg, [kind], [beta])
-    W = batch.loop_inputs(tx[:, :, None])
+    W = batch.loop_inputs(tx.reshape(1, n_fast // N, 2 * N)[:, :, batch.cols])
     n_t = _terminal_noise(batch.t[0], batch.sigma_t, n_fast, batch.sps)
     if kind == "none":
         u, y_t = np.zeros_like(tx), n_t
     else:
         kernel = batch.kernels[kind]
-        u = _advance(kernel, batch.X[kind], W, kernel.H).reshape(n_fast, 2)
+        u = _advance(kernel, np.zeros((kernel.n_states, 1)), W.transpose(1, 0, 2),
+                     kernel.H).reshape(n_fast, 2)
         with np.errstate(**_DIVERGENCE):
             y_t = batch.scale[0] * u + n_t
     if not np.isfinite(y_t).all():

@@ -359,7 +359,7 @@ def whole_waveform_errors(cfg, kind, beta, point):
     key = np.array([cfg.seed, 3 * point + 1], dtype=np.uint64)
     bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=cfg.n_symbols)
     tx = modulate(bits, cfg)
-    ref = _pilot_reference(cfg, _ChainBatch(cfg, [kind], [beta]), kind)
+    ref = _pilot_reference(_ChainBatch(cfg, [kind], [beta]), kind)
     y_t = simulate_point(cfg, tx, kind, beta, point).y_T
     return int(np.sum(_decide(relay_window_sums(y_t, cfg.sps), ref) != bits))
 
@@ -371,7 +371,7 @@ def test_pilot_reference_does_not_depend_on_beta(base_cfg, kind):
     from cwcancel.ber import _pilot_reference
     from cwcancel.simulate import _ChainBatch
 
-    small, large = (_pilot_reference(base_cfg, _ChainBatch(base_cfg, [kind], [beta]), kind)
+    small, large = (_pilot_reference(_ChainBatch(base_cfg, [kind], [beta]), kind)
                     for beta in (1e-6, 1e3))
     assert small.tobytes() == large.tobytes()
 

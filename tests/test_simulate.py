@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import deque
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import relay_window_sums, simulate_point
-from cwcancel.ber import sweep_beta
+from cwcancel.ber import modulate, sweep_beta
 from cwcancel.hnorm import UnstableSystemError
 from cwcancel.lifting import StepMismatchError, lift
 from cwcancel.plant import RelayParams, first_order_lowpass
@@ -406,6 +407,68 @@ class TestScanKernel:
         assert np.array_equal(X, X_whole)
 
 
+# Antialias filters: a lowpass F = 100/(s+100), whose period passes on only
+# its two I/Q states, and F = 1/(s+1) + 0.5, whose feedthrough reaches u.
+ANTIALIAS = {"identity": None, "lowpass": first_order_lowpass(0.01),
+             "feedthrough": StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.5]])}
+
+
+@functools.lru_cache(maxsize=None)
+def designed_kernel(N, antialias):
+    """The period kernel of the designed loop at N with an ``ANTIALIAS`` filter."""
+    from cwcancel.simulate import _period_maps, _PeriodKernel
+
+    params = RelayParams(fsfh_ratio=N, antialias=ANTIALIAS[antialias])
+    K = bisect_gamma(lift(params), tol=5e-3).controller
+    return _PeriodKernel(_period_maps(SimConfig(params=params, controller=K), "designed"))
+
+
+class TestWindowMap:
+    """A chunk's window map against the scan that it replaces, _advance and
+    then _window_sums, with m = 2 periods a symbol."""
+
+    @pytest.mark.parametrize("antialias, N, image", [
+        ("identity", 8, False), ("identity", 16, False), ("identity", 32, False),
+        ("lowpass", 8, True), ("lowpass", 16, True),
+        ("feedthrough", 8, False), ("feedthrough", 16, True),
+    ])
+    def test_equals_the_scan(self, antialias, N, image):
+        """Chunks of 64, 1, 63 and 44 symbols, the last one final, from a
+        random state: every completed window, carry and x_T.  The map reads
+        w, or its image where that is narrower."""
+        from cwcancel.simulate import _advance, _fold, _window_sums, _WindowMap
+
+        kernel, m, P = designed_kernel(N, antialias), 2, 3
+        rng = np.random.default_rng(N)
+        X = rng.standard_normal((P, kernel.n_states))
+        X_scan, carry, carry_scan = X.T.copy(), None, None
+        for symbols, final in ((64, False), (1, False), (63, False), (44, True)):
+            W = rng.standard_normal((P, symbols * m, kernel.cols.size))
+            wmap = _WindowMap(kernel, symbols * m, m)
+            assert (wmap.image is not None) == image
+            sums, carry = wmap.apply(W, X, carry, final)
+            F = _advance(kernel, X_scan, W.transpose(1, 0, 2), kernel.H @ _fold(N))
+            ref, carry_scan = _window_sums(F, m, carry_scan, final)
+            assert sums.shape == ref.shape
+            assert np.abs(sums - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(X - X_scan.T).max() <= 1e-12 * np.abs(X_scan).max()
+            if not final:
+                assert np.abs(carry - carry_scan).max() <= 1e-12 * np.abs(carry_scan).max()
+        assert carry is carry_scan is None
+
+    @pytest.mark.parametrize("N", [16, 32, 64])
+    def test_size_does_not_grow_with_N(self, N):
+        """With F = 100/(s+100) the loop reads all 2N samples of w, but a
+        period passes on only the kick to the filter's I/Q states: the map
+        reads those 2 numbers a period, and has one size, at every N."""
+        from cwcancel.simulate import _WindowMap
+
+        kernel = designed_kernel(N, "lowpass")
+        n = kernel.n_states
+        assert kernel.cols.size == 2 * N
+        assert _WindowMap(kernel, 128, 2).M.shape == (n + 128 * 2, 2 * 64 + 4 + n)
+
+
 class TestInputColumns:
     """Which columns of w reach the loop: the kernel reads only those."""
 
@@ -460,12 +523,12 @@ def test_in_place_draws_equal_whole_draws():
     assert np.array_equal(np.concatenate(chunks), whole)
 
 
-def sweep_statistics(batch, tx, chunks):
-    """The batch's window statistics of a sweep of whole symbols tx (n, 2, P),
+def sweep_statistics(batch, bits, chunks):
+    """The batch's window statistics of a sweep of the runs' bits (n, P),
     fed as ``chunks`` symbols at a time: kind -> (windows, P, 2)."""
     out, start = {}, 0
     for n in chunks:
-        for kind, y in batch.advance(tx[start * batch.sps:(start + n) * batch.sps]):
+        for kind, y in batch.advance(bits[start:start + n]):
             out.setdefault(kind, []).append(y)
         start += n
     return {kind: np.concatenate(ys) for kind, ys in out.items()}
@@ -493,8 +556,8 @@ def test_batch_terminal_noise_is_its_own_stream(base_cfg):
     cfg = replace(base_cfg, n_symbols=n_symbols)
     batch = _ChainBatch(cfg, ["none"], betas)
     assert batch.cols.size == 0
-    tx = np.zeros((n_symbols * cfg.sps, 2, len(betas)))
-    y = sweep_statistics(batch, tx, (1, 64, 63, 44))["none"]
+    bits = np.zeros((n_symbols, len(betas)), dtype=int)
+    y = sweep_statistics(batch, bits, (1, 64, 63, 44))["none"]
     for i in range(len(betas)):
         ref = terminal_window_sums(cfg, i, n_symbols)
         assert np.array_equal(y[:-1, i], ref[:-1])
@@ -512,7 +575,7 @@ def test_window_noise_variances():
     cfg = SimConfig(params=RelayParams(), seed=31, n_symbols=2, noise_t_dbm=0.0)
     P, sps, var = 10000, cfg.sps, cfg.sigma_t ** 2
     batch = _ChainBatch(cfg, ["none"], [1.0] * P)
-    ((_, y),) = batch.advance(np.zeros((2 * sps, 2, P)))
+    ((_, y),) = batch.advance(np.zeros((2, P), dtype=int))
     for sums, expected in ((y[0], sps * var), (y[1], (sps + 2) * var)):
         assert abs(np.mean(sums ** 2) / expected - 1.0) <= 4.0 * math.sqrt(2.0 / sums.size)
 
@@ -595,7 +658,8 @@ def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
     # Sweep point i's n_RS is sigma_rs times (periods, m) normals of Philox
     # key (seed, 3 i) at the m columns the loop reads, however the symbols
     # are chunked: the batch's window sums of u equal those of the kernel's
-    # per-sample output on those inputs.
+    # per-sample output on those inputs plus the all-zero bits' tx, -1 at
+    # the I columns.
     from cwcancel.simulate import _advance, _ChainBatch, _period_maps, _PeriodKernel
 
     params, K = oracle_cases[case]
@@ -605,11 +669,13 @@ def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
     periods = cfg.n_symbols * cfg.sps // params.fsfh_ratio
     for P in (1, 4):  # run i of a batch is sweep point i
         batch = _ChainBatch(cfg, ["designed"], [1.0] * P)
-        y = sweep_statistics(batch, np.zeros((cfg.n_symbols * cfg.sps, 2, P)), (32, 64, 4))
+        y = sweep_statistics(batch, np.zeros((cfg.n_symbols, P), dtype=int), (32, 64, 4))
         n_rs = np.stack([np.random.Generator(np.random.Philox(
             key=np.array([cfg.seed, 3 * i], dtype=np.uint64))).standard_normal(
             (periods, kernel.cols.size)) for i in range(P)], axis=1)
-        u = _advance(kernel, np.zeros((kernel.n_states, P)), batch.sigma_rs * n_rs, kernel.H)
+        w = batch.sigma_rs * n_rs
+        w[:, :, kernel.cols % 2 == 0] -= 1.0
+        u = _advance(kernel, np.zeros((kernel.n_states, P)), w, kernel.H)
         ref = relay_window_sums(u.reshape(periods, P, -1, 2).transpose(0, 2, 3, 1)
                                 .reshape(-1, 2, P), cfg.sps).transpose(0, 2, 1)
         assert np.abs(y["designed"] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -631,10 +697,10 @@ class TestFoldedStatistic:
                         noise_t_dbm=-math.inf, n_symbols=n_symbols)
         betas, sps = [1.0, 0.5, 2.0], cfg.sps
         rng = np.random.default_rng(n_symbols)
-        tx = np.stack([rng.choice([-1.0, 1.0], n_symbols).repeat(sps)[:, None] * [1.0, 0.0]
-                       for _ in betas], axis=2)
+        bits = np.stack([rng.choice([0, 1], n_symbols) for _ in betas], axis=1)
+        tx = np.stack([modulate(bits[:, i], cfg) for i in range(len(betas))], axis=2)
         kinds = ["designed", "perfect"]
-        y = sweep_statistics(_ChainBatch(cfg, kinds, betas), tx,
+        y = sweep_statistics(_ChainBatch(cfg, kinds, betas), bits,
                              [64] * (n_symbols // 64) + [n_symbols % 64])
         for i, beta in enumerate(betas):
             for kind in kinds:
