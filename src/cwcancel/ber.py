@@ -20,14 +20,15 @@ kind's period map is built once, and each point's bits and noise are
 drawn once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by every
 kind.  n_RS is drawn, and the BPSK tx formed from the bits, only at the
 samples the loops read, and n_T as one sum per decision window.  All beta
-points of a kind advance together: one product with the kind's window map
-(``simulate._WindowMap``) gives a chunk's window sums of u, so a sweep
-scores each window's statistic beta g Sum u + Sum n_T and never forms a
-waveform sample.  Decisions are scored chunk by chunk, so memory does not
-grow with ``n_symbols``; one receiver (:func:`_decide`) makes them, and
-:func:`demodulate`'s too.  The phase reference is a property of a kind's
-loop: one noise-free pilot, through the same window maps, reads the relay
-output u of the loop the sweep already built, since the terminal's
+points of a kind advance together through the kind's one symbol-rate stack
+(``simulate._SymbolStack``), whose state carries each run's open window
+from chunk to chunk: one product gives a chunk's window sums of u, so a
+sweep scores each window's statistic beta g Sum u + Sum n_T and never
+forms a waveform sample.  Decisions are scored chunk by chunk, so memory
+does not grow with ``n_symbols``; one receiver (:func:`_decide`) makes
+them, and :func:`demodulate`'s too.  The phase reference is a property of
+a kind's loop: one noise-free pilot, through the same stack, reads the
+relay output u of the loop the sweep already built, since the terminal's
 beta g > 0 keeps u's direction, and ``none`` (u = 0 exactly) has no loop.
 A single BER point is a one-beta, one-kind sweep.
 """
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import SimConfig, _ChainBatch, _iq_samples
+from .simulate import _CHUNK_SYMBOLS, SimConfig, _ChainBatch, _iq_samples
 
 __all__ = [
     "BerPoint",
@@ -117,13 +118,6 @@ def _bpsk(bits: np.ndarray, sps: int, amp: float) -> np.ndarray:
     return samples
 
 
-def _window_means(samples: np.ndarray, sps: int) -> np.ndarray:
-    """Means (n / sps, 2) of the consecutive sps-sample windows of samples
-    (n, 2), n a multiple of sps; unchecked."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return samples.reshape(-1, sps, 2).mean(axis=1)
-
-
 def _decide(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """The receiver: BPSK decisions on window statistics y (..., 2).
 
@@ -147,10 +141,9 @@ def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
     if n % sps != 0:
         raise ValueError(f"waveform length {n} is not a multiple of {sps} samples/symbol")
     ref = np.asarray(phase_ref, dtype=float).reshape(2)
-    return _decide(_window_means(y, sps), ref).astype(int)
-
-
-_CHUNK_SYMBOLS = 64  # symbols per streamed chunk of a BER run
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = y.reshape(-1, sps, 2).mean(axis=1)
+    return _decide(means, ref).astype(int)
 
 
 def _pilot_reference(batch, kind: str) -> np.ndarray:

@@ -24,16 +24,14 @@ builds and checks the loops, and makes the streams.
 
 A sweep reads u only through its decision windows, which start
 ``_CHAIN_ALIGN`` = 1 fast sample after each symbol edge, one after the hold
-update.  :func:`_fold` maps a period's 2N output samples to six numbers:
-the I/Q sums of its first sample and of the rest, and its last sample.  A
-window is the sum of the "rest" of each of its m = sps / N periods and the
-first sample of the period after each of them (:func:`_window_sums`).  The
-loop is linear and time-invariant, so what a chunk hands the sweep, its
-window sums and its final state, is one linear map of the runs' states and
-inputs (:class:`_WindowMap`), built once per kind and chunk length from
-:func:`_advance`'s unit responses; a chunk of a kind is one matrix product.
-The sweep never forms u or y_T sample by sample; :func:`simulate_chain`
-does, for ``waveform.csv``.
+update.  A symbol is m = sps / N whole slow periods, so one symbol of the
+loop is a linear time-invariant system at the symbol rate, whose state
+carries the window that the symbol leaves open and whose output closes the
+previous one (:class:`_SymbolStack`).  One Markov stack of it per kind maps
+a chunk of up to ``_CHUNK_SYMBOLS`` symbols, whatever its length, to the
+runs' window sums and next states: their inputs times a slice of one
+matrix, plus their states' share.  The sweep never forms u or y_T sample
+by sample; :func:`simulate_chain` does, for ``waveform.csv``.
 
 Random streams
 --------------
@@ -63,12 +61,11 @@ Canceler kinds
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import dataclass, replace
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .hnorm import require_stable
 from .lifting import closed_loop, lift
@@ -229,8 +226,7 @@ def point_streams(seed: int, point: int) -> tuple:
         key=np.array([seed, 3 * point + k], dtype=np.uint64))) for k in range(3))
 
 
-# Periods per scan block of :func:`_advance`: a power of two that divides
-# every 64-symbol sweep chunk.
+# Periods per scan block of :func:`_advance`, a power of two.
 _SCAN_BLOCK = 64
 # A stable loop can still overflow a float at a large enough scale; the
 # receiver (:func:`ber._decide`) or :func:`simulate_chain` reports it.
@@ -273,10 +269,10 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, H: np.ndarray)
     W[k, p] is run p's w_k[cols] in period k, the only samples of w the
     loop reads.  Row (k, p) of the work matrix Z holds run p's state x_k and
     inputs w_k[cols], so Z ``kernel.H`` is the relay output u, and Z H for
-    H = ``kernel.H`` S is S's map of it (see :func:`_fold`): one GEMM per
-    block.  The states advance in blocks of ``_SCAN_BLOCK`` periods by a
-    doubling scan (Blelloch, "Prefix sums and their applications", 1990):
-    with v_k = B w_k, plus A x at the block's first period,
+    H = ``kernel.H`` S is S's map of it: one GEMM per block.  The states
+    advance in blocks of ``_SCAN_BLOCK`` periods by a doubling scan
+    (Blelloch, "Prefix sums and their applications", 1990): with
+    v_k = B w_k, plus A x at the block's first period,
     x_{k+1} = sum_{i<=k} A^(k-i) v_i, and the doubling with s = 1, 2, 4, ...
     adds A^s times the partial sums s periods back, one GEMM each.  Blocks
     start at the chunk's first period, so chunks cut at block edges give the
@@ -306,144 +302,96 @@ def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, H: np.ndarray)
     return U.reshape(T, P, H.shape[1])
 
 
-def _fold(N: int) -> np.ndarray:
-    """S (2N x 6): a period's output samples, I/Q interleaved, to the I/Q sums
-    of its first ``_CHAIN_ALIGN`` samples ("head") and of the rest ("rest"),
-    and its last sample."""
-    S = np.zeros((N, 2, 3, 2))
-    S[:_CHAIN_ALIGN, :, 0] = np.eye(2)
-    S[_CHAIN_ALIGN:, :, 1] = np.eye(2)
-    S[N - 1, :, 2] = np.eye(2)
-    return S.reshape(2 * N, 6)
+# Symbols per streamed chunk of a sweep, and so the length of each kind's
+# Markov stack: the longest chunk, and the pilot, that a batch maps.
+_CHUNK_SYMBOLS = 64
 
 
-def _window_sums(F: np.ndarray, m: int, carry, final: bool):
-    """Sums of u over the decision windows that one chunk's folded periods complete.
+class _SymbolStack:
+    """One symbol, m slow periods, of a kind's loop as a system at the
+    symbol rate, and its map of a chunk of up to ``_CHUNK_SYMBOLS`` symbols.
 
-    F (T, P, 6) is :func:`_advance`'s output through :func:`_fold` for the
-    T = n m periods of n whole symbols.  Window k starts ``_CHAIN_ALIGN``
-    samples into symbol k, so it sums the rest of each of the symbol's m
-    periods and the head of the period after each of them, the last of
-    which opens the next symbol.  For the chunk's last window that head is
-    in the next chunk: the window is returned as ``carry`` (pass None on a
-    run's first chunk) and completed by the next call.  On the ``final``
-    chunk it takes ``_CHAIN_ALIGN`` more copies of the last sample instead,
-    as the receiver repeats the final sample of a stream.  Returns the
-    completed windows (windows, P, 2) and the new carry, unchecked.
-    """
-    T, P, _ = F.shape
-    c = F[:, :, 2:4].copy()
-    c[:-1] += F[1:, :, 0:2]
-    sums = c.reshape(T // m, m, P, 2).sum(axis=1)
-    if final:
-        sums[-1] += _CHAIN_ALIGN * F[-1, :, 4:6]
-        done, new_carry = sums, None
-    else:
-        done, new_carry = sums[:-1], sums[-1]
-    if carry is not None:
-        carry += F[0, :, 0:2]
-        done = np.concatenate([carry[None], done])
-    return done, new_carry
+    A run's state s = (x, r, l), n + 4 numbers, is the loop state x at the
+    symbol edge, the sum r so far of the window the symbol leaves open (the
+    "rest" after the first ``_CHAIN_ALIGN`` samples of each of its periods,
+    plus the "heads" of its periods 1 .. m - 1) and its last sample l.  Its
+    input V is its m periods of w at the kernel's columns or, where fewer
+    numbers hold all that a period passes on of w, their image under
+    ``image``: the entries of B w and of the feedthrough's head, rest and
+    last sample that are not exactly zero, 2 a period at every N for
+    F = 100/(s+100).  As rows, s <- s A + V B, and y = s C + V D, r plus the
+    head of the symbol's first period, closes the previous symbol's window;
+    r + ``_CHAIN_ALIGN`` l closes a stream's last one.  This is the lifting
+    of Chen and Francis ("Optimal Sampled-Data Control Systems", 1995) at
+    the symbol rate.
 
-
-def _unit_windows(F: np.ndarray, m: int):
-    """Windows -1 .. S-1 (S + 1, R, 2) of R runs' folded outputs F (T, R, 6)
-    from rest, window -1 being the head of period 0 and S-1 open, and the
-    open sums (S, R, 2) of windows 0 .. S-1, each without the head that
-    closes it."""
-    R = F.shape[1]
-    F = np.concatenate([F, F], axis=1)
-    F[m::m, R:, 0:2] = 0.0
-    done, carry = _window_sums(F, m, None, False)
-    windows = np.concatenate([F[None, 0, :, 0:2], done, carry[None]])
-    return windows[:, :R], windows[1:, R:]
-
-
-class _WindowMap:
-    """What a chunk of T = S m periods hands the sweep, as one linear map ``M``.
-
-    A run's row [x_0, v_0, ..., v_{T-1}] (n + T q numbers) times ``M``
-    gives [head, window_0 .. window_{S-1}, last, x_T]: the head of period 0,
-    which closes the previous chunk's carry; the chunk's S window sums of
-    u, the last one still open (the carry); the last sample, which a final
-    window adds once more; and the state after the chunk.  v_k is period
-    k's w at the kernel's columns, or, where fewer numbers hold all that a
-    period passes on of w, its image under ``image``: the entries of the
-    state kick B w and the folded feedthrough H_w w (n + 6 numbers) that
-    are not exactly zero.  With F = 100/(s+100) that is the filter's I/Q
-    state kick, 2 numbers at every N, so ``M`` does not grow with N.  This
-    lifts the period map to the decision rate (Chen and Francis, "Optimal
-    Sampled-Data Control Systems", 1995).
-
-    ``M`` is built from the loop's unit responses: one :func:`_advance` of
-    the n unit states and of a unit input in each of the q columns at
-    period 0.  The loop is time-invariant, so an input at period s m + phi
-    responds as the one at period 0 does, s m + phi periods later:
-    :func:`_unit_windows` sums the windows of each of the m shifts phi, and
-    s whole windows move those sums s places, the head of period 0 being
-    window -1.  Only the window that the chunk's end cuts is read from the
-    open sums, those without the head that would close it.  Building ``M``
-    takes time and memory linear in T.
+    ``M`` maps [s, V_0 .. V_63] to [y_0 .. y_63, s_64]: its state rows are
+    A^k C, k < 64, and A^64; V_i's rows hold D at y_i, B A^(k-1-i) C at each
+    later y_k and B A^(63-i) at s_64.  A chunk of S symbols reads M's
+    trailing S symbols of input rows, and A^k C, k < S, and A^S as state
+    rows, so every chunk length is a slice of the one build.
     """
 
-    def __init__(self, kernel: _PeriodKernel, periods: int, m: int):
-        n, c = kernel.n_states, kernel.cols.size
-        H_dec = kernel.H @ _fold(kernel.H.shape[1] // 2)
-        unit, H_in, self.image = kernel, H_dec[n:], None
-        image = np.hstack([kernel.BT, H_in])
-        live = np.flatnonzero(np.any(image != 0.0, axis=0))
-        if live.size < c:
-            self.image = image[:, live]
-            unit, H_in = copy(kernel), np.eye(n + 6, 6, -n)[live]
-            unit.BT = np.eye(n + 6, n)[live]
-        q, S = H_in.shape[0], periods // m
-        self.n_states, self.S = n, S
-        # Runs: the n unit states, then a unit input in each column at period 0.
-        # Output per period: the folded u, then the next state x_{k+1}.
-        H = np.block([[H_dec[:n], kernel.powers[0]], [H_in, unit.BT]])
-        W = np.zeros((periods, n + q, q))
-        W[0, n:] = np.eye(q)
-        U = _advance(unit, np.eye(n, n + q), W, H)
-        M = self.M = np.empty((n + periods * q, 2 * S + 4 + n))
-        windows, _ = _unit_windows(U[:, :n, :6], m)
-        M[:n, :2 * S + 2] = windows.transpose(1, 0, 2).reshape(n, -1)
-        M[:n, 2 * S + 2:] = U[-1, :n, 4:]
-        # Row (s, phi, j) of the inputs: column j at period s m + phi.
-        inputs = M[n:].reshape(S, m, q, -1)
-        for phi in range(m):
-            F = np.zeros((periods, q, 6))
-            F[phi:] = U[:periods - phi, n:, :6]
-            closed, opened = _unit_windows(F, m)
-            ahead = np.concatenate([np.zeros((S, q, 2)), closed[:S]])
-            shifted = sliding_window_view(ahead, S, axis=0)[S:0:-1]  # [s, j, iq, i] = ahead[S - s + i]
-            for iq in range(2):
-                inputs[:, phi, :, iq:2 * S:2] = shifted[:, :, iq]
-            inputs[:, phi, :, 2 * S:2 * S + 2] = opened[::-1]  # open window S - 1 - s
-            # The input at period s m + phi is at its period T - 1 - s m - phi when the chunk ends.
-            inputs[:, phi, :, 2 * S + 2:] = U[periods - 1 - phi - m * np.arange(S), n:, 4:]
+    def __init__(self, kernel: _PeriodKernel, m: int):
+        n, a, N, c = kernel.n_states, _CHAIN_ALIGN, kernel.H.shape[1] // 2, _CHUNK_SYMBOLS
+        H = kernel.H.reshape(-1, N, 2)
+        # A period's rows x and w map to the next x and to u's head, rest and last sample.
+        G = np.hstack([np.vstack([kernel.powers[0], kernel.BT]),
+                       H[:, :a].sum(axis=1), H[:, a:].sum(axis=1), H[:, N - 1]])
+        live = np.flatnonzero(np.any(G[n:] != 0.0, axis=0))
+        self.image = G[n:, live] if live.size < kernel.cols.size else None
+        if self.image is not None:
+            G = np.vstack([G[:n], np.eye(n + 6)[live]])
+        q, ns = G.shape[0] - n, n + 4
+        self.n_states, self.rows = ns, m * q
+        # The symbol from its last period back: Q maps period i's x to its
+        # share of (x', r', l'), and B[i] does so for period i's input.
+        Q, B = np.eye(n, ns), np.empty((m, q, ns))
+        for i in reversed(range(m)):
+            R = G[:, :n] @ Q
+            R[:, n:n + 2] += G[:, n + 2:n + 4] + G[:, n:n + 2] * (i > 0)
+            R[:, n + 2:] += G[:, n + 4:] * (i == m - 1)
+            Q, B[i] = R[:n], R[n:]
+        A, C, D = np.zeros((ns, ns)), np.zeros((ns, 2)), np.zeros((m * q, 2))
+        A[:n], C[:n], C[n:n + 2], D[:q] = Q, G[:n, n:n + 2], np.eye(2), G[n:, n:n + 2]
+        # The Markov stack: A^k for k <= c, and A^k C and B A^k for k < c.
+        self.powers = [np.eye(ns)]
+        for _ in range(c):
+            self.powers.append(self.powers[-1] @ A)
+        Ak = np.stack(self.powers[:c])
+        BA = B.reshape(m * q, ns) @ Ak
+        later = np.concatenate([D[None], BA[:c - 1] @ C])  # an input's share of y d symbols on
+        M = self.M = np.zeros((ns + c * m * q, 2 * c + ns))
+        M[:ns, :2 * c] = (Ak @ C).transpose(1, 0, 2).reshape(ns, -1)
+        M[:ns, 2 * c:] = self.powers[c]
+        inputs = M[ns:].reshape(c, m * q, -1)
+        for i in range(c):
+            inputs[i, :, 2 * i: 2 * c] = later[:c - i].transpose(1, 0, 2).reshape(m * q, -1)
+        inputs[:, :, 2 * c:] = BA[::-1]
 
-    def apply(self, W: np.ndarray, X: np.ndarray, carry, final: bool):
-        """One chunk of P runs, as :func:`_window_sums` reads it after :func:`_advance`.
+    def run(self, W: np.ndarray, s: np.ndarray, final: bool) -> np.ndarray:
+        """Outputs y (S + final, P, 2) of P runs over S symbols, unchecked.
 
-        W (P, T, cols.size) is the runs' w at the kernel's columns,
-        run-major, and X (P, n) their states, replaced by x_T.  Returns the
-        completed windows (windows, P, 2) and the new carry, unchecked.
+        W (P, S m, cols.size) is the runs' w at the kernel's columns,
+        run-major, and s (P, n + 4) their states, advanced in place.  At a
+        stream's ``final`` symbol y ends with the window that it closes.
         """
-        P, S, n = W.shape[0], self.S, self.n_states
+        P, ns = s.shape
         if self.image is not None:
             W = W @ self.image
-        Y = W.reshape(P, -1) @ self.M[n:]
-        Y += X @ self.M[:n]
-        X[...] = Y[:, 2 * S + 4:]
-        sums = Y[:, :2 * S + 2].reshape(P, S + 1, 2).transpose(1, 0, 2)
-        if carry is None:  # a run's first chunk: its sample 0 is in no window
-            sums = sums[1:]
-        else:
-            sums[0] += carry
-        if final:
-            sums[-1] += _CHAIN_ALIGN * Y[:, 2 * S + 2: 2 * S + 4]
-            return sums, None
-        return sums[:-1], sums[-1]
+        V = W.reshape(P, -1)
+        S = V.shape[1] // self.rows
+        cut = _CHUNK_SYMBOLS - S
+        if cut < 0:
+            raise ValueError(f"a chunk holds at most {_CHUNK_SYMBOLS} symbols, got {S}")
+        state = self.M[:ns] if cut == 0 else np.hstack([self.M[:ns, :2 * S], self.powers[S]])
+        Y = V @ self.M[ns + cut * self.rows:, 2 * cut:]
+        Y += s @ state
+        s[...] = Y[:, 2 * S:]
+        y = Y[:, :2 * S].reshape(P, S, 2).transpose(1, 0, 2)
+        if final:  # the stream's end repeats its last sample
+            y = np.concatenate([y, (s[:, -4:-2] + _CHAIN_ALIGN * s[:, -2:])[None]])
+        return y
 
 
 def _terminal_noise(rng: np.random.Generator, sigma_t: float, n: int, sps: int) -> np.ndarray:
@@ -494,8 +442,9 @@ class _ChainBatch:
     none when only ``none`` runs, and its BPSK tx is formed at those
     columns only, from its bits (:meth:`bpsk`).  A run's n_T is drawn per
     window, as :func:`_terminal_noise` lays it out.  Chunked draws equal
-    whole ones.  Each kernel, window map, loop state ``X[kind]`` (P, n_x)
-    and window ``carry[kind]`` lives as long as the batch.
+    whole ones.  Each kind's kernel, its one :class:`_SymbolStack` and its
+    runs' symbol-rate states ``X[kind]`` (P, n_x + 4) live as long as the
+    batch.
     """
 
     def __init__(self, cfg: SimConfig, kinds, betas):
@@ -520,9 +469,8 @@ class _ChainBatch:
                              f"after a symbol edge, so a symbol needs more than that, got {self.sps}")
         self.kernels = {kind: _PeriodKernel(_period_maps(cfg, kind))
                         for kind in self.kinds if kind != "none"}
-        self.maps = {}  # (kind, periods) -> _WindowMap, built on first use
-        self.X = {kind: np.zeros((len(betas), k.n_states)) for kind, k in self.kernels.items()}
-        self.carry = dict.fromkeys(self.kernels)
+        self.X = {kind: np.zeros((len(betas), k.n_states + 4))  # (x, r, l): see _SymbolStack
+                  for kind, k in self.kernels.items()}
         self.cols = next((k.cols for k in self.kernels.values()), np.zeros(0, dtype=np.intp))
         self.amp = cfg.signal_amplitude
         self.scale = np.array([beta * cfg.relay_gain for beta in betas])
@@ -551,24 +499,25 @@ class _ChainBatch:
             self.amp * (2.0 * bits.T - 1.0), self.m, axis=1)[:, :, None]
         return tx
 
-    def window_map(self, kind: str, periods: int) -> _WindowMap:
-        """The :class:`_WindowMap` of a kind's loop for chunks of ``periods``."""
-        if (kind, periods) not in self.maps:
-            self.maps[kind, periods] = _WindowMap(self.kernels[kind], periods, self.m)
-        return self.maps[kind, periods]
+    @cached_property
+    def stacks(self) -> dict:
+        """Each controlled kind's :class:`_SymbolStack`, built on first use:
+        :func:`simulate_chain` runs the period loop and builds none."""
+        with np.errstate(**_DIVERGENCE):
+            return {kind: _SymbolStack(k, self.m) for kind, k in self.kernels.items()}
 
     def advance(self, bits: np.ndarray):
         """Yield (kind, y) for the next whole symbols of the sweep, with bits (n, P).
 
         y (windows, P, 2) is, for each decision window that the chunk
         completes, the statistic scale Sum u + Sum n_T that the receiver
-        projects: every window of the chunk but its last, which waits for
-        the next chunk's first sample, and on the run's
-        ``cfg.n_symbols``-th symbol that window too.  Each controlled kind's
-        sums of u are one product with its chunk's :class:`_WindowMap`.
-        Its reader checks y for overflow.  Kinds are computed one at a
-        time, as the caller consumes them, so only one kind's outputs are
-        alive at once.
+        projects.  Each controlled kind's sums of u are one run of its
+        :class:`_SymbolStack`: symbol k's output closes window k - 1, so a
+        run drops the output of its first symbol, whose sample 0 is in no
+        window, and its ``cfg.n_symbols``-th symbol closes the final window
+        too.  Its reader checks y for overflow.  Kinds are computed one
+        at a time, as the caller consumes them, so only one kind's outputs
+        are alive at once.
         """
         (symbols, P), a = bits.shape, _CHAIN_ALIGN
         first = self.symbols_done == 0
@@ -589,22 +538,20 @@ class _ChainBatch:
             if kind not in self.kernels:
                 yield kind, n_t
                 continue
-            wmap = self.window_map(kind, symbols * self.m)
             with np.errstate(**_DIVERGENCE):
-                sums, self.carry[kind] = wmap.apply(W, self.X[kind], self.carry[kind], final)
+                sums = self.stacks[kind].run(W, self.X[kind], final)[first:]
                 y = sums * self.scale[:, None] + n_t
             yield kind, y
 
     def pilot(self, kind: str, bits: np.ndarray) -> np.ndarray:
         """The last decision window's sum (2,) of a kind's noise-free relay
-        output u, from rest, for the BPSK of bits (n,); 0 for ``none``."""
+        output u, from rest, for the BPSK of bits (n,), n at most
+        ``_CHUNK_SYMBOLS``: one run of the kind's stack; 0 for ``none``."""
         if kind not in self.kernels:
             return np.zeros(2)
-        wmap = self.window_map(kind, len(bits) * self.m)
+        s = np.zeros((1, self.stacks[kind].n_states))
         with np.errstate(**_DIVERGENCE):
-            sums, _ = wmap.apply(self.bpsk(bits[:, None]), np.zeros((1, wmap.n_states)),
-                                 None, True)
-        return sums[-1, 0]
+            return self.stacks[kind].run(self.bpsk(bits[:, None]), s, True)[-1, 0]
 
 
 def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:

@@ -381,7 +381,7 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("which", ["defaults", "antialias"])
     def test_counts_equal_per_point_runs(self, base_cfg, antialias_cfg, which):
-        from cwcancel.ber import _CHUNK_SYMBOLS
+        from cwcancel.simulate import _CHUNK_SYMBOLS
 
         # Not a multiple of the chunk: window carries across two chunk edges
         # and a short final chunk.
@@ -423,20 +423,27 @@ class TestBatchedSweep:
 def test_sweep_builds_each_period_map_once(base_cfg, monkeypatch):
     # The pilots run on the loops the sweep builds, so each controlled
     # kind's period map is built exactly once per sweep, and none builds
-    # no loop at all.
+    # no loop at all.  So is each kind's symbol-rate stack: the pilot, the
+    # full chunks and the short final chunk all read the one build.
     import cwcancel.simulate as sim
 
-    built = []
-    period_maps = sim._period_maps
+    built, stacks = [], []
+    period_maps, stack = sim._period_maps, sim._SymbolStack
 
     def counting(cfg, kind):
         built.append(kind)
         return period_maps(cfg, kind)
 
+    def counting_stack(kernel, m):
+        stacks.append(kernel)
+        return stack(kernel, m)
+
     monkeypatch.setattr(sim, "_period_maps", counting)
+    monkeypatch.setattr(sim, "_SymbolStack", counting_stack)
     kinds = ["none", "designed", "perfect"]
-    sweep_beta(replace(base_cfg, n_symbols=20), [1e-4, 1e-3, 1e-2], kinds)
+    sweep_beta(replace(base_cfg, n_symbols=2 * sim._CHUNK_SYMBOLS + 44), [1e-4, 1e-3, 1e-2], kinds)
     assert sorted(built) == ["designed", "perfect"]
+    assert len(stacks) == 2
 
 
 def test_none_only_sweep_builds_no_loop(base_cfg, monkeypatch):

@@ -259,6 +259,8 @@ def oracle_cases(default_params, designed_controller):
     ft = RelayParams(fsfh_ratio=4, delay_seconds=0.75, carrier_hz=10000.3,
                      antialias=StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.5]]),
                      post_filter=StateSpace([[-1000.0]], [[1000.0]], [[1.0]], [[0.2]]))
+    n1 = RelayParams(fsfh_ratio=1)
+    lp4 = RelayParams(fsfh_ratio=4, antialias=first_order_lowpass(0.01))
     return {
         "defaults": (default_params, designed_controller),
         "rotated": (replace(default_params, carrier_hz=10000.125), designed_controller),
@@ -267,6 +269,8 @@ def oracle_cases(default_params, designed_controller):
         # F = 1/(s+1) + 0.5 and P = 1000/(s+1000) + 0.2: both feedthroughs
         # sit on the coupling path (D[y, c] and D[t, u_hold] of the core).
         "feedthrough": (ft, bisect_gamma(lift(ft), tol=5e-3).controller),
+        "N1": (n1, bisect_gamma(lift(n1), tol=5e-3).controller),
+        "lowpass4": (lp4, bisect_gamma(lift(lp4), tol=5e-3).controller),
     }
 
 
@@ -414,18 +418,19 @@ ANTIALIAS = {"identity": None, "lowpass": first_order_lowpass(0.01),
 
 
 @functools.lru_cache(maxsize=None)
-def designed_kernel(N, antialias):
-    """The period kernel of the designed loop at N with an ``ANTIALIAS`` filter."""
-    from cwcancel.simulate import _period_maps, _PeriodKernel
+def designed_loop(N, antialias):
+    """The designed period loop at N with an ``ANTIALIAS`` filter."""
+    from cwcancel.simulate import _period_maps
 
     params = RelayParams(fsfh_ratio=N, antialias=ANTIALIAS[antialias])
     K = bisect_gamma(lift(params), tol=5e-3).controller
-    return _PeriodKernel(_period_maps(SimConfig(params=params, controller=K), "designed"))
+    return _period_maps(SimConfig(params=params, controller=K), "designed")
 
 
 class TestWindowMap:
-    """A chunk's window map against the scan that it replaces, _advance and
-    then _window_sums, with m = 2 periods a symbol."""
+    """A kind's symbol-rate stack against the tests' own receiver on the
+    per-period recurrence, sequential_periods and then relay_window_sums,
+    with m = 2 periods a symbol."""
 
     @pytest.mark.parametrize("antialias, N, image", [
         ("identity", 8, False), ("identity", 16, False), ("identity", 32, False),
@@ -434,39 +439,43 @@ class TestWindowMap:
     ])
     def test_equals_the_scan(self, antialias, N, image):
         """Chunks of 64, 1, 63 and 44 symbols, the last one final, from a
-        random state: every completed window, carry and x_T.  The map reads
-        w, or its image where that is narrower."""
-        from cwcancel.simulate import _advance, _fold, _window_sums, _WindowMap
+        random loop state: every window and the loop state after each
+        chunk.  The stack reads w, or its image where that is narrower."""
+        from cwcancel.simulate import _PeriodKernel, _SymbolStack
 
-        kernel, m, P = designed_kernel(N, antialias), 2, 3
+        loop, m, P = designed_loop(N, antialias), 2, 3
+        kernel = _PeriodKernel(loop)
+        stack = _SymbolStack(kernel, m)
+        assert (stack.image is not None) == image
         rng = np.random.default_rng(N)
-        X = rng.standard_normal((P, kernel.n_states))
-        X_scan, carry, carry_scan = X.T.copy(), None, None
+        X = rng.standard_normal((loop.n_states, P))
+        s = np.zeros((P, stack.n_states))
+        s[:, :loop.n_states] = X.T
+        sums, U = [], []
         for symbols, final in ((64, False), (1, False), (63, False), (44, True)):
-            W = rng.standard_normal((P, symbols * m, kernel.cols.size))
-            wmap = _WindowMap(kernel, symbols * m, m)
-            assert (wmap.image is not None) == image
-            sums, carry = wmap.apply(W, X, carry, final)
-            F = _advance(kernel, X_scan, W.transpose(1, 0, 2), kernel.H @ _fold(N))
-            ref, carry_scan = _window_sums(F, m, carry_scan, final)
-            assert sums.shape == ref.shape
-            assert np.abs(sums - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert np.abs(X - X_scan.T).max() <= 1e-12 * np.abs(X_scan).max()
-            if not final:
-                assert np.abs(carry - carry_scan).max() <= 1e-12 * np.abs(carry_scan).max()
-        assert carry is carry_scan is None
+            W = rng.standard_normal((symbols * m, loop.n_inputs, P))
+            sums.append(stack.run(W[:, kernel.cols].transpose(2, 0, 1), s, final))
+            u, X = sequential_periods(loop, X, W)
+            U.append(u)
+            assert np.abs(s[:, :loop.n_states] - X.T).max() <= 1e-12 * np.abs(X).max()
+        # The first symbol's output closes no window: sample 0 is in none.
+        sums = np.concatenate(sums)[1:]
+        ref = relay_window_sums(np.concatenate(U).reshape(-1, 2, P), m * N).transpose(0, 2, 1)
+        assert sums.shape == ref.shape == (172, P, 2)
+        assert np.abs(sums - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("N", [16, 32, 64])
     def test_size_does_not_grow_with_N(self, N):
         """With F = 100/(s+100) the loop reads all 2N samples of w, but a
-        period passes on only the kick to the filter's I/Q states: the map
-        reads those 2 numbers a period, and has one size, at every N."""
-        from cwcancel.simulate import _WindowMap
+        period passes on only the kick to the filter's I/Q states: the stack
+        reads those 2 numbers a period, and its 64-symbol map has one size,
+        at every N."""
+        from cwcancel.simulate import _PeriodKernel, _SymbolStack
 
-        kernel = designed_kernel(N, "lowpass")
+        kernel = _PeriodKernel(designed_loop(N, "lowpass"))
         n = kernel.n_states
         assert kernel.cols.size == 2 * N
-        assert _WindowMap(kernel, 128, 2).M.shape == (n + 128 * 2, 2 * 64 + 4 + n)
+        assert _SymbolStack(kernel, 2).M.shape == (n + 4 + 64 * 2 * 2, 2 * 64 + n + 4)
 
 
 class TestInputColumns:
@@ -682,19 +691,26 @@ def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
 
 
 class TestFoldedStatistic:
-    """The sweep's window sums of u, folded in the kernel, against the window
-    sums of the per-sample relay output of the same run: over two chunk
-    edges and a short final chunk, and for a lone symbol."""
+    """The sweep's window sums of u, from each kind's symbol-rate stack,
+    against the window sums of the per-sample relay output of the same run:
+    over two chunk edges and a short final chunk, and for a lone symbol."""
 
     @pytest.mark.parametrize("n_symbols", [2 * 64 + 44, 1])
-    @pytest.mark.parametrize("case", ["defaults", "antialias"])  # F = I, F = 100/(s+100)
-    def test_equals_per_sample_sums(self, oracle_cases, case, n_symbols):
+    # F = I and F = 100/(s+100) at m = 2 periods a symbol (h = 1); one period
+    # a symbol; one sample a period; five periods a symbol through the
+    # lowpass; and feedthrough on the whole loop, so that a symbol's first
+    # input reaches the window that its first sample closes.
+    @pytest.mark.parametrize("case, symbol_period", [
+        ("defaults", 2.0), ("antialias", 2.0), ("defaults", 1.0), ("N1", 2.0), ("lowpass4", 5.0),
+        ("feedthrough", 2.0),
+    ], ids=["defaults", "antialias", "m1", "N1_m2", "lowpass4_m5", "feedthrough"])
+    def test_equals_per_sample_sums(self, oracle_cases, case, symbol_period, n_symbols):
         from cwcancel.simulate import _ChainBatch
 
         params, K = oracle_cases[case]
         # g = 1 and beta = 1, 0.5, 2 scale u exactly; n_T is off and n_RS on.
         cfg = SimConfig(params=params, controller=K, seed=11, relay_gain_db=0.0,
-                        noise_t_dbm=-math.inf, n_symbols=n_symbols)
+                        noise_t_dbm=-math.inf, symbol_period=symbol_period, n_symbols=n_symbols)
         betas, sps = [1.0, 0.5, 2.0], cfg.sps
         rng = np.random.default_rng(n_symbols)
         bits = np.stack([rng.choice([0, 1], n_symbols) for _ in betas], axis=1)
