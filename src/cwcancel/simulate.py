@@ -11,27 +11,24 @@ loop the canceler was designed on.  The lifted error output is e = w - u,
 which gives the relay output u = w - e; the relay forward gain and the noise
 at T act outside the loop.
 
-One private kernel, :func:`_advance`, writes that iteration: it advances an
-(n_x, P) state matrix, the loop states of P runs, over a chunk of slow
-periods, and maps each period through the output matrix it is given.  It
-takes only the samples of w that reach the loop (with F = I, the one
-sampled I/Q pair per period) and runs a doubling scan over blocks of 64
-periods, so its Python loop turns log2(64) times per block, not once per
-period.  :func:`simulate_chain` runs it over a whole waveform.
-:class:`_ChainBatch` runs the BER sweeps chunk by chunk, every beta point
-of a kind as a run, and is the one gate of a run: it checks the kinds,
-builds and checks the loops, and makes the streams.
+:func:`simulate_chain` runs the loop over a whole waveform and forms u
+sample by sample for ``waveform.csv``.  :class:`_ChainBatch` runs the BER
+sweeps chunk by chunk, every beta point of a kind as a run, and is the one
+gate of a run: it checks the kinds, builds and checks the loops, and makes
+the streams.  Both run the loop as a :class:`_MarkovStack`, which maps a
+chunk of up to ``_CHUNK_SYMBOLS`` steps to the runs' outputs and next
+states: their inputs times a slice of one matrix, plus their states' share.
+Each reads only the samples of w that reach the loop (with F = I, the one
+sampled I/Q pair per period).
 
 A sweep reads u only through its decision windows, which start
 ``_CHAIN_ALIGN`` = 1 fast sample after each symbol edge, one after the hold
 update.  A symbol is m = sps / N whole slow periods, so one symbol of the
 loop is a linear time-invariant system at the symbol rate, whose state
 carries the window that the symbol leaves open and whose output closes the
-previous one (:class:`_SymbolStack`).  One Markov stack of it per kind maps
-a chunk of up to ``_CHUNK_SYMBOLS`` symbols, whatever its length, to the
-runs' window sums and next states: their inputs times a slice of one
-matrix, plus their states' share.  The sweep never forms u or y_T sample
-by sample; :func:`simulate_chain` does, for ``waveform.csv``.
+previous one (:class:`_SymbolStack`).  One stack of it per kind maps every
+chunk and the pilot to the runs' window sums and next states, so the sweep
+never forms u or y_T sample by sample.
 
 Random streams
 --------------
@@ -226,27 +223,26 @@ def point_streams(seed: int, point: int) -> tuple:
         key=np.array([seed, 3 * point + k], dtype=np.uint64))) for k in range(3))
 
 
-# Periods per scan block of :func:`_advance`, a power of two.
-_SCAN_BLOCK = 64
 # A stable loop can still overflow a float at a large enough scale; the
 # receiver (:func:`ber._decide`) or :func:`simulate_chain` reports it.
 _DIVERGENCE = dict(over="ignore", invalid="ignore")
 # The relay receiver's windows start this many fast samples after a symbol
 # edge: one after the hold update, so each window sees its own symbol.
 _CHAIN_ALIGN = 1
+# Steps of every Markov stack: the symbols of a sweep's longest chunk and
+# pilot, and the slow periods of a chunk of :func:`_relay_output`.
+_CHUNK_SYMBOLS = 64
 
 
 class _PeriodKernel:
-    """A closed loop's period map x <- A x + B w, e = C x + D w, arranged for
-    :func:`_advance`.
+    """A closed loop's period map x <- A x + B w, e = C x + D w, runs as rows.
 
     u = w - e = -C x + (I - D) w, so w enters only through the columns of
     [B; I - D] that are not exactly zero (``cols``): the sampler's I/Q pair
     at the period's first fast instant when the antialias filter is I, all
-    2N once it has state.  Matrices are stored transposed for the
-    run-by-row layout of :func:`_advance`: ``BT`` = B[:, cols]^T, ``H`` =
-    [-C, (I - D)[:, cols]]^T and ``powers`` = (A^s)^T for s = 1, 2, 4, ...,
-    _SCAN_BLOCK / 2.
+    2N once it has state.  Matrices are stored transposed: ``AT`` = A^T,
+    ``BT`` = B[:, cols]^T and ``H`` = [-C, (I - D)[:, cols]]^T, so a row
+    [x, w[cols]] times ``H`` is the period's u.
     """
 
     def __init__(self, loop: StateSpace):
@@ -254,60 +250,81 @@ class _PeriodKernel:
         BG = np.vstack([loop.B, np.eye(loop.n_outputs) - loop.D])
         self.cols = np.flatnonzero(np.any(BG != 0.0, axis=0))
         self.n_states = n
+        self.AT = loop.A.T
         self.BT = BG[:n, self.cols].T
         self.H = np.hstack([-loop.C, BG[n:, self.cols]]).T
-        self.powers = [loop.A.T]
-        with np.errstate(**_DIVERGENCE):
-            while 2 ** len(self.powers) < _SCAN_BLOCK:
-                self.powers.append(self.powers[-1] @ self.powers[-1])
 
 
-def _advance(kernel: _PeriodKernel, X: np.ndarray, W: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Outputs of P runs over a chunk of slow periods, through the output matrix H.
+def _image(G: np.ndarray) -> tuple:
+    """(image, rows) for inputs w[cols] that enter through the rows G: the map
+    of w[cols] to the entries of w G that are not exactly zero, and their
+    rows, where those are fewer than w's; else (None, G)."""
+    live = np.flatnonzero(np.any(G != 0.0, axis=0))
+    if live.size < G.shape[0]:
+        return G[:, live], np.eye(G.shape[1])[live]
+    return None, G
 
-    X is the (n_x, P) loop state of the runs and is advanced in place;
-    W[k, p] is run p's w_k[cols] in period k, the only samples of w the
-    loop reads.  Row (k, p) of the work matrix Z holds run p's state x_k and
-    inputs w_k[cols], so Z ``kernel.H`` is the relay output u, and Z H for
-    H = ``kernel.H`` S is S's map of it: one GEMM per block.  The states
-    advance in blocks of ``_SCAN_BLOCK`` periods by a doubling scan
-    (Blelloch, "Prefix sums and their applications", 1990): with
-    v_k = B w_k, plus A x at the block's first period,
-    x_{k+1} = sum_{i<=k} A^(k-i) v_i, and the doubling with s = 1, 2, 4, ...
-    adds A^s times the partial sums s periods back, one GEMM each.  Blocks
-    start at the chunk's first period, so chunks cut at block edges give the
-    same bits as one whole call.  The result is (T, P, H's columns),
-    unchecked: see :data:`_DIVERGENCE`.
+
+class _MarkovStack:
+    """The system s <- s A + v B, y = s C + v D, runs as rows, over a chunk
+    of up to ``_CHUNK_SYMBOLS`` steps.
+
+    ``M`` maps [s, v_0 .. v_63] to [y_0 .. y_63, s_64]: its state rows are
+    A^k C, k < 64, and A^64; v_i's rows hold D at y_i, B A^(k-1-i) C at each
+    later y_k and B A^(63-i) at s_64.  A chunk of S steps reads M's trailing
+    S steps of input rows, and A^k C, k < S, and A^S as state rows, so every
+    chunk length is a slice of the one build.
     """
-    T, P, m = W.shape
-    n = kernel.n_states
-    Z = np.empty(((T + 1) * P, n + m))
-    Z[:P, :n] = X.T
-    Z[: T * P].reshape(T, P, n + m)[:, :, n:] = W
-    U = np.empty((T * P, H.shape[1]))
-    with np.errstate(**_DIVERGENCE):
-        for start in range(0, T * P, _SCAN_BLOCK * P):
-            stop = min(start + _SCAN_BLOCK * P, T * P)
-            x = Z[start + P: stop + P, :n]  # the block's x_{k+1}, first v_k
-            np.matmul(Z[start:stop, n:], kernel.BT, out=x)
-            x[:P] += Z[start: start + P, :n] @ kernel.powers[0]
-            s = P  # rows per doubling: s periods of P runs
-            for AsT in kernel.powers:
-                if s >= stop - start:
-                    break
-                x[s:] += x[: stop - start - s] @ AsT
-                s *= 2
-            np.matmul(Z[start:stop], H, out=U[start:stop])
-    X[...] = Z[T * P:, :n].T
-    return U.reshape(T, P, H.shape[1])
+
+    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray):
+        ns, r, p, c = A.shape[0], B.shape[0], C.shape[1], _CHUNK_SYMBOLS
+        self.n_states, self.rows, self.width = ns, r, p
+        # The Markov stack: A^k for k <= c, and A^k C and B A^k for k < c.
+        self.powers = [np.eye(ns)]
+        for _ in range(c):
+            self.powers.append(self.powers[-1] @ A)
+        Ak = np.stack(self.powers[:c])
+        BA = B @ Ak
+        later = np.concatenate([D[None], BA[:c - 1] @ C])  # an input's share of y d steps on
+        M = self.M = np.zeros((ns + c * r, p * c + ns))
+        M[:ns, :p * c] = (Ak @ C).transpose(1, 0, 2).reshape(ns, -1)
+        M[:ns, p * c:] = self.powers[c]
+        inputs = M[ns:].reshape(c, r, p * c + ns)
+        for i in range(c):
+            inputs[i, :, p * i: p * c] = later[:c - i].transpose(1, 0, 2).reshape(r, p * (c - i))
+        inputs[:, :, p * c:] = BA[::-1]
+
+    def run(self, V: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Outputs y (P, S, width) of P runs over S steps, unchecked, for
+        inputs V (P, S, rows) and states s (P, n_states), advanced in place."""
+        (P, S, r), ns, p = V.shape, self.n_states, self.width
+        cut = _CHUNK_SYMBOLS - S
+        if cut < 0:
+            raise ValueError(f"a chunk holds at most {_CHUNK_SYMBOLS} steps, got {S}")
+        state = self.M[:ns] if cut == 0 else np.hstack([self.M[:ns, :p * S], self.powers[S]])
+        Y = V.reshape(P, S * r) @ self.M[ns + cut * r:, p * cut:]
+        Y += s @ state
+        s[...] = Y[:, p * S:]
+        return Y[:, :p * S].reshape(P, S, p)
 
 
-# Symbols per streamed chunk of a sweep, and so the length of each kind's
-# Markov stack: the longest chunk, and the pilot, that a batch maps.
-_CHUNK_SYMBOLS = 64
+def _relay_output(kernel: _PeriodKernel, W: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The relay output u (P, T, 2N) of P runs over T slow periods, unchecked,
+    for their w at the kernel's columns W (P, T, cols.size) and their loop
+    states s (P, n_x), advanced in place.  The period loop runs as a
+    :class:`_MarkovStack` whose outputs (C = I, D = 0) are the states x_k at
+    the periods' starts and whose input is w or its :func:`_image` (2 a
+    period at every N for F = 100/(s+100)); then u = [x_k, w_k] ``kernel.H``.
+    """
+    n, c = kernel.n_states, _CHUNK_SYMBOLS
+    image, B = _image(kernel.BT)
+    stack = _MarkovStack(kernel.AT, B, np.eye(n), np.zeros((B.shape[0], n)))
+    V = W if image is None else W @ image
+    X = np.concatenate([stack.run(V[:, k:k + c], s) for k in range(0, W.shape[1], c)], axis=1)
+    return np.concatenate([X, W], axis=2) @ kernel.H
 
 
-class _SymbolStack:
+class _SymbolStack(_MarkovStack):
     """One symbol, m slow periods, of a kind's loop as a system at the
     symbol rate, and its map of a chunk of up to ``_CHUNK_SYMBOLS`` symbols.
 
@@ -315,35 +332,25 @@ class _SymbolStack:
     symbol edge, the sum r so far of the window the symbol leaves open (the
     "rest" after the first ``_CHAIN_ALIGN`` samples of each of its periods,
     plus the "heads" of its periods 1 .. m - 1) and its last sample l.  Its
-    input V is its m periods of w at the kernel's columns or, where fewer
-    numbers hold all that a period passes on of w, their image under
-    ``image``: the entries of B w and of the feedthrough's head, rest and
-    last sample that are not exactly zero, 2 a period at every N for
-    F = 100/(s+100).  As rows, s <- s A + V B, and y = s C + V D, r plus the
-    head of the symbol's first period, closes the previous symbol's window;
+    input V is its m periods of w at the kernel's columns or, where
+    narrower, their :func:`_image` through B and the feedthrough's head,
+    rest and last sample: 2 a period at every N for F = 100/(s+100).  As
+    rows, s <- s A + V B, and y = s C + V D, r plus the head of the
+    symbol's first period, closes the previous symbol's window;
     r + ``_CHAIN_ALIGN`` l closes a stream's last one.  This is the lifting
     of Chen and Francis ("Optimal Sampled-Data Control Systems", 1995) at
-    the symbol rate.
-
-    ``M`` maps [s, V_0 .. V_63] to [y_0 .. y_63, s_64]: its state rows are
-    A^k C, k < 64, and A^64; V_i's rows hold D at y_i, B A^(k-1-i) C at each
-    later y_k and B A^(63-i) at s_64.  A chunk of S symbols reads M's
-    trailing S symbols of input rows, and A^k C, k < S, and A^S as state
-    rows, so every chunk length is a slice of the one build.
+    the symbol rate, run as a :class:`_MarkovStack`.
     """
 
     def __init__(self, kernel: _PeriodKernel, m: int):
-        n, a, N, c = kernel.n_states, _CHAIN_ALIGN, kernel.H.shape[1] // 2, _CHUNK_SYMBOLS
+        n, a, N = kernel.n_states, _CHAIN_ALIGN, kernel.H.shape[1] // 2
         H = kernel.H.reshape(-1, N, 2)
         # A period's rows x and w map to the next x and to u's head, rest and last sample.
-        G = np.hstack([np.vstack([kernel.powers[0], kernel.BT]),
+        G = np.hstack([np.vstack([kernel.AT, kernel.BT]),
                        H[:, :a].sum(axis=1), H[:, a:].sum(axis=1), H[:, N - 1]])
-        live = np.flatnonzero(np.any(G[n:] != 0.0, axis=0))
-        self.image = G[n:, live] if live.size < kernel.cols.size else None
-        if self.image is not None:
-            G = np.vstack([G[:n], np.eye(n + 6)[live]])
+        self.image, rows = _image(G[n:])
+        G = np.vstack([G[:n], rows])
         q, ns = G.shape[0] - n, n + 4
-        self.n_states, self.rows = ns, m * q
         # The symbol from its last period back: Q maps period i's x to its
         # share of (x', r', l'), and B[i] does so for period i's input.
         Q, B = np.eye(n, ns), np.empty((m, q, ns))
@@ -354,41 +361,15 @@ class _SymbolStack:
             Q, B[i] = R[:n], R[n:]
         A, C, D = np.zeros((ns, ns)), np.zeros((ns, 2)), np.zeros((m * q, 2))
         A[:n], C[:n], C[n:n + 2], D[:q] = Q, G[:n, n:n + 2], np.eye(2), G[n:, n:n + 2]
-        # The Markov stack: A^k for k <= c, and A^k C and B A^k for k < c.
-        self.powers = [np.eye(ns)]
-        for _ in range(c):
-            self.powers.append(self.powers[-1] @ A)
-        Ak = np.stack(self.powers[:c])
-        BA = B.reshape(m * q, ns) @ Ak
-        later = np.concatenate([D[None], BA[:c - 1] @ C])  # an input's share of y d symbols on
-        M = self.M = np.zeros((ns + c * m * q, 2 * c + ns))
-        M[:ns, :2 * c] = (Ak @ C).transpose(1, 0, 2).reshape(ns, -1)
-        M[:ns, 2 * c:] = self.powers[c]
-        inputs = M[ns:].reshape(c, m * q, -1)
-        for i in range(c):
-            inputs[i, :, 2 * i: 2 * c] = later[:c - i].transpose(1, 0, 2).reshape(m * q, -1)
-        inputs[:, :, 2 * c:] = BA[::-1]
+        super().__init__(A, B.reshape(m * q, ns), C, D)
 
     def run(self, W: np.ndarray, s: np.ndarray, final: bool) -> np.ndarray:
-        """Outputs y (S + final, P, 2) of P runs over S symbols, unchecked.
-
-        W (P, S m, cols.size) is the runs' w at the kernel's columns,
-        run-major, and s (P, n + 4) their states, advanced in place.  At a
-        stream's ``final`` symbol y ends with the window that it closes.
-        """
-        P, ns = s.shape
+        """Outputs y (S + final, P, 2) of P runs over S symbols, unchecked, for
+        their w at the kernel's columns W (P, S m, cols.size) and states s
+        (P, n + 4), advanced in place; a ``final`` y ends with the last window."""
         if self.image is not None:
             W = W @ self.image
-        V = W.reshape(P, -1)
-        S = V.shape[1] // self.rows
-        cut = _CHUNK_SYMBOLS - S
-        if cut < 0:
-            raise ValueError(f"a chunk holds at most {_CHUNK_SYMBOLS} symbols, got {S}")
-        state = self.M[:ns] if cut == 0 else np.hstack([self.M[:ns, :2 * S], self.powers[S]])
-        Y = V @ self.M[ns + cut * self.rows:, 2 * cut:]
-        Y += s @ state
-        s[...] = Y[:, 2 * S:]
-        y = Y[:, :2 * S].reshape(P, S, 2).transpose(1, 0, 2)
+        y = super().run(W.reshape(s.shape[0], -1, self.rows), s).transpose(1, 0, 2)
         if final:  # the stream's end repeats its last sample
             y = np.concatenate([y, (s[:, -4:-2] + _CHAIN_ALIGN * s[:, -2:])[None]])
         return y
@@ -502,7 +483,7 @@ class _ChainBatch:
     @cached_property
     def stacks(self) -> dict:
         """Each controlled kind's :class:`_SymbolStack`, built on first use:
-        :func:`simulate_chain` runs the period loop and builds none."""
+        :func:`simulate_chain` runs the period loop's stack and builds none."""
         with np.errstate(**_DIVERGENCE):
             return {kind: _SymbolStack(k, self.m) for kind, k in self.kernels.items()}
 
@@ -576,9 +557,8 @@ def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
         u, y_t = np.zeros_like(tx), n_t
     else:
         kernel = batch.kernels[kind]
-        u = _advance(kernel, np.zeros((kernel.n_states, 1)), W.transpose(1, 0, 2),
-                     kernel.H).reshape(n_fast, 2)
         with np.errstate(**_DIVERGENCE):
+            u = _relay_output(kernel, W, np.zeros((1, kernel.n_states))).reshape(n_fast, 2)
             y_t = batch.scale[0] * u + n_t
     if not np.isfinite(y_t).all():
         raise FloatingPointError("terminal waveform overflows a float")

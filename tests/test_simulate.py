@@ -277,8 +277,21 @@ def oracle_cases(default_params, designed_controller):
 @pytest.mark.parametrize("case", ["defaults", "rotated", "antialias", "delay_free", "feedthrough"])
 @pytest.mark.parametrize("kind", ["none", "designed", "perfect"])
 def test_matches_per_step_oracle(oracle_cases, case, kind):
+    assert_matches_oracle(oracle_cases, case, kind, 16 * 40)
+
+
+@pytest.mark.parametrize("case", ["defaults", "antialias"])
+@pytest.mark.parametrize("kind", ["designed", "perfect"])
+def test_matches_per_step_oracle_across_chunk_edges(oracle_cases, case, kind):
+    # 200 periods at N = 16 cross three edges of the 64-period chunks that
+    # simulate_chain runs its period loop in.
+    assert_matches_oracle(oracle_cases, case, kind, 16 * 200)
+
+
+def assert_matches_oracle(oracle_cases, case, kind, n):
+    """simulate_chain's noise-free u on n random samples against the oracle's."""
     params, K = oracle_cases[case]
-    tx = np.random.default_rng(16).standard_normal((16 * 40, 2))
+    tx = np.random.default_rng(16).standard_normal((n, 2))
     cfg = SimConfig(params=params, controller=K, seed=0, **NOISE_OFF)
     u = simulate_chain(cfg, tx, kind, 1.0).u
     ref = oracle_relay_output(params, None if kind == "none" else K, kind, tx)
@@ -310,11 +323,15 @@ def test_noise_free_chain_is_linear_and_slow_rate_time_invariant(
     assert np.abs(delayed[N:] - u1).max() <= 1e-12 * np.abs(u1).max()
 
 
-def advance_full(kernel, X, W):
-    """_advance on the full (T, 2N, P) inputs W, with U in the same layout."""
-    from cwcancel.simulate import _advance
+def stack_full(kernel, X, W):
+    """_relay_output on the full (T, 2N, P) inputs W from the (n_x, P) loop
+    states X, advanced in place, with U in the inputs' layout."""
+    from cwcancel.simulate import _relay_output
 
-    return _advance(kernel, X, W[:, kernel.cols].transpose(0, 2, 1), kernel.H).transpose(0, 2, 1)
+    s = X.T.copy()
+    U = _relay_output(kernel, W[:, kernel.cols].transpose(2, 0, 1), s)
+    X[...] = s.T
+    return U.transpose(1, 2, 0)
 
 
 def none_loop(params):
@@ -334,7 +351,7 @@ def test_none_loop_outputs_exact_zero(base_cfg):
 
     kernel = _PeriodKernel(none_loop(base_cfg.params))
     W = np.random.default_rng(18).standard_normal((40, 32, 3))
-    U = advance_full(kernel, np.zeros((kernel.n_states, 3)), W)
+    U = stack_full(kernel, np.zeros((kernel.n_states, 3)), W)
     assert np.all(U == 0.0)
 
 
@@ -366,7 +383,8 @@ def period_maps(oracle_cases):
 
 
 class TestScanKernel:
-    """The block scan of _advance against the per-period recurrence."""
+    """The period loop's Markov stack (_relay_output), which scans the
+    periods from a state, against the per-period recurrence."""
 
     @pytest.mark.parametrize("periods", [1, 63, 64, 65, 200])
     @pytest.mark.parametrize("P", [1, 12])
@@ -380,7 +398,7 @@ class TestScanKernel:
         X0 = rng.standard_normal((loop.n_states, P))
         U_ref, X_ref = sequential_periods(loop, X0, W)
         X = X0.copy()
-        U = advance_full(_PeriodKernel(loop), X, W)
+        U = stack_full(_PeriodKernel(loop), X, W)
         assert np.abs(U - U_ref).max() <= 1e-13 * np.abs(U_ref).max()
         assert np.abs(X - X_ref).max() <= 1e-13 * np.abs(X_ref).max()
 
@@ -390,25 +408,26 @@ class TestScanKernel:
 
         loop = period_maps[case]["none"]
         W = np.random.default_rng(19).standard_normal((200, loop.n_inputs, 12))
-        U = advance_full(_PeriodKernel(loop), np.zeros((loop.n_states, 12)), W)
+        U = stack_full(_PeriodKernel(loop), np.zeros((loop.n_states, 12)), W)
         assert np.all(U == 0.0)
 
     @pytest.mark.parametrize("case", ["N16", "antialias"])
-    def test_block_aligned_chunks_equal_one_call(self, period_maps, case):
-        from cwcancel.simulate import _SCAN_BLOCK, _PeriodKernel
+    def test_chunks_match_the_recurrence(self, period_maps, case):
+        """Chunks of 64, 1, 63 and 44 periods from a random state: every
+        chunk's u and the loop state after it."""
+        from cwcancel.simulate import _PeriodKernel
 
         loop = period_maps[case]["designed"]
         kernel = _PeriodKernel(loop)
         rng = np.random.default_rng(20)
-        W = rng.standard_normal((2 * _SCAN_BLOCK + 22, loop.n_inputs, 12))
-        X0 = rng.standard_normal((loop.n_states, 12))
-        X_whole = X0.copy()
-        U_whole = advance_full(kernel, X_whole, W)
-        X = X0.copy()
-        U = [advance_full(kernel, X, W[:_SCAN_BLOCK]),
-             advance_full(kernel, X, W[_SCAN_BLOCK:])]
-        assert np.array_equal(np.concatenate(U), U_whole)
-        assert np.array_equal(X, X_whole)
+        X = rng.standard_normal((loop.n_states, 12))
+        X_ref = X.copy()
+        for periods in (64, 1, 63, 44):
+            W = rng.standard_normal((periods, loop.n_inputs, 12))
+            U_ref, X_ref = sequential_periods(loop, X_ref, W)
+            U = stack_full(kernel, X, W)
+            assert np.abs(U - U_ref).max() <= 1e-13 * np.abs(U_ref).max()
+            assert np.abs(X - X_ref).max() <= 1e-13 * np.abs(X_ref).max()
 
 
 # Antialias filters: a lowpass F = 100/(s+100), whose period passes on only
@@ -666,27 +685,28 @@ def test_samples_no_loop_reads_do_not_reach_u(oracle_cases, case):
 def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
     # Sweep point i's n_RS is sigma_rs times (periods, m) normals of Philox
     # key (seed, 3 i) at the m columns the loop reads, however the symbols
-    # are chunked: the batch's window sums of u equal those of the kernel's
-    # per-sample output on those inputs plus the all-zero bits' tx, -1 at
-    # the I columns.
-    from cwcancel.simulate import _advance, _ChainBatch, _period_maps, _PeriodKernel
+    # are chunked: the batch's window sums of u equal those of the period
+    # recurrence's per-sample output on those inputs plus the all-zero
+    # bits' tx, -1 at the I columns.
+    from cwcancel.simulate import _ChainBatch, _period_maps, _PeriodKernel
 
     params, K = oracle_cases[case]
     cfg = SimConfig(params=params, controller=K, seed=5, relay_gain_db=0.0,
                     noise_t_dbm=-math.inf, n_symbols=100)
-    kernel = _PeriodKernel(_period_maps(cfg, "designed"))
+    loop = _period_maps(cfg, "designed")
+    cols = _PeriodKernel(loop).cols
     periods = cfg.n_symbols * cfg.sps // params.fsfh_ratio
     for P in (1, 4):  # run i of a batch is sweep point i
         batch = _ChainBatch(cfg, ["designed"], [1.0] * P)
         y = sweep_statistics(batch, np.zeros((cfg.n_symbols, P), dtype=int), (32, 64, 4))
         n_rs = np.stack([np.random.Generator(np.random.Philox(
             key=np.array([cfg.seed, 3 * i], dtype=np.uint64))).standard_normal(
-            (periods, kernel.cols.size)) for i in range(P)], axis=1)
-        w = batch.sigma_rs * n_rs
-        w[:, :, kernel.cols % 2 == 0] -= 1.0
-        u = _advance(kernel, np.zeros((kernel.n_states, P)), w, kernel.H)
-        ref = relay_window_sums(u.reshape(periods, P, -1, 2).transpose(0, 2, 3, 1)
-                                .reshape(-1, 2, P), cfg.sps).transpose(0, 2, 1)
+            (periods, cols.size)) for i in range(P)], axis=2)
+        w = np.zeros((periods, loop.n_inputs, P))  # no other sample reaches u
+        w[:, cols] = batch.sigma_rs * n_rs
+        w[:, cols[cols % 2 == 0]] -= 1.0
+        u, _ = sequential_periods(loop, np.zeros((loop.n_states, P)), w)
+        ref = relay_window_sums(u.reshape(-1, 2, P), cfg.sps).transpose(0, 2, 1)
         assert np.abs(y["designed"] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

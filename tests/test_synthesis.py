@@ -176,6 +176,26 @@ class TestProbe:
         with pytest.raises(ValueError, match="ill-posed"):
             run(make_plant(**plant))
 
+    @pytest.mark.parametrize("c", [1e-9, 1e-12])
+    def test_rank_rule_is_relative(self, c):
+        """F = 20c/(s+20) at N = 8 only scales the measurement: D21's two
+        singular values are equal (8.1e-11 at c = 1e-9, 8.1e-14 at 1e-12)
+        and below _RANK_RTOL, yet D21 is regular and accepted.  The same
+        plant with its second measurement made a copy of the first has a
+        rank-one D21 and is refused."""
+        F = StateSpace([[-20.0]], [[20.0]], [[c]], [[0.0]])
+        Gl = lift(RelayParams(fsfh_ratio=8, antialias=F))
+        p, _ = synthesis._rotated_blocks(Gl)
+        sv = np.linalg.svd(p.D21, compute_uv=False)
+        assert sv[0] < synthesis._RANK_RTOL
+        assert sv[-1] >= (1.0 - 1e-6) * sv[0]
+        G, y = Gl.G, Gl.n_z
+        C, D = G.C.copy(), G.D.copy()
+        C[y + 1], D[y + 1] = C[y], D[y]
+        copied = LiftedPlant(StateSpace(G.A, G.B, C, D, dt=G.dt), Gl.n_w, Gl.n_u, Gl.n_z, Gl.n_y)
+        with pytest.raises(ValueError, match="ill-posed standard problem: D21"):
+            synthesis._rotated_blocks(copied)
+
     def test_designed_loop_accepted_at_gamma_min_only(self, n8_run):
         """The N = 8 design's loop is proven below gamma_min*(1+PROBE_MARGIN),
         and the level test finds a gain above gamma_certified*(1-1e-4)."""
