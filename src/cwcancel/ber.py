@@ -17,19 +17,22 @@ that modulation and detection read.
 
 A sweep is one streaming pass (:func:`_error_counts`): each controlled
 kind's period map is built once, and each point's bits and noise are
-drawn once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by every
-kind.  n_RS is drawn, and the BPSK tx formed from the bits, only at the
-samples the loops read, and n_T as one sum per decision window.  All beta
-points of a kind advance together through the kind's one symbol-rate stack
+drawn once per block and shared by every kind.  A block is 1 to 16 chunks
+of 64 symbols, as many as keep the points' w of a block within a fixed
+budget of numbers (``simulate._ChainBatch``).  n_RS is drawn, and the
+BPSK tx formed from the bits, only at the samples the loops read, and n_T
+as one sum per decision window.  All beta points of a kind advance
+together through the kind's one symbol-rate stack
 (``simulate._SymbolStack``), whose state carries each run's open window
-from chunk to chunk: one product gives a chunk's window sums of u, so a
-sweep scores each window's statistic beta g Sum u + Sum n_T and never
-forms a waveform sample.  Decisions are scored chunk by chunk, so memory
-does not grow with ``n_symbols``; one receiver (:func:`_decide`) makes
-them, and :func:`demodulate`'s too.  The phase reference is a property of
-a kind's loop: one noise-free pilot, through the same stack, reads the
-relay output u of the loop the sweep already built, since the terminal's
-beta g > 0 keeps u's direction, and ``none`` (u = 0 exactly) has no loop.
+from block to block: one product per chunk gives its window sums of u,
+so a sweep scores each window's statistic beta g Sum u + Sum n_T and
+never forms a waveform sample.  Decisions are scored block by block, so
+memory does not grow with ``n_symbols``; one receiver (:func:`_decide`)
+makes them, and :func:`demodulate`'s too.  The phase reference is a
+property of a kind's loop: one noise-free pilot, through the same stack,
+reads the relay output u of the loop the sweep already built, since the
+terminal's beta g > 0 keeps u's direction, and ``none`` (u = 0 exactly)
+has no loop.
 A single BER point is a one-beta, one-kind sweep.
 """
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import _CHUNK_SYMBOLS, SimConfig, _ChainBatch, _iq_samples
+from .simulate import SimConfig, _ChainBatch, _iq_samples
 
 __all__ = [
     "BerPoint",
@@ -160,20 +163,20 @@ def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
     """Bit errors per canceler kind at each beta point, streamed.
 
     Point i's bits and chain noise, from the batch's streams, are drawn
-    once per chunk of ``_CHUNK_SYMBOLS`` symbols and shared by all kinds; the
+    once per block of ``batch.block`` symbols and shared by all kinds; the
     points of a kind advance together as the columns of one loop state.
-    Decisions are scored on each window's statistic as the batch completes
-    it, so memory is bounded by the chunk, not by ``cfg.n_symbols``.  Each
-    kind's reference is a property of its loop, so one pilot serves every
-    point.
+    Each kind decides a block's windows at once, on each window's statistic
+    as the batch completes it, so memory is bounded by the block, not by
+    ``cfg.n_symbols``.  Each kind's reference is a property of its loop, so
+    one pilot serves every point.
     """
     n_symbols = cfg.n_symbols
     batch = _ChainBatch(cfg, kinds, betas)
     refs = {kind: _pilot_reference(batch, kind) for kind in batch.kinds}
     errors = {kind: np.zeros(len(betas), dtype=int) for kind in batch.kinds}
     unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the windows not yet complete
-    for start in range(0, n_symbols, _CHUNK_SYMBOLS):
-        n = min(_CHUNK_SYMBOLS, n_symbols - start)
+    for start in range(0, n_symbols, batch.block):
+        n = min(batch.block, n_symbols - start)
         bits = np.stack([rng.integers(0, 2, size=n) for rng in batch.bits], axis=1)
         unscored = np.concatenate([unscored, bits])
         for kind, y in batch.advance(bits):

@@ -13,12 +13,12 @@ at T act outside the loop.
 
 :func:`simulate_chain` runs the loop over a whole waveform and forms u
 sample by sample for ``waveform.csv``.  :class:`_ChainBatch` runs the BER
-sweeps chunk by chunk, every beta point of a kind as a run, and is the one
+sweeps block by block, every beta point of a kind as a run, and is the one
 gate of a run: it checks the kinds, builds and checks the loops, and makes
 the streams.  Both run the loop as a :class:`_MarkovStack`, which maps a
-chunk of up to ``_CHUNK_SYMBOLS`` steps to the runs' outputs and next
-states: their inputs times a slice of one matrix, plus their states' share.
-Each reads only the samples of w that reach the loop (with F = I, the one
+run of any length, ``_CHUNK_SYMBOLS`` steps at a time, to the runs' outputs
+and next states: their inputs times a slice of one matrix, plus their
+states' share.  Each reads only the samples of w that reach the loop (with F = I, the one
 sampled I/Q pair per period).
 
 A sweep reads u only through its decision windows, which start
@@ -27,7 +27,7 @@ update.  A symbol is m = sps / N whole slow periods, so one symbol of the
 loop is a linear time-invariant system at the symbol rate, whose state
 carries the window that the symbol leaves open and whose output closes the
 previous one (:class:`_SymbolStack`).  One stack of it per kind maps every
-chunk and the pilot to the runs' window sums and next states, so the sweep
+block and the pilot to the runs' window sums and next states, so the sweep
 never forms u or y_T sample by sample.
 
 Random streams
@@ -229,9 +229,13 @@ _DIVERGENCE = dict(over="ignore", invalid="ignore")
 # The relay receiver's windows start this many fast samples after a symbol
 # edge: one after the hold update, so each window sees its own symbol.
 _CHAIN_ALIGN = 1
-# Steps of every Markov stack: the symbols of a sweep's longest chunk and
-# pilot, and the slow periods of a chunk of :func:`_relay_output`.
+# Steps of every Markov stack's map: a run of any length is computed in
+# chunks of this many symbols, or slow periods for :func:`_relay_output`.
 _CHUNK_SYMBOLS = 64
+# A sweep draws and runs blocks of 1 to _BLOCK_CHUNKS whole chunks: as many
+# as keep the runs' w of a block within _BLOCK_BUDGET numbers.
+_BLOCK_BUDGET = 2 ** 13
+_BLOCK_CHUNKS = 16
 
 
 class _PeriodKernel:
@@ -266,14 +270,15 @@ def _image(G: np.ndarray) -> tuple:
 
 
 class _MarkovStack:
-    """The system s <- s A + v B, y = s C + v D, runs as rows, over a chunk
-    of up to ``_CHUNK_SYMBOLS`` steps.
+    """The system s <- s A + v B, y = s C + v D, runs as rows, over any
+    number of steps, ``_CHUNK_SYMBOLS`` at a time.
 
     ``M`` maps [s, v_0 .. v_63] to [y_0 .. y_63, s_64]: its state rows are
     A^k C, k < 64, and A^64; v_i's rows hold D at y_i, B A^(k-1-i) C at each
-    later y_k and B A^(63-i) at s_64.  A chunk of S steps reads M's trailing
-    S steps of input rows, and A^k C, k < S, and A^S as state rows, so every
-    chunk length is a slice of the one build.
+    later y_k and B A^(63-i) at s_64.  A run walks its steps in chunks of
+    64; a short last chunk of S steps reads M's trailing S steps of input
+    rows, and A^k C, k < S, and A^S as state rows, so every length is a
+    slice of the one build.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray):
@@ -295,17 +300,20 @@ class _MarkovStack:
         inputs[:, :, p * c:] = BA[::-1]
 
     def run(self, V: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Outputs y (P, S, width) of P runs over S steps, unchecked, for
-        inputs V (P, S, rows) and states s (P, n_states), advanced in place."""
-        (P, S, r), ns, p = V.shape, self.n_states, self.width
-        cut = _CHUNK_SYMBOLS - S
-        if cut < 0:
-            raise ValueError(f"a chunk holds at most {_CHUNK_SYMBOLS} steps, got {S}")
-        state = self.M[:ns] if cut == 0 else np.hstack([self.M[:ns, :p * S], self.powers[S]])
-        Y = V.reshape(P, S * r) @ self.M[ns + cut * r:, p * cut:]
-        Y += s @ state
-        s[...] = Y[:, p * S:]
-        return Y[:, :p * S].reshape(P, S, p)
+        """Outputs y (P, S, width) of P runs over any S steps, unchecked, for
+        inputs V (P, S, rows) and states s (P, n_states), advanced in place.
+        Each chunk of ``_CHUNK_SYMBOLS`` steps, and a short last one, is its
+        own product, so splitting a run at chunk edges changes no bit."""
+        (P, S, r), ns, p, c = V.shape, self.n_states, self.width, _CHUNK_SYMBOLS
+        Y = np.empty((P, S, p))
+        for k in range(0, S, c):
+            n = min(c, S - k)
+            state = self.M[:ns] if n == c else np.hstack([self.M[:ns, :p * n], self.powers[n]])
+            out = V[:, k:k + n].reshape(P, n * r) @ self.M[ns + (c - n) * r:, p * (c - n):]
+            out += s @ state
+            s[...] = out[:, p * n:]
+            Y[:, k:k + n] = out[:, :p * n].reshape(P, n, p)
+        return Y
 
 
 def _relay_output(kernel: _PeriodKernel, W: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -316,17 +324,16 @@ def _relay_output(kernel: _PeriodKernel, W: np.ndarray, s: np.ndarray) -> np.nda
     the periods' starts and whose input is w or its :func:`_image` (2 a
     period at every N for F = 100/(s+100)); then u = [x_k, w_k] ``kernel.H``.
     """
-    n, c = kernel.n_states, _CHUNK_SYMBOLS
+    n = kernel.n_states
     image, B = _image(kernel.BT)
     stack = _MarkovStack(kernel.AT, B, np.eye(n), np.zeros((B.shape[0], n)))
-    V = W if image is None else W @ image
-    X = np.concatenate([stack.run(V[:, k:k + c], s) for k in range(0, W.shape[1], c)], axis=1)
+    X = stack.run(W if image is None else W @ image, s)
     return np.concatenate([X, W], axis=2) @ kernel.H
 
 
 class _SymbolStack(_MarkovStack):
     """One symbol, m slow periods, of a kind's loop as a system at the
-    symbol rate, and its map of a chunk of up to ``_CHUNK_SYMBOLS`` symbols.
+    symbol rate, and its map of a chunk of ``_CHUNK_SYMBOLS`` symbols.
 
     A run's state s = (x, r, l), n + 4 numbers, is the loop state x at the
     symbol edge, the sum r so far of the window the symbol leaves open (the
@@ -403,7 +410,7 @@ def _terminal_noise(rng: np.random.Generator, sigma_t: float, n: int, sps: int) 
 
 
 class _ChainBatch:
-    """P runs of the relay chain for each canceler kind, fed chunk by chunk.
+    """P runs of the relay chain for each canceler kind, fed block by block.
 
     This is the one gate of a run.  It checks the kinds (at least one, each
     in :data:`CANCELER_KINDS`, none repeated), the betas (at least one, each
@@ -418,14 +425,17 @@ class _ChainBatch:
     draws the bits.  Every kind sees the same noise, so the kinds are
     paired.  n_RS is drawn only at ``cols``, the columns that the loops
     read: ``designed`` and ``perfect`` close the same K with W = I, so they
-    read the same ones.  Per chunk, a run draws (periods, cols.size)
+    read the same ones.  Per block, a run draws (periods, cols.size)
     normals, which is 2 per period with F = I, all 2N with a dynamic F and
     none when only ``none`` runs, and its BPSK tx is formed at those
     columns only, from its bits (:meth:`bpsk`).  A run's n_T is drawn per
-    window, as :func:`_terminal_noise` lays it out.  Chunked draws equal
-    whole ones.  Each kind's kernel, its one :class:`_SymbolStack` and its
-    runs' symbol-rate states ``X[kind]`` (P, n_x + 4) live as long as the
-    batch.
+    window, as :func:`_terminal_noise` lays it out.  A block of ``block``
+    symbols is 1 to ``_BLOCK_CHUNKS`` chunks, as many as keep the runs' w,
+    P 64 m cols.size numbers a chunk, within ``_BLOCK_BUDGET``.  Blocked
+    draws equal whole ones and a stack computes each chunk alike in any
+    block, so the block sets a sweep's cost, never its numbers.  Each
+    kind's kernel, its one :class:`_SymbolStack` and its runs' symbol-rate
+    states ``X[kind]`` (P, n_x + 4) live as long as the batch.
     """
 
     def __init__(self, cfg: SimConfig, kinds, betas):
@@ -453,6 +463,8 @@ class _ChainBatch:
         self.X = {kind: np.zeros((len(betas), k.n_states + 4))  # (x, r, l): see _SymbolStack
                   for kind, k in self.kernels.items()}
         self.cols = next((k.cols for k in self.kernels.values()), np.zeros(0, dtype=np.intp))
+        chunk = len(betas) * _CHUNK_SYMBOLS * self.m * max(self.cols.size, 1)
+        self.block = _CHUNK_SYMBOLS * max(1, min(_BLOCK_CHUNKS, _BLOCK_BUDGET // chunk))
         self.amp = cfg.signal_amplitude
         self.scale = np.array([beta * cfg.relay_gain for beta in betas])
         self.sigma_rs, self.sigma_t = cfg.sigma_rs, cfg.sigma_t
@@ -490,8 +502,8 @@ class _ChainBatch:
     def advance(self, bits: np.ndarray):
         """Yield (kind, y) for the next whole symbols of the sweep, with bits (n, P).
 
-        y (windows, P, 2) is, for each decision window that the chunk
-        completes, the statistic scale Sum u + Sum n_T that the receiver
+        y (windows, P, 2) is, for each decision window that the symbols
+        complete, the statistic scale Sum u + Sum n_T that the receiver
         projects.  Each controlled kind's sums of u are one run of its
         :class:`_SymbolStack`: symbol k's output closes window k - 1, so a
         run drops the output of its first symbol, whose sample 0 is in no
@@ -526,8 +538,8 @@ class _ChainBatch:
 
     def pilot(self, kind: str, bits: np.ndarray) -> np.ndarray:
         """The last decision window's sum (2,) of a kind's noise-free relay
-        output u, from rest, for the BPSK of bits (n,), n at most
-        ``_CHUNK_SYMBOLS``: one run of the kind's stack; 0 for ``none``."""
+        output u, from rest, for the BPSK of bits (n,): one run of the
+        kind's stack; 0 for ``none``."""
         if kind not in self.kernels:
             return np.zeros(2)
         s = np.zeros((1, self.stacks[kind].n_states))
@@ -566,16 +578,12 @@ def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
 
 
 def write_waveform_csv(path, cfg: SimConfig, tx: np.ndarray, out: SimOutput) -> None:
-    """Dump a run as RFC-4180 CSV: t, v, u, z, yT with I/Q columns."""
-    import csv
+    """Dump a run as RFC-4180 CSV: t, v, u, z, yT with I/Q columns.
 
-    n = tx.shape[0]
-    t = np.arange(n) / (cfg.sps / cfg.symbol_period)
+    No field needs quoting: each is a header name or a number in %g form."""
+    t = np.arange(tx.shape[0]) / (cfg.sps / cfg.symbol_period)
+    row = "%.9g," + ",".join(["%.12g"] * 8) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["t", "v_i", "v_q", "u_i", "u_q", "z_i", "z_q", "yT_i", "yT_q"])
-        for i in range(n):
-            writer.writerow(
-                [f"{t[i]:.9g}"]
-                + [f"{v:.12g}" for v in (*tx[i], *out.u[i], *out.z[i], *out.y_T[i])]
-            )
+        fh.write("t,v_i,v_q,u_i,u_q,z_i,z_q,yT_i,yT_q\r\n")
+        fh.writelines(row % tuple(r) for r in
+                      np.column_stack([t, tx, out.u, out.z, out.y_T]).tolist())

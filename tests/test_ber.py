@@ -404,6 +404,50 @@ class TestBatchedSweep:
             assert point == one_point(cfg, curve.canceler_kind, betas[0])
             assert point.errors == whole_waveform_errors(cfg, curve.canceler_kind, betas[0], 0)
 
+    @pytest.mark.parametrize("which", ["defaults", "antialias"])
+    def test_statistics_do_not_depend_on_the_block(self, base_cfg, antialias_cfg, monkeypatch,
+                                                   which):
+        """Blocks of one chunk against the default blocks, over two and a
+        half of those: every statistic that the batch yields is the same to
+        the bit."""
+        import cwcancel.simulate as sim
+
+        def statistics(cfg):
+            batch = sim._ChainBatch(cfg, ["none", "designed", "perfect"], [3e-4])
+            y = {kind: [] for kind in batch.kinds}
+            for start in range(0, cfg.n_symbols, batch.block):
+                n = min(batch.block, cfg.n_symbols - start)
+                bits = np.stack([rng.integers(0, 2, size=n) for rng in batch.bits], axis=1)
+                for kind, stat in batch.advance(bits):
+                    y[kind].append(stat)
+            return batch.block, {kind: np.concatenate(v) for kind, v in y.items()}
+
+        cfg = base_cfg if which == "defaults" else antialias_cfg
+        block = sim._ChainBatch(cfg, ["designed"], [3e-4]).block
+        cfg = replace(cfg, n_symbols=2 * block + 44)
+        blocks, blocked = statistics(cfg)
+        monkeypatch.setattr(sim, "_BLOCK_CHUNKS", 1)
+        chunks, chunked = statistics(cfg)
+        assert chunks == sim._CHUNK_SYMBOLS < blocks == block
+        for kind, y in blocked.items():
+            assert y.shape == (cfg.n_symbols, 1, 2)
+            assert np.array_equal(y, chunked[kind])
+
+    def test_block_rule(self, base_cfg):
+        """One point with F = I runs 16 chunks a block; 12 points with
+        F = 100/(s+100) at N = 64, whose loops read all 128 samples of w a
+        period, run one."""
+        from cwcancel.lifting import lift
+        from cwcancel.plant import first_order_lowpass
+        from cwcancel.simulate import _ChainBatch
+        from cwcancel.synthesis import bisect_gamma
+
+        assert _ChainBatch(base_cfg, ["designed"], [3e-4]).block == 16 * 64
+        params = RelayParams(fsfh_ratio=64, antialias=first_order_lowpass(0.01))
+        cfg = SimConfig(params=params, controller=bisect_gamma(lift(params), tol=5e-2).controller)
+        batch = _ChainBatch(cfg, ["designed", "perfect"], list(np.geomspace(1e-4, 1e-2, 12)))
+        assert batch.cols.size == 128 and batch.block == 64
+
     def test_memory_bounded_by_chunk(self, base_cfg):
         import tracemalloc
 

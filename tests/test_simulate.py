@@ -16,6 +16,7 @@ from cwcancel.lifting import StepMismatchError, lift
 from cwcancel.plant import RelayParams, first_order_lowpass
 from cwcancel.simulate import (
     SimConfig,
+    SimOutput,
     noise_amplitude,
     point_streams,
     simulate_chain,
@@ -457,9 +458,9 @@ class TestWindowMap:
         ("feedthrough", 8, False), ("feedthrough", 16, True),
     ])
     def test_equals_the_scan(self, antialias, N, image):
-        """Chunks of 64, 1, 63 and 44 symbols, the last one final, from a
-        random loop state: every window and the loop state after each
-        chunk.  The stack reads w, or its image where that is narrower."""
+        """Runs of 64, 1, 130, 63 and 44 symbols, the last one final, from a
+        random loop state: every window and the loop state after each run.
+        The stack reads w, or its image where that is narrower."""
         from cwcancel.simulate import _PeriodKernel, _SymbolStack
 
         loop, m, P = designed_loop(N, antialias), 2, 3
@@ -471,7 +472,7 @@ class TestWindowMap:
         s = np.zeros((P, stack.n_states))
         s[:, :loop.n_states] = X.T
         sums, U = [], []
-        for symbols, final in ((64, False), (1, False), (63, False), (44, True)):
+        for symbols, final in ((64, False), (1, False), (130, False), (63, False), (44, True)):
             W = rng.standard_normal((symbols * m, loop.n_inputs, P))
             sums.append(stack.run(W[:, kernel.cols].transpose(2, 0, 1), s, final))
             u, X = sequential_periods(loop, X, W)
@@ -480,8 +481,26 @@ class TestWindowMap:
         # The first symbol's output closes no window: sample 0 is in none.
         sums = np.concatenate(sums)[1:]
         ref = relay_window_sums(np.concatenate(U).reshape(-1, 2, P), m * N).transpose(0, 2, 1)
-        assert sums.shape == ref.shape == (172, P, 2)
+        assert sums.shape == ref.shape == (302, P, 2)
         assert np.abs(sums - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("S", [1, 64, 65, 130, 1000])
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_any_length_is_its_chunks(self, S, P):
+        """A run of S steps equals the same inputs fed in calls of at most
+        64 steps, to the bit: its outputs and the states after it."""
+        from cwcancel.simulate import _CHUNK_SYMBOLS, _MarkovStack, _PeriodKernel, _SymbolStack
+
+        stack = _SymbolStack(_PeriodKernel(designed_loop(16, "identity")), 2)
+        rng = np.random.default_rng(S)
+        V = rng.standard_normal((P, S, stack.rows))
+        s = rng.standard_normal((P, stack.n_states))
+        s_chunks = s.copy()
+        Y = _MarkovStack.run(stack, V, s)
+        chunks = [_MarkovStack.run(stack, V[:, k:k + _CHUNK_SYMBOLS], s_chunks)
+                  for k in range(0, S, _CHUNK_SYMBOLS)]
+        assert np.array_equal(Y, np.concatenate(chunks, axis=1))
+        assert np.array_equal(s, s_chunks)
 
     @pytest.mark.parametrize("N", [16, 32, 64])
     def test_size_does_not_grow_with_N(self, N):
@@ -901,3 +920,25 @@ def test_waveform_csv(tmp_path, base_cfg):
     assert header == "t,v_i,v_q,u_i,u_q,z_i,z_q,yT_i,yT_q"
     # t runs at the fast rate N / h = 16, derived from the channel.
     assert [line.split(b",")[0] for line in raw.split(b"\r\n")[1:4]] == [b"0", b"0.0625", b"0.125"]
+
+
+def test_waveform_csv_bytes(tmp_path, base_cfg):
+    """The writer's bytes against csv.writer rows of f-strings, with signed
+    zeros, infinities, NaN and the smallest subnormal among the values."""
+    import csv
+
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1 / 3, -2.5e300]
+    rng = np.random.default_rng(16)
+    tx, u, z, y = (rng.choice(special, (40, 2)) * rng.choice([1.0, 1e-7], (40, 2))
+                   for _ in range(4))
+    path = tmp_path / "waveform.csv"
+    write_waveform_csv(path, base_cfg, tx, SimOutput(y_T=y, u=u, z=z))
+    ref = tmp_path / "reference.csv"
+    t = np.arange(40) / (base_cfg.sps / base_cfg.symbol_period)
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(["t", "v_i", "v_q", "u_i", "u_q", "z_i", "z_q", "yT_i", "yT_q"])
+        for i in range(40):
+            writer.writerow([f"{t[i]:.9g}"] + [f"{v:.12g}" for v in (*tx[i], *u[i], *z[i], *y[i])])
+    assert path.read_bytes() == ref.read_bytes()
+    assert all(v in path.read_text() for v in ("-0,", "inf", "-inf", "nan", "4.94065645841e-324"))
