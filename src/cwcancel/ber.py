@@ -111,13 +111,9 @@ def modulate(bits, cfg: SimConfig) -> np.ndarray:
     A = ``cfg.signal_amplitude`` so the configured power is the per-sample
     signal power.
     """
-    return _bpsk(np.asarray(bits, dtype=int).ravel(), cfg.sps, cfg.signal_amplitude)
-
-
-def _bpsk(bits: np.ndarray, sps: int, amp: float) -> np.ndarray:
-    """:func:`modulate`'s samples (n sps, 2) for bits (n,)."""
-    samples = np.zeros((bits.size * sps, 2))
-    samples[:, 0] = np.repeat(amp * (2.0 * bits - 1.0), sps)
+    bits = np.asarray(bits, dtype=int).ravel()
+    samples = np.zeros((bits.size * cfg.sps, 2))
+    samples[:, 0] = np.repeat(cfg.signal_amplitude * (2.0 * bits - 1.0), cfg.sps)
     return samples
 
 

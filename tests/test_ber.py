@@ -79,13 +79,13 @@ class TestModDemod:
         assert np.all(w[:, 0] == pytest.approx(amp))
 
     def test_zero_power(self, chan):
-        # A channel's signal level is finite, so zero power is reachable only
-        # as the modulator kernel's zero amplitude.
-        from cwcancel.ber import _bpsk
-
+        # A channel's signal level is finite, but -4000 dBm is an amplitude
+        # sqrt(1e-400) that rounds to zero.
         with pytest.raises(ValueError, match="signal_dbm must be finite"):
             replace(chan, signal_dbm=-math.inf)
-        assert np.all(_bpsk(np.array([1, 0, 1]), chan.sps, 0.0) == 0.0)
+        silent = replace(chan, signal_dbm=-4000.0)
+        assert silent.signal_amplitude == 0.0
+        assert np.all(modulate([1, 0, 1], silent) == 0.0)
 
     def test_loopback(self, chan):
         rng = np.random.default_rng(83)

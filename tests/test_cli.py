@@ -251,11 +251,12 @@ class TestConfig:
 
 
 class TestDesign:
-    def test_design_writes_artifacts(self, tmp_path):
+    def test_design_writes_artifacts(self, tmp_path, default_lifted):
         rc = main(["design", "--out", str(tmp_path), "--tol", "0.05"])
         assert rc == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["closed_loop_spectral_radius"] < 1.0
+        assert report["controller_states"] == default_lifted.n_states
         assert report["gamma_certified"] <= report["gamma_min"] * 1.001
         assert all(isinstance(g, float) and isinstance(ok, bool)
                    for g, ok in report["bisection_trace"])
@@ -415,12 +416,14 @@ class TestCertify:
         path.write_text('{"a": [[0.0]]}')
         assert main(["certify", "--controller", str(path)]) == EXIT_CONFIG
 
-    def test_step_mismatch(self, tmp_path, designed_controller):
-        doc = controller_to_dict(designed_controller)
-        doc["step_seconds"] = 2.0
-        path = tmp_path / "mismatch.json"
-        path.write_text(json.dumps(doc))
-        assert main(["certify", "--controller", str(path)]) == EXIT_STEP_MISMATCH
+    def test_step_mismatch(self, tmp_path, half_step_controller_file, capsys):
+        out = tmp_path / "out"
+        rc = main(["certify", "--controller", str(half_step_controller_file), "--out", str(out)])
+        assert rc == EXIT_STEP_MISMATCH
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "controller step 0.5" in err
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -1,23 +1,49 @@
-"""The CLI's contract as a table: identical inputs give identical bytes.
+"""The CLI's contract as tables: documented exit codes, and identical bytes.
 
-Each row runs ``simulate`` or ``sweep`` twice through
-:func:`cwcancel.cli.main`, into two directories, and compares the two
-``waveform.csv`` or ``ber_curves.csv`` files byte for byte.  The configs
-are CI's: F = I at N = 8, F = 100/(s+100) at N = 8 and 16, one symbol and,
-for ``sweep``, ``none`` alone.  With that F the period loop's stack reads
-the image of w, two numbers a period, in place of w's 2N.  The ``blocks``
-sweep runs 1 100 symbols, which cross the edge of a 1 024-symbol block.
+Every row runs in process through :func:`cwcancel.cli.main`, on configs
+built around three designs that the module fixture makes once: F = I at
+N = 8 (``small``) and F = 100/(s+100) at N = 8 and 16 (``lowpass``,
+``lowpass16``).  With that F the period loop's stack reads the image of w,
+two numbers a period, in place of w's 2N.
+
+- An exit-code row gives a config, a command, the exit code and a text that
+  stderr must hold.  A refused command prints one line and no traceback,
+  and creates no output directory.
+- A byte-identity row runs its command twice, into two directories, and
+  compares the artifacts byte for byte: ``design`` with ``certify``,
+  ``simulate``, and ``sweep`` (one symbol, ``none`` alone, and 1 100 symbols,
+  which cross the edge of a 1 024-symbol block).
+
+Two cases need a fresh interpreter and run ``python -m cwcancel.cli`` as a
+subprocess: ``design`` under two hash seeds, whose artifacts must also agree
+across processes, and a design whose lift does not fit the address space.
+
+Identical inputs give byte-identical artifacts at one BLAS thread count.
+Each row compares two runs at the same count, so the table holds under any
+``OPENBLAS_NUM_THREADS``.  Across counts it does not: at N = 256,
+``gamma_certified`` differs in its last digit between 1 and 2 OpenBLAS
+threads.
+
+A new CLI case is a row here, not a CI shell step.
 """
 
+import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cwcancel.cli import EXIT_OK, main
+import cwcancel
+from cwcancel.cli import EXIT_CONFIG, EXIT_OK, main
 
 LOWPASS = {"a": [[-100.0]], "b": [[100.0]], "c": [[1.0]], "d": [[0.0]]}
+SMALL = {"relay": {"fsfh_ratio": 8}}
 CONFIGS = {
-    "small": ({"relay": {"fsfh_ratio": 8}}, []),
+    "small": (SMALL, []),
     "lowpass": ({"relay": {"fsfh_ratio": 8, "antialias": LOWPASS}}, ["--tol", "0.05"]),
     "lowpass16": ({"relay": {"fsfh_ratio": 16, "antialias": LOWPASS}}, ["--tol", "0.05"]),
 }
@@ -28,6 +54,26 @@ SIMULATE = {"small": ("small", 20), "lowpass": ("lowpass", 20), "one": ("small",
 SWEEP = {"small": ("small", 200, None), "lowpass": ("lowpass", 200, None),
          "lowpass16": ("lowpass16", 200, None), "one": ("small", 1, None),
          "none": ("small", 200, "none"), "blocks": ("small", 1100, None)}
+
+WIDE_P = {"a": [[-1000.0]], "b": [[1000.0, 0.0, 0.0]], "c": [[1.0]], "d": [[0.0]]}
+ONE_BY_ONE = {"a": [[0.5]], "b": [[1.0]], "c": [[1.0]], "d": [[0.0]], "step_seconds": 1.0,
+              "gamma_achieved": 1.0, "gamma_certified": None}
+# name: (config, command, exit code, stderr text).  "{controller}" is the
+# small design's controller and "{one}" is ONE_BY_ONE, a 1x1 controller.
+EXITS = {
+    "one": (SMALL, ["certify", "--controller", "{one}"], EXIT_CONFIG, "controller is 1x1"),
+    # 8.08 fast steps, and 1e308 s, which is inf fast steps: not whole counts.
+    "delay": ({"relay": {"fsfh_ratio": 8, "delay_seconds": 1.01}}, ["design"], EXIT_CONFIG,
+              "fast steps"),
+    "longdelay": ({"relay": {"delay_seconds": 1e308}}, ["design"], EXIT_CONFIG, "fast steps"),
+    "widep": ({"relay": {"fsfh_ratio": 8, "post_filter": WIDE_P}}, ["design"], EXIT_CONFIG,
+              "bad filter at 'relay.post_filter'"),
+    # At 6000 dB (1e300) and beta = 1 every decision window's statistic is
+    # finite, and the pilot reads the loop's own output: the sweep runs.
+    "g6000": ({**SMALL, "sim": {"relay_gain_db": 6000.0}},
+              ["sweep", "--controller", "{controller}", "--betas", "1",
+               "--cancelers", "designed,perfect"], EXIT_OK, ""),
+}
 
 
 @pytest.fixture(scope="module")
@@ -44,17 +90,110 @@ def designed(tmp_path_factory):
     return out
 
 
+def _twice(tmp_path, argv, *artifacts):
+    """The artifacts' bytes from two runs of argv, into two directories."""
+    runs = []
+    for run in ("a", "b"):
+        assert main([*argv, "--out", str(tmp_path / run)]) == EXIT_OK
+        runs.append([(tmp_path / run / name).read_bytes() for name in artifacts])
+    return runs
+
+
+def _python_m(argv, env, **kwargs):
+    """``python -m cwcancel.cli argv`` in a fresh interpreter that imports this
+    package, with ``env`` added to the environment."""
+    src = str(Path(cwcancel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cwcancel.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path, **env}, timeout=300,
+                          **kwargs)
+
+
+@pytest.mark.parametrize("row", EXITS)
+def test_exit_code(designed, tmp_path, capsys, row):
+    doc, command, code, text = EXITS[row]
+    config, one, out = tmp_path / "config.json", tmp_path / "one.json", tmp_path / "out"
+    config.write_text(json.dumps({**doc, "comms": {"n_symbols": 200}}))
+    one.write_text(json.dumps(ONE_BY_ONE))
+    paths = {"{controller}": str(designed["small"][1]), "{one}": str(one)}
+    argv = [paths.get(arg, arg) for arg in command]
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and text in err
+    if code == EXIT_OK:
+        rows = (out / "ber_curves.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2  # the header, then one row per kind
+    else:
+        assert err.strip().splitlines() == [err.strip()]
+        assert not out.exists()
+
+
+def test_auto_grid_at_200_db(tmp_path):
+    """At 200 dB the auto grid is the 60 dB grid times 1e-7: it is placed
+    however small its betas."""
+    config = tmp_path / "gain200.json"
+    config.write_text(json.dumps({**SMALL, "sim": {"relay_gain_db": 200.0},
+                                  "comms": {"n_symbols": 200}, "sweep": {"n_points": 2}}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--cancelers", "none",
+                 "--out", str(out)]) == EXIT_OK
+    with open(out / "ber_curves.csv", newline="") as fh:
+        assert float(next(csv.DictReader(fh))["beta"]) < 1e-9
+
+
+def test_not_enough_memory(tmp_path):
+    """At N = 200 000 the lift asks for 1.16 TiB.  Under a 4 GB address-space
+    limit that allocation fails, and design exits 2 with one line.  One BLAS
+    thread keeps OpenBLAS's own buffers well inside the limit."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"relay": {"fsfh_ratio": 200000}}))
+    out = tmp_path / "out"
+    limit = 4_000_000 * 1024
+    run = _python_m(["design", "--config", str(config), "--out", str(out)],
+                    env={"OPENBLAS_NUM_THREADS": "1"},
+                    preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == EXIT_CONFIG, run.stderr
+    assert run.stderr.startswith("not enough memory: ")
+    assert run.stderr.strip().splitlines() == [run.stderr.strip()]
+    assert not out.exists()
+
+
+def test_python_m_design_is_byte_identical(designed, tmp_path):
+    """``python -m cwcancel.cli`` runs, and two interpreters with different
+    hash seeds write the same bytes."""
+    config, _ = designed["small"]
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        run = _python_m(["design", "--config", str(config), "--out", str(out)],
+                        env={"PYTHONHASHSEED": seed})
+        assert run.returncode == EXIT_OK, run.stderr
+        runs.append([(out / name).read_bytes() for name in ("controller.json", "report.json")])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("row", ["small", "lowpass"])
+def test_design_and_certify_are_byte_identical(designed, tmp_path, row):
+    config, _ = designed[row]
+    runs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["design", "--config", str(config), *CONFIGS[row][1],
+                     "--out", str(out)]) == EXIT_OK
+        assert main(["certify", "--config", str(config), "--controller",
+                     str(out / "controller.json"), "--out", str(out)]) == EXIT_OK
+        runs.append([(out / name).read_bytes()
+                     for name in ("controller.json", "report.json", "certification.json")])
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("row", SIMULATE)
 def test_simulate_waveform_is_byte_identical(designed, tmp_path, row):
     name, symbols = SIMULATE[row]
     config, controller = designed[name]
-    runs = []
-    for run in ("a", "b"):
-        argv = ["simulate", "--config", str(config), "--controller", str(controller),
-                "--symbols", str(symbols), "--out", str(tmp_path / run)]
-        assert main(argv) == EXIT_OK
-        runs.append((tmp_path / run / "waveform.csv").read_bytes())
-    assert runs[0] == runs[1]
+    a, b = _twice(tmp_path, ["simulate", "--config", str(config), "--controller", str(controller),
+                             "--symbols", str(symbols)], "waveform.csv")
+    assert a == b
 
 
 @pytest.mark.parametrize("row", SWEEP)
@@ -66,9 +205,5 @@ def test_sweep_curves_are_byte_identical(designed, tmp_path, row):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     flags = ["--cancelers", cancelers] if cancelers else ["--controller", str(controller)]
-    runs = []
-    for run in ("a", "b"):
-        argv = ["sweep", "--config", str(config), *flags, "--out", str(tmp_path / run)]
-        assert main(argv) == EXIT_OK
-        runs.append((tmp_path / run / "ber_curves.csv").read_bytes())
-    assert runs[0] == runs[1]
+    a, b = _twice(tmp_path, ["sweep", "--config", str(config), *flags], "ber_curves.csv")
+    assert a == b

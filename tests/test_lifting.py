@@ -27,7 +27,7 @@ def test_dimensions(default_lifted):
     assert np.all(D[32:, :] == 0.0)
 
 
-@pytest.mark.parametrize("N", [8, 16, 32, 64])
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 256])
 def test_lifted_order_does_not_grow_with_n(N):
     # nW + nF + nP + ceil(d/N) * (nP + 2) = 2 + 0 + 2 + 1 * 4 at the defaults.
     assert lift(RelayParams(fsfh_ratio=N)).n_states == 8
