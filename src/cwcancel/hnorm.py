@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lti import NumericalFailure, StateSpace, bilinear_to_continuous, spectral_radius
+from .lti import NumericalFailure, StateSpace, _block2, bilinear_to_continuous, spectral_radius
 
 __all__ = ["UnstableSystemError", "require_stable", "hinf_norm_discrete", "exceeds",
            "frequency_response"]
@@ -100,7 +100,7 @@ def _test_level(sys, sc, gamma: float, rtol: float):
     W = np.linalg.solve(L, np.hstack([B.T, D.T @ C]))
     Wb, Wd = W[:, :A.shape[0]], W[:, A.shape[0]:]
     Ah = A + Wb.T @ Wd
-    H = np.block([[Ah, Wb.T @ Wb], [-(C.T @ C + Wd.T @ Wd), -Ah.T]])
+    H = _block2(Ah, Wb.T @ Wb, -(C.T @ C + Wd.T @ Wd), -Ah.T)
     lam = np.linalg.eigvals(H)
     rounding = H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 1)
     on_axis = np.abs(lam.real) <= _AXIS_RTOL * (1.0 + np.abs(lam)) + rounding

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import StateSpace, discretize_zoh
+from .lti import StateSpace, _block2, discretize_zoh
 from .plant import RelayParams, assemble_loop, carrier_rotation
 
 __all__ = [
@@ -159,10 +159,7 @@ def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:
     y_k = D22 @ Fu_k
     y_w = D21 + D22 @ Fu_w
 
-    Acl = np.block([
-        [A + B2 @ Fu_x, B2 @ Fu_k],
-        [Bk @ y_x, Ak + Bk @ y_k],
-    ])
+    Acl = _block2(A + B2 @ Fu_x, B2 @ Fu_k, Bk @ y_x, Ak + Bk @ y_k)
     Bcl = np.vstack([B1 + B2 @ Fu_w, Bk @ y_w])
     Ccl = np.hstack([C1 + D12 @ Fu_x, D12 @ Fu_k])
     Dcl = D11 + D12 @ Fu_w

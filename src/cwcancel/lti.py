@@ -37,6 +37,14 @@ def _as_matrix(M, name: str) -> np.ndarray:
     return A
 
 
+def _block2(a, b, c, d) -> np.ndarray:
+    """np.block([[a, b], [c, d]]) of float blocks, without its cost on small ones."""
+    k, m = a.shape
+    M = np.empty((k + c.shape[0], m + b.shape[1]))
+    M[:k, :m], M[:k, m:], M[k:, :m], M[k:, m:] = a, b, c, d
+    return M
+
+
 @dataclass
 class StateSpace:
     """Real LTI system x' = Ax + Bu, y = Cx + Du.

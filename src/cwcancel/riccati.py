@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lti import NumericalFailure, _as_matrix
+from .lti import NumericalFailure, _as_matrix, _block2
 
 __all__ = ["solve_care", "care_stabilizing"]
 
@@ -41,9 +41,8 @@ def _matrix_sign(H: np.ndarray) -> np.ndarray:
         else:
             c = 1.0
         Znew = 0.5 * (c * Z + Zinv / c)
-        delta = np.linalg.norm(Znew - Z, "fro")
-        scale = max(np.linalg.norm(Z, "fro"), 1e-300)
-        rel_err = delta / scale
+        d, z = (Znew - Z).ravel("K"), Z.ravel("K")  # np.linalg.norm's "fro" route
+        rel_err = np.sqrt(d.dot(d)) / max(np.sqrt(z.dot(z)), 1e-300)
         Z = Znew
         if rel_err <= 50.0 * n2 * np.finfo(float).eps:
             return Z
@@ -75,7 +74,7 @@ def care_stabilizing(A, G, Q) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
 
-    H = np.block([[A, -G], [-Q, -A.T]])
+    H = _block2(A, -G, -Q, -A.T)
     S = _matrix_sign(H)
     P = 0.5 * (np.eye(2 * n) - S)
     V1 = P[:n, :]

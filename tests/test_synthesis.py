@@ -3,52 +3,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scattering_probe
+from conftest import plain_bisection, scattering_probe
 
 from cwcancel import hnorm, synthesis
 from cwcancel.hnorm import _sigma_max, exceeds, frequency_response, hinf_norm_discrete
 from cwcancel.lifting import LiftedPlant, closed_loop, lift
 from cwcancel.lti import (NumericalFailure, StateSpace, bilinear_to_continuous,
                          bilinear_to_discrete, spectral_radius)
-from cwcancel.plant import RelayParams
+from cwcancel.plant import RelayParams, first_order_lowpass
 from cwcancel.synthesis import (
     PROBE_MARGIN,
     DigitalController,
     Infeasible,
+    SynthesisError,
     bisect_gamma,
     controller_from_dict,
     controller_to_dict,
     synthesize_at_gamma,
 )
 
-# The N = 8, tol 1e-5 bisection: (gamma, feasible) in probe order.
+# The N = 8, tol 1e-5 search: (gamma, feasible) in probe order.
 N8_TRACE = [
-    (1.0, True), (0.5, True), (0.25, False), (0.375, True), (0.3125, True),
-    (0.28125, False), (0.296875, True), (0.2890625, True), (0.28515625, True),
-    (0.283203125, True), (0.2822265625, True), (0.28173828125, True),
-    (0.281494140625, True), (0.2813720703125, False), (0.28143310546875, False),
-    (0.281463623046875, True), (0.2814483642578125, True),
-    (0.28144073486328125, True), (0.2814369201660156, False),
-    (0.28143882751464844, True),
+    (1.0, True), (0.5, True), (0.3796958923339844, True), (0.29972076416015625, True),
+    (0.25, False), (0.28172874450683594, True), (0.2814445495605469, True), (0.28125, False),
+    (0.28143882751464844, True), (0.2814369201660156, False),
 ]
 
-# The N = 16 and N = 32, tol 1e-5 bisections and their gamma_min.
+# The N = 16 and N = 32, tol 1e-5 searches and their gamma_min.
 PINNED = {
-    16: ([(1.0, True), (0.5, True), (0.25, False), (0.375, True), (0.3125, True),
-          (0.28125, True), (0.265625, False), (0.2734375, False), (0.27734375, True),
-          (0.275390625, True), (0.2744140625, False), (0.27490234375, True),
-          (0.274658203125, True), (0.2745361328125, True), (0.27447509765625, False),
-          (0.274505615234375, True), (0.2744903564453125, False),
-          (0.27449798583984375, True), (0.2744941711425781, False),
-          (0.27449607849121094, True)],
+    16: ([(1.0, True), (0.5, True), (0.3768119812011719, True), (0.29412269592285156, True),
+          (0.25, False), (0.27560997009277344, True), (0.2744922637939453, False),
+          (0.2744941711425781, False), (0.27449607849121094, True)],
          0.27449607849121094),
-    32: ([(1.0, True), (0.5, True), (0.25, False), (0.375, True), (0.3125, True),
-          (0.28125, True), (0.265625, False), (0.2734375, True), (0.26953125, False),
-          (0.271484375, True), (0.2705078125, False), (0.27099609375, False),
-          (0.271240234375, True), (0.2711181640625, True), (0.27105712890625, False),
-          (0.271087646484375, False), (0.2711029052734375, True),
-          (0.27109527587890625, False), (0.2710990905761719, False),
-          (0.2711009979248047, False)],
+    32: ([(1.0, True), (0.5, True), (0.37584686279296875, True), (0.2919139862060547, True),
+          (0.25, False), (0.2724018096923828, True), (0.2710990905761719, False),
+          (0.2711029052734375, True), (0.2711009979248047, False)],
          0.2711029052734375),
 }
 
@@ -146,7 +135,7 @@ class TestProbe:
                         C2=[[0.8, 0.3]], D11=0.0, D12=0.5, D21=0.4, D22=0.0)
         zero = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                           np.zeros((1, 1)))
-        monkeypatch.setattr(synthesis, "_central_controller", lambda p: zero)
+        monkeypatch.setattr(synthesis, "_central_controller", lambda p: (zero, None))
         G11 = StateSpace(A, [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]], dt=1.0)
         open_norm = hinf_norm_discrete(G11, tol=1e-6)
         assert _sigma_max(G11, [0.0, np.pi / 2, np.pi]).max() < 0.5 * open_norm
@@ -423,14 +412,15 @@ class TestBisection:
                                                          first_feasible):
         """With W scaled so that gamma_min > 1, the infeasible levels 1, 2, 4, ...
         double up to the first feasible level h; the last of them is the lower
-        bracket, so the next probe is 0.75 h and no level is probed twice."""
+        bracket, so every later probe lies strictly inside (h/2, h) and no level
+        is probed twice."""
         W = StateSpace([[-0.5]], [[0.5]], [[scale]], [[0.0]])
         result = bisect_gamma(lift(RelayParams(fsfh_ratio=8, input_shaping=W)), tol=1e-3)
         levels = [g for g, _ in result.bisection_trace]
         k = [ok for _, ok in result.bisection_trace].index(True)
         assert levels[:k + 1] == [2.0 ** j for j in range(k + 1)]
         assert levels[k] == first_feasible
-        assert levels[k + 1] == 0.75 * first_feasible
+        assert all(0.5 * first_feasible < g < first_feasible for g in levels[k + 1:])
         assert len(set(levels)) == len(levels)
         assert result.gamma_min == gamma_min
 
@@ -474,6 +464,142 @@ class TestBisection:
         assert g[8] > g[16] > g[32]
         ratio = (g[16] - g[32]) / (g[8] - g[16])
         assert 0.4 <= ratio <= 0.6, f"gamma_min {g}, gap ratio {ratio:.3f}"
+
+
+def bracket(trace):
+    """A search's final [lo, hi]: its largest infeasible level (0.0 if none)
+    and its smallest feasible one."""
+    return (max([g for g, ok in trace if not ok], default=0.0),
+            min(g for g, ok in trace if ok))
+
+
+def scaled_w(c):
+    """The default input shaping 1/(2s + 1) with its C scaled by c."""
+    return StateSpace([[-0.5]], [[0.5]], [[c]], [[0.0]])
+
+
+def scalar_filter(rng, proper):
+    """A stable scalar filter of order 1 (pole in [0.2, 50]) or 2 (omega_n in
+    [0.5, 50], zeta in [0.2, 1.5]), output gain in [0.5, 2] and, if proper,
+    a feedthrough in [-0.5, 0.5]."""
+    gain, d = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5) if proper else 0.0
+    if rng.random() < 0.5:
+        pole = rng.uniform(0.2, 50.0)
+        return StateSpace([[-pole]], [[pole]], [[gain]], [[d]])
+    wn, zeta = rng.uniform(0.5, 50.0), rng.uniform(0.2, 1.5)
+    return StateSpace([[0.0, 1.0], [-wn ** 2, -2.0 * zeta * wn]], [[0.0], [wn ** 2]],
+                      [[gain, 0.0]], [[d]])
+
+
+def random_relay(rng):
+    """One draw of the random-filter recipe of ROADMAP's baseline table, as
+    reconstructed here: W strictly proper, F (70 %) and P proper scalar
+    filters; N in {1, 2, 4, 8}, h = 1, d in 1..3N fast steps, alpha in
+    [0, 0.9], carrier in [0, 2e4] Hz."""
+    W = scalar_filter(rng, proper=False)
+    F = scalar_filter(rng, proper=True) if rng.random() < 0.7 else None
+    P = scalar_filter(rng, proper=True)
+    N = int(rng.choice([1, 2, 4, 8]))
+    d = int(rng.integers(1, 3 * N + 1))
+    return RelayParams(fsfh_ratio=N, delay_seconds=d / N, coupling_gain=rng.uniform(0.0, 0.9),
+                       carrier_hz=rng.uniform(0.0, 2e4), input_shaping=W, antialias=F,
+                       post_filter=P)
+
+
+ORACLE_CASES = [
+    *(pytest.param(RelayParams(fsfh_ratio=N), tol, id=f"N{N}-tol{tol:g}")
+      for N in (1, 2, 4, 8, 16, 32, 64) for tol in (1e-3, 1e-5, 1e-8)),
+    pytest.param(RelayParams(fsfh_ratio=8, antialias=first_order_lowpass(0.01)), 1e-5,
+                 id="lowpass"),
+    pytest.param(RelayParams(fsfh_ratio=8, input_shaping=scaled_w(8.0)), 1e-3, id="Wx8"),
+    pytest.param(RelayParams(fsfh_ratio=8, input_shaping=scaled_w(40.0)), 1e-3, id="Wx40"),
+]
+
+
+class TestSearchAgainstBisection:
+    """bisect_gamma's secant search against plain bisection, the oracle in
+    tests/conftest.py: where the verdicts are monotone in gamma, both end on
+    the same bisection cell with the same controller."""
+
+    @pytest.mark.parametrize("params, tol", ORACLE_CASES)
+    def test_ends_on_the_bisection_cell(self, params, tol):
+        Gl = lift(params)
+        lo, hi, trace, ctrl = plain_bisection(Gl, tol)
+        result = bisect_gamma(Gl, tol)
+        assert bracket(result.bisection_trace) == (lo, hi)
+        assert result.gamma_min == hi
+        K, R = result.controller.K, ctrl.K
+        for ours, ref in ((K.A, R.A), (K.B, R.B), (K.C, R.C), (K.D, R.D)):
+            assert np.array_equal(ours, ref)
+        assert len(result.bisection_trace) <= len(trace) + 3
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(exponent=st.floats(-14.0, 3.0), power=st.floats(0.3, 4.0), blind=st.floats(0.0, 1.2),
+           tol=st.sampled_from([0.5, 1e-2, 1e-3, 1e-5, 1e-8, 1e-13, 1e-17]))
+    def test_ends_on_the_bisection_cell_of_any_threshold(self, n8_run, exponent, power,
+                                                         blind, tol):
+        """Fake probes feasible from a threshold t up, with rho(XY) =
+        (t/gamma)^power, and none below blind*t (as if a Riccati equation
+        failed there): the search ends on plain bisection's bracket."""
+        Gl, t = n8_run[0], 10.0 ** exponent
+
+        def fake(Gl, p, s, gamma):
+            rho = (t / gamma) ** power if gamma >= blind * t else None
+            if gamma >= t:
+                return DigitalController(K=None, gamma_achieved=gamma), rho
+            return Infeasible("coupling", "fake"), rho
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_probe", fake)
+            mp.setattr(synthesis, "certify", lambda Gl, ctrl: {
+                "within_reported": True, "gamma_certified": ctrl.gamma_achieved,
+                "spectral_radius": 0.5})
+            lo, hi, trace, _ = plain_bisection(Gl, tol)
+            result = bisect_gamma(Gl, tol)
+        assert bracket(result.bisection_trace) == (lo, hi)
+        assert len(set(result.bisection_trace)) == len(result.bisection_trace)
+
+    def test_probe_budget(self, n8_run, design_run):
+        """At tol 1e-5, N = 8, 16 and 32 take at most 12 probes each and 36
+        in all, and the defaults (N = 16, tol 1e-3) at most 10; bisection
+        takes 20 each and 13."""
+        counts = [len(n8_run[1].bisection_trace)] + [
+            len(bisect_gamma(lift(RelayParams(fsfh_ratio=N)), tol=1e-5).bisection_trace)
+            for N in (16, 32)]
+        assert max(counts) <= 12 and sum(counts) <= 36
+        assert len(design_run[0].bisection_trace) <= 10
+
+    def test_random_filters(self, monkeypatch):
+        """Draws 0-11 of the random-filter recipe at tol 1e-3, exit 1
+        included: where the verdicts of both searches together are monotone
+        in gamma, they end on the same bracket; every design that returns
+        ends on a feasible level within tol of an infeasible one, with a
+        certificate at most hi (1 + 1e-6)."""
+        probe, trace = synthesis._probe, []
+
+        def recorded(Gl, p, s, gamma):
+            out = probe(Gl, p, s, gamma)
+            trace.append((gamma, isinstance(out[0], DigitalController)))
+            return out
+
+        monkeypatch.setattr(synthesis, "_probe", recorded)
+        rng, tol, compared = np.random.default_rng(7), 1e-3, 0
+        for _ in range(12):
+            Gl = lift(random_relay(rng))
+            _, _, oracle, _ = plain_bisection(Gl, tol)
+            trace.clear()
+            try:
+                result = bisect_gamma(Gl, tol)
+            except SynthesisError:
+                result = None
+            lo, hi = bracket(trace)
+            if bracket(oracle + trace)[0] < bracket(oracle + trace)[1]:
+                assert (lo, hi) == bracket(oracle)
+                compared += 1
+            if result is not None:
+                assert result.gamma_min == hi and (hi - lo) / lo <= tol
+                assert result.controller.gamma_certified <= hi * (1.0 + 1e-6)
+        assert compared >= 6
 
 
 class TestClosedLoop:
@@ -564,7 +690,7 @@ class TestFailurePaths:
 
         probe = synthesis._probe
         monkeypatch.setattr(synthesis, "_probe", lambda Gl, p, s, gamma: (
-            Infeasible("care_x", "forced") if gamma < 0.3 else probe(Gl, p, s, gamma)))
+            (Infeasible("care_x", "forced"), None) if gamma < 0.3 else probe(Gl, p, s, gamma)))
         message = r"certificate 0\.29867\d lies below the infeasible level 0\.29980\d"
         with pytest.raises(SynthesisError, match=message):
             bisect_gamma(lift(RelayParams(fsfh_ratio=8)), tol=1e-3)
