@@ -15,24 +15,24 @@ key.  A :class:`simulate.SimConfig` describes the whole channel, symbol
 timing included, and derives samples per symbol and every linear factor
 that modulation and detection read.
 
-A sweep is one streaming pass (:func:`_error_counts`): each controlled
-kind's period map is built once, and each point's bits and noise are
-drawn once per block and shared by every kind.  A block is 1 to 16 chunks
-of 64 symbols, as many as keep the points' w of a block within a fixed
-budget of numbers (``simulate._ChainBatch``).  n_RS is drawn, and the
-BPSK tx formed from the bits, only at the samples the loops read, and n_T
-as one sum per decision window.  All beta points of a kind advance
-together through the kind's one symbol-rate stack
+A sweep is one streaming pass (:func:`_error_counts`): the controlled
+kinds' period maps come from one lift pass, and each point's bits and
+noise are drawn once per block and shared by every kind.  A block is 1 to
+16 chunks of 32 symbols, as many as keep the points' w of a block within
+a fixed budget of numbers (``simulate._ChainBatch``).  n_RS is drawn, and
+the BPSK tx formed from the bits, only at the samples the loops read, and
+n_T as one sum per decision window.  All beta points of all controlled
+kinds advance together through one stacked symbol-rate system
 (``simulate._SymbolStack``), whose state carries each run's open window
-from block to block: one product per chunk gives its window sums of u,
-so a sweep scores each window's statistic beta g Sum u + Sum n_T and
-never forms a waveform sample.  Decisions are scored block by block, so
-memory does not grow with ``n_symbols``; one receiver (:func:`_decide`)
-makes them, and :func:`demodulate`'s too.  The phase reference is a
-property of a kind's loop: one noise-free pilot, through the same stack,
-reads the relay output u of the loop the sweep already built, since the
-terminal's beta g > 0 keeps u's direction, and ``none`` (u = 0 exactly)
-has no loop.
+from block to block: one broadcast product per chunk gives every kind's
+window sums of u, so a sweep scores each window's statistic
+beta g Sum u + Sum n_T and never forms a waveform sample.  Decisions are
+scored block by block, so memory does not grow with ``n_symbols``; one
+receiver (:func:`_decide`) makes them, and :func:`demodulate`'s too.  The
+phase reference is a property of a kind's loop: one noise-free pilot run
+of the same stack reads the relay output u of every loop the sweep
+already built, since the terminal's beta g > 0 keeps u's direction, and
+``none`` (u = 0 exactly) has no loop.
 A single BER point is a one-beta, one-kind sweep.
 """
 
@@ -129,7 +129,7 @@ def _decide(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
     if not np.isfinite(y).all():
         raise FloatingPointError("terminal waveform overflows a float")
     with np.errstate(over="ignore"):
-        return y @ ref > 0.0
+        return (y.reshape(-1, 2) @ ref).reshape(y.shape[:-1]) > 0.0
 
 
 def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
@@ -145,14 +145,16 @@ def demodulate(y, cfg: SimConfig, phase_ref) -> np.ndarray:
     return _decide(means, ref).astype(int)
 
 
-def _pilot_reference(batch, kind: str) -> np.ndarray:
-    """Unit gain/rotation reference of one kind of a :class:`_ChainBatch`:
-    the direction of the last decision window's sum of its loop's
-    noise-free relay output u for an all-ones pilot, or the I axis where
-    that sum is 0 (``none``)."""
-    i, q = batch.pilot(kind, np.ones(8, dtype=int))
-    norm = math.hypot(i, q)
-    return np.array([i / norm, q / norm]) if norm > 0.0 else np.array([1.0, 0.0])
+def _pilot_reference(batch) -> dict:
+    """kind -> unit gain/rotation reference of a :class:`_ChainBatch`'s kinds:
+    the direction of the last decision window's sum of a loop's noise-free
+    relay output u for an all-ones pilot, one run for every kind, or the I
+    axis where that sum is 0 (``none``)."""
+    refs = {}
+    for kind, (i, q) in batch.pilot(np.ones(8, dtype=int)).items():
+        norm = math.hypot(i, q)
+        refs[kind] = np.array([i / norm, q / norm]) if norm > 0.0 else np.array([1.0, 0.0])
+    return refs
 
 
 def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
@@ -160,15 +162,15 @@ def _error_counts(cfg: SimConfig, kinds, betas) -> dict:
 
     Point i's bits and chain noise, from the batch's streams, are drawn
     once per block of ``batch.block`` symbols and shared by all kinds; the
-    points of a kind advance together as the columns of one loop state.
+    points of all kinds advance together as the rows of one state array.
     Each kind decides a block's windows at once, on each window's statistic
     as the batch completes it, so memory is bounded by the block, not by
     ``cfg.n_symbols``.  Each kind's reference is a property of its loop, so
-    one pilot serves every point.
+    one pilot run serves every point of every kind.
     """
     n_symbols = cfg.n_symbols
     batch = _ChainBatch(cfg, kinds, betas)
-    refs = {kind: _pilot_reference(batch, kind) for kind in batch.kinds}
+    refs = _pilot_reference(batch)
     errors = {kind: np.zeros(len(betas), dtype=int) for kind in batch.kinds}
     unscored = np.zeros((0, len(betas)), dtype=int)  # bits of the windows not yet complete
     for start in range(0, n_symbols, batch.block):

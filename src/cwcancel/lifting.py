@@ -81,8 +81,14 @@ def lift(params: RelayParams) -> LiftedPlant:
     from register slot i, which holds that period's (x_P, u); the state is
     (core, slot 1 .. ceil(d/N)).
     """
+    return _lift(params, [params.coupling_gain])[0]
+
+
+def _lift(params: RelayParams, gains) -> list:
+    """:func:`lift` of ``params`` at each coupling gain in ``gains``, in one pass on a
+    leading axis of gains, whose products are one per gain: each equals its lift to the bit."""
     core, d, N = assemble_loop(params), params.delay_fast_steps(), params.fsfh_ratio
-    coupling = params.coupling_gain * carrier_rotation(params.carrier_hz, params.delay_seconds)
+    coupling = np.multiply.outer(gains, carrier_rotation(params.carrier_hz, params.delay_seconds))
     fast = discretize_zoh(core, params.sampling_period / N)
     n = core.n_states
     nP = params.post_filter.n_states
@@ -104,28 +110,30 @@ def lift(params: RelayParams) -> LiftedPlant:
     for _ in range(1, N):
         taps.append(taps[-1] @ E)
 
-    M = np.eye(n, ncols)
+    M = np.repeat(np.eye(n, ncols)[None], len(gains), axis=0)
     # Output rows z_0..z_{N-1}, then y (the sample at fast index 0).
-    out = np.zeros((2 * N + 2, ncols))
+    out = np.zeros((len(gains), 2 * N + 2, ncols))
     for j in range(N):
         i = -(-(d - j) // N)  # t_{j-d} is i periods back
-        c = np.zeros((2, ncols))
-        c[:, reads[i]] = coupling @ taps[j - d + i * N]
+        c = np.zeros((len(gains), 2, ncols))
+        c[..., reads[i]] = coupling @ taps[j - d + i * N]
         w_cols = slice(nx + 2 * j, nx + 2 * j + 2)
         zy = core.C[0:4] @ M + core.D[0:4, 4:6] @ c
-        zy[:, w_cols] += core.D[0:4, 0:2]
-        zy[:, u_cols] += core.D[0:4, 2:4]
-        out[2 * j:2 * j + 2] = zy[:2]
+        zy[..., w_cols] += core.D[0:4, 0:2]
+        zy[..., u_cols] += core.D[0:4, 2:4]
+        out[:, 2 * j:2 * j + 2] = zy[:, :2]
         if j == 0:
-            out[2 * N:] = zy[2:]
+            out[:, 2 * N:] = zy[:, 2:]
         M = fast.A @ M + fast.B[:, 4:6] @ c
-        M[:, w_cols] += fast.B[:, 0:2]
-        M[:, u_cols] += fast.B[:, 2:4]
+        M[..., w_cols] += fast.B[:, 0:2]
+        M[..., u_cols] += fast.B[:, 2:4]
 
     # Slot 1 takes this period's (x_P, u), slot i takes slot i - 1.
-    A = np.vstack([M, np.eye(ncols)[np.concatenate(reads)[:R * m]]])
-    G = StateSpace(A[:, :nx], A[:, nx:], out[:, :nx], out[:, nx:], dt=params.sampling_period)
-    return LiftedPlant(G=G, n_w=2 * N, n_u=2, n_z=2 * N, n_y=2)
+    shift = np.eye(ncols)[np.concatenate(reads)[:R * m]]
+    A = np.concatenate([M, np.broadcast_to(shift, (len(gains), *shift.shape))], axis=1)
+    return [LiftedPlant(StateSpace(a[:, :nx], a[:, nx:], o[:, :nx], o[:, nx:],
+                                   dt=params.sampling_period), n_w=2 * N, n_u=2, n_z=2 * N, n_y=2)
+            for a, o in zip(A, out)]
 
 
 def closed_loop(Gl: LiftedPlant, K: StateSpace) -> StateSpace:

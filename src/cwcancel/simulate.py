@@ -13,22 +13,22 @@ at T act outside the loop.
 
 :func:`simulate_chain` runs the loop over a whole waveform and forms u
 sample by sample for ``waveform.csv``.  :class:`_ChainBatch` runs the BER
-sweeps block by block, every beta point of a kind as a run, and is the one
-gate of a run: it checks the kinds, builds and checks the loops, and makes
-the streams.  Both run the loop as a :class:`_MarkovStack`, which maps a
-run of any length, up to ``_CHUNK_SYMBOLS`` steps at a time, to the runs' outputs
-and next states: their inputs times a slice of one matrix, plus their
-states' share.  Each reads only the samples of w that reach the loop (with F = I, the one
-sampled I/Q pair per period).
+sweeps block by block, every beta point of every kind as a run, and is
+the one gate of a run: it checks the kinds, builds and checks the loops,
+and makes the streams.  Both run the loop as a :class:`_MarkovStack` of K
+systems, which maps a run of any length, up to ``_CHUNK_SYMBOLS`` steps at
+a time, to the runs' outputs and next states: their inputs times a slice
+of one matrix, plus their states' share.  Each reads only the samples of w
+that reach the loop (with F = I, the one sampled I/Q pair per period).
 
 A sweep reads u only through its decision windows, which start
 ``_CHAIN_ALIGN`` = 1 fast sample after each symbol edge, one after the hold
 update.  A symbol is m = sps / N whole slow periods, so one symbol of the
 loop is a linear time-invariant system at the symbol rate, whose state
 carries the window that the symbol leaves open and whose output closes the
-previous one (:class:`_SymbolStack`).  One stack of it per kind maps every
-block and the pilot to the runs' window sums and next states, so the sweep
-never forms u or y_T sample by sample.
+previous one (:class:`_SymbolStack`).  One stack of it for all kinds maps
+every block and the pilot to the runs' window sums and next states, so
+the sweep never forms u or y_T sample by sample.
 
 Random streams
 --------------
@@ -65,7 +65,7 @@ from numbers import Integral
 import numpy as np
 
 from .hnorm import require_stable
-from .lifting import closed_loop, lift
+from .lifting import _lift, closed_loop
 from .lti import StateSpace
 from .plant import RelayParams, identity_filter
 from .synthesis import DigitalController
@@ -191,9 +191,9 @@ def _iq_samples(samples) -> np.ndarray:
     return samples
 
 
-def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
-    """One slow period of the relay loop closed by the controller of a kind
-    that runs one (``designed`` or ``perfect``): lifted w -> lifted e.
+def _period_maps(cfg: SimConfig, kinds) -> list:
+    """One slow period of the relay loop closed by the controller for each of
+    ``kinds`` (``designed`` or ``perfect``): lifted w -> lifted e.
 
     Input per period: the N fast samples of w = tx + n_RS (2 each); output:
     the N fast samples of the error e = w - u.  This is where a missing
@@ -202,13 +202,13 @@ def _period_maps(cfg: SimConfig, kind: str) -> StateSpace:
     shape and step.
     """
     if cfg.controller is None:
-        raise ValueError(f"canceler={kind!r} requires a controller")
+        raise ValueError(f"canceler={kinds[0]!r} requires a controller")
     prm = replace(cfg.params, input_shaping=identity_filter())
-    if kind == "perfect":
-        prm = replace(prm, coupling_gain=0.0)
-    loop = closed_loop(lift(prm), cfg.controller.K)
-    require_stable(loop.A, f"{kind} loop")
-    return loop
+    gains = [0.0 if kind == "perfect" else prm.coupling_gain for kind in kinds]
+    loops = [closed_loop(lifted, cfg.controller.K) for lifted in _lift(prm, gains)]
+    for kind, loop in zip(kinds, loops):
+        require_stable(loop.A, f"{kind} loop")
+    return loops
 
 
 def point_streams(seed: int, point: int) -> tuple:
@@ -231,109 +231,119 @@ _DIVERGENCE = dict(over="ignore", invalid="ignore")
 _CHAIN_ALIGN = 1
 # Steps of a Markov stack's map: a run of any length is computed in chunks
 # of this many symbols, or of up to this many slow periods (:func:`_relay_output`).
-_CHUNK_SYMBOLS = 64
+_CHUNK_SYMBOLS = 32
 # A sweep draws and runs blocks of 1 to _BLOCK_CHUNKS whole chunks: as many
 # as keep the runs' w of a block within _BLOCK_BUDGET numbers.
-_BLOCK_BUDGET = 2 ** 13
+_BLOCK_BUDGET = 2 ** 16
 _BLOCK_CHUNKS = 16
 
 
 class _PeriodKernel:
-    """A closed loop's period map x <- A x + B w, e = C x + D w, runs as rows.
+    """The period maps x <- A x + B w, e = C x + D w of K closed loops of one
+    size on a leading axis, run as rows.
 
     u = w - e = -C x + (I - D) w, so w enters only through the columns of
-    [B; I - D] that are not exactly zero (``cols``): the sampler's I/Q pair
-    at the period's first fast instant when the antialias filter is I, all
-    2N once it has state.  Matrices are stored transposed: ``AT`` = A^T,
-    ``BT`` = B[:, cols]^T and ``H`` = [-C, (I - D)[:, cols]]^T, so a row
-    [x, w[cols]] times ``H`` is the period's u.
+    [B; I - D] not exactly zero in some loop (``cols``): the sampler's I/Q
+    pair at the period's first fast instant when the antialias filter is I,
+    all 2N once it has state.  Matrices are stored transposed, each
+    (K, ., .): ``AT`` = A^T, ``BT`` = B[:, cols]^T and ``H`` =
+    [-C, (I - D)[:, cols]]^T, so a row [x, w[cols]] times ``H[k]`` is loop
+    k's u of the period.
     """
 
-    def __init__(self, loop: StateSpace):
-        n = loop.n_states
-        BG = np.vstack([loop.B, np.eye(loop.n_outputs) - loop.D])
-        self.cols = np.flatnonzero(np.any(BG != 0.0, axis=0))
-        self.n_states = n
-        self.AT = loop.A.T
-        self.BT = BG[:n, self.cols].T
-        self.H = np.hstack([-loop.C, BG[n:, self.cols]]).T
+    def __init__(self, *loops: StateSpace):
+        n = self.n_states = loops[0].n_states
+        BG = np.stack([np.vstack([loop.B, np.eye(loop.n_outputs) - loop.D]) for loop in loops])
+        self.cols = np.flatnonzero(np.any(BG != 0.0, axis=(0, 1)))
+        self.AT = np.stack([loop.A.T for loop in loops])
+        self.BT = BG[:, :n, self.cols].transpose(0, 2, 1)
+        self.H = np.stack([np.hstack([-loop.C, g[n:, self.cols]]).T for loop, g in zip(loops, BG)])
 
 
 def _image(G: np.ndarray) -> tuple:
-    """(image, rows) for inputs w[cols] that enter through the rows G: the map
-    of w[cols] to the entries of w G that are not exactly zero, and their
-    rows, where those are fewer than w's; else (None, G)."""
-    live = np.flatnonzero(np.any(G != 0.0, axis=0))
-    if live.size < G.shape[0]:
-        return G[:, live], np.eye(G.shape[1])[live]
+    """(image, rows) for inputs w[cols] that enter K systems through the rows
+    G (K, cols, width): each system's map (K, cols, L) of w[cols] to the L
+    entries of w G not exactly zero in some system, in C order, which rounds
+    w @ image alike for any rows of w, and their rows; else (None, G)."""
+    live = np.flatnonzero(np.any(G != 0.0, axis=(0, 1)))
+    if live.size < G.shape[1]:
+        rows = np.eye(G.shape[2])[live]
+        return np.ascontiguousarray(G[:, :, live]), np.broadcast_to(rows, (G.shape[0], *rows.shape))
     return None, G
 
 
 class _MarkovStack:
-    """The system s <- s A + v B, y = s C + v D, runs as rows, over any
-    number of steps, c = ``chunk`` at a time.
+    """K systems s <- s A + v B, y = s C + v D of one size on a leading
+    axis, run as rows over any number of steps, c = ``chunk`` at a time.
 
-    ``M`` maps [s, v_0 .. v_c-1] to [y_0 .. y_c-1, s_c]: its state rows are
-    A^k C, k < c, and A^c; v_i's rows hold D at y_i, B A^(k-1-i) C at each
-    later y_k and B A^(c-1-i) at s_c.  A run walks its steps in chunks of
-    c; a short last chunk of S steps reads M's trailing S steps of input
-    rows, and A^k C, k < S, and A^S as state rows, so every length is a
-    slice of the one build.
+    ``M[k]`` maps [s, v_0 .. v_c-1] to [y_0 .. y_c-1, s_c] for system k:
+    its state rows are A^j C, j < c, and A^c; v_i's rows hold D at y_i,
+    B A^(j-1-i) C at each later y_j and B A^(c-1-i) at s_c.  A run walks
+    its steps in chunks of c; a short last chunk of S steps reads M's
+    trailing S steps of input rows, and A^j C, j < S, and A^S as state
+    rows, so every length is a slice of the one build.  numpy's stacked
+    products make one product per system, so each system's numbers equal
+    those of a stack of that system alone, to the bit.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, chunk: int):
-        ns, r, p, c = A.shape[0], B.shape[0], C.shape[1], chunk
+        (K, ns, _), r, p, c = A.shape, B.shape[1], C.shape[2], chunk
         self.n_states, self.rows, self.width, self.chunk = ns, r, p, c
-        # The Markov stack: A^k for k <= c, and A^k C and B A^k for k < c.
-        self.powers = [np.eye(ns)]
+        # The Markov stack: A^j for j <= c, and A^j C and B A^j for j < c.
+        self.powers = [np.broadcast_to(np.eye(ns), A.shape)]
         for _ in range(c):
             self.powers.append(self.powers[-1] @ A)
-        Ak = np.stack(self.powers[:c])
-        BA = B @ Ak
-        later = np.concatenate([D[None], BA[:c - 1] @ C])  # an input's share of y d steps on
-        M = self.M = np.zeros((ns + c * r, p * c + ns))
-        M[:ns, :p * c] = (Ak @ C).transpose(1, 0, 2).reshape(ns, -1)
-        M[:ns, p * c:] = self.powers[c]
-        inputs = M[ns:].reshape(c, r, p * c + ns)
+        Ak = np.stack(self.powers[:c], axis=1)
+        BA = B[:, None] @ Ak
+        # An input's share of y d steps on, for d < c, as rows (K, r, p c).
+        later = np.concatenate([D[:, None], BA[:, :c - 1] @ C[:, None]], axis=1)
+        later = later.transpose(0, 2, 1, 3).reshape(K, r, p * c)
+        M = self.M = np.zeros((K, ns + c * r, p * c + ns))
+        M[:, :ns, :p * c] = (Ak @ C[:, None]).transpose(0, 2, 1, 3).reshape(K, ns, -1)
+        M[:, :ns, p * c:] = self.powers[c]
+        inputs = M[:, ns:].reshape(K, c, r, p * c + ns)
         for i in range(c):
-            inputs[i, :, p * i: p * c] = later[:c - i].transpose(1, 0, 2).reshape(r, p * (c - i))
-        inputs[:, :, p * c:] = BA[::-1]
+            inputs[:, i, :, p * i: p * c] = later[..., :p * (c - i)]
+        inputs[..., p * c:] = BA[:, ::-1]
 
     def run(self, V: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Outputs y (P, S, width) of P runs over any S steps, unchecked, for
-        inputs V (P, S, rows) and states s (P, n_states), advanced in place.
-        Each chunk of ``chunk`` steps, and a short last one, is its own
-        product, so splitting a run at chunk edges changes no bit."""
-        (P, S, r), ns, p, c = V.shape, self.n_states, self.width, self.chunk
-        Y = np.empty((P, S, p))
+        """Outputs y (K, P, S, width) of P runs of each system over any S steps,
+        unchecked, for inputs V (P, S, rows), or (K, P, S, rows), and states s
+        (K, P, n_states), advanced in place.  Each chunk of ``chunk`` steps,
+        and a short last one, is its own product, so splitting a run at chunk
+        edges changes no bit."""
+        (P, S, r), ns, p, c = V.shape[-3:], self.n_states, self.width, self.chunk
+        Y = np.empty((self.M.shape[0], P, S, p))
         for k in range(0, S, c):
             n = min(c, S - k)
-            state = self.M[:ns] if n == c else np.hstack([self.M[:ns, :p * n], self.powers[n]])
-            out = V[:, k:k + n].reshape(P, n * r) @ self.M[ns + (c - n) * r:, p * (c - n):]
+            state = (self.M[:, :ns] if n == c else
+                     np.concatenate([self.M[:, :ns, :p * n], self.powers[n]], axis=2))
+            v = V[..., k:k + n, :].reshape(*V.shape[:-2], n * r)
+            out = v @ self.M[:, ns + (c - n) * r:, p * (c - n):]
             out += s @ state
-            s[...] = out[:, p * n:]
-            Y[:, k:k + n] = out[:, :p * n].reshape(P, n, p)
+            s[...] = out[..., p * n:]
+            Y[:, :, k:k + n] = out[..., :p * n].reshape(-1, P, n, p)
         return Y
 
 
 def _relay_output(kernel: _PeriodKernel, W: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The relay output u (P, T, 2N) of P runs over T slow periods, unchecked,
-    for their w at the kernel's columns W (P, T, cols.size) and their loop
-    states s (P, n_x), advanced in place.  The period loop runs as a
-    :class:`_MarkovStack` whose outputs (C = I, D = 0) are the states x_k at
-    the periods' starts and whose input is w or its :func:`_image` (2 a
-    period at every N for F = 100/(s+100)), in chunks of min(64, T) periods;
-    then u = [x_k, w_k] ``kernel.H``.
+    """The relay output u (P, T, 2N) of P runs of a one-loop kernel over T slow
+    periods, unchecked, for their w at the kernel's columns W (P, T, cols.size)
+    and their loop states s (P, n_x), advanced in place.  The period loop runs
+    as a one-system :class:`_MarkovStack` whose outputs (C = I, D = 0) are
+    the states x_k at the periods' starts and whose input is w or its
+    :func:`_image` (2 a period at every N for F = 100/(s+100)), in chunks of
+    min(32, T) periods; then u = [x_k, w_k] ``kernel.H``.
     """
     n, c = kernel.n_states, min(_CHUNK_SYMBOLS, W.shape[1])
     image, B = _image(kernel.BT)
-    stack = _MarkovStack(kernel.AT, B, np.eye(n), np.zeros((B.shape[0], n)), c)
-    X = stack.run(W if image is None else W @ image, s)
-    return np.concatenate([X, W], axis=2) @ kernel.H
+    stack = _MarkovStack(kernel.AT, B, np.eye(n)[None], np.zeros((1, B.shape[1], n)), c)
+    X = stack.run(W if image is None else W @ image[:, None], s[None])[0]
+    return np.concatenate([X, W], axis=2) @ kernel.H[0]
 
 
 class _SymbolStack(_MarkovStack):
-    """One symbol, m slow periods, of a kind's loop as a system at the
+    """One symbol, m slow periods, of each loop of a kernel as a system at the
     symbol rate, and its map of a chunk of ``_CHUNK_SYMBOLS`` symbols.
 
     A run's state s = (x, r, l), n + 4 numbers, is the loop state x at the
@@ -343,43 +353,45 @@ class _SymbolStack(_MarkovStack):
     input V is its m periods of w at the kernel's columns or, where
     narrower, their :func:`_image` through B and the feedthrough's head,
     rest and last sample: 2 a period at every N for F = 100/(s+100).  As
-    rows, s <- s A + V B, and y = s C + V D, r plus the head of the
-    symbol's first period, closes the previous symbol's window;
-    r + ``_CHAIN_ALIGN`` l closes a stream's last one.  This is the lifting
-    of Chen and Francis ("Optimal Sampled-Data Control Systems", 1995) at
-    the symbol rate, run as a :class:`_MarkovStack`.
+    rows, s <- s A + V B, and y = s C + V D, r plus the head of the symbol's
+    first period, closes the previous symbol's window; r + ``_CHAIN_ALIGN``
+    l closes a stream's last one.  This is the lifting of Chen and Francis
+    ("Optimal Sampled-Data Control Systems", 1995) at the symbol rate, run
+    as a :class:`_MarkovStack`.
     """
 
     def __init__(self, kernel: _PeriodKernel, m: int):
-        n, a, N = kernel.n_states, _CHAIN_ALIGN, kernel.H.shape[1] // 2
-        H = kernel.H.reshape(-1, N, 2)
+        (K, n, _), a, N = kernel.AT.shape, _CHAIN_ALIGN, kernel.H.shape[2] // 2
+        H = kernel.H.reshape(K, -1, N, 2)
         # A period's rows x and w map to the next x and to u's head, rest and last sample.
-        G = np.hstack([np.vstack([kernel.AT, kernel.BT]),
-                       H[:, :a].sum(axis=1), H[:, a:].sum(axis=1), H[:, N - 1]])
-        self.image, rows = _image(G[n:])
-        G = np.vstack([G[:n], rows])
-        q, ns = G.shape[0] - n, n + 4
+        G = np.concatenate([np.concatenate([kernel.AT, kernel.BT], axis=1), H[:, :, :a].sum(axis=2),
+                            H[:, :, a:].sum(axis=2), H[:, :, N - 1]], axis=2)
+        self.image, rows = _image(G[:, n:])
+        G = np.concatenate([G[:, :n], rows], axis=1)
+        q, ns = G.shape[1] - n, n + 4
         # The symbol from its last period back: Q maps period i's x to its
-        # share of (x', r', l'), and B[i] does so for period i's input.
-        Q, B = np.eye(n, ns), np.empty((m, q, ns))
+        # share of (x', r', l'), and B[:, i] does so for period i's input.
+        Q, B = np.eye(n, ns), np.empty((K, m, q, ns))
         for i in reversed(range(m)):
-            R = G[:, :n] @ Q
-            R[:, n:n + 2] += G[:, n + 2:n + 4] + G[:, n:n + 2] * (i > 0)
-            R[:, n + 2:] += G[:, n + 4:] * (i == m - 1)
-            Q, B[i] = R[:n], R[n:]
-        A, C, D = np.zeros((ns, ns)), np.zeros((ns, 2)), np.zeros((m * q, 2))
-        A[:n], C[:n], C[n:n + 2], D[:q] = Q, G[:n, n:n + 2], np.eye(2), G[n:, n:n + 2]
-        super().__init__(A, B.reshape(m * q, ns), C, D, _CHUNK_SYMBOLS)
+            R = G[..., :n] @ Q
+            R[..., n:n + 2] += G[..., n + 2:n + 4] + G[..., n:n + 2] * (i > 0)
+            R[..., n + 2:] += G[..., n + 4:] * (i == m - 1)
+            Q, B[:, i] = R[:, :n], R[:, n:]
+        A, C, D = np.zeros((K, ns, ns)), np.zeros((K, ns, 2)), np.zeros((K, m * q, 2))
+        A[:, :n], C[:, :n], C[:, n:n + 2] = Q, G[:, :n, n:n + 2], np.eye(2)
+        D[:, :q] = G[:, n:, n:n + 2]
+        super().__init__(A, B.reshape(K, m * q, ns), C, D, _CHUNK_SYMBOLS)
 
     def run(self, W: np.ndarray, s: np.ndarray, final: bool) -> np.ndarray:
-        """Outputs y (S + final, P, 2) of P runs over S symbols, unchecked, for
-        their w at the kernel's columns W (P, S m, cols.size) and states s
-        (P, n + 4), advanced in place; a ``final`` y ends with the last window."""
+        """Outputs y (K, S + final, P, 2) of P runs of each loop over S symbols,
+        unchecked, for their w at the kernel's columns W (P, S m, cols.size)
+        and states s (K, P, n + 4), advanced in place; a ``final`` y ends
+        with the last window."""
         if self.image is not None:
-            W = W @ self.image
-        y = super().run(W.reshape(s.shape[0], -1, self.rows), s).transpose(1, 0, 2)
+            W = W @ self.image[:, None]
+        y = super().run(W.reshape(*W.shape[:-2], -1, self.rows), s).transpose(0, 2, 1, 3)
         if final:  # the stream's end repeats its last sample
-            y = np.concatenate([y, (s[:, -4:-2] + _CHAIN_ALIGN * s[:, -2:])[None]])
+            y = np.concatenate([y, (s[..., -4:-2] + _CHAIN_ALIGN * s[..., -2:])[:, None]], axis=1)
         return y
 
 
@@ -417,9 +429,9 @@ class _ChainBatch:
     in :data:`CANCELER_KINDS`, none repeated), the betas (at least one, each
     finite and nonnegative) and that a symbol holds more than the
     ``_CHAIN_ALIGN`` samples before its decision window, then builds and
-    checks the loop of each kind that runs a controller, and only then makes
-    the streams, so a refused run draws nothing.  ``none`` transmits u = 0
-    exactly and has no loop.
+    checks the loops of the kinds that run a controller, and only then
+    makes the streams, so a refused run draws nothing.  ``none`` transmits
+    u = 0 exactly and has no loop.
 
     Run j is sweep point j with gain ``betas[j]``, and its n_RS, bits and
     n_T generators are ``rs[j]``, ``bits[j]`` and ``t[j]``; the caller
@@ -432,11 +444,12 @@ class _ChainBatch:
     columns only, from its bits (:meth:`bpsk`).  A run's n_T is drawn per
     window, as :func:`_terminal_noise` lays it out.  A block of ``block``
     symbols is 1 to ``_BLOCK_CHUNKS`` chunks, as many as keep the runs' w,
-    P 64 m cols.size numbers a chunk, within ``_BLOCK_BUDGET``.  Blocked
+    P 32 m cols.size numbers a chunk, within ``_BLOCK_BUDGET``.  Blocked
     draws equal whole ones and a stack computes each chunk alike in any
-    block, so the block sets a sweep's cost, never its numbers.  Each
-    kind's kernel, its one :class:`_SymbolStack` and its runs' symbol-rate
-    states ``X[kind]`` (P, n_x + 4) live as long as the batch.
+    block, so the block sets a sweep's cost, never its numbers.  The
+    ``controlled`` kinds run as one system: one :class:`_PeriodKernel`
+    ``kernel``, one :class:`_SymbolStack` ``stack`` and one state array
+    ``X`` (K, P, n_x + 4) of (x, r, l) live as long as the batch.
     """
 
     def __init__(self, cfg: SimConfig, kinds, betas):
@@ -459,11 +472,12 @@ class _ChainBatch:
         if self.sps <= _CHAIN_ALIGN:
             raise ValueError(f"the relay receiver's windows start {_CHAIN_ALIGN} fast sample(s) "
                              f"after a symbol edge, so a symbol needs more than that, got {self.sps}")
-        self.kernels = {kind: _PeriodKernel(_period_maps(cfg, kind))
-                        for kind in self.kinds if kind != "none"}
-        self.X = {kind: np.zeros((len(betas), k.n_states + 4))  # (x, r, l): see _SymbolStack
-                  for kind, k in self.kernels.items()}
-        self.cols = next((k.cols for k in self.kernels.values()), np.zeros(0, dtype=np.intp))
+        self.controlled = [kind for kind in self.kinds if kind != "none"]
+        self.kernel, self.X, self.cols = None, None, np.zeros(0, dtype=np.intp)
+        if self.controlled:
+            self.kernel = _PeriodKernel(*_period_maps(cfg, self.controlled))
+            self.cols = self.kernel.cols
+            self.X = np.zeros((len(self.controlled), len(betas), self.kernel.n_states + 4))
         chunk = len(betas) * _CHUNK_SYMBOLS * self.m * max(self.cols.size, 1)
         self.block = _CHUNK_SYMBOLS * max(1, min(_BLOCK_CHUNKS, _BLOCK_BUDGET // chunk))
         self.amp = cfg.signal_amplitude
@@ -494,24 +508,22 @@ class _ChainBatch:
         return tx
 
     @cached_property
-    def stacks(self) -> dict:
-        """Each controlled kind's :class:`_SymbolStack`, built on first use:
+    def stack(self) -> _SymbolStack:
+        """The controlled kinds' one :class:`_SymbolStack`, built on first use:
         :func:`simulate_chain` runs the period loop's stack and builds none."""
         with np.errstate(**_DIVERGENCE):
-            return {kind: _SymbolStack(k, self.m) for kind, k in self.kernels.items()}
+            return _SymbolStack(self.kernel, self.m)
 
     def advance(self, bits: np.ndarray):
         """Yield (kind, y) for the next whole symbols of the sweep, with bits (n, P).
 
         y (windows, P, 2) is, for each decision window that the symbols
         complete, the statistic scale Sum u + Sum n_T that the receiver
-        projects.  Each controlled kind's sums of u are one run of its
+        projects.  The controlled kinds' sums of u are one run of the batch's
         :class:`_SymbolStack`: symbol k's output closes window k - 1, so a
         run drops the output of its first symbol, whose sample 0 is in no
         window, and its ``cfg.n_symbols``-th symbol closes the final window
-        too.  Its reader checks y for overflow.  Kinds are computed one
-        at a time, as the caller consumes them, so only one kind's outputs
-        are alive at once.
+        too.  Its reader checks y for overflow.
         """
         (symbols, P), a = bits.shape, _CHAIN_ALIGN
         first = self.symbols_done == 0
@@ -528,24 +540,27 @@ class _ChainBatch:
         n_t[:, :inner] *= math.sqrt(self.sps) * self.sigma_t
         n_t[:, inner:] *= self.sigma_t
         n_t = n_t.transpose(1, 0, 2)
-        for kind in self.kinds:
-            if kind not in self.kernels:
-                yield kind, n_t
-                continue
+        stats = {}
+        if self.controlled:
             with np.errstate(**_DIVERGENCE):
-                sums = self.stacks[kind].run(W, self.X[kind], final)[first:]
-                y = sums * self.scale[:, None] + n_t
-            yield kind, y
+                y = self.stack.run(W, self.X, final)[:, first:]
+                y *= self.scale[:, None]
+                y += n_t
+            stats = dict(zip(self.controlled, y))
+        for kind in self.kinds:
+            yield kind, stats.get(kind, n_t)
 
-    def pilot(self, kind: str, bits: np.ndarray) -> np.ndarray:
-        """The last decision window's sum (2,) of a kind's noise-free relay
+    def pilot(self, bits: np.ndarray) -> dict:
+        """kind -> the last decision window's sum (2,) of its noise-free relay
         output u, from rest, for the BPSK of bits (n,): one run of the
-        kind's stack; 0 for ``none``."""
-        if kind not in self.kernels:
-            return np.zeros(2)
-        s = np.zeros((1, self.stacks[kind].n_states))
-        with np.errstate(**_DIVERGENCE):
-            return self.stacks[kind].run(self.bpsk(bits[:, None]), s, True)[-1, 0]
+        stack for every controlled kind; 0 for ``none``."""
+        sums = {}
+        if self.controlled:
+            s = np.zeros((len(self.controlled), 1, self.stack.n_states))
+            with np.errstate(**_DIVERGENCE):
+                sums = dict(zip(self.controlled,
+                                self.stack.run(self.bpsk(bits[:, None]), s, True)[:, -1, 0]))
+        return {kind: sums.get(kind, np.zeros(2)) for kind in self.kinds}
 
 
 def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
@@ -569,7 +584,7 @@ def simulate_chain(cfg: SimConfig, tx, kind: str, beta: float) -> SimOutput:
     if kind == "none":
         u, y_t = np.zeros_like(tx), n_t
     else:
-        kernel = batch.kernels[kind]
+        kernel = batch.kernel
         with np.errstate(**_DIVERGENCE):
             u = _relay_output(kernel, W, np.zeros((1, kernel.n_states))).reshape(n_fast, 2)
             y_t = batch.scale[0] * u + n_t

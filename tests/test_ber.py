@@ -120,6 +120,21 @@ class TestModDemod:
         with pytest.raises(FloatingPointError, match="^terminal waveform overflows a float$"):
             demodulate(y, chan, [1.0, 0.0])
 
+    def test_decisions_equal_the_stacked_product(self):
+        """The receiver projects (n, P, 2) statistics as one (n P, 2)
+        product; its decisions equal those of the stacked (n, P, 2) product,
+        on statistics of many scales, half of them at right angles to the
+        reference, where only rounding sets the sign."""
+        from cwcancel.ber import _decide
+
+        rng = np.random.default_rng(3)
+        for n, P in ((1, 1), (7, 3), (1024, 12)):
+            ref = rng.standard_normal(2)
+            ref /= np.hypot(*ref)
+            y = rng.standard_normal((n, P, 2)) * 10.0 ** rng.uniform(-30, 30, (n, P, 1))
+            y[::2] = np.multiply.outer(y[::2, :, 0], [-ref[1], ref[0]])
+            assert np.array_equal(_decide(y, ref), y @ ref > 0.0)
+
     def test_framing_error(self, chan):
         with pytest.raises(ValueError, match="waveform length 33 is not a multiple of"):
             demodulate(np.zeros((33, 2)), chan, [1.0, 0.0])
@@ -338,15 +353,20 @@ class TestGrid:
         assert f"floor is {forwarding_ber_model(cfg, 1e12):.3g}" in str(info.value)
 
 
-@pytest.fixture(scope="module")
-def antialias_cfg():
+def lowpass_cfg(N):
+    """F = 100/(s+100) at N, designed at tol 5e-3."""
     from cwcancel.lifting import lift
     from cwcancel.plant import first_order_lowpass
     from cwcancel.synthesis import bisect_gamma
 
-    params = RelayParams(antialias=first_order_lowpass(0.01))  # F = 100/(s+100)
+    params = RelayParams(fsfh_ratio=N, antialias=first_order_lowpass(0.01))
     K = bisect_gamma(lift(params), tol=5e-3).controller
     return SimConfig(params=params, controller=K, seed=2024)
+
+
+@pytest.fixture(scope="module")
+def antialias_cfg():
+    return lowpass_cfg(16)
 
 
 def whole_waveform_errors(cfg, kind, beta, point):
@@ -359,7 +379,7 @@ def whole_waveform_errors(cfg, kind, beta, point):
     key = np.array([cfg.seed, 3 * point + 1], dtype=np.uint64)
     bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=cfg.n_symbols)
     tx = modulate(bits, cfg)
-    ref = _pilot_reference(_ChainBatch(cfg, [kind], [beta]), kind)
+    ref = _pilot_reference(_ChainBatch(cfg, [kind], [beta]))[kind]
     y_t = simulate_point(cfg, tx, kind, beta, point).y_T
     return int(np.sum(_decide(relay_window_sums(y_t, cfg.sps), ref) != bits))
 
@@ -371,7 +391,7 @@ def test_pilot_reference_does_not_depend_on_beta(base_cfg, kind):
     from cwcancel.ber import _pilot_reference
     from cwcancel.simulate import _ChainBatch
 
-    small, large = (_pilot_reference(_ChainBatch(base_cfg, [kind], [beta]), kind)
+    small, large = (_pilot_reference(_ChainBatch(base_cfg, [kind], [beta]))[kind]
                     for beta in (1e-6, 1e3))
     assert small.tobytes() == large.tobytes()
 
@@ -404,16 +424,18 @@ class TestBatchedSweep:
             assert point == one_point(cfg, curve.canceler_kind, betas[0])
             assert point.errors == whole_waveform_errors(cfg, curve.canceler_kind, betas[0], 0)
 
-    @pytest.mark.parametrize("which", ["defaults", "antialias"])
+    @pytest.mark.parametrize("which", ["defaults", "antialias", "lowpass4", "lowpass32"])
     def test_statistics_do_not_depend_on_the_block(self, base_cfg, antialias_cfg, monkeypatch,
                                                    which):
-        """Blocks of one chunk against the default blocks, over two and a
-        half of those: every statistic that the batch yields is the same to
-        the bit."""
+        """Blocks of 1, 2 and 16 chunks against the default blocks, for one
+        and for three points, over two and a half blocks of 16 chunks: every
+        statistic that the batch yields is the same to the bit.  With
+        F = 100/(s+100) (``antialias`` is N = 16) the stacks read the image
+        of w, a product whose rows are the block's periods."""
         import cwcancel.simulate as sim
 
-        def statistics(cfg):
-            batch = sim._ChainBatch(cfg, ["none", "designed", "perfect"], [3e-4])
+        def statistics(cfg, betas):
+            batch = sim._ChainBatch(cfg, ["none", "designed", "perfect"], betas)
             y = {kind: [] for kind in batch.kinds}
             for start in range(0, cfg.n_symbols, batch.block):
                 n = min(batch.block, cfg.n_symbols - start)
@@ -422,31 +444,38 @@ class TestBatchedSweep:
                     y[kind].append(stat)
             return batch.block, {kind: np.concatenate(v) for kind, v in y.items()}
 
-        cfg = base_cfg if which == "defaults" else antialias_cfg
-        block = sim._ChainBatch(cfg, ["designed"], [3e-4]).block
-        cfg = replace(cfg, n_symbols=2 * block + 44)
-        blocks, blocked = statistics(cfg)
-        monkeypatch.setattr(sim, "_BLOCK_CHUNKS", 1)
-        chunks, chunked = statistics(cfg)
-        assert chunks == sim._CHUNK_SYMBOLS < blocks == block
-        for kind, y in blocked.items():
-            assert y.shape == (cfg.n_symbols, 1, 2)
-            assert np.array_equal(y, chunked[kind])
+        cfg = {"defaults": base_cfg, "antialias": antialias_cfg}.get(which) or lowpass_cfg(
+            int(which[7:]))
+        cfg = replace(cfg, n_symbols=2 * 16 * sim._CHUNK_SYMBOLS + 44)
+        points = ([3e-4], [1e-4, 3e-4, 1e-3])
+        reference = [statistics(cfg, betas) for betas in points]
+        monkeypatch.setattr(sim, "_BLOCK_BUDGET", 2 ** 62)
+        for betas, (default, ref) in zip(points, reference):
+            assert default > sim._CHUNK_SYMBOLS
+            for chunks in (1, 2, 16):
+                monkeypatch.setattr(sim, "_BLOCK_CHUNKS", chunks)
+                block, y = statistics(cfg, betas)
+                assert block == chunks * sim._CHUNK_SYMBOLS
+                for kind, stat in ref.items():
+                    assert stat.shape == (cfg.n_symbols, len(betas), 2)
+                    assert np.array_equal(y[kind], stat)
 
     def test_block_rule(self, base_cfg):
-        """One point with F = I runs 16 chunks a block; 12 points with
-        F = 100/(s+100) at N = 64, whose loops read all 128 samples of w a
-        period, run one."""
+        """One point and 12 points with F = I at N = 16 run 16 chunks, 512
+        symbols, a block; 12 points with F = 100/(s+100) at N = 64, whose
+        loops read all 128 samples of w a period, run one."""
         from cwcancel.lifting import lift
         from cwcancel.plant import first_order_lowpass
         from cwcancel.simulate import _ChainBatch
         from cwcancel.synthesis import bisect_gamma
 
-        assert _ChainBatch(base_cfg, ["designed"], [3e-4]).block == 16 * 64
+        betas = list(np.geomspace(1e-4, 1e-2, 12))
+        assert _ChainBatch(base_cfg, ["designed"], [3e-4]).block == 16 * 32
+        assert _ChainBatch(base_cfg, ["none", "designed", "perfect"], betas).block == 16 * 32
         params = RelayParams(fsfh_ratio=64, antialias=first_order_lowpass(0.01))
         cfg = SimConfig(params=params, controller=bisect_gamma(lift(params), tol=5e-2).controller)
-        batch = _ChainBatch(cfg, ["designed", "perfect"], list(np.geomspace(1e-4, 1e-2, 12)))
-        assert batch.cols.size == 128 and batch.block == 64
+        batch = _ChainBatch(cfg, ["designed", "perfect"], betas)
+        assert batch.cols.size == 128 and batch.block == 32
 
     def test_memory_bounded_by_chunk(self, base_cfg):
         import tracemalloc
@@ -463,31 +492,51 @@ class TestBatchedSweep:
         small, large = peak(2000), peak(16000)
         assert large <= 1.5 * small, (small, large)
 
+    def test_reference_sweep_memory(self, base_cfg):
+        """The reference sweep, 12 points x 3 kinds x 10 000 symbols at
+        N = 16, peaks under 1.5 MB of traced memory: 512-symbol blocks of
+        the 12 points' w and statistics, and one stacked map of both loops."""
+        import tracemalloc
+
+        cfg = replace(base_cfg, n_symbols=10000)
+        betas, kinds = list(default_beta_grid(cfg, n_points=12)), ["none", "designed", "perfect"]
+        sweep_beta(replace(cfg, n_symbols=10), betas, kinds)  # one-time allocations stay out
+        tracemalloc.start()
+        try:
+            sweep_beta(cfg, betas, kinds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6, peak
+
 
 def test_sweep_builds_each_period_map_once(base_cfg, monkeypatch):
-    # The pilots run on the loops the sweep builds, so each controlled
-    # kind's period map is built exactly once per sweep, and none builds
-    # no loop at all.  So is each kind's symbol-rate stack: the pilot, the
-    # full chunks and the short final chunk all read the one build.
+    # The pilot runs on the loops the sweep builds, so a sweep makes one lift
+    # pass, at the coupling gains of exactly its controlled kinds, and none
+    # builds no loop at all.  It builds one symbol-rate stack, of all those
+    # kinds: the pilot, the full chunks and the short final chunk all read
+    # the one build.
     import cwcancel.simulate as sim
 
-    built, stacks = [], []
-    period_maps, stack = sim._period_maps, sim._SymbolStack
+    lifts, stacks = [], []
+    lift, stack = sim._lift, sim._SymbolStack
 
-    def counting(cfg, kind):
-        built.append(kind)
-        return period_maps(cfg, kind)
+    def counting_lift(params, gains):
+        lifts.append(list(gains))
+        return lift(params, gains)
 
     def counting_stack(kernel, m):
-        stacks.append(kernel)
+        stacks.append(kernel.AT.shape[0])
         return stack(kernel, m)
 
-    monkeypatch.setattr(sim, "_period_maps", counting)
+    monkeypatch.setattr(sim, "_lift", counting_lift)
     monkeypatch.setattr(sim, "_SymbolStack", counting_stack)
-    kinds = ["none", "designed", "perfect"]
-    sweep_beta(replace(base_cfg, n_symbols=2 * sim._CHUNK_SYMBOLS + 44), [1e-4, 1e-3, 1e-2], kinds)
-    assert sorted(built) == ["designed", "perfect"]
-    assert len(stacks) == 2
+    cfg, alpha = replace(base_cfg, n_symbols=2 * sim._CHUNK_SYMBOLS + 44), 0.15
+    assert base_cfg.params.coupling_gain == alpha
+    sweep_beta(cfg, [1e-4, 1e-3, 1e-2], ["none", "designed", "perfect"])
+    assert (lifts, stacks) == ([[alpha, 0.0]], [2])
+    sweep_beta(cfg, [1e-4, 1e-3, 1e-2], ["perfect", "none"])
+    assert (lifts, stacks) == ([[alpha, 0.0], [0.0]], [2, 1])
 
 
 def test_none_only_sweep_builds_no_loop(base_cfg, monkeypatch):
@@ -495,7 +544,7 @@ def test_none_only_sweep_builds_no_loop(base_cfg, monkeypatch):
     def lift(*args):
         raise AssertionError("a loop was lifted for none")
 
-    monkeypatch.setattr("cwcancel.simulate.lift", lift)
+    monkeypatch.setattr("cwcancel.simulate._lift", lift)
     (curve,) = sweep_beta(replace(base_cfg, n_symbols=100), [1e-4, 1e-3], ["none"])
     assert [p.trials for p in curve.points] == [100, 100]
 

@@ -12,8 +12,9 @@ two numbers a period, in place of w's 2N.
   ``design``'s certificate disproves a verdict, which exits 1.
 - A byte-identity row runs its command twice, into two directories, and
   compares the artifacts byte for byte: ``design`` with ``certify``,
-  ``simulate``, and ``sweep`` (one symbol, ``none`` alone, and 1 100 symbols,
-  which cross the edge of a 1 024-symbol block).
+  ``simulate``, and ``sweep`` (one symbol, ``none`` alone, 1 100 symbols,
+  which cross two edges of a 512-symbol block, and 12 points of 2 500
+  symbols, five such blocks of all 12 points).
 
 Two cases need a fresh interpreter and run ``python -m cwcancel.cli`` as a
 subprocess: ``design`` under two hash seeds, whose artifacts must also agree
@@ -53,10 +54,12 @@ CONFIGS = {
 # name: (config, symbols)
 SIMULATE = {"small": ("small", 20), "lowpass": ("lowpass", 20), "one": ("small", 1),
             "lowpass16": ("lowpass16", 20)}
-# name: (config, symbols, cancelers or None for the config's, with its controller)
-SWEEP = {"small": ("small", 200, None), "lowpass": ("lowpass", 200, None),
-         "lowpass16": ("lowpass16", 200, None), "one": ("small", 1, None),
-         "none": ("small", 200, "none"), "blocks": ("small", 1100, None)}
+# name: (config, symbols, cancelers or None for the config's, with its
+# controller, beta points)
+SWEEP = {"small": ("small", 200, None, 2), "lowpass": ("lowpass", 200, None, 2),
+         "lowpass16": ("lowpass16", 200, None, 2), "one": ("small", 1, None, 2),
+         "none": ("small", 200, "none", 2), "blocks": ("small", 1100, None, 2),
+         "ref12": ("small", 2500, None, 12)}
 
 WIDE_P = {"a": [[-1000.0]], "b": [[1000.0, 0.0, 0.0]], "c": [[1.0]], "d": [[0.0]]}
 ONE_BY_ONE = {"a": [[0.5]], "b": [[1.0]], "c": [[1.0]], "d": [[0.0]], "step_seconds": 1.0,
@@ -218,10 +221,11 @@ def test_simulate_waveform_is_byte_identical(designed, tmp_path, row):
 
 @pytest.mark.parametrize("row", SWEEP)
 def test_sweep_curves_are_byte_identical(designed, tmp_path, row):
-    name, symbols, cancelers = SWEEP[row]
+    name, symbols, cancelers, points = SWEEP[row]
     config, controller = designed[name]
     doc = json.loads(config.read_text())
     doc["comms"]["n_symbols"] = symbols
+    doc["sweep"]["n_points"] = points
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     flags = ["--cancelers", cancelers] if cancelers else ["--controller", str(controller)]

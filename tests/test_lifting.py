@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,27 @@ def test_dimensions(default_lifted):
 def test_lifted_order_does_not_grow_with_n(N):
     # nW + nF + nP + ceil(d/N) * (nP + 2) = 2 + 0 + 2 + 1 * 4 at the defaults.
     assert lift(RelayParams(fsfh_ratio=N)).n_states == 8
+
+
+@pytest.mark.parametrize("N", [1, 8, 32])
+@pytest.mark.parametrize("delay", [1.0, 3.0], ids=["one_period", "three_periods"])
+def test_one_pass_lift_equals_separate_lifts(N, delay):
+    """_lift runs the fast-step loop once for several coupling gains, and
+    each plant equals the lift at its gain to the bit: the sweep's
+    ``designed`` (alpha) and ``perfect`` (0) loops come from one pass."""
+    from cwcancel.lifting import _lift
+
+    params = RelayParams(fsfh_ratio=N, delay_seconds=delay)
+    alpha = params.coupling_gain
+    plants = _lift(params, [alpha, 0.0])
+    for gain, plant in zip((alpha, 0.0), plants):
+        ref = lift(replace(params, coupling_gain=gain))
+        assert (plant.n_w, plant.n_u, plant.n_z, plant.n_y) == (ref.n_w, ref.n_u, ref.n_z, ref.n_y)
+        assert plant.G.dt == ref.G.dt
+        for name in "ABCD":
+            assert np.array_equal(getattr(plant.G, name), getattr(ref.G, name)), name
+    # With F = I, alpha reaches the sampled measurement only: the y rows of C.
+    assert not np.array_equal(plants[0].G.C, plants[1].G.C)
 
 
 @pytest.mark.parametrize("params", [

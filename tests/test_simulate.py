@@ -379,7 +379,7 @@ def period_maps(oracle_cases):
         "feedthrough": oracle_cases["feedthrough"],
     }
     return {name: {"none": none_loop(params),
-                   "designed": _period_maps(SimConfig(params=params, controller=K), "designed")}
+                   "designed": _period_maps(SimConfig(params=params, controller=K), ["designed"])[0]}
             for name, (params, K) in cases.items()}
 
 
@@ -444,7 +444,7 @@ def designed_loop(N, antialias):
 
     params = RelayParams(fsfh_ratio=N, antialias=ANTIALIAS[antialias])
     K = bisect_gamma(lift(params), tol=5e-3).controller
-    return _period_maps(SimConfig(params=params, controller=K), "designed")
+    return _period_maps(SimConfig(params=params, controller=K), ["designed"])[0]
 
 
 class TestWindowMap:
@@ -469,15 +469,15 @@ class TestWindowMap:
         assert (stack.image is not None) == image
         rng = np.random.default_rng(N)
         X = rng.standard_normal((loop.n_states, P))
-        s = np.zeros((P, stack.n_states))
-        s[:, :loop.n_states] = X.T
+        s = np.zeros((1, P, stack.n_states))
+        s[0, :, :loop.n_states] = X.T
         sums, U = [], []
         for symbols, final in ((64, False), (1, False), (130, False), (63, False), (44, True)):
             W = rng.standard_normal((symbols * m, loop.n_inputs, P))
-            sums.append(stack.run(W[:, kernel.cols].transpose(2, 0, 1), s, final))
+            sums.append(stack.run(W[:, kernel.cols].transpose(2, 0, 1), s, final)[0])
             u, X = sequential_periods(loop, X, W)
             U.append(u)
-            assert np.abs(s[:, :loop.n_states] - X.T).max() <= 1e-12 * np.abs(X).max()
+            assert np.abs(s[0, :, :loop.n_states] - X.T).max() <= 1e-12 * np.abs(X).max()
         # The first symbol's output closes no window: sample 0 is in none.
         sums = np.concatenate(sums)[1:]
         ref = relay_window_sums(np.concatenate(U).reshape(-1, 2, P), m * N).transpose(0, 2, 1)
@@ -488,32 +488,33 @@ class TestWindowMap:
     @pytest.mark.parametrize("P", [1, 3])
     def test_any_length_is_its_chunks(self, S, P):
         """A run of S steps equals the same inputs fed in calls of at most
-        64 steps, to the bit: its outputs and the states after it."""
+        one chunk, 32 steps, to the bit: its outputs and the states after it."""
         from cwcancel.simulate import _CHUNK_SYMBOLS, _MarkovStack, _PeriodKernel, _SymbolStack
 
         stack = _SymbolStack(_PeriodKernel(designed_loop(16, "identity")), 2)
         rng = np.random.default_rng(S)
         V = rng.standard_normal((P, S, stack.rows))
-        s = rng.standard_normal((P, stack.n_states))
+        s = rng.standard_normal((1, P, stack.n_states))
         s_chunks = s.copy()
         Y = _MarkovStack.run(stack, V, s)
         chunks = [_MarkovStack.run(stack, V[:, k:k + _CHUNK_SYMBOLS], s_chunks)
                   for k in range(0, S, _CHUNK_SYMBOLS)]
-        assert np.array_equal(Y, np.concatenate(chunks, axis=1))
+        assert _CHUNK_SYMBOLS == 32
+        assert np.array_equal(Y, np.concatenate(chunks, axis=2))
         assert np.array_equal(s, s_chunks)
 
     @pytest.mark.parametrize("N", [16, 32, 64])
     def test_size_does_not_grow_with_N(self, N):
         """With F = 100/(s+100) the loop reads all 2N samples of w, but a
         period passes on only the kick to the filter's I/Q states: the stack
-        reads those 2 numbers a period, and its 64-symbol map has one size,
+        reads those 2 numbers a period, and its 32-symbol map has one size,
         at every N."""
         from cwcancel.simulate import _PeriodKernel, _SymbolStack
 
         kernel = _PeriodKernel(designed_loop(N, "lowpass"))
         n = kernel.n_states
         assert kernel.cols.size == 2 * N
-        assert _SymbolStack(kernel, 2).M.shape == (n + 4 + 64 * 2 * 2, 2 * 64 + n + 4)
+        assert _SymbolStack(kernel, 2).M.shape == (1, n + 4 + 32 * 2 * 2, 2 * 32 + n + 4)
 
 
 class TestInputColumns:
@@ -524,9 +525,8 @@ class TestInputColumns:
         from cwcancel.simulate import _period_maps, _PeriodKernel
 
         K = bisect_gamma(lift(params), tol=5e-3).controller
-        return [_PeriodKernel(_period_maps(SimConfig(params=params, controller=K),
-                                           kind)).cols.tolist()
-                for kind in ("designed", "perfect")]
+        loops = _period_maps(SimConfig(params=params, controller=K), ["designed", "perfect"])
+        return [_PeriodKernel(loop).cols.tolist() for loop in loops]
 
     @pytest.mark.parametrize("N", [8, 16, 32])
     def test_identity_antialias_reads_the_sampled_pair(self, N):
@@ -550,12 +550,49 @@ class TestInputColumns:
         K = StateSpace([[0.5]], [[0.1, 0.0]], [[1.0], [0.0]], [[0.2, 0.1], [0.0, 0.3]], dt=1.0)
         cfg = SimConfig(params=RelayParams(fsfh_ratio=8, antialias=antialias),
                         controller=DigitalController(K=K, gamma_achieved=1.0))
-        designed, perfect = (_PeriodKernel(_period_maps(cfg, kind)).cols
-                             for kind in ("designed", "perfect"))
+        designed, perfect = (_PeriodKernel(loop).cols
+                             for loop in _period_maps(cfg, ["designed", "perfect"]))
         assert np.array_equal(designed, perfect)
         assert designed.tolist() == ([0, 1] if antialias is None else list(range(16)))
         batch = _ChainBatch(cfg, ["none", "perfect", "designed"], [1.0])
         assert np.array_equal(batch.cols, designed)
+
+
+class TestStackedKinds:
+    """``designed`` and ``perfect`` run as one stacked system: each kind's
+    statistics and pilot equal those of a batch of that kind alone, to the
+    bit, over chunk edges and a short final chunk."""
+
+    @pytest.fixture(scope="class")
+    def half_delay(self):
+        """F = 1/(s+1) + 0.5 and a delay of half a period at N = 16: the
+        coupling reaches w's rows within the period, so each kind has its
+        own image of w."""
+        params = RelayParams(delay_seconds=0.5, antialias=ANTIALIAS["feedthrough"])
+        return params, bisect_gamma(lift(params), tol=5e-3).controller
+
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("case", ["defaults", "antialias", "half_delay"])
+    def test_each_kind_equals_its_own_batch(self, oracle_cases, half_delay, case, P):
+        from cwcancel.simulate import _ChainBatch
+
+        params, K = half_delay if case == "half_delay" else oracle_cases[case]
+        cfg = SimConfig(params=params, controller=K, seed=13, n_symbols=2 * 32 + 44)
+        betas = [1e-4, 3e-4, 1e-3][:P]
+        bits = np.random.default_rng(P).integers(0, 2, (cfg.n_symbols, P))
+        pilot_bits = np.ones(8, dtype=int)
+        kinds = ["designed", "perfect"]
+        both = _ChainBatch(cfg, kinds, betas)
+        y, pilot = sweep_statistics(both, bits, (100, 8)), both.pilot(pilot_bits)
+        if case != "defaults":
+            images = both.stack.image
+            assert images.shape[0] == 2
+            assert np.array_equal(images[0], images[1]) == (case == "antialias")
+        for kind in kinds:
+            alone = _ChainBatch(cfg, [kind], betas)
+            assert np.array_equal(sweep_statistics(alone, bits, (100, 8))[kind], y[kind])
+            assert np.array_equal(alone.pilot(pilot_bits)[kind], pilot[kind])
+        assert not np.array_equal(y["designed"], y["perfect"])
 
 
 def test_in_place_draws_equal_whole_draws():
@@ -685,7 +722,7 @@ def test_samples_no_loop_reads_do_not_reach_u(oracle_cases, case):
     tx = rng.standard_normal((periods * N, 2))
     for kind in ("designed", "perfect"):
         cfg = SimConfig(params=params, controller=K, seed=9)
-        cols = _PeriodKernel(_period_maps(cfg, kind)).cols
+        cols = _PeriodKernel(*_period_maps(cfg, [kind])).cols
         unread = np.setdiff1d(np.arange(2 * N), cols)
         assert unread.size == (2 * N - 2 if case == "defaults" else 0)
 
@@ -712,7 +749,7 @@ def test_batch_relay_noise_is_drawn_at_the_read_columns(oracle_cases, case):
     params, K = oracle_cases[case]
     cfg = SimConfig(params=params, controller=K, seed=5, relay_gain_db=0.0,
                     noise_t_dbm=-math.inf, n_symbols=100)
-    loop = _period_maps(cfg, "designed")
+    (loop,) = _period_maps(cfg, ["designed"])
     cols = _PeriodKernel(loop).cols
     periods = cfg.n_symbols * cfg.sps // params.fsfh_ratio
     for P in (1, 4):  # run i of a batch is sweep point i
