@@ -8,9 +8,8 @@ from .lifting import LiftedPlant, StepMismatchError, lift, closed_loop
 from .synthesis import (
     DigitalController,
     SynthesisResult,
-    Infeasible,
+    Probe,
     SynthesisError,
-    synthesize_at_gamma,
     bisect_gamma,
     save_controller,
     load_controller,

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +45,8 @@ from .riccati import care_stabilizing
 __all__ = [
     "DigitalController",
     "SynthesisResult",
-    "Infeasible",
+    "Probe",
     "SynthesisError",
-    "synthesize_at_gamma",
     "bisect_gamma",
     "certify",
     "controller_to_dict",
@@ -74,12 +74,25 @@ class DigitalController:
     gamma_certified: float | None = None
 
 
-@dataclass
-class Infeasible:
-    """Verdict returned by a failed gamma probe, with the failing condition."""
+class Probe(NamedTuple):
+    """One gamma probe of :func:`bisect_gamma`: its level, and either a
+    controller whose closed loop is proven below level*(1+PROBE_MARGIN), or
+    the condition that failed.
 
+    ``reason`` is "" for a controller, else ``"d11"`` (constant-feedthrough
+    bound), ``"care_x"`` or ``"care_y"`` (no stabilizing PSD Riccati
+    solution), ``"coupling"`` (spectral-radius condition) or
+    ``"closed_loop"`` (:func:`cwcancel.hnorm.exceeds` refuses the assembled
+    loop as unstable or finds a gain at the level, or a bilinear map is
+    singular); ``detail`` says how.  ``rho`` is rho(XY), or None when the
+    probe failed before the coupling test.
+    """
+
+    level: float
+    controller: DigitalController | None
     reason: str
     detail: str
+    rho: float | None
 
 
 @dataclass
@@ -90,24 +103,25 @@ class SynthesisResult:
     closed_loop_radius: float  # spectral radius of the final closed loop
 
 
-def _psd_riccati(A, G, Q, reason: str):
+def _psd_riccati(A, G, Q):
     """The stabilizing solution of A'X + XA - XGX + Q = 0 (G and Q
-    symmetrized), or an :class:`Infeasible` verdict with ``reason`` when there
-    is none or it is not PSD."""
+    symmetrized), or the text of the failure when there is none or it is
+    not PSD."""
     try:
         X = care_stabilizing(A, 0.5 * (G + G.T), 0.5 * (Q + Q.T))
     except NumericalFailure as exc:
-        return Infeasible(reason, str(exc))
+        return str(exc)
     eigs = np.linalg.eigvalsh(X)
     if eigs.size and eigs.min() < -_PSD_TOL * (1.0 + abs(eigs).max()):
-        return Infeasible(reason, f"Riccati solution not PSD (eigenvalue {eigs.min():.3g})")
+        return f"Riccati solution not PSD (eigenvalue {eigs.min():.3g})"
     return X
 
 
 def _central_controller(p: PlantBlocks):
-    """(verdict, rho): the two-Riccati central controller at level 1 for a
-    plant with D11 = 0, or the :class:`Infeasible` verdict of the condition
-    that fails, with rho(XY), or None when a Riccati condition fails first.
+    """(K, rho, failed): the two-Riccati central controller K at level 1 for
+    a plant with D11 = 0 and rho(XY), or K = None and the (reason, detail)
+    of the condition that fails, with rho None when a Riccati condition
+    fails first.
 
     Solvability is the classical triple: stabilizing PSD solutions X of the
     full-information Riccati (``care_x``) and Y of the dual (estimation)
@@ -124,16 +138,16 @@ def _central_controller(p: PlantBlocks):
     Ru = D12.T @ D12
     X = _psd_riccati(A - B2 @ np.linalg.solve(Ru, D12.T @ C1),
                      B2 @ np.linalg.solve(Ru, B2.T) - B1 @ B1.T,
-                     C1.T @ C1 - (C1.T @ D12) @ np.linalg.solve(Ru, D12.T @ C1), "care_x")
-    if isinstance(X, Infeasible):
-        return X, None
+                     C1.T @ C1 - (C1.T @ D12) @ np.linalg.solve(Ru, D12.T @ C1))
+    if isinstance(X, str):
+        return None, None, ("care_x", X)
 
     Ry = D21 @ D21.T
     Y = _psd_riccati((A - B1 @ D21.T @ np.linalg.solve(Ry, C2)).T,
                      C2.T @ np.linalg.solve(Ry, C2) - C1.T @ C1,
-                     B1 @ B1.T - (B1 @ D21.T) @ np.linalg.solve(Ry, D21 @ B1.T), "care_y")
-    if isinstance(Y, Infeasible):
-        return Y, None
+                     B1 @ B1.T - (B1 @ D21.T) @ np.linalg.solve(Ry, D21 @ B1.T))
+    if isinstance(Y, str):
+        return None, None, ("care_y", Y)
 
     # rho(XY) through the symmetric form sqrt(X) Y sqrt(X): X and Y are PSD,
     # so the spectrum is real and the symmetric solver is the stable route.
@@ -141,7 +155,7 @@ def _central_controller(p: PlantBlocks):
     Xh = (Vx * np.sqrt(np.clip(wx, 0.0, None))) @ Vx.T
     rho = float(np.linalg.eigvalsh(Xh @ Y @ Xh).max()) if X.shape[0] else 0.0
     if rho >= 1.0 - 1e-9:
-        return Infeasible("coupling", f"rho(XY) = {rho:.6f} >= 1"), rho
+        return None, rho, ("coupling", f"rho(XY) = {rho:.6f} >= 1")
 
     F2 = -np.linalg.solve(Ru, B2.T @ X + D12.T @ C1)
     F1 = B1.T @ X
@@ -152,7 +166,7 @@ def _central_controller(p: PlantBlocks):
 
     Kf = np.linalg.solve(Ry.T, (Ytmp @ Ct2.T + B1 @ D21.T).T).T
     Ak = At + B2 @ F2 - Kf @ Ct2
-    return StateSpace(Ak, Kf, F2, np.zeros((F2.shape[0], Kf.shape[1]))), rho
+    return StateSpace(Ak, Kf, F2, np.zeros((F2.shape[0], Kf.shape[1]))), rho, None
 
 
 def _rotated_blocks(Gl: LiftedPlant):
@@ -183,10 +197,10 @@ def _rotated_blocks(Gl: LiftedPlant):
                       D21=p.D21 @ Vt.T), s
 
 
-def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float):
-    """(verdict, rho): :func:`synthesize_at_gamma` on the rotated blocks
-    ``(p, s)`` of :func:`_rotated_blocks`, with the probe's rho(XY), or None
-    when it fails before the coupling test.
+def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float) -> Probe:
+    """The :class:`Probe` at level gamma on the rotated blocks ``(p, s)`` of
+    :func:`_rotated_blocks`, which :func:`bisect_gamma` computes once for
+    all of its probes.
 
     With sigma = s/gamma, the scattering that zeroes D11/gamma feeds
     z back to w through sigma/(1-sigma^2) and scales the rotated w and z
@@ -194,7 +208,8 @@ def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float):
     """
     sigma = s / gamma
     if sigma.size and sigma[0] >= 1.0 - 1e-9:
-        return Infeasible("d11", f"sigma_max(D11)/gamma = {sigma[0]:.6f} >= 1"), None
+        return Probe(float(gamma), None, "d11", f"sigma_max(D11)/gamma = {sigma[0]:.6f} >= 1",
+                     None)
     k, rest = sigma.size, 1.0 - sigma ** 2
     scale = 1.0 / np.sqrt(rest)
     sw = np.concatenate([scale, np.ones(Gl.n_w - k)])
@@ -217,54 +232,32 @@ def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float):
     return _solve_scattered(Gl, scattered, gamma)
 
 
-def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float):
-    """(verdict, rho): the central controller of the gamma-scaled, scattered
-    continuous blocks ``p`` (D11 = 0), mapped back to discrete time and checked
-    on the closed loop with the lifted plant, or an :class:`Infeasible` verdict."""
+def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float) -> Probe:
+    """The :class:`Probe` at level gamma of the gamma-scaled, scattered
+    continuous blocks ``p`` (D11 = 0): their central controller, mapped back
+    to discrete time and checked on the closed loop with the lifted plant."""
     try:
-        Kc, rho = _central_controller(p)
+        Kc, rho, failed = _central_controller(p)
     except np.linalg.LinAlgError as exc:
         # Conservative: a linear-algebra breakdown inside the Riccati
         # machinery is treated like any other solver failure at this level.
-        return Infeasible("care_x", f"linear algebra failure: {exc}"), None
-    if isinstance(Kc, Infeasible):
-        return Kc, rho
-
-    # The central controller is built for D22 = 0; close its loop around
-    # D22 (D_K = 0 keeps this a pure state-matrix correction), then map
-    # back to discrete time.
-    Ak = Kc.A - Kc.B @ p.D22 @ Kc.C
-    Kc = StateSpace(Ak, Kc.B, Kc.C, Kc.D)
-    dt = Gl.G.dt
-    try:
-        Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
-        gain = exceeds(closed_loop(Gl, Kd), gamma * (1.0 + PROBE_MARGIN))
-    except (NumericalFailure, UnstableSystemError) as exc:
-        return Infeasible("closed_loop", str(exc)), rho
-    if gain is not None:
-        return Infeasible("closed_loop", f"closed-loop gain {gain:.6f} exceeds gamma"), rho
-    return DigitalController(K=Kd, gamma_achieved=float(gamma)), rho
-
-
-def synthesize_at_gamma(Gl: LiftedPlant, gamma: float):
-    """Central controller at level gamma, or an :class:`Infeasible` verdict.
-
-    The verdict's ``reason`` distinguishes which condition failed:
-    ``"d11"`` (constant-feedthrough bound), ``"care_x"`` or ``"care_y"``
-    (no stabilizing PSD Riccati solution), ``"coupling"`` (spectral-radius
-    condition), or ``"closed_loop"`` (:func:`cwcancel.hnorm.exceeds` refuses
-    the assembled loop as unstable or finds a gain at the level
-    gamma*(1+PROBE_MARGIN), or a bilinear map is singular).  A returned
-    controller's closed-loop norm is therefore proven below that level.
-
-    One call maps and rotates the plant for its single probe;
-    :func:`bisect_gamma` does that once for all of its probes.  Raises
-    ValueError on an ill-posed problem (see :func:`_rotated_blocks`).
-    """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    p, s = _rotated_blocks(Gl)
-    return _probe(Gl, p, s, gamma)[0]
+        rho, failed = None, ("care_x", f"linear algebra failure: {exc}")
+    if failed is None:
+        # The central controller is built for D22 = 0; close its loop around
+        # D22 (D_K = 0 keeps this a pure state-matrix correction), then map
+        # back to discrete time.
+        Kc = StateSpace(Kc.A - Kc.B @ p.D22 @ Kc.C, Kc.B, Kc.C, Kc.D)
+        dt = Gl.G.dt
+        try:
+            Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
+            gain = exceeds(closed_loop(Gl, Kd), gamma * (1.0 + PROBE_MARGIN))
+            if gain is not None:
+                failed = ("closed_loop", f"closed-loop gain {gain:.6f} exceeds gamma")
+        except (NumericalFailure, UnstableSystemError) as exc:
+            failed = ("closed_loop", str(exc))
+    if failed is not None:
+        return Probe(float(gamma), None, *failed, rho)
+    return Probe(float(gamma), DigitalController(K=Kd, gamma_achieved=float(gamma)), "", "", rho)
 
 
 def _next_level(cell, lo: float, hi: float, tol: float, target):
@@ -289,7 +282,8 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     certified central controller.
 
     The plant is mapped and rotated once; each probe then scales, scatters,
-    solves the two Riccati equations and tests its closed loop.  Until a
+    solves the two Riccati equations and tests its closed loop, and the
+    search reads only the :class:`Probe` records of its probes.  Until a
     level is feasible, each infeasible level becomes the lower bracket and
     the next probe doubles it (from gamma = 1, at most MAX_DOUBLINGS times).
     The first feasible level h closes the cell [0, 1] or [h/2, h], and the
@@ -303,18 +297,19 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     upper bracket's controller is returned once :func:`certify` finds it
     within its level and its proven bound not below the largest infeasible
     level (else :class:`SynthesisError`), with ``gamma_certified`` set from
-    that document.  Raises ValueError unless tol is finite and positive,
-    and on an ill-posed problem before any probe runs.
+    that document; ``bisection_trace`` holds each record's (level,
+    feasible) pair in probe order.  Raises ValueError unless tol is finite
+    and positive, and on an ill-posed problem before any probe runs.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     p, s = _rotated_blocks(Gl)
-    trace, margins, widths = [], [], []  # widths: hi - lo after each probe
+    probes, widths = [], []  # widths: hi - lo after each probe
     lo, hi, best, cell, used = 0.0, 1.0, None, None, 1
     while True:
         # A secant step needs two margins (gamma, 1/rho - 1), one of them newer
         # than the last step, and a bracket that halved over the last two probes.
-        target = None
+        target, margins = None, [(q.level, 1.0 / q.rho - 1.0) for q in probes if q.rho]
         if cell and len(margins) > used and (len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]):
             (g0, f0), (g1, f1) = margins[-2:]
             step = g1 - f1 * (g1 - g0) / (f1 - f0) if f1 != f0 else math.nan
@@ -323,18 +318,16 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
         gamma = hi if best is None else _next_level(cell, lo, hi, tol, target)
         if gamma is None:
             break
-        res, rho = _probe(Gl, p, s, gamma)
-        trace.append((float(gamma), isinstance(res, DigitalController)))
-        if rho:
-            margins.append((gamma, 1.0 / rho - 1.0))
-        if isinstance(res, DigitalController):
+        q = _probe(Gl, p, s, gamma)
+        probes.append(q)
+        if q.controller is not None:
             cell = cell or (lo, gamma)
-            hi, best = gamma, res
+            hi, best = gamma, q.controller
         elif best is not None:
             lo = gamma
-        elif len(trace) > MAX_DOUBLINGS:
+        elif len(probes) > MAX_DOUBLINGS:
             raise SynthesisError(f"no feasible gamma after {MAX_DOUBLINGS} doublings "
-                                 f"(last: {res.reason}: {res.detail})")
+                                 f"(last: {q.reason}: {q.detail})")
         else:
             lo, hi = gamma, 2.0 * gamma
         widths.append(hi - lo)
@@ -347,6 +340,7 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
         raise SynthesisError(f"certificate {doc['gamma_certified']:.6g} lies below the "
                              f"infeasible level {lo:.6g}: the bisection's verdict is wrong")
     best.gamma_certified = float(doc["gamma_certified"])
+    trace = [(q.level, q.controller is not None) for q in probes]
     return SynthesisResult(controller=best, gamma_min=float(hi), bisection_trace=trace,
                            closed_loop_radius=doc["spectral_radius"])
 

@@ -7,7 +7,7 @@ from cwcancel import RelayParams, synthesis
 from cwcancel.lifting import LiftedPlant, PlantBlocks, lift, partition
 from cwcancel.lti import StateSpace, bilinear_to_continuous, discretize_zoh
 from cwcancel.plant import assemble_loop, carrier_rotation
-from cwcancel.synthesis import DigitalController, Infeasible, _solve_scattered, bisect_gamma
+from cwcancel.synthesis import Probe, _solve_scattered, bisect_gamma
 
 
 @pytest.fixture(scope="session")
@@ -128,18 +128,23 @@ def absorb_w_feedthrough(p):
     )
 
 
+def probe(Gl, gamma):
+    """``bisect_gamma``'s probe record at level gamma, on Gl mapped and rotated for it alone."""
+    return synthesis._probe(Gl, *synthesis._rotated_blocks(Gl), gamma)
+
+
 def scattering_probe(Gl, gamma):
-    """``synthesize_at_gamma`` by the per-probe route, the oracle for the
-    rotated one: the bilinear map, the D11 test on an SVD of D11/gamma and
-    the scattering of the whole D11/gamma at every gamma, then the same
-    Riccati and closed-loop steps."""
+    """:func:`probe` by the per-probe route, the oracle for the rotated one:
+    the bilinear map, the D11 test on an SVD of D11/gamma and the scattering
+    of the whole D11/gamma at every gamma, then the same Riccati and
+    closed-loop steps."""
     G = Gl.G
     p = partition(bilinear_to_continuous(G, 2.0 / G.dt), Gl.n_w, Gl.n_z)
     p = p._replace(C1=p.C1 / gamma, D11=p.D11 / gamma, D12=p.D12 / gamma)
     s_max = np.linalg.svd(p.D11, compute_uv=False)[0]
     if s_max >= 1.0 - 1e-9:
-        return Infeasible("d11", f"sigma_max(D11)/gamma = {s_max:.6f} >= 1")
-    return _solve_scattered(Gl, absorb_w_feedthrough(p), gamma)[0]
+        return Probe(float(gamma), None, "d11", f"sigma_max(D11)/gamma = {s_max:.6f} >= 1", None)
+    return _solve_scattered(Gl, absorb_w_feedthrough(p), gamma)
 
 
 def plain_bisection(Gl, tol):
@@ -154,9 +159,9 @@ def plain_bisection(Gl, tol):
     while best is None or (hi >= 1e-12 and lo < 0.5 * (hi + lo) < hi
                            and not (lo > 0.0 and (hi - lo) / lo <= tol)):
         gamma = hi if best is None else 0.5 * (hi + lo)
-        res = synthesis._probe(Gl, p, s, gamma)[0]
-        trace.append((gamma, isinstance(res, DigitalController)))
-        if isinstance(res, DigitalController):
+        res = synthesis._probe(Gl, p, s, gamma).controller
+        trace.append((gamma, res is not None))
+        if res is not None:
             hi, best = gamma, res
         elif best is not None:
             lo = gamma

@@ -21,7 +21,7 @@ from cwcancel.hnorm import UnstableSystemError
 from cwcancel.lti import NumericalFailure, StateSpace
 from cwcancel.plant import RelayParams
 from cwcancel.simulate import SimConfig
-from cwcancel.synthesis import Infeasible, controller_to_dict, save_controller
+from cwcancel.synthesis import Probe, controller_to_dict, save_controller
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +282,8 @@ class TestDesign:
     def test_no_feasible_gamma_exit_code(self, tmp_path, monkeypatch, capsys):
         """When every probe is infeasible, design exits 1 with one line and
         writes nothing."""
-        monkeypatch.setattr("cwcancel.synthesis._probe",
-                            lambda *args: (Infeasible("care_x", "forced"), None))
+        monkeypatch.setattr("cwcancel.synthesis._probe", lambda Gl, p, s, gamma: Probe(
+            gamma, None, "care_x", "forced", None))
         out = tmp_path / "out"
         assert main(["design", "--out", str(out)]) == EXIT_SYNTH
         err = capsys.readouterr().err

@@ -42,7 +42,7 @@ import pytest
 import cwcancel
 from cwcancel import synthesis
 from cwcancel.cli import EXIT_CONFIG, EXIT_OK, EXIT_SYNTH, main
-from cwcancel.synthesis import Infeasible
+from cwcancel.synthesis import Probe
 
 LOWPASS = {"a": [[-100.0]], "b": [[100.0]], "c": [[1.0]], "d": [[0.0]]}
 SMALL = {"relay": {"fsfh_ratio": 8}}
@@ -140,7 +140,8 @@ def test_certificate_below_an_infeasible_level_exit_code(tmp_path, capsys, monke
     infeasible level 0.299805: design exits 1 with one line naming both."""
     probe = synthesis._probe
     monkeypatch.setattr(synthesis, "_probe", lambda Gl, p, s, gamma: (
-        (Infeasible("care_x", "forced"), None) if gamma < 0.3 else probe(Gl, p, s, gamma)))
+        Probe(gamma, None, "care_x", "forced", None) if gamma < 0.3
+        else probe(Gl, p, s, gamma)))
     config, out = tmp_path / "config.json", tmp_path / "out"
     config.write_text(json.dumps(SMALL))
     assert main(["design", "--config", str(config), "--out", str(out)]) == EXIT_SYNTH

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import probe
+
 from cwcancel import hnorm
 from cwcancel.hnorm import UnstableSystemError, exceeds, frequency_response, hinf_norm_discrete
 from cwcancel.lifting import closed_loop
 from cwcancel.lti import NumericalFailure, StateSpace
-from cwcancel.synthesis import CERT_TOL, Infeasible, synthesize_at_gamma
+from cwcancel.synthesis import CERT_TOL
 
 
 def random_stable_discrete(rng, n_max=10, radius=0.92):
@@ -355,7 +357,7 @@ class TestCertificateStopsAtItsProof:
 
     def test_premise_failing_below_the_level_makes_a_probe_infeasible(
             self, default_lifted, designed_controller, failing_cholesky):
-        res = synthesize_at_gamma(default_lifted, designed_controller.gamma_achieved)
-        assert isinstance(res, Infeasible)
+        res = probe(default_lifted, designed_controller.gamma_achieved)
+        assert res.controller is None
         assert res.reason == "closed_loop"
         assert "sigma_max(D_c) reaches the level" in res.detail

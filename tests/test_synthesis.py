@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plain_bisection, scattering_probe
+from conftest import plain_bisection, probe, scattering_probe
 
 from cwcancel import hnorm, synthesis
 from cwcancel.hnorm import _sigma_max, exceeds, frequency_response, hinf_norm_discrete
@@ -14,12 +14,11 @@ from cwcancel.plant import RelayParams, first_order_lowpass
 from cwcancel.synthesis import (
     PROBE_MARGIN,
     DigitalController,
-    Infeasible,
+    Probe,
     SynthesisError,
     bisect_gamma,
     controller_from_dict,
     controller_to_dict,
-    synthesize_at_gamma,
 )
 
 # The N = 8, tol 1e-5 search: (gamma, feasible) in probe order.
@@ -39,6 +38,18 @@ PINNED = {
           (0.25, False), (0.2724018096923828, True), (0.2710990905761719, False),
           (0.2711029052734375, True), (0.2711009979248047, False)],
          0.2711029052734375),
+}
+
+# The F = 100/(s+100) searches at N = 8 and 16, tol 1e-5, and their gamma_min.
+PINNED_LOWPASS = {
+    8: ([(1.0, True), (0.5, True), (0.3797435760498047, True), (0.29982566833496094, True),
+         (0.25, False), (0.2826404571533203, True), (0.28159523010253906, True),
+         (0.28125, False), (0.28159332275390625, False)],
+        0.28159523010253906),
+    16: ([(1.0, True), (0.5, True), (0.3769092559814453, True), (0.2943401336669922, True),
+          (0.25, False), (0.27591896057128906, True), (0.27482032775878906, False),
+          (0.2748241424560547, True), (0.2748222351074219, False)],
+         0.2748241424560547),
 }
 
 
@@ -135,17 +146,17 @@ class TestProbe:
                         C2=[[0.8, 0.3]], D11=0.0, D12=0.5, D21=0.4, D22=0.0)
         zero = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                           np.zeros((1, 1)))
-        monkeypatch.setattr(synthesis, "_central_controller", lambda p: (zero, None))
+        monkeypatch.setattr(synthesis, "_central_controller", lambda p: (zero, None, None))
         G11 = StateSpace(A, [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]], dt=1.0)
         open_norm = hinf_norm_discrete(G11, tol=1e-6)
         assert _sigma_max(G11, [0.0, np.pi / 2, np.pi]).max() < 0.5 * open_norm
-        res = synthesize_at_gamma(Gl, 0.5 * open_norm)
-        assert isinstance(res, Infeasible) and res.reason == "closed_loop"
+        res = probe(Gl, 0.5 * open_norm)
+        assert res.controller is None and res.reason == "closed_loop"
         assert "exceeds gamma" in res.detail
 
     @pytest.mark.parametrize("run", [lambda Gl: bisect_gamma(Gl, tol=1e-2),
-                                     lambda Gl: synthesize_at_gamma(Gl, 1.0)],
-                             ids=["bisect_gamma", "synthesize_at_gamma"])
+                                     lambda Gl: probe(Gl, 1.0)],
+                             ids=["bisect_gamma", "probe"])
     @pytest.mark.parametrize("plant", [
         # z does not see u: the mapped D12 is 0.
         dict(A=0.5, B1=1.0, B2=0.0, C1=1.0, C2=0.8, D11=0.0, D12=0.0, D21=0.4, D22=0.0),
@@ -190,9 +201,9 @@ class TestProbe:
         and the level test finds a gain above gamma_certified*(1-1e-4)."""
         Gl, result = n8_run
         ctrl = result.controller
-        probe = synthesize_at_gamma(Gl, result.gamma_min)
-        assert isinstance(probe, DigitalController)
-        assert np.array_equal(probe.K.A, ctrl.K.A)
+        feasible = probe(Gl, result.gamma_min).controller
+        assert feasible is not None
+        assert np.array_equal(feasible.K.A, ctrl.K.A)
         cl = closed_loop(Gl, ctrl.K)
         assert exceeds(cl, result.gamma_min * (1.0 + PROBE_MARGIN)) is None
         level = ctrl.gamma_certified * (1.0 - 1e-4)
@@ -204,8 +215,8 @@ class TestProbe:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), nw=st.integers(1, 4),
            nz=st.integers(1, 4), factor=st.sampled_from([0.5, 0.95, 1.05, 2.0, 8.0, 40.0]))
     def test_matches_scattering_oracle(self, seed, n, nw, nz, factor):
-        """Rotating w and z once by the SVD of D11 gives the verdict, reason
-        and controller of the scattering of the whole D11 at every gamma, on
+        """Rotating w and z once by the SVD of D11 gives the reason and
+        controller of the scattering of the whole D11 at every gamma, on
         plants with n_w != n_z too, at levels below and above sigma_max(D11)."""
         rng = np.random.default_rng(seed)
         nu, ny = int(rng.integers(1, nz + 1)), int(rng.integers(1, nw + 1))
@@ -218,13 +229,12 @@ class TestProbe:
                         D22=0.3 * rng.standard_normal((ny, nu)))
         d11 = bilinear_to_continuous(Gl.G, 2.0).D[:nz, :nw]
         gamma = factor * np.linalg.svd(d11, compute_uv=False)[0]
-        ours, ref = synthesize_at_gamma(Gl, gamma), scattering_probe(Gl, gamma)
-        assert type(ours) is type(ref)
-        if isinstance(ref, Infeasible):
-            assert ours.reason == ref.reason
-        else:
+        ours, ref = probe(Gl, gamma), scattering_probe(Gl, gamma)
+        assert ours.reason == ref.reason
+        if ref.controller is not None:
             th = np.linspace(0.0, np.pi, 17)
-            k_ours, k_ref = frequency_response(ours.K, th), frequency_response(ref.K, th)
+            k_ours = frequency_response(ours.controller.K, th)
+            k_ref = frequency_response(ref.controller.K, th)
             assert np.abs(k_ours - k_ref).max() <= 1e-9 * max(1.0, np.abs(k_ref).max())
 
     def test_accepted_probe_evaluates_no_frequency_response(self, monkeypatch):
@@ -235,7 +245,7 @@ class TestProbe:
         real = hnorm.frequency_response
         monkeypatch.setattr(hnorm, "frequency_response",
                             lambda *args: calls.append(args) or real(*args))
-        assert isinstance(synthesize_at_gamma(Gl, PINNED[32][1]), DigitalController)
+        assert probe(Gl, PINNED[32][1]).controller is not None
         assert calls == []
 
     @pytest.mark.parametrize("gamma, verdict", [
@@ -244,11 +254,11 @@ class TestProbe:
     def test_verdicts_on_the_default_plant(self, default_lifted, gamma, verdict):
         """Each probe condition fails on the default lifted plant at some
         level: the D11 bound, the estimation Riccati, then the coupling."""
-        res = synthesize_at_gamma(default_lifted, gamma)
+        res = probe(default_lifted, gamma)
         if verdict is None:
-            assert isinstance(res, DigitalController)
+            assert res.controller is not None
         else:
-            assert isinstance(res, Infeasible) and res.reason == verdict
+            assert res.controller is None and res.reason == verdict
 
     def test_singular_controller_map_is_infeasible(self, default_lifted, monkeypatch):
         """A bilinear map that fails inside a probe rejects the probe."""
@@ -258,15 +268,34 @@ class TestProbe:
             raise NumericalFailure("bilinear map: alpha I - A has condition number 1e+16")
 
         monkeypatch.setattr(synthesis, "bilinear_to_discrete", singular)
-        res = synthesize_at_gamma(default_lifted, 0.3)
-        assert isinstance(res, Infeasible) and res.reason == "closed_loop"
+        res = probe(default_lifted, 0.3)
+        assert res.controller is None and res.reason == "closed_loop"
         assert "condition number" in res.detail
 
-    def test_rejects_bad_gamma(self):
-        Gl = make_plant(A=0.5, B1=1.0, B2=1.0, C1=1.0, C2=1.0,
-                        D11=0.0, D12=0.3, D21=0.3, D22=0.0)
-        with pytest.raises(ValueError):
-            synthesize_at_gamma(Gl, 0.0)
+    def test_records_of_the_designs(self, monkeypatch):
+        """Every probe of the N = 8, 16, 32 designs at tol 1e-5 and of the
+        defaults is a record with a controller exactly when it has no reason,
+        and rho(XY) exactly when it reached the coupling test; the search's
+        trace and controller are read from those records."""
+        assert Probe._fields == ("level", "controller", "reason", "detail", "rho")
+        assert Probe._field_defaults == {}
+        real, probes, reasons = synthesis._probe, [], set()
+        monkeypatch.setattr(synthesis, "_probe",
+                            lambda *args: probes.append(real(*args)) or probes[-1])
+        for params, tol in [(RelayParams(fsfh_ratio=N), 1e-5) for N in (8, 16, 32)] + [
+                (RelayParams(), 1e-3)]:
+            probes.clear()
+            result = bisect_gamma(lift(params), tol)
+            for q in probes:
+                assert type(q) is Probe
+                assert (q.controller is None) == (q.reason != "")
+                assert (q.rho is None) == (q.reason in ("d11", "care_x", "care_y"))
+                if q.controller is not None:
+                    assert q.controller.gamma_achieved == q.level
+                reasons.add(q.reason)
+            assert result.bisection_trace == [(q.level, q.controller is not None) for q in probes]
+            assert any(q.controller is result.controller for q in probes)
+        assert reasons == {"", "care_y", "coupling"}
 
 
 class TestGridOracle:
@@ -397,10 +426,14 @@ class TestBisection:
         assert result.bisection_trace == N8_TRACE
         assert result.gamma_min == 0.28143882751464844
 
-    @pytest.mark.parametrize("N", sorted(PINNED))
-    def test_pinned_bisection(self, N):
-        trace, gamma_min = PINNED[N]
-        result = bisect_gamma(lift(RelayParams(fsfh_ratio=N)), tol=1e-5)
+    @pytest.mark.parametrize("N, antialias", [
+        *(pytest.param(N, None, id=str(N)) for N in sorted(PINNED)),
+        *(pytest.param(N, first_order_lowpass(0.01), id=f"lowpass{N}")
+          for N in sorted(PINNED_LOWPASS)),
+    ])
+    def test_pinned_bisection(self, N, antialias):
+        trace, gamma_min = (PINNED if antialias is None else PINNED_LOWPASS)[N]
+        result = bisect_gamma(lift(RelayParams(fsfh_ratio=N, antialias=antialias)), tol=1e-5)
         assert result.bisection_trace == trace
         assert result.gamma_min == gamma_min
 
@@ -546,8 +579,8 @@ class TestSearchAgainstBisection:
         def fake(Gl, p, s, gamma):
             rho = (t / gamma) ** power if gamma >= blind * t else None
             if gamma >= t:
-                return DigitalController(K=None, gamma_achieved=gamma), rho
-            return Infeasible("coupling", "fake"), rho
+                return Probe(gamma, DigitalController(K=None, gamma_achieved=gamma), "", "", rho)
+            return Probe(gamma, None, "coupling", "fake", rho)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synthesis, "_probe", fake)
@@ -575,11 +608,11 @@ class TestSearchAgainstBisection:
         in gamma, they end on the same bracket; every design that returns
         ends on a feasible level within tol of an infeasible one, with a
         certificate at most hi (1 + 1e-6)."""
-        probe, trace = synthesis._probe, []
+        real, trace = synthesis._probe, []
 
         def recorded(Gl, p, s, gamma):
-            out = probe(Gl, p, s, gamma)
-            trace.append((gamma, isinstance(out[0], DigitalController)))
+            out = real(Gl, p, s, gamma)
+            trace.append((gamma, out.controller is not None))
             return out
 
         monkeypatch.setattr(synthesis, "_probe", recorded)
@@ -688,9 +721,10 @@ class TestFailurePaths:
         infeasible level 0.29980."""
         from cwcancel.synthesis import SynthesisError
 
-        probe = synthesis._probe
+        real = synthesis._probe
         monkeypatch.setattr(synthesis, "_probe", lambda Gl, p, s, gamma: (
-            (Infeasible("care_x", "forced"), None) if gamma < 0.3 else probe(Gl, p, s, gamma)))
+            Probe(gamma, None, "care_x", "forced", None) if gamma < 0.3
+            else real(Gl, p, s, gamma)))
         message = r"certificate 0\.29867\d lies below the infeasible level 0\.29980\d"
         with pytest.raises(SynthesisError, match=message):
             bisect_gamma(lift(RelayParams(fsfh_ratio=8)), tol=1e-3)
@@ -702,7 +736,7 @@ class TestFailurePaths:
                         D11=[[0.0, 0.0]], D12=[[0.5, 0.5]],
                         D21=[[0.3, 0.0]], D22=[[0.0, 0.0]])
         with pytest.raises(ValueError, match="ill-posed"):
-            synthesize_at_gamma(Gl, 1.0)
+            probe(Gl, 1.0)
 
 
 class TestControllerIO:
