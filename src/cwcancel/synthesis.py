@@ -8,10 +8,13 @@ equations plus the spectral-radius coupling condition on their product.
 The controller is mapped back through the inverse bilinear transform.
 Those formulas need a regular problem: D12 of the continuous image of full
 column rank and D21 of full row rank.  Every FSFH-lifted relay plant tried
-is one; a plant that is not is refused before any probe runs.  The
-Hamiltonian of :mod:`cwcancel.hnorm` proves each feasible probe's closed
-loop below gamma*(1+1e-6), and certifies the final one: a peak gain g the
-loop attains, with its norm proven to lie in [g, g*(1+2e-6)].
+is one; a plant that is not is refused before any probe runs.  A probe is a
+level test (Riccati pair, coupling condition), then a proof: the Hamiltonian
+of :mod:`cwcancel.hnorm` shows the central controller's loop below
+gamma*(1+1e-6).  As the level test suffices for that controller (Doyle,
+Glover, Khargonekar & Francis, IEEE TAC 1989), the search proves only the
+level it returns, then certifies it: a gain g its loop attains, with the
+norm proven to lie in [g, g*(1+2e-6)].
 
 The bilinear map does not depend on gamma, so it runs once per plant.  w and
 z are then rotated by the singular vectors of the mapped D11 = U S V^T (the
@@ -57,7 +60,7 @@ __all__ = [
 _RANK_RTOL = 1e-8  # a singular value at or below this times the largest counts as zero
 _PSD_TOL = 1e-7
 MAX_DOUBLINGS = 60
-PROBE_MARGIN = 1e-6  # an accepted probe's closed loop is proven below gamma*(1+PROBE_MARGIN)
+PROBE_MARGIN = 1e-6  # a proof shows the closed loop below gamma*(1+PROBE_MARGIN)
 CERT_TOL = 1e-6  # the certified norm is proven to lie in [g, g*(1+2*CERT_TOL)]
 
 
@@ -75,17 +78,18 @@ class DigitalController:
 
 
 class Probe(NamedTuple):
-    """One gamma probe of :func:`bisect_gamma`: its level, and either a
-    controller whose closed loop is proven below level*(1+PROBE_MARGIN), or
-    the condition that failed.
+    """One gamma probe of :func:`bisect_gamma`: its level, a controller once
+    its closed loop is proven below level*(1+PROBE_MARGIN), and the condition
+    that failed, if any.
 
-    ``reason`` is "" for a controller, else ``"d11"`` (constant-feedthrough
-    bound), ``"care_x"`` or ``"care_y"`` (no stabilizing PSD Riccati
-    solution), ``"coupling"`` (spectral-radius condition) or
-    ``"closed_loop"`` (:func:`cwcancel.hnorm.exceeds` refuses the assembled
-    loop as unstable or finds a gain at the level, or a bilinear map is
-    singular); ``detail`` says how.  ``rho`` is rho(XY), or None when the
-    probe failed before the coupling test.
+    ``reason`` is "" for a level the level test calls feasible: with a
+    controller once proven, without one while unproven.  Else it is
+    ``"d11"`` (constant-feedthrough bound), ``"care_x"`` or ``"care_y"`` (no
+    stabilizing PSD Riccati solution), ``"coupling"`` (spectral-radius
+    condition) or ``"closed_loop"`` (the proof failed: :func:`exceeds`
+    refuses the loop as unstable or finds a gain at the level, or a
+    bilinear map is singular); ``detail`` says how.  ``rho`` is rho(XY), or
+    None when the probe failed before the coupling test.
     """
 
     level: float
@@ -117,37 +121,30 @@ def _psd_riccati(A, G, Q):
     return X
 
 
-def _central_controller(p: PlantBlocks):
-    """(K, rho, failed): the two-Riccati central controller K at level 1 for
-    a plant with D11 = 0 and rho(XY), or K = None and the (reason, detail)
-    of the condition that fails, with rho None when a Riccati condition
-    fails first.
-
-    Solvability is the classical triple: stabilizing PSD solutions X of the
-    full-information Riccati (``care_x``) and Y of the dual (estimation)
-    Riccati (``care_y``), plus the coupling condition rho(XY) < 1
-    (``coupling``).  Both equations keep the feedthrough cross terms in the
-    quadratic completion.  The controller is the certainty-equivalence
-    observer driven by the worst-case disturbance estimate, with filter gain
-    built from Y (I - XY)^{-1}.
-    """
+def _riccati_pair(p: PlantBlocks):
+    """(X, Y, rho, failed): the level test at level 1 of a plant with D11 = 0,
+    the classical triple of stabilizing PSD solutions X of the full-information
+    Riccati (``care_x``) and Y of the dual (estimation) Riccati (``care_y``)
+    and the coupling condition rho(XY) < 1 (``coupling``).  Both equations
+    keep the feedthrough cross terms in the quadratic completion.  ``failed``
+    is the (reason, detail) of the condition that fails, with X and Y None
+    (and rho None before the coupling test), or None."""
     A, B1, B2, C1, C2 = p.A, p.B1, p.B2, p.C1, p.C2
     D12, D21 = p.D12, p.D21
-    n = A.shape[0]
 
     Ru = D12.T @ D12
     X = _psd_riccati(A - B2 @ np.linalg.solve(Ru, D12.T @ C1),
                      B2 @ np.linalg.solve(Ru, B2.T) - B1 @ B1.T,
                      C1.T @ C1 - (C1.T @ D12) @ np.linalg.solve(Ru, D12.T @ C1))
     if isinstance(X, str):
-        return None, None, ("care_x", X)
+        return None, None, None, ("care_x", X)
 
     Ry = D21 @ D21.T
     Y = _psd_riccati((A - B1 @ D21.T @ np.linalg.solve(Ry, C2)).T,
                      C2.T @ np.linalg.solve(Ry, C2) - C1.T @ C1,
                      B1 @ B1.T - (B1 @ D21.T) @ np.linalg.solve(Ry, D21 @ B1.T))
     if isinstance(Y, str):
-        return None, None, ("care_y", Y)
+        return None, None, None, ("care_y", Y)
 
     # rho(XY) through the symmetric form sqrt(X) Y sqrt(X): X and Y are PSD,
     # so the spectrum is real and the symmetric solver is the stable route.
@@ -155,18 +152,22 @@ def _central_controller(p: PlantBlocks):
     Xh = (Vx * np.sqrt(np.clip(wx, 0.0, None))) @ Vx.T
     rho = float(np.linalg.eigvalsh(Xh @ Y @ Xh).max()) if X.shape[0] else 0.0
     if rho >= 1.0 - 1e-9:
-        return None, rho, ("coupling", f"rho(XY) = {rho:.6f} >= 1")
+        return None, None, rho, ("coupling", f"rho(XY) = {rho:.6f} >= 1")
+    return X, Y, rho, None
 
-    F2 = -np.linalg.solve(Ru, B2.T @ X + D12.T @ C1)
-    F1 = B1.T @ X
-    At = A + B1 @ F1
-    Ct2 = C2 + D21 @ F1
-    Ytmp = np.linalg.solve(np.eye(n) - Y @ X, Y)
+
+def _central_controller(p: PlantBlocks, X, Y) -> StateSpace:
+    """The central controller at level 1 of a plant with D11 = D22 = 0 from the
+    X and Y of :func:`_riccati_pair`: the certainty-equivalence observer of the
+    worst-case disturbance, with filter gain built from Y (I - XY)^{-1}."""
+    F1, Ry = p.B1.T @ X, p.D21 @ p.D21.T
+    F2 = -np.linalg.solve(p.D12.T @ p.D12, p.B2.T @ X + p.D12.T @ p.C1)
+    Ct2 = p.C2 + p.D21 @ F1
+    Ytmp = np.linalg.solve(np.eye(p.A.shape[0]) - Y @ X, Y)
     Ytmp = 0.5 * (Ytmp + Ytmp.T)
-
-    Kf = np.linalg.solve(Ry.T, (Ytmp @ Ct2.T + B1 @ D21.T).T).T
-    Ak = At + B2 @ F2 - Kf @ Ct2
-    return StateSpace(Ak, Kf, F2, np.zeros((F2.shape[0], Kf.shape[1]))), rho, None
+    Kf = np.linalg.solve(Ry.T, (Ytmp @ Ct2.T + p.B1 @ p.D21.T).T).T
+    Ak = p.A + p.B1 @ F1 + p.B2 @ F2 - Kf @ Ct2
+    return StateSpace(Ak, Kf, F2, np.zeros((F2.shape[0], Kf.shape[1])))
 
 
 def _rotated_blocks(Gl: LiftedPlant):
@@ -197,23 +198,20 @@ def _rotated_blocks(Gl: LiftedPlant):
                       D21=p.D21 @ Vt.T), s
 
 
-def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float) -> Probe:
-    """The :class:`Probe` at level gamma on the rotated blocks ``(p, s)`` of
-    :func:`_rotated_blocks`, which :func:`bisect_gamma` computes once for
-    all of its probes.
-
-    With sigma = s/gamma, the scattering that zeroes D11/gamma feeds
-    z back to w through sigma/(1-sigma^2) and scales the rotated w and z
-    channels by 1/sqrt(1-sigma^2).
-    """
+def _level(p: PlantBlocks, s: np.ndarray, gamma: float):
+    """The level test at gamma on the rotated blocks ``(p, s)`` of
+    :func:`_rotated_blocks`: a ``"d11"`` record and None, or the (record, data)
+    of :func:`_solve_scattered` on the blocks scattered to zero D11/gamma: with
+    sigma = s/gamma, z feeds back to w through sigma/(1-sigma^2), and the
+    rotated w and z are scaled by 1/sqrt(1-sigma^2)."""
     sigma = s / gamma
     if sigma.size and sigma[0] >= 1.0 - 1e-9:
         return Probe(float(gamma), None, "d11", f"sigma_max(D11)/gamma = {sigma[0]:.6f} >= 1",
-                     None)
+                     None), None
     k, rest = sigma.size, 1.0 - sigma ** 2
     scale = 1.0 / np.sqrt(rest)
-    sw = np.concatenate([scale, np.ones(Gl.n_w - k)])
-    sz = np.concatenate([scale, np.ones(Gl.n_z - k)])
+    sw = np.concatenate([scale, np.ones(p.B1.shape[1] - k)])
+    sz = np.concatenate([scale, np.ones(p.C1.shape[0] - k)])
     C1, D12 = p.C1 / gamma, p.D12 / gamma
     feed = (sigma / rest)[:, None]
     fC1, fD12 = feed * C1[:k], feed * D12[:k]
@@ -229,35 +227,49 @@ def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float) -> Prob
         D21=p.D21 * sw,
         D22=p.D22 + D21k @ fD12,
     )
-    return _solve_scattered(Gl, scattered, gamma)
+    return _solve_scattered(scattered, gamma)
 
 
-def _solve_scattered(Gl: LiftedPlant, p: PlantBlocks, gamma: float) -> Probe:
-    """The :class:`Probe` at level gamma of the gamma-scaled, scattered
-    continuous blocks ``p`` (D11 = 0): their central controller, mapped back
-    to discrete time and checked on the closed loop with the lifted plant."""
+def _solve_scattered(p: PlantBlocks, gamma: float):
+    """(record, data): the level test at gamma of the gamma-scaled, scattered
+    continuous blocks ``p`` (D11 = 0), and for a level it calls feasible the
+    data its proof needs, ``(p, X, Y)``, else None."""
     try:
-        Kc, rho, failed = _central_controller(p)
+        X, Y, rho, failed = _riccati_pair(p)
     except np.linalg.LinAlgError as exc:
         # Conservative: a linear-algebra breakdown inside the Riccati
         # machinery is treated like any other solver failure at this level.
         rho, failed = None, ("care_x", f"linear algebra failure: {exc}")
-    if failed is None:
+    if failed is not None:
+        return Probe(float(gamma), None, *failed, rho), None
+    return Probe(float(gamma), None, "", "", rho), (p, X, Y)
+
+
+def _prove(Gl: LiftedPlant, q: Probe, data) -> Probe:
+    """The proof of level-test record ``q``: q when it failed, else q with the
+    central controller of ``data`` once its loop with Gl is proven below
+    level*(1+PROBE_MARGIN), or else a ``"closed_loop"`` record."""
+    if q.reason:
+        return q
+    (p, X, Y), dt = data, Gl.G.dt
+    try:
         # The central controller is built for D22 = 0; close its loop around
         # D22 (D_K = 0 keeps this a pure state-matrix correction), then map
         # back to discrete time.
+        Kc = _central_controller(p, X, Y)
         Kc = StateSpace(Kc.A - Kc.B @ p.D22 @ Kc.C, Kc.B, Kc.C, Kc.D)
-        dt = Gl.G.dt
-        try:
-            Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
-            gain = exceeds(closed_loop(Gl, Kd), gamma * (1.0 + PROBE_MARGIN))
-            if gain is not None:
-                failed = ("closed_loop", f"closed-loop gain {gain:.6f} exceeds gamma")
-        except (NumericalFailure, UnstableSystemError) as exc:
-            failed = ("closed_loop", str(exc))
-    if failed is not None:
-        return Probe(float(gamma), None, *failed, rho)
-    return Probe(float(gamma), DigitalController(K=Kd, gamma_achieved=float(gamma)), "", "", rho)
+        Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
+        gain = exceeds(closed_loop(Gl, Kd), q.level * (1.0 + PROBE_MARGIN))
+    except (NumericalFailure, UnstableSystemError, np.linalg.LinAlgError) as exc:
+        return q._replace(reason="closed_loop", detail=str(exc))
+    if gain is not None:
+        return q._replace(reason="closed_loop", detail=f"closed-loop gain {gain:.6f} exceeds gamma")
+    return q._replace(controller=DigitalController(K=Kd, gamma_achieved=q.level))
+
+
+def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float) -> Probe:
+    """The full :class:`Probe` at level gamma: the level test, then its proof."""
+    return _prove(Gl, *_level(p, s, gamma))
 
 
 def _next_level(cell, lo: float, hi: float, tol: float, target):
@@ -278,35 +290,47 @@ def _next_level(cell, lo: float, hi: float, tol: float, target):
 
 
 def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
-    """The smallest feasible gamma level, to a relative tol, and its
-    certified central controller.
+    """The smallest feasible gamma level, to a relative tol, and its certified
+    central controller.
 
-    The plant is mapped and rotated once; each probe then scales, scatters,
-    solves the two Riccati equations and tests its closed loop, and the
-    search reads only the :class:`Probe` records of its probes.  Until a
-    level is feasible, each infeasible level becomes the lower bracket and
-    the next probe doubles it (from gamma = 1, at most MAX_DOUBLINGS times).
-    The first feasible level h closes the cell [0, 1] or [h/2, h], and the
-    search ends where plain bisection of it ends (:func:`_next_level`).
-    Each level is a secant step on the margin 1/rho(XY) - 1 of the last two
-    probes that reached the coupling test, snapped to bisection's levels;
-    it is bisection's own next probe when no margin is new since the last
-    step, the step leaves (lo, hi) or the bracket did not halve over the
-    last two probes.  So under verdicts monotone in gamma, gamma_min and its
-    controller are bisection's, and no level is probed twice.  The final
-    upper bracket's controller is returned once :func:`certify` finds it
-    within its level and its proven bound not below the largest infeasible
-    level (else :class:`SynthesisError`), with ``gamma_certified`` set from
-    that document; ``bisection_trace`` holds each record's (level,
-    feasible) pair in probe order.  Raises ValueError unless tol is finite
-    and positive, and on an ill-posed problem before any probe runs.
+    The plant is mapped and rotated once; the search reads only the
+    :class:`Probe` records of its level tests (:func:`_level`).  Until a level
+    is feasible, each infeasible level becomes the lower bracket and the next
+    probe doubles it (from gamma = 1, at most MAX_DOUBLINGS times).  The first
+    feasible level h closes the cell [0, 1] or [h/2, h], and the search ends
+    where plain bisection of it ends (:func:`_next_level`).  Each level is a
+    secant step on the margin 1/rho(XY) - 1 of the last two probes that
+    reached the coupling test, snapped to bisection's levels; it is
+    bisection's own next probe when no margin is new since the last step, the
+    step leaves (lo, hi) or the bracket did not halve over the last two
+    probes.  The level it stops on is then proven on the Riccati pair kept from
+    its level test.  A level whose proof fails is infeasible: the next-higher
+    feasible levels are proven until one holds (else doubling resumes), and
+    the search goes on, proving each feasible level it probes.  So under
+    verdicts monotone in gamma, gamma_min and its controller are bisection's,
+    and no level is probed twice.  The final upper bracket's controller is
+    returned once :func:`certify` finds it within its level and its proven
+    bound not below the largest infeasible level (else
+    :class:`SynthesisError`), with ``gamma_certified`` set from that document;
+    ``bisection_trace`` holds each record's (level, feasible) pair in probe
+    order.  Raises ValueError unless tol is finite and positive, and on an
+    ill-posed problem before any probe runs.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     p, s = _rotated_blocks(Gl)
     probes, widths = [], []  # widths: hi - lo after each probe
-    lo, hi, best, cell, used = 0.0, 1.0, None, None, 1
+    lo, hi, best, cell, used, kept, proving = 0.0, 1.0, None, None, 1, None, False
     while True:
+        if proving and best is not None and probes[best].controller is None:
+            # On failure, the next-higher feasible level (its Riccati pair solved
+            # again) is proven next; with none left, doubling resumes.
+            q = probes[best] = _prove(Gl, probes[best], kept or _level(p, s, hi)[1])
+            if q.controller is None:
+                up = [(r.level, i) for i, r in enumerate(probes) if not r.reason and r.level > hi]
+                lo, (hi, best), kept = hi, min(up, default=(2.0 * hi, None)), None
+                cell = cell if up else None
+            continue
         # A secant step needs two margins (gamma, 1/rho - 1), one of them newer
         # than the last step, and a bracket that halved over the last two probes.
         target, margins = None, [(q.level, 1.0 / q.rho - 1.0) for q in probes if q.rho]
@@ -317,12 +341,17 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
                 target, used = step, len(margins)
         gamma = hi if best is None else _next_level(cell, lo, hi, tol, target)
         if gamma is None:
-            break
-        q = _probe(Gl, p, s, gamma)
+            if probes[best].controller is not None:
+                break
+            proving = True  # prove the level stopped on, then every level probed
+            continue
+        q, data = _level(p, s, gamma)
+        if proving:
+            q = _prove(Gl, q, data)
         probes.append(q)
-        if q.controller is not None:
+        if not q.reason:
             cell = cell or (lo, gamma)
-            hi, best = gamma, q.controller
+            hi, best, kept = gamma, len(probes) - 1, data
         elif best is not None:
             lo = gamma
         elif len(probes) > MAX_DOUBLINGS:
@@ -332,6 +361,7 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
             lo, hi = gamma, 2.0 * gamma
         widths.append(hi - lo)
 
+    best = probes[best].controller
     doc = certify(Gl, best)
     if not doc["within_reported"]:
         raise SynthesisError(f"certificate {doc['gamma_certified']:.6f} contradicts "
@@ -340,7 +370,7 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
         raise SynthesisError(f"certificate {doc['gamma_certified']:.6g} lies below the "
                              f"infeasible level {lo:.6g}: the bisection's verdict is wrong")
     best.gamma_certified = float(doc["gamma_certified"])
-    trace = [(q.level, q.controller is not None) for q in probes]
+    trace = [(q.level, not q.reason) for q in probes]
     return SynthesisResult(controller=best, gamma_min=float(hi), bisection_trace=trace,
                            closed_loop_radius=doc["spectral_radius"])
 
@@ -352,7 +382,7 @@ def certify(Gl: LiftedPlant, ctrl: DigitalController) -> dict:
     a peak gain g it attains, with its H-infinity norm proven to lie in
     [g, g*(1+2*CERT_TOL)].  ``within_reported`` is False when g exceeds the
     ``gamma_achieved`` ctrl reports by more than PROBE_MARGIN, the margin
-    every feasible probe proves: that certificate contradicts the controller.
+    of the proof of its level: that certificate contradicts the controller.
     Raises :class:`~cwcancel.hnorm.UnstableSystemError` when the loop is unstable.
     """
     cl = closed_loop(Gl, ctrl.K)

@@ -7,7 +7,7 @@ from cwcancel import RelayParams, synthesis
 from cwcancel.lifting import LiftedPlant, PlantBlocks, lift, partition
 from cwcancel.lti import StateSpace, bilinear_to_continuous, discretize_zoh
 from cwcancel.plant import assemble_loop, carrier_rotation
-from cwcancel.synthesis import Probe, _solve_scattered, bisect_gamma
+from cwcancel.synthesis import Probe, _prove, _solve_scattered, bisect_gamma
 
 
 @pytest.fixture(scope="session")
@@ -136,15 +136,15 @@ def probe(Gl, gamma):
 def scattering_probe(Gl, gamma):
     """:func:`probe` by the per-probe route, the oracle for the rotated one:
     the bilinear map, the D11 test on an SVD of D11/gamma and the scattering
-    of the whole D11/gamma at every gamma, then the same Riccati and
-    closed-loop steps."""
+    of the whole D11/gamma at every gamma, then the same Riccati level test
+    and proof."""
     G = Gl.G
     p = partition(bilinear_to_continuous(G, 2.0 / G.dt), Gl.n_w, Gl.n_z)
     p = p._replace(C1=p.C1 / gamma, D11=p.D11 / gamma, D12=p.D12 / gamma)
     s_max = np.linalg.svd(p.D11, compute_uv=False)[0]
     if s_max >= 1.0 - 1e-9:
         return Probe(float(gamma), None, "d11", f"sigma_max(D11)/gamma = {s_max:.6f} >= 1", None)
-    return _solve_scattered(Gl, absorb_w_feedthrough(p), gamma)
+    return _prove(Gl, *_solve_scattered(absorb_w_feedthrough(p), gamma))
 
 
 def plain_bisection(Gl, tol):

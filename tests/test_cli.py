@@ -282,8 +282,8 @@ class TestDesign:
     def test_no_feasible_gamma_exit_code(self, tmp_path, monkeypatch, capsys):
         """When every probe is infeasible, design exits 1 with one line and
         writes nothing."""
-        monkeypatch.setattr("cwcancel.synthesis._probe", lambda Gl, p, s, gamma: Probe(
-            gamma, None, "care_x", "forced", None))
+        monkeypatch.setattr("cwcancel.synthesis._level", lambda p, s, gamma: (Probe(
+            gamma, None, "care_x", "forced", None), None))
         out = tmp_path / "out"
         assert main(["design", "--out", str(out)]) == EXIT_SYNTH
         err = capsys.readouterr().err
@@ -346,7 +346,8 @@ class TestCertify:
 
     def test_certificate_just_above_reported_level(self, tmp_path, designed_controller):
         """A certificate 1e-4 above gamma_achieved is outside the 1e-6 margin
-        that every feasible probe proves: not within the reported level."""
+        that the design's proof of its level gives: not within the reported
+        level."""
         doc = controller_to_dict(designed_controller)
         doc["gamma_achieved"] = designed_controller.gamma_certified / (1.0 + 1e-4)
         path = tmp_path / "near.json"

@@ -8,7 +8,7 @@ two numbers a period, in place of w's 2N.
 
 - An exit-code row gives a config, a command, the exit code and a text that
   stderr must hold.  A refused command prints one line and no traceback,
-  and creates no output directory.  One such row patches the probe so that
+  and creates no output directory.  One such row patches the level test so that
   ``design``'s certificate disproves a verdict, which exits 1.
 - A byte-identity row runs its command twice, into two directories, and
   compares the artifacts byte for byte: ``design`` with ``certify``,
@@ -138,10 +138,10 @@ def test_certificate_below_an_infeasible_level_exit_code(tmp_path, capsys, monke
     """With every level below 0.3 called infeasible, the N = 8 design ends at
     gamma_min 0.30005 with a controller proven below 0.298679, under the
     infeasible level 0.299805: design exits 1 with one line naming both."""
-    probe = synthesis._probe
-    monkeypatch.setattr(synthesis, "_probe", lambda Gl, p, s, gamma: (
-        Probe(gamma, None, "care_x", "forced", None) if gamma < 0.3
-        else probe(Gl, p, s, gamma)))
+    level = synthesis._level
+    monkeypatch.setattr(synthesis, "_level", lambda p, s, gamma: (
+        (Probe(gamma, None, "care_x", "forced", None), None) if gamma < 0.3
+        else level(p, s, gamma)))
     config, out = tmp_path / "config.json", tmp_path / "out"
     config.write_text(json.dumps(SMALL))
     assert main(["design", "--config", str(config), "--out", str(out)]) == EXIT_SYNTH

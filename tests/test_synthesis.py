@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,7 +148,7 @@ class TestProbe:
                         C2=[[0.8, 0.3]], D11=0.0, D12=0.5, D21=0.4, D22=0.0)
         zero = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                           np.zeros((1, 1)))
-        monkeypatch.setattr(synthesis, "_central_controller", lambda p: (zero, None, None))
+        monkeypatch.setattr(synthesis, "_central_controller", lambda p, X, Y: zero)
         G11 = StateSpace(A, [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]], dt=1.0)
         open_norm = hinf_norm_discrete(G11, tol=1e-6)
         assert _sigma_max(G11, [0.0, np.pi / 2, np.pi]).max() < 0.5 * open_norm
@@ -172,7 +174,8 @@ class TestProbe:
         def no_probe(*args):
             raise AssertionError("a probe ran on an ill-posed problem")
 
-        monkeypatch.setattr(synthesis, "_probe", no_probe)
+        for stage in ("_level", "_prove"):
+            monkeypatch.setattr(synthesis, stage, no_probe)
         with pytest.raises(ValueError, match="ill-posed"):
             run(make_plant(**plant))
 
@@ -273,28 +276,34 @@ class TestProbe:
         assert "condition number" in res.detail
 
     def test_records_of_the_designs(self, monkeypatch):
-        """Every probe of the N = 8, 16, 32 designs at tol 1e-5 and of the
-        defaults is a record with a controller exactly when it has no reason,
-        and rho(XY) exactly when it reached the coupling test; the search's
-        trace and controller are read from those records."""
+        """Every level test of the N = 8, 16, 32 designs at tol 1e-5 and of
+        the defaults is a record without a controller, with proof data
+        exactly when it has no reason, and rho(XY) exactly when it reached
+        the coupling test.  Of the levels it calls feasible the search proves
+        one, the returned level: that proof's record holds the returned
+        controller at its level.  The trace is read from the records."""
         assert Probe._fields == ("level", "controller", "reason", "detail", "rho")
         assert Probe._field_defaults == {}
-        real, probes, reasons = synthesis._probe, [], set()
-        monkeypatch.setattr(synthesis, "_probe",
-                            lambda *args: probes.append(real(*args)) or probes[-1])
+        level, prove = synthesis._level, synthesis._prove
+        tests, proofs, reasons = [], [], set()
+        monkeypatch.setattr(synthesis, "_level",
+                            lambda *args: tests.append(level(*args)) or tests[-1])
+        monkeypatch.setattr(synthesis, "_prove",
+                            lambda *args: proofs.append(prove(*args)) or proofs[-1])
         for params, tol in [(RelayParams(fsfh_ratio=N), 1e-5) for N in (8, 16, 32)] + [
                 (RelayParams(), 1e-3)]:
-            probes.clear()
+            tests.clear(), proofs.clear()
             result = bisect_gamma(lift(params), tol)
-            for q in probes:
-                assert type(q) is Probe
-                assert (q.controller is None) == (q.reason != "")
+            for q, data in tests:
+                assert type(q) is Probe and q.controller is None
+                assert (data is None) == (q.reason != "")
                 assert (q.rho is None) == (q.reason in ("d11", "care_x", "care_y"))
-                if q.controller is not None:
-                    assert q.controller.gamma_achieved == q.level
                 reasons.add(q.reason)
-            assert result.bisection_trace == [(q.level, q.controller is not None) for q in probes]
-            assert any(q.controller is result.controller for q in probes)
+            [q] = proofs
+            assert q.reason == "" and q.level == result.gamma_min
+            assert q.controller is result.controller
+            assert q.controller.gamma_achieved == q.level
+            assert result.bisection_trace == [(q.level, q.reason == "") for q, _ in tests]
         assert reasons == {"", "care_y", "coupling"}
 
 
@@ -576,14 +585,20 @@ class TestSearchAgainstBisection:
         failed there): the search ends on plain bisection's bracket."""
         Gl, t = n8_run[0], 10.0 ** exponent
 
-        def fake(Gl, p, s, gamma):
+        def fake(p, s, gamma):
             rho = (t / gamma) ** power if gamma >= blind * t else None
             if gamma >= t:
-                return Probe(gamma, DigitalController(K=None, gamma_achieved=gamma), "", "", rho)
-            return Probe(gamma, None, "coupling", "fake", rho)
+                return Probe(gamma, None, "", "", rho), "data"
+            return Probe(gamma, None, "coupling", "fake", rho), None
+
+        def prove(Gl, q, data):
+            assert data == ("data" if q.reason == "" else None)
+            return q if q.reason else q._replace(
+                controller=DigitalController(K=None, gamma_achieved=q.level))
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(synthesis, "_probe", fake)
+            mp.setattr(synthesis, "_level", fake)
+            mp.setattr(synthesis, "_prove", prove)
             mp.setattr(synthesis, "certify", lambda Gl, ctrl: {
                 "within_reported": True, "gamma_certified": ctrl.gamma_achieved,
                 "spectral_radius": 0.5})
@@ -608,31 +623,167 @@ class TestSearchAgainstBisection:
         in gamma, they end on the same bracket; every design that returns
         ends on a feasible level within tol of an infeasible one, with a
         certificate at most hi (1 + 1e-6)."""
-        real, trace = synthesis._probe, []
+        level, prove, tests, failed = synthesis._level, synthesis._prove, [], set()
 
-        def recorded(Gl, p, s, gamma):
-            out = real(Gl, p, s, gamma)
-            trace.append((gamma, out.controller is not None))
+        def recorded(p, s, gamma):
+            q, data = level(p, s, gamma)
+            tests.append((gamma, q.reason == ""))
+            return q, data
+
+        def proven(Gl, q, data):
+            out = prove(Gl, q, data)
+            if out.reason != q.reason:
+                failed.add(q.level)
             return out
 
-        monkeypatch.setattr(synthesis, "_probe", recorded)
+        monkeypatch.setattr(synthesis, "_level", recorded)
+        monkeypatch.setattr(synthesis, "_prove", proven)
         rng, tol, compared = np.random.default_rng(7), 1e-3, 0
         for _ in range(12):
             Gl = lift(random_relay(rng))
             _, _, oracle, _ = plain_bisection(Gl, tol)
-            trace.clear()
+            tests.clear(), failed.clear()
             try:
                 result = bisect_gamma(Gl, tol)
             except SynthesisError:
                 result = None
+            trace = [(g, ok and g not in failed) for g, ok in tests]
             lo, hi = bracket(trace)
             if bracket(oracle + trace)[0] < bracket(oracle + trace)[1]:
                 assert (lo, hi) == bracket(oracle)
                 compared += 1
             if result is not None:
+                assert result.bisection_trace == trace
                 assert result.gamma_min == hi and (hi - lo) / lo <= tol
                 assert result.controller.gamma_certified <= hi * (1.0 + 1e-6)
         assert compared >= 6
+
+
+def recorded_stages(mp, reject=lambda level: False, singular=lambda level: False):
+    """Patch bisect_gamma's stages in ``mp`` to record their calls.  The
+    proof of a level for which ``reject`` is true finds a gain at the level,
+    and one for which ``singular`` is true meets a singular controller map.
+    Returns (tests, proofs, exceeded): the level-test records, the (input,
+    output) records of each proof, and the levels of the ``exceeds`` calls."""
+    level, prove = synthesis._level, synthesis._prove
+    norm, to_discrete = synthesis.exceeds, synthesis.bilinear_to_discrete
+    tests, proofs, exceeded = [], [], []
+
+    def test(p, s, gamma):
+        q, data = level(p, s, gamma)
+        tests.append(q)
+        return q, data
+
+    def proof(Gl, q, data):
+        proofs.append([q])
+        proofs[-1].append(prove(Gl, q, data))
+        return proofs[-1][1]
+
+    def bilinear(*args):
+        if singular(proofs[-1][0].level):
+            raise NumericalFailure("bilinear map: stubbed singular pencil")
+        return to_discrete(*args)
+
+    def gain(sys, level):
+        exceeded.append(level)
+        return level if reject(proofs[-1][0].level) else norm(sys, level)
+
+    mp.setattr(synthesis, "_level", test)
+    mp.setattr(synthesis, "_prove", proof)
+    mp.setattr(synthesis, "bilinear_to_discrete", bilinear)
+    mp.setattr(synthesis, "exceeds", gain)
+    return tests, proofs, exceeded
+
+
+class TestLazyProof:
+    """bisect_gamma steers on the level tests and proves only the level it
+    stops on; a failed proof turns that level infeasible and the search
+    goes on, proving every feasible level it probes from then on."""
+
+    def test_skipped_proofs_hold(self):
+        """On the N = 8, 16, 32 designs at tol 1e-5, F = 100/(s+100) at
+        N = 8 and 16, and draws 0-11 of the random-filter recipe at tol 1e-3
+        (exit 1 included), every level the search calls feasible without a
+        proof passes the full probe, and exceeds runs at most once."""
+        rng = np.random.default_rng(7)
+        cases = [(RelayParams(fsfh_ratio=N), 1e-5) for N in (8, 16, 32)] + [
+            (RelayParams(fsfh_ratio=N, antialias=first_order_lowpass(0.01)), 1e-5)
+            for N in (8, 16)] + [(random_relay(rng), 1e-3) for _ in range(12)]
+        skipped = 0
+        for params, tol in cases:
+            Gl = lift(params)
+            with pytest.MonkeyPatch.context() as mp:
+                tests, proofs, exceeded = recorded_stages(mp)
+                try:
+                    bisect_gamma(Gl, tol)
+                except SynthesisError:
+                    pass
+            assert len(exceeded) <= 1 and len(proofs) == len(exceeded)
+            proven = {q.level for q, _ in proofs}
+            for q in tests:
+                if q.reason == "" and q.level not in proven:
+                    assert probe(Gl, q.level).controller is not None
+                    skipped += 1
+        assert skipped >= 60
+
+    @pytest.mark.parametrize("stubs", [
+        dict(reject=lambda level: level < 0.3),
+        dict(singular=lambda level: level == N8_TRACE[-2][0]),
+        dict(reject=lambda level: level <= 1.0),
+    ], ids=["below_threshold", "singular_map_at_stop", "up_to_cell_top"])
+    def test_failed_proofs(self, n8_run, stubs):
+        """Proofs fail below 0.3 (between the Riccati threshold and 1), at
+        the N = 8 search's first stop by a singular controller map, or up to
+        the top 1.0 of its cell, so that doubling resumes.  The search
+        returns a controller proven at its level and ends on plain
+        bisection's bracket under the same verdicts; no level is probed
+        twice, each rejected level's record reads closed_loop, and until the
+        first stop the levels are those of the unstubbed search."""
+        Gl, tol = n8_run[0], 1e-5
+        with pytest.MonkeyPatch.context() as mp:
+            tests, proofs, _ = recorded_stages(mp, **stubs)
+            mp.setattr(synthesis, "certify", lambda Gl, ctrl: {
+                "within_reported": True, "gamma_certified": ctrl.gamma_achieved,
+                "spectral_radius": 0.5})
+            result = bisect_gamma(Gl, tol)
+            rejected = [(q, out) for q, out in proofs if out.reason and not q.reason]
+            after = {q.level for q in tests[len(N8_TRACE):] if q.reason == ""}
+            lo, hi, _, ctrl = plain_bisection(Gl, tol)
+        trace = result.bisection_trace
+        assert [g for g, _ in trace[:len(N8_TRACE)]] == [g for g, _ in N8_TRACE]
+        assert bracket(trace) == (lo, hi) and result.gamma_min == hi
+        assert len({g for g, _ in trace}) == len(trace)
+        assert rejected and all(out.reason == "closed_loop" and (q.level, False) in trace
+                                for q, out in rejected)
+        assert after <= {q.level for q, _ in proofs}
+        if "reject" in stubs and stubs["reject"](1.0):
+            assert (2.0, True) in trace
+        K = result.controller.K
+        assert result.controller.gamma_achieved == hi
+        for ours, ref in ((K.A, ctrl.K.A), (K.B, ctrl.K.B), (K.C, ctrl.K.C), (K.D, ctrl.K.D)):
+            assert np.array_equal(ours, ref)
+        assert exceeds(closed_loop(Gl, K), hi * (1.0 + PROBE_MARGIN)) is None
+
+    def test_every_proof_failing_gives_up_after_the_doublings(self, n8_run):
+        """With every level above 1 passing the level test (on the Riccati
+        pair of level 1) and every finite level's proof failing, the N = 8
+        search proves its levels upward, then doubles from 1, proving each
+        level as it probes it, until MAX_DOUBLINGS are spent: exit 1."""
+        Gl = n8_run[0]
+        data = synthesis._level(*synthesis._rotated_blocks(Gl), 1.0)[1]
+        level = synthesis._level
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_level", lambda p, s, gamma: (
+                level(p, s, gamma) if gamma <= 1.0 else (Probe(gamma, None, "", "", 0.5), data)))
+            tests, proofs, _ = recorded_stages(mp, reject=math.isfinite)
+            with pytest.raises(SynthesisError, match="doublings.*closed_loop"):
+                bisect_gamma(Gl, 1e-5)
+        levels = {q.level for q in tests}
+        assert len(levels) == synthesis.MAX_DOUBLINGS + 1
+        assert max(levels) == 2.0 ** (synthesis.MAX_DOUBLINGS + 1 - len(N8_TRACE))
+        proven = [(q.level, out.reason) for q, out in proofs if q.reason == ""]
+        assert {level for level, _ in proven} == {q.level for q in tests if q.reason == ""}
+        assert {reason for _, reason in proven} == {"closed_loop"}
 
 
 class TestClosedLoop:
@@ -721,10 +872,10 @@ class TestFailurePaths:
         infeasible level 0.29980."""
         from cwcancel.synthesis import SynthesisError
 
-        real = synthesis._probe
-        monkeypatch.setattr(synthesis, "_probe", lambda Gl, p, s, gamma: (
-            Probe(gamma, None, "care_x", "forced", None) if gamma < 0.3
-            else real(Gl, p, s, gamma)))
+        real = synthesis._level
+        monkeypatch.setattr(synthesis, "_level", lambda p, s, gamma: (
+            (Probe(gamma, None, "care_x", "forced", None), None) if gamma < 0.3
+            else real(p, s, gamma)))
         message = r"certificate 0\.29867\d lies below the infeasible level 0\.29980\d"
         with pytest.raises(SynthesisError, match=message):
             bisect_gamma(lift(RelayParams(fsfh_ratio=8)), tol=1e-3)
