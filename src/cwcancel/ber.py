@@ -17,13 +17,13 @@ that modulation and detection read.
 
 A sweep is one streaming pass (:func:`_error_counts`): the controlled
 kinds' period maps come from one lift pass, and each point's bits and
-noise are drawn once per block and shared by every kind.  A block is 1 to
-16 chunks of 32 symbols, as many as keep the points' w of a block within
-a fixed budget of numbers (``simulate._ChainBatch``).  n_RS is drawn, and
-the BPSK tx formed from the bits, only at the samples the loops read, and
-n_T as one sum per decision window.  All beta points of all controlled
-kinds advance together through one stacked symbol-rate system
-(``simulate._SymbolStack``), whose state carries each run's open window
+noise are drawn once per block and shared by every kind.  A block is as
+many whole chunks of 32 symbols as keep the points' w of a block within a
+fixed budget of numbers, and at least one (``simulate._ChainBatch``).
+n_RS is drawn, and the BPSK tx formed from the bits, only at the samples
+the loops read, and n_T as one sum per decision window.  All beta points
+of all controlled kinds advance together through one stacked symbol-rate
+system (``simulate._SymbolStack``), whose state carries each run's open window
 from block to block: one broadcast product per chunk gives every kind's
 window sums of u, so a sweep scores each window's statistic
 beta g Sum u + Sum n_T and never forms a waveform sample.  Decisions are

@@ -27,6 +27,7 @@ bound, or a bilinear map is singular).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,7 +36,7 @@ from pathlib import Path
 
 from .ber import default_beta_grid, modulate, sweep_beta, write_ber_csv
 from .hnorm import UnstableSystemError
-from .lifting import StepMismatchError, lift
+from .lifting import StepMismatchError, closed_loop, lift
 from .lti import NumericalFailure, StateSpace
 from .plant import RelayParams
 from .simulate import CANCELER_KINDS, SimConfig, point_streams, simulate_chain, write_waveform_csv
@@ -191,7 +192,7 @@ def cmd_design(args) -> int:
 def cmd_certify(args) -> int:
     cfg, params, outdir = _setup(args)
     ctrl = load_controller(args.controller)
-    doc = certify(lift(params), ctrl)
+    doc = certify(closed_loop(lift(params), ctrl.K), ctrl)
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "certification.json", doc)
     print(f"spectral radius = {doc['spectral_radius']:.6f}, "
@@ -231,7 +232,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on a process's first :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="cwcancel",
         description="Design and evaluate digital coupling-wave cancelers for a full-duplex relay",

@@ -232,10 +232,9 @@ _CHAIN_ALIGN = 1
 # Steps of a Markov stack's map: a run of any length is computed in chunks
 # of this many symbols, or of up to this many slow periods (:func:`_relay_output`).
 _CHUNK_SYMBOLS = 32
-# A sweep draws and runs blocks of 1 to _BLOCK_CHUNKS whole chunks: as many
-# as keep the runs' w of a block within _BLOCK_BUDGET numbers.
-_BLOCK_BUDGET = 2 ** 16
-_BLOCK_CHUNKS = 16
+# A sweep's blocks are as many whole chunks, at least one, as keep the runs'
+# w within _BLOCK_BUDGET numbers: 512 symbols for 12 points at m = 2, F = I.
+_BLOCK_BUDGET = 3 * 2 ** 13
 
 
 class _PeriodKernel:
@@ -313,17 +312,18 @@ class _MarkovStack:
         and a short last one, is its own product, so splitting a run at chunk
         edges changes no bit."""
         (P, S, r), ns, p, c = V.shape[-3:], self.n_states, self.width, self.chunk
-        Y = np.empty((self.M.shape[0], P, S, p))
+        V, Y = V.reshape(*V.shape[:-2], S * r), np.empty((self.M.shape[0], P, S * p))
+        state, inputs = self.M[:, :ns], self.M[:, ns:]
         for k in range(0, S, c):
             n = min(c, S - k)
-            state = (self.M[:, :ns] if n == c else
-                     np.concatenate([self.M[:, :ns, :p * n], self.powers[n]], axis=2))
-            v = V[..., k:k + n, :].reshape(*V.shape[:-2], n * r)
-            out = v @ self.M[:, ns + (c - n) * r:, p * (c - n):]
+            if n < c:
+                state = np.concatenate([self.M[:, :ns, :p * n], self.powers[n]], axis=2)
+                inputs = self.M[:, ns + (c - n) * r:, p * (c - n):]
+            out = V[..., r * k:r * (k + n)] @ inputs
             out += s @ state
             s[...] = out[..., p * n:]
-            Y[:, :, k:k + n] = out[..., :p * n].reshape(-1, P, n, p)
-        return Y
+            Y[..., p * k:p * (k + n)] = out[..., :p * n]
+        return Y.reshape(-1, P, S, p)
 
 
 def _relay_output(kernel: _PeriodKernel, W: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -443,8 +443,8 @@ class _ChainBatch:
     none when only ``none`` runs, and its BPSK tx is formed at those
     columns only, from its bits (:meth:`bpsk`).  A run's n_T is drawn per
     window, as :func:`_terminal_noise` lays it out.  A block of ``block``
-    symbols is 1 to ``_BLOCK_CHUNKS`` chunks, as many as keep the runs' w,
-    P 32 m cols.size numbers a chunk, within ``_BLOCK_BUDGET``.  Blocked
+    symbols is as many chunks as keep the runs' w, P 32 m cols.size numbers
+    a chunk, within ``_BLOCK_BUDGET``, and at least one.  Blocked
     draws equal whole ones and a stack computes each chunk alike in any
     block, so the block sets a sweep's cost, never its numbers.  The
     ``controlled`` kinds run as one system: one :class:`_PeriodKernel`
@@ -479,7 +479,7 @@ class _ChainBatch:
             self.cols = self.kernel.cols
             self.X = np.zeros((len(self.controlled), len(betas), self.kernel.n_states + 4))
         chunk = len(betas) * _CHUNK_SYMBOLS * self.m * max(self.cols.size, 1)
-        self.block = _CHUNK_SYMBOLS * max(1, min(_BLOCK_CHUNKS, _BLOCK_BUDGET // chunk))
+        self.block = _CHUNK_SYMBOLS * max(1, _BLOCK_BUDGET // chunk)
         self.amp = cfg.signal_amplitude
         self.scale = np.array([beta * cfg.relay_gain for beta in betas])
         self.sigma_rs, self.sigma_t = cfg.sigma_rs, cfg.sigma_t

@@ -245,12 +245,13 @@ def _solve_scattered(p: PlantBlocks, gamma: float):
     return Probe(float(gamma), None, "", "", rho), (p, X, Y)
 
 
-def _prove(Gl: LiftedPlant, q: Probe, data) -> Probe:
-    """The proof of level-test record ``q``: q when it failed, else q with the
-    central controller of ``data`` once its loop with Gl is proven below
-    level*(1+PROBE_MARGIN), or else a ``"closed_loop"`` record."""
+def _prove(Gl: LiftedPlant, q: Probe, data):
+    """(record, loop): the proof of level-test record ``q``.  The record is q
+    when it failed, else q with the central controller of ``data`` once its
+    loop with Gl is proven below level*(1+PROBE_MARGIN), or else a
+    ``"closed_loop"`` record; the loop is that proven closed loop, or None."""
     if q.reason:
-        return q
+        return q, None
     (p, X, Y), dt = data, Gl.G.dt
     try:
         # The central controller is built for D22 = 0; close its loop around
@@ -259,17 +260,18 @@ def _prove(Gl: LiftedPlant, q: Probe, data) -> Probe:
         Kc = _central_controller(p, X, Y)
         Kc = StateSpace(Kc.A - Kc.B @ p.D22 @ Kc.C, Kc.B, Kc.C, Kc.D)
         Kd = bilinear_to_discrete(Kc, 2.0 / dt, dt)
-        gain = exceeds(closed_loop(Gl, Kd), q.level * (1.0 + PROBE_MARGIN))
+        gain = exceeds(loop := closed_loop(Gl, Kd), q.level * (1.0 + PROBE_MARGIN))
     except (NumericalFailure, UnstableSystemError, np.linalg.LinAlgError) as exc:
-        return q._replace(reason="closed_loop", detail=str(exc))
+        return q._replace(reason="closed_loop", detail=str(exc)), None
     if gain is not None:
-        return q._replace(reason="closed_loop", detail=f"closed-loop gain {gain:.6f} exceeds gamma")
-    return q._replace(controller=DigitalController(K=Kd, gamma_achieved=q.level))
+        return q._replace(reason="closed_loop",
+                          detail=f"closed-loop gain {gain:.6f} exceeds gamma"), None
+    return q._replace(controller=DigitalController(K=Kd, gamma_achieved=q.level)), loop
 
 
 def _probe(Gl: LiftedPlant, p: PlantBlocks, s: np.ndarray, gamma: float) -> Probe:
     """The full :class:`Probe` at level gamma: the level test, then its proof."""
-    return _prove(Gl, *_level(p, s, gamma))
+    return _prove(Gl, *_level(p, s, gamma))[0]
 
 
 def _next_level(cell, lo: float, hi: float, tol: float, target):
@@ -309,24 +311,24 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
     the search goes on, proving each feasible level it probes.  So under
     verdicts monotone in gamma, gamma_min and its controller are bisection's,
     and no level is probed twice.  The final upper bracket's controller is
-    returned once :func:`certify` finds it within its level and its proven
-    bound not below the largest infeasible level (else
-    :class:`SynthesisError`), with ``gamma_certified`` set from that document;
-    ``bisection_trace`` holds each record's (level, feasible) pair in probe
-    order.  Raises ValueError unless tol is finite and positive, and on an
-    ill-posed problem before any probe runs.
+    returned once :func:`certify`, on the loop its proof closed, finds it
+    within its level and its proven bound not below the largest infeasible
+    level (else :class:`SynthesisError`), with ``gamma_certified`` set from
+    that document; ``bisection_trace`` holds each record's (level, feasible)
+    pair in probe order.  Raises ValueError unless tol is finite and
+    positive, and on an ill-posed problem before any probe runs.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     p, s = _rotated_blocks(Gl)
     probes, widths = [], []  # widths: hi - lo after each probe
-    lo, hi, best, cell, used, kept, proving = 0.0, 1.0, None, None, 1, None, False
+    lo, hi, best, cell, used, kept, loop, proving = 0.0, 1.0, None, None, 1, None, None, False
     while True:
         if proving and best is not None and probes[best].controller is None:
             # On failure, the next-higher feasible level (its Riccati pair solved
             # again) is proven next; with none left, doubling resumes.
-            q = probes[best] = _prove(Gl, probes[best], kept or _level(p, s, hi)[1])
-            if q.controller is None:
+            probes[best], loop = _prove(Gl, probes[best], kept or _level(p, s, hi)[1])
+            if loop is None:
                 up = [(r.level, i) for i, r in enumerate(probes) if not r.reason and r.level > hi]
                 lo, (hi, best), kept = hi, min(up, default=(2.0 * hi, None)), None
                 cell = cell if up else None
@@ -346,12 +348,11 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
             proving = True  # prove the level stopped on, then every level probed
             continue
         q, data = _level(p, s, gamma)
-        if proving:
-            q = _prove(Gl, q, data)
+        q, proven = _prove(Gl, q, data) if proving else (q, None)
         probes.append(q)
         if not q.reason:
             cell = cell or (lo, gamma)
-            hi, best, kept = gamma, len(probes) - 1, data
+            hi, best, kept, loop = gamma, len(probes) - 1, data, proven
         elif best is not None:
             lo = gamma
         elif len(probes) > MAX_DOUBLINGS:
@@ -362,7 +363,7 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
         widths.append(hi - lo)
 
     best = probes[best].controller
-    doc = certify(Gl, best)
+    doc = certify(loop, best)
     if not doc["within_reported"]:
         raise SynthesisError(f"certificate {doc['gamma_certified']:.6f} contradicts "
                              f"synthesis level {best.gamma_achieved:.6f}")
@@ -375,8 +376,9 @@ def bisect_gamma(Gl: LiftedPlant, tol: float) -> SynthesisResult:
                            closed_loop_radius=doc["spectral_radius"])
 
 
-def certify(Gl: LiftedPlant, ctrl: DigitalController) -> dict:
-    """The certification document of the closed loop of Gl and ctrl.K.
+def certify(cl: StateSpace, ctrl: DigitalController) -> dict:
+    """The certification document of cl, the closed loop of a lifted plant and
+    ctrl.K (:func:`lifting.closed_loop`).
 
     ``spectral_radius`` is the loop's spectral radius and ``gamma_certified``
     a peak gain g it attains, with its H-infinity norm proven to lie in
@@ -385,7 +387,6 @@ def certify(Gl: LiftedPlant, ctrl: DigitalController) -> dict:
     of the proof of its level: that certificate contradicts the controller.
     Raises :class:`~cwcancel.hnorm.UnstableSystemError` when the loop is unstable.
     """
-    cl = closed_loop(Gl, ctrl.K)
     radius = require_stable(cl.A, "certified loop")
     cert = hinf_norm_discrete(cl, tol=CERT_TOL)
     return {

@@ -144,7 +144,7 @@ def scattering_probe(Gl, gamma):
     s_max = np.linalg.svd(p.D11, compute_uv=False)[0]
     if s_max >= 1.0 - 1e-9:
         return Probe(float(gamma), None, "d11", f"sigma_max(D11)/gamma = {s_max:.6f} >= 1", None)
-    return _prove(Gl, *_solve_scattered(absorb_w_feedthrough(p), gamma))
+    return _prove(Gl, *_solve_scattered(absorb_w_feedthrough(p), gamma))[0]
 
 
 def plain_bisection(Gl, tol):

@@ -427,9 +427,10 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("which", ["defaults", "antialias", "lowpass4", "lowpass32"])
     def test_statistics_do_not_depend_on_the_block(self, base_cfg, antialias_cfg, monkeypatch,
                                                    which):
-        """Blocks of 1, 2 and 16 chunks against the default blocks, for one
-        and for three points, over two and a half blocks of 16 chunks: every
-        statistic that the batch yields is the same to the bit.  With
+        """Blocks of 1, 2 and 16 chunks, forced through the budget, against the
+        default blocks, for one and for three points, over two and a half
+        blocks of 16 chunks: every statistic that the batch yields is the
+        same to the bit.  With
         F = 100/(s+100) (``antialias`` is N = 16) the stacks read the image
         of w, a product whose rows are the block's periods."""
         import cwcancel.simulate as sim
@@ -442,43 +443,47 @@ class TestBatchedSweep:
                 bits = np.stack([rng.integers(0, 2, size=n) for rng in batch.bits], axis=1)
                 for kind, stat in batch.advance(bits):
                     y[kind].append(stat)
-            return batch.block, {kind: np.concatenate(v) for kind, v in y.items()}
+            return batch, {kind: np.concatenate(v) for kind, v in y.items()}
 
         cfg = {"defaults": base_cfg, "antialias": antialias_cfg}.get(which) or lowpass_cfg(
             int(which[7:]))
         cfg = replace(cfg, n_symbols=2 * 16 * sim._CHUNK_SYMBOLS + 44)
         points = ([3e-4], [1e-4, 3e-4, 1e-3])
         reference = [statistics(cfg, betas) for betas in points]
-        monkeypatch.setattr(sim, "_BLOCK_BUDGET", 2 ** 62)
         for betas, (default, ref) in zip(points, reference):
-            assert default > sim._CHUNK_SYMBOLS
+            assert default.block > sim._CHUNK_SYMBOLS
+            chunk = len(betas) * sim._CHUNK_SYMBOLS * default.m * max(default.cols.size, 1)
             for chunks in (1, 2, 16):
-                monkeypatch.setattr(sim, "_BLOCK_CHUNKS", chunks)
-                block, y = statistics(cfg, betas)
-                assert block == chunks * sim._CHUNK_SYMBOLS
+                monkeypatch.setattr(sim, "_BLOCK_BUDGET", chunks * chunk)
+                batch, y = statistics(cfg, betas)
+                assert batch.block == chunks * sim._CHUNK_SYMBOLS
                 for kind, stat in ref.items():
                     assert stat.shape == (cfg.n_symbols, len(betas), 2)
                     assert np.array_equal(y[kind], stat)
 
     def test_block_rule(self, base_cfg):
-        """One point and 12 points with F = I at N = 16 run 16 chunks, 512
-        symbols, a block; 12 points with F = 100/(s+100) at N = 64, whose
-        loops read all 128 samples of w a period, run one."""
+        """12 points with F = I at N = 16, the reference sweep, run 16 chunks,
+        512 symbols, a block, and one point 192 chunks, 6 144 symbols; 12
+        points with F = 100/(s+100) at N = 64, whose loops read all 128
+        samples of w a period, run one."""
         from cwcancel.lifting import lift
         from cwcancel.plant import first_order_lowpass
         from cwcancel.simulate import _ChainBatch
         from cwcancel.synthesis import bisect_gamma
 
         betas = list(np.geomspace(1e-4, 1e-2, 12))
-        assert _ChainBatch(base_cfg, ["designed"], [3e-4]).block == 16 * 32
         assert _ChainBatch(base_cfg, ["none", "designed", "perfect"], betas).block == 16 * 32
+        assert _ChainBatch(base_cfg, ["designed"], [3e-4]).block == 192 * 32
         params = RelayParams(fsfh_ratio=64, antialias=first_order_lowpass(0.01))
         cfg = SimConfig(params=params, controller=bisect_gamma(lift(params), tol=5e-2).controller)
         batch = _ChainBatch(cfg, ["designed", "perfect"], betas)
         assert batch.cols.size == 128 and batch.block == 32
 
     def test_memory_bounded_by_chunk(self, base_cfg):
+        """A one-point sweep of 8 blocks peaks within 1.5 times one of 2."""
         import tracemalloc
+
+        from cwcancel.simulate import _ChainBatch
 
         def peak(n_symbols):
             tracemalloc.start()
@@ -489,7 +494,8 @@ class TestBatchedSweep:
                 tracemalloc.stop()
 
         peak(10)  # one-time allocations (lazy imports, caches) stay out of the figures
-        small, large = peak(2000), peak(16000)
+        block = _ChainBatch(base_cfg, ["designed"], [3e-4]).block
+        small, large = peak(2 * block), peak(8 * block)
         assert large <= 1.5 * small, (small, large)
 
     def test_reference_sweep_memory(self, base_cfg):

@@ -824,3 +824,20 @@ class TestInvalidInputShaping:
         assert "input_shaping must be" in err
         assert err.strip().splitlines() == [err.strip()]
         assert not out.exists()
+
+
+class TestParser:
+    """main parses with one parser per process, built on its first call."""
+
+    def test_built_once_across_calls(self, tmp_path, controller_file, capsys):
+        from cwcancel import cli
+
+        cli._build_parser.cache_clear()
+        for run in ("a", "b", "c"):
+            assert main(["certify", "--controller", str(controller_file),
+                         "--out", str(tmp_path / run)]) == EXIT_OK
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        first = (tmp_path / "a" / "certification.json").read_bytes()
+        assert all((tmp_path / run / "certification.json").read_bytes() == first
+                   for run in ("b", "c"))

@@ -12,13 +12,18 @@ two numbers a period, in place of w's 2N.
   ``design``'s certificate disproves a verdict, which exits 1.
 - A byte-identity row runs its command twice, into two directories, and
   compares the artifacts byte for byte: ``design`` with ``certify``,
-  ``simulate``, and ``sweep`` (one symbol, ``none`` alone, 1 100 symbols,
-  which cross two edges of a 512-symbol block, and 12 points of 2 500
-  symbols, five such blocks of all 12 points).
+  ``simulate``, and ``sweep`` (one symbol, ``none`` alone, 2 points of
+  6 500 symbols, which cross two edges of their 3 072-symbol blocks, and 12
+  points of 2 500 symbols, five 512-symbol blocks of all 12 points).  One
+  sweep of 5 000 symbols in one block is compared with itself in 512-symbol
+  blocks.
+- A sequence row runs commands one after another in one process: a refused
+  argv and ``--help`` leave the one parser serving the next command.
 
 Two cases need a fresh interpreter and run ``python -m cwcancel.cli`` as a
 subprocess: ``design`` under two hash seeds, whose artifacts must also agree
 across processes, and a design whose lift does not fit the address space.
+A third imports the CLI there and finds no parser built.
 
 Identical inputs give byte-identical artifacts at one BLAS thread count.
 Each row compares two runs at the same count, so the table holds under any
@@ -58,7 +63,7 @@ SIMULATE = {"small": ("small", 20), "lowpass": ("lowpass", 20), "one": ("small",
 # controller, beta points)
 SWEEP = {"small": ("small", 200, None, 2), "lowpass": ("lowpass", 200, None, 2),
          "lowpass16": ("lowpass16", 200, None, 2), "one": ("small", 1, None, 2),
-         "none": ("small", 200, "none", 2), "blocks": ("small", 1100, None, 2),
+         "none": ("small", 200, "none", 2), "blocks": ("small", 6500, None, 2),
          "ref12": ("small", 2500, None, 12)}
 
 WIDE_P = {"a": [[-1000.0]], "b": [[1000.0, 0.0, 0.0]], "c": [[1.0]], "d": [[0.0]]}
@@ -79,6 +84,18 @@ EXITS = {
     "g6000": ({**SMALL, "sim": {"relay_gain_db": 6000.0}},
               ["sweep", "--controller", "{controller}", "--betas", "1",
                "--cancelers", "designed,perfect"], EXIT_OK, ""),
+}
+
+# name: calls in one process, each (command, exit code, stdout text, the
+# artifact it writes or None), with "{controller}" as in EXITS: a parse that
+# fails or prints help leaves the one parser serving the next call.
+SEQUENCES = {
+    "bad_help_certify": [
+        (["certify", "--tol", "1"], EXIT_CONFIG, "", None),
+        (["--help"], EXIT_OK, "usage: cwcancel", None),
+        (["certify", "--controller", "{controller}"], EXIT_OK, "certified norm",
+         "certification.json"),
+    ],
 }
 
 
@@ -105,14 +122,18 @@ def _twice(tmp_path, argv, *artifacts):
     return runs
 
 
-def _python_m(argv, env, **kwargs):
-    """``python -m cwcancel.cli argv`` in a fresh interpreter that imports this
-    package, with ``env`` added to the environment."""
+def _python(args, env, **kwargs):
+    """``python args`` in a fresh interpreter that imports this package, with
+    ``env`` added to the environment."""
     src = str(Path(cwcancel.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "cwcancel.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path, **env}, timeout=300,
-                          **kwargs)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=300, **kwargs)
+
+
+def _python_m(argv, env, **kwargs):
+    """``python -m cwcancel.cli argv`` in a fresh interpreter."""
+    return _python(["-m", "cwcancel.cli", *argv], env, **kwargs)
 
 
 @pytest.mark.parametrize("row", EXITS)
@@ -132,6 +153,48 @@ def test_exit_code(designed, tmp_path, capsys, row):
     else:
         assert err.strip().splitlines() == [err.strip()]
         assert not out.exists()
+
+
+def test_one_block_sweep_matches_short_blocks(designed, tmp_path, monkeypatch):
+    """One point of 5 000 symbols runs in one block, and in 512-symbol blocks
+    once the budget is cut to 16 chunks: ber_curves.csv has the same bytes."""
+    from cwcancel import simulate
+
+    config, controller = designed["small"]
+    doc = json.loads(config.read_text())
+    doc["comms"]["n_symbols"] = 5000
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    advance, blocks = simulate._ChainBatch.advance, []
+    monkeypatch.setattr(simulate._ChainBatch, "advance",
+                        lambda batch, bits: blocks.append(len(bits)) or advance(batch, bits))
+    runs = []
+    for budget in (simulate._BLOCK_BUDGET, 16 * 32 * 2 * 2):
+        monkeypatch.setattr(simulate, "_BLOCK_BUDGET", budget)
+        blocks.clear()
+        out = tmp_path / str(budget)
+        assert main(["sweep", "--config", str(config), "--controller", str(controller),
+                     "--betas", "2e-4", "--cancelers", "designed,perfect",
+                     "--out", str(out)]) == EXIT_OK
+        runs.append((list(blocks), (out / "ber_curves.csv").read_bytes()))
+    assert runs[0][0] == [5000] and runs[1][0] == [512] * 9 + [392]
+    assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("row", SEQUENCES)
+def test_one_parser_serves_a_sequence(designed, tmp_path, capsys, row):
+    config, controller = designed["small"]
+    for i, (command, code, text, artifact) in enumerate(SEQUENCES[row]):
+        out = tmp_path / str(i)
+        argv = [str(controller) if arg == "{controller}" else arg for arg in command]
+        if argv != ["--help"]:
+            argv += ["--config", str(config), "--out", str(out)]
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert text in capsys.readouterr().out
+        assert (out / artifact).is_file() if artifact else not out.exists()
 
 
 def test_certificate_below_an_infeasible_level_exit_code(tmp_path, capsys, monkeypatch):
@@ -180,6 +243,14 @@ def test_not_enough_memory(tmp_path):
     assert run.stderr.startswith("not enough memory: ")
     assert run.stderr.strip().splitlines() == [run.stderr.strip()]
     assert not out.exists()
+
+
+def test_import_builds_no_parser():
+    """Importing the CLI builds no parser: the first main call does."""
+    run = _python(["-c", "import cwcancel.cli as cli; print(cli._build_parser.cache_info())"],
+                  env={})
+    assert run.returncode == 0, run.stderr
+    assert "misses=0" in run.stdout and "currsize=0" in run.stdout
 
 
 def test_python_m_design_is_byte_identical(designed, tmp_path):

@@ -299,8 +299,9 @@ class TestProbe:
                 assert (data is None) == (q.reason != "")
                 assert (q.rho is None) == (q.reason in ("d11", "care_x", "care_y"))
                 reasons.add(q.reason)
-            [q] = proofs
+            [(q, loop)] = proofs
             assert q.reason == "" and q.level == result.gamma_min
+            assert loop.n_states == lift(params).n_states + q.controller.K.n_states
             assert q.controller is result.controller
             assert q.controller.gamma_achieved == q.level
             assert result.bisection_trace == [(q.level, q.reason == "") for q, _ in tests]
@@ -593,13 +594,13 @@ class TestSearchAgainstBisection:
 
         def prove(Gl, q, data):
             assert data == ("data" if q.reason == "" else None)
-            return q if q.reason else q._replace(
-                controller=DigitalController(K=None, gamma_achieved=q.level))
+            return (q, None) if q.reason else (q._replace(
+                controller=DigitalController(K=None, gamma_achieved=q.level)), "loop")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synthesis, "_level", fake)
             mp.setattr(synthesis, "_prove", prove)
-            mp.setattr(synthesis, "certify", lambda Gl, ctrl: {
+            mp.setattr(synthesis, "certify", lambda cl, ctrl: {
                 "within_reported": True, "gamma_certified": ctrl.gamma_achieved,
                 "spectral_radius": 0.5})
             lo, hi, trace, _ = plain_bisection(Gl, tol)
@@ -631,10 +632,10 @@ class TestSearchAgainstBisection:
             return q, data
 
         def proven(Gl, q, data):
-            out = prove(Gl, q, data)
+            out, loop = prove(Gl, q, data)
             if out.reason != q.reason:
                 failed.add(q.level)
-            return out
+            return out, loop
 
         monkeypatch.setattr(synthesis, "_level", recorded)
         monkeypatch.setattr(synthesis, "_prove", proven)
@@ -676,8 +677,9 @@ def recorded_stages(mp, reject=lambda level: False, singular=lambda level: False
 
     def proof(Gl, q, data):
         proofs.append([q])
-        proofs[-1].append(prove(Gl, q, data))
-        return proofs[-1][1]
+        out = prove(Gl, q, data)
+        proofs[-1].append(out[0])
+        return out
 
     def bilinear(*args):
         if singular(proofs[-1][0].level):
@@ -726,6 +728,21 @@ class TestLazyProof:
                     skipped += 1
         assert skipped >= 60
 
+    def test_design_closes_one_loop(self, monkeypatch):
+        """The N = 8 design at tol 1e-5 closes one loop, in the proof of the
+        level it returns, and certifies that loop: its certificate and radius
+        are those of the same loop closed anew."""
+        close, closed = synthesis.closed_loop, []
+        monkeypatch.setattr(synthesis, "closed_loop",
+                            lambda Gl, K: closed.append(K) or close(Gl, K))
+        Gl = lift(RelayParams(fsfh_ratio=8))
+        result = bisect_gamma(Gl, 1e-5)
+        ctrl = result.controller
+        assert len(closed) == 1 and closed[0] is ctrl.K
+        doc = synthesis.certify(closed_loop(Gl, ctrl.K), ctrl)
+        assert doc["gamma_certified"] == ctrl.gamma_certified
+        assert doc["spectral_radius"] == result.closed_loop_radius
+
     @pytest.mark.parametrize("stubs", [
         dict(reject=lambda level: level < 0.3),
         dict(singular=lambda level: level == N8_TRACE[-2][0]),
@@ -742,7 +759,7 @@ class TestLazyProof:
         Gl, tol = n8_run[0], 1e-5
         with pytest.MonkeyPatch.context() as mp:
             tests, proofs, _ = recorded_stages(mp, **stubs)
-            mp.setattr(synthesis, "certify", lambda Gl, ctrl: {
+            mp.setattr(synthesis, "certify", lambda cl, ctrl: {
                 "within_reported": True, "gamma_certified": ctrl.gamma_achieved,
                 "spectral_radius": 0.5})
             result = bisect_gamma(Gl, tol)
